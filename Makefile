@@ -140,14 +140,18 @@ bench:
 
 # Perf-regression smoke: rerun the exec benches and compare against the
 # committed baseline. Timing fields get a very generous tolerance (CI
-# machines vary wildly); allocation counts on the steady-state execute
-# paths must match exactly — an allocation regression fails even when the
-# timing noise would hide it.
+# machines vary wildly); allocation counts on the deterministic
+# steady-state paths (execute, interpreter, memo hit) must match exactly —
+# an allocation regression fails even when the timing noise would hide it.
+# Compile-path allocation counts (Dynopt, Compile/*, CompilePipeline,
+# Fleet*) are reported, not pinned: they include sync.Pool refills that
+# wander by a few allocs/op between runs of the same code. The bench/
+# benchmark's alloc_kb_per_run gates those paths end to end.
 bench-check:
 	$(GO) test -run '^$$' -bench '$(BENCH_EXEC_RE)' -benchmem -benchtime 2000x -count=1 . \
 		| $(GO) run ./cmd/smarq-benchjson \
 		| $(GO) run ./cmd/smarq-golden -golden testdata/bench-exec.baseline.json -got - \
-			-rtol 9 -atol 1.5 -exact '(Execute/|RegionExecution|Compile|Interpreter/).*allocs_per_op$$|Fleet/tenants4.dedupe_pct$$'
+			-rtol 9 -atol 1.5 -exact '(Execute/|RegionExecution|Interpreter/|MemoHit).*allocs_per_op$$|Fleet/tenants4.dedupe_pct$$'
 
 # One testing.B benchmark per table/figure plus micro-benchmarks (the
 # full sweep; slow).
