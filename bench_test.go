@@ -13,6 +13,7 @@ import (
 	"smarq"
 	"smarq/internal/alias"
 	"smarq/internal/aliashw"
+	"smarq/internal/codecache"
 	"smarq/internal/compilequeue"
 	"smarq/internal/core"
 	"smarq/internal/deps"
@@ -533,7 +534,8 @@ func BenchmarkMemoHit(b *testing.B) {
 		}
 		return k
 	}
-	memo := compilequeue.NewMemo[*vliw.CompiledRegion]()
+	// A private one-shard cache, as a memoizing System holds.
+	memo := codecache.New[*vliw.CompiledRegion](codecache.Options{Shards: 1}, nil)
 	memo.Put(key(), &vliw.CompiledRegion{})
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,8 +1,9 @@
 // Package codecache is a sharded, content-addressed cache for compiled
-// regions shared by many concurrently running dynopt.Systems (fleet
-// execution). It is the concurrent sibling of compilequeue.Memo: the same
-// FNV-1a content keys, but safe — and fast — under true cross-goroutine
-// contention.
+// regions, keyed by compilequeue's FNV-1a content hash. It is dynopt's
+// only compile-output cache: a fleet of concurrently running
+// dynopt.Systems shares one (safe — and fast — under true cross-goroutine
+// contention), and a single System memoizing on its own holds a private
+// one-shard instance, which under single-threaded use is exact LRU.
 //
 // Layout and discipline:
 //
@@ -35,7 +36,7 @@
 // outcomes differ between a fleet run and a solo run, but dynopt replays a
 // hit's modelled costs exactly as a fresh compile's, so per-tenant
 // simulated results are identical modulo the hit/miss counters themselves
-// (the same contract as compilequeue.Memo, proven by
+// (the same contract as a private memo, proven by
 // harness.TestFleetTenantDeterminism).
 package codecache
 
@@ -370,8 +371,21 @@ func (c *Cache[V]) evictOne() bool {
 	return ok
 }
 
+// DropOldest evicts the entry with the minimum recency stamp regardless of
+// the budgets — the hook for injected host memory pressure — and reports
+// whether anything was evicted.
+func (c *Cache[V]) DropOldest() bool {
+	c.evictMu.Lock()
+	defer c.evictMu.Unlock()
+	return c.evictOne()
+}
+
 // Len returns the live entry count.
 func (c *Cache[V]) Len() int { return int(c.entries.Load()) }
+
+// Evictions returns how many entries the budgets or DropOldest removed.
+// Unlike Stats it does not allocate.
+func (c *Cache[V]) Evictions() int64 { return c.evictions.Load() }
 
 // Bytes returns the live payload byte total.
 func (c *Cache[V]) Bytes() int64 { return c.bytes.Load() }

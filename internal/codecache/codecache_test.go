@@ -20,9 +20,10 @@ func mkKey(i int) Key {
 
 // seqModel is the sequential-model oracle: a plain map plus explicit
 // recency stamps mirroring the cache's global clock. Get stamps clock+1 on
-// a hit; Put stamps the inserted entry; eviction removes the minimum
-// stamp. Run in lockstep with a Cache under single-threaded use, every
-// hit/miss outcome, eviction victim, Len and Bytes must match exactly.
+// a hit; Put stamps the inserted entry; eviction (budget or DropOldest)
+// removes the minimum stamp. Run in lockstep with a Cache under
+// single-threaded use, every hit/miss outcome, eviction victim, Len,
+// Bytes and counter must match exactly.
 type seqModel struct {
 	vals    map[Key]int
 	sizes   map[Key]int64
@@ -31,6 +32,8 @@ type seqModel struct {
 	bytes   int64
 	maxEnt  int64
 	maxByte int64
+
+	hits, misses, evictions int64
 }
 
 func newSeqModel(maxEnt, maxByte int64) *seqModel {
@@ -47,6 +50,9 @@ func (m *seqModel) get(k Key) (int, bool) {
 	if ok {
 		m.clock++
 		m.stamps[k] = m.clock
+		m.hits++
+	} else {
+		m.misses++
 	}
 	return v, ok
 }
@@ -60,49 +66,89 @@ func (m *seqModel) put(k Key, v int, size int64) {
 	m.bytes += size
 	for (m.maxEnt > 0 && int64(len(m.vals)) > m.maxEnt) ||
 		(m.maxByte > 0 && m.bytes > m.maxByte) {
-		victim, vmin := Key(0), int64(1<<63-1)
-		for kk, s := range m.stamps {
-			if s < vmin {
-				victim, vmin = kk, s
-			}
-		}
-		m.bytes -= m.sizes[victim]
-		delete(m.vals, victim)
-		delete(m.sizes, victim)
-		delete(m.stamps, victim)
+		m.dropOldest()
 	}
 }
 
+// dropOldest evicts the minimum stamp, reporting false on an empty model.
+func (m *seqModel) dropOldest() bool {
+	if len(m.stamps) == 0 {
+		return false
+	}
+	victim, vmin := Key(0), int64(1<<63-1)
+	for kk, s := range m.stamps {
+		if s < vmin {
+			victim, vmin = kk, s
+		}
+	}
+	m.bytes -= m.sizes[victim]
+	delete(m.vals, victim)
+	delete(m.sizes, victim)
+	delete(m.stamps, victim)
+	m.evictions++
+	return true
+}
+
 // TestSequentialLRUOracle drives a Cache and the oracle through the same
-// random get/put stream and requires identical hit/miss outcomes, values,
-// eviction survivors (checked with the non-perturbing Peek), entry counts
-// and byte totals after every step.
+// random get/put/DropOldest stream and requires identical hit/miss
+// outcomes, values, DropOldest results, eviction survivors (checked with
+// the non-perturbing Peek), entry counts, byte totals and eviction counts
+// after every step, and identical hit/miss totals at the end. The cases
+// cover what a memoizing dynopt.System relies on: an entry bound, a byte
+// bound, both at once, capacity 1, no bound at all (only DropOldest
+// evicts), values weighing nothing (no size function: Bytes stays 0), and
+// values larger than the whole byte budget (admitted, then evicted
+// together with everything older, leaving the cache empty but usable).
 func TestSequentialLRUOracle(t *testing.T) {
+	sized := func(v int) int64 { return int64(v%64 + 1) }
 	for _, tc := range []struct {
 		name             string
 		maxEnt, maxBytes int64
+		size             func(int) int64
 	}{
-		{"entries8", 8, 0},
-		{"bytes200", 0, 200},
-		{"both", 12, 400},
+		{"entries8", 8, 0, sized},
+		{"bytes200", 0, 200, sized},
+		{"both", 12, 400, sized},
+		{"cap1", 1, 0, sized},
+		{"unbounded", 0, 0, sized},
+		{"weightless", 2, 0, nil},
+		{"oversized", 0, 50, sized},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New[int](Options{Shards: 4, MaxEntries: tc.maxEnt, MaxBytes: tc.maxBytes},
-				func(v int) int64 { return int64(v%64 + 1) })
+			c := New[int](Options{Shards: 4, MaxEntries: tc.maxEnt, MaxBytes: tc.maxBytes}, tc.size)
 			m := newSeqModel(tc.maxEnt, tc.maxBytes)
 			rng := rand.New(rand.NewSource(42))
+			if c.DropOldest() || m.dropOldest() {
+				t.Fatal("DropOldest on an empty cache reported an eviction")
+			}
+			oversized := 0
 			for step := 0; step < 5000; step++ {
 				k := mkKey(rng.Intn(40))
-				if rng.Intn(2) == 0 {
+				switch op := rng.Intn(10); {
+				case op == 0:
+					if got, want := c.DropOldest(), m.dropOldest(); got != want {
+						t.Fatalf("step %d: DropOldest = %v, oracle %v", step, got, want)
+					}
+				case op <= 5:
 					gv, gok := c.Get(k)
 					wv, wok := m.get(k)
 					if gok != wok || (gok && gv != wv) {
 						t.Fatalf("step %d: Get = (%d,%v), oracle (%d,%v)", step, gv, gok, wv, wok)
 					}
-				} else {
+				default:
 					v := rng.Intn(1000)
+					var size int64
+					if tc.size != nil {
+						size = tc.size(v)
+					}
 					c.Put(k, v)
-					m.put(k, v, int64(v%64+1))
+					m.put(k, v, size)
+					if tc.maxBytes > 0 && size > tc.maxBytes {
+						oversized++
+						if c.Len() != 0 || c.Bytes() != 0 {
+							t.Fatalf("step %d: oversized value left len=%d bytes=%d", step, c.Len(), c.Bytes())
+						}
+					}
 				}
 				if c.Len() != len(m.vals) {
 					t.Fatalf("step %d: Len %d, oracle %d", step, c.Len(), len(m.vals))
@@ -110,6 +156,15 @@ func TestSequentialLRUOracle(t *testing.T) {
 				if c.Bytes() != m.bytes {
 					t.Fatalf("step %d: Bytes %d, oracle %d", step, c.Bytes(), m.bytes)
 				}
+				if c.Evictions() != m.evictions {
+					t.Fatalf("step %d: Evictions %d, oracle %d", step, c.Evictions(), m.evictions)
+				}
+			}
+			if tc.name == "oversized" && oversized == 0 {
+				t.Fatal("stream inserted no value larger than the byte budget")
+			}
+			if st := c.Stats(); st.Hits != m.hits || st.Misses != m.misses {
+				t.Fatalf("hits/misses = %d/%d, oracle %d/%d", st.Hits, st.Misses, m.hits, m.misses)
 			}
 			// Survivor set and values must match the oracle's exactly.
 			for k, wv := range m.vals {
@@ -131,9 +186,10 @@ func TestSequentialLRUOracle(t *testing.T) {
 }
 
 // TestConcurrentTorture hammers one cache from 8 goroutines with random
-// gets, puts and single-flight lookups under a byte+entry budget; -race
-// must stay silent, values must never cross keys, and at quiescence the
-// budgets and the entry/byte accounting must be exact.
+// gets, puts, single-flight lookups and DropOldest calls under a
+// byte+entry budget; -race must stay silent, values must never cross
+// keys, and at quiescence the budgets and the entry/byte accounting must
+// be exact.
 func TestConcurrentTorture(t *testing.T) {
 	const (
 		goroutines = 8
@@ -153,6 +209,10 @@ func TestConcurrentTorture(t *testing.T) {
 			for i := 0; i < steps; i++ {
 				ki := rng.Intn(keys)
 				k := mkKey(ki)
+				if rng.Intn(16) == 0 {
+					// Injected memory pressure races the budget evictor.
+					c.DropOldest()
+				}
 				// Values encode their key so a cross-key mixup is
 				// detectable: v = ki*1000 + noise(<1000).
 				switch rng.Intn(3) {

@@ -1,13 +1,14 @@
 // Package compilequeue is the host-side machinery behind dynopt's
 // asynchronous background compilation: a bounded worker pool that runs
-// pure compile jobs off the dispatch path, and a content-hash memo table
-// keyed by the canonical bytes of a region's guest instructions plus the
-// configuration bits that affect its compilation.
+// pure compile jobs off the dispatch path, and the content-hash key —
+// the canonical bytes of a region's guest instructions plus the
+// configuration bits that affect its compilation — that dynopt's
+// compile-output cache (internal/codecache) is addressed by.
 //
 // Determinism discipline: nothing in this package makes a *simulated*
 // decision. Workers execute pure functions whose inputs are snapshotted on
 // the simulation thread; every observable choice — what to enqueue, when a
-// result installs, memo lookups and inserts — happens on the simulation
+// result installs, cache lookups and inserts — happens on the simulation
 // thread at points fixed by the simulated clock. The worker count
 // therefore changes only host wall time, never a single simulated cycle,
 // stat, or telemetry byte.
@@ -131,172 +132,3 @@ func (k Key) Bool(b bool) Key {
 	}
 	return k.Word(0)
 }
-
-// Memo is the content-hash memoization table, bounded by a capacity with
-// LRU eviction (the same discipline as dynopt's code cache bound): under
-// hot/cold-flip workloads the key population churns forever, and an
-// unbounded map is a slow memory leak in a long-running host. It is NOT
-// concurrency-safe by design: lookups happen at enqueue and inserts at
-// install, both on the simulation thread, so the table needs no lock and
-// its hit/miss/eviction order is deterministic.
-type Memo[V any] struct {
-	m   map[Key]*memoNode[V]
-	cap int // <= 0: unbounded
-	// budget bounds the table in payload bytes as reported by size (<= 0:
-	// unbounded); bytes is the current total. Entries cost their payload,
-	// not just their slot, so a few huge compiled regions can no longer
-	// hide behind a generous entry cap.
-	budget int64
-	size   func(V) int64
-	bytes  int64
-	// Intrusive doubly-linked recency list; head is most recently used,
-	// tail the eviction victim.
-	head, tail *memoNode[V]
-	hits       int64
-	misses     int64
-	evictions  int64
-}
-
-type memoNode[V any] struct {
-	key        Key
-	val        V
-	size       int64
-	prev, next *memoNode[V]
-}
-
-// NewMemo returns an empty, unbounded memo table.
-func NewMemo[V any]() *Memo[V] { return NewMemoCap[V](0) }
-
-// NewMemoCap returns an empty memo table holding at most capacity entries
-// (<= 0 means unbounded). Inserting past capacity evicts the least
-// recently used entry.
-func NewMemoCap[V any](capacity int) *Memo[V] {
-	return &Memo[V]{m: make(map[Key]*memoNode[V]), cap: capacity}
-}
-
-// NewMemoBudget returns a memo table bounded both in entries (capacity,
-// <= 0 unbounded) and in payload bytes (budgetBytes, <= 0 unbounded), with
-// size reporting each value's payload. Inserting past either bound evicts
-// least recently used entries until both hold again; a single value larger
-// than the whole byte budget is admitted and immediately evicted, keeping
-// the table within budget at every return. A nil size function makes every
-// value weightless (byte budget inert), preserving NewMemoCap semantics.
-func NewMemoBudget[V any](capacity int, budgetBytes int64, size func(V) int64) *Memo[V] {
-	return &Memo[V]{
-		m: make(map[Key]*memoNode[V]), cap: capacity,
-		budget: budgetBytes, size: size,
-	}
-}
-
-func (m *Memo[V]) unlink(n *memoNode[V]) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		m.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		m.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-func (m *Memo[V]) pushFront(n *memoNode[V]) {
-	n.next = m.head
-	if m.head != nil {
-		m.head.prev = n
-	}
-	m.head = n
-	if m.tail == nil {
-		m.tail = n
-	}
-}
-
-// Get looks k up, counting a hit or a miss. A hit freshens the entry's
-// recency.
-func (m *Memo[V]) Get(k Key) (V, bool) {
-	n, ok := m.m[k]
-	if !ok {
-		m.misses++
-		var zero V
-		return zero, false
-	}
-	m.hits++
-	if m.head != n {
-		m.unlink(n)
-		m.pushFront(n)
-	}
-	return n.val, true
-}
-
-// Put records the compiled value for k, evicting least recently used
-// entries while the table exceeds its entry capacity or byte budget.
-func (m *Memo[V]) Put(k Key, v V) {
-	if n, ok := m.m[k]; ok {
-		m.bytes -= n.size
-		n.val = v
-		n.size = m.sizeOf(v)
-		m.bytes += n.size
-		if m.head != n {
-			m.unlink(n)
-			m.pushFront(n)
-		}
-		m.enforce()
-		return
-	}
-	n := &memoNode[V]{key: k, val: v, size: m.sizeOf(v)}
-	m.m[k] = n
-	m.bytes += n.size
-	m.pushFront(n)
-	m.enforce()
-}
-
-// sizeOf reports v's payload bytes (0 without a size function).
-func (m *Memo[V]) sizeOf(v V) int64 {
-	if m.size == nil {
-		return 0
-	}
-	return m.size(v)
-}
-
-// enforce evicts LRU entries until both bounds hold. The loop terminates
-// because every eviction shrinks the table; an entry larger than the whole
-// byte budget empties the table (itself included) rather than overshooting.
-func (m *Memo[V]) enforce() {
-	for (m.cap > 0 && len(m.m) > m.cap) || (m.budget > 0 && m.bytes > m.budget) {
-		if !m.DropOldest() {
-			return
-		}
-	}
-}
-
-// DropOldest evicts the least recently used entry (the memo-pressure
-// fault's hook) and reports whether anything was evicted.
-func (m *Memo[V]) DropOldest() bool {
-	victim := m.tail
-	if victim == nil {
-		return false
-	}
-	m.unlink(victim)
-	delete(m.m, victim.key)
-	m.bytes -= victim.size
-	m.evictions++
-	return true
-}
-
-// Hits returns the lookup hit count.
-func (m *Memo[V]) Hits() int64 { return m.hits }
-
-// Misses returns the lookup miss count.
-func (m *Memo[V]) Misses() int64 { return m.misses }
-
-// Evictions returns how many entries capacity or memo pressure evicted.
-func (m *Memo[V]) Evictions() int64 { return m.evictions }
-
-// Len returns the number of memoized entries.
-func (m *Memo[V]) Len() int { return len(m.m) }
-
-// Bytes returns the payload bytes currently retained (always 0 without a
-// size function).
-func (m *Memo[V]) Bytes() int64 { return m.bytes }

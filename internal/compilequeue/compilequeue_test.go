@@ -113,195 +113,3 @@ func TestKeySensitiveToEveryFold(t *testing.T) {
 		}
 	}
 }
-
-func TestMemoCountsHitsAndMisses(t *testing.T) {
-	m := NewMemo[string]()
-	k1 := NewKey().Int(1)
-	k2 := NewKey().Int(2)
-
-	if _, ok := m.Get(k1); ok {
-		t.Fatal("empty memo reported a hit")
-	}
-	m.Put(k1, "one")
-	if v, ok := m.Get(k1); !ok || v != "one" {
-		t.Fatalf("Get(k1) = %q, %v after Put", v, ok)
-	}
-	if _, ok := m.Get(k2); ok {
-		t.Fatal("Get(k2) hit without a Put")
-	}
-
-	if m.Hits() != 1 || m.Misses() != 2 {
-		t.Errorf("hits/misses = %d/%d, want 1/2", m.Hits(), m.Misses())
-	}
-	if m.Len() != 1 {
-		t.Errorf("Len() = %d, want 1", m.Len())
-	}
-}
-
-// TestMemoCapacityEvictsLRU: a bounded memo holds at most cap entries and
-// evicts strictly in least-recently-used order, where both Get hits and
-// Put updates freshen recency.
-func TestMemoCapacityEvictsLRU(t *testing.T) {
-	key := func(i int) Key { return NewKey().Int(int64(i)) }
-	m := NewMemoCap[int](2)
-	m.Put(key(1), 1)
-	m.Put(key(2), 2)
-	m.Get(key(1)) // freshen 1: the victim is now 2
-	m.Put(key(3), 3)
-	if m.Len() != 2 {
-		t.Fatalf("Len() = %d, want 2 at capacity", m.Len())
-	}
-	if _, ok := m.Get(key(2)); ok {
-		t.Error("LRU entry 2 survived the eviction")
-	}
-	if _, ok := m.Get(key(1)); !ok {
-		t.Error("freshened entry 1 was evicted")
-	}
-	if _, ok := m.Get(key(3)); !ok {
-		t.Error("just-inserted entry 3 was evicted")
-	}
-	if m.Evictions() != 1 {
-		t.Errorf("Evictions() = %d, want 1", m.Evictions())
-	}
-
-	// A Put on an existing key updates in place: no eviction, fresh value,
-	// freshened recency.
-	m.Put(key(1), 11)
-	if m.Len() != 2 || m.Evictions() != 1 {
-		t.Errorf("update-in-place changed size/evictions: len=%d evictions=%d", m.Len(), m.Evictions())
-	}
-	if v, _ := m.Get(key(1)); v != 11 {
-		t.Errorf("updated value = %d, want 11", v)
-	}
-	m.Put(key(4), 4) // victim must be 3, not the just-updated 1
-	if _, ok := m.Get(key(3)); ok {
-		t.Error("entry 3 survived though the Put update freshened 1 past it")
-	}
-}
-
-// TestMemoDropOldest covers the memo-pressure hook: dropping from an
-// empty table is a no-op, otherwise the coldest entry goes and is counted
-// as an eviction.
-func TestMemoDropOldest(t *testing.T) {
-	m := NewMemo[int]() // unbounded: evictions only via DropOldest
-	if m.DropOldest() {
-		t.Error("DropOldest on an empty memo reported an eviction")
-	}
-	k1, k2 := NewKey().Int(1), NewKey().Int(2)
-	m.Put(k1, 1)
-	m.Put(k2, 2)
-	if !m.DropOldest() {
-		t.Fatal("DropOldest evicted nothing")
-	}
-	if _, ok := m.Get(k1); ok {
-		t.Error("DropOldest kept the oldest entry")
-	}
-	if _, ok := m.Get(k2); !ok {
-		t.Error("DropOldest evicted the newest entry")
-	}
-	if m.Evictions() != 1 {
-		t.Errorf("Evictions() = %d, want 1", m.Evictions())
-	}
-}
-
-// TestMemoUnboundedNeverEvicts: capacity <= 0 keeps every entry, matching
-// the pre-bound behaviour.
-func TestMemoUnboundedNeverEvicts(t *testing.T) {
-	m := NewMemoCap[int](0)
-	for i := 0; i < 1000; i++ {
-		m.Put(NewKey().Int(int64(i)), i)
-	}
-	if m.Len() != 1000 || m.Evictions() != 0 {
-		t.Errorf("unbounded memo: len=%d evictions=%d, want 1000/0", m.Len(), m.Evictions())
-	}
-}
-
-// TestMemoByteBudgetEvictsLRU covers the payload-size accounting: entries
-// cost their reported bytes, an insert past the byte budget evicts LRU
-// entries until the total fits again, and Bytes tracks exactly.
-func TestMemoByteBudgetEvictsLRU(t *testing.T) {
-	key := func(i int) Key { return NewKey().Int(int64(i)) }
-	size := func(v int) int64 { return int64(v) }
-	m := NewMemoBudget[int](0, 100, size)
-	m.Put(key(1), 40)
-	m.Put(key(2), 40)
-	if m.Bytes() != 80 {
-		t.Fatalf("Bytes() = %d, want 80", m.Bytes())
-	}
-	m.Get(key(1)) // freshen 1: the byte-budget victim is now 2
-	m.Put(key(3), 40)
-	if m.Bytes() != 80 || m.Len() != 2 {
-		t.Fatalf("after budget eviction: bytes=%d len=%d, want 80/2", m.Bytes(), m.Len())
-	}
-	if _, ok := m.Get(key(2)); ok {
-		t.Error("LRU entry 2 survived the byte-budget eviction")
-	}
-	if _, ok := m.Get(key(1)); !ok {
-		t.Error("freshened entry 1 was evicted")
-	}
-	if m.Evictions() != 1 {
-		t.Errorf("Evictions() = %d, want 1", m.Evictions())
-	}
-
-	// Updating a key in place re-sizes it; growing past the budget evicts.
-	m.Put(key(1), 70) // table now {1:70, 3:40} = 110 > 100 -> evict LRU (3)
-	if m.Len() != 1 || m.Bytes() != 70 {
-		t.Fatalf("after in-place growth: len=%d bytes=%d, want 1/70", m.Len(), m.Bytes())
-	}
-	if _, ok := m.Get(key(3)); ok {
-		t.Error("entry 3 survived the in-place growth past budget")
-	}
-}
-
-// TestMemoByteBudgetOversizedEntry: a single value larger than the whole
-// budget must not wedge the table over budget — it is admitted and
-// immediately evicted, leaving the table empty but consistent.
-func TestMemoByteBudgetOversizedEntry(t *testing.T) {
-	m := NewMemoBudget[int](0, 50, func(v int) int64 { return int64(v) })
-	m.Put(NewKey().Int(1), 200)
-	if m.Len() != 0 || m.Bytes() != 0 {
-		t.Fatalf("oversized entry retained: len=%d bytes=%d", m.Len(), m.Bytes())
-	}
-	// The table still works afterwards.
-	k := NewKey().Int(2)
-	m.Put(k, 30)
-	if v, ok := m.Get(k); !ok || v != 30 {
-		t.Fatalf("memo broken after oversized insert: (%d, %v)", v, ok)
-	}
-}
-
-// TestMemoBudgetAndCapCompose: whichever bound trips first evicts.
-func TestMemoBudgetAndCapCompose(t *testing.T) {
-	key := func(i int) Key { return NewKey().Int(int64(i)) }
-	m := NewMemoBudget[int](3, 100, func(v int) int64 { return int64(v) })
-	m.Put(key(1), 10)
-	m.Put(key(2), 10)
-	m.Put(key(3), 10)
-	m.Put(key(4), 10) // entry cap trips: 4 entries, only 40 bytes
-	if m.Len() != 3 || m.Bytes() != 30 {
-		t.Fatalf("cap bound: len=%d bytes=%d, want 3/30", m.Len(), m.Bytes())
-	}
-	m.Put(key(5), 90) // byte budget trips: 3 entries would be 110 bytes
-	if m.Bytes() > 100 || m.Len() > 3 {
-		t.Fatalf("byte bound: len=%d bytes=%d, want <= 3 entries and <= 100 bytes", m.Len(), m.Bytes())
-	}
-}
-
-// TestMemoCapSemanticsUnchanged pins the existing NewMemoCap behaviour:
-// without a size function Bytes stays 0 and only the entry cap evicts.
-func TestMemoCapSemanticsUnchanged(t *testing.T) {
-	m := NewMemoCap[int](2)
-	m.Put(NewKey().Int(1), 1_000_000)
-	m.Put(NewKey().Int(2), 2_000_000)
-	if m.Bytes() != 0 {
-		t.Fatalf("NewMemoCap counts bytes: %d", m.Bytes())
-	}
-	if m.Len() != 2 || m.Evictions() != 0 {
-		t.Fatalf("NewMemoCap evicted early: len=%d evictions=%d", m.Len(), m.Evictions())
-	}
-	// DropOldest keeps byte accounting consistent even at zero weight.
-	m.DropOldest()
-	if m.Bytes() != 0 || m.Len() != 1 {
-		t.Fatalf("after DropOldest: bytes=%d len=%d", m.Bytes(), m.Len())
-	}
-}

@@ -49,14 +49,14 @@ type CompileConfig struct {
 	// simulated clock passes the region's readyAt point. Every N >= 1
 	// yields byte-identical simulated results.
 	Workers int
-	// Memoize enables content-hash memoization of compiled regions:
-	// recompiling a region whose guest instructions and configuration
-	// bits hash to a previously compiled key reuses that code without
-	// re-running the pipeline. Simulated costs are replayed on a hit, so
-	// stats are identical with memoization on or off (apart from the
-	// hit/miss counters themselves). Works in both compile paths.
+	// Memoize enables content-hash memoization of compiled regions in a
+	// private cache: recompiling a region whose guest instructions and
+	// configuration bits hash to a previously compiled key reuses that
+	// code without re-running the pipeline. Simulated costs are replayed
+	// on a hit, so stats are identical with memoization on or off (apart
+	// from the hit/miss counters themselves). Works in both compile paths.
 	Memoize bool
-	// MemoCapacity bounds the memo table in entries; past the bound the
+	// MemoCapacity bounds the private memo in entries; past the bound the
 	// least recently used entry is evicted. 0 selects
 	// DefaultMemoCapacity; negative means unbounded.
 	MemoCapacity int
@@ -66,10 +66,6 @@ type CompileConfig struct {
 	// result is never read — and the region retries later under the
 	// transient-failure backoff. 0 selects DefaultWatchdogFactor.
 	WatchdogFactor int
-	// MemoBudgetBytes additionally bounds the private memo table by
-	// retained compiled-region bytes (vliw.CompiledRegion.Bytes); 0 means
-	// no byte bound. Applies with Memoize only.
-	MemoBudgetBytes int64
 	// SharedPool, when non-nil, runs this System's background compiles on
 	// a host-wide worker pool shared across concurrently running Systems
 	// (fleet execution) instead of a private per-System pool. Workers must
@@ -77,14 +73,15 @@ type CompileConfig struct {
 	// size governs host parallelism. The System never closes a shared
 	// pool — its creator does, after every System using it has finished.
 	SharedPool *compilequeue.Pool
-	// SharedCache, when non-nil, replaces the private memo table with a
-	// concurrent sharded content-addressed cache shared across Systems:
-	// identical regions compile once fleet-wide, and a region being
+	// SharedCache, when non-nil, is the System's compile-output cache in
+	// place of a private memo (Memoize and MemoCapacity are then moot): a
+	// concurrent sharded content-addressed cache shared across Systems,
+	// so identical regions compile once fleet-wide, and a region being
 	// compiled by one tenant is awaited (cross-tenant single-flight), not
 	// recompiled, by others. Hits replay the modelled compile costs
 	// exactly like memo hits, so each tenant's simulated results are
 	// byte-identical to a solo run modulo the hit/miss/dedupe counters.
-	// Mutually exclusive with Memoize.
+	// Requires Workers >= 1 (the background path).
 	SharedCache *CodeCache
 }
 
@@ -95,7 +92,7 @@ const DefaultMemoCapacity = 4096
 const DefaultWatchdogFactor = 4
 
 // memoCapacity resolves the configured memo bound (0 = unbounded, for
-// compilequeue.NewMemoCap).
+// codecache.Options.MaxEntries).
 func (cc CompileConfig) memoCapacity() int {
 	switch {
 	case cc.MemoCapacity > 0:
@@ -630,18 +627,67 @@ func (s *System) drawHostFaults(entry int, withHang bool) (panicInject, hang boo
 	return false, false, poison
 }
 
-// memoPressureDraw applies injected host memory pressure to the memo
-// table ahead of a lookup: the LRU entry is evicted, so a previously
+// memoPressureDraw applies injected host memory pressure to the private
+// memo ahead of a lookup: the LRU entry is evicted, so a previously
 // memoized region may have to recompile.
 func (s *System) memoPressureDraw(entry int) {
 	if s.inj == nil || !s.inj.MemoPressure() {
 		return
 	}
-	if s.memo.DropOldest() {
+	if s.cache.DropOldest() {
 		s.tel.chaosInjected(s.now(), entry, s.tierOf(entry), telemetry.CauseMemoPressure)
-		s.tel.memoTable(s.memo.Len(), s.memo.Evictions())
-		s.trace("injected memo pressure: dropped LRU entry (%d left)", s.memo.Len())
+		s.tel.memoTable(s.cache.Len(), s.cache.Evictions())
+		s.trace("injected memo pressure: dropped LRU entry (%d left)", s.cache.Len())
 	}
+}
+
+// lookupOutput probes the compile-output cache for in's key and counts
+// the hit or miss in Stats and telemetry — the one cache lookup both
+// compile paths share. out is non-nil on a hit. Without a cache it counts
+// nothing and returns a nil output.
+//
+// The two caches follow different rules, on purpose:
+//   - The private memo does a plain Get here and a Put only once the
+//     install point has admitted the result (storeOutput). Both happen on
+//     the simulation thread at simulated-clock points, so its hit, miss
+//     and eviction counts are identical at any worker count.
+//   - The fleet cache does a single-flight Lookup here, and the leader
+//     fills it with Complete on the worker as soon as the compile ends.
+//     Tenants therefore never wait on each other's install points; a miss
+//     either leads (flight != nil, leader) or joins another tenant's
+//     compile (flight != nil, !leader).
+func (s *System) lookupOutput(entry int, in *compileInput) (key compilequeue.Key, out *compileOutput, flight *codecache.Flight[*compileOutput], leader bool) {
+	if s.cache == nil {
+		return key, nil, nil, false
+	}
+	key = memoKey(in)
+	var hit bool
+	if s.fleetCache {
+		out, hit, flight, leader = s.cache.Lookup(key)
+	} else {
+		s.memoPressureDraw(entry)
+		out, hit = s.cache.Get(key)
+	}
+	if hit {
+		s.Stats.Compile.MemoHits++
+	} else {
+		s.Stats.Compile.MemoMisses++
+		if flight != nil && !leader {
+			s.Stats.Compile.DedupeWaits++
+		}
+	}
+	s.tel.memoLookup(hit)
+	return key, out, flight, leader
+}
+
+// storeOutput records an admitted fresh compile in the private memo (the
+// fleet cache was already filled by the compile's leader).
+func (s *System) storeOutput(key compilequeue.Key, out *compileOutput) {
+	if s.cache == nil || s.fleetCache {
+		return
+	}
+	s.cache.Put(key, out)
+	s.tel.memoTable(s.cache.Len(), s.cache.Evictions())
 }
 
 // admitOutput decides whether a fresh compile result may be installed.
@@ -689,62 +735,19 @@ func (s *System) compile(entry int) error {
 	if err != nil {
 		return err
 	}
-	var (
-		out     *compileOutput
-		key     compilequeue.Key
-		memoHit bool
-	)
-	if s.memo != nil {
-		s.memoPressureDraw(entry)
-		key = memoKey(in)
-		if m, ok := s.memo.Get(key); ok {
-			out, memoHit = m, true
-			s.Stats.Compile.MemoHits++
-			s.tel.memoLookup(true)
-		} else {
-			s.Stats.Compile.MemoMisses++
-			s.tel.memoLookup(false)
-		}
-	}
-	if s.shared != nil {
-		key = memoKey(in)
-		v, hit, flight, leader := s.shared.cache.Lookup(key)
-		switch {
-		case hit:
-			out, memoHit = v, true
-			s.Stats.Compile.MemoHits++
-			s.tel.memoLookup(true)
-		case leader:
-			s.Stats.Compile.MemoMisses++
-			s.tel.memoLookup(false)
-			panicInject, _, poison := s.drawHostFaults(entry, false)
-			out = runCompileJob(in, panicInject, poison)
-			s.shared.cache.Complete(key, flight, out, outputClean(out))
-		default:
-			// Another tenant is compiling this key right now: take its
-			// result instead of duplicating the work. Blocking inline is
-			// safe — leadership is only ever held while the leader runs
-			// its compile job, so the flight always completes.
-			s.Stats.Compile.MemoMisses++
-			s.Stats.Compile.DedupeWaits++
-			s.tel.memoLookup(false)
-			<-flight.Done()
-			out, memoHit = flight.Value(), true
-			// The wait is wall-clock only: synchronous compilation happens
-			// at one simulated instant, so the modelled dedupe wait is 0.
-			s.tel.dedupeWaited(0)
-		}
-	}
-	if out == nil {
+	// Config.Validate keeps the fleet cache off this path, so the lookup
+	// is a private-memo Get (or nothing) and never yields a flight.
+	key, out, _, _ := s.lookupOutput(entry, in)
+	memoHit := out != nil
+	if !memoHit {
 		panicInject, _, poison := s.drawHostFaults(entry, false)
 		out = runCompileJob(in, panicInject, poison)
 	}
 	if err := s.admitOutput(entry, out); err != nil {
 		return err
 	}
-	if s.memo != nil && !memoHit {
-		s.memo.Put(key, out)
-		s.tel.memoTable(s.memo.Len(), s.memo.Evictions())
+	if !memoHit {
+		s.storeOutput(key, out)
 	}
 	s.installOutput(entry, out, 0)
 	return nil
@@ -824,75 +827,55 @@ func (s *System) enqueueCompile(entry int) error {
 		deadline:   now + cost*s.cfg.Compile.watchdogFactor(),
 		recompile:  s.disp[entry].code != nil,
 	}
-	if s.memo != nil {
-		s.memoPressureDraw(entry)
-		p.key = memoKey(in)
-		if out, ok := s.memo.Get(p.key); ok {
-			p.out, p.memoHit = out, true
-			s.Stats.Compile.MemoHits++
-		} else {
-			s.Stats.Compile.MemoMisses++
-		}
-	}
-	if s.shared != nil {
-		p.key = memoKey(in)
-		v, hit, flight, leader := s.shared.cache.Lookup(p.key)
-		switch {
-		case hit:
-			p.out, p.memoHit = v, true
-			s.Stats.Compile.MemoHits++
-		case leader:
-			s.Stats.Compile.MemoMisses++
-			panicInject, hang, poison := s.drawHostFaults(entry, true)
-			if hang {
-				p.hung = true
+	key, out, flight, leader := s.lookupOutput(entry, in)
+	p.key, p.out, p.memoHit = key, out, out != nil
+	switch {
+	case p.memoHit:
+		// Host faults only strike fresh compiles: a hit runs no worker
+		// job, so there is nothing to panic, hang or poison.
+	case flight != nil && !leader:
+		// Another tenant's compile of this key is in flight: join it.
+		// The install point blocks on the flight only once the simulated
+		// clock passes readyAt, exactly like a private job.
+		p.flight, p.deduped = flight, true
+	default:
+		panicInject, hang, poison := s.drawHostFaults(entry, true)
+		if hang {
+			p.hung = true
+			if flight != nil {
 				// A hung leader never submits a job, so it must settle the
 				// flight here or followers on other tenants would wait
-				// forever. The synthetic watchdog failure is never inserted
-				// (insert=false): the next lookup elects a fresh leader.
-				s.shared.cache.Complete(p.key, flight, &compileOutput{
+				// forever. The synthetic watchdog failure is never
+				// inserted (insert=false): the next lookup elects a fresh
+				// leader.
+				s.cache.Complete(key, flight, &compileOutput{
 					guestInsts: len(in.sb.Insts),
 					memOps:     in.sb.NumMemOps(),
 					err:        fmt.Errorf("%w for B%d", errWatchdogTimeout, entry),
 				}, false)
-			} else {
-				if bg.pool == nil {
-					bg.pool = compilequeue.NewPool(s.cfg.Compile.Workers)
-				}
-				p.flight = flight
-				key, cache := p.key, s.shared.cache
-				bg.pool.Submit(func() {
-					out := runCompileJob(in, panicInject, poison)
-					cache.Complete(key, flight, out, outputClean(out))
-				})
 			}
-		default:
-			// Another tenant's compile of this key is in flight: join it.
-			// The install point blocks on the flight only once the
-			// simulated clock passes readyAt, exactly like a private job.
-			s.Stats.Compile.MemoMisses++
-			s.Stats.Compile.DedupeWaits++
+			break
+		}
+		if bg.pool == nil {
+			bg.pool = compilequeue.NewPool(s.cfg.Compile.Workers)
+		}
+		if flight != nil {
+			// Fleet-cache leader: the result travels to this tenant's
+			// install point and to every follower through the flight.
 			p.flight = flight
-			p.deduped = true
-		}
-	}
-	if p.out == nil && !p.hung && p.flight == nil {
-		// Host faults only strike fresh compiles: a memo hit runs no
-		// worker job, so there is nothing to panic, hang or poison.
-		panicInject, hang, poison := s.drawHostFaults(entry, true)
-		if hang {
-			p.hung = true
-		} else {
-			if bg.pool == nil {
-				bg.pool = compilequeue.NewPool(s.cfg.Compile.Workers)
-			}
-			p.done = make(chan struct{})
-			job := p
+			cache := s.cache
 			bg.pool.Submit(func() {
-				job.out = runCompileJob(in, panicInject, poison)
-				close(job.done)
+				out := runCompileJob(in, panicInject, poison)
+				cache.Complete(key, flight, out, outputClean(out))
 			})
+			break
 		}
+		p.done = make(chan struct{})
+		job := p
+		bg.pool.Submit(func() {
+			job.out = runCompileJob(in, panicInject, poison)
+			close(job.done)
+		})
 	}
 	bg.pending[entry] = p
 	q := append(bg.queue, p)
@@ -1019,9 +1002,8 @@ func (s *System) installPending(p *pendingCompile) {
 		s.trace("background compile B%d failed: %v", p.entry, err)
 		return
 	}
-	if s.memo != nil && !p.memoHit {
-		s.memo.Put(p.key, out)
-		s.tel.memoTable(s.memo.Len(), s.memo.Evictions())
+	if !p.memoHit {
+		s.storeOutput(p.key, out)
 	}
 	s.installOutput(p.entry, out, latency)
 	s.Stats.Compile.Installed++

@@ -20,7 +20,7 @@ import (
 
 	"smarq/internal/alias"
 	"smarq/internal/aliashw"
-	"smarq/internal/compilequeue"
+	"smarq/internal/codecache"
 	"smarq/internal/core"
 	"smarq/internal/faultinject"
 	"smarq/internal/guest"
@@ -132,8 +132,8 @@ func (c Config) Validate() error {
 	if c.Compile.SharedPool != nil && c.Compile.Workers < 1 {
 		return fmt.Errorf("dynopt: Compile.SharedPool set with Workers %d, want >= 1 (the background path)", c.Compile.Workers)
 	}
-	if c.Compile.SharedCache != nil && c.Compile.Memoize {
-		return fmt.Errorf("dynopt: Compile.SharedCache and Compile.Memoize are mutually exclusive")
+	if c.Compile.SharedCache != nil && c.Compile.Workers < 1 {
+		return fmt.Errorf("dynopt: Compile.SharedCache set with Workers %d, want >= 1 (the background path)", c.Compile.Workers)
 	}
 	if err := c.withDefaults().Recovery.Validate(); err != nil {
 		return err
@@ -345,13 +345,13 @@ type System struct {
 	exceptions map[int]int
 	// entrySeq numbers region dispatches — the eviction clock source.
 	entrySeq int64
-	// bg is the background-compilation state (nil in synchronous mode)
-	// and memo the content-hash memo table (nil unless Compile.Memoize);
-	// see compile.go. shared is the fleet-wide compile cache (nil unless
-	// Compile.SharedCache); see sharedcache.go.
-	bg     *bgCompile
-	memo   *compilequeue.Memo[*compileOutput]
-	shared *CodeCache
+	// bg is the background-compilation state (nil in synchronous mode);
+	// see compile.go. cache is the compile-output cache: the fleet's
+	// (Compile.SharedCache, fleetCache set), else a private one-shard memo
+	// (Compile.Memoize), else nil.
+	bg         *bgCompile
+	cache      *codecache.Cache[*compileOutput]
+	fleetCache bool
 	// injFailStreak counts consecutive chaos-injected compile failures
 	// per entry; injected failures back off additively instead of the
 	// real-failure doubling (see compileFailBackoff).
@@ -420,14 +420,16 @@ func New(prog *guest.Program, st *guest.State, mem *guest.Memory, cfg Config) *S
 			sharedPool: cfg.Compile.SharedPool != nil,
 		}
 	}
-	if cfg.Compile.Memoize {
-		if b := cfg.Compile.MemoBudgetBytes; b > 0 {
-			s.memo = compilequeue.NewMemoBudget[*compileOutput](cfg.Compile.memoCapacity(), b, compileOutputBytes)
-		} else {
-			s.memo = compilequeue.NewMemoCap[*compileOutput](cfg.Compile.memoCapacity())
-		}
+	switch {
+	case cfg.Compile.SharedCache != nil:
+		s.cache, s.fleetCache = cfg.Compile.SharedCache.cache, true
+	case cfg.Compile.Memoize:
+		// One shard: only the simulation thread touches a private memo, and
+		// a single shard under single-threaded use is exact LRU.
+		s.cache = codecache.New[*compileOutput](codecache.Options{
+			Shards: 1, MaxEntries: int64(cfg.Compile.memoCapacity()),
+		}, nil)
 	}
-	s.shared = cfg.Compile.SharedCache
 	if cfg.Health.Enabled() {
 		s.hc = health.New(cfg.Health)
 	}
@@ -909,8 +911,8 @@ func (s *System) finalize() {
 		s.Stats.Health = s.hc.Stats()
 		s.Stats.Health.QuarantinedRegions = int64(len(s.quarantined))
 	}
-	if s.memo != nil {
-		s.Stats.Compile.MemoEvictions = s.memo.Evictions()
+	if s.cache != nil && !s.fleetCache {
+		s.Stats.Compile.MemoEvictions = s.cache.Evictions()
 	}
 	// End-of-run ladder residency, and per-region recovery history.
 	rec := &s.Stats.Recovery

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"smarq/internal/codecache"
+	"smarq/internal/compilequeue"
 	"smarq/internal/faultinject"
 	"smarq/internal/guest"
 	"smarq/internal/sched"
@@ -70,6 +72,26 @@ func TestConfigValidate(t *testing.T) {
 	chaos.Chaos.SpuriousAliasRate = 2
 	if chaos.Validate() == nil {
 		t.Error("SpuriousAliasRate=2 accepted")
+	}
+	// Fleet resources only exist on the background path.
+	syncPool := DefaultConfig()
+	syncPool.Compile.SharedPool = compilequeue.NewPool(1)
+	defer syncPool.Compile.SharedPool.Close()
+	if syncPool.Validate() == nil {
+		t.Error("SharedPool with Workers=0 accepted")
+	}
+	syncCache := DefaultConfig()
+	syncCache.Compile.SharedCache = NewCodeCache(codecache.Options{})
+	if syncCache.Validate() == nil {
+		t.Error("SharedCache with Workers=0 accepted")
+	}
+	// A shared cache is the System's cache, so Memoize alongside it is
+	// not a conflict.
+	fleet := syncCache
+	fleet.Compile.Workers = 1
+	fleet.Compile.Memoize = true
+	if err := fleet.Validate(); err != nil {
+		t.Errorf("SharedCache with Workers=1 and Memoize rejected: %v", err)
 	}
 	// The zero Recovery value means defaults, so it must validate.
 	zeroRec := DefaultConfig()

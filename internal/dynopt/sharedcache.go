@@ -11,18 +11,6 @@ import (
 	"smarq/internal/telemetry"
 )
 
-// CodeCacheOptions configures a shared fleet compile cache.
-type CodeCacheOptions struct {
-	// Shards is the shard count, rounded up to a power of two; 0 selects
-	// codecache.DefaultShards.
-	Shards int
-	// MaxEntries bounds the cache globally in entries (0 = unbounded).
-	MaxEntries int64
-	// MaxBytes bounds the cache globally in retained compiled-region
-	// bytes, as reported by vliw.CompiledRegion.Bytes (0 = unbounded).
-	MaxBytes int64
-}
-
 // CodeCache is a sharded content-addressed compile cache shared by many
 // concurrently running Systems. Construct one with NewCodeCache, set it
 // on every tenant's CompileConfig.SharedCache, and run the Systems on
@@ -33,13 +21,11 @@ type CodeCache struct {
 	cache *codecache.Cache[*compileOutput]
 }
 
-// NewCodeCache returns an empty shared compile cache.
-func NewCodeCache(opts CodeCacheOptions) *CodeCache {
-	return &CodeCache{cache: codecache.New(codecache.Options{
-		Shards:     opts.Shards,
-		MaxEntries: opts.MaxEntries,
-		MaxBytes:   opts.MaxBytes,
-	}, compileOutputBytes)}
+// NewCodeCache returns an empty shared compile cache. opts.MaxBytes
+// bounds retained compiled-region bytes, as reported by
+// vliw.CompiledRegion.Bytes.
+func NewCodeCache(opts codecache.Options) *CodeCache {
+	return &CodeCache{cache: codecache.New(opts, compileOutputBytes)}
 }
 
 // Stats snapshots the cache counters (exact at quiescence — after every

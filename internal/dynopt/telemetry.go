@@ -132,7 +132,7 @@ type systemTelemetry struct {
 	healthLevel      *telemetry.Gauge
 
 	// lastMemoEvictions is the memo's eviction count at the last memoTable
-	// call: capacity evictions happen inside Memo.Put, which has no
+	// call: capacity evictions happen inside codecache's Put, which has no
 	// telemetry access, so the counter is synced by diffing.
 	lastMemoEvictions int64
 }
@@ -185,7 +185,7 @@ func newSystemTelemetry(cfg *Config) *systemTelemetry {
 		st.compileLatency = reg.Histogram(hCompileLatency, telemetry.Pow2Bounds(256, 65536))
 	}
 	if cc.Memoize || cc.SharedCache != nil {
-		// Shared-cache lookups reuse the memo hit/miss instruments; the
+		// Fleet-cache lookups count in the same hit/miss instruments; the
 		// table-size gauge and eviction counter stay zero there (the
 		// fleet-global view is codecache's PublishMetrics).
 		st.memoHits = reg.Counter(mMemoHits)
@@ -240,19 +240,13 @@ func (st *systemTelemetry) regionCompile(cycle int64, entry int, tier Tier, reco
 
 // compileEnqueue records a background compilation entering the queue:
 // cost is the modelled latency, depth the queue depth after the enqueue,
-// memoHit whether the memo already held the result.
+// memoHit whether the cache already held the result (counted by
+// memoLookup).
 func (st *systemTelemetry) compileEnqueue(cycle int64, entry int, tier Tier, cost int64, depth int, memoHit bool) {
 	if st == nil {
 		return
 	}
 	st.compileEnqueues.Add(1)
-	if memoHit {
-		st.memoHits.Add(1)
-	} else if st.memoHits != nil {
-		// Only count misses when memoization is on at all; the nil check
-		// on the hit counter is the cheapest "is it on" signal.
-		st.memoMisses.Add(1)
-	}
 	st.queueDepth.Set(int64(depth))
 	st.tr.Emit(telemetry.Event{
 		Cycle: cycle, Kind: telemetry.KindCompileEnqueue,
@@ -272,8 +266,8 @@ func (st *systemTelemetry) compileInstalled(latency int64, depth int) {
 	st.queueDepth.Set(int64(depth))
 }
 
-// memoLookup counts a content-hash memo lookup on the synchronous path
-// (the background path counts inside compileEnqueue).
+// memoLookup counts a compile-output cache lookup (System.lookupOutput,
+// both compile paths).
 func (st *systemTelemetry) memoLookup(hit bool) {
 	if st == nil {
 		return

@@ -42,7 +42,7 @@ type FleetConfig struct {
 	// 1-tenant fleet is exactly the solo baseline configuration.
 	CompileWorkers int
 	// CacheShards/CacheMaxEntries/CacheMaxBytes configure the shared
-	// compile cache (see dynopt.CodeCacheOptions); zeros mean the default
+	// compile cache (see codecache.Options); zeros mean the default
 	// shard count and unbounded budgets.
 	CacheShards     int
 	CacheMaxEntries int64
@@ -175,7 +175,7 @@ func RunFleet(fc FleetConfig) (*FleetResult, error) {
 	}
 
 	pool := compilequeue.NewPool(fc.CompileWorkers)
-	cache := dynopt.NewCodeCache(dynopt.CodeCacheOptions{
+	cache := dynopt.NewCodeCache(codecache.Options{
 		Shards:     fc.CacheShards,
 		MaxEntries: fc.CacheMaxEntries,
 		MaxBytes:   fc.CacheMaxBytes,
@@ -222,7 +222,6 @@ func RunFleet(fc FleetConfig) (*FleetResult, error) {
 				cfg.Compile.Workers = fc.CompileWorkers
 				cfg.Compile.SharedPool = pool
 				cfg.Compile.SharedCache = cache
-				cfg.Compile.Memoize = false
 				cfg.Telemetry = telemetries[tenant]
 				maxInsts := bm.MaxInsts
 				if fc.MaxInsts > 0 {
