@@ -358,8 +358,7 @@ func BenchmarkCompilePipeline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fseq, freg := ir.Freeze(sc.Seq, reg)
-		cr := machine.Compile(fseq, freg, len(sb.Insts))
+		cr := machine.Compile(sc.Seq, reg, len(sb.Insts))
 		ws := core.MeasureWorkingSets(sc.Alloc, sb.NumMemOps())
 		tbl.Release()
 		ds.Release()

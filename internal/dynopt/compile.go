@@ -198,7 +198,6 @@ type compileOutput struct {
 	cr              *vliw.CompiledRegion
 	alloc           core.Stats
 	working         core.WorkingSets
-	seqLen          int
 	numOps          int64
 	guestInsts      int
 	memOps          int
@@ -320,9 +319,9 @@ func (s *System) newCompileInput(entry int) (*compileInput, error) {
 
 // arenaPool recycles translate arenas across compiles. Each pipeline run
 // (synchronous path or worker goroutine) takes one arena for its
-// duration; installed code is frozen out of the arena before it returns
-// to the pool, so nothing that outlives the compile aliases pooled
-// memory.
+// duration; vliw.Compile decodes the schedule out of the arena into the
+// installed code before it returns to the pool, so nothing that outlives
+// the compile aliases pooled memory.
 var arenaPool = sync.Pool{New: func() interface{} { return ir.NewArena() }}
 
 // compilePipeline is the active compile path. Tests swap in
@@ -337,7 +336,7 @@ var compilePipeline = runCompilePipeline
 //
 // Every intermediate structure is recycled: the IR comes from a pooled
 // arena, and the alias table, dependence set and optimizer result are
-// handed back to their pools on exit. Only the frozen CompiledRegion and
+// handed back to their pools on exit. Only the decoded CompiledRegion and
 // plain-value stats escape (the memo retains compile outputs forever).
 func runCompilePipeline(in *compileInput) *compileOutput {
 	out := &compileOutput{
@@ -397,13 +396,11 @@ func runCompilePipeline(in *compileInput) *compileOutput {
 	}
 
 	out.numOps = int64(len(reg.Ops))
-	// Freeze the schedule and region out of the arena: the compiled
-	// region is retained for the lifetime of the system.
-	fseq, freg := ir.Freeze(sc.Seq, reg)
-	out.cr = in.machine.Compile(fseq, freg, len(in.sb.Insts))
+	// Compile decodes the schedule into storage of its own, so the arena
+	// can be recycled while the compiled region lives on.
+	out.cr = in.machine.Compile(sc.Seq, reg, len(in.sb.Insts))
 	out.alloc = sc.Alloc.Stats
 	out.working = core.MeasureWorkingSets(sc.Alloc, in.sb.NumMemOps())
-	out.seqLen = len(sc.Seq)
 	sc.Release()
 	return out
 }
@@ -454,7 +451,6 @@ func runCompilePipelineRef(in *compileInput) *compileOutput {
 	out.cr = in.machine.Compile(sc.Seq, reg, len(in.sb.Insts))
 	out.alloc = sc.Alloc.Stats
 	out.working = core.MeasureWorkingSets(sc.Alloc, in.sb.NumMemOps())
-	out.seqLen = len(sc.Seq)
 	return out
 }
 
@@ -488,14 +484,13 @@ func runCompileJob(in *compileInput, panicInject bool, poison faultinject.Poison
 		// Corrupt before the checksum stamp: the hash is consistent with
 		// the broken contents, so only the structural invariant check can
 		// reject it.
-		mid := len(out.cr.Seq) / 2
-		out.cr.Seq[mid].Dst = ir.VReg(out.cr.Region.NumVRegs + 1<<16)
+		out.cr.Corrupt(true)
 	}
 	out.checksum = out.cr.Checksum()
 	if poison == faultinject.PoisonChecksum {
 		// Corrupt after the stamp, in a field the structural check does
 		// not constrain: only the checksum comparison can reject it.
-		out.cr.Seq[0].Imm ^= 0x5a5a5a5a
+		out.cr.Corrupt(false)
 	}
 	return out
 }
@@ -585,7 +580,7 @@ func outputClean(out *compileOutput) bool {
 }
 
 // compileOutputBytes sizes a compile output for byte-budgeted caches by
-// its dominant retained allocation, the frozen compiled region.
+// its dominant retained allocation, the decoded compiled region.
 func compileOutputBytes(out *compileOutput) int64 {
 	if out == nil || out.cr == nil {
 		return 0
@@ -1027,12 +1022,12 @@ func (s *System) installOutput(entry int, out *compileOutput, latency int64) {
 	recompile := s.disp[entry].code != nil
 	if recompile {
 		s.Stats.Recompiles++
-		s.trace("recompile B%d: %d ops, %d cycles, tier=%s", entry, out.seqLen, out.cr.Cycles, rr.tier)
+		s.trace("recompile B%d: %d ops, %d cycles, tier=%s", entry, out.cr.Ops(), out.cr.Cycles, rr.tier)
 	} else {
 		s.evictForCapacity(entry)
 		s.Stats.RegionsCompiled++
 		s.trace("compile B%d: %d guest insts -> %d ops, %d cycles, %d mem ops, P=%d C=%d ws=%d",
-			entry, out.guestInsts, out.seqLen, out.cr.Cycles, out.memOps,
+			entry, out.guestInsts, out.cr.Ops(), out.cr.Cycles, out.memOps,
 			out.alloc.PBits, out.alloc.CBits, out.alloc.WorkingSet)
 	}
 	s.setCode(entry, &compiled{
@@ -1046,7 +1041,7 @@ func (s *System) installOutput(entry int, out *compileOutput, latency int64) {
 		MemOps:         out.memOps,
 		Alloc:          out.alloc,
 		Working:        out.working,
-		SeqLen:         out.seqLen,
+		SeqLen:         out.cr.Ops(),
 		Cycles:         out.cr.Cycles,
 		CompileLatency: latency,
 		Tier:           rr.tier,

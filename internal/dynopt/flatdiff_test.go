@@ -35,7 +35,7 @@ func diffConfigs() map[string]Config {
 
 // TestCompileFlatMatchesReference is the tentpole's correctness gate:
 // the flat-arena pipeline (pooled IR arena, CLZ-bitmap scheduler, pooled
-// alias/deps/opt structures, frozen install) must be observationally
+// alias/deps/opt structures, decoded install) must be observationally
 // identical to the retained reference pipeline (private allocations,
 // heap scheduler, no pooling) — same schedules, alias assignments,
 // stats, memo keys and guest state, across hardware modes and chaos
@@ -123,56 +123,16 @@ func compareOutputs(t *testing.T, entry int, flat, ref *compileOutput) {
 	if flat.working != ref.working {
 		t.Errorf("%sworking sets %+v vs %+v", pfx, flat.working, ref.working)
 	}
-	if flat.seqLen != ref.seqLen || flat.numOps != ref.numOps ||
-		flat.guestInsts != ref.guestInsts || flat.memOps != ref.memOps ||
-		flat.overflowRetries != ref.overflowRetries {
-		t.Errorf("%sscalar outputs (%d,%d,%d,%d,%d) vs (%d,%d,%d,%d,%d)", pfx,
-			flat.seqLen, flat.numOps, flat.guestInsts, flat.memOps, flat.overflowRetries,
-			ref.seqLen, ref.numOps, ref.guestInsts, ref.memOps, ref.overflowRetries)
+	if flat.numOps != ref.numOps || flat.guestInsts != ref.guestInsts ||
+		flat.memOps != ref.memOps || flat.overflowRetries != ref.overflowRetries {
+		t.Errorf("%sscalar outputs (%d,%d,%d,%d) vs (%d,%d,%d,%d)", pfx,
+			flat.numOps, flat.guestInsts, flat.memOps, flat.overflowRetries,
+			ref.numOps, ref.guestInsts, ref.memOps, ref.overflowRetries)
 	}
-	fcr, rcr := flat.cr, ref.cr
-	if fcr.Cycles != rcr.Cycles || fcr.GuestInsts != rcr.GuestInsts {
-		t.Errorf("%scompiled region cycles/insts (%d,%d) vs (%d,%d)", pfx,
-			fcr.Cycles, fcr.GuestInsts, rcr.Cycles, rcr.GuestInsts)
-	}
-	if len(fcr.Seq) != len(rcr.Seq) {
-		t.Fatalf("%sseq length %d vs %d", pfx, len(fcr.Seq), len(rcr.Seq))
-	}
-	for i := range fcr.Seq {
-		g, w := fcr.Seq[i], rcr.Seq[i]
-		if g.ID != w.ID || g.Kind != w.Kind || g.GOp != w.GOp || g.Dst != w.Dst ||
-			g.AROffset != w.AROffset || g.P != w.P || g.C != w.C || g.ARMask != w.ARMask ||
-			g.Amount != w.Amount || g.SrcOff != w.SrcOff || g.DstOff != w.DstOff ||
-			g.Imm != w.Imm || g.OnTraceTaken != w.OnTraceTaken || g.OffTrace != w.OffTrace {
-			t.Fatalf("%sseq[%d] differs:\n  flat %+v\n  ref  %+v", pfx, i, *g, *w)
-		}
-		if len(g.Srcs) != len(w.Srcs) {
-			t.Fatalf("%sseq[%d]: %d srcs vs %d", pfx, i, len(g.Srcs), len(w.Srcs))
-		}
-		for j := range g.Srcs {
-			if g.Srcs[j] != w.Srcs[j] || g.SrcFloat[j] != w.SrcFloat[j] {
-				t.Fatalf("%sseq[%d]: operand %d differs", pfx, i, j)
-			}
-		}
-		if (g.Mem == nil) != (w.Mem == nil) {
-			t.Fatalf("%sseq[%d]: mem presence differs", pfx, i)
-		}
-		if g.Mem != nil && *g.Mem != *w.Mem {
-			t.Fatalf("%sseq[%d]: mem %+v vs %+v", pfx, i, *g.Mem, *w.Mem)
-		}
-	}
-	freg, rreg := fcr.Region, rcr.Region
-	if freg.NumVRegs != rreg.NumVRegs || freg.Entry != rreg.Entry ||
-		freg.FinalTarget != rreg.FinalTarget || freg.IntOut != rreg.IntOut ||
-		freg.FloatOut != rreg.FloatOut || len(freg.Ops) != len(rreg.Ops) {
-		t.Fatalf("%sregion headers differ", pfx)
-	}
-	for i := range freg.Ops {
-		g, w := freg.Ops[i], rreg.Ops[i]
-		if g.ID != w.ID || g.Kind != w.Kind || g.AROffset != w.AROffset ||
-			g.P != w.P || g.C != w.C || g.ARMask != w.ARMask {
-			t.Errorf("%sregion op %d annotations differ: (%d,%v,%v,%x) vs (%d,%v,%v,%x)", pfx,
-				i, g.AROffset, g.P, g.C, g.ARMask, w.AROffset, w.P, w.C, w.ARMask)
-		}
+	// The compiled region is the decoded stream plus its header: equal
+	// values mean every op, operand, alias annotation and live-out agree.
+	if fcr, rcr := flat.cr, ref.cr; !reflect.DeepEqual(fcr, rcr) {
+		t.Errorf("%scompiled regions differ: %d ops, %d cycles, checksum %#x vs %d ops, %d cycles, checksum %#x", pfx,
+			fcr.Ops(), fcr.Cycles, fcr.Checksum(), rcr.Ops(), rcr.Cycles, rcr.Checksum())
 	}
 }

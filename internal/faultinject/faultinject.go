@@ -65,8 +65,8 @@ type Config struct {
 	// deadline instead of installing. Background path only (the
 	// synchronous path has no deadline to overrun).
 	CompileHangRate float64
-	// PoisonResultRate corrupts the compile result (the frozen schedule or
-	// region slab) after the pipeline runs. Install-time validation — the
+	// PoisonResultRate corrupts the compile result (the decoded op stream)
+	// after the pipeline runs. Install-time validation — the
 	// content checksum and structural invariants — must reject it; a
 	// poisoned region is never memoized or dispatched.
 	PoisonResultRate float64
@@ -217,9 +217,9 @@ const (
 	// PoisonChecksum corrupts the result after its content checksum was
 	// stamped — the checksum comparison at install must catch it.
 	PoisonChecksum
-	// PoisonStructure corrupts the frozen region before the checksum is
+	// PoisonStructure corrupts the decoded region before the checksum is
 	// stamped (a consistent hash over broken contents) — the structural
-	// invariant check (vreg ranges, op counts) must catch it.
+	// invariant check (vreg ranges, operand presence) must catch it.
 	PoisonStructure
 )
 

@@ -7,9 +7,10 @@ package ir
 // none at all once the slabs have grown to steady state.
 //
 // Lifetime contract: every pointer handed out aliases arena memory and
-// becomes invalid at the next Reset. Long-lived consumers (installed
-// code, the compile memo) must Freeze what they keep before the arena is
-// recycled.
+// becomes invalid at the next Reset. Long-lived consumers must copy out
+// what they keep before the arena is recycled: installed code does so by
+// decoding the schedule (vliw.Compile), and Freeze snapshots the IR
+// itself.
 type Arena struct {
 	ops   []Op
 	mems  []MemInfo
@@ -108,10 +109,10 @@ func (a *Arena) opPtrs(capacity int) []*Op {
 // Freeze deep-copies a scheduled sequence and its source region into
 // compact, freshly allocated storage that shares nothing with any arena
 // or scheduler scratch, preserving pointer identity: if seq[i] and
-// reg.Ops[j] are the same op, the frozen copies are too. Installed code
-// lives for the lifetime of the system (the compile memo retains it
-// forever), so it must not alias recycled arena memory; once frozen,
-// everything else from the compile can be reused.
+// reg.Ops[j] are the same op, the frozen copies are too. Once frozen,
+// the arena can be recycled while the snapshot lives on. The compile
+// pipeline does not need it — vliw.Compile keeps only its decoded form —
+// so Freeze serves callers that want the scheduled IR itself.
 //
 // Freeze relies on op IDs being unique across reg.Ops and seq (original
 // ops carry their region index, allocator-inserted Rotate/AMov pseudo-ops

@@ -86,7 +86,14 @@ func DefaultConfig() Config {
 // schedule the way a VLIW bundle dump would.
 func (c Config) IssueCycles(seq []*ir.Op, numVRegs int) []int64 {
 	out := make([]int64, len(seq))
-	readyAt := make([]int64, numVRegs)
+	c.issue(seq, make([]int64, numVRegs), out)
+	return out
+}
+
+// issue runs the in-order issue model over seq and returns the last op's
+// issue cycle. readyAt is zeroed per-vreg scratch; out, when non-nil,
+// receives every op's issue cycle.
+func (c Config) issue(seq []*ir.Op, readyAt, out []int64) int64 {
 	var clock int64
 	alu, mem := 0, 0
 	advance := func(to int64) {
@@ -113,12 +120,14 @@ func (c Config) IssueCycles(seq []*ir.Op, numVRegs int) []int64 {
 		if op.IsMem() {
 			mem++
 		}
-		out[i] = clock
+		if out != nil {
+			out[i] = clock
+		}
 		if op.Dst != ir.NoVReg {
 			readyAt[op.Dst] = clock + int64(c.Latency(op))
 		}
 	}
-	return out
+	return clock
 }
 
 // Latency returns op's result latency in cycles.

@@ -1,15 +1,16 @@
 // The allocation-free region execution engine.
 //
-// Compile pre-decodes the scheduled []*ir.Op sequence into a flat array
-// of decOp value structs, so the steady-state execute loop walks
-// contiguous memory with no per-op pointer chasing. ExecContext owns the
-// reusable per-system state — the virtual register files and one pooled
-// atomic.Region — so a committed region entry performs zero heap
-// allocations. The detector is devirtualized once per entry: a type
+// Compile decodes the scheduled []*ir.Op sequence into a flat array of
+// decOp value structs, the only form of the code a CompiledRegion keeps,
+// so the steady-state execute loop walks contiguous memory with no per-op
+// pointer chasing. ExecContext owns the reusable per-system state — the
+// virtual register files and one pooled atomic.Region — so a committed
+// region entry performs zero heap allocations. The detector is devirtualized once per entry: a type
 // switch picks a concrete fast path (OrderedQueue/ALAT/Bitmask/None) and
 // conflicts come back by value, so the no-conflict path never allocates
-// either. executeRef in machine.go preserves the original semantics;
-// differential tests hold the two engines bit-identical.
+// either. The original *ir.Op-walking executor survives in the tests
+// (ref_test.go) as the reference semantics; a differential test holds the
+// two engines bit-identical.
 
 package vliw
 
@@ -186,8 +187,7 @@ type ExecContext struct {
 // architectural state is rolled back to the region entry and the detector
 // reset. The steady-state commit path performs zero heap allocations.
 func (ctx *ExecContext) Execute(cr *CompiledRegion, st *guest.State, mem *guest.Memory, det aliashw.Detector) ExecResult {
-	reg := cr.Region
-	nv := reg.NumVRegs
+	nv := cr.NumVRegs
 	if cap(ctx.vri) < nv {
 		ctx.vri = make([]int64, nv)
 		ctx.vrf = make([]float64, nv)
@@ -209,11 +209,6 @@ func (ctx *ExecContext) Execute(cr *CompiledRegion, st *guest.State, mem *guest.
 
 	dd := dispatchFor(det)
 	dec := cr.dec
-	if dec == nil {
-		// Hand-assembled CompiledRegion (tests): decode on the fly
-		// without caching, so shared regions stay immutable here.
-		dec = decode(cr.Seq)
-	}
 
 	ctx.ar.Begin(st, mem)
 	arHW := int32(0) // alias-register occupancy high-water (telemetry)
@@ -294,13 +289,13 @@ func (ctx *ExecContext) Execute(cr *CompiledRegion, st *guest.State, mem *guest.
 	// Commit: write the live-out virtual registers back to the guest
 	// state, make the stores permanent, clear the detector.
 	for r := 0; r < guest.NumRegs; r++ {
-		st.R[r] = vri[reg.IntOut[r]]
-		st.F[r] = vrf[reg.FloatOut[r]]
+		st.R[r] = vri[cr.IntOut[r]]
+		st.F[r] = vrf[cr.FloatOut[r]]
 	}
 	buffered := ctx.ar.StoreCount()
 	ctx.ar.Commit()
 	det.Reset()
-	return ExecResult{Outcome: Commit, NextBlock: reg.FinalTarget, OpsExecuted: len(dec),
+	return ExecResult{Outcome: Commit, NextBlock: cr.FinalTarget, OpsExecuted: len(dec),
 		ARHighWater: int(arHW), StoresBuffered: buffered}
 }
 

@@ -9,6 +9,7 @@ import (
 	"smarq/internal/deps"
 	"smarq/internal/guest"
 	"smarq/internal/interp"
+	"smarq/internal/ir"
 	"smarq/internal/opt"
 	"smarq/internal/region"
 	"smarq/internal/sched"
@@ -100,21 +101,21 @@ func randomRegionProgram(rng *rand.Rand) (*guest.Program, int) {
 	return b.MustProgram(), loop
 }
 
-// fuzzCompile runs the full compilation pipeline at seedBlock for the
-// given hardware mode, mirroring compileGuest but returning errors so the
-// fuzz loop can skip unformable regions.
-func fuzzCompile(prog *guest.Program, seedBlock int, mode sched.HWMode) (*vliw.CompiledRegion, error) {
+// fuzzSchedule runs the compilation pipeline at seedBlock for the given
+// hardware mode up to the schedule, mirroring scheduleGuest but returning
+// errors so the fuzz loop can skip unformable regions.
+func fuzzSchedule(prog *guest.Program, seedBlock int, mode sched.HWMode) ([]*ir.Op, *ir.Region, int, error) {
 	it := interp.New(prog, &guest.State{}, guest.NewMemory(1<<13))
 	if _, err := it.Run(0, 200_000); err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
 	sb, err := region.Form(prog, it.Prof, seedBlock, region.DefaultConfig())
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
 	reg, err := xlate.Translate(sb)
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
 	tbl := alias.BuildTable(reg, nil)
 	optCfg := opt.Config{}
@@ -133,9 +134,9 @@ func fuzzCompile(prog *guest.Program, seedBlock int, mode sched.HWMode) (*vliw.C
 		PressureMargin: 4, Machine: vliw.DefaultConfig(),
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
-	return vliw.DefaultConfig().Compile(sc.Seq, reg, len(sb.Insts)), nil
+	return sc.Seq, reg, len(sb.Insts), nil
 }
 
 // randExecState builds a randomized region-entry state: mostly valid
@@ -169,8 +170,9 @@ func fillMem(mem *guest.Memory, seed int64) {
 }
 
 // TestExecuteDecodedMatchesReference is the differential test between the
-// pre-decoded pooled engine (ExecContext.Execute) and the original
-// ir.Op-walking executor (executeRef): on random compiled programs across
+// decoded pooled engine (ExecContext.Execute) and the original
+// ir.Op-walking executor (executeRef, run on the schedule the region was
+// compiled from): on random compiled programs across
 // all hardware modes and randomized entry states, both engines must agree
 // op-for-op — outcome, next block, conflict identity, ops executed, final
 // registers, memory contents, and the detector's Checked() energy proxy.
@@ -199,11 +201,12 @@ func TestExecuteDecodedMatchesReference(t *testing.T) {
 		for _, m := range modes {
 			// Rebuild the program per mode: translation annotates it.
 			prog, loop := randomRegionProgram(rand.New(rand.NewSource(seed)))
-			cr, err := fuzzCompile(prog, loop, m.mode)
+			seq, reg, insts, err := fuzzSchedule(prog, loop, m.mode)
 			if err != nil {
 				t.Logf("trial %d/%s: skip (compile: %v)", trial, m.name, err)
 				continue
 			}
+			cr := vliw.DefaultConfig().Compile(seq, reg, insts)
 			rng := rand.New(rand.NewSource(seed * 31))
 			for entry := 0; entry < 6; entry++ {
 				stRef := randExecState(rng)
@@ -214,7 +217,7 @@ func TestExecuteDecodedMatchesReference(t *testing.T) {
 				fillMem(memDec, seed+int64(entry))
 				detRef, detDec := m.det(), m.det()
 
-				resRef := vliw.ExecuteRef(cr, stRef, memRef, detRef)
+				resRef := vliw.ExecuteRef(seq, reg, stRef, memRef, detRef)
 				resDec := ctx.Execute(cr, &stDec, memDec, detDec)
 				outcomes[resDec.Outcome]++
 

@@ -20,6 +20,15 @@ import (
 // fully compiles the superblock at seed.
 func compileGuest(t *testing.T, seed int, mode sched.HWMode, build func(*guest.Builder)) (*vliw.CompiledRegion, *guest.Program) {
 	t.Helper()
+	seq, reg, insts, prog := scheduleGuest(t, seed, mode, build)
+	return vliw.DefaultConfig().Compile(seq, reg, insts), prog
+}
+
+// scheduleGuest is compileGuest up to the schedule: it returns the
+// scheduled ops, their region and the superblock's guest instruction
+// count, for tests that inspect the schedule itself.
+func scheduleGuest(t *testing.T, seed int, mode sched.HWMode, build func(*guest.Builder)) ([]*ir.Op, *ir.Region, int, *guest.Program) {
+	t.Helper()
 	b := guest.NewBuilder()
 	build(b)
 	prog := b.MustProgram()
@@ -48,7 +57,7 @@ func compileGuest(t *testing.T, seed int, mode sched.HWMode, build func(*guest.B
 	if err != nil {
 		t.Fatal(err)
 	}
-	return vliw.DefaultConfig().Compile(sc.Seq, reg, len(sb.Insts)), prog
+	return sc.Seq, reg, len(sb.Insts), prog
 }
 
 func TestExecuteCommitMatchesInterpreter(t *testing.T) {
@@ -153,11 +162,12 @@ func TestExecuteAliasExceptionOnRealAlias(t *testing.T) {
 		b.St8(1, 8, 4)
 		b.Halt()
 	}
-	cr, _ := compileGuest(t, 0, sched.HWOrdered, build)
+	seq, reg, insts, _ := scheduleGuest(t, 0, sched.HWOrdered, build)
+	cr := vliw.DefaultConfig().Compile(seq, reg, insts)
 
 	// Confirm the load was hoisted; otherwise the test is vacuous.
 	stIdx, ldIdx := -1, -1
-	for i, op := range cr.Seq {
+	for i, op := range seq {
 		if op.Kind == ir.Store && stIdx == -1 {
 			stIdx = i
 		}

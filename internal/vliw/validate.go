@@ -1,11 +1,12 @@
-// Install-time result validation: a content checksum over the frozen
+// Install-time result validation: a content checksum over the decoded
 // compile result plus structural invariant checks, so a corrupted
 // ("poisoned") compile — a host bug, a bad worker, an injected fault —
 // is rejected at the install point instead of dispatched. The checksum
 // is stamped on the worker right after the pipeline finishes and
 // recomputed on the simulation thread at install; the structural check
 // catches corruption that happened before the stamp (a consistent hash
-// over broken contents proves nothing).
+// over broken contents proves nothing). Both read exactly what Execute
+// trusts: the decoded stream and the commit-time register mapping.
 package vliw
 
 import (
@@ -32,89 +33,64 @@ func fnvWord(h, v uint64) uint64 {
 
 func fnvInt(h uint64, v int64) uint64 { return fnvWord(h, uint64(v)) }
 
-func fnvBool(h uint64, b bool) uint64 {
-	if b {
-		return fnvWord(h, 1)
+// pair packs two 32-bit fields into one hashed word.
+func pair(a, b int32) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
+
+// flagBits packs a decoded op's narrow fields into one hashed word.
+func (d *decOp) flagBits() uint64 {
+	w := uint64(d.arMask) | uint64(d.memSize)<<16 | uint64(d.kind)<<24 | uint64(d.gop)<<32
+	for i, b := range [...]bool{d.dstFloat, d.srcFloat0, d.p, d.c, d.onTraceTaken} {
+		if b {
+			w |= 1 << (40 + i)
+		}
 	}
-	return fnvWord(h, 0)
+	return w
 }
 
 // Checksum returns the FNV-1a content hash of the compiled region: every
-// field of every scheduled op (including the alias-register annotations
-// the executor trusts), the region's shape and live-out maps, and the
-// precomputed cycle cost. Any single-field corruption of the frozen
-// slabs changes the hash.
+// field of every decoded op (including the alias-register annotations
+// the executor trusts), the live-out maps, the vreg count, the final
+// target and the precomputed cycle cost. Any single-field corruption
+// changes the hash.
 func (cr *CompiledRegion) Checksum() uint64 {
 	h := uint64(fnvOffset64)
 	h = fnvInt(h, cr.Cycles)
 	h = fnvInt(h, int64(cr.GuestInsts))
-	h = fnvInt(h, int64(len(cr.Seq)))
-	for _, o := range cr.Seq {
-		h = fnvInt(h, int64(o.ID))
-		h = fnvInt(h, int64(o.Kind))
-		h = fnvInt(h, int64(o.GOp))
-		h = fnvInt(h, int64(o.Dst))
-		h = fnvBool(h, o.DstFloat)
-		h = fnvInt(h, int64(len(o.Srcs)))
-		for i, s := range o.Srcs {
-			h = fnvInt(h, int64(s))
-			h = fnvBool(h, o.SrcFloat[i])
-		}
-		h = fnvInt(h, o.Imm)
-		h = fnvWord(h, math.Float64bits(o.FImm))
-		if o.Mem != nil {
-			h = fnvInt(h, int64(o.Mem.Base))
-			h = fnvInt(h, o.Mem.Off)
-			h = fnvInt(h, int64(o.Mem.Size))
-			h = fnvInt(h, int64(o.Mem.Root))
-			h = fnvInt(h, o.Mem.RootOff)
-			h = fnvBool(h, o.Mem.Abs)
-		}
-		h = fnvBool(h, o.OnTraceTaken)
-		h = fnvInt(h, int64(o.OffTrace))
-		h = fnvInt(h, int64(o.AROffset))
-		h = fnvWord(h, uint64(o.ARMask))
-		h = fnvBool(h, o.P)
-		h = fnvBool(h, o.C)
-		h = fnvInt(h, int64(o.Amount))
-		h = fnvInt(h, int64(o.SrcOff))
-		h = fnvInt(h, int64(o.DstOff))
-	}
-	reg := cr.Region
-	h = fnvInt(h, int64(reg.NumVRegs))
-	h = fnvInt(h, int64(reg.Entry))
-	h = fnvInt(h, int64(reg.FinalTarget))
-	h = fnvInt(h, int64(len(reg.Ops)))
+	h = fnvInt(h, int64(cr.NumVRegs))
+	h = fnvInt(h, int64(cr.FinalTarget))
 	for r := 0; r < guest.NumRegs; r++ {
-		h = fnvInt(h, int64(reg.IntOut[r]))
-		h = fnvInt(h, int64(reg.FloatOut[r]))
+		h = fnvWord(h, pair(int32(cr.IntOut[r]), int32(cr.FloatOut[r])))
+	}
+	h = fnvInt(h, int64(len(cr.dec)))
+	for i := range cr.dec {
+		d := &cr.dec[i]
+		h = fnvInt(h, d.imm)
+		h = fnvWord(h, math.Float64bits(d.fimm))
+		h = fnvInt(h, d.memOff)
+		h = fnvWord(h, pair(d.id, d.dst))
+		h = fnvWord(h, pair(d.src0, d.src1))
+		h = fnvWord(h, pair(d.memBase, d.arOffset))
+		h = fnvWord(h, pair(d.amount, d.srcOff))
+		h = fnvWord(h, pair(d.dstOff, 0))
+		h = fnvWord(h, d.flagBits())
 	}
 	return h
 }
 
 // Validate checks the structural invariants a dispatchable compile result
-// must satisfy: the schedule is non-empty and consistent with its
-// pre-decoded form, op counts bound each other (a schedule only ever adds
-// allocator ops to the region's), every vreg the live-out maps and the
-// scheduled ops name is in range, and the cycle cost is positive. It is
-// the second validation layer behind Checksum — corruption that predates
-// the checksum stamp must fail here.
+// must satisfy for Execute to run it without indexing out of bounds: the
+// schedule is non-empty, the vreg files hold the live-ins, every vreg a
+// decoded op or a live-out map names is in range, every operand its kind
+// reads is present, memory widths are real access widths, and the cycle
+// cost and guest instruction count are positive. It is the second
+// validation layer behind Checksum — corruption that predates the
+// checksum stamp must fail here.
 func (cr *CompiledRegion) Validate() error {
-	reg := cr.Region
-	if reg == nil {
-		return fmt.Errorf("vliw: compiled region has no IR region")
-	}
-	if len(cr.Seq) == 0 {
+	if len(cr.dec) == 0 {
 		return fmt.Errorf("vliw: empty schedule")
 	}
-	if len(cr.dec) != len(cr.Seq) {
-		return fmt.Errorf("vliw: %d decoded ops for %d scheduled", len(cr.dec), len(cr.Seq))
-	}
-	if len(cr.Seq) < len(reg.Ops) {
-		// Scheduling never deletes ops; eliminations rewrite them in
-		// place. Fewer scheduled ops than region ops means a truncated
-		// slab.
-		return fmt.Errorf("vliw: schedule has %d ops, region has %d", len(cr.Seq), len(reg.Ops))
+	if cr.NumVRegs < 2*guest.NumRegs {
+		return fmt.Errorf("vliw: %d vregs cannot hold the %d live-in registers", cr.NumVRegs, 2*guest.NumRegs)
 	}
 	if cr.Cycles <= 0 {
 		return fmt.Errorf("vliw: nonpositive cycle cost %d", cr.Cycles)
@@ -122,32 +98,63 @@ func (cr *CompiledRegion) Validate() error {
 	if cr.GuestInsts <= 0 {
 		return fmt.Errorf("vliw: nonpositive guest instruction count %d", cr.GuestInsts)
 	}
-	if err := reg.Validate(); err != nil {
-		return fmt.Errorf("vliw: region invariants: %w", err)
-	}
-	for i, o := range cr.Seq {
-		if o == nil {
-			return fmt.Errorf("vliw: nil op at schedule slot %d", i)
+	nv := int32(cr.NumVRegs)
+	// ok reports whether v is absent (NoVReg) or names a vreg in range;
+	// set additionally requires it present.
+	ok := func(v int32) bool { return v == int32(ir.NoVReg) || (v >= 0 && v < nv) }
+	set := func(v int32) bool { return v >= 0 && v < nv }
+	for i := range cr.dec {
+		d := &cr.dec[i]
+		if !ok(d.dst) || !ok(d.src0) || !ok(d.src1) {
+			return fmt.Errorf("vliw: schedule slot %d: vreg out of range [0,%d) (dst v%d, srcs v%d v%d)",
+				i, nv, d.dst, d.src0, d.src1)
 		}
-		if o.Dst != ir.NoVReg && (o.Dst < 0 || int(o.Dst) >= reg.NumVRegs) {
-			return fmt.Errorf("vliw: schedule slot %d: dst v%d out of range [0,%d)", i, o.Dst, reg.NumVRegs)
-		}
-		for _, s := range o.Srcs {
-			if s != ir.NoVReg && (s < 0 || int(s) >= reg.NumVRegs) {
-				return fmt.Errorf("vliw: schedule slot %d: src v%d out of range [0,%d)", i, s, reg.NumVRegs)
+		switch d.kind {
+		case ir.Arith, ir.Rotate, ir.AMov:
+		case ir.Copy:
+			if !set(d.dst) || !set(d.src0) {
+				return fmt.Errorf("vliw: schedule slot %d: copy without both operands", i)
 			}
-		}
-		if o.IsMem() && o.Mem == nil {
-			return fmt.Errorf("vliw: schedule slot %d: memory op without MemInfo", i)
+		case ir.Guard:
+			if !set(d.src0) || !set(d.src1) {
+				return fmt.Errorf("vliw: schedule slot %d: guard without both operands", i)
+			}
+		case ir.Load, ir.Store:
+			if !set(d.memBase) {
+				return fmt.Errorf("vliw: schedule slot %d: memory base v%d out of range", i, d.memBase)
+			}
+			switch d.memSize {
+			case 1, 2, 4, 8:
+			default:
+				return fmt.Errorf("vliw: schedule slot %d: %d-byte memory access", i, d.memSize)
+			}
+			if d.kind == ir.Load && !set(d.dst) || d.kind == ir.Store && !set(d.src0) {
+				return fmt.Errorf("vliw: schedule slot %d: %v without its register operand", i, d.kind)
+			}
+		default:
+			return fmt.Errorf("vliw: schedule slot %d: unknown op kind %d", i, d.kind)
 		}
 	}
 	for r := 0; r < guest.NumRegs; r++ {
-		if v := reg.IntOut[r]; v < 0 || int(v) >= reg.NumVRegs {
+		if v := int32(cr.IntOut[r]); !set(v) {
 			return fmt.Errorf("vliw: live-out int r%d maps to v%d out of range", r, v)
 		}
-		if v := reg.FloatOut[r]; v < 0 || int(v) >= reg.NumVRegs {
+		if v := int32(cr.FloatOut[r]); !set(v) {
 			return fmt.Errorf("vliw: live-out float f%d maps to v%d out of range", r, v)
 		}
 	}
 	return nil
+}
+
+// Corrupt damages the compiled region in place, for host-fault injection.
+// structural writes an out-of-range destination vreg into the middle op,
+// which Validate rejects; otherwise it flips bits of the first op's
+// immediate, a field Validate does not constrain, so only a Checksum
+// comparison can catch it.
+func (cr *CompiledRegion) Corrupt(structural bool) {
+	if structural {
+		cr.dec[len(cr.dec)/2].dst = int32(cr.NumVRegs + 1<<16)
+		return
+	}
+	cr.dec[0].imm ^= 0x5a5a5a5a
 }

@@ -60,9 +60,11 @@ func Translate(sb *region.Superblock) (*ir.Region, error) {
 // TranslateArena converts a superblock into an IR region carved out of
 // ar. The caller owns the arena: every pointer in the returned region
 // aliases arena memory and dies at the arena's next Reset, so long-lived
-// consumers must ir.Freeze whatever they keep. Translating again into
-// the same arena without a Reset is allowed (the compile retry ladder
-// does this); the earlier region's slab space is simply left behind.
+// consumers must copy out whatever they keep (vliw.Compile decodes the
+// schedule into its own storage; ir.Freeze snapshots IR). Translating
+// again into the same arena without a Reset is allowed (the compile retry
+// ladder does this); the earlier region's slab space is simply left
+// behind.
 func TranslateArena(sb *region.Superblock, ar *ir.Arena) (*ir.Region, error) {
 	n := len(sb.Insts)
 	maxVRegs := 2*guest.NumRegs + n
