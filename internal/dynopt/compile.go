@@ -1,12 +1,15 @@
-// Asynchronous background compilation: the compile pipeline (xlate → opt
-// → constraint/deps → sched → alias allocation → vliw.Compile) extracted
-// into a pure function over snapshotted inputs, so it can run either
-// synchronously (the legacy instant-install path, Compile.Workers == 0)
-// or on a bounded host worker pool behind a deterministic simulated
-// compile-latency model.
+// The compile path: the pipeline (xlate → opt → constraint/deps → sched →
+// alias allocation → vliw.Compile) is a pure function over snapshotted
+// inputs, and every compile request runs through one queue — enqueue
+// (enqueueCompile), then install (installPending). With Compile.Workers
+// >= 1 the job runs on a bounded host worker pool behind a deterministic
+// simulated compile-latency model. With Workers == 0 the request is the
+// queue's inline, zero-latency case: the job runs on the simulation
+// thread and installs before the request returns, charging Opt/SchedCycles
+// on the critical path (the paper's model).
 //
-// Determinism rule: a region's install point is a pure function of the
-// simulated clock — readyAt = enqueue-cycle + CompileCyclesPerInst ×
+// Determinism rule: a queued region's install point is a pure function of
+// the simulated clock — readyAt = enqueue-cycle + CompileCyclesPerInst ×
 // guest insts + CompileCyclesPerCheck × guest mem ops, both derived from
 // the superblock alone, never from the compile result or the wall clock.
 // Every simulated decision (chaos draws, memo lookups, enqueue, install,
@@ -39,22 +42,22 @@ import (
 	"smarq/internal/xlate"
 )
 
-// CompileConfig configures the background-compilation subsystem.
+// CompileConfig configures the compile queue.
 type CompileConfig struct {
-	// Workers selects the compile path. 0 (the default) is the legacy
-	// synchronous path: compilations install instantly and charge
-	// Opt/SchedCycles on the critical path. Workers >= 1 enables the
-	// background model: compilations run on that many host workers while
-	// the interpreter keeps executing, and install only once the
-	// simulated clock passes the region's readyAt point. Every N >= 1
-	// yields byte-identical simulated results.
+	// Workers selects the compile latency model. 0 (the default) compiles
+	// inline: the job runs on the simulation thread, installs before the
+	// request returns, and charges Opt/SchedCycles on the critical path.
+	// Workers >= 1 enables background compilation: jobs run on that many
+	// host workers while the interpreter keeps executing, and install only
+	// once the simulated clock passes the region's readyAt point. Every
+	// N >= 1 yields byte-identical simulated results.
 	Workers int
 	// Memoize enables content-hash memoization of compiled regions in a
 	// private cache: recompiling a region whose guest instructions and
 	// configuration bits hash to a previously compiled key reuses that
 	// code without re-running the pipeline. Simulated costs are replayed
 	// on a hit, so stats are identical with memoization on or off (apart
-	// from the hit/miss counters themselves). Works in both compile paths.
+	// from the hit/miss counters themselves), inline or in the background.
 	Memoize bool
 	// MemoCapacity bounds the private memo in entries; past the bound the
 	// least recently used entry is evicted. 0 selects
@@ -69,7 +72,7 @@ type CompileConfig struct {
 	// SharedPool, when non-nil, runs this System's background compiles on
 	// a host-wide worker pool shared across concurrently running Systems
 	// (fleet execution) instead of a private per-System pool. Workers must
-	// still be >= 1 to select the background path; the shared pool's own
+	// still be >= 1 to select background compilation; the shared pool's own
 	// size governs host parallelism. The System never closes a shared
 	// pool — its creator does, after every System using it has finished.
 	SharedPool *compilequeue.Pool
@@ -81,7 +84,7 @@ type CompileConfig struct {
 	// recompiled, by others. Hits replay the modelled compile costs
 	// exactly like memo hits, so each tenant's simulated results are
 	// byte-identical to a solo run modulo the hit/miss/dedupe counters.
-	// Requires Workers >= 1 (the background path).
+	// Requires Workers >= 1 (background compilation).
 	SharedCache *CodeCache
 }
 
@@ -111,16 +114,17 @@ func (cc CompileConfig) watchdogFactor() int64 {
 	return DefaultWatchdogFactor
 }
 
-// CompileStats is the background-compilation accounting.
+// CompileStats is the compile queue's accounting.
 type CompileStats struct {
-	// Enqueued/Installed/Canceled/Failed count background compilations
-	// through their lifecycle (all zero in synchronous mode).
+	// Enqueued/Installed/Canceled/Failed count compilations through their
+	// lifecycle, inline or queued: Enqueued == Installed + Failed +
+	// Canceled at the end of every run. Inline compiles never cancel.
 	Enqueued  int64
 	Installed int64
 	Canceled  int64
 	Failed    int64
-	// MemoHits/MemoMisses count content-hash lookups (both paths), against
-	// the private memo or the shared fleet cache.
+	// MemoHits/MemoMisses count content-hash lookups, against the private
+	// memo or the shared fleet cache.
 	MemoHits   int64
 	MemoMisses int64
 	// DedupeWaits counts lookups that joined another tenant's in-flight
@@ -130,12 +134,14 @@ type CompileStats struct {
 	// WorkCycles is the simulated compile occupancy performed off the
 	// critical path (the latency model's cost per installed region). It
 	// is deliberately excluded from Stats.TotalCycles: hiding this work
-	// is the point of background compilation.
+	// is the point of background compilation. Inline compiles charge
+	// Opt/SchedCycles instead, so WorkCycles, LatencySum and
+	// MaxQueueDepth stay zero with Workers == 0.
 	WorkCycles int64
 	// LatencySum accumulates observed enqueue→install latencies (the
 	// per-region value is RegionStats.CompileLatency).
 	LatencySum int64
-	// MaxQueueDepth is the high-water mark of in-flight compilations.
+	// MaxQueueDepth is the high-water mark of queued compilations.
 	MaxQueueDepth int
 	// WorkerPanics counts compile jobs that panicked and were converted
 	// into failed-compile events (the region is quarantined).
@@ -212,7 +218,8 @@ type compileOutput struct {
 	panicked bool
 }
 
-// pendingCompile is one in-flight background compilation.
+// pendingCompile is one compilation between its enqueue and install
+// point. An inline one lives only for the duration of its request.
 type pendingCompile struct {
 	entry      int
 	seq        int64 // enqueue order, the (readyAt, seq) tie break
@@ -249,10 +256,13 @@ func (p *pendingCompile) at() int64 {
 	return p.readyAt
 }
 
-// bgCompile is the System's background-compilation state (nil when
-// Compile.Workers == 0).
-type bgCompile struct {
-	pool *compilequeue.Pool
+// compileQueue is the System's compile-request state. inline marks the
+// zero-latency case (Compile.Workers == 0): its compiles run and install
+// inside the request, so they never enter pending or queue and never
+// start the pool.
+type compileQueue struct {
+	inline bool
+	pool   *compilequeue.Pool
 	// sharedPool marks pool as fleet-owned: the System must never close
 	// it (other tenants' compiles are still running on it).
 	sharedPool bool
@@ -318,7 +328,7 @@ func (s *System) newCompileInput(entry int) (*compileInput, error) {
 }
 
 // arenaPool recycles translate arenas across compiles. Each pipeline run
-// (synchronous path or worker goroutine) takes one arena for its
+// (inline or on a worker goroutine) takes one arena for its
 // duration; vliw.Compile decodes the schedule out of the arena into the
 // installed code before it returns to the pool, so nothing that outlives
 // the compile aliases pooled memory.
@@ -455,7 +465,7 @@ func runCompilePipelineRef(in *compileInput) *compileOutput {
 }
 
 // runCompileJob is the fault-domain wrapper every fresh compile runs
-// inside (on a worker goroutine or in place on the synchronous path): it
+// inside (on a worker goroutine, or on the simulation thread inline): it
 // recovers a panicking pipeline into a failed compileOutput — so a host
 // bug in one compile can never take down the process or wedge the
 // install point — and stamps the content checksum the install-time
@@ -590,11 +600,11 @@ func compileOutputBytes(out *compileOutput) int64 {
 
 // drawHostFaults performs the per-fresh-compile host-fault draws, in a
 // fixed order on the simulation thread, so the injector's sequence is
-// independent of the worker count and host timing. withHang is true only
-// on the background path — a synchronous compile has no watchdog
-// deadline to overrun. A drawn hang dominates (the job never finishes,
-// so a panic or poison inside it would be unobservable), and a drawn
-// panic dominates poison (a panicking job produces no result to poison).
+// independent of the worker count and host timing. withHang is false for
+// an inline compile — it has no watchdog deadline to overrun. A drawn
+// hang dominates (the job never finishes, so a panic or poison inside it
+// would be unobservable), and a drawn panic dominates poison (a panicking
+// job produces no result to poison).
 func (s *System) drawHostFaults(entry int, withHang bool) (panicInject, hang bool, poison faultinject.PoisonMode) {
 	if s.inj == nil {
 		return false, false, faultinject.PoisonNone
@@ -637,8 +647,8 @@ func (s *System) memoPressureDraw(entry int) {
 }
 
 // lookupOutput probes the compile-output cache for in's key and counts
-// the hit or miss in Stats and telemetry — the one cache lookup both
-// compile paths share. out is non-nil on a hit. Without a cache it counts
+// the hit or miss in Stats and telemetry — the one cache lookup of the
+// compile path. out is non-nil on a hit. Without a cache it counts
 // nothing and returns a nil output.
 //
 // The two caches follow different rules, on purpose:
@@ -717,63 +727,34 @@ func (s *System) admitOutput(entry int, out *compileOutput) error {
 	return nil
 }
 
-// compile is the synchronous compile-and-install path (Compile.Workers ==
-// 0): the pipeline runs in place and the region installs instantly,
-// charging Opt/SchedCycles on the critical path.
-func (s *System) compile(entry int) error {
-	if s.inj != nil && s.inj.CompileFail() {
-		s.trace("injected compile failure for B%d", entry)
-		s.tel.chaosInjected(s.now(), entry, s.tierOf(entry), telemetry.CauseCompileFail)
-		return fmt.Errorf("%w for B%d", errInjectedCompileFail, entry)
-	}
-	in, err := s.newCompileInput(entry)
-	if err != nil {
-		return err
-	}
-	// Config.Validate keeps the fleet cache off this path, so the lookup
-	// is a private-memo Get (or nothing) and never yields a flight.
-	key, out, _, _ := s.lookupOutput(entry, in)
-	memoHit := out != nil
-	if !memoHit {
-		panicInject, _, poison := s.drawHostFaults(entry, false)
-		out = runCompileJob(in, panicInject, poison)
-	}
-	if err := s.admitOutput(entry, out); err != nil {
-		return err
-	}
-	if !memoHit {
-		s.storeOutput(key, out)
-	}
-	s.installOutput(entry, out, 0)
-	return nil
-}
-
-// requestCompile starts a compilation for entry: synchronously in the
-// legacy path, or as a background enqueue. An error is returned only for
-// failures observable at request time (injected chaos failures, region
-// formation, and — synchronously — the whole pipeline); background
-// pipeline failures surface at the install point instead. Suppressed
-// requests (a quarantined region, or compilation shed by the health
-// controller) return nil silently: not compiling is the intended
-// outcome, not a failure to back off from.
+// requestCompile starts a compilation for entry. An error is returned
+// only for failures observable at request time (injected compile
+// failures and region formation); pipeline failures surface at the
+// install point, which applies their consequences itself — inline, before
+// the request returns. Suppressed requests (a quarantined region, or
+// compilation shed by the health controller) return nil silently: not
+// compiling is the intended outcome, not a failure to back off from.
 func (s *System) requestCompile(entry int) error {
 	if !s.compileAllowed(entry) {
 		return nil
-	}
-	if s.bg == nil {
-		return s.compile(entry)
 	}
 	return s.enqueueCompile(entry)
 }
 
 // recompileRegion re-(or newly-)compiles entry after its compile inputs
-// changed (a tier move, a hardened pair, a pinned load): synchronously in
-// place, or by cancelling any now-stale pending compile and enqueueing a
-// fresh one against the updated inputs. When compilation is suppressed,
-// both the pending compile and any installed code are built against the
-// old inputs — throw both away; the region re-forms once compiles are
-// allowed again.
-func (s *System) recompileRegion(entry int) error {
+// changed (a tier move, a hardened pair, a pinned load), cancelling any
+// now-stale pending compile first. stale marks installed code that just
+// trapped under the old inputs: a queued replacement takes a while, so
+// the code is dropped now and the region interprets meanwhile; an inline
+// replacement installs over it at once (a recompile, not a fresh
+// compile). A request-time failure drops the installed code. When
+// compilation is suppressed, both the pending compile and any installed
+// code are built against the old inputs — throw both away; the region
+// re-forms once compiles are allowed again.
+func (s *System) recompileRegion(entry int, stale bool) {
+	if stale && !s.cq.inline {
+		s.dropCode(entry)
+	}
 	if !s.compileAllowed(entry) {
 		s.cancelPending(entry, telemetry.CauseHealth)
 		if s.disp[entry].code != nil {
@@ -781,22 +762,22 @@ func (s *System) recompileRegion(entry int) error {
 			s.Stats.RegionsDropped++
 			s.tel.drop(s.now(), entry, s.tierOf(entry), telemetry.CauseHealth)
 		}
-		return nil
-	}
-	if s.bg == nil {
-		return s.compile(entry)
+		return
 	}
 	s.cancelPending(entry, telemetry.CauseStale)
-	return s.enqueueCompile(entry)
+	if err := s.enqueueCompile(entry); err != nil {
+		s.dropCode(entry)
+		s.Stats.RegionsDropped++
+		s.tel.drop(s.now(), entry, s.tierOf(entry), telemetry.CauseCompileFail)
+	}
 }
 
-// enqueueCompile snapshots entry's inputs, fixes the install point from
-// the simulated clock and the superblock alone, and hands the pure
-// pipeline to the worker pool (unless the memo already has the result).
-// Single-flight per entry: a live pending compile absorbs the request.
+// enqueueCompile snapshots entry's inputs, probes the compile-output
+// cache and counts the request; then it either runs the job and installs
+// the result inline or queues it (queueCompile). Single-flight per entry:
+// a live pending compile absorbs the request.
 func (s *System) enqueueCompile(entry int) error {
-	bg := s.bg
-	if bg.pending[entry] != nil {
+	if s.cq.pending[entry] != nil {
 		return nil
 	}
 	// The chaos draw happens at enqueue on the simulation thread, so the
@@ -810,20 +791,44 @@ func (s *System) enqueueCompile(entry int) error {
 	if err != nil {
 		return err
 	}
-	cost := int64(s.cfg.Machine.CompileCyclesPerInst)*int64(len(in.sb.Insts)) +
-		int64(s.cfg.Machine.CompileCyclesPerCheck)*int64(in.sb.NumMemOps())
-	bg.seq++
 	now := s.now()
-	p := &pendingCompile{
+	p := pendingCompile{
 		entry:      entry,
-		seq:        bg.seq,
 		enqueuedAt: now,
-		readyAt:    now + cost,
-		deadline:   now + cost*s.cfg.Compile.watchdogFactor(),
+		readyAt:    now,
 		recompile:  s.disp[entry].code != nil,
 	}
 	key, out, flight, leader := s.lookupOutput(entry, in)
 	p.key, p.out, p.memoHit = key, out, out != nil
+	s.Stats.Compile.Enqueued++
+	s.tel.compileEnqueue()
+	if !s.cq.inline {
+		s.queueCompile(in, p, flight, leader)
+		return nil
+	}
+	// Inline: the job runs here on the simulation thread and installs
+	// before the request returns, so p never enters pending or queue.
+	if !p.memoHit {
+		panicInject, _, poison := s.drawHostFaults(entry, false)
+		p.out = runCompileJob(in, panicInject, poison)
+	}
+	s.installPending(&p)
+	return nil
+}
+
+// queueCompile fixes p's install point from the simulated clock and the
+// superblock alone, hands the pure pipeline to the worker pool (unless the
+// cache already holds the result or another tenant's flight will deliver
+// it), and queues p in install order. p arrives by value: only a queued
+// compile outlives its request, so only it is moved to the heap.
+func (s *System) queueCompile(in *compileInput, p pendingCompile, flight *codecache.Flight[*compileOutput], leader bool) {
+	cq, entry, key, now := s.cq, p.entry, p.key, p.enqueuedAt
+	cost := int64(s.cfg.Machine.CompileCyclesPerInst)*int64(len(in.sb.Insts)) +
+		int64(s.cfg.Machine.CompileCyclesPerCheck)*int64(in.sb.NumMemOps())
+	cq.seq++
+	p.seq = cq.seq
+	p.readyAt = now + cost
+	p.deadline = now + cost*s.cfg.Compile.watchdogFactor()
 	switch {
 	case p.memoHit:
 		// Host faults only strike fresh compiles: a hit runs no worker
@@ -851,29 +856,29 @@ func (s *System) enqueueCompile(entry int) error {
 			}
 			break
 		}
-		if bg.pool == nil {
-			bg.pool = compilequeue.NewPool(s.cfg.Compile.Workers)
+		if cq.pool == nil {
+			cq.pool = compilequeue.NewPool(s.cfg.Compile.Workers)
 		}
 		if flight != nil {
 			// Fleet-cache leader: the result travels to this tenant's
 			// install point and to every follower through the flight.
 			p.flight = flight
 			cache := s.cache
-			bg.pool.Submit(func() {
+			cq.pool.Submit(func() {
 				out := runCompileJob(in, panicInject, poison)
 				cache.Complete(key, flight, out, outputClean(out))
 			})
 			break
 		}
 		p.done = make(chan struct{})
-		job := p
-		bg.pool.Submit(func() {
+		job := &p
+		cq.pool.Submit(func() {
 			job.out = runCompileJob(in, panicInject, poison)
 			close(job.done)
 		})
 	}
-	bg.pending[entry] = p
-	q := append(bg.queue, p)
+	cq.pending[entry] = &p
+	q := append(cq.queue, &p)
 	for i := len(q) - 1; i > 0; i-- {
 		prev := q[i-1]
 		if prev.at() < q[i].at() || (prev.at() == q[i].at() && prev.seq < q[i].seq) {
@@ -881,38 +886,33 @@ func (s *System) enqueueCompile(entry int) error {
 		}
 		q[i-1], q[i] = q[i], q[i-1]
 	}
-	bg.queue = q
-	s.Stats.Compile.Enqueued++
-	depth := len(bg.pending)
+	cq.queue = q
+	depth := len(cq.pending)
 	if depth > s.Stats.Compile.MaxQueueDepth {
 		s.Stats.Compile.MaxQueueDepth = depth
 	}
-	s.tel.compileEnqueue(now, entry, s.tierOf(entry), cost, depth, p.memoHit)
+	s.tel.compileQueued(now, entry, s.tierOf(entry), cost, depth, p.memoHit)
 	s.trace("enqueue compile B%d: ready at cycle %d (cost %d, depth %d)", entry, p.readyAt, cost, depth)
-	return nil
 }
 
 // cancelPending discards entry's pending compile, if any. The worker (if
 // still running) finishes into an unread result; the pool drains it at
 // Close.
 func (s *System) cancelPending(entry int, cause telemetry.Cause) {
-	bg := s.bg
-	if bg == nil {
-		return
-	}
-	p := bg.pending[entry]
+	cq := s.cq
+	p := cq.pending[entry]
 	if p == nil {
 		return
 	}
-	delete(bg.pending, entry)
-	for i, q := range bg.queue {
+	delete(cq.pending, entry)
+	for i, q := range cq.queue {
 		if q == p {
-			bg.queue = append(bg.queue[:i], bg.queue[i+1:]...)
+			cq.queue = append(cq.queue[:i], cq.queue[i+1:]...)
 			break
 		}
 	}
 	s.Stats.Compile.Canceled++
-	s.tel.compileCancel(s.now(), entry, s.tierOf(entry), cause, len(bg.pending))
+	s.tel.compileCancel(s.now(), entry, s.tierOf(entry), cause, len(cq.pending))
 	s.trace("cancel pending compile B%d (%s)", entry, cause)
 }
 
@@ -923,16 +923,14 @@ func (s *System) cancelPending(entry int, cause telemetry.Cause) {
 // jobs never block: their done channel is nil and the watchdog kills
 // them at their deadline without reading a result.
 func (s *System) drainCompiles() {
-	bg := s.bg
-	if bg == nil {
-		return
-	}
+	cq := s.cq
 	now := s.now()
-	for len(bg.queue) > 0 && bg.queue[0].at() <= now {
-		p := bg.queue[0]
-		copy(bg.queue, bg.queue[1:])
-		bg.queue = bg.queue[:len(bg.queue)-1]
-		delete(bg.pending, p.entry)
+	for len(cq.queue) > 0 && cq.queue[0].at() <= now {
+		p := cq.queue[0]
+		copy(cq.queue, cq.queue[1:])
+		cq.queue = cq.queue[:len(cq.queue)-1]
+		delete(cq.pending, p.entry)
+		s.tel.compileDequeued(len(cq.pending))
 		if p.done != nil {
 			<-p.done
 		}
@@ -948,8 +946,9 @@ func (s *System) drainCompiles() {
 	}
 }
 
-// installPending applies one completed background compilation at its
-// install point.
+// installPending applies one completed compilation at its install point:
+// a queued one once the simulated clock reaches it, an inline one inside
+// its request.
 func (s *System) installPending(p *pendingCompile) {
 	if p.hung {
 		// Watchdog kill at the deadline. The job was never submitted (an
@@ -960,7 +959,7 @@ func (s *System) installPending(p *pendingCompile) {
 		s.Stats.Compile.Failed++
 		s.Stats.Compile.WatchdogKills++
 		s.Stats.Compile.WorkCycles += p.deadline - p.enqueuedAt
-		s.tel.compileInstalled(p.deadline-p.enqueuedAt, len(s.bg.pending))
+		s.tel.compileInstalled(p.deadline - p.enqueuedAt)
 		s.recordHostFault(p.entry, telemetry.CauseWatchdog)
 		if p.recompile {
 			s.dropCode(p.entry)
@@ -975,7 +974,7 @@ func (s *System) installPending(p *pendingCompile) {
 	latency := s.now() - p.enqueuedAt
 	s.Stats.Compile.WorkCycles += p.readyAt - p.enqueuedAt
 	s.Stats.Compile.LatencySum += latency
-	s.tel.compileInstalled(latency, len(s.bg.pending))
+	s.tel.compileInstalled(latency)
 	if p.deduped {
 		s.tel.dedupeWaited(latency)
 	}
@@ -984,8 +983,7 @@ func (s *System) installPending(p *pendingCompile) {
 		s.Stats.Compile.Failed++
 		if p.recompile {
 			// The superseding compile failed: the installed code is built
-			// against stale inputs, so drop it (the synchronous path's
-			// recompile-failure consequence).
+			// against stale inputs, so drop it.
 			s.dropCode(p.entry)
 			s.Stats.RegionsDropped++
 			s.tel.drop(s.now(), p.entry, s.tierOf(p.entry), telemetry.CauseCompileFail)
@@ -994,7 +992,7 @@ func (s *System) installPending(p *pendingCompile) {
 			// again, so no cooldown applies.
 			s.compileFailBackoff(p.entry, err)
 		}
-		s.trace("background compile B%d failed: %v", p.entry, err)
+		s.trace("compile B%d failed: %v", p.entry, err)
 		return
 	}
 	if !p.memoHit {
@@ -1006,13 +1004,13 @@ func (s *System) installPending(p *pendingCompile) {
 
 // installOutput installs a successful compile result: cycle accounting,
 // code cache insert (with capacity eviction), per-region statistics and
-// the compile telemetry event. Shared by both compile paths.
+// the compile telemetry event.
 func (s *System) installOutput(entry int, out *compileOutput, latency int64) {
 	s.Stats.OverflowRetries += out.overflowRetries
-	if s.bg == nil {
-		// Synchronous compilation executes on the critical path (the
-		// paper's Figure 18 cost); background compilation's occupancy is
-		// charged to CompileStats.WorkCycles at the install point instead.
+	if s.cq.inline {
+		// An inline compile executes on the critical path (the paper's
+		// Figure 18 cost); a queued compile's occupancy is charged to
+		// CompileStats.WorkCycles at the install point instead.
 		s.Stats.OptCycles += out.numOps * int64(s.cfg.Machine.OptCyclesPerOp)
 		s.Stats.SchedCycles += out.numOps * int64(s.cfg.Machine.SchedCyclesPerOp)
 	}
@@ -1084,19 +1082,16 @@ func (s *System) compileFailBackoff(entry int, err error) {
 // abandonCompiles cancels every still-pending compilation at the end of
 // the run and releases the worker pool.
 func (s *System) abandonCompiles() {
-	bg := s.bg
-	if bg == nil {
-		return
+	cq := s.cq
+	for len(cq.queue) > 0 {
+		s.cancelPending(cq.queue[0].entry, telemetry.CauseRunEnd)
 	}
-	for len(bg.queue) > 0 {
-		s.cancelPending(bg.queue[0].entry, telemetry.CauseRunEnd)
-	}
-	if bg.pool != nil {
-		if !bg.sharedPool {
+	if cq.pool != nil {
+		if !cq.sharedPool {
 			// A fleet-owned pool is still serving other tenants; its
 			// creator closes it after every System using it has finished.
-			bg.pool.Close()
+			cq.pool.Close()
 		}
-		bg.pool = nil
+		cq.pool = nil
 	}
 }

@@ -136,8 +136,14 @@ func TestBackgroundLatencyModel(t *testing.T) {
 	bg := runInstrumented(t, sumLoopProgram(2000), 1<<16, mk(1))
 
 	ss, bs := syncRun.sys.Stats, bg.sys.Stats
-	if ss.Compile.Enqueued != 0 || ss.Compile.WorkCycles != 0 {
-		t.Errorf("sync path recorded background stats: %+v", ss.Compile)
+	// Inline compiles run the same lifecycle but never queue: they are
+	// counted, and charge nothing to the queue's latency model.
+	if c := ss.Compile; c.Enqueued == 0 || c.Enqueued != c.Installed+c.Failed+c.Canceled {
+		t.Errorf("sync path lifecycle: enqueued %d, want > 0 and == installed %d + failed %d + canceled %d",
+			c.Enqueued, c.Installed, c.Failed, c.Canceled)
+	}
+	if c := ss.Compile; c.WorkCycles != 0 || c.LatencySum != 0 || c.MaxQueueDepth != 0 {
+		t.Errorf("sync path recorded queue stats: %+v", c)
 	}
 	if ss.OptCycles == 0 || ss.SchedCycles == 0 {
 		t.Error("sync path charged no compile cycles on the critical path")
@@ -201,8 +207,12 @@ func TestMemoHitReusesCompiledRegion(t *testing.T) {
 	// Evict the code and compile the entry again with unchanged inputs:
 	// the memo must hand back the identical compiled object.
 	sys.dropCode(entry)
-	if err := sys.compile(entry); err != nil {
+	if err := sys.requestCompile(entry); err != nil {
 		t.Fatal(err)
+	}
+	if sys.Stats.Compile.Installed != before.Installed+1 {
+		t.Errorf("installs %d, want %d (an inline compile installs before the request returns)",
+			sys.Stats.Compile.Installed, before.Installed+1)
 	}
 	if sys.Stats.Compile.MemoHits != before.MemoHits+1 {
 		t.Errorf("memo hits %d, want %d", sys.Stats.Compile.MemoHits, before.MemoHits+1)

@@ -76,9 +76,9 @@ type Config struct {
 	// enable just one surface). Unlike Trace this path never formats and
 	// never allocates on the hot path; see internal/telemetry.
 	Telemetry *telemetry.Telemetry
-	// Compile configures asynchronous background compilation and
-	// content-hash memoization (compile.go). The zero value is the legacy
-	// synchronous instant-install path.
+	// Compile configures the compile queue and content-hash memoization
+	// (compile.go). The zero value compiles inline: on the critical path,
+	// installing before the request returns.
 	Compile CompileConfig
 	// Health configures the system-scope graceful-degradation controller
 	// (internal/health): a sliding window over host faults and rollbacks
@@ -225,7 +225,8 @@ type RegionStats struct {
 	SeqLen     int
 	Cycles     int64
 	// CompileLatency is the simulated enqueue→install latency of the
-	// region's most recent compilation (0 on the synchronous path).
+	// region's most recent compilation (0 for an inline compile, which
+	// installs before its request returns).
 	CompileLatency int64
 
 	// Tier is the region's final rung on the speculation ladder;
@@ -345,11 +346,11 @@ type System struct {
 	exceptions map[int]int
 	// entrySeq numbers region dispatches — the eviction clock source.
 	entrySeq int64
-	// bg is the background-compilation state (nil in synchronous mode);
-	// see compile.go. cache is the compile-output cache: the fleet's
-	// (Compile.SharedCache, fleetCache set), else a private one-shard memo
-	// (Compile.Memoize), else nil.
-	bg         *bgCompile
+	// cq is the compile queue every compile request runs through (inline
+	// when Compile.Workers == 0); see compile.go. cache is the
+	// compile-output cache: the fleet's (Compile.SharedCache, fleetCache
+	// set), else a private one-shard memo (Compile.Memoize), else nil.
+	cq         *compileQueue
 	cache      *codecache.Cache[*compileOutput]
 	fleetCache bool
 	// injFailStreak counts consecutive chaos-injected compile failures
@@ -412,13 +413,12 @@ func New(prog *guest.Program, st *guest.State, mem *guest.Memory, cfg Config) *S
 		injFailStreak: make(map[int]uint64),
 		quarantined:   make(map[int]bool),
 		tel:           newSystemTelemetry(&cfg),
-	}
-	if cfg.Compile.Workers > 0 {
-		s.bg = &bgCompile{
+		cq: &compileQueue{
+			inline:     cfg.Compile.Workers == 0,
 			pending:    make(map[int]*pendingCompile),
 			pool:       cfg.Compile.SharedPool,
 			sharedPool: cfg.Compile.SharedPool != nil,
-		}
+		},
 	}
 	switch {
 	case cfg.Compile.SharedCache != nil:
@@ -701,13 +701,9 @@ func (s *System) runRegion(entry int, c *compiled) int {
 			s.tel.tierMove(s.now(), entry, rr.tier+1, rr.tier, telemetry.CauseNone)
 			s.trace("promote B%d to %s after %d clean commits", entry, rr.tier, s.cfg.Recovery.PromoteAfter)
 			// The promoted code replaces the conservative version, which
-			// stays installed (it is still correct) until the background
-			// replacement is ready.
-			if err := s.recompileRegion(entry); err != nil {
-				s.dropCode(entry)
-				s.Stats.RegionsDropped++
-				s.tel.drop(s.now(), entry, rr.tier, telemetry.CauseCompileFail)
-			}
+			// stays installed (it is still correct) until the replacement
+			// is ready.
+			s.recompileRegion(entry, false)
 		}
 		return res.NextBlock
 
@@ -793,16 +789,8 @@ func (s *System) runRegion(entry int, c *compiled) int {
 			s.dropCode(entry)
 			s.trace("pin B%d to the interpreter", entry)
 		} else {
-			if s.bg != nil {
-				// The trapped code is stale (its pair is now hardened):
-				// drop it and interpret until the replacement installs.
-				s.dropCode(entry)
-			}
-			if err := s.recompileRegion(entry); err != nil {
-				s.dropCode(entry)
-				s.Stats.RegionsDropped++
-				s.tel.drop(s.now(), entry, rr.tier, telemetry.CauseCompileFail)
-			}
+			// The trapped code is stale: its pair is now hardened.
+			s.recompileRegion(entry, true)
 		}
 		// Make forward progress in the interpreter before re-dispatching.
 		return s.interpretOne(entry)
@@ -852,16 +840,8 @@ func (s *System) runRegion(entry int, c *compiled) int {
 				s.dropCode(entry)
 				s.trace("pin B%d to the interpreter", entry)
 			} else {
-				if s.bg != nil {
-					// The faulting code is built for the old rung: drop it
-					// and interpret until the demoted replacement installs.
-					s.dropCode(entry)
-				}
-				if err := s.recompileRegion(entry); err != nil {
-					s.dropCode(entry)
-					s.Stats.RegionsDropped++
-					s.tel.drop(s.now(), entry, rr.tier, telemetry.CauseCompileFail)
-				}
+				// The faulting code is built for the old rung.
+				s.recompileRegion(entry, true)
 			}
 		}
 		return s.interpretOne(entry)

@@ -75,6 +75,46 @@ func TestHostChaosDeterministic(t *testing.T) {
 	}
 }
 
+// TestCompileLifecycleInvariant: every compile that enqueues ends in
+// exactly one of install, failure or cancellation — inline (Workers 0)
+// as well as queued, under the full host-fault mix and the health
+// controller, with and without the memo.
+func TestCompileLifecycleInvariant(t *testing.T) {
+	progs := map[string]func() *guest.Program{
+		"sumloop":  func() *guest.Program { return sumLoopProgram(2000) },
+		"aliasing": func() *guest.Program { return aliasingProgram(2500, 7) },
+	}
+	for _, workers := range []int{0, 1, 2} {
+		var total CompileStats
+		for _, memo := range []bool{false, true} {
+			for pname, build := range progs {
+				for _, seed := range []int64{7, 11, 23} {
+					cfg := ConfigSMARQ(64)
+					cfg.Compile.Workers = workers
+					cfg.Compile.Memoize = memo
+					cfg.Chaos = faultinject.DefaultHost(seed)
+					cfg.Health = smallHealthConfig()
+					c := runInstrumented(t, build(), 1<<16, cfg).sys.Stats.Compile
+					if c.Enqueued == 0 || c.Enqueued != c.Installed+c.Failed+c.Canceled {
+						t.Errorf("workers=%d memo=%v %s/seed%d: enqueued %d, want > 0 and == installed %d + failed %d + canceled %d",
+							workers, memo, pname, seed, c.Enqueued, c.Installed, c.Failed, c.Canceled)
+					}
+					total.Failed += c.Failed
+					total.Canceled += c.Canceled
+				}
+			}
+		}
+		// Every outcome is exercised; inline compiles install inside their
+		// request, so nothing is ever pending to cancel.
+		if total.Failed == 0 {
+			t.Errorf("workers=%d: no compile failed — the host-fault path went unexercised", workers)
+		}
+		if inline := workers == 0; inline != (total.Canceled == 0) {
+			t.Errorf("workers=%d: %d compiles canceled", workers, total.Canceled)
+		}
+	}
+}
+
 // TestHostChaosSoak extends the chaos soak to every host-fault mix: each
 // class alone at an extreme rate, and all of them together, must still
 // produce the reference interpreter's final state bit for bit — host

@@ -36,9 +36,7 @@ const (
 	mDispatches      = "dynopt_dispatches"
 	mInterpInsts     = "interp_insts"
 
-	// Background-compilation instruments, registered only when the
-	// feature is on so synchronous runs keep byte-identical -metrics
-	// snapshots.
+	// Compile-queue and compile-output-cache instruments.
 	mCompileEnqueues = "dynopt_compile_enqueues"
 	mCompileInstalls = "dynopt_compile_installs"
 	mCompileCancels  = "dynopt_compile_cancels"
@@ -48,9 +46,7 @@ const (
 	gCompileQueue    = "compile_queue_depth"
 	gMemoSize        = "compile_memo_size"
 
-	// Host-fault and health instruments, registered only when host chaos
-	// or the health controller is configured on (same golden-snapshot
-	// discipline as above).
+	// Host-fault and health instruments.
 	mHostFaults       = "dynopt_host_faults"
 	mQuarantines      = "dynopt_quarantined"
 	mHealthDemotions  = "dynopt_health_demotions"
@@ -64,9 +60,8 @@ const (
 	hCompile        = "compile_cycles"
 	hCompileLatency = "compile_latency_cycles"
 
-	// Observability-plane additions: install-to-dispatch lag is always
-	// registered with metrics on; dedupe-wait only with a shared cache
-	// (same conditional-registration discipline as the instruments above).
+	// Observability-plane additions: install-to-dispatch lag, and the
+	// wait of a deduped compile on another tenant's flight.
 	hInstallLag = "install_dispatch_lag_cycles"
 	hDedupeWait = "dedupe_wait_cycles"
 	mTierFamily = "dynopt_tier_dispatches"
@@ -107,8 +102,9 @@ type systemTelemetry struct {
 	installLag     *telemetry.Histogram
 	tierDispatches [NumTiers]*telemetry.Counter
 
-	// Background-compilation instruments (nil — and therefore inert —
-	// unless the feature is configured on).
+	// Compile-queue and compile-output-cache instruments. Every one is
+	// registered whatever the configuration, so every run's -metrics
+	// snapshot has the same key set; an unused feature reads zero.
 	compileEnqueues *telemetry.Counter
 	compileInstalls *telemetry.Counter
 	compileCancels  *telemetry.Counter
@@ -120,11 +116,10 @@ type systemTelemetry struct {
 	compileLatency  *telemetry.Histogram
 
 	// dedupeWait tracks how long a deduped background compile waited on
-	// the cross-tenant flight it joined (nil without a shared cache).
+	// the cross-tenant flight it joined (shared cache only).
 	dedupeWait *telemetry.Histogram
 
-	// Host-fault and health instruments (nil unless host chaos or the
-	// health controller is on).
+	// Host-fault and health instruments.
 	hostFaults       *telemetry.Counter
 	quarantines      *telemetry.Counter
 	healthDemotions  *telemetry.Counter
@@ -140,7 +135,7 @@ type systemTelemetry struct {
 // newSystemTelemetry resolves instruments against the bundle. Returns nil
 // when the bundle is nil or empty, so System.tel stays a single nil check.
 func newSystemTelemetry(cfg *Config) *systemTelemetry {
-	t, cc := cfg.Telemetry, cfg.Compile
+	t := cfg.Telemetry
 	if t == nil || (t.Events == nil && t.Metrics == nil) {
 		return nil
 	}
@@ -169,41 +164,30 @@ func newSystemTelemetry(cfg *Config) *systemTelemetry {
 		compileCost:  reg.Histogram(hCompile, telemetry.Pow2Bounds(64, 4096)),
 
 		installLag: reg.Histogram(hInstallLag, telemetry.Pow2Bounds(64, 65536)),
+
+		compileEnqueues: reg.Counter(mCompileEnqueues),
+		compileInstalls: reg.Counter(mCompileInstalls),
+		compileCancels:  reg.Counter(mCompileCancels),
+		queueDepth:      reg.Gauge(gCompileQueue),
+		compileLatency:  reg.Histogram(hCompileLatency, telemetry.Pow2Bounds(256, 65536)),
+		// Fleet-cache lookups count in the same hit/miss instruments; the
+		// table-size gauge and eviction counter stay zero there (the
+		// fleet-global view is codecache's PublishMetrics).
+		memoHits:      reg.Counter(mMemoHits),
+		memoMisses:    reg.Counter(mMemoMisses),
+		memoEvictions: reg.Counter(mMemoEvictions),
+		memoSize:      reg.Gauge(gMemoSize),
+		dedupeWait:    reg.Histogram(hDedupeWait, telemetry.Pow2Bounds(64, 65536)),
+
+		hostFaults:       reg.Counter(mHostFaults),
+		quarantines:      reg.Counter(mQuarantines),
+		healthDemotions:  reg.Counter(mHealthDemotions),
+		healthPromotions: reg.Counter(mHealthPromotions),
+		healthLevel:      reg.Gauge(gHealthLevel),
 	}
 	for tier := 0; tier < NumTiers; tier++ {
 		st.tierDispatches[tier] = reg.Counter(telemetry.Labeled(
 			mTierFamily, telemetry.Label{Name: "tier", Value: Tier(tier).String()}))
-	}
-	// Conditional registration: the -metrics snapshot includes every
-	// registered key (even zero-valued), so runs without the feature must
-	// not grow new keys.
-	if cc.Workers > 0 {
-		st.compileEnqueues = reg.Counter(mCompileEnqueues)
-		st.compileInstalls = reg.Counter(mCompileInstalls)
-		st.compileCancels = reg.Counter(mCompileCancels)
-		st.queueDepth = reg.Gauge(gCompileQueue)
-		st.compileLatency = reg.Histogram(hCompileLatency, telemetry.Pow2Bounds(256, 65536))
-	}
-	if cc.Memoize || cc.SharedCache != nil {
-		// Fleet-cache lookups count in the same hit/miss instruments; the
-		// table-size gauge and eviction counter stay zero there (the
-		// fleet-global view is codecache's PublishMetrics).
-		st.memoHits = reg.Counter(mMemoHits)
-		st.memoMisses = reg.Counter(mMemoMisses)
-		st.memoEvictions = reg.Counter(mMemoEvictions)
-		st.memoSize = reg.Gauge(gMemoSize)
-	}
-	if cc.SharedCache != nil {
-		st.dedupeWait = reg.Histogram(hDedupeWait, telemetry.Pow2Bounds(64, 65536))
-	}
-	if cfg.Chaos.HostEnabled() || cfg.Health.Enabled() {
-		st.hostFaults = reg.Counter(mHostFaults)
-		st.quarantines = reg.Counter(mQuarantines)
-	}
-	if cfg.Health.Enabled() {
-		st.healthDemotions = reg.Counter(mHealthDemotions)
-		st.healthPromotions = reg.Counter(mHealthPromotions)
-		st.healthLevel = reg.Gauge(gHealthLevel)
 	}
 	return st
 }
@@ -238,15 +222,23 @@ func (st *systemTelemetry) regionCompile(cycle int64, entry int, tier Tier, reco
 	})
 }
 
-// compileEnqueue records a background compilation entering the queue:
-// cost is the modelled latency, depth the queue depth after the enqueue,
-// memoHit whether the cache already held the result (counted by
-// memoLookup).
-func (st *systemTelemetry) compileEnqueue(cycle int64, entry int, tier Tier, cost int64, depth int, memoHit bool) {
+// compileEnqueue counts a compile request, inline or queued
+// (Stats.Compile.Enqueued).
+func (st *systemTelemetry) compileEnqueue() {
 	if st == nil {
 		return
 	}
 	st.compileEnqueues.Add(1)
+}
+
+// compileQueued records a compilation entering the queue: cost is the
+// modelled latency, depth the queue depth after the enqueue, memoHit
+// whether the cache already held the result (counted by memoLookup).
+// Inline compiles never queue, so they emit no compile-enqueue event.
+func (st *systemTelemetry) compileQueued(cycle int64, entry int, tier Tier, cost int64, depth int, memoHit bool) {
+	if st == nil {
+		return
+	}
 	st.queueDepth.Set(int64(depth))
 	st.tr.Emit(telemetry.Event{
 		Cycle: cycle, Kind: telemetry.KindCompileEnqueue,
@@ -255,19 +247,26 @@ func (st *systemTelemetry) compileEnqueue(cycle int64, entry int, tier Tier, cos
 	})
 }
 
-// compileInstalled records the metrics side of an install (the event side
-// is the existing KindCompile emitted by regionCompile).
-func (st *systemTelemetry) compileInstalled(latency int64, depth int) {
+// compileInstalled records the metrics side of reaching the install point
+// (the event side is the existing KindCompile emitted by regionCompile).
+func (st *systemTelemetry) compileInstalled(latency int64) {
 	if st == nil {
 		return
 	}
 	st.compileInstalls.Add(1)
 	st.compileLatency.Observe(latency)
+}
+
+// compileDequeued updates the queue-depth gauge after a queued
+// compilation leaves the queue for its install point.
+func (st *systemTelemetry) compileDequeued(depth int) {
+	if st == nil {
+		return
+	}
 	st.queueDepth.Set(int64(depth))
 }
 
-// memoLookup counts a compile-output cache lookup (System.lookupOutput,
-// both compile paths).
+// memoLookup counts a compile-output cache lookup (System.lookupOutput).
 func (st *systemTelemetry) memoLookup(hit bool) {
 	if st == nil {
 		return

@@ -2,6 +2,9 @@ package dynopt
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"slices"
 	"testing"
 
 	"smarq/internal/faultinject"
@@ -87,131 +90,199 @@ func TestTraceDeterminism(t *testing.T) {
 // guarantee under chaos: every counter in the metrics registry and every
 // event in the trace must agree with the run's own Stats accounting —
 // per-tier dispatches sum to the outcome totals, ladder moves match the
-// recovery counters, and residency is consistent at end of run.
+// recovery counters, compile-lifecycle, memo and host-fault counters match
+// CompileStats, and residency is consistent at end of run. Inline
+// (Workers 0) and queued (Workers 1) runs register the same instruments,
+// so their -metrics snapshots have the same key set.
 func TestTelemetryMatchesStats(t *testing.T) {
-	progs := map[string]*guest.Program{
-		"sumloop":  sumLoopProgram(3000),
-		"aliasing": aliasingProgram(3000, 5),
+	progs := map[string]func() *guest.Program{
+		"sumloop":  func() *guest.Program { return sumLoopProgram(3000) },
+		"aliasing": func() *guest.Program { return aliasingProgram(3000, 5) },
 	}
-	for name, prog := range progs {
+	for name, build := range progs {
 		for _, seed := range []int64{1, 2, 3} {
-			cfg := ConfigSMARQ(64)
-			cfg.Chaos = faultinject.Default(seed)
-			cfg.CheckInvariants = true
-			sink := &captureSink{}
-			reg := telemetry.NewRegistry()
-			cfg.Telemetry = &telemetry.Telemetry{Events: telemetry.NewTracer(0, sink), Metrics: reg}
-			sys := New(prog, &guest.State{}, guest.NewMemory(1<<16), cfg)
-			if halted, err := sys.Run(50_000_000); err != nil || !halted {
-				t.Fatalf("%s/seed%d: halted=%v err=%v", name, seed, halted, err)
-			}
-			if err := cfg.Telemetry.Events.Flush(); err != nil {
-				t.Fatalf("%s/seed%d: flush: %v", name, seed, err)
-			}
-			st := &sys.Stats
+			var keySets [2][]string
+			for _, workers := range []int{0, 1} {
+				id := fmt.Sprintf("%s/seed%d/workers=%d", name, seed, workers)
+				cfg := ConfigSMARQ(64)
+				cfg.Compile.Workers = workers
+				cfg.Compile.Memoize = true
+				cfg.Chaos = faultinject.DefaultHost(seed)
+				cfg.Health = smallHealthConfig()
+				cfg.CheckInvariants = true
+				sink := &captureSink{}
+				reg := telemetry.NewRegistry()
+				cfg.Telemetry = &telemetry.Telemetry{Events: telemetry.NewTracer(0, sink), Metrics: reg}
+				sys := New(build(), &guest.State{}, guest.NewMemory(1<<16), cfg)
+				if halted, err := sys.Run(50_000_000); err != nil || !halted {
+					t.Fatalf("%s: halted=%v err=%v", id, halted, err)
+				}
+				if err := cfg.Telemetry.Events.Flush(); err != nil {
+					t.Fatalf("%s: flush: %v", id, err)
+				}
+				st := &sys.Stats
+				keySets[workers] = metricKeys(t, reg)
 
-			// Tally the event stream.
-			var byKind [16]int64
-			var demoteRungs, promotes int64
-			for _, e := range sink.events {
-				byKind[e.Kind]++
-				switch e.Kind {
-				case telemetry.KindDemote:
-					demoteRungs += int64(e.To - e.Tier)
-				case telemetry.KindPromote:
-					promotes++
+				// Tally the event stream.
+				var byKind [32]int64
+				var demoteRungs, promotes, runtimeChaos int64
+				for _, e := range sink.events {
+					byKind[e.Kind]++
+					switch e.Kind {
+					case telemetry.KindDemote:
+						demoteRungs += int64(e.To - e.Tier)
+					case telemetry.KindPromote:
+						promotes++
+					case telemetry.KindChaos:
+						// Host-fault draws that another draw dominates emit
+						// no event, so only the runtime classes tally exactly.
+						switch e.Cause {
+						case telemetry.CauseWatchdog, telemetry.CauseWorkerPanic,
+							telemetry.CausePoison, telemetry.CauseMemoPressure:
+						default:
+							runtimeChaos++
+						}
+					}
+				}
+
+				// Per-tier dispatches sum to the outcome totals: every
+				// compiled dispatch ends in exactly one of the four outcomes,
+				// and pinned "dispatches" are interpreted entries.
+				var compiledDispatches int64
+				for tier := TierFull; tier < TierPinned; tier++ {
+					compiledDispatches += st.Recovery.TierDispatches[tier]
+				}
+				outcomes := st.Commits + st.AliasExceptions + st.GuardFails + st.Faults
+				if compiledDispatches != outcomes {
+					t.Errorf("%s: compiled dispatches %d != outcome total %d",
+						id, compiledDispatches, outcomes)
+				}
+
+				// Trace events agree with Stats.
+				checks := []struct {
+					what string
+					got  int64
+					want int64
+				}{
+					{"dispatch events", byKind[telemetry.KindDispatch], compiledDispatches},
+					{"commit events", byKind[telemetry.KindCommit], st.Commits},
+					{"rollback events", byKind[telemetry.KindRollback], st.AliasExceptions + st.GuardFails + st.Faults},
+					{"guard-fail events", byKind[telemetry.KindGuardFail], st.GuardFails},
+					{"promote events", promotes, st.Recovery.Promotions},
+					{"demoted rungs", demoteRungs, st.Recovery.Demotions},
+					{"evict events", byKind[telemetry.KindEvict], st.Recovery.Evictions},
+					{"runtime chaos events", runtimeChaos,
+						st.Injected.SpuriousAliases + st.Injected.GuardFails + st.Injected.CompileFails + st.Injected.Corruptions},
+					{"host-fault events", byKind[telemetry.KindHostFault],
+						st.Compile.WorkerPanics + st.Compile.WatchdogKills + st.Compile.Rejected},
+					{"quarantine events", byKind[telemetry.KindQuarantine], st.Compile.Quarantined},
+					{"compile-cancel events", byKind[telemetry.KindCompileCancel], st.Compile.Canceled},
+
+					// The metrics registry agrees with both.
+					{"commits counter", reg.Counter(mCommits).Value(), st.Commits},
+					{"rollbacks counter", reg.Counter(mRollbacks).Value(), st.AliasExceptions + st.GuardFails + st.Faults},
+					{"alias-exceptions counter", reg.Counter(mAliasExceptions).Value(), st.AliasExceptions},
+					{"guard-fails counter", reg.Counter(mGuardFails).Value(), st.GuardFails},
+					{"faults counter", reg.Counter(mFaults).Value(), st.Faults},
+					{"dispatches counter", reg.Counter(mDispatches).Value(), compiledDispatches},
+					{"demotions counter", reg.Counter(mDemotions).Value(), st.Recovery.Demotions},
+					{"promotions counter", reg.Counter(mPromotions).Value(), st.Recovery.Promotions},
+					{"evictions counter", reg.Counter(mEvictions).Value(), st.Recovery.Evictions},
+					{"interp-insts counter", reg.Counter(mInterpInsts).Value(), st.InterpretedInsts},
+					{"compiles+recompiles counters", reg.Counter(mCompiles).Value() + reg.Counter(mRecompiles).Value(),
+						int64(st.RegionsCompiled + st.Recompiles)},
+					{"compile-enqueues counter", reg.Counter(mCompileEnqueues).Value(), st.Compile.Enqueued},
+					{"compile-installs counter", reg.Counter(mCompileInstalls).Value(), st.Compile.Installed + st.Compile.Failed},
+					{"compile-cancels counter", reg.Counter(mCompileCancels).Value(), st.Compile.Canceled},
+					{"memo-hits counter", reg.Counter(mMemoHits).Value(), st.Compile.MemoHits},
+					{"memo-misses counter", reg.Counter(mMemoMisses).Value(), st.Compile.MemoMisses},
+					{"memo-evictions counter", reg.Counter(mMemoEvictions).Value(), st.Compile.MemoEvictions},
+					{"host-faults counter", reg.Counter(mHostFaults).Value(),
+						st.Compile.WorkerPanics + st.Compile.WatchdogKills + st.Compile.Rejected},
+					{"quarantines counter", reg.Counter(mQuarantines).Value(), st.Compile.Quarantined},
+					{"health-demotions counter", reg.Counter(mHealthDemotions).Value(), st.Health.Demotions},
+					{"health-promotions counter", reg.Counter(mHealthPromotions).Value(), st.Health.Promotions},
+				}
+				// Only queued compiles emit the compile-enqueue event; an
+				// inline compile installs inside its request.
+				if enq, queued := byKind[telemetry.KindCompileEnqueue], workers > 0; (queued && enq != st.Compile.Enqueued) || (!queued && enq != 0) {
+					t.Errorf("%s: %d compile-enqueue events, %d enqueued", id, enq, st.Compile.Enqueued)
+				}
+				if st.Compile.Enqueued == 0 {
+					t.Errorf("%s: nothing compiled — the compile counters went unchecked", id)
+				}
+				for _, c := range checks {
+					if c.got != c.want {
+						t.Errorf("%s: %s = %d, Stats say %d", id, c.what, c.got, c.want)
+					}
+				}
+
+				// The labeled per-tier dispatch series agree with the Stats
+				// split. Only compiled tiers dispatch through runRegion; the
+				// pinned rung's "dispatches" are interpreted entries and never
+				// touch the dispatch instruments.
+				for tier := TierFull; tier < TierPinned; tier++ {
+					key := telemetry.Labeled(mTierFamily,
+						telemetry.Label{Name: "tier", Value: tier.String()})
+					if got := reg.Counter(key).Value(); got != st.Recovery.TierDispatches[tier] {
+						t.Errorf("%s: %s = %d, Stats say %d",
+							id, key, got, st.Recovery.TierDispatches[tier])
+					}
+				}
+				pinKey := telemetry.Labeled(mTierFamily,
+					telemetry.Label{Name: "tier", Value: TierPinned.String()})
+				if got := reg.Counter(pinKey).Value(); got != 0 {
+					t.Errorf("%s: pinned tier counter = %d, want 0 (interpreted entries)",
+						id, got)
+				}
+
+				// End-of-run residency is internally consistent.
+				rec := &st.Recovery
+				if rec.PinnedRegions != rec.TierRegions[TierPinned] {
+					t.Errorf("%s: PinnedRegions %d != TierRegions[pinned] %d",
+						id, rec.PinnedRegions, rec.TierRegions[TierPinned])
+				}
+				var perRegionDem, perRegionProm int64
+				for _, rs := range st.Regions {
+					perRegionDem += int64(rs.Demotions)
+					perRegionProm += int64(rs.Promotions)
+				}
+				if perRegionDem != rec.Demotions {
+					t.Errorf("%s: per-region demotions %d != Recovery.Demotions %d",
+						id, perRegionDem, rec.Demotions)
+				}
+				if perRegionProm != rec.Promotions {
+					t.Errorf("%s: per-region promotions %d != Recovery.Promotions %d",
+						id, perRegionProm, rec.Promotions)
 				}
 			}
-
-			// Per-tier dispatches sum to the outcome totals: every
-			// compiled dispatch ends in exactly one of the four outcomes,
-			// and pinned "dispatches" are interpreted entries.
-			var compiledDispatches int64
-			for tier := TierFull; tier < TierPinned; tier++ {
-				compiledDispatches += st.Recovery.TierDispatches[tier]
-			}
-			outcomes := st.Commits + st.AliasExceptions + st.GuardFails + st.Faults
-			if compiledDispatches != outcomes {
-				t.Errorf("%s/seed%d: compiled dispatches %d != outcome total %d",
-					name, seed, compiledDispatches, outcomes)
-			}
-
-			// Trace events agree with Stats.
-			checks := []struct {
-				what string
-				got  int64
-				want int64
-			}{
-				{"dispatch events", byKind[telemetry.KindDispatch], compiledDispatches},
-				{"commit events", byKind[telemetry.KindCommit], st.Commits},
-				{"rollback events", byKind[telemetry.KindRollback], st.AliasExceptions + st.GuardFails + st.Faults},
-				{"guard-fail events", byKind[telemetry.KindGuardFail], st.GuardFails},
-				{"promote events", promotes, st.Recovery.Promotions},
-				{"demoted rungs", demoteRungs, st.Recovery.Demotions},
-				{"evict events", byKind[telemetry.KindEvict], st.Recovery.Evictions},
-				{"chaos events", byKind[telemetry.KindChaos],
-					st.Injected.SpuriousAliases + st.Injected.GuardFails + st.Injected.CompileFails + st.Injected.Corruptions},
-
-				// The metrics registry agrees with both.
-				{"commits counter", reg.Counter(mCommits).Value(), st.Commits},
-				{"rollbacks counter", reg.Counter(mRollbacks).Value(), st.AliasExceptions + st.GuardFails + st.Faults},
-				{"alias-exceptions counter", reg.Counter(mAliasExceptions).Value(), st.AliasExceptions},
-				{"guard-fails counter", reg.Counter(mGuardFails).Value(), st.GuardFails},
-				{"faults counter", reg.Counter(mFaults).Value(), st.Faults},
-				{"dispatches counter", reg.Counter(mDispatches).Value(), compiledDispatches},
-				{"demotions counter", reg.Counter(mDemotions).Value(), st.Recovery.Demotions},
-				{"promotions counter", reg.Counter(mPromotions).Value(), st.Recovery.Promotions},
-				{"evictions counter", reg.Counter(mEvictions).Value(), st.Recovery.Evictions},
-				{"interp-insts counter", reg.Counter(mInterpInsts).Value(), st.InterpretedInsts},
-				{"compiles+recompiles counters", reg.Counter(mCompiles).Value() + reg.Counter(mRecompiles).Value(),
-					int64(st.RegionsCompiled + st.Recompiles)},
-			}
-			for _, c := range checks {
-				if c.got != c.want {
-					t.Errorf("%s/seed%d: %s = %d, Stats say %d", name, seed, c.what, c.got, c.want)
-				}
-			}
-
-			// The labeled per-tier dispatch series agree with the Stats
-			// split. Only compiled tiers dispatch through runRegion; the
-			// pinned rung's "dispatches" are interpreted entries and never
-			// touch the dispatch instruments.
-			for tier := TierFull; tier < TierPinned; tier++ {
-				key := telemetry.Labeled(mTierFamily,
-					telemetry.Label{Name: "tier", Value: tier.String()})
-				if got := reg.Counter(key).Value(); got != st.Recovery.TierDispatches[tier] {
-					t.Errorf("%s/seed%d: %s = %d, Stats say %d",
-						name, seed, key, got, st.Recovery.TierDispatches[tier])
-				}
-			}
-			pinKey := telemetry.Labeled(mTierFamily,
-				telemetry.Label{Name: "tier", Value: TierPinned.String()})
-			if got := reg.Counter(pinKey).Value(); got != 0 {
-				t.Errorf("%s/seed%d: pinned tier counter = %d, want 0 (interpreted entries)",
-					name, seed, got)
-			}
-
-			// End-of-run residency is internally consistent.
-			rec := &st.Recovery
-			if rec.PinnedRegions != rec.TierRegions[TierPinned] {
-				t.Errorf("%s/seed%d: PinnedRegions %d != TierRegions[pinned] %d",
-					name, seed, rec.PinnedRegions, rec.TierRegions[TierPinned])
-			}
-			var perRegionDem, perRegionProm int64
-			for _, rs := range st.Regions {
-				perRegionDem += int64(rs.Demotions)
-				perRegionProm += int64(rs.Promotions)
-			}
-			if perRegionDem != rec.Demotions {
-				t.Errorf("%s/seed%d: per-region demotions %d != Recovery.Demotions %d",
-					name, seed, perRegionDem, rec.Demotions)
-			}
-			if perRegionProm != rec.Promotions {
-				t.Errorf("%s/seed%d: per-region promotions %d != Recovery.Promotions %d",
-					name, seed, perRegionProm, rec.Promotions)
+			if !slices.Equal(keySets[0], keySets[1]) {
+				t.Errorf("%s/seed%d: -metrics key sets differ between inline and queued compiles:\n inline: %v\n queued: %v",
+					name, seed, keySets[0], keySets[1])
 			}
 		}
 	}
+}
+
+// metricKeys lists every instrument in a registry's -metrics snapshot.
+func metricKeys(t *testing.T, reg *telemetry.Registry) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for section, instruments := range snap {
+		for k := range instruments {
+			keys = append(keys, section+"/"+k)
+		}
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // commitLoopProgram is a single hot loop with loads and stores and no

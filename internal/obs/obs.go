@@ -179,8 +179,8 @@ func (s *Server) tenants() []TenantView {
 }
 
 // tenantHealth reads a tenant's current health level off its registry
-// without registering anything: absent gauge (controller off, or metrics
-// off) reads as normal.
+// without registering anything: an absent gauge (metrics off) reads as
+// normal, and with the controller off the gauge stays at normal.
 func tenantHealth(tv *TenantView) health.Level {
 	if g := tv.Metrics.LookupGauge("health_level"); g != nil {
 		return health.Level(g.Value())

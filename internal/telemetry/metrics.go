@@ -164,20 +164,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// LookupCounter returns the named counter without registering it: nil
-// when absent (or on a nil registry). Observability readers use it so a
-// scrape never mutates the set of registered instruments.
-func (r *Registry) LookupCounter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters[name]
-}
-
 // LookupGauge returns the named gauge without registering it: nil when
-// absent (or on a nil registry).
+// absent (or on a nil registry). Observability readers use it so a scrape
+// never mutates the set of registered instruments.
 func (r *Registry) LookupGauge(name string) *Gauge {
 	if r == nil {
 		return nil
