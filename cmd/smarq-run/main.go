@@ -282,9 +282,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "  cycles/inst: %.3f\n", float64(st.TotalCycles)/float64(st.GuestInsts))
 	fmt.Fprintln(stdout, "  recovery:", harness.RecoveryLine(st))
 	if cs := st.Compile; cs.Enqueued > 0 || cs.MemoHits+cs.MemoMisses > 0 {
+		// LatencySum adds up every compile that reached its install
+		// point, admitted or rejected; a watchdog kill never does.
 		avg := int64(0)
-		if cs.Installed > 0 {
-			avg = cs.LatencySum / cs.Installed
+		if n := cs.Installed + cs.Failed - cs.WatchdogKills; n > 0 {
+			avg = cs.LatencySum / n
 		}
 		fmt.Fprintf(stdout, "  compile: %d enqueued, %d installed, %d canceled, %d failed, avg latency %d cycles, peak depth %d, memo %d/%d hits\n",
 			cs.Enqueued, cs.Installed, cs.Canceled, cs.Failed, avg, cs.MaxQueueDepth,

@@ -2,8 +2,17 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"regexp"
 	"strings"
 	"testing"
+
+	"smarq/internal/dynopt"
+	"smarq/internal/faultinject"
+	"smarq/internal/guest"
+	"smarq/internal/harness"
+	"smarq/internal/health"
+	"smarq/internal/workload"
 )
 
 // TestInvariantViolationExitsNonZero pins the chaos-debugging contract:
@@ -41,6 +50,56 @@ func TestHostChaosRunSucceeds(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestCompileLatencyAverage: the printed average compile latency divides
+// LatencySum by every compile the sum covers — admitted or rejected at
+// the install point, never a watchdog kill — so a run with a rejected
+// poisoned result reports the true mean. The test rebuilds the same run
+// through dynopt to read its Stats.
+func TestCompileLatencyAverage(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run([]string{
+		"-bench", "swim", "-compile-workers", "4", "-compile-memoize",
+		"-chaos-seed", "7", "-chaos-host", "-health",
+	}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("exit code %d\nstderr:\n%s", code, errb.String())
+	}
+	m := regexp.MustCompile(`compile: (\d+ enqueued, \d+ installed, \d+ canceled, \d+ failed), avg latency (\d+) cycles`).
+		FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("no compile line in output:\n%s", out.String())
+	}
+
+	bm, _ := workload.ByName("swim")
+	cfg, err := harness.ParseConfig("smarq64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Chaos = faultinject.DefaultHost(7)
+	cfg.Health = health.DefaultConfig()
+	cfg.Compile.Workers = 4
+	cfg.Compile.Memoize = true
+	sys := dynopt.New(bm.Build(), &guest.State{}, guest.NewMemory(bm.MemSize), cfg)
+	if _, err := sys.Run(bm.MaxInsts); err != nil {
+		t.Fatal(err)
+	}
+	cs := sys.Stats.Compile
+	if got := fmt.Sprintf("%d enqueued, %d installed, %d canceled, %d failed",
+		cs.Enqueued, cs.Installed, cs.Canceled, cs.Failed); got != m[1] {
+		t.Fatalf("rebuilt run differs from the CLI run: Stats say %q, CLI printed %q", got, m[1])
+	}
+	if cs.Rejected == 0 {
+		t.Fatal("no poisoned result was rejected: the divisor went unchecked")
+	}
+	want := cs.LatencySum / (cs.Installed + cs.Failed - cs.WatchdogKills)
+	if want == cs.LatencySum/cs.Installed {
+		t.Fatal("the run does not tell the right divisor from Installed alone")
+	}
+	if got := m[2]; got != fmt.Sprint(want) {
+		t.Errorf("printed avg latency %s cycles, Stats give %d", got, want)
 	}
 }
 

@@ -641,13 +641,13 @@ func (s *System) memoPressureDraw(entry int) {
 	}
 	if s.cache.DropOldest() {
 		s.tel.chaosInjected(s.now(), entry, s.tierOf(entry), telemetry.CauseMemoPressure)
-		s.tel.memoTable(s.cache.Len(), s.cache.Evictions())
+		s.tel.memoTable(s.cache.Len())
 		s.trace("injected memo pressure: dropped LRU entry (%d left)", s.cache.Len())
 	}
 }
 
 // lookupOutput probes the compile-output cache for in's key and counts
-// the hit or miss in Stats and telemetry — the one cache lookup of the
+// the hit or miss in Stats — the one cache lookup of the
 // compile path. out is non-nil on a hit. Without a cache it counts
 // nothing and returns a nil output.
 //
@@ -681,7 +681,6 @@ func (s *System) lookupOutput(entry int, in *compileInput) (key compilequeue.Key
 			s.Stats.Compile.DedupeWaits++
 		}
 	}
-	s.tel.memoLookup(hit)
 	return key, out, flight, leader
 }
 
@@ -692,7 +691,7 @@ func (s *System) storeOutput(key compilequeue.Key, out *compileOutput) {
 		return
 	}
 	s.cache.Put(key, out)
-	s.tel.memoTable(s.cache.Len(), s.cache.Evictions())
+	s.tel.memoTable(s.cache.Len())
 }
 
 // admitOutput decides whether a fresh compile result may be installed.
@@ -801,7 +800,6 @@ func (s *System) enqueueCompile(entry int) error {
 	key, out, flight, leader := s.lookupOutput(entry, in)
 	p.key, p.out, p.memoHit = key, out, out != nil
 	s.Stats.Compile.Enqueued++
-	s.tel.compileEnqueue()
 	if !s.cq.inline {
 		s.queueCompile(in, p, flight, leader)
 		return nil
@@ -1050,7 +1048,7 @@ func (s *System) installOutput(entry int, out *compileOutput, latency int64) {
 		s.regionIdx[entry] = len(s.Stats.Regions)
 		s.Stats.Regions = append(s.Stats.Regions, rs)
 	}
-	s.tel.regionCompile(s.now(), entry, rr.tier, recompile, &rs)
+	s.tel.regionCompile(s.now(), entry, rr.tier, &rs)
 }
 
 // compileFailBackoff applies the hot-path cooldown after a failed

@@ -433,9 +433,6 @@ func New(prog *guest.Program, st *guest.State, mem *guest.Memory, cfg Config) *S
 	if cfg.Health.Enabled() {
 		s.hc = health.New(cfg.Health)
 	}
-	if s.tel != nil {
-		s.it.Insts = cfg.Telemetry.Registry().Counter(mInterpInsts)
-	}
 	return s
 }
 
@@ -560,9 +557,17 @@ func resetAnnotations(reg *ir.Region) {
 // retirement — clamping mid-block would make budget-capped profiles and
 // stats depend on where the cap fell inside a block.
 // TestRunBudgetOvershootBounded pins this contract.
+//
+// With a metrics registry, every return publishes Stats into it, so a
+// snapshot taken after Run is exact; mid-run, the registry lags Stats by at
+// most publishPeriod loop iterations.
 func (s *System) Run(maxInsts uint64) (bool, error) {
+	defer s.publish()
 	id := s.prog.Entry
 	for id != interp.HaltID {
+		if s.tel.due() {
+			s.publish()
+		}
 		if s.fatalErr != nil {
 			return false, s.fatalErr
 		}
@@ -826,7 +831,7 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		s.Stats.RollbackCycles += int64(s.cfg.Machine.RollbackPenalty)
 		s.Stats.Faults++
 		s.healthRollback()
-		s.tel.faultRollback(s.now(), entry, rr.tier,
+		s.tel.rollback(s.now(), entry, rr.tier, telemetry.CauseFault,
 			c.cr.Cycles+int64(s.cfg.Machine.RollbackPenalty), res.OpsExecuted)
 		// Speculation-induced faults are misspeculation too: a region
 		// whose hoisted loads keep faulting steps down the ladder until
@@ -883,17 +888,7 @@ func (s *System) finalize() {
 	s.abandonCompiles()
 	s.Stats.TotalCycles = s.Stats.InterpCycles + s.Stats.RegionCycles +
 		s.Stats.RollbackCycles + s.Stats.OptCycles + s.Stats.SchedCycles
-	s.Stats.HWChecks = s.det.Checked()
-	if s.inj != nil {
-		s.Stats.Injected = s.inj.Counts()
-	}
-	if s.hc != nil {
-		s.Stats.Health = s.hc.Stats()
-		s.Stats.Health.QuarantinedRegions = int64(len(s.quarantined))
-	}
-	if s.cache != nil && !s.fleetCache {
-		s.Stats.Compile.MemoEvictions = s.cache.Evictions()
-	}
+	s.syncLiveStats()
 	// End-of-run ladder residency, and per-region recovery history.
 	rec := &s.Stats.Recovery
 	rec.PinnedRegions, rec.StickyRegions = 0, 0
@@ -917,6 +912,23 @@ func (s *System) finalize() {
 			rs.Promotions = rr.promotions
 			rs.Sticky = rr.sticky
 		}
+	}
+}
+
+// syncLiveStats copies into Stats the counts whose live source sits
+// outside it: the alias hardware's checks, the injector's draws, the
+// health controller's accounting and the private memo's evictions.
+func (s *System) syncLiveStats() {
+	s.Stats.HWChecks = s.det.Checked()
+	if s.inj != nil {
+		s.Stats.Injected = s.inj.Counts()
+	}
+	if s.hc != nil {
+		s.Stats.Health = s.hc.Stats()
+		s.Stats.Health.QuarantinedRegions = int64(len(s.quarantined))
+	}
+	if s.cache != nil && !s.fleetCache {
+		s.Stats.Compile.MemoEvictions = s.cache.Evictions()
 	}
 }
 

@@ -1,8 +1,11 @@
-// Telemetry integration: the systemTelemetry helper owns the System's
-// tracer handle and pre-registered metrics instruments, and every emit
-// helper below is nil-receiver safe, so a run without telemetry costs one
-// pointer check per event site and the enabled hot path costs one ring
-// copy plus a few atomic adds — no formatting, no allocation (see the
+// Telemetry integration. Stats is the one record of counts: every dynopt
+// counter in the metrics registry is a published view of it (statCounters,
+// publish), never incremented at its site. What Stats does not hold —
+// cycle-stamped events, histograms of distributions, and the current-level
+// gauges — is emitted at its site by the helpers below. Every helper is
+// nil-receiver safe, so a run without telemetry costs one pointer check per
+// event site, and the enabled hot path costs one ring copy plus a few
+// atomic adds — no formatting, no allocation (see the
 // TestRunRegionZeroAllocs pins).
 package dynopt
 
@@ -19,39 +22,12 @@ func init() {
 	}
 }
 
-// Metric instrument names, as they appear in the -metrics JSON snapshot.
+// Gauge and histogram names, as they appear in the -metrics JSON snapshot
+// (the counters' names are in statCounters).
 const (
-	mCommits         = "dynopt_commits"
-	mRollbacks       = "dynopt_rollbacks"
-	mAliasExceptions = "dynopt_alias_exceptions"
-	mGuardFails      = "dynopt_guard_fails"
-	mFaults          = "dynopt_faults"
-	mCompiles        = "dynopt_compiles"
-	mRecompiles      = "dynopt_recompiles"
-	mEvictions       = "dynopt_evictions"
-	mDemotions       = "dynopt_demotions"
-	mPromotions      = "dynopt_promotions"
-	mDrops           = "dynopt_drops"
-	mChaos           = "dynopt_chaos_injected"
-	mDispatches      = "dynopt_dispatches"
-	mInterpInsts     = "interp_insts"
-
-	// Compile-queue and compile-output-cache instruments.
-	mCompileEnqueues = "dynopt_compile_enqueues"
-	mCompileInstalls = "dynopt_compile_installs"
-	mCompileCancels  = "dynopt_compile_cancels"
-	mMemoHits        = "dynopt_memo_hits"
-	mMemoMisses      = "dynopt_memo_misses"
-	mMemoEvictions   = "dynopt_memo_evictions"
-	gCompileQueue    = "compile_queue_depth"
-	gMemoSize        = "compile_memo_size"
-
-	// Host-fault and health instruments.
-	mHostFaults       = "dynopt_host_faults"
-	mQuarantines      = "dynopt_quarantined"
-	mHealthDemotions  = "dynopt_health_demotions"
-	mHealthPromotions = "dynopt_health_promotions"
-	gHealthLevel      = "health_level"
+	gCompileQueue = "compile_queue_depth"
+	gMemoSize     = "compile_memo_size"
+	gHealthLevel  = "health_level"
 
 	hRollbackCost   = "rollback_cost_cycles"
 	hRegionSize     = "region_size_ops"
@@ -64,8 +40,79 @@ const (
 	// wait of a deduped compile on another tenant's flight.
 	hInstallLag = "install_dispatch_lag_cycles"
 	hDedupeWait = "dedupe_wait_cycles"
-	mTierFamily = "dynopt_tier_dispatches"
 )
+
+// statCounter is one published counter: its -metrics key and the read of
+// Stats it publishes.
+type statCounter struct {
+	name string
+	read func(*Stats) int64
+}
+
+// statCounters is every dynopt counter: its -metrics key and its read of
+// Stats.
+var statCounters = [...]statCounter{
+	{"dynopt_commits", func(st *Stats) int64 { return st.Commits }},
+	{"dynopt_rollbacks", func(st *Stats) int64 { return st.AliasExceptions + st.GuardFails + st.Faults }},
+	{"dynopt_alias_exceptions", func(st *Stats) int64 { return st.AliasExceptions }},
+	{"dynopt_guard_fails", func(st *Stats) int64 { return st.GuardFails }},
+	{"dynopt_faults", func(st *Stats) int64 { return st.Faults }},
+	{"dynopt_compiles", func(st *Stats) int64 { return int64(st.RegionsCompiled) }},
+	{"dynopt_recompiles", func(st *Stats) int64 { return int64(st.Recompiles) }},
+	{"dynopt_evictions", func(st *Stats) int64 { return st.Recovery.Evictions }},
+	{"dynopt_demotions", func(st *Stats) int64 { return st.Recovery.Demotions }},
+	{"dynopt_promotions", func(st *Stats) int64 { return st.Recovery.Promotions }},
+	{"dynopt_drops", func(st *Stats) int64 { return int64(st.RegionsDropped) }},
+	{"dynopt_chaos_injected", func(st *Stats) int64 {
+		in := &st.Injected
+		return in.SpuriousAliases + in.GuardFails + in.CompileFails + in.Corruptions +
+			in.WorkerPanics + in.CompileHangs + in.PoisonedResults + in.MemoPressure
+	}},
+	{"dynopt_dispatches", func(st *Stats) int64 {
+		var n int64
+		for tier := TierFull; tier < TierPinned; tier++ {
+			n += st.Recovery.TierDispatches[tier]
+		}
+		return n
+	}},
+	{"interp_insts", func(st *Stats) int64 { return st.InterpretedInsts }},
+
+	{"dynopt_compile_enqueues", func(st *Stats) int64 { return st.Compile.Enqueued }},
+	{"dynopt_compile_installs", func(st *Stats) int64 { return st.Compile.Installed + st.Compile.Failed }},
+	{"dynopt_compile_cancels", func(st *Stats) int64 { return st.Compile.Canceled }},
+	{"dynopt_memo_hits", func(st *Stats) int64 { return st.Compile.MemoHits }},
+	{"dynopt_memo_misses", func(st *Stats) int64 { return st.Compile.MemoMisses }},
+	{"dynopt_memo_evictions", func(st *Stats) int64 { return st.Compile.MemoEvictions }},
+
+	{"dynopt_host_faults", func(st *Stats) int64 {
+		return st.Compile.WorkerPanics + st.Compile.WatchdogKills + st.Compile.Rejected
+	}},
+	{"dynopt_quarantined", func(st *Stats) int64 { return st.Compile.Quarantined }},
+	{"dynopt_health_demotions", func(st *Stats) int64 { return st.Health.Demotions }},
+	{"dynopt_health_promotions", func(st *Stats) int64 { return st.Health.Promotions }},
+
+	tierCounter(TierFull),
+	tierCounter(TierNoStoreReorder),
+	tierCounter(TierNoElim),
+	tierCounter(TierConservative),
+	tierCounter(TierPinned),
+}
+
+// mTierFamily is the per-rung dispatch counter family.
+const mTierFamily = "dynopt_tier_dispatches"
+
+// tierCounter is the dynopt_tier_dispatches{tier="..."} series of one
+// ladder rung. The pinned rung's dispatches are interpreted entries.
+func tierCounter(tier Tier) statCounter {
+	return statCounter{
+		telemetry.Labeled(mTierFamily, telemetry.Label{Name: "tier", Value: tier.String()}),
+		func(st *Stats) int64 { return st.Recovery.TierDispatches[tier] },
+	}
+}
+
+// publishPeriod is how many Run-loop iterations pass between periodic
+// publishes: a live scrape lags Stats by at most this many dispatches.
+const publishPeriod = 1024
 
 // systemTelemetry is the per-System view of an enabled telemetry bundle:
 // the tracer plus every instrument resolved once at construction so the
@@ -73,19 +120,13 @@ const (
 type systemTelemetry struct {
 	tr *telemetry.Tracer
 
-	commits         *telemetry.Counter
-	rollbacks       *telemetry.Counter
-	aliasExceptions *telemetry.Counter
-	guardFails      *telemetry.Counter
-	faults          *telemetry.Counter
-	compiles        *telemetry.Counter
-	recompiles      *telemetry.Counter
-	evictions       *telemetry.Counter
-	demotions       *telemetry.Counter
-	promotions      *telemetry.Counter
-	drops           *telemetry.Counter
-	chaos           *telemetry.Counter
-	dispatches      *telemetry.Counter
+	// counters holds statCounters' instruments in table order. published
+	// is each one's Stats value at this System's last publish, so Systems
+	// sharing one registry each add only their own growth. ticks counts
+	// Run-loop iterations toward the next periodic publish.
+	counters  [len(statCounters)]*telemetry.Counter
+	published [len(statCounters)]int64
+	ticks     int
 
 	rollbackCost *telemetry.Histogram
 	regionSize   *telemetry.Histogram
@@ -94,42 +135,21 @@ type systemTelemetry struct {
 	compileCost  *telemetry.Histogram
 
 	// installLag tracks simulated cycles between a compiled region being
-	// installed in the code cache and its first dispatch. tierDispatches
-	// splits the dispatch count by speculation tier as labeled series
-	// (dynopt_tier_dispatches{tier="..."}); instruments are resolved per
-	// rung at construction so the hot path stays one array index plus an
-	// atomic add.
-	installLag     *telemetry.Histogram
-	tierDispatches [NumTiers]*telemetry.Counter
+	// installed in the code cache and its first dispatch.
+	installLag *telemetry.Histogram
 
 	// Compile-queue and compile-output-cache instruments. Every one is
 	// registered whatever the configuration, so every run's -metrics
 	// snapshot has the same key set; an unused feature reads zero.
-	compileEnqueues *telemetry.Counter
-	compileInstalls *telemetry.Counter
-	compileCancels  *telemetry.Counter
-	memoHits        *telemetry.Counter
-	memoMisses      *telemetry.Counter
-	memoEvictions   *telemetry.Counter
-	queueDepth      *telemetry.Gauge
-	memoSize        *telemetry.Gauge
-	compileLatency  *telemetry.Histogram
+	queueDepth     *telemetry.Gauge
+	memoSize       *telemetry.Gauge
+	compileLatency *telemetry.Histogram
 
 	// dedupeWait tracks how long a deduped background compile waited on
 	// the cross-tenant flight it joined (shared cache only).
 	dedupeWait *telemetry.Histogram
 
-	// Host-fault and health instruments.
-	hostFaults       *telemetry.Counter
-	quarantines      *telemetry.Counter
-	healthDemotions  *telemetry.Counter
-	healthPromotions *telemetry.Counter
-	healthLevel      *telemetry.Gauge
-
-	// lastMemoEvictions is the memo's eviction count at the last memoTable
-	// call: capacity evictions happen inside codecache's Put, which has no
-	// telemetry access, so the counter is synced by diffing.
-	lastMemoEvictions int64
+	healthLevel *telemetry.Gauge
 }
 
 // newSystemTelemetry resolves instruments against the bundle. Returns nil
@@ -143,20 +163,6 @@ func newSystemTelemetry(cfg *Config) *systemTelemetry {
 	st := &systemTelemetry{
 		tr: t.Events,
 
-		commits:         reg.Counter(mCommits),
-		rollbacks:       reg.Counter(mRollbacks),
-		aliasExceptions: reg.Counter(mAliasExceptions),
-		guardFails:      reg.Counter(mGuardFails),
-		faults:          reg.Counter(mFaults),
-		compiles:        reg.Counter(mCompiles),
-		recompiles:      reg.Counter(mRecompiles),
-		evictions:       reg.Counter(mEvictions),
-		demotions:       reg.Counter(mDemotions),
-		promotions:      reg.Counter(mPromotions),
-		drops:           reg.Counter(mDrops),
-		chaos:           reg.Counter(mChaos),
-		dispatches:      reg.Counter(mDispatches),
-
 		rollbackCost: reg.Histogram(hRollbackCost, telemetry.Pow2Bounds(16, 1024)),
 		regionSize:   reg.Histogram(hRegionSize, telemetry.Pow2Bounds(4, 256)),
 		aliasRegs:    reg.Histogram(hAliasRegs, telemetry.Pow2Bounds(1, 64)),
@@ -165,31 +171,52 @@ func newSystemTelemetry(cfg *Config) *systemTelemetry {
 
 		installLag: reg.Histogram(hInstallLag, telemetry.Pow2Bounds(64, 65536)),
 
-		compileEnqueues: reg.Counter(mCompileEnqueues),
-		compileInstalls: reg.Counter(mCompileInstalls),
-		compileCancels:  reg.Counter(mCompileCancels),
-		queueDepth:      reg.Gauge(gCompileQueue),
-		compileLatency:  reg.Histogram(hCompileLatency, telemetry.Pow2Bounds(256, 65536)),
-		// Fleet-cache lookups count in the same hit/miss instruments; the
-		// table-size gauge and eviction counter stay zero there (the
+		queueDepth:     reg.Gauge(gCompileQueue),
+		compileLatency: reg.Histogram(hCompileLatency, telemetry.Pow2Bounds(256, 65536)),
+		// The memo-size gauge stays zero on the fleet cache (the
 		// fleet-global view is codecache's PublishMetrics).
-		memoHits:      reg.Counter(mMemoHits),
-		memoMisses:    reg.Counter(mMemoMisses),
-		memoEvictions: reg.Counter(mMemoEvictions),
-		memoSize:      reg.Gauge(gMemoSize),
-		dedupeWait:    reg.Histogram(hDedupeWait, telemetry.Pow2Bounds(64, 65536)),
+		memoSize:   reg.Gauge(gMemoSize),
+		dedupeWait: reg.Histogram(hDedupeWait, telemetry.Pow2Bounds(64, 65536)),
 
-		hostFaults:       reg.Counter(mHostFaults),
-		quarantines:      reg.Counter(mQuarantines),
-		healthDemotions:  reg.Counter(mHealthDemotions),
-		healthPromotions: reg.Counter(mHealthPromotions),
-		healthLevel:      reg.Gauge(gHealthLevel),
+		healthLevel: reg.Gauge(gHealthLevel),
 	}
-	for tier := 0; tier < NumTiers; tier++ {
-		st.tierDispatches[tier] = reg.Counter(telemetry.Labeled(
-			mTierFamily, telemetry.Label{Name: "tier", Value: Tier(tier).String()}))
+	for i := range statCounters {
+		st.counters[i] = reg.Counter(statCounters[i].name)
 	}
 	return st
+}
+
+// due counts one Run-loop iteration and reports whether a periodic publish
+// is due.
+func (st *systemTelemetry) due() bool {
+	if st == nil {
+		return false
+	}
+	if st.ticks++; st.ticks < publishPeriod {
+		return false
+	}
+	st.ticks = 0
+	return true
+}
+
+// publish adds each statCounters read's growth since this System's last
+// publish to its registry counter. It runs on the simulation thread at
+// every Run return, so a snapshot taken after Run is exact, and every
+// publishPeriod Run-loop iterations, so live scrapes stay current. It does
+// not allocate.
+func (s *System) publish() {
+	st := s.tel
+	if st == nil {
+		return
+	}
+	s.syncLiveStats()
+	for i := range statCounters {
+		v := statCounters[i].read(&s.Stats)
+		if d := v - st.published[i]; d != 0 {
+			st.counters[i].Add(d)
+			st.published[i] = v
+		}
+	}
 }
 
 // now is the simulated cycle clock events are stamped with: the sum of
@@ -201,14 +228,9 @@ func (s *System) now() int64 {
 		st.OptCycles + st.SchedCycles
 }
 
-func (st *systemTelemetry) regionCompile(cycle int64, entry int, tier Tier, recompile bool, rs *RegionStats) {
+func (st *systemTelemetry) regionCompile(cycle int64, entry int, tier Tier, rs *RegionStats) {
 	if st == nil {
 		return
-	}
-	if recompile {
-		st.recompiles.Add(1)
-	} else {
-		st.compiles.Add(1)
 	}
 	st.regionSize.Observe(int64(rs.SeqLen))
 	st.aliasRegs.Observe(int64(rs.Alloc.WorkingSet))
@@ -222,18 +244,9 @@ func (st *systemTelemetry) regionCompile(cycle int64, entry int, tier Tier, reco
 	})
 }
 
-// compileEnqueue counts a compile request, inline or queued
-// (Stats.Compile.Enqueued).
-func (st *systemTelemetry) compileEnqueue() {
-	if st == nil {
-		return
-	}
-	st.compileEnqueues.Add(1)
-}
-
 // compileQueued records a compilation entering the queue: cost is the
 // modelled latency, depth the queue depth after the enqueue, memoHit
-// whether the cache already held the result (counted by memoLookup).
+// whether the cache already held the result.
 // Inline compiles never queue, so they emit no compile-enqueue event.
 func (st *systemTelemetry) compileQueued(cycle int64, entry int, tier Tier, cost int64, depth int, memoHit bool) {
 	if st == nil {
@@ -247,13 +260,13 @@ func (st *systemTelemetry) compileQueued(cycle int64, entry int, tier Tier, cost
 	})
 }
 
-// compileInstalled records the metrics side of reaching the install point
-// (the event side is the existing KindCompile emitted by regionCompile).
+// compileInstalled records the enqueue→install latency of a compile
+// reaching its install point (the event is the KindCompile emitted by
+// regionCompile).
 func (st *systemTelemetry) compileInstalled(latency int64) {
 	if st == nil {
 		return
 	}
-	st.compileInstalls.Add(1)
 	st.compileLatency.Observe(latency)
 }
 
@@ -266,24 +279,11 @@ func (st *systemTelemetry) compileDequeued(depth int) {
 	st.queueDepth.Set(int64(depth))
 }
 
-// memoLookup counts a compile-output cache lookup (System.lookupOutput).
-func (st *systemTelemetry) memoLookup(hit bool) {
-	if st == nil {
-		return
-	}
-	if hit {
-		st.memoHits.Add(1)
-	} else {
-		st.memoMisses.Add(1)
-	}
-}
-
 // compileCancel records a pending compilation being thrown away.
 func (st *systemTelemetry) compileCancel(cycle int64, entry int, tier Tier, cause telemetry.Cause, depth int) {
 	if st == nil {
 		return
 	}
-	st.compileCancels.Add(1)
 	st.queueDepth.Set(int64(depth))
 	st.tr.Emit(telemetry.Event{
 		Cycle: cycle, Kind: telemetry.KindCompileCancel,
@@ -303,8 +303,6 @@ func (st *systemTelemetry) dispatch(cycle int64, entry int, tier Tier) {
 	if st == nil {
 		return
 	}
-	st.dispatches.Add(1)
-	st.tierDispatches[tier].Add(1)
 	st.tr.Emit(telemetry.Event{
 		Cycle: cycle, Kind: telemetry.KindDispatch,
 		Region: int32(entry), Tier: int8(tier), To: -1,
@@ -333,7 +331,6 @@ func (st *systemTelemetry) commit(cycle int64, entry int, tier Tier, cost int64,
 	if st == nil {
 		return
 	}
-	st.commits.Add(1)
 	st.occupancy.Observe(int64(arHighWater))
 	st.tr.Emit(telemetry.Event{
 		Cycle: cycle, Kind: telemetry.KindCommit,
@@ -343,10 +340,12 @@ func (st *systemTelemetry) commit(cycle int64, entry int, tier Tier, cost int64,
 	})
 }
 
-// rollback is the shared non-commit bookkeeping: every alias, guard and
-// fault outcome routes through it.
+// rollback records one non-commit outcome: every alias, guard and fault
+// outcome routes through it (a fault records nothing else).
 func (st *systemTelemetry) rollback(cycle int64, entry int, tier Tier, cause telemetry.Cause, cost int64, opsExecuted int) {
-	st.rollbacks.Add(1)
+	if st == nil {
+		return
+	}
 	st.rollbackCost.Observe(cost)
 	st.tr.Emit(telemetry.Event{
 		Cycle: cycle, Kind: telemetry.KindRollback,
@@ -362,7 +361,6 @@ func (st *systemTelemetry) aliasRollback(cycle int64, entry int, tier Tier, caus
 	if st == nil {
 		return
 	}
-	st.aliasExceptions.Add(1)
 	st.rollback(cycle, entry, tier, cause, cost, opsExecuted)
 	if checker >= 0 {
 		st.tr.Emit(telemetry.Event{
@@ -378,7 +376,6 @@ func (st *systemTelemetry) guardRollback(cycle int64, entry int, tier Tier, caus
 	if st == nil {
 		return
 	}
-	st.guardFails.Add(1)
 	st.rollback(cycle, entry, tier, cause, cost, opsExecuted)
 	st.tr.Emit(telemetry.Event{
 		Cycle: cycle, Kind: telemetry.KindGuardFail,
@@ -387,19 +384,9 @@ func (st *systemTelemetry) guardRollback(cycle int64, entry int, tier Tier, caus
 	})
 }
 
-// faultRollback records a speculation-induced guest fault.
-func (st *systemTelemetry) faultRollback(cycle int64, entry int, tier Tier, cost int64, opsExecuted int) {
-	if st == nil {
-		return
-	}
-	st.faults.Add(1)
-	st.rollback(cycle, entry, tier, telemetry.CauseFault, cost, opsExecuted)
-}
-
 // tierMove emits one ladder move. from/to are the rungs on either side;
 // cause qualifies demotions (CauseNone for promotions). Demotions may
-// jump several rungs (the chronic cap); the counter tracks rungs moved so
-// it matches Stats.Recovery.Demotions, while promotions are always single
+// jump several rungs (the chronic cap); promotions are always single
 // steps.
 func (st *systemTelemetry) tierMove(cycle int64, entry int, from, to Tier, cause telemetry.Cause) {
 	if st == nil || from == to {
@@ -408,9 +395,6 @@ func (st *systemTelemetry) tierMove(cycle int64, entry int, from, to Tier, cause
 	kind := telemetry.KindDemote
 	if to < from {
 		kind = telemetry.KindPromote
-		st.promotions.Add(1)
-	} else {
-		st.demotions.Add(int64(to - from))
 	}
 	st.tr.Emit(telemetry.Event{
 		Cycle: cycle, Kind: kind,
@@ -423,7 +407,6 @@ func (st *systemTelemetry) evict(cycle int64, entry int, tier Tier) {
 	if st == nil {
 		return
 	}
-	st.evictions.Add(1)
 	st.tr.Emit(telemetry.Event{
 		Cycle: cycle, Kind: telemetry.KindEvict,
 		Region: int32(entry), Tier: int8(tier), To: -1,
@@ -434,7 +417,6 @@ func (st *systemTelemetry) drop(cycle int64, entry int, tier Tier, cause telemet
 	if st == nil {
 		return
 	}
-	st.drops.Add(1)
 	st.tr.Emit(telemetry.Event{
 		Cycle: cycle, Kind: telemetry.KindDrop,
 		Region: int32(entry), Tier: int8(tier), To: -1,
@@ -446,7 +428,6 @@ func (st *systemTelemetry) chaosInjected(cycle int64, entry int, tier Tier, caus
 	if st == nil {
 		return
 	}
-	st.chaos.Add(1)
 	st.tr.Emit(telemetry.Event{
 		Cycle: cycle, Kind: telemetry.KindChaos,
 		Region: int32(entry), Tier: int8(tier), To: -1,
@@ -460,7 +441,6 @@ func (st *systemTelemetry) hostFault(cycle int64, entry int, tier Tier, cause te
 	if st == nil {
 		return
 	}
-	st.hostFaults.Add(1)
 	st.tr.Emit(telemetry.Event{
 		Cycle: cycle, Kind: telemetry.KindHostFault,
 		Region: int32(entry), Tier: int8(tier), To: -1,
@@ -473,7 +453,6 @@ func (st *systemTelemetry) quarantine(cycle int64, entry int, tier Tier, cause t
 	if st == nil {
 		return
 	}
-	st.quarantines.Add(1)
 	st.tr.Emit(telemetry.Event{
 		Cycle: cycle, Kind: telemetry.KindQuarantine,
 		Region: int32(entry), Tier: int8(tier), To: -1,
@@ -488,11 +467,6 @@ func (st *systemTelemetry) healthMove(cycle int64, mv health.Move, cause telemet
 	if st == nil {
 		return
 	}
-	if mv.To > mv.From {
-		st.healthDemotions.Add(1)
-	} else {
-		st.healthPromotions.Add(1)
-	}
 	st.healthLevel.Set(int64(mv.To))
 	st.tr.Emit(telemetry.Event{
 		Cycle: cycle, Kind: telemetry.KindHealth,
@@ -502,15 +476,11 @@ func (st *systemTelemetry) healthMove(cycle int64, mv health.Move, cause telemet
 	})
 }
 
-// memoTable refreshes the memo-size gauge and eviction counter after a
-// memo mutation (an insert past capacity, or injected memo pressure).
-func (st *systemTelemetry) memoTable(size int, evictions int64) {
+// memoTable refreshes the memo-size gauge after a memo mutation (an
+// insert, or injected memo pressure).
+func (st *systemTelemetry) memoTable(size int) {
 	if st == nil {
 		return
 	}
 	st.memoSize.Set(int64(size))
-	if d := evictions - st.lastMemoEvictions; d > 0 {
-		st.memoEvictions.Add(d)
-		st.lastMemoEvictions = evictions
-	}
 }

@@ -30,8 +30,6 @@ import (
 	"fmt"
 	"math"
 
-	"smarq/internal/telemetry"
-
 	"smarq/internal/guest"
 )
 
@@ -150,13 +148,10 @@ type Interpreter struct {
 	Mem  *guest.Memory
 	Prof *Profile
 
-	// DynInsts counts guest instructions retired by the interpreter.
+	// DynInsts counts guest instructions retired by the interpreter. It
+	// is the only retirement count the package keeps: dynopt folds it into
+	// Stats.InterpretedInsts, which its interp_insts metric publishes.
 	DynInsts uint64
-
-	// Insts, when non-nil, mirrors DynInsts into a telemetry counter.
-	// Updated at block granularity so the per-instruction loop stays
-	// counter-free.
-	Insts *telemetry.Counter
 
 	// Ref routes RunBlock through the per-instruction guest.Exec reference
 	// engine instead of the pre-decoded one. guest.Exec stays the single
@@ -344,7 +339,6 @@ func (it *Interpreter) RunBlock(id int) (int, error) {
 		case dHalt:
 			retired++
 			it.DynInsts += retired
-			it.Insts.Add(int64(retired))
 			return HaltID, nil
 		case dSltBeq:
 			v := int64(0)
@@ -462,7 +456,6 @@ func (it *Interpreter) RunBlock(id int) (int, error) {
 		retired++
 	}
 	it.DynInsts += retired
-	it.Insts.Add(int64(retired))
 	c := &it.Prof.succs[id][slot]
 	c.id = int32(next)
 	c.n++
@@ -470,7 +463,7 @@ func (it *Interpreter) RunBlock(id int) (int, error) {
 }
 
 // failBlock is the decoded engine's cold fault path: it folds the
-// instructions retired before the faulting one into the counters and
+// instructions retired before the faulting one into DynInsts and
 // reproduces the reference interpreter's error for the original guest
 // instruction at index gi. The faulting instruction has had no
 // architectural effect, so re-running it through guest.Exec is
@@ -479,7 +472,6 @@ func (it *Interpreter) RunBlock(id int) (int, error) {
 //go:noinline
 func (it *Interpreter) failBlock(id int, gi int32, retired uint64) (int, error) {
 	it.DynInsts += retired
-	it.Insts.Add(int64(retired))
 	in := it.Prog.Blocks[id].Insts[gi]
 	if _, err := guest.Exec(in, it.St, it.Mem); err != nil {
 		return HaltID, fmt.Errorf("interp: B%d %s: %w", id, in, err)
@@ -501,7 +493,6 @@ func (it *Interpreter) runBlockRef(id int) (int, error) {
 		ctl, err := guest.Exec(insts[i], st, mem)
 		if err != nil {
 			it.DynInsts += retired
-			it.Insts.Add(int64(retired))
 			return HaltID, fmt.Errorf("interp: B%d %s: %w", id, insts[i], err)
 		}
 		retired++
@@ -510,12 +501,10 @@ func (it *Interpreter) runBlockRef(id int) (int, error) {
 			next = insts[i].Target
 		case guest.CtlHalt:
 			it.DynInsts += retired
-			it.Insts.Add(int64(retired))
 			return HaltID, nil
 		}
 	}
 	it.DynInsts += retired
-	it.Insts.Add(int64(retired))
 	it.Prof.AddEdges(id, next, 1)
 	return next, nil
 }
@@ -551,7 +540,7 @@ func (it *Interpreter) Run(entry int, maxInsts uint64) (halted bool, err error) 
 // runDecoded is Run fused with the decoded RunBlock: the architectural
 // state, memory slice and retirement counter are hoisted into locals once
 // and stay in registers across block boundaries, so short-block programs
-// don't pay a call, slice construction and two counter flushes per block.
+// don't pay a call, slice construction and a counter flush per block.
 // Semantics are identical to the RunBlock-at-a-time loop above — same
 // between-blocks budget contract, same profile writes, same errors — and
 // the differential tests run both paths.
@@ -562,18 +551,15 @@ func (it *Interpreter) runDecoded(entry int, maxInsts uint64) (bool, error) {
 	f := &st.F
 	data := it.Mem.Bytes()
 	prof := it.Prof
-	start := it.DynInsts
 	dyn := it.DynInsts
 	id := entry
 	for {
 		if dyn >= maxInsts {
 			it.DynInsts = dyn
-			it.Insts.Add(int64(dyn - start))
 			return false, nil
 		}
 		if uint(id) >= uint(len(d.blocks)) {
 			it.DynInsts = dyn
-			it.Insts.Add(int64(dyn - start))
 			return false, fmt.Errorf("interp: no block %d", id)
 		}
 		prof.BlockCounts[id]++
@@ -646,52 +632,52 @@ func (it *Interpreter) runDecoded(entry int, maxInsts uint64) (bool, error) {
 			case dLd1:
 				v, ok := guest.MemLoad1(data, uint64(r[in.rs1&regMask]+in.imm))
 				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn)
+					return false, it.failRun(id, in.gi, dyn)
 				}
 				r[in.rd&regMask] = int64(v)
 			case dLd2:
 				v, ok := guest.MemLoad2(data, uint64(r[in.rs1&regMask]+in.imm))
 				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn)
+					return false, it.failRun(id, in.gi, dyn)
 				}
 				r[in.rd&regMask] = int64(v)
 			case dLd4:
 				v, ok := guest.MemLoad4(data, uint64(r[in.rs1&regMask]+in.imm))
 				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn)
+					return false, it.failRun(id, in.gi, dyn)
 				}
 				r[in.rd&regMask] = int64(v)
 			case dLd8:
 				v, ok := guest.MemLoad8(data, uint64(r[in.rs1&regMask]+in.imm))
 				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn)
+					return false, it.failRun(id, in.gi, dyn)
 				}
 				r[in.rd&regMask] = int64(v)
 			case dSt1:
 				if !guest.MemStore1(data, uint64(r[in.rs1&regMask]+in.imm), uint64(r[in.rd&regMask])) {
-					return false, it.failRun(id, in.gi, start, dyn)
+					return false, it.failRun(id, in.gi, dyn)
 				}
 			case dSt2:
 				if !guest.MemStore2(data, uint64(r[in.rs1&regMask]+in.imm), uint64(r[in.rd&regMask])) {
-					return false, it.failRun(id, in.gi, start, dyn)
+					return false, it.failRun(id, in.gi, dyn)
 				}
 			case dSt4:
 				if !guest.MemStore4(data, uint64(r[in.rs1&regMask]+in.imm), uint64(r[in.rd&regMask])) {
-					return false, it.failRun(id, in.gi, start, dyn)
+					return false, it.failRun(id, in.gi, dyn)
 				}
 			case dSt8:
 				if !guest.MemStore8(data, uint64(r[in.rs1&regMask]+in.imm), uint64(r[in.rd&regMask])) {
-					return false, it.failRun(id, in.gi, start, dyn)
+					return false, it.failRun(id, in.gi, dyn)
 				}
 			case dFLd8:
 				v, ok := guest.MemLoad8(data, uint64(r[in.rs1&regMask]+in.imm))
 				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn)
+					return false, it.failRun(id, in.gi, dyn)
 				}
 				f[in.rd&regMask] = math.Float64frombits(v)
 			case dFSt8:
 				if !guest.MemStore8(data, uint64(r[in.rs1&regMask]+in.imm), math.Float64bits(f[in.rd&regMask])) {
-					return false, it.failRun(id, in.gi, start, dyn)
+					return false, it.failRun(id, in.gi, dyn)
 				}
 			case dBeq:
 				if r[in.rs1&regMask] == r[in.rs2&regMask] {
@@ -714,7 +700,6 @@ func (it *Interpreter) runDecoded(entry int, maxInsts uint64) (bool, error) {
 			case dHalt:
 				dyn++
 				it.DynInsts = dyn
-				it.Insts.Add(int64(dyn - start))
 				return true, nil
 			case dSltBeq:
 				v := int64(0)
@@ -741,7 +726,7 @@ func (it *Interpreter) runDecoded(entry int, maxInsts uint64) (bool, error) {
 				r[in.rd&regMask] = a
 				v, ok := guest.MemLoad1(data, uint64(a+in.imm2))
 				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn+1)
+					return false, it.failRun(id, in.gi, dyn+1)
 				}
 				r[in.fd&regMask] = int64(v)
 				dyn++
@@ -750,7 +735,7 @@ func (it *Interpreter) runDecoded(entry int, maxInsts uint64) (bool, error) {
 				r[in.rd&regMask] = a
 				v, ok := guest.MemLoad2(data, uint64(a+in.imm2))
 				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn+1)
+					return false, it.failRun(id, in.gi, dyn+1)
 				}
 				r[in.fd&regMask] = int64(v)
 				dyn++
@@ -759,7 +744,7 @@ func (it *Interpreter) runDecoded(entry int, maxInsts uint64) (bool, error) {
 				r[in.rd&regMask] = a
 				v, ok := guest.MemLoad4(data, uint64(a+in.imm2))
 				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn+1)
+					return false, it.failRun(id, in.gi, dyn+1)
 				}
 				r[in.fd&regMask] = int64(v)
 				dyn++
@@ -768,7 +753,7 @@ func (it *Interpreter) runDecoded(entry int, maxInsts uint64) (bool, error) {
 				r[in.rd&regMask] = a
 				v, ok := guest.MemLoad8(data, uint64(a+in.imm2))
 				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn+1)
+					return false, it.failRun(id, in.gi, dyn+1)
 				}
 				r[in.fd&regMask] = int64(v)
 				dyn++
@@ -777,7 +762,7 @@ func (it *Interpreter) runDecoded(entry int, maxInsts uint64) (bool, error) {
 				r[in.rd&regMask] = a
 				v, ok := guest.MemLoad8(data, uint64(a+in.imm2))
 				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn+1)
+					return false, it.failRun(id, in.gi, dyn+1)
 				}
 				f[in.fd&regMask] = math.Float64frombits(v)
 				dyn++
@@ -793,7 +778,7 @@ func (it *Interpreter) runDecoded(entry int, maxInsts uint64) (bool, error) {
 				r[in.fd&regMask] = s
 				v, ok := guest.MemLoad8(data, uint64(s+in.imm2))
 				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn+2)
+					return false, it.failRun(id, in.gi, dyn+2)
 				}
 				r[in.fs&regMask] = int64(v)
 				dyn += 2
@@ -804,7 +789,7 @@ func (it *Interpreter) runDecoded(entry int, maxInsts uint64) (bool, error) {
 				r[in.fd&regMask] = s
 				v, ok := guest.MemLoad8(data, uint64(s+in.imm2))
 				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn+2)
+					return false, it.failRun(id, in.gi, dyn+2)
 				}
 				f[in.fs&regMask] = math.Float64frombits(v)
 				dyn += 2
@@ -814,7 +799,7 @@ func (it *Interpreter) runDecoded(entry int, maxInsts uint64) (bool, error) {
 				s := r[in.rs2&regMask] + t
 				r[in.fd&regMask] = s
 				if !guest.MemStore8(data, uint64(s+in.imm2), uint64(r[in.fs&regMask])) {
-					return false, it.failRun(id, in.gi, start, dyn+2)
+					return false, it.failRun(id, in.gi, dyn+2)
 				}
 				dyn += 2
 			case dMuliAddFSt8:
@@ -823,11 +808,11 @@ func (it *Interpreter) runDecoded(entry int, maxInsts uint64) (bool, error) {
 				s := r[in.rs2&regMask] + t
 				r[in.fd&regMask] = s
 				if !guest.MemStore8(data, uint64(s+in.imm2), math.Float64bits(f[in.fs&regMask])) {
-					return false, it.failRun(id, in.gi, start, dyn+2)
+					return false, it.failRun(id, in.gi, dyn+2)
 				}
 				dyn += 2
 			default: // dBad
-				return false, it.failRun(id, in.gi, start, dyn)
+				return false, it.failRun(id, in.gi, dyn)
 			}
 			dyn++
 		}
@@ -839,13 +824,12 @@ func (it *Interpreter) runDecoded(entry int, maxInsts uint64) (bool, error) {
 }
 
 // failRun is runDecoded's cold fault path: it flushes the retirement
-// counters (dyn counts every instruction retired before the faulting one)
+// count (dyn counts every instruction retired before the faulting one)
 // and reproduces the reference error exactly like failBlock.
 //
 //go:noinline
-func (it *Interpreter) failRun(id int, gi int32, start, dyn uint64) error {
+func (it *Interpreter) failRun(id int, gi int32, dyn uint64) error {
 	it.DynInsts = dyn
-	it.Insts.Add(int64(dyn - start))
 	in := it.Prog.Blocks[id].Insts[gi]
 	if _, err := guest.Exec(in, it.St, it.Mem); err != nil {
 		return fmt.Errorf("interp: B%d %s: %w", id, in, err)

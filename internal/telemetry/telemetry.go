@@ -25,14 +25,6 @@ func (t *Telemetry) Tracer() *Tracer {
 	return t.Events
 }
 
-// Registry returns the metrics registry (nil when metrics are disabled).
-func (t *Telemetry) Registry() *Registry {
-	if t == nil {
-		return nil
-	}
-	return t.Metrics
-}
-
 // LineSink is a mutex-guarded line writer for human-oriented progress
 // output (the figure harness's verbose stream). Each Emitf call writes
 // one whole line atomically, so concurrent runs never interleave
