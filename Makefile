@@ -4,8 +4,8 @@ GO ?= go
 # Worker-pool bound for the figure harness (0 = GOMAXPROCS).
 PARALLEL ?= 0
 
-.PHONY: all build test race bench bench-all bench-check figures examples clean \
-	ci fmt-check lint bench-smoke fuzz-smoke chaos-smoke trace-smoke fleet-smoke \
+.PHONY: all build test race bench-all figures figures-json examples clean ci \
+	fmt-check lint bench-smoke fuzz-smoke chaos-smoke trace-smoke fleet-smoke \
 	analyze-smoke
 
 all: build test
@@ -126,32 +126,6 @@ fleet-smoke:
 	GOMAXPROCS=2 $(GO) run -race ./cmd/smarq-bench -tenants 8 \
 		-tenant-mix swim,equake -compile-workers 2 -fleet-verify >/dev/null
 	@echo "fleet-smoke: ok"
-
-# Execution-engine microbench suite → BENCH_exec.json. Fixed -benchtime
-# and -count keep runs comparable; the committed pre-change baseline is
-# merged in so the artifact records the before/after trajectory.
-BENCH_EXEC_RE = ^BenchmarkExecute$$|^BenchmarkRegionExecution$$|^BenchmarkDynopt$$|^BenchmarkCompile$$|^BenchmarkMemoHit$$|^BenchmarkCompilePipeline$$|^BenchmarkFleet$$|^BenchmarkInterpreter$$|^BenchmarkFleetColdStart$$
-
-bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_EXEC_RE)' -benchmem -benchtime 2000x -count=1 . \
-		| $(GO) run ./cmd/smarq-benchjson -merge testdata/bench-exec.prechange.json \
-		> BENCH_exec.json
-	@cat BENCH_exec.json
-
-# Perf-regression smoke: rerun the exec benches and compare against the
-# committed baseline. Timing fields get a very generous tolerance (CI
-# machines vary wildly); allocation counts on the deterministic
-# steady-state paths (execute, interpreter, memo hit) must match exactly —
-# an allocation regression fails even when the timing noise would hide it.
-# Compile-path allocation counts (Dynopt, Compile/*, CompilePipeline,
-# Fleet*) are reported, not pinned: they include sync.Pool refills that
-# wander by a few allocs/op between runs of the same code. The bench/
-# benchmark's alloc_kb_per_run gates those paths end to end.
-bench-check:
-	$(GO) test -run '^$$' -bench '$(BENCH_EXEC_RE)' -benchmem -benchtime 2000x -count=1 . \
-		| $(GO) run ./cmd/smarq-benchjson \
-		| $(GO) run ./cmd/smarq-golden -golden testdata/bench-exec.baseline.json -got - \
-			-rtol 9 -atol 1.5 -exact '(Execute/|RegionExecution|Interpreter/|MemoHit).*allocs_per_op$$|Fleet/tenants4.dedupe_pct$$'
 
 # One testing.B benchmark per table/figure plus micro-benchmarks (the
 # full sweep; slow).

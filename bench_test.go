@@ -254,8 +254,8 @@ func BenchmarkALATOnMem(b *testing.B) {
 // BenchmarkInterpreter measures the pre-decoded engine's steady-state
 // dispatch rate per workload: the program is decoded once up front and
 // the same Interpreter replays 100k-instruction runs, so an iteration is
-// pure threaded dispatch at zero heap allocations (the allocs_per_op
-// figure is pinned exactly by bench-check).
+// pure threaded dispatch at zero heap allocations (pinned by
+// interp.TestInterpreterZeroAllocs).
 func BenchmarkInterpreter(b *testing.B) {
 	for _, name := range []string{"swim", "equake", "ammp"} {
 		b.Run(name, func(b *testing.B) {
@@ -320,7 +320,7 @@ func BenchmarkTranslatePipeline(b *testing.B) {
 // register allocation, VLIW baking and the working-set statistics — over
 // the hottest ammp superblock, with region formation excluded (production
 // caches superblocks per entry). This is the per-compile cost the
-// flat-arena pipeline targets; BenchmarkCompile above measures the same
+// flat-arena pipeline targets; BenchmarkCompile below measures the same
 // machinery embedded in a full system run.
 func BenchmarkCompilePipeline(b *testing.B) {
 	bm, _ := workload.ByName("ammp")
@@ -418,25 +418,10 @@ func benchLoopRegion(b *testing.B, mode sched.HWMode, nar int) (*vliw.CompiledRe
 	return machine.Compile(sc.Seq, reg, len(sb.Insts)), st, mem
 }
 
-// BenchmarkRegionExecution measures the VLIW execution engine on the
-// SMARQ configuration — the headline region-throughput number the perf
-// regression gate tracks.
-func BenchmarkRegionExecution(b *testing.B) {
-	cr, st, mem := benchLoopRegion(b, sched.HWOrdered, 64)
-	det := aliashw.NewOrderedQueue(64)
-	var ctx vliw.ExecContext
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := ctx.Execute(cr, st, mem, det)
-		if res.Outcome != vliw.Commit {
-			b.Fatalf("outcome %s", res.Outcome)
-		}
-	}
-}
-
 // BenchmarkExecute runs the same region entry under every alias-hardware
-// fast path of the devirtualized execute loop.
+// fast path of the devirtualized execute loop; ordered64 is the SMARQ
+// configuration. Every case runs at zero heap allocations per entry
+// (pinned by vliw.TestExecuteZeroAllocsOnCommit).
 func BenchmarkExecute(b *testing.B) {
 	cases := []struct {
 		name string
@@ -482,8 +467,9 @@ func BenchmarkDynopt(b *testing.B) {
 
 // BenchmarkCompile runs the BenchmarkDynopt swim slice with the
 // background-compilation path on (one worker, then with content-hash
-// memoization), so the enqueue/install machinery and memo table sit on
-// the same regression trend line as the synchronous baseline.
+// memoization), so the enqueue/install machinery and memo table can be
+// profiled against the inline-compile baseline. Compile-path allocations
+// are not pinned per op; bench/'s alloc_kb_per_run gates them end to end.
 func BenchmarkCompile(b *testing.B) {
 	bm, _ := workload.ByName("swim")
 	for _, c := range []struct {
@@ -507,7 +493,9 @@ func BenchmarkCompile(b *testing.B) {
 
 // BenchmarkMemoHit measures the path a memoized recompile takes instead
 // of the full pipeline of BenchmarkTranslatePipeline: the canonical
-// content-hash fold over the hot superblock plus the table lookup.
+// content-hash fold over the hot superblock plus the table lookup. Both
+// halves run at zero heap allocations (pinned by dynopt.TestMemoKeyZeroAllocs
+// and compilequeue's TestMemoHitZeroAllocs).
 func BenchmarkMemoHit(b *testing.B) {
 	bm, _ := workload.ByName("ammp")
 	prog := bm.Build()
@@ -552,7 +540,7 @@ func BenchmarkMemoHit(b *testing.B) {
 // fleet-scaling gate on a multi-core host) and dedupe-pct — the share of
 // would-be duplicate compiles the shared cache eliminated, deterministically
 // 100 for identical tenants (every unique key compiles exactly once
-// fleet-wide), which the bench-check baseline pins exactly.
+// fleet-wide, pinned by harness.TestFleetCompilesEachKeyOnce).
 func BenchmarkFleet(b *testing.B) {
 	const workers = 2
 	const maxInsts = 100_000

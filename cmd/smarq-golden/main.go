@@ -1,6 +1,7 @@
 // Command smarq-golden compares a JSON document against a checked-in
-// golden file for the CI bench-smoke gate. Numbers match within a
-// relative tolerance (the simulated statistics are deterministic, but
+// golden file for the CI golden gates (bench-smoke, trace-smoke and
+// analyze-smoke). Numbers match within a fixed relative tolerance of 1e-9
+// plus an absolute 1e-12 (the simulated statistics are deterministic, but
 // float formatting may vary across platforms); strings, booleans and
 // structure must match exactly.
 //
@@ -8,10 +9,6 @@
 //
 //	smarq-golden -golden testdata/bench-smoke.golden.json -got out.json
 //	smarq-bench -json ... | smarq-golden -golden golden.json -got -
-//
-// Fields whose JSON path matches -exact compare exactly even when a
-// tolerance is set — used by the bench gate, where timing fields get a
-// generous rtol but allocation counts must match to the byte.
 package main
 
 import (
@@ -21,16 +18,12 @@ import (
 	"io"
 	"math"
 	"os"
-	"regexp"
 	"sort"
 )
 
 func main() {
 	goldenPath := flag.String("golden", "", "path to the golden JSON file")
 	gotPath := flag.String("got", "-", "path to the JSON to check ('-' = stdin)")
-	rtol := flag.Float64("rtol", 1e-9, "relative tolerance for numeric fields")
-	atol := flag.Float64("atol", 1e-12, "absolute tolerance for numeric fields")
-	exact := flag.String("exact", "", "regexp of JSON paths that must match exactly (no tolerance)")
 	flag.Parse()
 	if *goldenPath == "" {
 		fmt.Fprintln(os.Stderr, "smarq-golden: -golden is required")
@@ -48,16 +41,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := cmpConfig{rtol: *rtol, atol: *atol}
-	if *exact != "" {
-		re, err := regexp.Compile(*exact)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smarq-golden: -exact:", err)
-			os.Exit(2)
-		}
-		cfg.exact = re
-	}
-	diffs := compare("$", golden, got, cfg)
+	diffs := compare("$", golden, got)
 	if len(diffs) > 0 {
 		fmt.Fprintf(os.Stderr, "smarq-golden: %d difference(s) against %s:\n", len(diffs), *goldenPath)
 		for _, d := range diffs {
@@ -65,7 +49,7 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("smarq-golden: %s matches golden (rtol=%g)\n", *gotPath, *rtol)
+	fmt.Printf("smarq-golden: %s matches golden (rtol=%g)\n", *gotPath, rtol)
 }
 
 func decode(path string) (interface{}, error) {
@@ -89,16 +73,16 @@ func decode(path string) (interface{}, error) {
 	return v, nil
 }
 
-// cmpConfig carries the numeric tolerances and the set of paths exempted
-// from them.
-type cmpConfig struct {
-	rtol, atol float64
-	exact      *regexp.Regexp // paths matching this compare exactly
-}
+// Numeric tolerances: relative to the larger magnitude, plus an absolute
+// floor for values at or near zero.
+const (
+	rtol = 1e-9
+	atol = 1e-12
+)
 
 // compare walks both JSON trees and collects human-readable differences.
 // Having a full diff (rather than failing fast) makes CI logs actionable.
-func compare(path string, golden, got interface{}, cfg cmpConfig) []string {
+func compare(path string, golden, got interface{}) []string {
 	switch g := golden.(type) {
 	case map[string]interface{}:
 		o, ok := got.(map[string]interface{})
@@ -115,7 +99,7 @@ func compare(path string, golden, got interface{}, cfg cmpConfig) []string {
 			case !inG:
 				diffs = append(diffs, fmt.Sprintf("%s.%s: unexpected field (not in golden)", path, k))
 			default:
-				diffs = append(diffs, compare(path+"."+k, gv, ov, cfg)...)
+				diffs = append(diffs, compare(path+"."+k, gv, ov)...)
 			}
 		}
 		return diffs
@@ -129,7 +113,7 @@ func compare(path string, golden, got interface{}, cfg cmpConfig) []string {
 		}
 		var diffs []string
 		for i := range g {
-			diffs = append(diffs, compare(fmt.Sprintf("%s[%d]", path, i), g[i], o[i], cfg)...)
+			diffs = append(diffs, compare(fmt.Sprintf("%s[%d]", path, i), g[i], o[i])...)
 		}
 		return diffs
 	case json.Number:
@@ -145,14 +129,8 @@ func compare(path string, golden, got interface{}, cfg cmpConfig) []string {
 			}
 			return nil
 		}
-		if cfg.exact != nil && cfg.exact.MatchString(path) {
-			if gf != of {
-				return []string{fmt.Sprintf("%s: %v, golden %v (exact match required)", path, of, gf)}
-			}
-			return nil
-		}
-		if !closeEnough(gf, of, cfg.rtol, cfg.atol) {
-			return []string{fmt.Sprintf("%s: %v, golden %v (rtol=%g)", path, of, gf, cfg.rtol)}
+		if !closeEnough(gf, of, rtol, atol) {
+			return []string{fmt.Sprintf("%s: %v, golden %v (rtol=%g)", path, of, gf, rtol)}
 		}
 		return nil
 	default:

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -20,19 +19,22 @@ func parse(t *testing.T, s string) interface{} {
 
 func TestCompareIdentical(t *testing.T) {
 	doc := `{"a": 1.5, "b": ["x", true, null], "c": {"d": 2}}`
-	if diffs := compare("$", parse(t, doc), parse(t, doc), cmpConfig{rtol: 1e-9, atol: 1e-12}); len(diffs) != 0 {
+	if diffs := compare("$", parse(t, doc), parse(t, doc)); len(diffs) != 0 {
 		t.Errorf("identical documents differ: %v", diffs)
 	}
 }
 
 func TestCompareWithinTolerance(t *testing.T) {
-	golden := parse(t, `{"speedup": 1.362000000}`)
-	got := parse(t, `{"speedup": 1.362000001}`)
-	if diffs := compare("$", golden, got, cmpConfig{rtol: 1e-6}); len(diffs) != 0 {
+	golden := parse(t, `{"speedup": 1.362000000, "zero": 0}`)
+	// 1 part in 1.4e9 and 1e-13 from zero: inside rtol and atol.
+	within := parse(t, `{"speedup": 1.362000001, "zero": 1e-13}`)
+	if diffs := compare("$", golden, within); len(diffs) != 0 {
 		t.Errorf("within-tolerance numbers differ: %v", diffs)
 	}
-	if diffs := compare("$", golden, got, cmpConfig{rtol: 1e-12}); len(diffs) == 0 {
-		t.Error("out-of-tolerance numbers accepted")
+	// 1 part in 1.4e8 and 1e-11 from zero: outside both.
+	outside := parse(t, `{"speedup": 1.36200001, "zero": 1e-11}`)
+	if diffs := compare("$", golden, outside); len(diffs) != 2 {
+		t.Errorf("out-of-tolerance numbers: got diffs %v, want 2", diffs)
 	}
 }
 
@@ -51,7 +53,7 @@ func TestCompareStructure(t *testing.T) {
 		{"multiple", `{"a": 1, "b": 2}`, `{"a": 9, "b": 8}`, 2},
 	}
 	for _, tc := range cases {
-		diffs := compare("$", parse(t, tc.golden), parse(t, tc.got), cmpConfig{rtol: 1e-9})
+		diffs := compare("$", parse(t, tc.golden), parse(t, tc.got))
 		if len(diffs) != tc.wantDiffs {
 			t.Errorf("%s: got %d diffs %v, want %d", tc.name, len(diffs), diffs, tc.wantDiffs)
 		}
@@ -62,27 +64,8 @@ func TestCompareBigIntsExact(t *testing.T) {
 	// Cycle counts are int64s that can exceed float64 precision; equal
 	// strings must pass regardless.
 	doc := `{"cycles": 9223372036854775807}`
-	if diffs := compare("$", parse(t, doc), parse(t, doc), cmpConfig{}); len(diffs) != 0 {
+	if diffs := compare("$", parse(t, doc), parse(t, doc)); len(diffs) != 0 {
 		t.Errorf("identical big ints differ: %v", diffs)
-	}
-}
-
-func TestCompareExactPaths(t *testing.T) {
-	golden := parse(t, `{"bench": {"allocs_per_op": 0, "ns_per_op": 100}}`)
-	got := parse(t, `{"bench": {"allocs_per_op": 1, "ns_per_op": 180}}`)
-	loose := cmpConfig{rtol: 9, atol: 1.5}
-	if diffs := compare("$", golden, got, loose); len(diffs) != 0 {
-		t.Errorf("generous tolerance rejected: %v", diffs)
-	}
-	strict := loose
-	strict.exact = regexp.MustCompile(`allocs_per_op$`)
-	diffs := compare("$", golden, got, strict)
-	if len(diffs) != 1 || !strings.Contains(diffs[0], "allocs_per_op") {
-		t.Errorf("exact path not enforced: %v", diffs)
-	}
-	// The matching path passes when the values really are equal.
-	if diffs := compare("$", golden, parse(t, `{"bench": {"allocs_per_op": 0, "ns_per_op": 250}}`), strict); len(diffs) != 0 {
-		t.Errorf("equal exact values rejected: %v", diffs)
 	}
 }
 

@@ -131,3 +131,23 @@ func TestMemoBudgetAndCapCompose(t *testing.T) {
 		t.Fatalf("byte bound: len=%d bytes=%d, want <= 3 entries and <= 100 bytes", m.Len(), m.Bytes())
 	}
 }
+
+// TestMemoHitZeroAllocs pins the lookup half of a memoized recompile at
+// zero heap allocations: a hit on a private one-shard cache is a snapshot
+// map read plus counter and recency updates. dynopt.TestMemoKeyZeroAllocs
+// pins the other half, the content-key fold.
+func TestMemoHitZeroAllocs(t *testing.T) {
+	type region struct{ cycles int }
+	m := codecache.New[*region](codecache.Options{Shards: 1}, nil)
+	k := compilequeue.NewKey().Int(7).Int(3).Bool(true)
+	want := &region{cycles: 42}
+	m.Put(k, want)
+	allocs := testing.AllocsPerRun(200, func() {
+		if got, ok := m.Get(k); !ok || got != want {
+			t.Fatal("memo miss on a cached key")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("memo hit allocates %v times per lookup, want 0", allocs)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"smarq/internal/codecache"
 	"smarq/internal/telemetry"
 )
 
@@ -116,9 +117,9 @@ func TestFleetTenantDeterminism(t *testing.T) {
 						t.Errorf("tenant %d (%s): event trace diverges from solo run (%d vs %d events)", ft.Tenant, ft.Bench, len(evs), len(solo.events))
 					}
 				}
-				// Exactly-once fleet-wide compilation: every lookup either
-				// compiled, hit the table, or joined a flight — and the
-				// unbounded cache never evicts, so compiles never repeat.
+				// Cache accounting: every lookup either compiled, hit the
+				// table, or joined a flight. TestFleetCompilesEachKeyOnce
+				// pins the exactly-once compile count itself.
 				c := res.Cache
 				if c.Hits+c.FlightWaits+c.Compiles != c.Lookups {
 					t.Errorf("cache accounting: hits %d + flight-waits %d + compiles %d != lookups %d",
@@ -146,5 +147,49 @@ func TestVerifyFleet(t *testing.T) {
 	}
 	if got := res.Render(); len(got) == 0 {
 		t.Error("empty fleet report")
+	}
+}
+
+// TestFleetCompilesEachKeyOnce pins the shared cache's deduplication at
+// 100%: four identical tenants over one 2-worker pool must compile exactly
+// as many regions as one tenant alone. Every would-be duplicate compile is
+// either a table hit or a wait on another tenant's in-flight compile. The
+// swim cell is BenchmarkFleet's shape (its dedupe-pct); the full ammp run
+// compiles more regions while the tenants run side by side, so many of its
+// lookups land on a flight still in progress and exercise the join. Which
+// lookups join depends on goroutine timing, so each cell runs three fleets.
+func TestFleetCompilesEachKeyOnce(t *testing.T) {
+	for _, c := range []struct {
+		bench    string
+		maxInsts uint64
+	}{
+		{"swim", 100_000},
+		{"ammp", 0},
+	} {
+		t.Run(c.bench, func(t *testing.T) {
+			run := func(tenants int) codecache.Stats {
+				res, err := RunFleet(FleetConfig{
+					Tenants: tenants, Mix: []string{c.bench}, CompileWorkers: 2, MaxInsts: c.maxInsts,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Cache
+			}
+			solo := run(1)
+			if solo.Compiles == 0 {
+				t.Fatal("solo fleet run compiled nothing")
+			}
+			for round := 0; round < 3; round++ {
+				fleet := run(4)
+				if fleet.Compiles != solo.Compiles {
+					t.Errorf("fleet %d: 4 identical tenants compiled %d regions, one tenant alone %d: the shared cache let %d duplicate compiles through",
+						round, fleet.Compiles, solo.Compiles, fleet.Compiles-solo.Compiles)
+				}
+				if fleet.Lookups != 4*solo.Lookups {
+					t.Errorf("fleet %d: 4 tenants made %d cache lookups, want 4 × the solo run's %d", round, fleet.Lookups, solo.Lookups)
+				}
+			}
+		})
 	}
 }

@@ -302,3 +302,34 @@ func TestInterpreterReset(t *testing.T) {
 		}
 	}
 }
+
+// TestInterpreterZeroAllocs pins the pre-decoded engine's steady state at
+// zero heap allocations: with the program decoded once, a reset-and-replay
+// 100k-instruction run (BenchmarkInterpreter's iteration) is pure threaded
+// dispatch and must not touch the heap. One warm-up run precedes the
+// measurement so any lazily sized scratch is already in place.
+func TestInterpreterZeroAllocs(t *testing.T) {
+	for _, name := range []string{"swim", "equake", "ammp"} {
+		t.Run(name, func(t *testing.T) {
+			bm, ok := workload.ByName(name)
+			if !ok {
+				t.Fatalf("unknown workload %q", name)
+			}
+			st := &guest.State{}
+			mem := guest.NewMemory(bm.MemSize)
+			it := New(bm.Build(), st, mem)
+			replay := func() {
+				*st = guest.State{}
+				mem.Zero()
+				it.Reset()
+				if _, err := it.Run(0, 100_000); err != nil {
+					t.Fatal(err)
+				}
+			}
+			replay()
+			if allocs := testing.AllocsPerRun(10, replay); allocs != 0 {
+				t.Errorf("steady-state 100k-instruction run allocates %v times, want 0", allocs)
+			}
+		})
+	}
+}

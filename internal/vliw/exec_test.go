@@ -18,40 +18,89 @@ import (
 )
 
 // TestExecuteZeroAllocsOnCommit pins the steady-state commit path of the
-// pooled execution engine at zero heap allocations: after one warm-up
-// entry (which sizes the vreg files and undo log), a full
-// Begin/execute/Commit region entry must not touch the heap.
+// pooled execution engine at zero heap allocations under every alias
+// hardware mode, each with the detector dynopt builds for it: after one
+// warm-up entry (which sizes the vreg files and undo log), a
+// full Begin/execute/Commit region entry must not touch the heap. Each
+// mode runs two regions: a straight-line block ending in halt, and the
+// store/load loop BenchmarkExecute times, entered at its loop head with a
+// limit that keeps the guard taken so every entry commits.
 func TestExecuteZeroAllocsOnCommit(t *testing.T) {
-	build := func(b *guest.Builder) {
-		b.NewBlock()
-		b.Li(1, 64)
-		b.Li(2, 128)
-		b.Ld8(3, 1, 0)
-		b.St8(2, 0, 3)
-		b.Ld8(4, 1, 8)
-		b.Addi(5, 4, 10)
-		b.St8(1, 16, 5)
-		b.Ld8(6, 2, 0)
-		b.Add(7, 6, 5)
-		b.St8(1, 24, 7)
-		b.Halt()
+	modes := []struct {
+		name string
+		mode sched.HWMode
+		det  func() aliashw.Detector
+	}{
+		{"ordered64", sched.HWOrdered, func() aliashw.Detector { return aliashw.NewOrderedQueue(64) }},
+		{"alat", sched.HWALAT, func() aliashw.Detector { return aliashw.NewALAT() }},
+		{"bitmask15", sched.HWBitmask, func() aliashw.Detector { return aliashw.NewBitmask(15) }},
+		{"none", sched.HWNone, func() aliashw.Detector { return aliashw.None{} }},
 	}
-	cr, _ := compileGuest(t, 0, sched.HWOrdered, build)
-	st := &guest.State{}
-	mem := guest.NewMemory(4096)
-	det := aliashw.NewOrderedQueue(64)
-	var ctx vliw.ExecContext
+	regions := []struct {
+		name  string
+		build func(b *guest.Builder) (seed int)
+		entry guest.State
+	}{
+		{"straight", func(b *guest.Builder) int {
+			b.NewBlock()
+			b.Li(1, 64)
+			b.Li(2, 128)
+			b.Ld8(3, 1, 0)
+			b.St8(2, 0, 3)
+			b.Ld8(4, 1, 8)
+			b.Addi(5, 4, 10)
+			b.St8(1, 16, 5)
+			b.Ld8(6, 2, 0)
+			b.Add(7, 6, 5)
+			b.St8(1, 24, 7)
+			b.Halt()
+			return 0
+		}, guest.State{}},
+		{"loop", func(b *guest.Builder) int {
+			b.NewBlock()
+			b.Li(1, 1024)
+			b.Li(2, 4096)
+			b.Li(3, 0)
+			b.Li(4, 1<<30)
+			loop := b.NewBlock()
+			b.St8(1, 0, 5)
+			b.Ld8(6, 2, 0)
+			b.Addi(5, 6, 3)
+			b.Addi(3, 3, 1)
+			b.Blt(3, 4, loop)
+			b.NewBlock()
+			b.Halt()
+			return loop
+		}, guest.State{R: [guest.NumRegs]int64{1: 1024, 2: 4096, 4: 1 << 30}}},
+	}
+	for _, m := range modes {
+		for _, r := range regions {
+			t.Run(m.name+"/"+r.name, func(t *testing.T) {
+				b := guest.NewBuilder()
+				seed := r.build(b)
+				seq, reg, insts, err := fuzzSchedule(b.MustProgram(), seed, m.mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cr := vliw.DefaultConfig().Compile(seq, reg, insts)
+				st := r.entry
+				mem := guest.NewMemory(1 << 13)
+				det := m.det()
+				var ctx vliw.ExecContext
 
-	if res := ctx.Execute(cr, st, mem, det); res.Outcome != vliw.Commit {
-		t.Fatalf("warm-up outcome = %s, want commit", res.Outcome)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if res := ctx.Execute(cr, st, mem, det); res.Outcome != vliw.Commit {
-			t.Fatalf("outcome = %s, want commit", res.Outcome)
+				if res := ctx.Execute(cr, &st, mem, det); res.Outcome != vliw.Commit {
+					t.Fatalf("warm-up outcome = %s, want commit", res.Outcome)
+				}
+				allocs := testing.AllocsPerRun(100, func() {
+					if res := ctx.Execute(cr, &st, mem, det); res.Outcome != vliw.Commit {
+						t.Fatalf("outcome = %s, want commit", res.Outcome)
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("steady-state commit path allocates %v times per entry, want 0", allocs)
+				}
+			})
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state commit path allocates %v times per entry, want 0", allocs)
 	}
 }
 
