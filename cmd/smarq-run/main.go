@@ -8,20 +8,21 @@
 //	smarq-run -bench equake -chaos-seed 7 -check-invariants
 //	smarq-run -bench swim -chaos-seed 7 -chaos-host -health
 //	smarq-run -bench swim -trace swim.trace.json -trace-format chrome
+//	smarq-run -bench swim -trace /dev/stderr
 //	smarq-run -bench swim -metrics swim.metrics.json
 //	smarq-run -list
 //
 // -trace streams cycle-stamped runtime events to a file (jsonl for
 // diffable line-oriented output, chrome for a Perfetto-loadable
-// timeline); -metrics snapshots the aggregate counters and histograms to
-// JSON after the run; -listen serves the observability endpoints
-// (/metrics in Prometheus or JSON form, /healthz, /debug/cache,
-// /debug/tenants, /debug/pprof) over HTTP for the duration of the run —
-// useful for long chaos soaks. -chaos-host extends the chaos mix with host fault
-// classes (compile-worker panics, hangs, poisoned results, memo
-// pressure); -health arms the graceful-degradation controller. See
-// DESIGN.md ("Telemetry"; "Host fault domains and the health
-// controller").
+// timeline); -trace /dev/stderr watches the jsonl stream live. -metrics
+// snapshots the aggregate counters and histograms to JSON after the run;
+// -listen serves the observability endpoints (/metrics in Prometheus or
+// JSON form, /healthz, /debug/cache, /debug/tenants, /debug/pprof) over
+// HTTP for the duration of the run — useful for long chaos soaks.
+// -chaos-host extends the chaos mix with host fault classes
+// (compile-worker panics, hangs, poisoned results, memo pressure);
+// -health arms the graceful-degradation controller. See DESIGN.md
+// ("Telemetry"; "Host fault domains and the health controller").
 package main
 
 import (
@@ -58,7 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	file := fs.String("file", "", "run a guest assembly (.s) or binary (.bin) file instead of a benchmark")
 	config := fs.String("config", "smarq64", "configuration: smarq<N>, alat, efficeon, nohw, nostorereorder")
 	regions := fs.Bool("regions", false, "print per-region statistics")
-	events := fs.Bool("events", false, "print runtime events as text lines (compiles, exceptions, drops)")
 	traceFile := fs.String("trace", "", "write a cycle-stamped event trace to this file")
 	traceFormat := fs.String("trace-format", "jsonl", "trace encoding: jsonl or chrome (Perfetto-loadable)")
 	metricsFile := fs.String("metrics", "", "write a JSON metrics snapshot (counters + histograms) to this file")
@@ -181,11 +181,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(stderr, "smarq-run:", err)
 		return 2
-	}
-	if *events {
-		cfg.Trace = func(format string, args ...interface{}) {
-			fmt.Fprintf(stderr, "trace: "+format+"\n", args...)
-		}
 	}
 
 	// Telemetry wiring: each enabled surface is independent; both off

@@ -617,17 +617,14 @@ func (s *System) drawHostFaults(entry int, withHang bool) (panicInject, hang boo
 	now, tier := s.now(), s.tierOf(entry)
 	if hang {
 		s.tel.chaosInjected(now, entry, tier, telemetry.CauseWatchdog)
-		s.trace("injected compile hang for B%d", entry)
 		return false, true, faultinject.PoisonNone
 	}
 	if panicInject {
 		s.tel.chaosInjected(now, entry, tier, telemetry.CauseWorkerPanic)
-		s.trace("injected compile-worker panic for B%d", entry)
 		return true, false, faultinject.PoisonNone
 	}
 	if poison != faultinject.PoisonNone {
 		s.tel.chaosInjected(now, entry, tier, telemetry.CausePoison)
-		s.trace("injected poisoned compile result for B%d", entry)
 	}
 	return false, false, poison
 }
@@ -642,7 +639,6 @@ func (s *System) memoPressureDraw(entry int) {
 	if s.cache.DropOldest() {
 		s.tel.chaosInjected(s.now(), entry, s.tierOf(entry), telemetry.CauseMemoPressure)
 		s.tel.memoTable(s.cache.Len())
-		s.trace("injected memo pressure: dropped LRU entry (%d left)", s.cache.Len())
 	}
 }
 
@@ -782,7 +778,6 @@ func (s *System) enqueueCompile(entry int) error {
 	// The chaos draw happens at enqueue on the simulation thread, so the
 	// injector's sequence is independent of the worker count.
 	if s.inj != nil && s.inj.CompileFail() {
-		s.trace("injected compile failure for B%d", entry)
 		s.tel.chaosInjected(s.now(), entry, s.tierOf(entry), telemetry.CauseCompileFail)
 		return fmt.Errorf("%w for B%d", errInjectedCompileFail, entry)
 	}
@@ -890,7 +885,6 @@ func (s *System) queueCompile(in *compileInput, p pendingCompile, flight *codeca
 		s.Stats.Compile.MaxQueueDepth = depth
 	}
 	s.tel.compileQueued(now, entry, s.tierOf(entry), cost, depth, p.memoHit)
-	s.trace("enqueue compile B%d: ready at cycle %d (cost %d, depth %d)", entry, p.readyAt, cost, depth)
 }
 
 // cancelPending discards entry's pending compile, if any. The worker (if
@@ -911,7 +905,6 @@ func (s *System) cancelPending(entry int, cause telemetry.Cause) {
 	}
 	s.Stats.Compile.Canceled++
 	s.tel.compileCancel(s.now(), entry, s.tierOf(entry), cause, len(cq.pending))
-	s.trace("cancel pending compile B%d (%s)", entry, cause)
 }
 
 // drainCompiles installs every pending compilation whose event time the
@@ -966,7 +959,6 @@ func (s *System) installPending(p *pendingCompile) {
 		} else {
 			s.compileFailBackoff(p.entry, errWatchdogTimeout)
 		}
-		s.trace("watchdog killed compile B%d at its deadline (cycle %d)", p.entry, p.deadline)
 		return
 	}
 	latency := s.now() - p.enqueuedAt
@@ -990,7 +982,6 @@ func (s *System) installPending(p *pendingCompile) {
 			// again, so no cooldown applies.
 			s.compileFailBackoff(p.entry, err)
 		}
-		s.trace("compile B%d failed: %v", p.entry, err)
 		return
 	}
 	if !p.memoHit {
@@ -1018,13 +1009,9 @@ func (s *System) installOutput(entry int, out *compileOutput, latency int64) {
 	recompile := s.disp[entry].code != nil
 	if recompile {
 		s.Stats.Recompiles++
-		s.trace("recompile B%d: %d ops, %d cycles, tier=%s", entry, out.cr.Ops(), out.cr.Cycles, rr.tier)
 	} else {
 		s.evictForCapacity(entry)
 		s.Stats.RegionsCompiled++
-		s.trace("compile B%d: %d guest insts -> %d ops, %d cycles, %d mem ops, P=%d C=%d ws=%d",
-			entry, out.guestInsts, out.cr.Ops(), out.cr.Cycles, out.memOps,
-			out.alloc.PBits, out.alloc.CBits, out.alloc.WorkingSet)
 	}
 	s.setCode(entry, &compiled{
 		cr: out.cr, lastUse: s.entrySeq,

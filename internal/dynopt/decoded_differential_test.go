@@ -30,6 +30,7 @@ func TestSystemDecodedInterpMatchesReference(t *testing.T) {
 		}
 		bm := bm
 		t.Run(bm.Name, func(t *testing.T) {
+			t.Parallel()
 			for _, seed := range seeds {
 				for _, w := range workers {
 					run := func(ref bool) *System {

@@ -66,15 +66,12 @@ type Config struct {
 	// Ablation switches off individual SMARQ design elements for the
 	// ablation studies (zero value = the full system).
 	Ablation Ablation
-	// Trace, when non-nil, receives one line per runtime event
-	// (compilation, alias exception, tier change, eviction) — the
-	// observability hook for debugging translated workloads.
-	Trace func(format string, args ...interface{})
 	// Telemetry, when non-nil, enables the structured observability
 	// layer: cycle-stamped events into Telemetry.Events and aggregate
 	// counters/histograms into Telemetry.Metrics (either may be nil to
-	// enable just one surface). Unlike Trace this path never formats and
-	// never allocates on the hot path; see internal/telemetry.
+	// enable just one surface). Events are the runtime's one record of
+	// its decisions, and this path never formats and never allocates on
+	// the hot path; see internal/telemetry.
 	Telemetry *telemetry.Telemetry
 	// Compile configures the compile queue and content-hash memoization
 	// (compile.go). The zero value compiles inline: on the critical path,
@@ -527,14 +524,6 @@ func (s *System) evictForCapacity(entry int) {
 		s.dropCode(victim)
 		s.Stats.Recovery.Evictions++
 		s.tel.evict(s.now(), victim, s.tierOf(victim))
-		s.trace("evict B%d from the code cache (capacity %d)", victim, cap)
-	}
-}
-
-// trace emits a runtime event line when tracing is enabled.
-func (s *System) trace(format string, args ...interface{}) {
-	if s.cfg.Trace != nil {
-		s.cfg.Trace(format, args...)
 	}
 }
 
@@ -604,7 +593,6 @@ func (s *System) Run(maxInsts uint64) (bool, error) {
 				s.Stats.Recovery.Promotions++
 				de.cooldown = 0
 				s.tel.tierMove(s.now(), id, TierPinned, rr.tier, telemetry.CauseNone)
-				s.trace("promote B%d: %s -> %s after clean interpreted run", id, TierPinned, rr.tier)
 			}
 		}
 
@@ -681,7 +669,6 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		// either that or a genuine recovery bug.
 		if s.inj != nil && s.inj.CorruptState(s.st) {
 			s.tel.chaosInjected(s.now(), entry, rr.tier, telemetry.CauseCorrupt)
-			s.trace("injected post-rollback state corruption in B%d", entry)
 		}
 		if s.cfg.CheckInvariants {
 			if err := snap.Verify(s.st, s.mem); err != nil {
@@ -704,7 +691,6 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		if rr.recordCommit(s.cfg.Recovery) {
 			s.Stats.Recovery.Promotions++
 			s.tel.tierMove(s.now(), entry, rr.tier+1, rr.tier, telemetry.CauseNone)
-			s.trace("promote B%d to %s after %d clean commits", entry, rr.tier, s.cfg.Recovery.PromoteAfter)
 			// The promoted code replaces the conservative version, which
 			// stays installed (it is still correct) until the replacement
 			// is ready.
@@ -746,7 +732,6 @@ func (s *System) runRegion(entry int, c *compiled) int {
 				s.blacklist[entry] = bl
 			}
 			pair := alias.MakePair(res.Conflict.Checker, res.Conflict.Origin)
-			s.trace("alias exception in B%d: op %d checked op %d", entry, res.Conflict.Checker, res.Conflict.Origin)
 			if s.cfg.Mode == sched.HWALAT {
 				pins := s.pinnedLoads[entry]
 				if pins == nil {
@@ -765,8 +750,6 @@ func (s *System) runRegion(entry int, c *compiled) int {
 				learned = true
 			}
 			bl[pair] = true
-		} else {
-			s.trace("spurious alias exception in B%d (injected)", entry)
 		}
 		// Chronic offender: jump straight to conservative code and stop
 		// promoting (the old one-shot pin, now the ladder's hard cap).
@@ -776,7 +759,6 @@ func (s *System) runRegion(entry int, c *compiled) int {
 			if rr.demoteTo(s.cfg.Recovery, TierConservative) {
 				s.Stats.Recovery.Demotions += int64(rr.demotions - before)
 				s.tel.tierMove(s.now(), entry, from, rr.tier, telemetry.CauseChronic)
-				s.trace("pin B%d conservative after %d alias exceptions", entry, s.exceptions[entry])
 			}
 			rr.sticky = true
 		}
@@ -787,12 +769,10 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		} else if rr.recordRollback(s.cfg.Recovery) {
 			s.Stats.Recovery.Demotions++
 			s.tel.tierMove(s.now(), entry, rr.tier-1, rr.tier, telemetry.CauseRate)
-			s.trace("demote B%d to %s (rollback rate)", entry, rr.tier)
 		}
 		if rr.tier == TierPinned {
 			s.cancelPending(entry, telemetry.CauseStale)
 			s.dropCode(entry)
-			s.trace("pin B%d to the interpreter", entry)
 		} else {
 			// The trapped code is stale: its pair is now hardened.
 			s.recompileRegion(entry, true)
@@ -816,7 +796,6 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		if c.failStreak >= s.cfg.MaxGuardFails {
 			// The trace no longer matches behaviour: drop it and require
 			// twice the heat before re-forming.
-			s.trace("drop B%d after %d consecutive guard failures", entry, c.failStreak)
 			s.cancelPending(entry, telemetry.CauseStale)
 			s.dropCode(entry)
 			delete(s.sbCache, entry)
@@ -839,11 +818,9 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		if rr.recordRollback(s.cfg.Recovery) {
 			s.Stats.Recovery.Demotions++
 			s.tel.tierMove(s.now(), entry, rr.tier-1, rr.tier, telemetry.CauseFaultStorm)
-			s.trace("demote B%d to %s (fault storm)", entry, rr.tier)
 			if rr.tier == TierPinned {
 				s.cancelPending(entry, telemetry.CauseStale)
 				s.dropCode(entry)
-				s.trace("pin B%d to the interpreter", entry)
 			} else {
 				// The faulting code is built for the old rung.
 				s.recompileRegion(entry, true)
@@ -862,7 +839,6 @@ func (s *System) demoteToConservative(entry int, rr *regionRecovery) {
 	if rr.demoteTo(s.cfg.Recovery, TierConservative) {
 		s.Stats.Recovery.Demotions += int64(rr.demotions - before)
 		s.tel.tierMove(s.now(), entry, from, rr.tier, telemetry.CausePairRepeat)
-		s.trace("demote B%d to %s (pair hardening failed)", entry, rr.tier)
 	}
 }
 

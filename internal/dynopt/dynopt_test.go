@@ -1,8 +1,6 @@
 package dynopt
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"smarq/internal/guest"
@@ -389,39 +387,6 @@ func TestEfficeonEncodingWall(t *testing.T) {
 		if r.Alloc.WorkingSet > 15 {
 			t.Errorf("region B%d working set %d beyond the 15-register encoding cap",
 				r.Entry, r.Alloc.WorkingSet)
-		}
-	}
-}
-
-func TestTraceHook(t *testing.T) {
-	var events []string
-	cfg := ConfigSMARQ(64)
-	cfg.Trace = func(format string, args ...interface{}) {
-		events = append(events, fmt.Sprintf(format, args...))
-	}
-	prog := aliasingProgram(3000, 7)
-	sys := New(prog, &guest.State{}, guest.NewMemory(16384), cfg)
-	if _, err := sys.Run(50_000_000); err != nil {
-		t.Fatal(err)
-	}
-	var sawCompile bool
-	for _, e := range events {
-		if strings.HasPrefix(e, "compile B") {
-			sawCompile = true
-		}
-	}
-	if !sawCompile {
-		t.Error("trace hook never reported a compilation")
-	}
-	if sys.Stats.AliasExceptions > 0 {
-		var sawExc bool
-		for _, e := range events {
-			if strings.Contains(e, "alias exception") {
-				sawExc = true
-			}
-		}
-		if !sawExc {
-			t.Error("alias exceptions occurred but were not traced")
 		}
 	}
 }

@@ -64,7 +64,6 @@ func (s *System) healthClean() {
 	}
 	if mv, ok := s.hc.RecordClean(); ok {
 		s.tel.healthMove(s.now(), mv, telemetry.CauseNone)
-		s.trace("health: %s -> %s (recovered)", mv.From, mv.To)
 	}
 }
 
@@ -77,7 +76,6 @@ func (s *System) healthRollback() {
 	}
 	if mv, ok := s.hc.RecordRollback(); ok {
 		s.tel.healthMove(s.now(), mv, telemetry.CauseRate)
-		s.trace("health: %s -> %s (rollback rate)", mv.From, mv.To)
 	}
 }
 
@@ -86,13 +84,11 @@ func (s *System) healthRollback() {
 // telemetry and the health controller.
 func (s *System) recordHostFault(entry int, cause telemetry.Cause) {
 	s.tel.hostFault(s.now(), entry, s.tierOf(entry), cause)
-	s.trace("host fault in compile of B%d (%s)", entry, cause)
 	if s.hc == nil {
 		return
 	}
 	if mv, ok := s.hc.RecordHostFault(); ok {
 		s.tel.healthMove(s.now(), mv, cause)
-		s.trace("health: %s -> %s (%s)", mv.From, mv.To, cause)
 	}
 }
 
@@ -109,5 +105,4 @@ func (s *System) quarantineRegion(entry int, cause telemetry.Cause) {
 	s.quarantined[entry] = true
 	s.Stats.Compile.Quarantined++
 	s.tel.quarantine(s.now(), entry, s.tierOf(entry), cause)
-	s.trace("quarantine B%d (%s)", entry, cause)
 }

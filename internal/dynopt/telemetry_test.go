@@ -101,6 +101,7 @@ func TestTelemetryMatchesStats(t *testing.T) {
 		"sumloop":  func() *guest.Program { return sumLoopProgram(3000) },
 		"aliasing": func() *guest.Program { return aliasingProgram(3000, 5) },
 	}
+	var aliasEvents int64 // across all cells: the alias-exception row must bite
 	for name, build := range progs {
 		for _, seed := range []int64{1, 2, 3} {
 			var keySets [2][]string
@@ -169,6 +170,9 @@ func TestTelemetryMatchesStats(t *testing.T) {
 					{"dispatch events", byKind[telemetry.KindDispatch], compiledDispatches},
 					{"commit events", byKind[telemetry.KindCommit], st.Commits},
 					{"rollback events", byKind[telemetry.KindRollback], st.AliasExceptions + st.GuardFails + st.Faults},
+					// Injected alias exceptions carry no conflicting pair,
+					// so only real ones name their checker and origin.
+					{"alias-exception events", byKind[telemetry.KindAliasException], st.AliasExceptions - st.Injected.SpuriousAliases},
 					{"guard-fail events", byKind[telemetry.KindGuardFail], st.GuardFails},
 					{"promote events", promotes, st.Recovery.Promotions},
 					{"demoted rungs", demoteRungs, st.Recovery.Demotions},
@@ -191,6 +195,7 @@ func TestTelemetryMatchesStats(t *testing.T) {
 				if st.Compile.Enqueued == 0 {
 					t.Errorf("%s: nothing compiled — the compile events went unchecked", id)
 				}
+				aliasEvents += byKind[telemetry.KindAliasException]
 				for _, c := range checks {
 					if c.got != c.want {
 						t.Errorf("%s: %s = %d, Stats say %d", id, c.what, c.got, c.want)
@@ -240,6 +245,9 @@ func TestTelemetryMatchesStats(t *testing.T) {
 			}
 		}
 	}
+	if aliasEvents == 0 {
+		t.Error("no cell raised a real alias exception — the alias-exception events went unchecked")
+	}
 }
 
 // metricKeys lists every instrument in a registry's -metrics snapshot.
@@ -261,6 +269,57 @@ func metricKeys(t *testing.T, reg *telemetry.Registry) []string {
 	}
 	slices.Sort(keys)
 	return keys
+}
+
+// TestDecisionPathsZeroAllocs pins two runtime decisions off the dispatch
+// path — cancelling a pending compile, and evicting a region for code
+// cache capacity — at zero heap allocations, with telemetry disabled
+// (the nil check is the whole cost) and enabled (the event is the one
+// record of the decision, and nothing formats it).
+func TestDecisionPathsZeroAllocs(t *testing.T) {
+	cases := map[string]*telemetry.Telemetry{
+		"telemetry-off": nil,
+		"telemetry-on": {
+			Events:  telemetry.NewTracer(0, nil),
+			Metrics: telemetry.NewRegistry(),
+		},
+	}
+	for name, tel := range cases {
+		t.Run(name+"/cancel", func(t *testing.T) {
+			sys, entry, _ := warmCommitSystem(t, tel)
+			cq, p := sys.cq, &pendingCompile{entry: entry}
+			before := sys.Stats.Compile.Canceled
+			allocs := testing.AllocsPerRun(200, func() {
+				cq.pending[entry] = p
+				cq.queue = append(cq.queue, p)
+				sys.cancelPending(entry, telemetry.CauseStale)
+			})
+			if allocs != 0 {
+				t.Errorf("cancelPending allocates %v times per cancel, want 0", allocs)
+			}
+			if sys.Stats.Compile.Canceled <= before || len(cq.pending) != 0 || len(cq.queue) != 0 {
+				t.Fatalf("pending compile not cancelled: canceled %d→%d, %d pending, %d queued",
+					before, sys.Stats.Compile.Canceled, len(cq.pending), len(cq.queue))
+			}
+		})
+		t.Run(name+"/evict", func(t *testing.T) {
+			sys, entry, c := warmCommitSystem(t, tel)
+			sys.cfg.Recovery.CodeCacheCapacity = 1
+			victim := (entry + 1) % len(sys.disp)
+			before := sys.Stats.Recovery.Evictions
+			allocs := testing.AllocsPerRun(200, func() {
+				sys.setCode(victim, c)
+				sys.evictForCapacity(entry)
+			})
+			if allocs != 0 {
+				t.Errorf("evictForCapacity allocates %v times per eviction, want 0", allocs)
+			}
+			if sys.Stats.Recovery.Evictions <= before || sys.installed != 1 || sys.disp[victim].code != nil {
+				t.Fatalf("victim not evicted: evictions %d→%d, %d installed",
+					before, sys.Stats.Recovery.Evictions, sys.installed)
+			}
+		})
+	}
 }
 
 // commitLoopProgram is a single hot loop with loads and stores and no
