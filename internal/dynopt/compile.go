@@ -193,7 +193,6 @@ type compileInput struct {
 	optCfg    opt.Config
 	scfg      sched.Config
 	blacklist alias.Blacklist
-	machine   vliw.Config
 }
 
 // compileOutput is the pipeline's result plus everything the install
@@ -293,10 +292,9 @@ func (s *System) newCompileInput(entry int) (*compileInput, error) {
 	// same region never collide in the memo.
 	et := s.effectiveTier(entry)
 	in := &compileInput{
-		entry:   entry,
-		sb:      sb,
-		optCfg:  s.optConfig(et),
-		machine: s.cfg.Machine,
+		entry:  entry,
+		sb:     sb,
+		optCfg: s.optConfig(et),
 	}
 	if bl := s.blacklist[entry]; len(bl) > 0 {
 		in.blacklist = make(alias.Blacklist, len(bl))
@@ -408,7 +406,7 @@ func runCompilePipeline(in *compileInput) *compileOutput {
 	out.numOps = int64(len(reg.Ops))
 	// Compile decodes the schedule into storage of its own, so the arena
 	// can be recycled while the compiled region lives on.
-	out.cr = in.machine.Compile(sc.Seq, reg, len(in.sb.Insts))
+	out.cr = in.scfg.Machine.Compile(sc.Seq, reg, len(in.sb.Insts))
 	out.alloc = sc.Alloc.Stats
 	out.working = core.MeasureWorkingSets(sc.Alloc, in.sb.NumMemOps())
 	sc.Release()
@@ -458,7 +456,7 @@ func runCompilePipelineRef(in *compileInput) *compileOutput {
 	}
 
 	out.numOps = int64(len(reg.Ops))
-	out.cr = in.machine.Compile(sc.Seq, reg, len(in.sb.Insts))
+	out.cr = in.scfg.Machine.Compile(sc.Seq, reg, len(in.sb.Insts))
 	out.alloc = sc.Alloc.Stats
 	out.working = core.MeasureWorkingSets(sc.Alloc, in.sb.NumMemOps())
 	return out
@@ -518,7 +516,9 @@ var keyScratchPool = sync.Pool{New: func() interface{} { return &keyScratch{} }}
 // memoKey canonically hashes a compile input: every superblock byte plus
 // every configuration bit the pipeline reads. Fields that cannot vary
 // within one System (the machine model, ablations, hardware mode) are
-// still folded — they are cheap and keep the key self-contained.
+// still folded: Systems with different configurations may share one
+// fleet cache, and the machine model decides both the schedule and the
+// compiled region's cycle cost.
 func memoKey(in *compileInput) compilequeue.Key {
 	k := compilequeue.NewKey()
 	sb := in.sb
@@ -538,6 +538,12 @@ func memoKey(in *compileInput) compilequeue.Key {
 	sc := &in.scfg
 	k = k.Int(int64(sc.Mode)).Int(int64(sc.NumAliasRegs)).Bool(sc.StoreReorder).Bool(sc.ForceNonSpec)
 	k = k.Int(int64(sc.PressureMargin)).Bool(sc.Alloc.DisableAnti).Bool(sc.Alloc.DisableRotation)
+	m := &sc.Machine
+	k = k.Int(int64(m.IssueWidth)).Int(int64(m.MemPorts))
+	k = k.Int(int64(m.IntLat)).Int(int64(m.MemLat)).Int(int64(m.FPLat)).Int(int64(m.FDivLat)).Int(int64(m.FSqrtLat))
+	k = k.Int(int64(m.AliasRegs)).Int(int64(m.RollbackPenalty)).Int(int64(m.CommitCycles)).Int(int64(m.InterpCyclesPerInst))
+	k = k.Int(int64(m.OptCyclesPerOp)).Int(int64(m.SchedCyclesPerOp))
+	k = k.Int(int64(m.CompileCyclesPerInst)).Int(int64(m.CompileCyclesPerCheck))
 	if len(sc.PinnedOps) == 0 && len(in.blacklist) == 0 {
 		// Common case: no pins, no blacklist. Encode the zero lengths
 		// without touching the scratch pool.

@@ -1,0 +1,139 @@
+package vliw
+
+import (
+	"math"
+	"testing"
+	"unsafe"
+
+	"smarq/internal/guest"
+	"smarq/internal/ir"
+)
+
+// TestDecOpSize pins the decoded op at 40 bytes: the installed stream is
+// most of what a compile allocates, so a new field that grows the struct
+// must be a deliberate decision, not an accident.
+func TestDecOpSize(t *testing.T) {
+	if got := unsafe.Sizeof(decOp{}); got != 40 {
+		t.Errorf("decOp is %d bytes, want 40", got)
+	}
+}
+
+// packedRegion compiles a hand-built schedule holding one op of every
+// meaning the packed operand word takes, plus every flag bit set on at
+// least one op. Slots are addressed by the returned indices.
+func packedRegion(t *testing.T) (*CompiledRegion, []*ir.Op) {
+	t.Helper()
+	const base, v = ir.VReg(1), ir.VReg(2 * guest.NumRegs)
+	ops := []*ir.Op{
+		{Kind: ir.Arith, GOp: guest.Li, Dst: v, Imm: -42},
+		{Kind: ir.Arith, GOp: guest.Addi, Dst: v + 1, Srcs: []ir.VReg{v}, SrcFloat: []bool{false}, Imm: 7},
+		{Kind: ir.Arith, GOp: guest.FLi, Dst: v + 2, DstFloat: true, FImm: -1.5},
+		{Kind: ir.Load, GOp: guest.Ld8, Dst: v + 3, Srcs: []ir.VReg{base}, SrcFloat: []bool{false},
+			Mem: &ir.MemInfo{Base: base, Off: 24, Size: 8}, P: true},
+		{Kind: ir.Store, GOp: guest.FSt8, Srcs: []ir.VReg{v + 2, base}, SrcFloat: []bool{true, false},
+			Mem: &ir.MemInfo{Base: base, Off: -16, Size: 8}, C: true},
+		{Kind: ir.Guard, GOp: guest.Blt, Srcs: []ir.VReg{v, v + 1}, SrcFloat: []bool{false, false}, OnTraceTaken: true},
+		{Kind: ir.Rotate, Amount: 3},
+		{Kind: ir.AMov, SrcOff: -2, DstOff: 5},
+	}
+	for i, op := range ops {
+		op.ID = i
+		if op.Dst == 0 { // the literals leave Dst unset on ops that define nothing
+			op.Dst = ir.NoVReg
+		}
+		if !op.IsMem() {
+			op.AROffset = -1
+		}
+	}
+	reg := &ir.Region{NumVRegs: int(v) + 4, FinalTarget: 1}
+	for r := 0; r < guest.NumRegs; r++ {
+		reg.IntOut[r] = ir.LiveInInt(guest.Reg(r))
+		reg.FloatOut[r] = ir.LiveInFloat(guest.Reg(r))
+	}
+	cr := DefaultConfig().Compile(ops, reg, len(ops))
+	if err := cr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return cr, ops
+}
+
+// TestDecodeAccessors checks every packed field reads back, through its
+// accessor, exactly what the IR op carried — including a negative AMov
+// offset and the FLi immediate's sign bit.
+func TestDecodeAccessors(t *testing.T) {
+	cr, ops := packedRegion(t)
+	for i, op := range ops {
+		d := &cr.dec[i]
+		if d.dstFloat() != op.DstFloat || d.p() != op.P || d.c() != op.C || d.onTraceTaken() != op.OnTraceTaken ||
+			len(op.SrcFloat) > 0 && d.srcFloat0() != op.SrcFloat[0] {
+			t.Errorf("slot %d (%v): flags %05b do not match the IR op", i, op.Kind, d.flags)
+		}
+		switch op.Kind {
+		case ir.Arith:
+			if op.GOp == guest.FLi {
+				if math.Float64bits(d.fimm()) != math.Float64bits(op.FImm) {
+					t.Errorf("slot %d: fimm %v, want %v", i, d.fimm(), op.FImm)
+				}
+			} else if d.imm != op.Imm {
+				t.Errorf("slot %d: imm %d, want %d", i, d.imm, op.Imm)
+			}
+		case ir.Load, ir.Store:
+			if d.memOff() != op.Mem.Off {
+				t.Errorf("slot %d: offset %d, want %d", i, d.memOff(), op.Mem.Off)
+			}
+		case ir.Rotate:
+			if d.rotateAmount() != op.Amount {
+				t.Errorf("slot %d: rotate amount %d, want %d", i, d.rotateAmount(), op.Amount)
+			}
+		case ir.AMov:
+			if src, dst := d.amovOffsets(); src != op.SrcOff || dst != op.DstOff {
+				t.Errorf("slot %d: amov offsets %d,%d, want %d,%d", i, src, dst, op.SrcOff, op.DstOff)
+			}
+		}
+	}
+}
+
+// TestChecksumCoversPackedFields flips one bit of the operand word under
+// each of its meanings, and each flag bit, and requires the checksum to
+// move every time: the fields that used to be hashed one by one are
+// still all covered now that they share storage.
+func TestChecksumCoversPackedFields(t *testing.T) {
+	const (
+		li, addi, fli, load, store, guard, rotate, amov = 0, 1, 2, 3, 4, 5, 6, 7
+	)
+	cases := []struct {
+		name string
+		slot int
+		flip func(d *decOp)
+	}{
+		{"li immediate", li, func(d *decOp) { d.imm ^= 1 }},
+		{"addi immediate", addi, func(d *decOp) { d.imm ^= 1 << 40 }},
+		{"fli mantissa", fli, func(d *decOp) { d.imm ^= 1 }},
+		{"fli sign", fli, func(d *decOp) { d.imm ^= math.MinInt64 }},
+		{"load offset", load, func(d *decOp) { d.imm ^= 8 }},
+		{"store offset", store, func(d *decOp) { d.imm ^= 1 << 62 }},
+		{"rotate amount", rotate, func(d *decOp) { d.imm ^= 1 }},
+		{"amov source offset", amov, func(d *decOp) { d.imm ^= 1 << 31 }},
+		{"amov destination offset", amov, func(d *decOp) { d.imm ^= 1 << 32 }},
+		{"dst float", fli, func(d *decOp) { d.flags ^= flagDstFloat }},
+		{"src0 float", store, func(d *decOp) { d.flags ^= flagSrcFloat0 }},
+		{"p bit", load, func(d *decOp) { d.flags ^= flagP }},
+		{"c bit", store, func(d *decOp) { d.flags ^= flagC }},
+		{"on-trace taken", guard, func(d *decOp) { d.flags ^= flagOnTraceTaken }},
+	}
+	clean, _ := packedRegion(t)
+	sum := clean.Checksum()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cr, _ := packedRegion(t)
+			before := cr.dec[tc.slot]
+			tc.flip(&cr.dec[tc.slot])
+			if cr.dec[tc.slot] == before {
+				t.Fatal("flip left the op unchanged")
+			}
+			if cr.Checksum() == sum {
+				t.Errorf("flipping the %s of slot %d left the checksum at %#x", tc.name, tc.slot, sum)
+			}
+		})
+	}
+}

@@ -26,11 +26,18 @@ import (
 
 // decOp is one pre-decoded operation: every field the execute loop needs,
 // flattened out of ir.Op (and its Srcs/SrcFloat slices and *MemInfo) into
-// a value struct.
+// a 40-byte value struct. The kind-dependent operands share one word, imm,
+// and the five booleans share one byte, flags; both are read only through
+// the accessors below.
+//
+//	kind        imm holds
+//	Arith       the immediate; for FLi, the float's IEEE-754 bit pattern
+//	Load/Store  the address offset
+//	Rotate      the rotation amount
+//	AMov        the source offset (low 32 bits) and destination offset (high 32)
+//	Copy/Guard  zero
 type decOp struct {
-	imm    int64
-	fimm   float64
-	memOff int64
+	imm int64
 
 	id       int32 // original op ID — the alias-conflict identity
 	dst      int32
@@ -38,21 +45,50 @@ type decOp struct {
 	src1     int32
 	memBase  int32
 	arOffset int32
-	amount   int32 // Rotate amount
-	srcOff   int32 // AMov source offset
-	dstOff   int32 // AMov destination offset
 
 	arMask  uint16
 	memSize uint8
 
-	kind ir.Kind
-	gop  guest.Opcode
-
-	dstFloat     bool
-	srcFloat0    bool
-	p, c         bool
-	onTraceTaken bool
+	kind  ir.Kind
+	gop   guest.Opcode
+	flags uint8
 }
+
+// decOp flag bits.
+const (
+	flagDstFloat uint8 = 1 << iota
+	flagSrcFloat0
+	flagP
+	flagC
+	flagOnTraceTaken
+)
+
+func (d *decOp) setFlag(bit uint8, on bool) {
+	if on {
+		d.flags |= bit
+	}
+}
+
+func (d *decOp) dstFloat() bool     { return d.flags&flagDstFloat != 0 }
+func (d *decOp) srcFloat0() bool    { return d.flags&flagSrcFloat0 != 0 }
+func (d *decOp) p() bool            { return d.flags&flagP != 0 }
+func (d *decOp) c() bool            { return d.flags&flagC != 0 }
+func (d *decOp) onTraceTaken() bool { return d.flags&flagOnTraceTaken != 0 }
+
+// fimm is an FLi's immediate.
+func (d *decOp) fimm() float64 { return math.Float64frombits(uint64(d.imm)) }
+
+// memOff is a Load's or Store's address offset.
+func (d *decOp) memOff() int64 { return d.imm }
+
+// rotateAmount is a Rotate's amount.
+func (d *decOp) rotateAmount() int { return int(d.imm) }
+
+// amovOffsets are an AMov's source and destination offsets.
+func (d *decOp) amovOffsets() (src, dst int) { return int(int32(d.imm)), int(d.imm >> 32) }
+
+// packAMov is the inverse of amovOffsets.
+func packAMov(src, dst int) int64 { return int64(uint32(int32(src))) | int64(dst)<<32 }
 
 // decode flattens a scheduled sequence into the executable form. Unknown
 // kinds fail at compile time rather than execution time.
@@ -67,27 +103,32 @@ func decode(seq []*ir.Op) []decOp {
 		d.src0, d.src1 = int32(ir.NoVReg), int32(ir.NoVReg)
 		if len(op.Srcs) > 0 {
 			d.src0 = int32(op.Srcs[0])
-			d.srcFloat0 = op.SrcFloat[0]
+			d.setFlag(flagSrcFloat0, op.SrcFloat[0])
 		}
 		if len(op.Srcs) > 1 {
 			d.src1 = int32(op.Srcs[1])
 		}
-		d.dstFloat = op.DstFloat
-		d.imm = op.Imm
-		d.fimm = op.FImm
-		if op.Mem != nil {
-			d.memBase = int32(op.Mem.Base)
-			d.memOff = op.Mem.Off
-			d.memSize = uint8(op.Mem.Size)
-		}
 		d.arOffset = int32(op.AROffset)
 		d.arMask = op.ARMask
-		d.p, d.c = op.P, op.C
-		d.onTraceTaken = op.OnTraceTaken
-		d.amount = int32(op.Amount)
-		d.srcOff, d.dstOff = int32(op.SrcOff), int32(op.DstOff)
+		d.setFlag(flagDstFloat, op.DstFloat)
+		d.setFlag(flagP, op.P)
+		d.setFlag(flagC, op.C)
+		d.setFlag(flagOnTraceTaken, op.OnTraceTaken)
 		switch op.Kind {
-		case ir.Arith, ir.Copy, ir.Load, ir.Store, ir.Guard, ir.Rotate, ir.AMov:
+		case ir.Arith:
+			d.imm = op.Imm
+			if op.GOp == guest.FLi {
+				d.imm = int64(math.Float64bits(op.FImm))
+			}
+		case ir.Load, ir.Store:
+			d.memBase = int32(op.Mem.Base)
+			d.memSize = uint8(op.Mem.Size)
+			d.imm = op.Mem.Off
+		case ir.Rotate:
+			d.imm = int64(op.Amount)
+		case ir.AMov:
+			d.imm = packAMov(op.SrcOff, op.DstOff)
+		case ir.Copy, ir.Guard:
 		default:
 			panic(fmt.Sprintf("vliw: cannot decode op kind %v", op.Kind))
 		}
@@ -137,15 +178,15 @@ func dispatchFor(det aliashw.Detector) detDispatch {
 func (dd *detDispatch) onMem(op *decOp, isStore bool, lo, hi uint64) (aliashw.Conflict, bool) {
 	switch dd.kind {
 	case detOrdered:
-		return dd.oq.OnMemV(int(op.id), isStore, op.p, op.c, int(op.arOffset), lo, hi)
+		return dd.oq.OnMemV(int(op.id), isStore, op.p(), op.c(), int(op.arOffset), lo, hi)
 	case detALAT:
-		return dd.al.OnMemV(int(op.id), isStore, op.p, op.c, lo, hi)
+		return dd.al.OnMemV(int(op.id), isStore, op.p(), op.c(), lo, hi)
 	case detBitmask:
-		return dd.bm.OnMemV(int(op.id), isStore, op.p, op.c, int(op.arOffset), op.arMask, lo, hi)
+		return dd.bm.OnMemV(int(op.id), isStore, op.p(), op.c(), int(op.arOffset), op.arMask, lo, hi)
 	case detNone:
 		return aliashw.Conflict{}, false
 	default:
-		if cp := dd.det.OnMem(int(op.id), isStore, op.p, op.c, int(op.arOffset), op.arMask, lo, hi); cp != nil {
+		if cp := dd.det.OnMem(int(op.id), isStore, op.p(), op.c(), int(op.arOffset), op.arMask, lo, hi); cp != nil {
 			return *cp, true
 		}
 		return aliashw.Conflict{}, false
@@ -227,16 +268,16 @@ func (ctx *ExecContext) Execute(cr *CompiledRegion, st *guest.State, mem *guest.
 			execArithDec(op, vri, vrf)
 
 		case ir.Copy:
-			if op.dstFloat {
+			if op.dstFloat() {
 				vrf[op.dst] = vrf[op.src0]
 			} else {
 				vri[op.dst] = vri[op.src0]
 			}
 
 		case ir.Load:
-			addr := uint64(vri[op.memBase] + op.memOff)
+			addr := uint64(vri[op.memBase] + op.memOff())
 			size := int(op.memSize)
-			if op.p && op.arOffset+1 > arHW {
+			if op.p() && op.arOffset+1 > arHW {
 				arHW = op.arOffset + 1
 			}
 			if conf, hit := dd.onMem(op, false, addr, addr+uint64(size)); hit {
@@ -247,16 +288,16 @@ func (ctx *ExecContext) Execute(cr *CompiledRegion, st *guest.State, mem *guest.
 			if err != nil {
 				return abort(Fault, nil, n)
 			}
-			if op.dstFloat {
+			if op.dstFloat() {
 				vrf[op.dst] = math.Float64frombits(bits)
 			} else {
 				vri[op.dst] = int64(bits)
 			}
 
 		case ir.Store:
-			addr := uint64(vri[op.memBase] + op.memOff)
+			addr := uint64(vri[op.memBase] + op.memOff())
 			size := int(op.memSize)
-			if op.p && op.arOffset+1 > arHW {
+			if op.p() && op.arOffset+1 > arHW {
 				arHW = op.arOffset + 1
 			}
 			if conf, hit := dd.onMem(op, true, addr, addr+uint64(size)); hit {
@@ -264,7 +305,7 @@ func (ctx *ExecContext) Execute(cr *CompiledRegion, st *guest.State, mem *guest.
 				return abort(AliasException, &c, n)
 			}
 			var bits uint64
-			if op.srcFloat0 {
+			if op.srcFloat0() {
 				bits = math.Float64bits(vrf[op.src0])
 			} else {
 				bits = uint64(vri[op.src0])
@@ -274,15 +315,15 @@ func (ctx *ExecContext) Execute(cr *CompiledRegion, st *guest.State, mem *guest.
 			}
 
 		case ir.Guard:
-			if evalGuardDec(op, vri) != op.onTraceTaken {
+			if evalGuardDec(op, vri) != op.onTraceTaken() {
 				return abort(GuardFail, nil, n)
 			}
 
 		case ir.Rotate:
-			dd.rotate(int(op.amount))
+			dd.rotate(op.rotateAmount())
 
 		default: // ir.AMov — decode rejects anything else
-			dd.amov(int(op.srcOff), int(op.dstOff))
+			dd.amov(op.amovOffsets())
 		}
 	}
 
@@ -350,7 +391,7 @@ func execArithDec(op *decOp, i []int64, f []float64) {
 			i[op.dst] = 0
 		}
 	case guest.FLi:
-		f[op.dst] = op.fimm
+		f[op.dst] = op.fimm()
 	case guest.FMov:
 		f[op.dst] = f[op.src0]
 	case guest.FAdd:

@@ -1,6 +1,8 @@
 package vliw_test
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -17,6 +19,19 @@ import (
 	"smarq/internal/xlate"
 )
 
+// hwModes is every alias hardware mode, each with the detector dynopt
+// builds for it.
+var hwModes = []struct {
+	name string
+	mode sched.HWMode
+	det  func() aliashw.Detector
+}{
+	{"ordered64", sched.HWOrdered, func() aliashw.Detector { return aliashw.NewOrderedQueue(64) }},
+	{"alat", sched.HWALAT, func() aliashw.Detector { return aliashw.NewALAT() }},
+	{"bitmask15", sched.HWBitmask, func() aliashw.Detector { return aliashw.NewBitmask(15) }},
+	{"none", sched.HWNone, func() aliashw.Detector { return aliashw.None{} }},
+}
+
 // TestExecuteZeroAllocsOnCommit pins the steady-state commit path of the
 // pooled execution engine at zero heap allocations under every alias
 // hardware mode, each with the detector dynopt builds for it: after one
@@ -26,16 +41,6 @@ import (
 // store/load loop BenchmarkExecute times, entered at its loop head with a
 // limit that keeps the guard taken so every entry commits.
 func TestExecuteZeroAllocsOnCommit(t *testing.T) {
-	modes := []struct {
-		name string
-		mode sched.HWMode
-		det  func() aliashw.Detector
-	}{
-		{"ordered64", sched.HWOrdered, func() aliashw.Detector { return aliashw.NewOrderedQueue(64) }},
-		{"alat", sched.HWALAT, func() aliashw.Detector { return aliashw.NewALAT() }},
-		{"bitmask15", sched.HWBitmask, func() aliashw.Detector { return aliashw.NewBitmask(15) }},
-		{"none", sched.HWNone, func() aliashw.Detector { return aliashw.None{} }},
-	}
 	regions := []struct {
 		name  string
 		build func(b *guest.Builder) (seed int)
@@ -73,7 +78,7 @@ func TestExecuteZeroAllocsOnCommit(t *testing.T) {
 			return loop
 		}, guest.State{R: [guest.NumRegs]int64{1: 1024, 2: 4096, 4: 1 << 30}}},
 	}
-	for _, m := range modes {
+	for _, m := range hwModes {
 		for _, r := range regions {
 			t.Run(m.name+"/"+r.name, func(t *testing.T) {
 				b := guest.NewBuilder()
@@ -230,16 +235,6 @@ func TestExecuteDecodedMatchesReference(t *testing.T) {
 	if testing.Short() {
 		trials = 5
 	}
-	modes := []struct {
-		name string
-		mode sched.HWMode
-		det  func() aliashw.Detector
-	}{
-		{"ordered64", sched.HWOrdered, func() aliashw.Detector { return aliashw.NewOrderedQueue(64) }},
-		{"alat", sched.HWALAT, func() aliashw.Detector { return aliashw.NewALAT() }},
-		{"bitmask15", sched.HWBitmask, func() aliashw.Detector { return aliashw.NewBitmask(15) }},
-		{"none", sched.HWNone, func() aliashw.Detector { return aliashw.None{} }},
-	}
 	// One persistent context across every trial, mode, and entry:
 	// exercises pooling hygiene (stale vregs, undo log, checkpoint reuse).
 	var ctx vliw.ExecContext
@@ -247,7 +242,7 @@ func TestExecuteDecodedMatchesReference(t *testing.T) {
 
 	for trial := 0; trial < trials; trial++ {
 		seed := int64(4000 + trial)
-		for _, m := range modes {
+		for _, m := range hwModes {
 			// Rebuild the program per mode: translation annotates it.
 			prog, loop := randomRegionProgram(rand.New(rand.NewSource(seed)))
 			seq, reg, insts, err := fuzzSchedule(prog, loop, m.mode)
@@ -321,4 +316,98 @@ func TestExecuteDecodedMatchesReference(t *testing.T) {
 		t.Log("note: no alias exceptions driven (speculation never wrong)")
 	}
 	t.Logf("outcomes: %v", outcomes)
+}
+
+// TestExecuteDecodedMatchesReferenceEdgeCases extends the differential to
+// the operands the decoded op shares one word between: an FLi of -0.0
+// and of a NaN with a payload (its immediate travels as a bit pattern)
+// and memory ops at a negative offset (a signed offset in that word).
+// Both engines must agree bit for bit under every hardware mode, and the
+// decoded one must produce the exact bits the program wrote.
+func TestExecuteDecodedMatchesReferenceEdgeCases(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	nanPayload := math.Float64frombits(0x7ff4_dead_beef_0001)
+	cases := []struct {
+		name  string
+		build func(b *guest.Builder)
+		check func(st *guest.State, mem *guest.Memory) string
+	}{
+		{"fli-negative-zero", func(b *guest.Builder) {
+			b.Li(1, 1024)
+			b.FLi(1, negZero)
+			b.FSt8(1, 0, 1)
+		}, func(st *guest.State, mem *guest.Memory) string {
+			if got := math.Float64bits(st.F[1]); got != math.Float64bits(negZero) {
+				return fmt.Sprintf("f1 bits %#x, want -0.0", got)
+			}
+			if got, _ := mem.Load(1024, 8); got != math.Float64bits(negZero) {
+				return fmt.Sprintf("stored bits %#x, want -0.0", got)
+			}
+			return ""
+		}},
+		{"fli-nan-payload", func(b *guest.Builder) {
+			b.Li(1, 1024)
+			b.FLi(2, nanPayload)
+			b.FSt8(1, 8, 2)
+		}, func(st *guest.State, mem *guest.Memory) string {
+			if got := math.Float64bits(st.F[2]); got != math.Float64bits(nanPayload) {
+				return fmt.Sprintf("f2 bits %#x, want %#x", got, math.Float64bits(nanPayload))
+			}
+			if got, _ := mem.Load(1032, 8); got != math.Float64bits(nanPayload) {
+				return fmt.Sprintf("stored bits %#x, want %#x", got, math.Float64bits(nanPayload))
+			}
+			return ""
+		}},
+		{"negative-offset", func(b *guest.Builder) {
+			b.Li(1, 1024)
+			b.Li(2, 77)
+			b.St8(1, -8, 2)
+			b.Ld8(3, 1, -8)
+			b.St4(1, -1000, 3)
+			b.Ld4(4, 1, -1000)
+		}, func(st *guest.State, mem *guest.Memory) string {
+			if st.R[3] != 77 || st.R[4] != 77 {
+				return fmt.Sprintf("r3, r4 = %d, %d, want 77, 77", st.R[3], st.R[4])
+			}
+			if got, _ := mem.Load(1016, 8); got != 77 {
+				return fmt.Sprintf("mem[1016] = %d, want 77", got)
+			}
+			return ""
+		}},
+	}
+	for _, c := range cases {
+		for _, m := range hwModes {
+			t.Run(c.name+"/"+m.name, func(t *testing.T) {
+				b := guest.NewBuilder()
+				b.NewBlock()
+				c.build(b)
+				b.Halt()
+				seq, reg, insts, err := fuzzSchedule(b.MustProgram(), 0, m.mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cr := vliw.DefaultConfig().Compile(seq, reg, insts)
+				stRef, stDec := &guest.State{}, &guest.State{}
+				memRef, memDec := guest.NewMemory(1<<12), guest.NewMemory(1<<12)
+				resRef := vliw.ExecuteRef(seq, reg, stRef, memRef, m.det())
+				resDec := vliw.Execute(cr, stDec, memDec, m.det())
+				if resDec.Outcome != vliw.Commit || resDec.Outcome != resRef.Outcome ||
+					resDec.OpsExecuted != resRef.OpsExecuted || resDec.NextBlock != resRef.NextBlock {
+					t.Fatalf("decoded %+v, reference %+v, want matching commits", resDec, resRef)
+				}
+				for r := 0; r < guest.NumRegs; r++ {
+					if stDec.R[r] != stRef.R[r] || math.Float64bits(stDec.F[r]) != math.Float64bits(stRef.F[r]) {
+						t.Errorf("r%d/f%d = %d/%#x, reference %d/%#x", r, r, stDec.R[r],
+							math.Float64bits(stDec.F[r]), stRef.R[r], math.Float64bits(stRef.F[r]))
+					}
+				}
+				if memDec.Digest() != memRef.Digest() {
+					t.Error("memory digest diverged from the reference")
+				}
+				if msg := c.check(stDec, memDec); msg != "" {
+					t.Error(msg)
+				}
+			})
+		}
+	}
 }

@@ -11,7 +11,6 @@ package vliw
 
 import (
 	"fmt"
-	"math"
 
 	"smarq/internal/guest"
 	"smarq/internal/ir"
@@ -38,19 +37,15 @@ func pair(a, b int32) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) 
 
 // flagBits packs a decoded op's narrow fields into one hashed word.
 func (d *decOp) flagBits() uint64 {
-	w := uint64(d.arMask) | uint64(d.memSize)<<16 | uint64(d.kind)<<24 | uint64(d.gop)<<32
-	for i, b := range [...]bool{d.dstFloat, d.srcFloat0, d.p, d.c, d.onTraceTaken} {
-		if b {
-			w |= 1 << (40 + i)
-		}
-	}
-	return w
+	return uint64(d.arMask) | uint64(d.memSize)<<16 | uint64(d.kind)<<24 | uint64(d.gop)<<32 | uint64(d.flags)<<40
 }
 
 // Checksum returns the FNV-1a content hash of the compiled region: every
 // field of every decoded op (including the alias-register annotations
 // the executor trusts), the live-out maps, the vreg count, the final
-// target and the precomputed cycle cost. Any single-field corruption
+// target and the precomputed cycle cost. A decoded op's packed operand
+// word and flags byte are hashed as stored, so every bit is covered
+// whatever the op's kind makes it mean. Any single-field corruption
 // changes the hash.
 func (cr *CompiledRegion) Checksum() uint64 {
 	h := uint64(fnvOffset64)
@@ -65,13 +60,9 @@ func (cr *CompiledRegion) Checksum() uint64 {
 	for i := range cr.dec {
 		d := &cr.dec[i]
 		h = fnvInt(h, d.imm)
-		h = fnvWord(h, math.Float64bits(d.fimm))
-		h = fnvInt(h, d.memOff)
 		h = fnvWord(h, pair(d.id, d.dst))
 		h = fnvWord(h, pair(d.src0, d.src1))
 		h = fnvWord(h, pair(d.memBase, d.arOffset))
-		h = fnvWord(h, pair(d.amount, d.srcOff))
-		h = fnvWord(h, pair(d.dstOff, 0))
 		h = fnvWord(h, d.flagBits())
 	}
 	return h
@@ -149,8 +140,8 @@ func (cr *CompiledRegion) Validate() error {
 // Corrupt damages the compiled region in place, for host-fault injection.
 // structural writes an out-of-range destination vreg into the middle op,
 // which Validate rejects; otherwise it flips bits of the first op's
-// immediate, a field Validate does not constrain, so only a Checksum
-// comparison can catch it.
+// operand word (imm), a field Validate does not constrain, so only a
+// Checksum comparison can catch it.
 func (cr *CompiledRegion) Corrupt(structural bool) {
 	if structural {
 		cr.dec[len(cr.dec)/2].dst = int32(cr.NumVRegs + 1<<16)
