@@ -98,8 +98,10 @@ else
 endif
 
 # Short differential fuzz of the dynopt pipeline and of the decoded
-# interpreter engine (seed corpora also run under plain `go test`). Go
-# allows one -fuzz pattern per invocation, hence two commands.
+# interpreter engine: FuzzInterpDecoded drives interp.Run, a loop over the
+# same RunBlock that dynopt runs (seed corpora also run under plain
+# `go test`). Go allows one -fuzz pattern per invocation, hence two
+# commands.
 fuzz-smoke:
 	$(GO) test -run='^FuzzDynopt$$' -fuzz='^FuzzDynopt$$' -fuzztime=10s ./internal/dynopt
 	$(GO) test -run='^FuzzInterpDecoded$$' -fuzz='^FuzzInterpDecoded$$' -fuzztime=10s ./internal/interp

@@ -253,8 +253,9 @@ func BenchmarkALATOnMem(b *testing.B) {
 
 // BenchmarkInterpreter measures the pre-decoded engine's steady-state
 // dispatch rate per workload: the program is decoded once up front and
-// the same Interpreter replays 100k-instruction runs, so an iteration is
-// pure threaded dispatch at zero heap allocations (pinned by
+// the same Interpreter replays 100k-instruction runs through Run, a loop
+// over the RunBlock that dynopt runs, so an iteration is pure threaded
+// dispatch at zero heap allocations (pinned by
 // interp.TestInterpreterZeroAllocs).
 func BenchmarkInterpreter(b *testing.B) {
 	for _, name := range []string{"swim", "equake", "ammp"} {

@@ -332,8 +332,8 @@ type System struct {
 	// a false positive can only be silenced by not advancing the load at
 	// all; hardening the pair is not enough.
 	pinnedLoads map[int]map[int]bool
-	// fatalErr records a genuine guest fault hit while interpreting after
-	// a rollback, or a rollback invariant violation; Run surfaces it.
+	// fatalErr records a genuine guest fault hit while interpreting (see
+	// interpretOne), or a rollback invariant violation; Run surfaces it.
 	fatalErr error
 	// exceptions counts alias exceptions per region entry; past
 	// Recovery.MaxExceptionsPerRegion the region jumps to
@@ -571,16 +571,12 @@ func (s *System) Run(maxInsts uint64) (bool, error) {
 				continue
 			}
 		}
-		// Interpret one block; consider compiling its region.
-		before := s.it.DynInsts
-		next, err := s.it.RunBlock(id)
-		if err != nil {
-			return false, err
+		// Interpret one block; consider compiling its region. A guest
+		// fault has already been counted into Stats by interpretOne.
+		next := s.interpretOne(id)
+		if s.fatalErr != nil {
+			return false, s.fatalErr
 		}
-		insts := int64(s.it.DynInsts - before)
-		s.Stats.InterpCycles += insts * int64(s.cfg.Machine.InterpCyclesPerInst)
-		s.Stats.GuestInsts += insts
-		s.Stats.InterpretedInsts += insts
 
 		// RunBlock succeeded, so id indexes a real block (and its slot).
 		de := &s.disp[id]
@@ -842,10 +838,12 @@ func (s *System) demoteToConservative(entry int, rr *regionRecovery) {
 	}
 }
 
-// interpretOne interprets a single block after a rollback (the state is
-// back at the region entry) and returns the next block. An interpreter
-// error here means the guest itself faults architecturally at this point;
-// it is recorded and surfaced by Run.
+// interpretOne interprets a single block — Run's interpreted dispatch, or
+// the block after a rollback (the state is back at the region entry) — and
+// returns the next block. It is the one place interpreted instructions are
+// counted into Stats, faulting blocks included. An interpreter error means
+// the guest itself faults architecturally at this point; it is recorded in
+// fatalErr and surfaced by Run.
 func (s *System) interpretOne(id int) int {
 	before := s.it.DynInsts
 	next, err := s.it.RunBlock(id)

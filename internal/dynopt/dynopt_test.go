@@ -457,6 +457,43 @@ func TestGenuineGuestFaultSurfaces(t *testing.T) {
 	}
 }
 
+// TestInterpretedFaultCountedInStats: when a block Run interprets faults,
+// the instructions it retired before the fault are still counted into
+// Stats, and the error is the reference interpreter's, unchanged.
+func TestInterpretedFaultCountedInStats(t *testing.T) {
+	b := guest.NewBuilder()
+	b.NewBlock()
+	b.Li(1, 1<<40) // out of range
+	b.Li(2, 7)
+	b.Addi(3, 1, 8)
+	b.Ld8(4, 3, 0) // faults
+	b.Halt()
+	prog := b.MustProgram()
+
+	ref := interp.New(prog, &guest.State{}, guest.NewMemory(256))
+	ref.Ref = true
+	_, refErr := ref.Run(prog.Entry, 1_000)
+	if refErr == nil || ref.DynInsts != 3 {
+		t.Fatalf("reference: err=%v DynInsts=%d, want a fault after 3", refErr, ref.DynInsts)
+	}
+
+	sys := New(prog, &guest.State{}, guest.NewMemory(256), ConfigSMARQ(64))
+	halted, err := sys.Run(1_000)
+	if err == nil || halted {
+		t.Fatalf("halted=%v err=%v, want the guest fault", halted, err)
+	}
+	if err.Error() != refErr.Error() {
+		t.Errorf("err %q, reference %q", err, refErr)
+	}
+	s := &sys.Stats
+	if want := int64(ref.DynInsts); s.InterpretedInsts != want || s.GuestInsts != want {
+		t.Errorf("InterpretedInsts=%d GuestInsts=%d, want both %d", s.InterpretedInsts, s.GuestInsts, want)
+	}
+	if want := int64(ref.DynInsts) * int64(sys.cfg.Machine.InterpCyclesPerInst); s.InterpCycles != want {
+		t.Errorf("InterpCycles=%d, want %d", s.InterpCycles, want)
+	}
+}
+
 // TestDifferentialWithAblations: every ablated system must remain exactly
 // correct — the no-anti ablation in particular leans on rollback +
 // conservative re-optimization to absorb its false positives.

@@ -164,57 +164,100 @@ func TestInterpFusionMatchesReference(t *testing.T) {
 	}
 }
 
-// TestInterpFusedFaultRetirement: when the second half of a fused pair
-// faults, only the first instruction retires and the error matches the
-// reference exactly (the fault attribution contract of failBlock).
-func TestInterpFusedFaultRetirement(t *testing.T) {
-	build := func() *guest.Program {
-		b := guest.NewBuilder()
-		b.NewBlock()
-		b.Li(1, 1<<40) // way out of range
-		b.Addi(2, 1, 8)
-		b.Ld8(3, 2, 0) // fuses with the addi, then faults
-		b.Halt()
-		return b.MustProgram()
-	}
-	ref, haltedRef, errRef := runEngine(t, build(), 256, 1_000_000, true)
-	dec, haltedDec, errDec := runEngine(t, build(), 256, 1_000_000, false)
-	if errRef == nil {
-		t.Fatal("reference run did not fault")
-	}
-	diffEngines(t, "fused-fault", build(), dec, ref, haltedDec, haltedRef, errDec, errRef)
-	// li and addi retired; the faulting fused load did not.
-	if dec.DynInsts != 2 {
-		t.Fatalf("DynInsts = %d, want 2", dec.DynInsts)
+// fusedFaultCase is one fused memory form whose access faults: prefix
+// emits the instructions that feed the access and returns its base
+// register, access emits the access itself.
+type fusedFaultCase struct {
+	name   string
+	prefix func(b *guest.Builder) guest.Reg
+	access func(b *guest.Builder, base guest.Reg)
+	op     dOp    // the fused op the sequence must decode to
+	want   uint64 // DynInsts: the prefix retires, the faulting access does not
+}
+
+// checkFusedFaults runs each case through both engines. The decoded run
+// must hold the case's fused op (or the row proves nothing), retire
+// exactly the instructions before the faulting access, and match the
+// reference in every observable, error string included.
+func checkFusedFaults(t *testing.T, cases []fusedFaultCase) {
+	t.Helper()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *guest.Program {
+				b := guest.NewBuilder()
+				b.NewBlock()
+				tc.access(b, tc.prefix(b))
+				b.Halt()
+				return b.MustProgram()
+			}
+			ref, haltedRef, errRef := runEngine(t, build(), 256, 1_000_000, true)
+			dec, haltedDec, errDec := runEngine(t, build(), 256, 1_000_000, false)
+			fused := false
+			for _, in := range dec.dec.code {
+				fused = fused || in.op == tc.op
+			}
+			if !fused {
+				t.Fatalf("decoded program does not hold fused op %d", tc.op)
+			}
+			if errRef == nil {
+				t.Fatal("reference run did not fault")
+			}
+			diffEngines(t, tc.name, build(), dec, ref, haltedDec, haltedRef, errDec, errRef)
+			if dec.DynInsts != tc.want {
+				t.Fatalf("DynInsts = %d, want %d", dec.DynInsts, tc.want)
+			}
+		})
 	}
 }
 
-// TestInterpTripleFaultRetirement: when the memory access of a fused
-// scaled-index triple faults, the muli and add halves have retired (and
-// written their destinations) but the access has not, and the error
-// matches the reference exactly.
+// Fault-seeding accesses for the fused-fault tables: each goes through
+// base, which the prefix points way out of range.
+var (
+	ld1  = func(b *guest.Builder, base guest.Reg) { b.Ld1(4, base, 0) }
+	ld2  = func(b *guest.Builder, base guest.Reg) { b.Ld2(4, base, 0) }
+	ld4  = func(b *guest.Builder, base guest.Reg) { b.Ld4(4, base, 0) }
+	ld8  = func(b *guest.Builder, base guest.Reg) { b.Ld8(4, base, 0) }
+	fld8 = func(b *guest.Builder, base guest.Reg) { b.FLd8(4, base, 0) }
+	st8  = func(b *guest.Builder, base guest.Reg) { b.St8(base, 0, 4) }
+	fst8 = func(b *guest.Builder, base guest.Reg) { b.FSt8(base, 0, 4) }
+)
+
+// TestInterpFusedFaultRetirement: when the load of a fused addi+load pair
+// faults, the li before it and the addi half retire but the load does not,
+// for every access width.
+func TestInterpFusedFaultRetirement(t *testing.T) {
+	addi := func(b *guest.Builder) guest.Reg {
+		b.Li(1, 1<<40) // way out of range
+		b.Addi(2, 1, 8)
+		return 2
+	}
+	checkFusedFaults(t, []fusedFaultCase{
+		{"addi+ld1", addi, ld1, dAddiLd1, 2},
+		{"addi+ld2", addi, ld2, dAddiLd2, 2},
+		{"addi+ld4", addi, ld4, dAddiLd4, 2},
+		{"addi+ld8", addi, ld8, dAddiLd8, 2},
+		{"addi+fld8", addi, fld8, dAddiFLd8, 2},
+	})
+}
+
+// TestInterpTripleFaultRetirement: when the access of a fused
+// scaled-index triple faults, the two li before it and the muli and add
+// halves retire (and write their destinations) but the access does not,
+// for every fused load and store form.
 func TestInterpTripleFaultRetirement(t *testing.T) {
-	build := func() *guest.Program {
-		b := guest.NewBuilder()
-		b.NewBlock()
+	muliAdd := func(b *guest.Builder) guest.Reg {
 		b.Li(1, 1<<37)
 		b.Li(2, 8)
 		b.Muli(3, 1, 8) // 1<<40
 		b.Add(3, 2, 3)
-		b.Ld8(4, 3, 0) // fuses into the triple, then faults
-		b.Halt()
-		return b.MustProgram()
+		return 3
 	}
-	ref, haltedRef, errRef := runEngine(t, build(), 256, 1_000_000, true)
-	dec, haltedDec, errDec := runEngine(t, build(), 256, 1_000_000, false)
-	if errRef == nil {
-		t.Fatal("reference run did not fault")
-	}
-	diffEngines(t, "triple-fault", build(), dec, ref, haltedDec, haltedRef, errDec, errRef)
-	// li, li, muli and add retired; the faulting fused load did not.
-	if dec.DynInsts != 4 {
-		t.Fatalf("DynInsts = %d, want 4", dec.DynInsts)
-	}
+	checkFusedFaults(t, []fusedFaultCase{
+		{"muli+add+ld8", muliAdd, ld8, dMuliAddLd8, 4},
+		{"muli+add+fld8", muliAdd, fld8, dMuliAddFLd8, 4},
+		{"muli+add+st8", muliAdd, st8, dMuliAddSt8, 4},
+		{"muli+add+fst8", muliAdd, fst8, dMuliAddFSt8, 4},
+	})
 }
 
 // TestInterpBadOpcode: an opcode guest.Exec cannot execute surfaces the

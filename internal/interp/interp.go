@@ -462,12 +462,14 @@ func (it *Interpreter) RunBlock(id int) (int, error) {
 	return next, nil
 }
 
-// failBlock is the decoded engine's cold fault path: it folds the
-// instructions retired before the faulting one into DynInsts and
-// reproduces the reference interpreter's error for the original guest
-// instruction at index gi. The faulting instruction has had no
-// architectural effect, so re-running it through guest.Exec is
-// side-effect-free and yields the identical error chain.
+// failBlock is the decoded engine's only fault path, shared by every
+// exit of RunBlock's switch: it folds the block's instructions retired
+// before the faulting one — for a fused op, the halves that precede the
+// faulting access — into DynInsts and reproduces the reference
+// interpreter's error for the original guest instruction at index gi. The
+// faulting instruction has had no architectural effect, so re-running it
+// through guest.Exec is side-effect-free and yields the identical error
+// chain.
 //
 //go:noinline
 func (it *Interpreter) failBlock(id int, gi int32, retired uint64) (int, error) {
@@ -518,12 +520,11 @@ func (it *Interpreter) runBlockRef(id int) (int, error) {
 // depend on where the cap fell inside a block). dynopt.System.Run documents
 // the same contract at region granularity.
 //
-// Used for reference runs; the dynamic optimization system drives RunBlock
-// itself so it can switch between interpretation and translated regions.
+// Run is a loop over RunBlock, the same code the dynamic optimization
+// system drives block by block between translated regions, so every Run —
+// differential tests and fuzzing included — exercises the one decoded
+// dispatch switch dynopt executes.
 func (it *Interpreter) Run(entry int, maxInsts uint64) (halted bool, err error) {
-	if !it.Ref {
-		return it.runDecoded(entry, maxInsts)
-	}
 	id := entry
 	for id != HaltID {
 		if it.DynInsts >= maxInsts {
@@ -535,304 +536,4 @@ func (it *Interpreter) Run(entry int, maxInsts uint64) (halted bool, err error) 
 		}
 	}
 	return true, nil
-}
-
-// runDecoded is Run fused with the decoded RunBlock: the architectural
-// state, memory slice and retirement counter are hoisted into locals once
-// and stay in registers across block boundaries, so short-block programs
-// don't pay a call, slice construction and a counter flush per block.
-// Semantics are identical to the RunBlock-at-a-time loop above — same
-// between-blocks budget contract, same profile writes, same errors — and
-// the differential tests run both paths.
-func (it *Interpreter) runDecoded(entry int, maxInsts uint64) (bool, error) {
-	d := &it.dec
-	st := it.St
-	r := &st.R
-	f := &st.F
-	data := it.Mem.Bytes()
-	prof := it.Prof
-	dyn := it.DynInsts
-	id := entry
-	for {
-		if dyn >= maxInsts {
-			it.DynInsts = dyn
-			return false, nil
-		}
-		if uint(id) >= uint(len(d.blocks)) {
-			it.DynInsts = dyn
-			return false, fmt.Errorf("interp: no block %d", id)
-		}
-		prof.BlockCounts[id]++
-		b := d.blocks[id]
-		code := d.code[b.start:b.end:b.end]
-		next := int(b.fall)
-		slot := uint8(slotFall)
-		for i := 0; i < len(code); i++ {
-			in := &code[i]
-			switch in.op {
-			case dNop:
-			case dLi:
-				r[in.rd&regMask] = in.imm
-			case dMov:
-				r[in.rd&regMask] = r[in.rs1&regMask]
-			case dAdd:
-				r[in.rd&regMask] = r[in.rs1&regMask] + r[in.rs2&regMask]
-			case dSub:
-				r[in.rd&regMask] = r[in.rs1&regMask] - r[in.rs2&regMask]
-			case dMul:
-				r[in.rd&regMask] = r[in.rs1&regMask] * r[in.rs2&regMask]
-			case dDiv:
-				if r[in.rs2&regMask] == 0 {
-					r[in.rd&regMask] = 0
-				} else {
-					r[in.rd&regMask] = r[in.rs1&regMask] / r[in.rs2&regMask]
-				}
-			case dAnd:
-				r[in.rd&regMask] = r[in.rs1&regMask] & r[in.rs2&regMask]
-			case dOr:
-				r[in.rd&regMask] = r[in.rs1&regMask] | r[in.rs2&regMask]
-			case dXor:
-				r[in.rd&regMask] = r[in.rs1&regMask] ^ r[in.rs2&regMask]
-			case dShl:
-				r[in.rd&regMask] = r[in.rs1&regMask] << (uint64(r[in.rs2&regMask]) & 63)
-			case dShr:
-				r[in.rd&regMask] = r[in.rs1&regMask] >> (uint64(r[in.rs2&regMask]) & 63)
-			case dAddi:
-				r[in.rd&regMask] = r[in.rs1&regMask] + in.imm
-			case dMuli:
-				r[in.rd&regMask] = r[in.rs1&regMask] * in.imm
-			case dSlt:
-				v := int64(0)
-				if r[in.rs1&regMask] < r[in.rs2&regMask] {
-					v = 1
-				}
-				r[in.rd&regMask] = v
-			case dFLi:
-				f[in.rd&regMask] = math.Float64frombits(uint64(in.imm))
-			case dFMov:
-				f[in.rd&regMask] = f[in.rs1&regMask]
-			case dFAdd:
-				f[in.rd&regMask] = f[in.rs1&regMask] + f[in.rs2&regMask]
-			case dFSub:
-				f[in.rd&regMask] = f[in.rs1&regMask] - f[in.rs2&regMask]
-			case dFMul:
-				f[in.rd&regMask] = f[in.rs1&regMask] * f[in.rs2&regMask]
-			case dFDiv:
-				f[in.rd&regMask] = f[in.rs1&regMask] / f[in.rs2&regMask]
-			case dFNeg:
-				f[in.rd&regMask] = -f[in.rs1&regMask]
-			case dFAbs:
-				f[in.rd&regMask] = math.Abs(f[in.rs1&regMask])
-			case dFSqrt:
-				f[in.rd&regMask] = math.Sqrt(f[in.rs1&regMask])
-			case dCvtIF:
-				f[in.rd&regMask] = float64(r[in.rs1&regMask])
-			case dCvtFI:
-				r[in.rd&regMask] = int64(f[in.rs1&regMask])
-			case dLd1:
-				v, ok := guest.MemLoad1(data, uint64(r[in.rs1&regMask]+in.imm))
-				if !ok {
-					return false, it.failRun(id, in.gi, dyn)
-				}
-				r[in.rd&regMask] = int64(v)
-			case dLd2:
-				v, ok := guest.MemLoad2(data, uint64(r[in.rs1&regMask]+in.imm))
-				if !ok {
-					return false, it.failRun(id, in.gi, dyn)
-				}
-				r[in.rd&regMask] = int64(v)
-			case dLd4:
-				v, ok := guest.MemLoad4(data, uint64(r[in.rs1&regMask]+in.imm))
-				if !ok {
-					return false, it.failRun(id, in.gi, dyn)
-				}
-				r[in.rd&regMask] = int64(v)
-			case dLd8:
-				v, ok := guest.MemLoad8(data, uint64(r[in.rs1&regMask]+in.imm))
-				if !ok {
-					return false, it.failRun(id, in.gi, dyn)
-				}
-				r[in.rd&regMask] = int64(v)
-			case dSt1:
-				if !guest.MemStore1(data, uint64(r[in.rs1&regMask]+in.imm), uint64(r[in.rd&regMask])) {
-					return false, it.failRun(id, in.gi, dyn)
-				}
-			case dSt2:
-				if !guest.MemStore2(data, uint64(r[in.rs1&regMask]+in.imm), uint64(r[in.rd&regMask])) {
-					return false, it.failRun(id, in.gi, dyn)
-				}
-			case dSt4:
-				if !guest.MemStore4(data, uint64(r[in.rs1&regMask]+in.imm), uint64(r[in.rd&regMask])) {
-					return false, it.failRun(id, in.gi, dyn)
-				}
-			case dSt8:
-				if !guest.MemStore8(data, uint64(r[in.rs1&regMask]+in.imm), uint64(r[in.rd&regMask])) {
-					return false, it.failRun(id, in.gi, dyn)
-				}
-			case dFLd8:
-				v, ok := guest.MemLoad8(data, uint64(r[in.rs1&regMask]+in.imm))
-				if !ok {
-					return false, it.failRun(id, in.gi, dyn)
-				}
-				f[in.rd&regMask] = math.Float64frombits(v)
-			case dFSt8:
-				if !guest.MemStore8(data, uint64(r[in.rs1&regMask]+in.imm), math.Float64bits(f[in.rd&regMask])) {
-					return false, it.failRun(id, in.gi, dyn)
-				}
-			case dBeq:
-				if r[in.rs1&regMask] == r[in.rs2&regMask] {
-					next, slot = int(in.target), in.slot
-				}
-			case dBne:
-				if r[in.rs1&regMask] != r[in.rs2&regMask] {
-					next, slot = int(in.target), in.slot
-				}
-			case dBlt:
-				if r[in.rs1&regMask] < r[in.rs2&regMask] {
-					next, slot = int(in.target), in.slot
-				}
-			case dBge:
-				if r[in.rs1&regMask] >= r[in.rs2&regMask] {
-					next, slot = int(in.target), in.slot
-				}
-			case dJmp:
-				next, slot = int(in.target), in.slot
-			case dHalt:
-				dyn++
-				it.DynInsts = dyn
-				return true, nil
-			case dSltBeq:
-				v := int64(0)
-				if r[in.rs1&regMask] < r[in.rs2&regMask] {
-					v = 1
-				}
-				r[in.rd&regMask] = v
-				dyn++
-				if r[in.fd&regMask] == r[in.fs&regMask] {
-					next, slot = int(in.target), in.slot
-				}
-			case dSltBne:
-				v := int64(0)
-				if r[in.rs1&regMask] < r[in.rs2&regMask] {
-					v = 1
-				}
-				r[in.rd&regMask] = v
-				dyn++
-				if r[in.fd&regMask] != r[in.fs&regMask] {
-					next, slot = int(in.target), in.slot
-				}
-			case dAddiLd1:
-				a := r[in.rs1&regMask] + in.imm
-				r[in.rd&regMask] = a
-				v, ok := guest.MemLoad1(data, uint64(a+in.imm2))
-				if !ok {
-					return false, it.failRun(id, in.gi, dyn+1)
-				}
-				r[in.fd&regMask] = int64(v)
-				dyn++
-			case dAddiLd2:
-				a := r[in.rs1&regMask] + in.imm
-				r[in.rd&regMask] = a
-				v, ok := guest.MemLoad2(data, uint64(a+in.imm2))
-				if !ok {
-					return false, it.failRun(id, in.gi, dyn+1)
-				}
-				r[in.fd&regMask] = int64(v)
-				dyn++
-			case dAddiLd4:
-				a := r[in.rs1&regMask] + in.imm
-				r[in.rd&regMask] = a
-				v, ok := guest.MemLoad4(data, uint64(a+in.imm2))
-				if !ok {
-					return false, it.failRun(id, in.gi, dyn+1)
-				}
-				r[in.fd&regMask] = int64(v)
-				dyn++
-			case dAddiLd8:
-				a := r[in.rs1&regMask] + in.imm
-				r[in.rd&regMask] = a
-				v, ok := guest.MemLoad8(data, uint64(a+in.imm2))
-				if !ok {
-					return false, it.failRun(id, in.gi, dyn+1)
-				}
-				r[in.fd&regMask] = int64(v)
-				dyn++
-			case dAddiFLd8:
-				a := r[in.rs1&regMask] + in.imm
-				r[in.rd&regMask] = a
-				v, ok := guest.MemLoad8(data, uint64(a+in.imm2))
-				if !ok {
-					return false, it.failRun(id, in.gi, dyn+1)
-				}
-				f[in.fd&regMask] = math.Float64frombits(v)
-				dyn++
-			case dMuliAdd:
-				t := r[in.rs1&regMask] * in.imm
-				r[in.rd&regMask] = t
-				r[in.fd&regMask] = r[in.rs2&regMask] + t
-				dyn++
-			case dMuliAddLd8:
-				t := r[in.rs1&regMask] * in.imm
-				r[in.rd&regMask] = t
-				s := r[in.rs2&regMask] + t
-				r[in.fd&regMask] = s
-				v, ok := guest.MemLoad8(data, uint64(s+in.imm2))
-				if !ok {
-					return false, it.failRun(id, in.gi, dyn+2)
-				}
-				r[in.fs&regMask] = int64(v)
-				dyn += 2
-			case dMuliAddFLd8:
-				t := r[in.rs1&regMask] * in.imm
-				r[in.rd&regMask] = t
-				s := r[in.rs2&regMask] + t
-				r[in.fd&regMask] = s
-				v, ok := guest.MemLoad8(data, uint64(s+in.imm2))
-				if !ok {
-					return false, it.failRun(id, in.gi, dyn+2)
-				}
-				f[in.fs&regMask] = math.Float64frombits(v)
-				dyn += 2
-			case dMuliAddSt8:
-				t := r[in.rs1&regMask] * in.imm
-				r[in.rd&regMask] = t
-				s := r[in.rs2&regMask] + t
-				r[in.fd&regMask] = s
-				if !guest.MemStore8(data, uint64(s+in.imm2), uint64(r[in.fs&regMask])) {
-					return false, it.failRun(id, in.gi, dyn+2)
-				}
-				dyn += 2
-			case dMuliAddFSt8:
-				t := r[in.rs1&regMask] * in.imm
-				r[in.rd&regMask] = t
-				s := r[in.rs2&regMask] + t
-				r[in.fd&regMask] = s
-				if !guest.MemStore8(data, uint64(s+in.imm2), math.Float64bits(f[in.fs&regMask])) {
-					return false, it.failRun(id, in.gi, dyn+2)
-				}
-				dyn += 2
-			default: // dBad
-				return false, it.failRun(id, in.gi, dyn)
-			}
-			dyn++
-		}
-		c := &prof.succs[id][slot]
-		c.id = int32(next)
-		c.n++
-		id = next
-	}
-}
-
-// failRun is runDecoded's cold fault path: it flushes the retirement
-// count (dyn counts every instruction retired before the faulting one)
-// and reproduces the reference error exactly like failBlock.
-//
-//go:noinline
-func (it *Interpreter) failRun(id int, gi int32, dyn uint64) error {
-	it.DynInsts = dyn
-	in := it.Prog.Blocks[id].Insts[gi]
-	if _, err := guest.Exec(in, it.St, it.Mem); err != nil {
-		return fmt.Errorf("interp: B%d %s: %w", id, in, err)
-	}
-	return fmt.Errorf("interp: B%d %s: decoded fault not reproduced by reference", id, in)
 }
