@@ -110,7 +110,13 @@ fuzz-smoke:
 # guard-fail storms, compile failures, and the host fault classes: worker
 # panics, watchdog kills, poisoned results, memo pressure) with the
 # rollback invariant checker on, plus CLI replay smokes. SMARQ_CHAOS_FULL=1
-# widens to the full suite.
+# widens to the full suite. Two inline-compile chaos runs (ammp, and
+# equake with host faults, which exercises the worker-panic and poison
+# fallback) are compared against checked-in goldens: stdout exactly, the
+# metrics snapshot with smarq-golden. Refresh the goldens with:
+#   make chaos-smoke CHAOS_GOLDEN_OUT=testdata
+CHAOS_TMP = /tmp/smarq-chaos-smoke
+CHAOS_GOLDEN_OUT =
 chaos-smoke:
 	$(GO) test -count=1 ./internal/faultinject ./internal/health
 	$(GO) test -run='^TestChaos|^TestInvariantChecker|^TestSpuriousAlias|^TestCompileFail|^TestGuardFailInjection|^TestHostChaos|^TestWorkerPanic|^TestWatchdog|^TestPoisoned|^TestHealth|^TestMemoPressure' \
@@ -118,7 +124,25 @@ chaos-smoke:
 	$(GO) run ./cmd/smarq-run -bench equake -chaos-seed 7 -check-invariants >/dev/null
 	$(GO) run ./cmd/smarq-run -bench equake -chaos-seed 7 -chaos-host -health \
 		-compile-workers 2 -compile-memoize -check-invariants >/dev/null
+	rm -rf $(CHAOS_TMP) && mkdir -p $(CHAOS_TMP)
+	$(GO) run ./cmd/smarq-run -bench ammp -chaos-seed 7 \
+		-metrics $(CHAOS_TMP)/chaos-inline-ammp.metrics.golden.json \
+		> $(CHAOS_TMP)/chaos-inline-ammp.golden.txt
+	$(GO) run ./cmd/smarq-run -bench equake -chaos-seed 11 -chaos-host -health \
+		-check-invariants \
+		-metrics $(CHAOS_TMP)/chaos-inline-equake.metrics.golden.json \
+		> $(CHAOS_TMP)/chaos-inline-equake.golden.txt
+ifeq ($(CHAOS_GOLDEN_OUT),)
+	for b in ammp equake; do \
+		diff -u testdata/chaos-inline-$$b.golden.txt $(CHAOS_TMP)/chaos-inline-$$b.golden.txt || exit 1; \
+		$(GO) run ./cmd/smarq-golden -golden testdata/chaos-inline-$$b.metrics.golden.json \
+			-got $(CHAOS_TMP)/chaos-inline-$$b.metrics.golden.json || exit 1; \
+	done
 	@echo "chaos-smoke: ok"
+else
+	cp $(CHAOS_TMP)/chaos-inline-* $(CHAOS_GOLDEN_OUT)/
+	@echo "chaos-smoke: refreshed goldens in $(CHAOS_GOLDEN_OUT)"
+endif
 
 # Fleet gate: 8 concurrent tenants over the shared compile pool and
 # sharded code cache, under the race detector pinned to 2 cores, with
