@@ -23,6 +23,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sync"
@@ -182,11 +183,12 @@ var errWatchdogTimeout = errors.New("dynopt: compile watchdog deadline overrun")
 // expected to come out clean).
 var errPoisonedResult = errors.New("dynopt: poisoned compile result rejected")
 
-// compileInput is everything the pipeline reads, snapshotted on the
-// simulation thread at enqueue: the superblock is immutable after Form,
-// and the blacklist and pin sets are copied because the simulation thread
-// mutates the live maps on alias exceptions while a worker may still be
-// compiling.
+// compileInput is everything the pipeline reads. newCompileInput builds
+// it on the simulation thread at enqueue as a view: the superblock is
+// immutable after Form, but the blacklist and pin sets are the live maps,
+// which the simulation thread mutates on alias exceptions. An input that
+// outlives its request — handed to a worker, or kept by the installed
+// code for the reuse check — is a snapshot, with both sets copied.
 type compileInput struct {
 	entry     int
 	sb        *region.Superblock
@@ -195,10 +197,42 @@ type compileInput struct {
 	blacklist alias.Blacklist
 }
 
+// snapshot returns a heap copy of the input that owns its blacklist and
+// pin sets, so later mutation of the live maps cannot reach it.
+func (in *compileInput) snapshot() *compileInput {
+	c := *in
+	c.blacklist = nil
+	if len(in.blacklist) > 0 {
+		c.blacklist = maps.Clone(in.blacklist)
+	}
+	c.scfg.PinnedOps = nil
+	if len(in.scfg.PinnedOps) > 0 {
+		c.scfg.PinnedOps = maps.Clone(in.scfg.PinnedOps)
+	}
+	return &c
+}
+
+// equal reports whether two inputs are the same pipeline input, field by
+// field: the same superblock (by pointer — a re-formed one is new), the
+// same optimizer and scheduler configuration, and equal pin and blacklist
+// sets. The pipeline is a pure function of these, so equal inputs compile
+// to equal code. It never compares memo keys: a 64-bit hash collision
+// would install wrong code.
+func (in *compileInput) equal(o *compileInput) bool {
+	a, b := &in.scfg, &o.scfg
+	return in.sb == o.sb && in.optCfg == o.optCfg &&
+		a.Mode == b.Mode && a.NumAliasRegs == b.NumAliasRegs &&
+		a.StoreReorder == b.StoreReorder && a.ForceNonSpec == b.ForceNonSpec &&
+		a.PressureMargin == b.PressureMargin &&
+		a.Machine == b.Machine && a.Alloc == b.Alloc &&
+		maps.Equal(a.PinnedOps, b.PinnedOps) &&
+		maps.Equal(in.blacklist, o.blacklist)
+}
+
 // compileOutput is the pipeline's result plus everything the install
 // point needs to replay the compilation's simulated costs — memo hits
-// hand back the same object, so a hit must be observationally identical
-// to a re-run.
+// and inline re-installs hand back the same object, so either must be
+// observationally identical to a re-run.
 type compileOutput struct {
 	cr              *vliw.CompiledRegion
 	alloc           core.Stats
@@ -228,6 +262,9 @@ type pendingCompile struct {
 	key        compilequeue.Key
 	memoHit    bool
 	recompile  bool // old code still installed (promotion-style recompile)
+	// in is the snapshot of the inputs out was compiled from; the
+	// installed code keeps it for the inline reuse check.
+	in *compileInput
 	// hung marks a chaos-injected compile hang: no job is submitted, and
 	// the pending entry is killed by the watchdog at deadline.
 	hung bool
@@ -273,15 +310,17 @@ type compileQueue struct {
 	seq     int64
 }
 
-// newCompileInput snapshots entry's compile inputs, forming (and caching)
-// its superblock on first use.
-func (s *System) newCompileInput(entry int) (*compileInput, error) {
+// newCompileInput returns a view of entry's compile inputs over the live
+// blacklist and pin sets (see compileInput), forming (and caching) its
+// superblock on first use. Take a snapshot before the input outlives the
+// request.
+func (s *System) newCompileInput(entry int) (compileInput, error) {
 	sb, ok := s.sbCache[entry]
 	if !ok {
 		var err error
 		sb, err = region.Form(s.prog, s.it.Prof, entry, s.cfg.Region)
 		if err != nil {
-			return nil, err
+			return compileInput{}, err
 		}
 		s.sbCache[entry] = sb
 	}
@@ -291,38 +330,25 @@ func (s *System) newCompileInput(entry int) (*compileInput, error) {
 	// them into the memo key, so clamped and unclamped compiles of the
 	// same region never collide in the memo.
 	et := s.effectiveTier(entry)
-	in := &compileInput{
-		entry:  entry,
-		sb:     sb,
-		optCfg: s.optConfig(et),
-	}
-	if bl := s.blacklist[entry]; len(bl) > 0 {
-		in.blacklist = make(alias.Blacklist, len(bl))
-		for p := range bl {
-			in.blacklist[p] = true
-		}
-	}
-	var pins map[int]bool
-	if live := s.pinnedLoads[entry]; len(live) > 0 {
-		pins = make(map[int]bool, len(live))
-		for op := range live {
-			pins[op] = true
-		}
-	}
-	in.scfg = sched.Config{
-		Mode:           s.cfg.Mode,
-		NumAliasRegs:   s.cfg.NumAliasRegs,
-		StoreReorder:   s.cfg.StoreReorder && et < TierNoStoreReorder,
-		ForceNonSpec:   et >= TierConservative,
-		PinnedOps:      pins,
-		PressureMargin: 4,
-		Machine:        s.cfg.Machine,
-		Alloc: core.Options{
-			DisableAnti:     s.cfg.Ablation.Anti,
-			DisableRotation: s.cfg.Ablation.Rotation,
+	return compileInput{
+		entry:     entry,
+		sb:        sb,
+		optCfg:    s.optConfig(et),
+		blacklist: s.blacklist[entry],
+		scfg: sched.Config{
+			Mode:           s.cfg.Mode,
+			NumAliasRegs:   s.cfg.NumAliasRegs,
+			StoreReorder:   s.cfg.StoreReorder && et < TierNoStoreReorder,
+			ForceNonSpec:   et >= TierConservative,
+			PinnedOps:      s.pinnedLoads[entry],
+			PressureMargin: 4,
+			Machine:        s.cfg.Machine,
+			Alloc: core.Options{
+				DisableAnti:     s.cfg.Ablation.Anti,
+				DisableRotation: s.cfg.Ablation.Rotation,
+			},
 		},
-	}
-	return in, nil
+	}, nil
 }
 
 // arenaPool recycles translate arenas across compiles. Each pipeline run
@@ -773,10 +799,20 @@ func (s *System) recompileRegion(entry int, stale bool) {
 	}
 }
 
-// enqueueCompile snapshots entry's inputs, probes the compile-output
-// cache and counts the request; then it either runs the job and installs
-// the result inline or queues it (queueCompile). Single-flight per entry:
-// a live pending compile absorbs the request.
+// enqueueCompile builds entry's inputs, probes the compile-output cache
+// and counts the request; then it either runs the job and installs the
+// result inline or queues it (queueCompile). Single-flight per entry: a
+// live pending compile absorbs the request.
+//
+// Re-install, don't recompile: an inline request whose inputs equal the
+// installed code's (compileInput.equal) — an injected alias exception
+// carries no pair and moves no tier, yet its rollback still asks for a
+// recompile — installs that code's output again instead of running the
+// pipeline. The install path is unchanged, so the result is screened by
+// admitOutput and charged exactly like a fresh compile of the same
+// input. Every chaos draw still happens, in the same order, and reuse
+// requires that no host fault fired: a panic or poison draw always gets
+// a fresh job, which can never touch the installed code.
 func (s *System) enqueueCompile(entry int) error {
 	if s.cq.pending[entry] != nil {
 		return nil
@@ -798,18 +834,27 @@ func (s *System) enqueueCompile(entry int) error {
 		readyAt:    now,
 		recompile:  s.disp[entry].code != nil,
 	}
-	key, out, flight, leader := s.lookupOutput(entry, in)
+	key, out, flight, leader := s.lookupOutput(entry, &in)
 	p.key, p.out, p.memoHit = key, out, out != nil
 	s.Stats.Compile.Enqueued++
 	if !s.cq.inline {
-		s.queueCompile(in, p, flight, leader)
+		p.in = in.snapshot()
+		s.queueCompile(p, flight, leader)
 		return nil
 	}
 	// Inline: the job runs here on the simulation thread and installs
 	// before the request returns, so p never enters pending or queue.
-	if !p.memoHit {
+	if p.memoHit {
+		p.in = in.snapshot()
+	} else {
 		panicInject, _, poison := s.drawHostFaults(entry, false)
-		p.out = runCompileJob(in, panicInject, poison)
+		if c := s.disp[entry].code; c != nil && !panicInject &&
+			poison == faultinject.PoisonNone && c.in.equal(&in) {
+			p.in, p.out = c.in, c.out
+		} else {
+			p.in = in.snapshot()
+			p.out = runCompileJob(p.in, panicInject, poison)
+		}
 	}
 	s.installPending(&p)
 	return nil
@@ -820,8 +865,8 @@ func (s *System) enqueueCompile(entry int) error {
 // cache already holds the result or another tenant's flight will deliver
 // it), and queues p in install order. p arrives by value: only a queued
 // compile outlives its request, so only it is moved to the heap.
-func (s *System) queueCompile(in *compileInput, p pendingCompile, flight *codecache.Flight[*compileOutput], leader bool) {
-	cq, entry, key, now := s.cq, p.entry, p.key, p.enqueuedAt
+func (s *System) queueCompile(p pendingCompile, flight *codecache.Flight[*compileOutput], leader bool) {
+	cq, in, entry, key, now := s.cq, p.in, p.entry, p.key, p.enqueuedAt
 	cost := int64(s.cfg.Machine.CompileCyclesPerInst)*int64(len(in.sb.Insts)) +
 		int64(s.cfg.Machine.CompileCyclesPerCheck)*int64(in.sb.NumMemOps())
 	cq.seq++
@@ -993,14 +1038,14 @@ func (s *System) installPending(p *pendingCompile) {
 	if !p.memoHit {
 		s.storeOutput(p.key, out)
 	}
-	s.installOutput(p.entry, out, latency)
+	s.installOutput(p.entry, p.in, out, latency)
 	s.Stats.Compile.Installed++
 }
 
-// installOutput installs a successful compile result: cycle accounting,
-// code cache insert (with capacity eviction), per-region statistics and
-// the compile telemetry event.
-func (s *System) installOutput(entry int, out *compileOutput, latency int64) {
+// installOutput installs a successful compile result, compiled from in:
+// cycle accounting, code cache insert (with capacity eviction),
+// per-region statistics and the compile telemetry event.
+func (s *System) installOutput(entry int, in *compileInput, out *compileOutput, latency int64) {
 	s.Stats.OverflowRetries += out.overflowRetries
 	if s.cq.inline {
 		// An inline compile executes on the critical path (the paper's
@@ -1020,7 +1065,7 @@ func (s *System) installOutput(entry int, out *compileOutput, latency int64) {
 		s.Stats.RegionsCompiled++
 	}
 	s.setCode(entry, &compiled{
-		cr: out.cr, lastUse: s.entrySeq,
+		cr: out.cr, in: in, out: out, lastUse: s.entrySeq,
 		installedAt: s.now(), fresh: true,
 	})
 

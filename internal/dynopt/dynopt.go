@@ -286,7 +286,12 @@ type Stats struct {
 }
 
 type compiled struct {
-	cr         *vliw.CompiledRegion
+	cr *vliw.CompiledRegion
+	// in and out are the snapshotted inputs and the compile output cr was
+	// installed from: an inline recompile with equal inputs re-installs
+	// out instead of running the pipeline (see enqueueCompile).
+	in         *compileInput
+	out        *compileOutput
 	failStreak int
 	// lastUse is the dispatch sequence number of the region's most
 	// recent execution — the code cache eviction clock.
@@ -770,7 +775,10 @@ func (s *System) runRegion(entry int, c *compiled) int {
 			s.cancelPending(entry, telemetry.CauseStale)
 			s.dropCode(entry)
 		} else {
-			// The trapped code is stale: its pair is now hardened.
+			// Re-optimize: a learned pair or tier move makes the trapped
+			// code stale. An injected exception carries no pair, so the
+			// inputs usually still equal the installed code's, and an
+			// inline recompile then re-installs that code.
 			s.recompileRegion(entry, true)
 		}
 		// Make forward progress in the interpreter before re-dispatching.

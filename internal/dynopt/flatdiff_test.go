@@ -92,10 +92,10 @@ func TestCompileFlatMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					keyBefore := memoKey(in)
-					fout := runCompilePipeline(in)
-					rout := runCompilePipelineRef(in)
-					if keyAfter := memoKey(in); keyAfter != keyBefore {
+					keyBefore := memoKey(&in)
+					fout := runCompilePipeline(&in)
+					rout := runCompilePipelineRef(&in)
+					if keyAfter := memoKey(&in); keyAfter != keyBefore {
 						t.Errorf("B%d: pipeline mutated its input: memo key %x -> %x", entry, keyBefore, keyAfter)
 					}
 					compareOutputs(t, entry, fout, rout)

@@ -24,7 +24,7 @@ func sampleCompileInput(t *testing.T) *compileInput {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return in
+		return in.snapshot()
 	}
 	t.Fatal("run formed no superblocks")
 	return nil

@@ -1,0 +1,295 @@
+package dynopt
+
+import (
+	"reflect"
+	"testing"
+
+	"smarq/internal/alias"
+	"smarq/internal/faultinject"
+	"smarq/internal/guest"
+	"smarq/internal/workload"
+)
+
+// countPipelineRuns swaps the compile pipeline for a counting wrapper
+// until the test ends. Only inline systems may use it: they call the
+// pipeline on the simulation thread, so the count needs no lock.
+func countPipelineRuns(t *testing.T) *int {
+	t.Helper()
+	n := new(int)
+	compilePipeline = func(in *compileInput) *compileOutput {
+		*n++
+		return runCompilePipeline(in)
+	}
+	t.Cleanup(func() { compilePipeline = runCompilePipeline })
+	return n
+}
+
+// installedSystem runs the aliasing program inline to halt and returns
+// the system with the entry of one region whose code is still installed.
+func installedSystem(t *testing.T) (*System, int) {
+	t.Helper()
+	sys := New(aliasingProgram(800, 7), &guest.State{}, guest.NewMemory(1<<16), ConfigSMARQ(64))
+	if halted, err := sys.Run(50_000_000); err != nil || !halted {
+		t.Fatalf("halted=%v err=%v", halted, err)
+	}
+	for e := range sys.disp {
+		if sys.disp[e].code != nil {
+			return sys, e
+		}
+	}
+	t.Fatal("run left no region installed")
+	return nil, 0
+}
+
+// TestInlineRecompileReusesInstalledCode: an inline recompile whose
+// inputs equal the installed code's re-installs that code without running
+// the pipeline, and charges it exactly like a fresh compile.
+func TestInlineRecompileReusesInstalledCode(t *testing.T) {
+	sys, e := installedSystem(t)
+	runs := countPipelineRuns(t)
+	old := sys.disp[e].code
+	before := sys.Stats
+
+	sys.recompileRegion(e, true)
+
+	if *runs != 0 {
+		t.Errorf("pipeline ran %d times for unchanged inputs, want 0", *runs)
+	}
+	c := sys.disp[e].code
+	if c == nil || c.cr != old.cr {
+		t.Fatal("the recompile did not re-install the installed CompiledRegion")
+	}
+	if got, want := sys.Stats.Recompiles, before.Recompiles+1; got != want {
+		t.Errorf("Recompiles %d, want %d", got, want)
+	}
+	m := sys.cfg.Machine
+	if got, want := sys.Stats.OptCycles, before.OptCycles+old.out.numOps*int64(m.OptCyclesPerOp); got != want {
+		t.Errorf("OptCycles %d, want %d (one more compile's charge)", got, want)
+	}
+	if got, want := sys.Stats.SchedCycles, before.SchedCycles+old.out.numOps*int64(m.SchedCyclesPerOp); got != want {
+		t.Errorf("SchedCycles %d, want %d (one more compile's charge)", got, want)
+	}
+	if got, want := sys.Stats.Compile.Installed, before.Compile.Installed+1; got != want {
+		t.Errorf("Compile.Installed %d, want %d", got, want)
+	}
+}
+
+// TestInlineRecompileFreshOnChangedInputs: any change to the inputs — a
+// new blacklist pair, a new pin, a tier move, a re-formed superblock —
+// runs the pipeline again.
+func TestInlineRecompileFreshOnChangedInputs(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		change func(sys *System, e int)
+	}{
+		{"blacklist", func(sys *System, e int) {
+			bl := sys.blacklist[e]
+			if bl == nil {
+				bl = make(alias.Blacklist)
+				sys.blacklist[e] = bl
+			}
+			// Mutate the live map in place: the installed snapshot must not
+			// see the new pair.
+			for a := 1000; ; a++ {
+				if p := alias.MakePair(a, a+1); !bl[p] {
+					bl[p] = true
+					return
+				}
+			}
+		}},
+		{"pin", func(sys *System, e int) {
+			pins := sys.pinnedLoads[e]
+			if pins == nil {
+				pins = make(map[int]bool)
+				sys.pinnedLoads[e] = pins
+			}
+			for op := 0; ; op++ {
+				if !pins[op] {
+					pins[op] = true
+					return
+				}
+			}
+		}},
+		{"tier", func(sys *System, e int) {
+			rr := sys.recoveryOf(e)
+			rr.tier = (rr.tier + 1) % TierPinned
+		}},
+		{"reformed", func(sys *System, e int) {
+			delete(sys.sbCache, e)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, e := installedSystem(t)
+			runs := countPipelineRuns(t)
+			// Two rounds: the second mutates live state that the first
+			// round's install already snapshotted.
+			for round := 1; round <= 2; round++ {
+				old := sys.disp[e].code
+				tc.change(sys, e)
+				sys.recompileRegion(e, true)
+				if *runs != round {
+					t.Fatalf("round %d: %d pipeline runs, want %d", round, *runs, round)
+				}
+				if c := sys.disp[e].code; c == nil || c.cr == old.cr {
+					t.Fatalf("round %d: changed inputs did not install fresh code", round)
+				}
+			}
+		})
+	}
+}
+
+// TestHostFaultDrawForcesFreshJob: a worker-panic or poison draw always
+// gets a fresh job, even when the inputs equal the installed code's, and
+// the fault never reaches the installed code.
+func TestHostFaultDrawForcesFreshJob(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		chaos    faultinject.Config
+		wantRuns int // a panic strikes before the pipeline starts
+	}{
+		{"poison", faultinject.Config{Seed: 1, PoisonResultRate: 1}, 1},
+		{"panic", faultinject.Config{Seed: 1, WorkerPanicRate: 1}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, e := installedSystem(t)
+			sys.inj = faultinject.New(tc.chaos)
+			runs := countPipelineRuns(t)
+			old := sys.disp[e].code.cr
+			sum := old.Checksum()
+			before := sys.Stats.Compile
+
+			sys.recompileRegion(e, true)
+
+			if *runs != tc.wantRuns {
+				t.Errorf("%d pipeline runs, want %d", *runs, tc.wantRuns)
+			}
+			if sys.Stats.Compile.Failed != before.Failed+1 {
+				t.Errorf("Compile.Failed %d, want %d: the faulted job was not screened",
+					sys.Stats.Compile.Failed, before.Failed+1)
+			}
+			if sys.disp[e].code != nil {
+				t.Error("the installed code survived a failed superseding compile")
+			}
+			if got := old.Checksum(); got != sum {
+				t.Errorf("the previously installed code changed: checksum %#x, was %#x", got, sum)
+			}
+			if err := old.Validate(); err != nil {
+				t.Errorf("the previously installed code no longer validates: %v", err)
+			}
+		})
+	}
+}
+
+// TestReusePipelineRunsAmmpChaos pins how many of ammp's inline compiles
+// under the default chaos mix run the pipeline: most requests follow an
+// injected alias exception that changes no input, and re-install.
+func TestReusePipelineRunsAmmpChaos(t *testing.T) {
+	var bm workload.Benchmark
+	for _, b := range workload.Suite() {
+		if b.Name == "ammp" {
+			bm = b
+		}
+	}
+	runs := countPipelineRuns(t)
+	cfg := ConfigSMARQ(64)
+	cfg.Chaos = faultinject.Default(7)
+	sys := New(bm.Build(), &guest.State{}, guest.NewMemory(bm.MemSize), cfg)
+	if halted, err := sys.Run(bm.MaxInsts); err != nil || !halted {
+		t.Fatalf("halted=%v err=%v", halted, err)
+	}
+	const wantEnqueued, wantRuns = 208, 20
+	if got := sys.Stats.Compile.Enqueued; got != wantEnqueued {
+		t.Errorf("Compile.Enqueued %d, want %d", got, wantEnqueued)
+	}
+	if *runs != wantRuns {
+		t.Errorf("%d pipeline runs for %d enqueued compiles, want %d", *runs, sys.Stats.Compile.Enqueued, wantRuns)
+	}
+}
+
+// TestReuseDecisionZeroAllocs pins the reuse decision — building the
+// input view and comparing it with the installed snapshot — at zero heap
+// allocations: the pin and blacklist copies are made only when the
+// pipeline runs. The live sets are deliberately nonempty.
+func TestReuseDecisionZeroAllocs(t *testing.T) {
+	sys, e := installedSystem(t)
+	sys.blacklist[e] = alias.Blacklist{alias.MakePair(3, 1): true, alias.MakePair(2, 5): true}
+	sys.pinnedLoads[e] = map[int]bool{9: true, 2: true}
+	sys.recompileRegion(e, true)
+	c := sys.disp[e].code
+	if c == nil {
+		t.Fatal("recompile installed no code")
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		in, err := sys.newCompileInput(e)
+		if err != nil || !c.in.equal(&in) {
+			t.Fatalf("unchanged inputs do not compare equal (err %v)", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("the reuse decision allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestInputEqualCoversEveryField requires every optimizer and scheduler
+// configuration field, and both sets, to reach compileInput.equal, so a
+// field added to opt.Config, sched.Config, vliw.Config or core.Options
+// cannot silently fall out of the reuse check.
+func TestInputEqualCoversEveryField(t *testing.T) {
+	base := sampleCompileInput(t)
+	for _, root := range []string{"optCfg", "scfg", "blacklist"} {
+		in := base.snapshot()
+		perturbEach(t, reflect.ValueOf(in).Elem().FieldByName(root), root, func(path string) {
+			if base.equal(in) {
+				t.Errorf("%s does not reach compileInput.equal", path)
+			}
+		})
+		if !base.equal(in) {
+			t.Errorf("%s: perturbation not restored", root)
+		}
+	}
+}
+
+// perturbEach changes each leaf under v in turn (an integer by one, a
+// bool flipped, a map by one extra entry), calls check, and restores it.
+func perturbEach(t *testing.T, v reflect.Value, path string, check func(path string)) {
+	t.Helper()
+	// Unexported fields are reached through an addressable copy of the
+	// pointer, which lets reflect set them.
+	v = reflect.NewAt(v.Type(), v.Addr().UnsafePointer()).Elem()
+	orig := reflect.New(v.Type()).Elem()
+	orig.Set(v)
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			perturbEach(t, v.Field(i), path+"."+v.Type().Field(i).Name, check)
+		}
+		return
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Map:
+		m := reflect.MakeMap(v.Type())
+		for it := v.MapRange(); it.Next(); {
+			m.SetMapIndex(it.Key(), it.Value())
+		}
+		// A key not yet present: count up its first int (an op ID, or a
+		// pair's first op).
+		k := reflect.New(v.Type().Key()).Elem()
+		n := k
+		if n.Kind() == reflect.Struct {
+			n = n.Field(0)
+		}
+		for m.MapIndex(k).IsValid() {
+			n.SetInt(n.Int() + 1)
+		}
+		m.SetMapIndex(k, reflect.ValueOf(true))
+		v.Set(m)
+	default:
+		t.Fatalf("%s: no perturbation for kind %v", path, v.Kind())
+	}
+	check(path)
+	v.Set(orig)
+}

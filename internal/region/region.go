@@ -10,6 +10,7 @@ package region
 
 import (
 	"fmt"
+	"slices"
 
 	"smarq/internal/guest"
 	"smarq/internal/interp"
@@ -103,33 +104,27 @@ func (sb *Superblock) String() string {
 
 // Form grows a superblock starting at seed along the hottest successors in
 // prof, per cfg. It returns an error when the seed block does not exist.
+//
+// Formation walks the trace once to choose its blocks and count their
+// instructions, then fills sb.Insts, unrolled copies included, in one
+// exact-size allocation.
 func Form(prog *guest.Program, prof *interp.Profile, seed int, cfg Config) (*Superblock, error) {
 	if prog.Block(seed) == nil {
 		return nil, fmt.Errorf("region: seed block %d does not exist", seed)
 	}
 	sb := &Superblock{Entry: seed, FinalTarget: interp.HaltID}
 	seedCount := float64(prof.BlockCounts[seed])
-	inTrace := make(map[int]bool)
 
+	// Choose the blocks. Every block contributes all its instructions:
+	// its body, plus its terminator as a guard, a jump or the final Halt.
+	n := 0
 	cur := seed
 	for {
 		blk := prog.Block(cur)
 		sb.Blocks = append(sb.Blocks, cur)
-		inTrace[cur] = true
-
-		// Copy instructions; the terminator is handled after we know
-		// whether the trace continues and in which direction.
 		term, hasTerm := blk.Terminator()
-		body := blk.Insts
-		if hasTerm {
-			body = body[:len(body)-1]
-		}
-		for j, in := range body {
-			sb.Insts = append(sb.Insts, Inst{Inst: in, GBlock: cur, GIndex: j})
-		}
-
 		if hasTerm && term.Op == guest.Halt {
-			sb.Insts = append(sb.Insts, Inst{Inst: term, GBlock: cur, GIndex: len(blk.Insts) - 1})
+			n += len(blk.Insts)
 			sb.FinalTarget = interp.HaltID
 			break
 		}
@@ -143,57 +138,86 @@ func Form(prog *guest.Program, prof *interp.Profile, seed int, cfg Config) (*Sup
 			edgeCount = 0
 		}
 
-		stop := inTrace[next] ||
-			len(sb.Blocks) >= cfg.MaxBlocks ||
-			len(sb.Insts)+len(blk.Insts) > cfg.MaxInsts ||
-			(seedCount > 0 && float64(edgeCount) < cfg.ColdRatio*seedCount)
-
+		// The size cap: the instructions placed so far, including this
+		// block's body but not its terminator, plus this block's length
+		// as the estimate of the next block's.
+		body := len(blk.Insts)
 		if hasTerm {
-			ri := Inst{Inst: term, GBlock: cur, GIndex: len(blk.Insts) - 1}
-			if term.Op.IsBranch() {
-				ri.IsGuard = true
-				ri.OnTraceTaken = next == term.Target
-				if ri.OnTraceTaken {
-					ri.OffTrace = cur + 1
-				} else {
-					ri.OffTrace = term.Target
-				}
-				// A branch whose two successors coincide needs no guard.
-				if term.Target == cur+1 {
-					ri.IsGuard = false
-				}
-			}
-			sb.Insts = append(sb.Insts, ri)
+			body--
 		}
-
+		stop := slices.Contains(sb.Blocks, next) ||
+			len(sb.Blocks) >= cfg.MaxBlocks ||
+			n+body+len(blk.Insts) > cfg.MaxInsts ||
+			(seedCount > 0 && float64(edgeCount) < cfg.ColdRatio*seedCount)
+		n += len(blk.Insts)
 		if stop {
 			sb.FinalTarget = next
 			break
 		}
 		cur = next
 	}
-	unroll(sb, cfg)
+
+	copies := unrollFactor(sb, n, cfg)
+	sb.Insts = make([]Inst, 0, n*copies)
+	for i, cur := range sb.Blocks {
+		blk := prog.Block(cur)
+		term, hasTerm := blk.Terminator()
+		body := blk.Insts
+		if hasTerm {
+			body = body[:len(body)-1]
+		}
+		for j, in := range body {
+			sb.Insts = append(sb.Insts, Inst{Inst: in, GBlock: cur, GIndex: j})
+		}
+		if !hasTerm {
+			continue
+		}
+		ri := Inst{Inst: term, GBlock: cur, GIndex: len(blk.Insts) - 1}
+		if term.Op.IsBranch() {
+			// The on-trace successor: the next block, or past the last
+			// block the trace's final target.
+			next := sb.FinalTarget
+			if i+1 < len(sb.Blocks) {
+				next = sb.Blocks[i+1]
+			}
+			ri.IsGuard = true
+			ri.OnTraceTaken = next == term.Target
+			if ri.OnTraceTaken {
+				ri.OffTrace = cur + 1
+			} else {
+				ri.OffTrace = term.Target
+			}
+			// A branch whose two successors coincide needs no guard.
+			if term.Target == cur+1 {
+				ri.IsGuard = false
+			}
+		}
+		sb.Insts = append(sb.Insts, ri)
+	}
+	for k := 1; k < copies; k++ {
+		sb.Insts = append(sb.Insts, sb.Insts[:n]...)
+	}
+	if copies > 1 {
+		sb.UnrollFactor = copies
+	}
 	return sb, nil
 }
 
-// unroll replicates a loop-shaped trace body. The loop-back branch at the
-// end of each copy is already a guard asserting the on-trace (taken)
-// direction, so plain concatenation is semantically exact: a committed
-// region execution retires cfg.Unroll iterations, and any early loop exit
-// fails a guard and rolls back to the region entry as usual. Virtual
-// register renaming during translation links copy k+1's uses to copy k's
-// definitions with no extra work.
-func unroll(sb *Superblock, cfg Config) {
+// unrollFactor returns how many copies of a loop-shaped trace body of n
+// instructions the superblock holds: cfg.Unroll when the trace loops back
+// to its entry and the copies fit in cfg.MaxInsts, else 1. The loop-back
+// branch at the end of each copy is already a guard asserting the
+// on-trace (taken) direction, so plain concatenation is semantically
+// exact: a committed region execution retires cfg.Unroll iterations, and
+// any early loop exit fails a guard and rolls back to the region entry as
+// usual. Virtual register renaming during translation links copy k+1's
+// uses to copy k's definitions with no extra work.
+func unrollFactor(sb *Superblock, n int, cfg Config) int {
 	if cfg.Unroll <= 1 || sb.FinalTarget != sb.Entry {
-		return
+		return 1
 	}
-	if len(sb.Insts)*cfg.Unroll > cfg.MaxInsts && cfg.MaxInsts > 0 {
-		return
+	if n*cfg.Unroll > cfg.MaxInsts && cfg.MaxInsts > 0 {
+		return 1
 	}
-	body := make([]Inst, len(sb.Insts))
-	copy(body, sb.Insts)
-	for k := 1; k < cfg.Unroll; k++ {
-		sb.Insts = append(sb.Insts, body...)
-	}
-	sb.UnrollFactor = cfg.Unroll
+	return cfg.Unroll
 }

@@ -232,3 +232,21 @@ func TestUnrollRespectsMaxInsts(t *testing.T) {
 		t.Error("unroll exceeded MaxInsts")
 	}
 }
+
+// TestFormAllocatesInstsOnce: formation sizes sb.Insts exactly, unrolled
+// copies included, so it never grows by doubling.
+func TestFormAllocatesInstsOnce(t *testing.T) {
+	prog := loopProgram()
+	prof := profileOf(t, prog)
+	for _, unroll := range []int{0, 3} {
+		cfg := DefaultConfig()
+		cfg.Unroll = unroll
+		sb, err := Form(prog, prof, 1, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sb.Insts) == 0 || cap(sb.Insts) != len(sb.Insts) {
+			t.Errorf("Unroll %d: %d insts in capacity %d, want an exact fit", unroll, len(sb.Insts), cap(sb.Insts))
+		}
+	}
+}

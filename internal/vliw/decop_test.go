@@ -1,6 +1,7 @@
 package vliw
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"unsafe"
@@ -135,5 +136,50 @@ func TestChecksumCoversPackedFields(t *testing.T) {
 				t.Errorf("flipping the %s of slot %d left the checksum at %#x", tc.name, tc.slot, sum)
 			}
 		})
+	}
+}
+
+// TestChecksumCoversEveryBit flips, one at a time, every bit of every
+// word the checksum hashes — the header, the live-out maps and each
+// field of each decoded op — and requires the sum to change each time.
+func TestChecksumCoversEveryBit(t *testing.T) {
+	cr, _ := packedRegion(t)
+	sum := cr.Checksum()
+	check := func(name string, bits uint, flip func(b uint)) {
+		t.Helper()
+		for b := uint(0); b < bits; b++ {
+			flip(b)
+			if cr.Checksum() == sum {
+				t.Errorf("flipping bit %d of %s left the checksum at %#x", b, name, sum)
+			}
+			flip(b)
+		}
+	}
+	check("Cycles", 64, func(b uint) { cr.Cycles ^= 1 << b })
+	check("GuestInsts", 64, func(b uint) { cr.GuestInsts ^= 1 << b })
+	check("NumVRegs", 64, func(b uint) { cr.NumVRegs ^= 1 << b })
+	check("FinalTarget", 64, func(b uint) { cr.FinalTarget ^= 1 << b })
+	for r := range cr.IntOut {
+		check(fmt.Sprintf("IntOut[%d]", r), 32, func(b uint) { cr.IntOut[r] ^= 1 << b })
+		check(fmt.Sprintf("FloatOut[%d]", r), 32, func(b uint) { cr.FloatOut[r] ^= 1 << b })
+	}
+	for i := range cr.dec {
+		d := &cr.dec[i]
+		op := func(field string) string { return fmt.Sprintf("op %d %s", i, field) }
+		check(op("imm"), 64, func(b uint) { d.imm ^= 1 << b })
+		check(op("id"), 32, func(b uint) { d.id ^= 1 << b })
+		check(op("dst"), 32, func(b uint) { d.dst ^= 1 << b })
+		check(op("src0"), 32, func(b uint) { d.src0 ^= 1 << b })
+		check(op("src1"), 32, func(b uint) { d.src1 ^= 1 << b })
+		check(op("memBase"), 32, func(b uint) { d.memBase ^= 1 << b })
+		check(op("arOffset"), 32, func(b uint) { d.arOffset ^= 1 << b })
+		check(op("arMask"), 16, func(b uint) { d.arMask ^= 1 << b })
+		check(op("memSize"), 8, func(b uint) { d.memSize ^= 1 << b })
+		check(op("kind"), 8, func(b uint) { d.kind ^= 1 << b })
+		check(op("gop"), 8, func(b uint) { d.gop ^= 1 << b })
+		check(op("flags"), 8, func(b uint) { d.flags ^= 1 << b })
+	}
+	if cr.Checksum() != sum {
+		t.Fatal("the flips were not all undone")
 	}
 }

@@ -21,14 +21,11 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-func fnvWord(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime64
-		v >>= 8
-	}
-	return h
-}
+// fnvWord folds one 64-bit word into the hash, FNV-1a style but a word
+// at a time: h = (h ^ v) * prime. Both steps are bijections of h (the
+// prime is odd), so a change to any single hashed word always changes
+// the final sum.
+func fnvWord(h, v uint64) uint64 { return (h ^ v) * fnvPrime64 }
 
 func fnvInt(h uint64, v int64) uint64 { return fnvWord(h, uint64(v)) }
 
@@ -40,13 +37,13 @@ func (d *decOp) flagBits() uint64 {
 	return uint64(d.arMask) | uint64(d.memSize)<<16 | uint64(d.kind)<<24 | uint64(d.gop)<<32 | uint64(d.flags)<<40
 }
 
-// Checksum returns the FNV-1a content hash of the compiled region: every
-// field of every decoded op (including the alias-register annotations
-// the executor trusts), the live-out maps, the vreg count, the final
-// target and the precomputed cycle cost. A decoded op's packed operand
-// word and flags byte are hashed as stored, so every bit is covered
-// whatever the op's kind makes it mean. Any single-field corruption
-// changes the hash.
+// Checksum returns the word-wise FNV-1a content hash (fnvWord) of the
+// compiled region: every field of every decoded op (including the
+// alias-register annotations the executor trusts), the live-out maps,
+// the vreg count, the final target and the precomputed cycle cost. A
+// decoded op's packed operand word and flags byte are hashed as stored,
+// so every bit is covered whatever the op's kind makes it mean. Any
+// single-field corruption changes the hash.
 func (cr *CompiledRegion) Checksum() uint64 {
 	h := uint64(fnvOffset64)
 	h = fnvInt(h, cr.Cycles)
