@@ -164,6 +164,93 @@ func TestInterpFusionMatchesReference(t *testing.T) {
 	}
 }
 
+// pagingProgram loops three times over plain and fused accesses of every
+// width at base: loads of memory no store has touched yet, unaligned
+// accesses that straddle base's page boundary, and stores that allocate
+// pages. The first iteration sends nearly every access through
+// slowAccess and then resumes the block; later iterations hit the fast
+// path on the pages the first one allocated.
+func pagingProgram(base int64) *guest.Program {
+	b := guest.NewBuilder()
+	b.NewBlock()
+	b.Li(1, 3) // loop counter
+	b.Li(2, base)
+	b.Li(3, 0x0102030405060708)
+	b.Li(13, 1)
+	loop := b.NewBlock()
+	b.Ld8(5, 2, 0)
+	b.Ld4(6, 2, 1)
+	b.Ld2(7, 2, 3)
+	b.Ld1(8, 2, 4)
+	b.Addi(4, 2, 1) // addi+ld4
+	b.Ld4(16, 4, 0)
+	b.Addi(4, 2, 3) // addi+ld2
+	b.Ld2(17, 4, 0)
+	b.Addi(4, 2, 5) // addi+ld1
+	b.Ld1(18, 4, 0)
+	b.Addi(4, 2, 6) // addi+ld8
+	b.Ld8(19, 4, 0)
+	b.Muli(14, 13, 8) // scaled-index ld8 triple
+	b.Add(14, 2, 14)
+	b.Ld8(15, 14, 0)
+	b.Addi(4, 2, 2) // addi+fld8
+	b.FLd8(1, 4, 0)
+	b.Muli(14, 13, 8) // scaled-index fld8 triple
+	b.Add(14, 2, 14)
+	b.FLd8(2, 14, 1)
+	for _, r := range []guest.Reg{6, 7, 8, 16, 17, 18, 19, 15, 3} {
+		b.Add(5, 5, r)
+	}
+	b.FLd8(3, 2, 7)
+	b.FAdd(1, 1, 2)
+	b.FAdd(1, 1, 3)
+	b.Mov(10, 5)
+	b.St8(2, 1, 10)
+	b.St4(2, 9, 10)
+	b.St2(2, 13, 10)
+	b.St1(2, 15, 10)
+	b.Muli(14, 13, 8) // scaled-index st8 triple
+	b.Add(14, 2, 14)
+	b.St8(14, 16, 10)
+	b.Muli(14, 13, 8) // scaled-index fst8 triple
+	b.Add(14, 2, 14)
+	b.FSt8(14, 12, 1)
+	b.FSt8(2, 20, 1)
+	b.Addi(3, 3, 7)
+	b.Addi(1, 1, -1)
+	b.Slt(11, 0, 1)
+	b.Bne(11, 0, loop)
+	b.NewBlock()
+	b.Halt()
+	return b.MustProgram()
+}
+
+// TestInterpSlowAccessMatchesReference holds the decoded engine's
+// slow-path resume bit-identical to the reference engine wherever the
+// page fast path declines: untouched pages, accesses straddling a page
+// boundary, a boundary into the tail, and a memory that is all tail.
+func TestInterpSlowAccessMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		base    int64
+		memSize int
+	}{
+		{"page-crossing", guest.PageSize - 4, 4 * guest.PageSize},
+		{"into-tail", guest.PageSize - 4, guest.PageSize + 40},
+		{"all-tail", 8, 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := pagingProgram(tc.base)
+			ref, haltedRef, errRef := runEngine(t, prog, tc.memSize, 1000, true)
+			dec, haltedDec, errDec := runEngine(t, prog, tc.memSize, 1000, false)
+			if !haltedRef || errRef != nil {
+				t.Fatalf("reference run: halted=%v err=%v", haltedRef, errRef)
+			}
+			diffEngines(t, tc.name, prog, dec, ref, haltedDec, haltedRef, errDec, errRef)
+		})
+	}
+}
+
 // fusedFaultCase is one fused memory form whose access faults: prefix
 // emits the instructions that feed the access and returns its base
 // register, access emits the access itself.
@@ -343,6 +430,35 @@ func TestInterpreterReset(t *testing.T) {
 		if n != firstCounts[id] {
 			t.Fatalf("replay B%d count %d, first run %d", id, n, firstCounts[id])
 		}
+	}
+}
+
+// TestRunToHaltPages pins how much guest memory a whole run pays for: the
+// exact number of 1 KiB pages a run to halt allocates out of the 80 a
+// workload's memory spans. A change that allocates pages on loads, or
+// stops allocating on stores, moves these counts.
+func TestRunToHaltPages(t *testing.T) {
+	for name, want := range map[string]int{"swim": 11, "equake": 8, "ammp": 9} {
+		t.Run(name, func(t *testing.T) {
+			bm, ok := workload.ByName(name)
+			if !ok {
+				t.Fatalf("unknown workload %q", name)
+			}
+			mem := guest.NewMemory(bm.MemSize)
+			it := New(bm.Build(), &guest.State{}, mem)
+			if halted, err := it.Run(0, bm.MaxInsts); err != nil || !halted {
+				t.Fatalf("run: halted=%v err=%v", halted, err)
+			}
+			got := 0
+			for _, p := range mem.Pages() {
+				if p != nil {
+					got++
+				}
+			}
+			if got != want {
+				t.Errorf("run to halt allocated %d of %d pages, want %d", got, len(mem.Pages()), want)
+			}
+		})
 	}
 }
 

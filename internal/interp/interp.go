@@ -192,21 +192,28 @@ func (it *Interpreter) RunBlock(id int) (int, error) {
 	if it.Ref {
 		return it.runBlockRef(id)
 	}
-	d := &it.dec
-	if uint(id) >= uint(len(d.blocks)) {
+	if uint(id) >= uint(len(it.dec.blocks)) {
 		return HaltID, fmt.Errorf("interp: no block %d", id)
 	}
 	it.Prof.BlockCounts[id]++
+	return it.runFrom(id, 0, 0)
+}
+
+// runFrom executes block id's decoded ops from index start on, with
+// retired of the block's guest instructions already retired.
+func (it *Interpreter) runFrom(id, start int, retired uint64) (int, error) {
+	d := &it.dec
 	b := d.blocks[id]
 	code := d.code[b.start:b.end:b.end]
 	st := it.St
 	r := &st.R
 	f := &st.F
-	data := it.Mem.Bytes()
+	// Stores fill the page table's nil entries in place, so the hoisted
+	// table stays current for the whole block.
+	pages := it.Mem.Pages()
 	next := int(b.fall) // fallthrough unless a control instruction says otherwise
 	slot := uint8(slotFall)
-	retired := uint64(0)
-	for i := 0; i < len(code); i++ {
+	for i := start; i < len(code); i++ {
 		in := &code[i]
 		switch in.op {
 		case dNop:
@@ -269,54 +276,54 @@ func (it *Interpreter) RunBlock(id int) (int, error) {
 		case dCvtFI:
 			r[in.rd&regMask] = int64(f[in.rs1&regMask])
 		case dLd1:
-			v, ok := guest.MemLoad1(data, uint64(r[in.rs1&regMask]+in.imm))
+			v, ok := guest.PageLoad1(pages, uint64(r[in.rs1&regMask]+in.imm))
 			if !ok {
-				return it.failBlock(id, in.gi, retired)
+				return it.slowAccess(id, i, retired)
 			}
 			r[in.rd&regMask] = int64(v)
 		case dLd2:
-			v, ok := guest.MemLoad2(data, uint64(r[in.rs1&regMask]+in.imm))
+			v, ok := guest.PageLoad2(pages, uint64(r[in.rs1&regMask]+in.imm))
 			if !ok {
-				return it.failBlock(id, in.gi, retired)
+				return it.slowAccess(id, i, retired)
 			}
 			r[in.rd&regMask] = int64(v)
 		case dLd4:
-			v, ok := guest.MemLoad4(data, uint64(r[in.rs1&regMask]+in.imm))
+			v, ok := guest.PageLoad4(pages, uint64(r[in.rs1&regMask]+in.imm))
 			if !ok {
-				return it.failBlock(id, in.gi, retired)
+				return it.slowAccess(id, i, retired)
 			}
 			r[in.rd&regMask] = int64(v)
 		case dLd8:
-			v, ok := guest.MemLoad8(data, uint64(r[in.rs1&regMask]+in.imm))
+			v, ok := guest.PageLoad8(pages, uint64(r[in.rs1&regMask]+in.imm))
 			if !ok {
-				return it.failBlock(id, in.gi, retired)
+				return it.slowAccess(id, i, retired)
 			}
 			r[in.rd&regMask] = int64(v)
 		case dSt1:
-			if !guest.MemStore1(data, uint64(r[in.rs1&regMask]+in.imm), uint64(r[in.rd&regMask])) {
-				return it.failBlock(id, in.gi, retired)
+			if !guest.PageStore1(pages, uint64(r[in.rs1&regMask]+in.imm), uint64(r[in.rd&regMask])) {
+				return it.slowAccess(id, i, retired)
 			}
 		case dSt2:
-			if !guest.MemStore2(data, uint64(r[in.rs1&regMask]+in.imm), uint64(r[in.rd&regMask])) {
-				return it.failBlock(id, in.gi, retired)
+			if !guest.PageStore2(pages, uint64(r[in.rs1&regMask]+in.imm), uint64(r[in.rd&regMask])) {
+				return it.slowAccess(id, i, retired)
 			}
 		case dSt4:
-			if !guest.MemStore4(data, uint64(r[in.rs1&regMask]+in.imm), uint64(r[in.rd&regMask])) {
-				return it.failBlock(id, in.gi, retired)
+			if !guest.PageStore4(pages, uint64(r[in.rs1&regMask]+in.imm), uint64(r[in.rd&regMask])) {
+				return it.slowAccess(id, i, retired)
 			}
 		case dSt8:
-			if !guest.MemStore8(data, uint64(r[in.rs1&regMask]+in.imm), uint64(r[in.rd&regMask])) {
-				return it.failBlock(id, in.gi, retired)
+			if !guest.PageStore8(pages, uint64(r[in.rs1&regMask]+in.imm), uint64(r[in.rd&regMask])) {
+				return it.slowAccess(id, i, retired)
 			}
 		case dFLd8:
-			v, ok := guest.MemLoad8(data, uint64(r[in.rs1&regMask]+in.imm))
+			v, ok := guest.PageLoad8(pages, uint64(r[in.rs1&regMask]+in.imm))
 			if !ok {
-				return it.failBlock(id, in.gi, retired)
+				return it.slowAccess(id, i, retired)
 			}
 			f[in.rd&regMask] = math.Float64frombits(v)
 		case dFSt8:
-			if !guest.MemStore8(data, uint64(r[in.rs1&regMask]+in.imm), math.Float64bits(f[in.rd&regMask])) {
-				return it.failBlock(id, in.gi, retired)
+			if !guest.PageStore8(pages, uint64(r[in.rs1&regMask]+in.imm), math.Float64bits(f[in.rd&regMask])) {
+				return it.slowAccess(id, i, retired)
 			}
 		case dBeq:
 			if r[in.rs1&regMask] == r[in.rs2&regMask] {
@@ -363,45 +370,45 @@ func (it *Interpreter) RunBlock(id int) (int, error) {
 		case dAddiLd1:
 			a := r[in.rs1&regMask] + in.imm
 			r[in.rd&regMask] = a
-			v, ok := guest.MemLoad1(data, uint64(a+in.imm2))
+			v, ok := guest.PageLoad1(pages, uint64(a+in.imm2))
 			if !ok {
-				return it.failBlock(id, in.gi, retired+1)
+				return it.slowAccess(id, i, retired+1)
 			}
 			r[in.fd&regMask] = int64(v)
 			retired++
 		case dAddiLd2:
 			a := r[in.rs1&regMask] + in.imm
 			r[in.rd&regMask] = a
-			v, ok := guest.MemLoad2(data, uint64(a+in.imm2))
+			v, ok := guest.PageLoad2(pages, uint64(a+in.imm2))
 			if !ok {
-				return it.failBlock(id, in.gi, retired+1)
+				return it.slowAccess(id, i, retired+1)
 			}
 			r[in.fd&regMask] = int64(v)
 			retired++
 		case dAddiLd4:
 			a := r[in.rs1&regMask] + in.imm
 			r[in.rd&regMask] = a
-			v, ok := guest.MemLoad4(data, uint64(a+in.imm2))
+			v, ok := guest.PageLoad4(pages, uint64(a+in.imm2))
 			if !ok {
-				return it.failBlock(id, in.gi, retired+1)
+				return it.slowAccess(id, i, retired+1)
 			}
 			r[in.fd&regMask] = int64(v)
 			retired++
 		case dAddiLd8:
 			a := r[in.rs1&regMask] + in.imm
 			r[in.rd&regMask] = a
-			v, ok := guest.MemLoad8(data, uint64(a+in.imm2))
+			v, ok := guest.PageLoad8(pages, uint64(a+in.imm2))
 			if !ok {
-				return it.failBlock(id, in.gi, retired+1)
+				return it.slowAccess(id, i, retired+1)
 			}
 			r[in.fd&regMask] = int64(v)
 			retired++
 		case dAddiFLd8:
 			a := r[in.rs1&regMask] + in.imm
 			r[in.rd&regMask] = a
-			v, ok := guest.MemLoad8(data, uint64(a+in.imm2))
+			v, ok := guest.PageLoad8(pages, uint64(a+in.imm2))
 			if !ok {
-				return it.failBlock(id, in.gi, retired+1)
+				return it.slowAccess(id, i, retired+1)
 			}
 			f[in.fd&regMask] = math.Float64frombits(v)
 			retired++
@@ -415,9 +422,9 @@ func (it *Interpreter) RunBlock(id int) (int, error) {
 			r[in.rd&regMask] = t
 			s := r[in.rs2&regMask] + t
 			r[in.fd&regMask] = s
-			v, ok := guest.MemLoad8(data, uint64(s+in.imm2))
+			v, ok := guest.PageLoad8(pages, uint64(s+in.imm2))
 			if !ok {
-				return it.failBlock(id, in.gi, retired+2)
+				return it.slowAccess(id, i, retired+2)
 			}
 			r[in.fs&regMask] = int64(v)
 			retired += 2
@@ -426,9 +433,9 @@ func (it *Interpreter) RunBlock(id int) (int, error) {
 			r[in.rd&regMask] = t
 			s := r[in.rs2&regMask] + t
 			r[in.fd&regMask] = s
-			v, ok := guest.MemLoad8(data, uint64(s+in.imm2))
+			v, ok := guest.PageLoad8(pages, uint64(s+in.imm2))
 			if !ok {
-				return it.failBlock(id, in.gi, retired+2)
+				return it.slowAccess(id, i, retired+2)
 			}
 			f[in.fs&regMask] = math.Float64frombits(v)
 			retired += 2
@@ -437,8 +444,8 @@ func (it *Interpreter) RunBlock(id int) (int, error) {
 			r[in.rd&regMask] = t
 			s := r[in.rs2&regMask] + t
 			r[in.fd&regMask] = s
-			if !guest.MemStore8(data, uint64(s+in.imm2), uint64(r[in.fs&regMask])) {
-				return it.failBlock(id, in.gi, retired+2)
+			if !guest.PageStore8(pages, uint64(s+in.imm2), uint64(r[in.fs&regMask])) {
+				return it.slowAccess(id, i, retired+2)
 			}
 			retired += 2
 		case dMuliAddFSt8:
@@ -446,8 +453,8 @@ func (it *Interpreter) RunBlock(id int) (int, error) {
 			r[in.rd&regMask] = t
 			s := r[in.rs2&regMask] + t
 			r[in.fd&regMask] = s
-			if !guest.MemStore8(data, uint64(s+in.imm2), math.Float64bits(f[in.fs&regMask])) {
-				return it.failBlock(id, in.gi, retired+2)
+			if !guest.PageStore8(pages, uint64(s+in.imm2), math.Float64bits(f[in.fs&regMask])) {
+				return it.slowAccess(id, i, retired+2)
 			}
 			retired += 2
 		default: // dBad
@@ -462,14 +469,35 @@ func (it *Interpreter) RunBlock(id int) (int, error) {
 	return next, nil
 }
 
-// failBlock is the decoded engine's only fault path, shared by every
-// exit of RunBlock's switch: it folds the block's instructions retired
-// before the faulting one — for a fused op, the halves that precede the
-// faulting access — into DynInsts and reproduces the reference
-// interpreter's error for the original guest instruction at index gi. The
-// faulting instruction has had no architectural effect, so re-running it
-// through guest.Exec is side-effect-free and yields the identical error
-// chain.
+// slowAccess is RunBlock's path for a memory access the guest.PageLoad
+// and guest.PageStore fast path declined: an unallocated page (a load
+// reads zero, a store allocates the page), a page-crossing access, the
+// tail, or a fault. The access has had no effect (for a fused op, only the
+// halves before it have), so it runs the original guest instruction
+// through guest.Exec, which goes through Memory.Load/Store. If that
+// faults, the block fails as the reference engine would; otherwise the
+// block resumes after decoded op i with the instruction retired. The miss
+// leaves RunBlock's loop by a return rather than merging a slow-path value
+// back into it: a merge makes the compiler spill every load's result on
+// the fast path.
+//
+//go:noinline
+func (it *Interpreter) slowAccess(id, i int, retired uint64) (int, error) {
+	gi := it.dec.code[it.dec.blocks[id].start+int32(i)].gi
+	if _, err := guest.Exec(it.Prog.Blocks[id].Insts[gi], it.St, it.Mem); err != nil {
+		return it.failBlock(id, gi, retired)
+	}
+	return it.runFrom(id, i+1, retired+1)
+}
+
+// failBlock is the decoded engine's only fault path, reached from dBad
+// and from a slowAccess that faulted: it folds the block's instructions
+// retired before the faulting one — for a fused op, the halves that
+// precede the faulting access — into DynInsts and reproduces the
+// reference interpreter's error for the original guest instruction at
+// index gi. The faulting instruction has had no architectural effect, so
+// re-running it through guest.Exec is side-effect-free and yields the
+// identical error chain.
 //
 //go:noinline
 func (it *Interpreter) failBlock(id int, gi int32, retired uint64) (int, error) {

@@ -65,7 +65,9 @@ type State = guest.State
 // Memory is the byte-addressable guest memory.
 type Memory = guest.Memory
 
-// NewMemory allocates a zeroed guest memory.
+// NewMemory returns a zeroed guest memory of size bytes. Contents are
+// held in 1 KiB pages allocated on their first store, so an untouched
+// memory costs only its page table.
 func NewMemory(size int) *Memory { return guest.NewMemory(size) }
 
 // Assemble parses guest assembly text (see internal/guest.Assemble for the
