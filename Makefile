@@ -113,10 +113,12 @@ fuzz-smoke:
 # guard-fail storms, compile failures, and the host fault classes: worker
 # panics, watchdog kills, poisoned results, memo pressure) with the
 # rollback invariant checker on, plus CLI replay smokes. SMARQ_CHAOS_FULL=1
-# widens to the full suite. Two inline-compile chaos runs (ammp, and
-# equake with host faults, which exercises the worker-panic and poison
-# fallback) are compared against checked-in goldens: stdout exactly, the
-# metrics snapshot with smarq-golden. Refresh the goldens with:
+# widens to the full suite. Three inline-compile chaos runs (ammp; swim,
+# whose injected compile-fail drops and demotions re-install earlier
+# builds; and equake with host faults, which exercises the worker-panic
+# and poison fallback) are compared against checked-in goldens: stdout
+# exactly, the metrics snapshot with smarq-golden. Refresh the goldens
+# with:
 #   make chaos-smoke CHAOS_GOLDEN_OUT=testdata
 CHAOS_TMP = /tmp/smarq-chaos-smoke
 CHAOS_GOLDEN_OUT =
@@ -131,12 +133,15 @@ chaos-smoke:
 	$(GO) run ./cmd/smarq-run -bench ammp -chaos-seed 7 \
 		-metrics $(CHAOS_TMP)/chaos-inline-ammp.metrics.golden.json \
 		> $(CHAOS_TMP)/chaos-inline-ammp.golden.txt
+	$(GO) run ./cmd/smarq-run -bench swim -chaos-seed 7 \
+		-metrics $(CHAOS_TMP)/chaos-inline-swim.metrics.golden.json \
+		> $(CHAOS_TMP)/chaos-inline-swim.golden.txt
 	$(GO) run ./cmd/smarq-run -bench equake -chaos-seed 11 -chaos-host -health \
 		-check-invariants \
 		-metrics $(CHAOS_TMP)/chaos-inline-equake.metrics.golden.json \
 		> $(CHAOS_TMP)/chaos-inline-equake.golden.txt
 ifeq ($(CHAOS_GOLDEN_OUT),)
-	for b in ammp equake; do \
+	for b in ammp swim equake; do \
 		diff -u testdata/chaos-inline-$$b.golden.txt $(CHAOS_TMP)/chaos-inline-$$b.golden.txt || exit 1; \
 		$(GO) run ./cmd/smarq-golden -golden testdata/chaos-inline-$$b.metrics.golden.json \
 			-got $(CHAOS_TMP)/chaos-inline-$$b.metrics.golden.json || exit 1; \
