@@ -39,12 +39,14 @@ type Detector interface {
 	Name() string
 }
 
+// entry is one alias register. The two bools sit last so they share one
+// padded word: 40 bytes, not 48 (TestEntrySize).
 type entry struct {
-	valid   bool
 	lo, hi  uint64
-	byStore bool
 	origin  int
 	order   int
+	valid   bool
+	byStore bool
 }
 
 func overlaps(aLo, aHi, bLo, bHi uint64) bool { return aLo < bHi && bLo < aHi }

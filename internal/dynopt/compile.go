@@ -187,8 +187,8 @@ var errPoisonedResult = errors.New("dynopt: poisoned compile result rejected")
 // it on the simulation thread at enqueue as a view: the superblock is
 // immutable after Form, but the blacklist and pin sets are the live maps,
 // which the simulation thread mutates on alias exceptions. An input that
-// outlives its request — handed to a worker, or kept by the installed
-// code for the reuse check — is a snapshot, with both sets copied.
+// outlives its request — handed to a worker, or kept in an install record
+// for the reuse check — is a snapshot, with both sets copied.
 type compileInput struct {
 	entry     int
 	sb        *region.Superblock
@@ -262,8 +262,8 @@ type pendingCompile struct {
 	key        compilequeue.Key
 	memoHit    bool
 	recompile  bool // old code still installed (promotion-style recompile)
-	// in is the snapshot of the inputs out was compiled from; the
-	// installed code keeps it for the inline reuse check.
+	// in is the snapshot of the inputs out was compiled from; the install
+	// point keeps both in the region's install record for its tier.
 	in *compileInput
 	// hung marks a chaos-injected compile hang: no job is submitted, and
 	// the pending entry is killed by the watchdog at deadline.
@@ -805,14 +805,16 @@ func (s *System) recompileRegion(entry int, stale bool) {
 // live pending compile absorbs the request.
 //
 // Re-install, don't recompile: an inline request whose inputs equal the
-// installed code's (compileInput.equal) — an injected alias exception
-// carries no pair and moves no tier, yet its rollback still asks for a
-// recompile — installs that code's output again instead of running the
-// pipeline. The install path is unchanged, so the result is screened by
-// admitOutput and charged exactly like a fresh compile of the same
-// input. Every chaos draw still happens, in the same order, and reuse
-// requires that no host fault fired: a panic or poison draw always gets
-// a fresh job, which can never touch the installed code.
+// region's install record for its effective tier (compileInput.equal) —
+// an injected alias exception carries no pair and moves no tier, and a
+// region returning to a tier after a drop, an eviction or a tier move
+// often brings back inputs it compiled before — installs that record's
+// output again instead of running the pipeline. The install path is
+// unchanged, so the result is screened by admitOutput and charged exactly
+// like a fresh compile of the same input. Every chaos draw still happens,
+// in the same order, and reuse requires that no host fault fired: a panic
+// or poison draw always gets a fresh job, which can never touch a
+// recorded output.
 func (s *System) enqueueCompile(entry int) error {
 	if s.cq.pending[entry] != nil {
 		return nil
@@ -848,9 +850,10 @@ func (s *System) enqueueCompile(entry int) error {
 		p.in = in.snapshot()
 	} else {
 		panicInject, _, poison := s.drawHostFaults(entry, false)
-		if c := s.disp[entry].code; c != nil && !panicInject &&
-			poison == faultinject.PoisonNone && c.in.equal(&in) {
-			p.in, p.out = c.in, c.out
+		rec := &s.recoveryOf(entry).installs[s.effectiveTier(entry)]
+		if rec.in != nil && !panicInject &&
+			poison == faultinject.PoisonNone && rec.in.equal(&in) {
+			p.in, p.out = rec.in, rec.out
 		} else {
 			p.in = in.snapshot()
 			p.out = runCompileJob(p.in, panicInject, poison)
@@ -1043,8 +1046,10 @@ func (s *System) installPending(p *pendingCompile) {
 }
 
 // installOutput installs a successful compile result, compiled from in:
-// cycle accounting, code cache insert (with capacity eviction),
-// per-region statistics and the compile telemetry event.
+// cycle accounting, code cache insert (with capacity eviction), the
+// region's install record for its effective tier, per-region statistics
+// and the compile telemetry event. A recompile overwrites the installed
+// compiled record in place; nothing else holds it.
 func (s *System) installOutput(entry int, in *compileInput, out *compileOutput, latency int64) {
 	s.Stats.OverflowRetries += out.overflowRetries
 	if s.cq.inline {
@@ -1057,17 +1062,17 @@ func (s *System) installOutput(entry int, in *compileInput, out *compileOutput, 
 	delete(s.injFailStreak, entry)
 
 	rr := s.recoveryOf(entry)
-	recompile := s.disp[entry].code != nil
-	if recompile {
+	c := s.disp[entry].code
+	if c != nil {
 		s.Stats.Recompiles++
 	} else {
 		s.evictForCapacity(entry)
 		s.Stats.RegionsCompiled++
+		c = new(compiled)
+		s.setCode(entry, c)
 	}
-	s.setCode(entry, &compiled{
-		cr: out.cr, in: in, out: out, lastUse: s.entrySeq,
-		installedAt: s.now(), fresh: true,
-	})
+	*c = compiled{cr: out.cr, lastUse: s.entrySeq, installedAt: s.now(), fresh: true}
+	rr.installs[s.effectiveTier(entry)] = installRecord{in: in, out: out}
 
 	rs := RegionStats{
 		Entry:          entry,

@@ -286,12 +286,7 @@ type Stats struct {
 }
 
 type compiled struct {
-	cr *vliw.CompiledRegion
-	// in and out are the snapshotted inputs and the compile output cr was
-	// installed from: an inline recompile with equal inputs re-installs
-	// out instead of running the pipeline (see enqueueCompile).
-	in         *compileInput
-	out        *compileOutput
+	cr         *vliw.CompiledRegion
 	failStreak int
 	// lastUse is the dispatch sequence number of the region's most
 	// recent execution — the code cache eviction clock.
@@ -803,6 +798,9 @@ func (s *System) runRegion(entry int, c *compiled) int {
 			s.cancelPending(entry, telemetry.CauseStale)
 			s.dropCode(entry)
 			delete(s.sbCache, entry)
+			// Every recorded input holds the dropped superblock, so none
+			// can equal a re-formed region's input again.
+			rr.installs = [TierPinned]installRecord{}
 			s.disp[entry].cooldown = s.it.Prof.BlockCounts[entry] * 2
 			s.Stats.RegionsDropped++
 			s.tel.drop(s.now(), entry, rr.tier, telemetry.CauseGuard)

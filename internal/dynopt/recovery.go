@@ -157,6 +157,22 @@ type regionRecovery struct {
 	sticky     bool
 	demotions  int
 	promotions int
+	// installs holds, per code tier, the input snapshot and admitted
+	// output the region last installed at that tier (indexed by the
+	// effective tier). An inline compile request whose inputs equal its
+	// tier's record re-installs that output instead of running the
+	// pipeline (see enqueueCompile). The records outlive evictions,
+	// drops and tier moves, which is when a region returns to a build it
+	// made before; they are cleared only when a guard-fail drop discards
+	// the superblock, after which no input can equal them again.
+	installs [TierPinned]installRecord
+}
+
+// installRecord is one tier's last installed build: the snapshot it was
+// compiled from and the output that passed admitOutput.
+type installRecord struct {
+	in  *compileInput
+	out *compileOutput
 }
 
 func newRegionRecovery(cfg RecoveryConfig) *regionRecovery {

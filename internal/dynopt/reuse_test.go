@@ -41,13 +41,25 @@ func installedSystem(t *testing.T) (*System, int) {
 	return nil, 0
 }
 
+// installRecordOf returns entry's install record for its effective tier.
+func (s *System) installRecordOf(entry int) installRecord {
+	return s.recoveryOf(entry).installs[s.effectiveTier(entry)]
+}
+
 // TestInlineRecompileReusesInstalledCode: an inline recompile whose
-// inputs equal the installed code's re-installs that code without running
-// the pipeline, and charges it exactly like a fresh compile.
+// inputs equal its tier's install record re-installs that code without
+// running the pipeline, charges it exactly like a fresh compile, and
+// resets the overwritten compiled record's dispatch state.
 func TestInlineRecompileReusesInstalledCode(t *testing.T) {
 	sys, e := installedSystem(t)
 	runs := countPipelineRuns(t)
 	old := sys.disp[e].code
+	oldCR, rec := old.cr, sys.installRecordOf(e)
+	if rec.out == nil || rec.out.cr != oldCR {
+		t.Fatal("the installed code is not its tier's install record")
+	}
+	// Dispatch state the re-install must not carry over.
+	old.failStreak, old.fresh = sys.cfg.MaxGuardFails-1, false
 	before := sys.Stats
 
 	sys.recompileRegion(e, true)
@@ -56,17 +68,20 @@ func TestInlineRecompileReusesInstalledCode(t *testing.T) {
 		t.Errorf("pipeline ran %d times for unchanged inputs, want 0", *runs)
 	}
 	c := sys.disp[e].code
-	if c == nil || c.cr != old.cr {
+	if c == nil || c.cr != oldCR {
 		t.Fatal("the recompile did not re-install the installed CompiledRegion")
+	}
+	if c.failStreak != 0 || !c.fresh {
+		t.Errorf("re-installed record kept failStreak=%d fresh=%v, want 0 and true", c.failStreak, c.fresh)
 	}
 	if got, want := sys.Stats.Recompiles, before.Recompiles+1; got != want {
 		t.Errorf("Recompiles %d, want %d", got, want)
 	}
 	m := sys.cfg.Machine
-	if got, want := sys.Stats.OptCycles, before.OptCycles+old.out.numOps*int64(m.OptCyclesPerOp); got != want {
+	if got, want := sys.Stats.OptCycles, before.OptCycles+rec.out.numOps*int64(m.OptCyclesPerOp); got != want {
 		t.Errorf("OptCycles %d, want %d (one more compile's charge)", got, want)
 	}
-	if got, want := sys.Stats.SchedCycles, before.SchedCycles+old.out.numOps*int64(m.SchedCyclesPerOp); got != want {
+	if got, want := sys.Stats.SchedCycles, before.SchedCycles+rec.out.numOps*int64(m.SchedCyclesPerOp); got != want {
 		t.Errorf("SchedCycles %d, want %d (one more compile's charge)", got, want)
 	}
 	if got, want := sys.Stats.Compile.Installed, before.Compile.Installed+1; got != want {
@@ -124,13 +139,13 @@ func TestInlineRecompileFreshOnChangedInputs(t *testing.T) {
 			// Two rounds: the second mutates live state that the first
 			// round's install already snapshotted.
 			for round := 1; round <= 2; round++ {
-				old := sys.disp[e].code
+				oldCR := sys.disp[e].code.cr
 				tc.change(sys, e)
 				sys.recompileRegion(e, true)
 				if *runs != round {
 					t.Fatalf("round %d: %d pipeline runs, want %d", round, *runs, round)
 				}
-				if c := sys.disp[e].code; c == nil || c.cr == old.cr {
+				if c := sys.disp[e].code; c == nil || c.cr == oldCR {
 					t.Fatalf("round %d: changed inputs did not install fresh code", round)
 				}
 			}
@@ -139,8 +154,8 @@ func TestInlineRecompileFreshOnChangedInputs(t *testing.T) {
 }
 
 // TestHostFaultDrawForcesFreshJob: a worker-panic or poison draw always
-// gets a fresh job, even when the inputs equal the installed code's, and
-// the fault never reaches the installed code.
+// gets a fresh job, even when the inputs equal the install record's, and
+// the fault never reaches the recorded code.
 func TestHostFaultDrawForcesFreshJob(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -176,13 +191,17 @@ func TestHostFaultDrawForcesFreshJob(t *testing.T) {
 			if err := old.Validate(); err != nil {
 				t.Errorf("the previously installed code no longer validates: %v", err)
 			}
+			if rec := sys.installRecordOf(e); rec.out == nil || rec.out.cr != old {
+				t.Error("the rejected result replaced the install record")
+			}
 		})
 	}
 }
 
 // TestReusePipelineRunsAmmpChaos pins how many of ammp's inline compiles
 // under the default chaos mix run the pipeline: most requests follow an
-// injected alias exception that changes no input, and re-install.
+// injected alias exception that changes no input, or return a region to
+// a tier it built before, and re-install.
 func TestReusePipelineRunsAmmpChaos(t *testing.T) {
 	var bm workload.Benchmark
 	for _, b := range workload.Suite() {
@@ -197,7 +216,7 @@ func TestReusePipelineRunsAmmpChaos(t *testing.T) {
 	if halted, err := sys.Run(bm.MaxInsts); err != nil || !halted {
 		t.Fatalf("halted=%v err=%v", halted, err)
 	}
-	const wantEnqueued, wantRuns = 208, 20
+	const wantEnqueued, wantRuns = 208, 14
 	if got := sys.Stats.Compile.Enqueued; got != wantEnqueued {
 		t.Errorf("Compile.Enqueued %d, want %d", got, wantEnqueued)
 	}
@@ -207,26 +226,112 @@ func TestReusePipelineRunsAmmpChaos(t *testing.T) {
 }
 
 // TestReuseDecisionZeroAllocs pins the reuse decision — building the
-// input view and comparing it with the installed snapshot — at zero heap
-// allocations: the pin and blacklist copies are made only when the
-// pipeline runs. The live sets are deliberately nonempty.
+// input view and comparing it with the install record's snapshot — at
+// zero heap allocations: the pin and blacklist copies are made only when
+// the pipeline runs. The live sets are deliberately nonempty.
 func TestReuseDecisionZeroAllocs(t *testing.T) {
 	sys, e := installedSystem(t)
 	sys.blacklist[e] = alias.Blacklist{alias.MakePair(3, 1): true, alias.MakePair(2, 5): true}
 	sys.pinnedLoads[e] = map[int]bool{9: true, 2: true}
 	sys.recompileRegion(e, true)
-	c := sys.disp[e].code
-	if c == nil {
+	if sys.disp[e].code == nil {
 		t.Fatal("recompile installed no code")
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		in, err := sys.newCompileInput(e)
-		if err != nil || !c.in.equal(&in) {
+		rec := sys.installRecordOf(e)
+		if err != nil || rec.in == nil || !rec.in.equal(&in) {
 			t.Fatalf("unchanged inputs do not compare equal (err %v)", err)
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("the reuse decision allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestInlineReinstallZeroAllocs pins a whole inline recompile with
+// unchanged inputs at zero heap allocations: the decision, the install
+// path and the compiled record, which is overwritten in place.
+func TestInlineReinstallZeroAllocs(t *testing.T) {
+	sys, e := installedSystem(t)
+	runs := countPipelineRuns(t)
+	allocs := testing.AllocsPerRun(200, func() {
+		sys.recompileRegion(e, true)
+	})
+	if *runs != 0 {
+		t.Fatalf("pipeline ran %d times for unchanged inputs, want 0", *runs)
+	}
+	if allocs != 0 {
+		t.Errorf("an inline re-install allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestPromotionReinstallsEarlierTier: a region that leaves a tier and
+// comes back with the same inputs re-installs that tier's build — the
+// rungs in between do not evict it — and is charged as for a compile.
+func TestPromotionReinstallsEarlierTier(t *testing.T) {
+	sys, e := installedSystem(t)
+	rr := sys.recoveryOf(e)
+	rr.installs = [TierPinned]installRecord{}
+	runs := countPipelineRuns(t)
+
+	rr.tier = TierFull
+	sys.recompileRegion(e, true)
+	full := sys.disp[e].code.cr
+	rr.tier = TierNoStoreReorder
+	sys.recompileRegion(e, true)
+	if *runs != 2 {
+		t.Fatalf("%d pipeline runs to build the full and no-store-reorder tiers, want 2", *runs)
+	}
+	if sys.disp[e].code.cr == full {
+		t.Fatal("the no-store-reorder build is the full tier's code")
+	}
+	nsr := rr.installs[TierNoStoreReorder]
+	rr.tier = TierFull
+	fullOps := sys.installRecordOf(e).out.numOps
+	before := sys.Stats
+
+	sys.recompileRegion(e, true)
+
+	if *runs != 2 {
+		t.Errorf("returning to the full tier ran the pipeline %d more times, want 0", *runs-2)
+	}
+	if c := sys.disp[e].code; c == nil || c.cr != full {
+		t.Fatal("returning to the full tier did not re-install its original CompiledRegion")
+	}
+	m := sys.cfg.Machine
+	if got, want := sys.Stats.OptCycles, before.OptCycles+fullOps*int64(m.OptCyclesPerOp); got != want {
+		t.Errorf("OptCycles %d, want %d (one more compile's charge)", got, want)
+	}
+	if got, want := sys.Stats.SchedCycles, before.SchedCycles+fullOps*int64(m.SchedCyclesPerOp); got != want {
+		t.Errorf("SchedCycles %d, want %d (one more compile's charge)", got, want)
+	}
+	if got, want := sys.Stats.Recompiles, before.Recompiles+1; got != want {
+		t.Errorf("Recompiles %d, want %d", got, want)
+	}
+	if rr.installs[TierNoStoreReorder] != nsr {
+		t.Error("re-installing the full tier disturbed the no-store-reorder record")
+	}
+}
+
+// TestInstallRecordsClearedOnReform: the guard-fail drop that deletes a
+// region's superblock also clears its install records — every one holds
+// the dropped superblock, so none could match again.
+func TestInstallRecordsClearedOnReform(t *testing.T) {
+	sys, e := installedSystem(t)
+	rr := sys.recoveryOf(e)
+	if sys.installRecordOf(e).out == nil {
+		t.Fatal("the installed region has no install record")
+	}
+	sys.inj = faultinject.New(faultinject.Config{Seed: 1, GuardFailRate: 1})
+	c := sys.disp[e].code
+	c.failStreak = sys.cfg.MaxGuardFails - 1
+	sys.runRegion(e, c)
+	if _, ok := sys.sbCache[e]; ok || sys.disp[e].code != nil {
+		t.Fatal("the guard-fail storm did not drop the region and its superblock")
+	}
+	if rr.installs != [TierPinned]installRecord{} {
+		t.Error("install records survived the superblock drop")
 	}
 }
 
