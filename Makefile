@@ -111,7 +111,7 @@ fuzz-smoke:
 
 # Chaos gate: the seeded fault-injection soak (spurious alias exceptions,
 # guard-fail storms, compile failures, and the host fault classes: worker
-# panics, watchdog kills, poisoned results, memo pressure) with the
+# panics, watchdog kills, poisoned results) with the
 # rollback invariant checker on, plus CLI replay smokes. SMARQ_CHAOS_FULL=1
 # widens to the full suite. Three inline-compile chaos runs (ammp; swim,
 # whose injected compile-fail drops and demotions re-install earlier
@@ -124,11 +124,11 @@ CHAOS_TMP = /tmp/smarq-chaos-smoke
 CHAOS_GOLDEN_OUT =
 chaos-smoke:
 	$(GO) test -count=1 ./internal/faultinject ./internal/health
-	$(GO) test -run='^TestChaos|^TestInvariantChecker|^TestSpuriousAlias|^TestCompileFail|^TestGuardFailInjection|^TestHostChaos|^TestWorkerPanic|^TestWatchdog|^TestPoisoned|^TestHealth|^TestMemoPressure' \
+	$(GO) test -run='^TestChaos|^TestInvariantChecker|^TestSpuriousAlias|^TestCompileFail|^TestGuardFailInjection|^TestHostChaos|^TestWorkerPanic|^TestWatchdog|^TestPoisoned|^TestHealth' \
 		-count=1 ./internal/dynopt
 	$(GO) run ./cmd/smarq-run -bench equake -chaos-seed 7 -check-invariants >/dev/null
 	$(GO) run ./cmd/smarq-run -bench equake -chaos-seed 7 -chaos-host -health \
-		-compile-workers 2 -compile-memoize -check-invariants >/dev/null
+		-compile-workers 2 -check-invariants >/dev/null
 	rm -rf $(CHAOS_TMP) && mkdir -p $(CHAOS_TMP)
 	$(GO) run ./cmd/smarq-run -bench ammp -chaos-seed 7 \
 		-metrics $(CHAOS_TMP)/chaos-inline-ammp.metrics.golden.json \

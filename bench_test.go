@@ -13,8 +13,6 @@ import (
 	"smarq"
 	"smarq/internal/alias"
 	"smarq/internal/aliashw"
-	"smarq/internal/codecache"
-	"smarq/internal/compilequeue"
 	"smarq/internal/core"
 	"smarq/internal/deps"
 	"smarq/internal/dynopt"
@@ -467,71 +465,23 @@ func BenchmarkDynopt(b *testing.B) {
 }
 
 // BenchmarkCompile runs the BenchmarkDynopt swim slice with the
-// background-compilation path on (one worker, then with content-hash
-// memoization), so the enqueue/install machinery and memo table can be
-// profiled against the inline-compile baseline. Compile-path allocations
-// are not pinned per op; bench/'s alloc_kb_per_run gates them end to end.
+// background-compilation path on (one worker), so the enqueue/install
+// machinery can be profiled against the inline-compile baseline.
+// Compile-path allocations are not pinned per op; bench/'s
+// alloc_kb_per_run gates them end to end.
 func BenchmarkCompile(b *testing.B) {
 	bm, _ := workload.ByName("swim")
-	for _, c := range []struct {
-		name    string
-		memoize bool
-	}{{"workers1", false}, {"memoized", true}} {
-		b.Run(c.name, func(b *testing.B) {
-			cfg := dynopt.ConfigSMARQ(64)
-			cfg.Compile.Workers = 1
-			cfg.Compile.Memoize = c.memoize
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sys := dynopt.New(bm.Build(), &guest.State{}, guest.NewMemory(bm.MemSize), cfg)
-				if _, err := sys.Run(100_000); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("workers1", func(b *testing.B) {
+		cfg := dynopt.ConfigSMARQ(64)
+		cfg.Compile.Workers = 1
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sys := dynopt.New(bm.Build(), &guest.State{}, guest.NewMemory(bm.MemSize), cfg)
+			if _, err := sys.Run(100_000); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
-}
-
-// BenchmarkMemoHit measures the path a memoized recompile takes instead
-// of the full pipeline of BenchmarkTranslatePipeline: the canonical
-// content-hash fold over the hot superblock plus the table lookup. Both
-// halves run at zero heap allocations (pinned by dynopt.TestMemoKeyZeroAllocs
-// and compilequeue's TestMemoHitZeroAllocs).
-func BenchmarkMemoHit(b *testing.B) {
-	bm, _ := workload.ByName("ammp")
-	prog := bm.Build()
-	it := interp.New(prog, &guest.State{}, guest.NewMemory(bm.MemSize))
-	_, _ = it.Run(0, 500_000)
-	best, bc := 0, uint64(0)
-	for id, c := range it.Prof.BlockCounts {
-		if c > bc {
-			best, bc = id, c
 		}
-	}
-	sb, err := region.Form(prog, it.Prof, best, region.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	key := func() compilequeue.Key {
-		k := compilequeue.NewKey()
-		k = k.Int(int64(sb.Entry)).Int(int64(sb.FinalTarget)).Int(int64(sb.UnrollFactor))
-		for i := range sb.Insts {
-			gi := &sb.Insts[i]
-			k = k.Int(int64(gi.Inst.Op)).Int(int64(gi.Inst.Rd)).Int(int64(gi.Inst.Rs1)).Int(int64(gi.Inst.Rs2))
-			k = k.Int(gi.Inst.Imm).Int(int64(gi.Inst.Target)).Bool(gi.IsGuard)
-		}
-		return k
-	}
-	// A private one-shard cache, as a memoizing System holds.
-	memo := codecache.New[*vliw.CompiledRegion](codecache.Options{Shards: 1}, nil)
-	memo.Put(key(), &vliw.CompiledRegion{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := memo.Get(key()); !ok {
-			b.Fatal("memo miss")
-		}
-	}
+	})
 }
 
 // BenchmarkFleet measures concurrent multi-tenant throughput over the

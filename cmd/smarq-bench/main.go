@@ -52,7 +52,6 @@ func main() {
 	scale := flag.Int64("scale", 1, "multiply every benchmark's main loop count (longer runs amortize translation cost)")
 	parallel := flag.Int("parallel", 0, "max concurrent benchmark runs (0 = GOMAXPROCS)")
 	compileWorkers := flag.Int("compile-workers", 0, "background compile workers per run (0 = synchronous instant install; any N >= 1 is simulation-identical)")
-	compileMemoize := flag.Bool("compile-memoize", false, "memoize compiled regions by content hash")
 	healthOn := flag.Bool("health", false, "arm the graceful-degradation health controller in every run (default tuning)")
 	traceFile := flag.String("trace", "", "write a cycle-stamped event trace of every run to this file")
 	traceFormat := flag.String("trace-format", "jsonl", "trace encoding: jsonl or chrome (Perfetto-loadable)")
@@ -124,10 +123,9 @@ func main() {
 
 	r := harness.NewRunner(suite)
 	r.Parallelism = *parallel
-	if *compileWorkers > 0 || *compileMemoize || *healthOn {
+	if *compileWorkers > 0 || *healthOn {
 		r.ConfigHook = func(cfg dynopt.Config) dynopt.Config {
 			cfg.Compile.Workers = *compileWorkers
-			cfg.Compile.Memoize = *compileMemoize
 			if *healthOn {
 				cfg.Health = health.DefaultConfig()
 			}

@@ -20,7 +20,7 @@
 // JSON form, /healthz, /debug/cache, /debug/tenants, /debug/pprof) over
 // HTTP for the duration of the run — useful for long chaos soaks.
 // -chaos-host extends the chaos mix with host fault classes
-// (compile-worker panics, hangs, poisoned results, memo pressure);
+// (compile-worker panics, hangs, poisoned results);
 // -health arms the graceful-degradation controller. See DESIGN.md
 // ("Telemetry"; "Host fault domains and the health controller").
 package main
@@ -75,15 +75,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	panicRate := fs.Float64("chaos-host-panic-rate", -1, "override the compile-worker panic rate (with -chaos-seed)")
 	hangRate := fs.Float64("chaos-host-hang-rate", -1, "override the compile-hang (watchdog overrun) rate (with -chaos-seed)")
 	poisonRate := fs.Float64("chaos-host-poison-rate", -1, "override the poisoned-compile-result rate (with -chaos-seed)")
-	memoRate := fs.Float64("chaos-host-memo-rate", -1, "override the memo-pressure eviction rate (with -chaos-seed)")
 	healthOn := fs.Bool("health", false, "arm the graceful-degradation health controller (default tuning)")
 	healthWindow := fs.Int("health-window", 0, "override the health controller's observation window (with -health)")
 	healthDemote := fs.Int("health-demote", 0, "override the health controller's demotion score threshold (with -health)")
 	healthPromote := fs.Int("health-promote", 0, "override the clean-run length one promotion requires (with -health)")
 	checkInv := fs.Bool("check-invariants", false, "verify every rollback restores the exact checkpoint (slow)")
 	compileWorkers := fs.Int("compile-workers", 0, "background compile workers (0 = synchronous instant install; any N >= 1 is simulation-identical)")
-	compileMemoize := fs.Bool("compile-memoize", false, "memoize compiled regions by content hash")
-	memoCap := fs.Int("compile-memo-cap", 0, "memo table capacity in entries (0 = default bound, negative = unbounded)")
 	watchdog := fs.Int("compile-watchdog", 0, "watchdog deadline as a multiple of the modelled compile cost (0 = default)")
 	compileCPI := fs.Int("compile-cycles-per-inst", -1, "override the compile-latency model's cycles per guest instruction (-1 = machine default)")
 	compileCPC := fs.Int("compile-cycles-per-check", -1, "override the compile-latency model's cycles per guest memory op (-1 = machine default)")
@@ -148,7 +145,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			{*panicRate, &cfg.Chaos.WorkerPanicRate},
 			{*hangRate, &cfg.Chaos.CompileHangRate},
 			{*poisonRate, &cfg.Chaos.PoisonResultRate},
-			{*memoRate, &cfg.Chaos.MemoPressureRate},
 		} {
 			if o.v >= 0 {
 				*o.dst = o.v
@@ -169,8 +165,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg.CheckInvariants = *checkInv
 	cfg.Compile.Workers = *compileWorkers
-	cfg.Compile.Memoize = *compileMemoize
-	cfg.Compile.MemoCapacity = *memoCap
 	cfg.Compile.WatchdogFactor = *watchdog
 	if *compileCPI >= 0 {
 		cfg.Machine.CompileCyclesPerInst = *compileCPI
@@ -276,20 +270,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		100*float64(st.InterpretedInsts)/float64(st.GuestInsts))
 	fmt.Fprintf(stdout, "  cycles/inst: %.3f\n", float64(st.TotalCycles)/float64(st.GuestInsts))
 	fmt.Fprintln(stdout, "  recovery:", harness.RecoveryLine(st))
-	if cs := st.Compile; cs.Enqueued > 0 || cs.MemoHits+cs.MemoMisses > 0 {
+	if cs := st.Compile; cs.Enqueued > 0 {
 		// LatencySum adds up every compile that reached its install
 		// point, admitted or rejected; a watchdog kill never does.
 		avg := int64(0)
 		if n := cs.Installed + cs.Failed - cs.WatchdogKills; n > 0 {
 			avg = cs.LatencySum / n
 		}
-		fmt.Fprintf(stdout, "  compile: %d enqueued, %d installed, %d canceled, %d failed, avg latency %d cycles, peak depth %d, memo %d/%d hits\n",
-			cs.Enqueued, cs.Installed, cs.Canceled, cs.Failed, avg, cs.MaxQueueDepth,
-			cs.MemoHits, cs.MemoHits+cs.MemoMisses)
+		fmt.Fprintf(stdout, "  compile: %d enqueued, %d installed, %d canceled, %d failed, avg latency %d cycles, peak depth %d\n",
+			cs.Enqueued, cs.Installed, cs.Canceled, cs.Failed, avg, cs.MaxQueueDepth)
 	}
-	if cs := st.Compile; cs.WorkerPanics+cs.WatchdogKills+cs.Rejected+cs.Quarantined+cs.MemoEvictions > 0 {
-		fmt.Fprintf(stdout, "  host faults: %d worker panics, %d watchdog kills, %d poisoned rejected, %d quarantined, %d memo evictions\n",
-			cs.WorkerPanics, cs.WatchdogKills, cs.Rejected, cs.Quarantined, cs.MemoEvictions)
+	if cs := st.Compile; cs.WorkerPanics+cs.WatchdogKills+cs.Rejected+cs.Quarantined > 0 {
+		fmt.Fprintf(stdout, "  host faults: %d worker panics, %d watchdog kills, %d poisoned rejected, %d quarantined\n",
+			cs.WorkerPanics, cs.WatchdogKills, cs.Rejected, cs.Quarantined)
 	}
 	if *healthOn {
 		fmt.Fprintln(stdout, "  health:", harness.HealthLine(st))

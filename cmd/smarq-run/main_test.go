@@ -41,7 +41,7 @@ func TestHostChaosRunSucceeds(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{
 		"-bench", "swim", "-chaos-seed", "7", "-chaos-host", "-health",
-		"-compile-workers", "2", "-compile-memoize", "-check-invariants",
+		"-compile-workers", "2", "-check-invariants",
 	}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit code %d\nstderr:\n%s", code, errb.String())
@@ -61,7 +61,7 @@ func TestHostChaosRunSucceeds(t *testing.T) {
 func TestCompileLatencyAverage(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{
-		"-bench", "swim", "-compile-workers", "4", "-compile-memoize",
+		"-bench", "swim", "-compile-workers", "4",
 		"-chaos-seed", "7", "-chaos-host", "-health",
 	}, &out, &errb)
 	if code != 0 {
@@ -81,7 +81,6 @@ func TestCompileLatencyAverage(t *testing.T) {
 	cfg.Chaos = faultinject.DefaultHost(7)
 	cfg.Health = health.DefaultConfig()
 	cfg.Compile.Workers = 4
-	cfg.Compile.Memoize = true
 	sys := dynopt.New(bm.Build(), &guest.State{}, guest.NewMemory(bm.MemSize), cfg)
 	if _, err := sys.Run(bm.MaxInsts); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,9 @@
 // Package codecache is a sharded, content-addressed cache for compiled
 // regions, keyed by compilequeue's FNV-1a content hash. It is dynopt's
-// only compile-output cache: a fleet of concurrently running
+// fleet compile-output cache: a fleet of concurrently running
 // dynopt.Systems shares one (safe — and fast — under true cross-goroutine
-// contention), and a single System memoizing on its own holds a private
-// one-shard instance, which under single-threaded use is exact LRU.
+// contention). Under single-threaded use a one-shard instance is exact
+// LRU.
 //
 // Layout and discipline:
 //
@@ -36,8 +36,7 @@
 // outcomes differ between a fleet run and a solo run, but dynopt replays a
 // hit's modelled costs exactly as a fresh compile's, so per-tenant
 // simulated results are identical modulo the hit/miss counters themselves
-// (the same contract as a private memo, proven by
-// harness.TestFleetTenantDeterminism).
+// (proven by harness.TestFleetTenantDeterminism).
 package codecache
 
 import (
@@ -371,19 +370,10 @@ func (c *Cache[V]) evictOne() bool {
 	return ok
 }
 
-// DropOldest evicts the entry with the minimum recency stamp regardless of
-// the budgets — the hook for injected host memory pressure — and reports
-// whether anything was evicted.
-func (c *Cache[V]) DropOldest() bool {
-	c.evictMu.Lock()
-	defer c.evictMu.Unlock()
-	return c.evictOne()
-}
-
 // Len returns the live entry count.
 func (c *Cache[V]) Len() int { return int(c.entries.Load()) }
 
-// Evictions returns how many entries the budgets or DropOldest removed.
+// Evictions returns how many entries the budgets removed.
 // Unlike Stats it does not allocate.
 func (c *Cache[V]) Evictions() int64 { return c.evictions.Load() }
 

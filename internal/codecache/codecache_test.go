@@ -20,8 +20,8 @@ func mkKey(i int) Key {
 
 // seqModel is the sequential-model oracle: a plain map plus explicit
 // recency stamps mirroring the cache's global clock. Get stamps clock+1 on
-// a hit; Put stamps the inserted entry; eviction (budget or DropOldest)
-// removes the minimum stamp. Run in lockstep with a Cache under
+// a hit; Put stamps the inserted entry; budget eviction removes the
+// minimum stamp. Run in lockstep with a Cache under
 // single-threaded use, every hit/miss outcome, eviction victim, Len,
 // Bytes and counter must match exactly.
 type seqModel struct {
@@ -66,15 +66,12 @@ func (m *seqModel) put(k Key, v int, size int64) {
 	m.bytes += size
 	for (m.maxEnt > 0 && int64(len(m.vals)) > m.maxEnt) ||
 		(m.maxByte > 0 && m.bytes > m.maxByte) {
-		m.dropOldest()
+		m.evictOldest()
 	}
 }
 
-// dropOldest evicts the minimum stamp, reporting false on an empty model.
-func (m *seqModel) dropOldest() bool {
-	if len(m.stamps) == 0 {
-		return false
-	}
+// evictOldest evicts the minimum stamp.
+func (m *seqModel) evictOldest() {
 	victim, vmin := Key(0), int64(1<<63-1)
 	for kk, s := range m.stamps {
 		if s < vmin {
@@ -86,17 +83,15 @@ func (m *seqModel) dropOldest() bool {
 	delete(m.sizes, victim)
 	delete(m.stamps, victim)
 	m.evictions++
-	return true
 }
 
 // TestSequentialLRUOracle drives a Cache and the oracle through the same
-// random get/put/DropOldest stream and requires identical hit/miss
-// outcomes, values, DropOldest results, eviction survivors (checked with
-// the non-perturbing Peek), entry counts, byte totals and eviction counts
-// after every step, and identical hit/miss totals at the end. The cases
-// cover what a memoizing dynopt.System relies on: an entry bound, a byte
-// bound, both at once, capacity 1, no bound at all (only DropOldest
-// evicts), values weighing nothing (no size function: Bytes stays 0), and
+// random get/put stream and requires identical hit/miss outcomes, values,
+// eviction survivors (checked with the non-perturbing Peek), entry
+// counts, byte totals and eviction counts after every step, and identical
+// hit/miss totals at the end. The cases cover an entry bound, a byte
+// bound, both at once, capacity 1, no bound at all (nothing is ever
+// evicted), values weighing nothing (no size function: Bytes stays 0), and
 // values larger than the whole byte budget (admitted, then evicted
 // together with everything older, leaving the cache empty but usable).
 func TestSequentialLRUOracle(t *testing.T) {
@@ -118,17 +113,10 @@ func TestSequentialLRUOracle(t *testing.T) {
 			c := New[int](Options{Shards: 4, MaxEntries: tc.maxEnt, MaxBytes: tc.maxBytes}, tc.size)
 			m := newSeqModel(tc.maxEnt, tc.maxBytes)
 			rng := rand.New(rand.NewSource(42))
-			if c.DropOldest() || m.dropOldest() {
-				t.Fatal("DropOldest on an empty cache reported an eviction")
-			}
 			oversized := 0
 			for step := 0; step < 5000; step++ {
 				k := mkKey(rng.Intn(40))
 				switch op := rng.Intn(10); {
-				case op == 0:
-					if got, want := c.DropOldest(), m.dropOldest(); got != want {
-						t.Fatalf("step %d: DropOldest = %v, oracle %v", step, got, want)
-					}
 				case op <= 5:
 					gv, gok := c.Get(k)
 					wv, wok := m.get(k)
@@ -186,8 +174,7 @@ func TestSequentialLRUOracle(t *testing.T) {
 }
 
 // TestConcurrentTorture hammers one cache from 8 goroutines with random
-// gets, puts, single-flight lookups and DropOldest calls under a
-// byte+entry budget; -race must stay silent, values must never cross
+// gets, puts and single-flight lookups under a byte+entry budget; -race must stay silent, values must never cross
 // keys, and at quiescence the budgets and the entry/byte accounting must
 // be exact.
 func TestConcurrentTorture(t *testing.T) {
@@ -209,10 +196,6 @@ func TestConcurrentTorture(t *testing.T) {
 			for i := 0; i < steps; i++ {
 				ki := rng.Intn(keys)
 				k := mkKey(ki)
-				if rng.Intn(16) == 0 {
-					// Injected memory pressure races the budget evictor.
-					c.DropOldest()
-				}
 				// Values encode their key so a cross-key mixup is
 				// detectable: v = ki*1000 + noise(<1000).
 				switch rng.Intn(3) {

@@ -1,9 +1,9 @@
 package compilequeue_test
 
-// These tests pin the memo contract that dynopt's CompileConfig.Memoize
-// relies on: compilequeue content keys over a private one-shard
-// codecache.Cache, which is exact LRU under single-threaded use. They live
-// in an external test package because codecache imports compilequeue.
+// These tests pin compilequeue content keys as codecache.Cache keys, the
+// pairing dynopt's fleet cache is built on, over a one-shard cache, which
+// is exact LRU under single-threaded use. They live in an external test
+// package because codecache imports compilequeue.
 
 import (
 	"testing"
@@ -12,8 +12,8 @@ import (
 	"smarq/internal/compilequeue"
 )
 
-// newMemo builds a cache the way a single System memoizing on its own does:
-// one shard, optionally bounded in entries and bytes.
+// newMemo builds a one-shard cache, optionally bounded in entries and
+// bytes.
 func newMemo(maxEntries, maxBytes int64, size func(int) int64) *codecache.Cache[int] {
 	return codecache.New(codecache.Options{Shards: 1, MaxEntries: maxEntries, MaxBytes: maxBytes}, size)
 }
@@ -39,31 +39,6 @@ func TestMemoCountsHitsAndMisses(t *testing.T) {
 	}
 	if m.Len() != 1 {
 		t.Errorf("Len() = %d, want 1", m.Len())
-	}
-}
-
-// TestMemoDropOldest covers the memo-pressure hook: dropping from an
-// empty table is a no-op, otherwise the coldest entry goes and is counted
-// as an eviction.
-func TestMemoDropOldest(t *testing.T) {
-	m := newMemo(0, 0, nil) // unbounded: evictions only via DropOldest
-	if m.DropOldest() {
-		t.Error("DropOldest on an empty memo reported an eviction")
-	}
-	k1, k2 := compilequeue.NewKey().Int(1), compilequeue.NewKey().Int(2)
-	m.Put(k1, 1)
-	m.Put(k2, 2)
-	if !m.DropOldest() {
-		t.Fatal("DropOldest evicted nothing")
-	}
-	if _, ok := m.Get(k1); ok {
-		t.Error("DropOldest kept the oldest entry")
-	}
-	if _, ok := m.Get(k2); !ok {
-		t.Error("DropOldest evicted the newest entry")
-	}
-	if m.Evictions() != 1 {
-		t.Errorf("Evictions() = %d, want 1", m.Evictions())
 	}
 }
 
@@ -132,9 +107,9 @@ func TestMemoBudgetAndCapCompose(t *testing.T) {
 	}
 }
 
-// TestMemoHitZeroAllocs pins the lookup half of a memoized recompile at
-// zero heap allocations: a hit on a private one-shard cache is a snapshot
-// map read plus counter and recency updates. dynopt.TestMemoKeyZeroAllocs
+// TestMemoHitZeroAllocs pins a cache hit at zero heap allocations: a hit
+// on a one-shard cache is a snapshot map read plus counter and recency
+// updates. dynopt.TestMemoKeyZeroAllocs
 // pins the other half, the content-key fold.
 func TestMemoHitZeroAllocs(t *testing.T) {
 	type region struct{ cycles int }

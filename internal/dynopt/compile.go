@@ -12,8 +12,8 @@
 // the simulated clock — readyAt = enqueue-cycle + CompileCyclesPerInst ×
 // guest insts + CompileCyclesPerCheck × guest mem ops, both derived from
 // the superblock alone, never from the compile result or the wall clock.
-// Every simulated decision (chaos draws, memo lookups, enqueue, install,
-// cancellation) happens on the simulation thread; workers only evaluate
+// Every simulated decision (chaos draws, cache lookups, reuse, enqueue,
+// install, cancellation) happens on the simulation thread; workers only evaluate
 // the pure pipeline. Any Workers >= 1 therefore produces byte-identical
 // stats, telemetry and guest state; the worker count is host parallelism
 // only.
@@ -53,17 +53,6 @@ type CompileConfig struct {
 	// once the simulated clock passes the region's readyAt point. Every
 	// N >= 1 yields byte-identical simulated results.
 	Workers int
-	// Memoize enables content-hash memoization of compiled regions in a
-	// private cache: recompiling a region whose guest instructions and
-	// configuration bits hash to a previously compiled key reuses that
-	// code without re-running the pipeline. Simulated costs are replayed
-	// on a hit, so stats are identical with memoization on or off (apart
-	// from the hit/miss counters themselves), inline or in the background.
-	Memoize bool
-	// MemoCapacity bounds the private memo in entries; past the bound the
-	// least recently used entry is evicted. 0 selects
-	// DefaultMemoCapacity; negative means unbounded.
-	MemoCapacity int
 	// WatchdogFactor fixes each background compile's watchdog deadline at
 	// enqueue-cycle + modelled-cost × factor, in simulated cycles. A
 	// compile still pending at its deadline is killed at that point — its
@@ -77,35 +66,19 @@ type CompileConfig struct {
 	// size governs host parallelism. The System never closes a shared
 	// pool — its creator does, after every System using it has finished.
 	SharedPool *compilequeue.Pool
-	// SharedCache, when non-nil, is the System's compile-output cache in
-	// place of a private memo (Memoize and MemoCapacity are then moot): a
-	// concurrent sharded content-addressed cache shared across Systems,
-	// so identical regions compile once fleet-wide, and a region being
-	// compiled by one tenant is awaited (cross-tenant single-flight), not
-	// recompiled, by others. Hits replay the modelled compile costs
-	// exactly like memo hits, so each tenant's simulated results are
-	// byte-identical to a solo run modulo the hit/miss/dedupe counters.
+	// SharedCache, when non-nil, is a compile-output cache shared across
+	// Systems: a concurrent sharded content-addressed cache, so identical
+	// regions compile once fleet-wide, and a region being compiled by one
+	// tenant is awaited (cross-tenant single-flight), not recompiled, by
+	// others. Hits replay the modelled compile costs exactly like a fresh
+	// compile, so each tenant's simulated results are byte-identical to a
+	// solo run modulo the hit/miss/dedupe counters.
 	// Requires Workers >= 1 (background compilation).
 	SharedCache *CodeCache
 }
 
-// DefaultMemoCapacity is the memo-table bound when MemoCapacity is 0.
-const DefaultMemoCapacity = 4096
-
 // DefaultWatchdogFactor is the deadline multiple when WatchdogFactor is 0.
 const DefaultWatchdogFactor = 4
-
-// memoCapacity resolves the configured memo bound (0 = unbounded, for
-// codecache.Options.MaxEntries).
-func (cc CompileConfig) memoCapacity() int {
-	switch {
-	case cc.MemoCapacity > 0:
-		return cc.MemoCapacity
-	case cc.MemoCapacity < 0:
-		return 0
-	}
-	return DefaultMemoCapacity
-}
 
 // watchdogFactor resolves the configured deadline multiple.
 func (cc CompileConfig) watchdogFactor() int64 {
@@ -124,8 +97,8 @@ type CompileStats struct {
 	Installed int64
 	Canceled  int64
 	Failed    int64
-	// MemoHits/MemoMisses count content-hash lookups, against the private
-	// memo or the shared fleet cache.
+	// MemoHits/MemoMisses count content-hash lookups against the shared
+	// fleet cache.
 	MemoHits   int64
 	MemoMisses int64
 	// DedupeWaits counts lookups that joined another tenant's in-flight
@@ -158,9 +131,6 @@ type CompileStats struct {
 	// worker panic in their compile, or the health controller's
 	// quarantine level at the moment they became hot).
 	Quarantined int64
-	// MemoEvictions counts memo entries evicted by the capacity bound or
-	// injected memo pressure.
-	MemoEvictions int64
 }
 
 // errInjectedCompileFail marks chaos-injected compile failures so the
@@ -230,8 +200,8 @@ func (in *compileInput) equal(o *compileInput) bool {
 }
 
 // compileOutput is the pipeline's result plus everything the install
-// point needs to replay the compilation's simulated costs — memo hits
-// and inline re-installs hand back the same object, so either must be
+// point needs to replay the compilation's simulated costs — fleet-cache
+// hits and re-installs hand back the same object, so either must be
 // observationally identical to a re-run.
 type compileOutput struct {
 	cr              *vliw.CompiledRegion
@@ -259,7 +229,6 @@ type pendingCompile struct {
 	enqueuedAt int64 // simulated cycle of the enqueue
 	readyAt    int64 // earliest simulated cycle the result may install
 	deadline   int64 // watchdog kill point: enqueue cycle + cost × watchdog factor
-	key        compilequeue.Key
 	memoHit    bool
 	recompile  bool // old code still installed (promotion-style recompile)
 	// in is the snapshot of the inputs out was compiled from; the install
@@ -269,7 +238,8 @@ type pendingCompile struct {
 	// the pending entry is killed by the watchdog at deadline.
 	hung bool
 	// out is written by the worker then published by closing done; on a
-	// memo hit it is set at enqueue and done stays nil.
+	// fleet-cache hit or a re-install it is set at enqueue and done stays
+	// nil.
 	out  *compileOutput
 	done chan struct{}
 	// flight is the shared-cache single-flight this enqueue leads or
@@ -327,8 +297,8 @@ func (s *System) newCompileInput(entry int) (compileInput, error) {
 	s.recoveryOf(entry) // create the ladder controller on first compile
 	// The effective tier folds the health controller's no-speculation
 	// clamp; it flows into both the opt and sched configs, and through
-	// them into the memo key, so clamped and unclamped compiles of the
-	// same region never collide in the memo.
+	// them into the reuse check and the fleet-cache key, so clamped and
+	// unclamped compiles of the same region never share code.
 	et := s.effectiveTier(entry)
 	return compileInput{
 		entry:     entry,
@@ -371,7 +341,8 @@ var compilePipeline = runCompilePipeline
 // Every intermediate structure is recycled: the IR comes from a pooled
 // arena, and the alias table, dependence set and optimizer result are
 // handed back to their pools on exit. Only the decoded CompiledRegion and
-// plain-value stats escape (the memo retains compile outputs forever).
+// plain-value stats escape (install records and the fleet cache retain
+// compile outputs).
 func runCompilePipeline(in *compileInput) *compileOutput {
 	out := &compileOutput{
 		guestInsts: len(in.sb.Insts),
@@ -661,46 +632,19 @@ func (s *System) drawHostFaults(entry int, withHang bool) (panicInject, hang boo
 	return false, false, poison
 }
 
-// memoPressureDraw applies injected host memory pressure to the private
-// memo ahead of a lookup: the LRU entry is evicted, so a previously
-// memoized region may have to recompile.
-func (s *System) memoPressureDraw(entry int) {
-	if s.inj == nil || !s.inj.MemoPressure() {
-		return
-	}
-	if s.cache.DropOldest() {
-		s.tel.chaosInjected(s.now(), entry, s.tierOf(entry), telemetry.CauseMemoPressure)
-		s.tel.memoTable(s.cache.Len())
-	}
-}
-
-// lookupOutput probes the compile-output cache for in's key and counts
-// the hit or miss in Stats — the one cache lookup of the
-// compile path. out is non-nil on a hit. Without a cache it counts
-// nothing and returns a nil output.
-//
-// The two caches follow different rules, on purpose:
-//   - The private memo does a plain Get here and a Put only once the
-//     install point has admitted the result (storeOutput). Both happen on
-//     the simulation thread at simulated-clock points, so its hit, miss
-//     and eviction counts are identical at any worker count.
-//   - The fleet cache does a single-flight Lookup here, and the leader
-//     fills it with Complete on the worker as soon as the compile ends.
-//     Tenants therefore never wait on each other's install points; a miss
-//     either leads (flight != nil, leader) or joins another tenant's
-//     compile (flight != nil, !leader).
-func (s *System) lookupOutput(entry int, in *compileInput) (key compilequeue.Key, out *compileOutput, flight *codecache.Flight[*compileOutput], leader bool) {
+// lookupOutput probes the fleet cache for in's key and counts the hit or
+// miss in Stats — the one cache lookup of the compile path. out is
+// non-nil on a hit. A miss either leads (flight != nil, leader), and the
+// leader fills the cache with Complete as soon as its compile ends, or
+// joins another tenant's compile (flight != nil, !leader); tenants
+// therefore never wait on each other's install points. Without a fleet
+// cache it counts nothing and returns a nil output.
+func (s *System) lookupOutput(in *compileInput) (key compilequeue.Key, out *compileOutput, flight *codecache.Flight[*compileOutput], leader bool) {
 	if s.cache == nil {
 		return key, nil, nil, false
 	}
 	key = memoKey(in)
-	var hit bool
-	if s.fleetCache {
-		out, hit, flight, leader = s.cache.Lookup(key)
-	} else {
-		s.memoPressureDraw(entry)
-		out, hit = s.cache.Get(key)
-	}
+	out, hit, flight, leader := s.cache.Lookup(key)
 	if hit {
 		s.Stats.Compile.MemoHits++
 	} else {
@@ -712,16 +656,6 @@ func (s *System) lookupOutput(entry int, in *compileInput) (key compilequeue.Key
 	return key, out, flight, leader
 }
 
-// storeOutput records an admitted fresh compile in the private memo (the
-// fleet cache was already filled by the compile's leader).
-func (s *System) storeOutput(key compilequeue.Key, out *compileOutput) {
-	if s.cache == nil || s.fleetCache {
-		return
-	}
-	s.cache.Put(key, out)
-	s.tel.memoTable(s.cache.Len())
-}
-
 // admitOutput decides whether a fresh compile result may be installed.
 // Three screens, in order: a recovered worker panic (the result never
 // existed, and the region is quarantined — the pipeline provably cannot
@@ -729,8 +663,8 @@ func (s *System) storeOutput(key compilequeue.Key, out *compileOutput) {
 // screen — the content checksum recomputed on the simulation thread
 // against the worker's stamp, and the structural invariants for
 // corruption that predates the stamp. A rejected result is never
-// memoized and never dispatched. Memo hits were admitted when first
-// stored, so re-admitting them is a pure double-check.
+// recorded and never dispatched. Fleet-cache hits and re-installs were
+// screened before, so re-admitting them is a pure double-check.
 func (s *System) admitOutput(entry int, out *compileOutput) error {
 	if out.panicked {
 		s.Stats.Compile.WorkerPanics++
@@ -799,22 +733,10 @@ func (s *System) recompileRegion(entry int, stale bool) {
 	}
 }
 
-// enqueueCompile builds entry's inputs, probes the compile-output cache
-// and counts the request; then it either runs the job and installs the
-// result inline or queues it (queueCompile). Single-flight per entry: a
-// live pending compile absorbs the request.
-//
-// Re-install, don't recompile: an inline request whose inputs equal the
-// region's install record for its effective tier (compileInput.equal) —
-// an injected alias exception carries no pair and moves no tier, and a
-// region returning to a tier after a drop, an eviction or a tier move
-// often brings back inputs it compiled before — installs that record's
-// output again instead of running the pipeline. The install path is
-// unchanged, so the result is screened by admitOutput and charged exactly
-// like a fresh compile of the same input. Every chaos draw still happens,
-// in the same order, and reuse requires that no host fault fired: a panic
-// or poison draw always gets a fresh job, which can never touch a
-// recorded output.
+// enqueueCompile builds entry's inputs, probes the fleet cache and counts
+// the request; then it either runs the job and installs the result inline
+// or queues it (queueCompile). Single-flight per entry: a live pending
+// compile absorbs the request.
 func (s *System) enqueueCompile(entry int) error {
 	if s.cq.pending[entry] != nil {
 		return nil
@@ -836,40 +758,56 @@ func (s *System) enqueueCompile(entry int) error {
 		readyAt:    now,
 		recompile:  s.disp[entry].code != nil,
 	}
-	key, out, flight, leader := s.lookupOutput(entry, &in)
-	p.key, p.out, p.memoHit = key, out, out != nil
+	key, out, flight, leader := s.lookupOutput(&in)
+	p.out, p.memoHit = out, out != nil
 	s.Stats.Compile.Enqueued++
 	if !s.cq.inline {
-		p.in = in.snapshot()
-		s.queueCompile(p, flight, leader)
+		s.queueCompile(p, &in, key, flight, leader)
 		return nil
 	}
 	// Inline: the job runs here on the simulation thread and installs
 	// before the request returns, so p never enters pending or queue.
-	if p.memoHit {
+	panicInject, _, poison := s.drawHostFaults(entry, false)
+	if !s.reuseRecord(&p, &in, panicInject, poison) {
 		p.in = in.snapshot()
-	} else {
-		panicInject, _, poison := s.drawHostFaults(entry, false)
-		rec := &s.recoveryOf(entry).installs[s.effectiveTier(entry)]
-		if rec.in != nil && !panicInject &&
-			poison == faultinject.PoisonNone && rec.in.equal(&in) {
-			p.in, p.out = rec.in, rec.out
-		} else {
-			p.in = in.snapshot()
-			p.out = runCompileJob(p.in, panicInject, poison)
-		}
+		p.out = runCompileJob(p.in, panicInject, poison)
 	}
 	s.installPending(&p)
 	return nil
 }
 
+// reuseRecord is the one reuse rule, inline and queued: re-install,
+// don't recompile. If no host fault was drawn for this compile and in
+// equals the region's install record for its effective tier
+// (compileInput.equal), it gives p the record's input and output and
+// reports true; the caller then runs no pipeline. Injected alias
+// exceptions, drops, evictions and tier moves often bring back inputs a
+// region compiled before. The result still goes through admitOutput and
+// is charged like a fresh compile of the same input. A panic or poison
+// draw always gets a fresh job, so a fault never reaches a recorded
+// output.
+func (s *System) reuseRecord(p *pendingCompile, in *compileInput, panicInject bool, poison faultinject.PoisonMode) bool {
+	if panicInject || poison != faultinject.PoisonNone {
+		return false
+	}
+	rec := &s.recoveryOf(p.entry).installs[s.effectiveTier(p.entry)]
+	if rec.in == nil || !rec.in.equal(in) {
+		return false
+	}
+	p.in, p.out = rec.in, rec.out
+	return true
+}
+
 // queueCompile fixes p's install point from the simulated clock and the
 // superblock alone, hands the pure pipeline to the worker pool (unless the
-// cache already holds the result or another tenant's flight will deliver
-// it), and queues p in install order. p arrives by value: only a queued
-// compile outlives its request, so only it is moved to the heap.
-func (s *System) queueCompile(p pendingCompile, flight *codecache.Flight[*compileOutput], leader bool) {
-	cq, in, entry, key, now := s.cq, p.in, p.entry, p.key, p.enqueuedAt
+// fleet cache already holds the result, another tenant's flight will
+// deliver it, or the region re-installs its record), and queues p in
+// install order. p arrives by value: only a queued compile outlives its
+// request, so only it is moved to the heap. in is the request's input
+// view; p keeps a snapshot of it unless p re-installs a record. key,
+// flight and leader are the fleet-cache lookup's (see lookupOutput).
+func (s *System) queueCompile(p pendingCompile, in *compileInput, key compilequeue.Key, flight *codecache.Flight[*compileOutput], leader bool) {
+	cq, entry, now := s.cq, p.entry, p.enqueuedAt
 	cost := int64(s.cfg.Machine.CompileCyclesPerInst)*int64(len(in.sb.Insts)) +
 		int64(s.cfg.Machine.CompileCyclesPerCheck)*int64(in.sb.NumMemOps())
 	cq.seq++
@@ -880,10 +818,12 @@ func (s *System) queueCompile(p pendingCompile, flight *codecache.Flight[*compil
 	case p.memoHit:
 		// Host faults only strike fresh compiles: a hit runs no worker
 		// job, so there is nothing to panic, hang or poison.
+		p.in = in.snapshot()
 	case flight != nil && !leader:
 		// Another tenant's compile of this key is in flight: join it.
 		// The install point blocks on the flight only once the simulated
 		// clock passes readyAt, exactly like a private job.
+		p.in = in.snapshot()
 		p.flight, p.deduped = flight, true
 	default:
 		panicInject, hang, poison := s.drawHostFaults(entry, true)
@@ -903,6 +843,16 @@ func (s *System) queueCompile(p pendingCompile, flight *codecache.Flight[*compil
 			}
 			break
 		}
+		if s.reuseRecord(&p, in, panicInject, poison) {
+			if flight != nil {
+				// A leader that re-installs submits no job, so it settles
+				// the flight with the record's output, as its worker would.
+				s.cache.Complete(key, flight, p.out, outputClean(p.out))
+			}
+			break
+		}
+		snap := in.snapshot()
+		p.in = snap
 		if cq.pool == nil {
 			cq.pool = compilequeue.NewPool(s.cfg.Compile.Workers)
 		}
@@ -912,7 +862,7 @@ func (s *System) queueCompile(p pendingCompile, flight *codecache.Flight[*compil
 			p.flight = flight
 			cache := s.cache
 			cq.pool.Submit(func() {
-				out := runCompileJob(in, panicInject, poison)
+				out := runCompileJob(snap, panicInject, poison)
 				cache.Complete(key, flight, out, outputClean(out))
 			})
 			break
@@ -920,7 +870,7 @@ func (s *System) queueCompile(p pendingCompile, flight *codecache.Flight[*compil
 		p.done = make(chan struct{})
 		job := &p
 		cq.pool.Submit(func() {
-			job.out = runCompileJob(in, panicInject, poison)
+			job.out = runCompileJob(snap, panicInject, poison)
 			close(job.done)
 		})
 	}
@@ -1037,9 +987,6 @@ func (s *System) installPending(p *pendingCompile) {
 			s.compileFailBackoff(p.entry, err)
 		}
 		return
-	}
-	if !p.memoHit {
-		s.storeOutput(p.key, out)
 	}
 	s.installOutput(p.entry, p.in, out, latency)
 	s.Stats.Compile.Installed++

@@ -64,13 +64,11 @@ func TestBackgroundWorkersDeterministic(t *testing.T) {
 		"aliasing": func() *guest.Program { return aliasingProgram(2500, 7) },
 	}
 	arms := []struct {
-		name    string
-		seed    int64
-		memoize bool
+		name string
+		seed int64
 	}{
-		{"plain", 0, false},
-		{"memoized", 0, true},
-		{"chaos", 7, false},
+		{"plain", 0},
+		{"chaos", 7},
 	}
 	for pname, build := range progs {
 		for _, arm := range arms {
@@ -78,7 +76,6 @@ func TestBackgroundWorkersDeterministic(t *testing.T) {
 				baseCfg := func(workers int) Config {
 					cfg := ConfigSMARQ(64)
 					cfg.Compile.Workers = workers
-					cfg.Compile.Memoize = arm.memoize
 					if arm.seed != 0 {
 						cfg.Chaos = faultinject.Default(arm.seed)
 						cfg.CheckInvariants = true
@@ -114,7 +111,6 @@ func TestBackgroundWorkersDeterministic(t *testing.T) {
 func TestBackgroundMatchesInterpreter(t *testing.T) {
 	cfg := ConfigSMARQ(64)
 	cfg.Compile.Workers = 2
-	cfg.Compile.Memoize = true
 	sys, ref := runBoth(t, aliasingProgram(2500, 7), cfg, 1<<16)
 	assertSameState(t, sys, ref, 1<<16)
 	if sys.Stats.Compile.Installed == 0 {
@@ -179,74 +175,6 @@ func TestBackgroundLatencyModel(t *testing.T) {
 	}
 	if withLatency == 0 {
 		t.Error("no region recorded a CompileLatency")
-	}
-}
-
-// TestMemoHitReusesCompiledRegion: a recompile whose inputs hash to a
-// previously compiled key must reuse the same CompiledRegion object
-// without re-running the pipeline.
-func TestMemoHitReusesCompiledRegion(t *testing.T) {
-	cfg := ConfigSMARQ(64)
-	cfg.Compile.Memoize = true
-	sys := New(sumLoopProgram(400), &guest.State{}, guest.NewMemory(1<<16), cfg)
-	if halted, err := sys.Run(50_000_000); err != nil || !halted {
-		t.Fatalf("halted=%v err=%v", halted, err)
-	}
-	entry, cr0 := -1, (*compiled)(nil)
-	for e := range sys.disp {
-		if c := sys.disp[e].code; c != nil {
-			entry, cr0 = e, c
-			break
-		}
-	}
-	if entry < 0 {
-		t.Fatal("run compiled no regions")
-	}
-	before := sys.Stats.Compile
-
-	// Evict the code and compile the entry again with unchanged inputs:
-	// the memo must hand back the identical compiled object.
-	sys.dropCode(entry)
-	if err := sys.requestCompile(entry); err != nil {
-		t.Fatal(err)
-	}
-	if sys.Stats.Compile.Installed != before.Installed+1 {
-		t.Errorf("installs %d, want %d (an inline compile installs before the request returns)",
-			sys.Stats.Compile.Installed, before.Installed+1)
-	}
-	if sys.Stats.Compile.MemoHits != before.MemoHits+1 {
-		t.Errorf("memo hits %d, want %d", sys.Stats.Compile.MemoHits, before.MemoHits+1)
-	}
-	if sys.Stats.Compile.MemoMisses != before.MemoMisses {
-		t.Errorf("memo misses %d, want unchanged %d", sys.Stats.Compile.MemoMisses, before.MemoMisses)
-	}
-	if got := sys.disp[entry].code; got == nil || got.cr != cr0.cr {
-		t.Error("recompile did not reuse the memoized CompiledRegion")
-	}
-}
-
-// TestMemoizationInvisibleInStats: memo hits replay the original
-// compilation's simulated costs, so every stat except the hit/miss
-// counters is identical with memoization on or off.
-func TestMemoizationInvisibleInStats(t *testing.T) {
-	mk := func(memoize bool) Config {
-		cfg := ConfigSMARQ(64)
-		cfg.Compile.Workers = 2
-		cfg.Compile.Memoize = memoize
-		return cfg
-	}
-	off := runInstrumented(t, aliasingProgram(2500, 7), 1<<16, mk(false))
-	on := runInstrumented(t, aliasingProgram(2500, 7), 1<<16, mk(true))
-
-	a, b := off.sys.Stats, on.sys.Stats
-	a.Compile.MemoHits, a.Compile.MemoMisses = 0, 0
-	b.Compile.MemoHits, b.Compile.MemoMisses = 0, 0
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("stats differ beyond memo counters\noff: %+v\non:  %+v", a, b)
-	}
-	snap := faultinject.Capture(off.st, off.mem)
-	if err := snap.Verify(on.st, on.mem); err != nil {
-		t.Errorf("guest state differs with memoization on: %v", err)
 	}
 }
 

@@ -40,9 +40,6 @@ func TestSystemDecodedInterpMatchesReference(t *testing.T) {
 							cfg.CheckInvariants = true
 						}
 						cfg.Compile.Workers = w
-						if w > 0 {
-							cfg.Compile.Memoize = true
-						}
 						sys := New(bm.Build(), &guest.State{}, guest.NewMemory(bm.MemSize), cfg)
 						sys.it.Ref = ref
 						halted, err := sys.Run(bm.MaxInsts)

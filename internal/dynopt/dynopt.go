@@ -73,7 +73,7 @@ type Config struct {
 	// its decisions, and this path never formats and never allocates on
 	// the hot path; see internal/telemetry.
 	Telemetry *telemetry.Telemetry
-	// Compile configures the compile queue and content-hash memoization
+	// Compile configures the compile queue and the fleet's shared cache
 	// (compile.go). The zero value compiles inline: on the critical path,
 	// installing before the request returns.
 	Compile CompileConfig
@@ -255,7 +255,7 @@ type Stats struct {
 	RegionsDropped  int
 	OverflowRetries int
 
-	// Compile is the background-compilation and memoization accounting
+	// Compile is the compile queue's and the fleet cache's accounting
 	// (compile.go). CompileStats.WorkCycles is off the critical path and
 	// deliberately excluded from TotalCycles.
 	Compile CompileStats
@@ -344,12 +344,10 @@ type System struct {
 	// entrySeq numbers region dispatches — the eviction clock source.
 	entrySeq int64
 	// cq is the compile queue every compile request runs through (inline
-	// when Compile.Workers == 0); see compile.go. cache is the
-	// compile-output cache: the fleet's (Compile.SharedCache, fleetCache
-	// set), else a private one-shard memo (Compile.Memoize), else nil.
-	cq         *compileQueue
-	cache      *codecache.Cache[*compileOutput]
-	fleetCache bool
+	// when Compile.Workers == 0); see compile.go. cache is the fleet's
+	// shared compile-output cache (Compile.SharedCache), or nil.
+	cq    *compileQueue
+	cache *codecache.Cache[*compileOutput]
 	// injFailStreak counts consecutive chaos-injected compile failures
 	// per entry; injected failures back off additively instead of the
 	// real-failure doubling (see compileFailBackoff).
@@ -417,15 +415,8 @@ func New(prog *guest.Program, st *guest.State, mem *guest.Memory, cfg Config) *S
 			sharedPool: cfg.Compile.SharedPool != nil,
 		},
 	}
-	switch {
-	case cfg.Compile.SharedCache != nil:
-		s.cache, s.fleetCache = cfg.Compile.SharedCache.cache, true
-	case cfg.Compile.Memoize:
-		// One shard: only the simulation thread touches a private memo, and
-		// a single shard under single-threaded use is exact LRU.
-		s.cache = codecache.New[*compileOutput](codecache.Options{
-			Shards: 1, MaxEntries: int64(cfg.Compile.memoCapacity()),
-		}, nil)
+	if cfg.Compile.SharedCache != nil {
+		s.cache = cfg.Compile.SharedCache.cache
 	}
 	if cfg.Health.Enabled() {
 		s.hc = health.New(cfg.Health)
@@ -896,8 +887,8 @@ func (s *System) finalize() {
 }
 
 // syncLiveStats copies into Stats the counts whose live source sits
-// outside it: the alias hardware's checks, the injector's draws, the
-// health controller's accounting and the private memo's evictions.
+// outside it: the alias hardware's checks, the injector's draws and the
+// health controller's accounting.
 func (s *System) syncLiveStats() {
 	s.Stats.HWChecks = s.det.Checked()
 	if s.inj != nil {
@@ -906,9 +897,6 @@ func (s *System) syncLiveStats() {
 	if s.hc != nil {
 		s.Stats.Health = s.hc.Stats()
 		s.Stats.Health.QuarantinedRegions = int64(len(s.quarantined))
-	}
-	if s.cache != nil && !s.fleetCache {
-		s.Stats.Compile.MemoEvictions = s.cache.Evictions()
 	}
 }
 

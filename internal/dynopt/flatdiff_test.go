@@ -50,7 +50,6 @@ func TestCompileFlatMatchesReference(t *testing.T) {
 				mk := func() Config {
 					c := cfg
 					c.Compile.Workers = 2
-					c.Compile.Memoize = true
 					if arm.seed != 0 {
 						c.Chaos = faultinject.Default(arm.seed)
 						c.CheckInvariants = true

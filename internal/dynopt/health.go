@@ -46,7 +46,8 @@ func (s *System) compileAllowed(entry int) bool {
 // effectiveTier is the region's ladder rung clamped by the health level:
 // at no-speculation and below, every new compile is at least
 // conservative. The clamp applies at compile-input snapshot time, so the
-// memo key (which folds the tier-derived flags) stays correct.
+// reuse check and the fleet-cache key (which fold the tier-derived flags)
+// stay correct.
 func (s *System) effectiveTier(entry int) Tier {
 	t := s.tierOf(entry)
 	if s.hc != nil && s.hc.Level() >= health.NoSpeculation && t < TierConservative {

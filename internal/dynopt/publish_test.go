@@ -72,7 +72,6 @@ func TestMetricsPublishedFromStats(t *testing.T) {
 		for i, prog := range progs {
 			cfg := ConfigSMARQ(64)
 			cfg.Compile.Workers = 1
-			cfg.Compile.Memoize = true
 			cfg.Chaos = faultinject.DefaultHost(int64(i + 1))
 			cfg.Health = smallHealthConfig()
 			cfg.Telemetry = &telemetry.Telemetry{Metrics: reg}
@@ -143,7 +142,6 @@ func TestMetricsPublishedFromStats(t *testing.T) {
 
 	t.Run("allocs", func(t *testing.T) {
 		cfg := ConfigSMARQ(64)
-		cfg.Compile.Memoize = true
 		cfg.Chaos = faultinject.DefaultHost(1)
 		cfg.Health = smallHealthConfig()
 		cfg.Telemetry = &telemetry.Telemetry{Metrics: telemetry.NewRegistry()}

@@ -85,13 +85,10 @@ func TestConfigValidate(t *testing.T) {
 	if syncCache.Validate() == nil {
 		t.Error("SharedCache with Workers=0 accepted")
 	}
-	// A shared cache is the System's cache, so Memoize alongside it is
-	// not a conflict.
 	fleet := syncCache
 	fleet.Compile.Workers = 1
-	fleet.Compile.Memoize = true
 	if err := fleet.Validate(); err != nil {
-		t.Errorf("SharedCache with Workers=1 and Memoize rejected: %v", err)
+		t.Errorf("SharedCache with Workers=1 rejected: %v", err)
 	}
 	// The zero Recovery value means defaults, so it must validate.
 	zeroRec := DefaultConfig()

@@ -2,36 +2,43 @@ package dynopt
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"smarq/internal/alias"
+	"smarq/internal/codecache"
 	"smarq/internal/faultinject"
 	"smarq/internal/guest"
 	"smarq/internal/workload"
 )
 
 // countPipelineRuns swaps the compile pipeline for a counting wrapper
-// until the test ends. Only inline systems may use it: they call the
-// pipeline on the simulation thread, so the count needs no lock.
-func countPipelineRuns(t *testing.T) *int {
+// until the test ends. The count is atomic because a queued system runs
+// the pipeline on its workers; read it once their jobs are drained.
+func countPipelineRuns(t *testing.T) *atomic.Int64 {
 	t.Helper()
-	n := new(int)
+	n := new(atomic.Int64)
 	compilePipeline = func(in *compileInput) *compileOutput {
-		*n++
+		n.Add(1)
 		return runCompilePipeline(in)
 	}
 	t.Cleanup(func() { compilePipeline = runCompilePipeline })
 	return n
 }
 
-// installedSystem runs the aliasing program inline to halt and returns
-// the system with the entry of one region whose code is still installed.
-func installedSystem(t *testing.T) (*System, int) {
+// installedSystem runs the aliasing program to halt with the given
+// compile worker count and returns the system with the entry of one
+// region whose code is still installed. A queued system's later compiles
+// start a new pool, which the test's cleanup closes.
+func installedSystem(t *testing.T, workers int) (*System, int) {
 	t.Helper()
-	sys := New(aliasingProgram(800, 7), &guest.State{}, guest.NewMemory(1<<16), ConfigSMARQ(64))
+	cfg := ConfigSMARQ(64)
+	cfg.Compile.Workers = workers
+	sys := New(aliasingProgram(800, 7), &guest.State{}, guest.NewMemory(1<<16), cfg)
 	if halted, err := sys.Run(50_000_000); err != nil || !halted {
 		t.Fatalf("halted=%v err=%v", halted, err)
 	}
+	t.Cleanup(sys.abandonCompiles)
 	for e := range sys.disp {
 		if sys.disp[e].code != nil {
 			return sys, e
@@ -46,12 +53,25 @@ func (s *System) installRecordOf(entry int) installRecord {
 	return s.recoveryOf(entry).installs[s.effectiveTier(entry)]
 }
 
+// settle advances the simulated clock to entry's pending compile's event
+// time — its install point, or a hung job's watchdog deadline — and runs
+// the queue there, as the Run loop would.
+func settle(t *testing.T, sys *System, entry int) {
+	t.Helper()
+	p := sys.cq.pending[entry]
+	if p == nil {
+		t.Fatalf("B%d has no pending compile", entry)
+	}
+	sys.Stats.InterpCycles += p.at() - sys.now()
+	sys.drainCompiles()
+}
+
 // TestInlineRecompileReusesInstalledCode: an inline recompile whose
 // inputs equal its tier's install record re-installs that code without
 // running the pipeline, charges it exactly like a fresh compile, and
 // resets the overwritten compiled record's dispatch state.
 func TestInlineRecompileReusesInstalledCode(t *testing.T) {
-	sys, e := installedSystem(t)
+	sys, e := installedSystem(t, 0)
 	runs := countPipelineRuns(t)
 	old := sys.disp[e].code
 	oldCR, rec := old.cr, sys.installRecordOf(e)
@@ -64,8 +84,8 @@ func TestInlineRecompileReusesInstalledCode(t *testing.T) {
 
 	sys.recompileRegion(e, true)
 
-	if *runs != 0 {
-		t.Errorf("pipeline ran %d times for unchanged inputs, want 0", *runs)
+	if runs.Load() != 0 {
+		t.Errorf("pipeline ran %d times for unchanged inputs, want 0", runs.Load())
 	}
 	c := sys.disp[e].code
 	if c == nil || c.cr != oldCR {
@@ -134,7 +154,7 @@ func TestInlineRecompileFreshOnChangedInputs(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sys, e := installedSystem(t)
+			sys, e := installedSystem(t, 0)
 			runs := countPipelineRuns(t)
 			// Two rounds: the second mutates live state that the first
 			// round's install already snapshotted.
@@ -142,8 +162,8 @@ func TestInlineRecompileFreshOnChangedInputs(t *testing.T) {
 				oldCR := sys.disp[e].code.cr
 				tc.change(sys, e)
 				sys.recompileRegion(e, true)
-				if *runs != round {
-					t.Fatalf("round %d: %d pipeline runs, want %d", round, *runs, round)
+				if runs.Load() != int64(round) {
+					t.Fatalf("round %d: %d pipeline runs, want %d", round, runs.Load(), round)
 				}
 				if c := sys.disp[e].code; c == nil || c.cr == oldCR {
 					t.Fatalf("round %d: changed inputs did not install fresh code", round)
@@ -155,32 +175,58 @@ func TestInlineRecompileFreshOnChangedInputs(t *testing.T) {
 
 // TestHostFaultDrawForcesFreshJob: a worker-panic or poison draw always
 // gets a fresh job, even when the inputs equal the install record's, and
-// the fault never reaches the recorded code.
+// the fault never reaches the recorded code — inline and queued alike. A
+// queued hang draw never reuses either: no job is submitted, and the
+// watchdog kills the compile at its deadline.
 func TestHostFaultDrawForcesFreshJob(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
+		workers  int
 		chaos    faultinject.Config
-		wantRuns int // a panic strikes before the pipeline starts
+		wantRuns int64 // a panic strikes before the pipeline starts
 	}{
-		{"poison", faultinject.Config{Seed: 1, PoisonResultRate: 1}, 1},
-		{"panic", faultinject.Config{Seed: 1, WorkerPanicRate: 1}, 0},
+		{"poison", 0, faultinject.Config{Seed: 1, PoisonResultRate: 1}, 1},
+		{"panic", 0, faultinject.Config{Seed: 1, WorkerPanicRate: 1}, 0},
+		{"poison-queued", 1, faultinject.Config{Seed: 1, PoisonResultRate: 1}, 1},
+		{"panic-queued", 1, faultinject.Config{Seed: 1, WorkerPanicRate: 1}, 0},
+		{"hang-queued", 1, faultinject.Config{Seed: 1, CompileHangRate: 1}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sys, e := installedSystem(t)
-			sys.inj = faultinject.New(tc.chaos)
 			runs := countPipelineRuns(t)
+			sys, e := installedSystem(t, tc.workers)
+			sys.inj = faultinject.New(tc.chaos)
 			old := sys.disp[e].code.cr
 			sum := old.Checksum()
 			before := sys.Stats.Compile
+			base := runs.Load()
 
-			sys.recompileRegion(e, true)
+			// Queued: a promotion-style recompile, so the old code stays
+			// installed until the replacement's install point.
+			sys.recompileRegion(e, !sys.cq.inline)
+			if !sys.cq.inline {
+				p := sys.cq.pending[e]
+				if p == nil {
+					t.Fatal("the recompile queued nothing")
+				}
+				if p.in == sys.installRecordOf(e).in {
+					t.Fatal("the recompile reused the install record despite a host-fault draw")
+				}
+				if p.hung != (tc.chaos.CompileHangRate > 0) || (p.done == nil) != p.hung {
+					t.Fatalf("hung=%v job=%v: a hang submits no job, any other draw a fresh one",
+						p.hung, p.done != nil)
+				}
+				settle(t, sys, e)
+			}
 
-			if *runs != tc.wantRuns {
-				t.Errorf("%d pipeline runs, want %d", *runs, tc.wantRuns)
+			if got := runs.Load() - base; got != tc.wantRuns {
+				t.Errorf("%d pipeline runs, want %d", got, tc.wantRuns)
 			}
 			if sys.Stats.Compile.Failed != before.Failed+1 {
 				t.Errorf("Compile.Failed %d, want %d: the faulted job was not screened",
 					sys.Stats.Compile.Failed, before.Failed+1)
+			}
+			if hung := tc.chaos.CompileHangRate > 0; hung && sys.Stats.Compile.WatchdogKills != before.WatchdogKills+1 {
+				t.Errorf("Compile.WatchdogKills %d, want %d", sys.Stats.Compile.WatchdogKills, before.WatchdogKills+1)
 			}
 			if sys.disp[e].code != nil {
 				t.Error("the installed code survived a failed superseding compile")
@@ -198,10 +244,125 @@ func TestHostFaultDrawForcesFreshJob(t *testing.T) {
 	}
 }
 
-// TestReusePipelineRunsAmmpChaos pins how many of ammp's inline compiles
-// under the default chaos mix run the pipeline: most requests follow an
-// injected alias exception that changes no input, or return a region to
-// a tier it built before, and re-install.
+// TestQueuedRecompileReusesRecord: a queued recompile whose inputs equal
+// its tier's install record submits no job and runs no pipeline. It
+// installs the record's CompiledRegion at its readyAt point and is
+// charged exactly like a fresh compile of the same input, which a twin
+// system without the record runs.
+func TestQueuedRecompileReusesRecord(t *testing.T) {
+	runs := countPipelineRuns(t)
+	reuse, e := installedSystem(t, 1)
+	fresh, _ := installedSystem(t, 1)
+	fresh.recoveryOf(e).installs = [TierPinned]installRecord{}
+	rec := reuse.installRecordOf(e)
+	before := reuse.Stats.Compile
+	base := runs.Load()
+
+	// A promotion-style recompile: the old code stays installed until the
+	// replacement installs.
+	reuse.recompileRegion(e, false)
+	fresh.recompileRegion(e, false)
+	p := reuse.cq.pending[e]
+	if p == nil {
+		t.Fatal("the recompile queued nothing")
+	}
+	if p.done != nil || p.flight != nil || p.hung {
+		t.Fatal("the recompile submitted a job for unchanged inputs")
+	}
+	if p.in != rec.in || p.out != rec.out {
+		t.Fatal("the queued compile does not carry the install record")
+	}
+	if fresh.cq.pending[e].done == nil {
+		t.Fatal("the twin without a record submitted no job")
+	}
+	settle(t, reuse, e)
+	settle(t, fresh, e)
+
+	if got := runs.Load() - base; got != 1 {
+		t.Errorf("%d pipeline runs, want 1 (the twin's fresh job only)", got)
+	}
+	c := reuse.disp[e].code
+	if c == nil || c.cr != rec.out.cr {
+		t.Fatal("the recompile did not install the record's CompiledRegion")
+	}
+	if c.installedAt != p.readyAt {
+		t.Errorf("installed at cycle %d, want readyAt %d", c.installedAt, p.readyAt)
+	}
+	cs := reuse.Stats.Compile
+	if cost := p.readyAt - p.enqueuedAt; cost <= 0 || cs.WorkCycles != before.WorkCycles+cost || cs.LatencySum != before.LatencySum+cost {
+		t.Errorf("WorkCycles %d, LatencySum %d; want %d and %d (one more compile's modelled cost %d)",
+			cs.WorkCycles, cs.LatencySum, before.WorkCycles+cost, before.LatencySum+cost, cost)
+	}
+	if !reflect.DeepEqual(reuse.Stats, fresh.Stats) {
+		t.Errorf("stats differ from a fresh compile of the same input\nreuse: %+v\nfresh: %+v", reuse.Stats, fresh.Stats)
+	}
+}
+
+// TestFleetLeaderReuseCompletesFlight: a fleet-cache leader whose inputs
+// equal its install record submits no job and settles its flight with the
+// record's output, so the cache holds it again and the next lookup of the
+// key — from any tenant — is a hit, not a wait on a flight that never
+// ends.
+func TestFleetLeaderReuseCompletesFlight(t *testing.T) {
+	runs := countPipelineRuns(t)
+	cc := NewCodeCache(codecache.Options{MaxEntries: 1})
+	cfg := ConfigSMARQ(64)
+	cfg.Compile.Workers = 1
+	cfg.Compile.SharedCache = cc
+	sys := New(aliasingProgram(800, 7), &guest.State{}, guest.NewMemory(1<<16), cfg)
+	if halted, err := sys.Run(50_000_000); err != nil || !halted {
+		t.Fatalf("halted=%v err=%v", halted, err)
+	}
+	t.Cleanup(sys.abandonCompiles)
+	e := -1
+	for i := range sys.disp {
+		if sys.disp[i].code != nil {
+			e = i
+			break
+		}
+	}
+	if e < 0 {
+		t.Fatal("run left no region installed")
+	}
+	rec := sys.installRecordOf(e)
+	key := memoKey(rec.in)
+	// Make the key a miss: the one-entry cache now holds another key.
+	cc.cache.Put(key+1, nil)
+	before := sys.Stats.Compile
+	base := runs.Load()
+
+	sys.recompileRegion(e, false)
+
+	p := sys.cq.pending[e]
+	if p == nil {
+		t.Fatal("the recompile queued nothing")
+	}
+	if got := sys.Stats.Compile; got.MemoMisses != before.MemoMisses+1 || got.DedupeWaits != before.DedupeWaits {
+		t.Fatalf("the lookup did not lead a flight: misses %d -> %d, dedupe waits %d -> %d",
+			before.MemoMisses, got.MemoMisses, before.DedupeWaits, got.DedupeWaits)
+	}
+	if p.done != nil || p.flight != nil || p.out != rec.out {
+		t.Fatal("the leader did not re-install its record")
+	}
+	if out, hit := cc.cache.Peek(key); !hit || out != rec.out {
+		t.Fatal("the leader's flight did not insert the record's output")
+	}
+	if out, hit, flight, _ := cc.cache.Lookup(key); !hit || out != rec.out || flight != nil {
+		t.Fatal("a later lookup of the key found no entry")
+	}
+	settle(t, sys, e)
+	if runs.Load() != base {
+		t.Errorf("%d pipeline runs, want 0", runs.Load()-base)
+	}
+	if c := sys.disp[e].code; c == nil || c.cr != rec.out.cr {
+		t.Error("the leader did not install the record's CompiledRegion")
+	}
+}
+
+// TestReusePipelineRunsAmmpChaos pins how many of ammp's compiles under
+// the default chaos mix run the pipeline, inline and queued: most requests
+// follow an injected alias exception that changes no input, or return a
+// region to a tier it built before, and re-install.
 func TestReusePipelineRunsAmmpChaos(t *testing.T) {
 	var bm workload.Benchmark
 	for _, b := range workload.Suite() {
@@ -209,19 +370,30 @@ func TestReusePipelineRunsAmmpChaos(t *testing.T) {
 			bm = b
 		}
 	}
-	runs := countPipelineRuns(t)
-	cfg := ConfigSMARQ(64)
-	cfg.Chaos = faultinject.Default(7)
-	sys := New(bm.Build(), &guest.State{}, guest.NewMemory(bm.MemSize), cfg)
-	if halted, err := sys.Run(bm.MaxInsts); err != nil || !halted {
-		t.Fatalf("halted=%v err=%v", halted, err)
-	}
-	const wantEnqueued, wantRuns = 208, 14
-	if got := sys.Stats.Compile.Enqueued; got != wantEnqueued {
-		t.Errorf("Compile.Enqueued %d, want %d", got, wantEnqueued)
-	}
-	if *runs != wantRuns {
-		t.Errorf("%d pipeline runs for %d enqueued compiles, want %d", *runs, sys.Stats.Compile.Enqueued, wantRuns)
+	for _, tc := range []struct {
+		name                   string
+		workers                int
+		wantEnqueued, wantRuns int64
+	}{
+		{"inline", 0, 208, 14},
+		{"queued", 1, 275, 13},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runs := countPipelineRuns(t)
+			cfg := ConfigSMARQ(64)
+			cfg.Chaos = faultinject.Default(7)
+			cfg.Compile.Workers = tc.workers
+			sys := New(bm.Build(), &guest.State{}, guest.NewMemory(bm.MemSize), cfg)
+			if halted, err := sys.Run(bm.MaxInsts); err != nil || !halted {
+				t.Fatalf("halted=%v err=%v", halted, err)
+			}
+			if got := sys.Stats.Compile.Enqueued; got != tc.wantEnqueued {
+				t.Errorf("Compile.Enqueued %d, want %d", got, tc.wantEnqueued)
+			}
+			if runs.Load() != tc.wantRuns {
+				t.Errorf("%d pipeline runs for %d enqueued compiles, want %d", runs.Load(), sys.Stats.Compile.Enqueued, tc.wantRuns)
+			}
+		})
 	}
 }
 
@@ -230,7 +402,7 @@ func TestReusePipelineRunsAmmpChaos(t *testing.T) {
 // zero heap allocations: the pin and blacklist copies are made only when
 // the pipeline runs. The live sets are deliberately nonempty.
 func TestReuseDecisionZeroAllocs(t *testing.T) {
-	sys, e := installedSystem(t)
+	sys, e := installedSystem(t, 0)
 	sys.blacklist[e] = alias.Blacklist{alias.MakePair(3, 1): true, alias.MakePair(2, 5): true}
 	sys.pinnedLoads[e] = map[int]bool{9: true, 2: true}
 	sys.recompileRegion(e, true)
@@ -253,13 +425,13 @@ func TestReuseDecisionZeroAllocs(t *testing.T) {
 // unchanged inputs at zero heap allocations: the decision, the install
 // path and the compiled record, which is overwritten in place.
 func TestInlineReinstallZeroAllocs(t *testing.T) {
-	sys, e := installedSystem(t)
+	sys, e := installedSystem(t, 0)
 	runs := countPipelineRuns(t)
 	allocs := testing.AllocsPerRun(200, func() {
 		sys.recompileRegion(e, true)
 	})
-	if *runs != 0 {
-		t.Fatalf("pipeline ran %d times for unchanged inputs, want 0", *runs)
+	if runs.Load() != 0 {
+		t.Fatalf("pipeline ran %d times for unchanged inputs, want 0", runs.Load())
 	}
 	if allocs != 0 {
 		t.Errorf("an inline re-install allocates %.1f times, want 0", allocs)
@@ -270,7 +442,7 @@ func TestInlineReinstallZeroAllocs(t *testing.T) {
 // comes back with the same inputs re-installs that tier's build — the
 // rungs in between do not evict it — and is charged as for a compile.
 func TestPromotionReinstallsEarlierTier(t *testing.T) {
-	sys, e := installedSystem(t)
+	sys, e := installedSystem(t, 0)
 	rr := sys.recoveryOf(e)
 	rr.installs = [TierPinned]installRecord{}
 	runs := countPipelineRuns(t)
@@ -280,8 +452,8 @@ func TestPromotionReinstallsEarlierTier(t *testing.T) {
 	full := sys.disp[e].code.cr
 	rr.tier = TierNoStoreReorder
 	sys.recompileRegion(e, true)
-	if *runs != 2 {
-		t.Fatalf("%d pipeline runs to build the full and no-store-reorder tiers, want 2", *runs)
+	if runs.Load() != 2 {
+		t.Fatalf("%d pipeline runs to build the full and no-store-reorder tiers, want 2", runs.Load())
 	}
 	if sys.disp[e].code.cr == full {
 		t.Fatal("the no-store-reorder build is the full tier's code")
@@ -293,8 +465,8 @@ func TestPromotionReinstallsEarlierTier(t *testing.T) {
 
 	sys.recompileRegion(e, true)
 
-	if *runs != 2 {
-		t.Errorf("returning to the full tier ran the pipeline %d more times, want 0", *runs-2)
+	if runs.Load() != 2 {
+		t.Errorf("returning to the full tier ran the pipeline %d more times, want 0", runs.Load()-2)
 	}
 	if c := sys.disp[e].code; c == nil || c.cr != full {
 		t.Fatal("returning to the full tier did not re-install its original CompiledRegion")
@@ -318,7 +490,7 @@ func TestPromotionReinstallsEarlierTier(t *testing.T) {
 // region's superblock also clears its install records — every one holds
 // the dropped superblock, so none could match again.
 func TestInstallRecordsClearedOnReform(t *testing.T) {
-	sys, e := installedSystem(t)
+	sys, e := installedSystem(t, 0)
 	rr := sys.recoveryOf(e)
 	if sys.installRecordOf(e).out == nil {
 		t.Fatal("the installed region has no install record")

@@ -26,7 +26,6 @@ func init() {
 // (the counters' names are in statCounters).
 const (
 	gCompileQueue = "compile_queue_depth"
-	gMemoSize     = "compile_memo_size"
 	gHealthLevel  = "health_level"
 
 	hRollbackCost   = "rollback_cost_cycles"
@@ -66,7 +65,7 @@ var statCounters = [...]statCounter{
 	{"dynopt_chaos_injected", func(st *Stats) int64 {
 		in := &st.Injected
 		return in.SpuriousAliases + in.GuardFails + in.CompileFails + in.Corruptions +
-			in.WorkerPanics + in.CompileHangs + in.PoisonedResults + in.MemoPressure
+			in.WorkerPanics + in.CompileHangs + in.PoisonedResults
 	}},
 	{"dynopt_dispatches", func(st *Stats) int64 {
 		var n int64
@@ -82,7 +81,6 @@ var statCounters = [...]statCounter{
 	{"dynopt_compile_cancels", func(st *Stats) int64 { return st.Compile.Canceled }},
 	{"dynopt_memo_hits", func(st *Stats) int64 { return st.Compile.MemoHits }},
 	{"dynopt_memo_misses", func(st *Stats) int64 { return st.Compile.MemoMisses }},
-	{"dynopt_memo_evictions", func(st *Stats) int64 { return st.Compile.MemoEvictions }},
 
 	{"dynopt_host_faults", func(st *Stats) int64 {
 		return st.Compile.WorkerPanics + st.Compile.WatchdogKills + st.Compile.Rejected
@@ -142,7 +140,6 @@ type systemTelemetry struct {
 	// registered whatever the configuration, so every run's -metrics
 	// snapshot has the same key set; an unused feature reads zero.
 	queueDepth     *telemetry.Gauge
-	memoSize       *telemetry.Gauge
 	compileLatency *telemetry.Histogram
 
 	// dedupeWait tracks how long a deduped background compile waited on
@@ -173,10 +170,7 @@ func newSystemTelemetry(cfg *Config) *systemTelemetry {
 
 		queueDepth:     reg.Gauge(gCompileQueue),
 		compileLatency: reg.Histogram(hCompileLatency, telemetry.Pow2Bounds(256, 65536)),
-		// The memo-size gauge stays zero on the fleet cache (the
-		// fleet-global view is codecache's PublishMetrics).
-		memoSize:   reg.Gauge(gMemoSize),
-		dedupeWait: reg.Histogram(hDedupeWait, telemetry.Pow2Bounds(64, 65536)),
+		dedupeWait:     reg.Histogram(hDedupeWait, telemetry.Pow2Bounds(64, 65536)),
 
 		healthLevel: reg.Gauge(gHealthLevel),
 	}
@@ -474,13 +468,4 @@ func (st *systemTelemetry) healthMove(cycle int64, mv health.Move, cause telemet
 		A: int64(mv.From), B: int64(mv.To),
 		Cause: cause,
 	})
-}
-
-// memoTable refreshes the memo-size gauge after a memo mutation (an
-// insert, or injected memo pressure).
-func (st *systemTelemetry) memoTable(size int) {
-	if st == nil {
-		return
-	}
-	st.memoSize.Set(int64(size))
 }

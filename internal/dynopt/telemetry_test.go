@@ -109,7 +109,6 @@ func TestTelemetryMatchesStats(t *testing.T) {
 				id := fmt.Sprintf("%s/seed%d/workers=%d", name, seed, workers)
 				cfg := ConfigSMARQ(64)
 				cfg.Compile.Workers = workers
-				cfg.Compile.Memoize = true
 				cfg.Chaos = faultinject.DefaultHost(seed)
 				cfg.Health = smallHealthConfig()
 				cfg.CheckInvariants = true
@@ -141,7 +140,7 @@ func TestTelemetryMatchesStats(t *testing.T) {
 						// no event, so only the runtime classes tally exactly.
 						switch e.Cause {
 						case telemetry.CauseWatchdog, telemetry.CauseWorkerPanic,
-							telemetry.CausePoison, telemetry.CauseMemoPressure:
+							telemetry.CausePoison:
 						default:
 							runtimeChaos++
 						}
@@ -209,7 +208,7 @@ func TestTelemetryMatchesStats(t *testing.T) {
 				in := &st.Injected
 				if got, want := reg.Counter("dynopt_chaos_injected").Value(),
 					in.SpuriousAliases+in.GuardFails+in.CompileFails+in.Corruptions+
-						in.WorkerPanics+in.CompileHangs+in.PoisonedResults+in.MemoPressure; got != want {
+						in.WorkerPanics+in.CompileHangs+in.PoisonedResults; got != want {
 					t.Errorf("%s: dynopt_chaos_injected = %d, Stats.Injected sums to %d", id, got, want)
 				}
 				pinKey := telemetry.Labeled(mTierFamily,

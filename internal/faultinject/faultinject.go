@@ -12,7 +12,7 @@
 // Determinism: the injector is a sequence of Bernoulli draws from a
 // private PRNG. Each probe (SpuriousAlias, GuardFail, CompileFail,
 // CorruptState, and the host fault classes WorkerPanic, CompileHang,
-// PoisonResult, MemoPressure) consumes exactly one draw, and every probe
+// PoisonResult) consumes exactly one draw, and every probe
 // runs on the simulation thread at a point fixed by the simulated clock,
 // so for a fixed seed and workload the injected fault pattern is exactly
 // reproducible — `smarq-run -chaos-seed N` replays a CI chaos failure
@@ -68,12 +68,8 @@ type Config struct {
 	// PoisonResultRate corrupts the compile result (the decoded op stream)
 	// after the pipeline runs. Install-time validation — the
 	// content checksum and structural invariants — must reject it; a
-	// poisoned region is never memoized or dispatched.
+	// poisoned region is never recorded, cached or dispatched.
 	PoisonResultRate float64
-	// MemoPressureRate simulates host memory pressure on the compile memo:
-	// when it fires, the least-recently-used memoized region is evicted
-	// just before the lookup, forcing recompiles of hot/cold-flip regions.
-	MemoPressureRate float64
 }
 
 // Enabled reports whether any injection can fire.
@@ -85,7 +81,7 @@ func (c Config) Enabled() bool {
 // HostEnabled reports whether any host fault class can fire.
 func (c Config) HostEnabled() bool {
 	return c.WorkerPanicRate > 0 || c.CompileHangRate > 0 ||
-		c.PoisonResultRate > 0 || c.MemoPressureRate > 0
+		c.PoisonResultRate > 0
 }
 
 // Validate rejects rates outside [0, 1].
@@ -101,7 +97,6 @@ func (c Config) Validate() error {
 		{"WorkerPanicRate", c.WorkerPanicRate},
 		{"CompileHangRate", c.CompileHangRate},
 		{"PoisonResultRate", c.PoisonResultRate},
-		{"MemoPressureRate", c.MemoPressureRate},
 	} {
 		if r.v < 0 || r.v > 1 || math.IsNaN(r.v) {
 			return fmt.Errorf("faultinject: %s = %v outside [0, 1]", r.name, r.v)
@@ -124,15 +119,14 @@ func Default(seed int64) Config {
 }
 
 // DefaultHost returns the standard chaos mix extended with every host
-// fault class: worker panics, compile hangs, poisoned results and memo
-// pressure. Final-state equality against the reference interpreter must
+// fault class: worker panics, compile hangs and poisoned results.
+// Final-state equality against the reference interpreter must
 // still hold — host faults only ever delay or suppress compiled code.
 func DefaultHost(seed int64) Config {
 	c := Default(seed)
 	c.WorkerPanicRate = 0.02
 	c.CompileHangRate = 0.02
 	c.PoisonResultRate = 0.02
-	c.MemoPressureRate = 0.05
 	return c
 }
 
@@ -145,7 +139,6 @@ type Counts struct {
 	WorkerPanics    int64
 	CompileHangs    int64
 	PoisonedResults int64
-	MemoPressure    int64
 }
 
 // Injector draws injection decisions. Not safe for concurrent use; each
@@ -254,16 +247,6 @@ func (in *Injector) PoisonResult() PoisonMode {
 		return PoisonChecksum
 	}
 	return PoisonStructure
-}
-
-// MemoPressure decides whether host memory pressure evicts the
-// least-recently-used memoized compile before this lookup.
-func (in *Injector) MemoPressure() bool {
-	if in.roll(in.cfg.MemoPressureRate) {
-		in.counts.MemoPressure++
-		return true
-	}
-	return false
 }
 
 // Counts returns the cumulative fired-fault counters.

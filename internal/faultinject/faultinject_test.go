@@ -129,7 +129,7 @@ func TestCorruptStatePerturbsOneRegister(t *testing.T) {
 }
 
 // hostDrawSequence records the host-fault probes (panic, hang, poison
-// mode, memo pressure) over n rounds.
+// mode) over n rounds.
 func hostDrawSequence(in *Injector, n int) []int {
 	var seq []int
 	for i := 0; i < n; i++ {
@@ -139,7 +139,7 @@ func hostDrawSequence(in *Injector, n int) []int {
 			}
 			return 0
 		}
-		seq = append(seq, b(in.WorkerPanic()), b(in.CompileHang()), int(in.PoisonResult()), b(in.MemoPressure()))
+		seq = append(seq, b(in.WorkerPanic()), b(in.CompileHang()), int(in.PoisonResult()))
 	}
 	return seq
 }
@@ -167,7 +167,7 @@ func TestHostProbesDeterministicPerSeed(t *testing.T) {
 		}
 	}
 	if same {
-		t.Error("different seeds produced identical 2000-draw host sequences")
+		t.Error("different seeds produced identical 1500-draw host sequences")
 	}
 }
 
@@ -232,7 +232,6 @@ func TestHostEnabled(t *testing.T) {
 		"panic":  {WorkerPanicRate: 0.1},
 		"hang":   {CompileHangRate: 0.1},
 		"poison": {PoisonResultRate: 0.1},
-		"memo":   {MemoPressureRate: 0.1},
 	} {
 		if !c.HostEnabled() || !c.Enabled() {
 			t.Errorf("%s rate alone: HostEnabled=%v Enabled=%v, want true/true",
@@ -255,7 +254,7 @@ func TestValidateHostRates(t *testing.T) {
 		{WorkerPanicRate: -0.1},
 		{CompileHangRate: 1.5},
 		{PoisonResultRate: math.NaN()},
-		{MemoPressureRate: math.Inf(1)},
+		{CompileHangRate: math.Inf(1)},
 	}
 	for _, c := range bad {
 		if c.Validate() == nil {

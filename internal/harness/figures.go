@@ -472,9 +472,9 @@ func InjectedLine(st *dynopt.Stats) string {
 	in := st.Injected
 	line := fmt.Sprintf("spurious-alias=%d guard-fail=%d compile-fail=%d corruptions=%d",
 		in.SpuriousAliases, in.GuardFails, in.CompileFails, in.Corruptions)
-	if in.WorkerPanics+in.CompileHangs+in.PoisonedResults+in.MemoPressure > 0 {
-		line += fmt.Sprintf(" worker-panic=%d compile-hang=%d poison=%d memo-pressure=%d",
-			in.WorkerPanics, in.CompileHangs, in.PoisonedResults, in.MemoPressure)
+	if in.WorkerPanics+in.CompileHangs+in.PoisonedResults > 0 {
+		line += fmt.Sprintf(" worker-panic=%d compile-hang=%d poison=%d",
+			in.WorkerPanics, in.CompileHangs, in.PoisonedResults)
 	}
 	return line
 }

@@ -269,13 +269,12 @@ func RunFleet(fc FleetConfig) (*FleetResult, error) {
 // between a fleet run and a solo run of the same tenant: whether a lookup
 // hit, missed, or joined another tenant's flight depends on fleet
 // interleaving, but nothing else may (the costs of a hit are replayed
-// exactly as a fresh compile's). Everything outside these four counters
+// exactly as a fresh compile's). Everything outside these three counters
 // must be byte-identical — that is the fleet determinism contract.
 func ScrubSharedCounters(st dynopt.Stats) dynopt.Stats {
 	st.Compile.MemoHits = 0
 	st.Compile.MemoMisses = 0
 	st.Compile.DedupeWaits = 0
-	st.Compile.MemoEvictions = 0
 	return st
 }
 
@@ -305,18 +304,27 @@ func VerifyFleet(fc FleetConfig, res *FleetResult) error {
 			base = &sres.Tenants[0]
 			solo[ft.Bench] = base
 		}
-		if ft.Halted != base.Halted {
-			return fmt.Errorf("harness: tenant %d (%s): halted=%v, solo halted=%v", ft.Tenant, ft.Bench, ft.Halted, base.Halted)
+		if err := verifyTenant(ft, base); err != nil {
+			return err
 		}
-		if got, want := ScrubSharedCounters(ft.Stats), ScrubSharedCounters(base.Stats); !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("harness: tenant %d (%s): stats diverge from solo run:\nfleet: %+v\nsolo:  %+v", ft.Tenant, ft.Bench, got, want)
-		}
-		if ft.State != base.State {
-			return fmt.Errorf("harness: tenant %d (%s): final guest registers diverge from solo run", ft.Tenant, ft.Bench)
-		}
-		if ft.MemDigest != base.MemDigest {
-			return fmt.Errorf("harness: tenant %d (%s): guest memory digest %#x, solo %#x", ft.Tenant, ft.Bench, ft.MemDigest, base.MemDigest)
-		}
+	}
+	return nil
+}
+
+// verifyTenant diffs one fleet tenant against its solo baseline (see
+// VerifyFleet).
+func verifyTenant(ft, base *FleetTenant) error {
+	if ft.Halted != base.Halted {
+		return fmt.Errorf("harness: tenant %d (%s): halted=%v, solo halted=%v", ft.Tenant, ft.Bench, ft.Halted, base.Halted)
+	}
+	if got, want := ScrubSharedCounters(ft.Stats), ScrubSharedCounters(base.Stats); !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("harness: tenant %d (%s): stats diverge from solo run:\nfleet: %+v\nsolo:  %+v", ft.Tenant, ft.Bench, got, want)
+	}
+	if ft.State != base.State {
+		return fmt.Errorf("harness: tenant %d (%s): final guest registers diverge from solo run", ft.Tenant, ft.Bench)
+	}
+	if ft.MemDigest != base.MemDigest {
+		return fmt.Errorf("harness: tenant %d (%s): guest memory digest %#x, solo %#x", ft.Tenant, ft.Bench, ft.MemDigest, base.MemDigest)
 	}
 	return nil
 }

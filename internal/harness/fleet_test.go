@@ -3,10 +3,16 @@ package harness
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"smarq/internal/codecache"
+	"smarq/internal/compilequeue"
+	"smarq/internal/dynopt"
+	"smarq/internal/guest"
 	"smarq/internal/telemetry"
+	"smarq/internal/workload"
 )
 
 // captureSink buffers every drained event in memory for the determinism
@@ -191,5 +197,92 @@ func TestFleetCompilesEachKeyOnce(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFleetLeaderReuseOneEntryCache runs a fleet whose tenants keep
+// returning to code they built: a one-region code cache evicts a region
+// at every other region's install, and the region's next compile request
+// carries the inputs of its install record. A one-entry shared cache has
+// almost always evicted that key too, so the tenant leads a new flight
+// and re-installs the record instead of compiling. Such a leader runs no
+// job, so it must settle the flight itself: an unsettled flight blocks
+// every later lookup of its key, and the fleet never finishes. Every
+// tenant must still match its solo run, by the same diff VerifyFleet
+// applies. RunFleet has no code-cache knob, so the test assembles the
+// fleet from dynopt directly.
+func TestFleetLeaderReuseOneEntryCache(t *testing.T) {
+	mix := []string{"swim", "ammp", "swim", "ammp"}
+	config := func() dynopt.Config {
+		cfg := dynopt.ConfigSMARQ(64)
+		cfg.Recovery = dynopt.DefaultRecoveryConfig()
+		cfg.Recovery.CodeCacheCapacity = 1
+		cfg.Compile.Workers = 2
+		return cfg
+	}
+	run := func(bench string, cfg dynopt.Config) FleetTenant {
+		bm, ok := workload.ByName(bench)
+		if !ok {
+			t.Errorf("no benchmark %q", bench)
+			return FleetTenant{}
+		}
+		sys := dynopt.New(bm.Build(), &guest.State{}, guest.NewMemory(bm.MemSize), cfg)
+		halted, err := sys.Run(bm.MaxInsts)
+		if err != nil {
+			t.Errorf("%s: %v", bench, err)
+		}
+		return FleetTenant{Bench: bench, Stats: sys.Stats, Halted: halted,
+			State: *sys.State(), MemDigest: sys.Mem().Digest()}
+	}
+
+	// Solo baselines, each over its own unbounded cache: every key its
+	// tenant builds is led exactly once.
+	solo := map[string]FleetTenant{}
+	var distinctKeys int64
+	for _, bench := range mix {
+		if _, ok := solo[bench]; !ok {
+			cfg := config()
+			cfg.Compile.SharedCache = dynopt.NewCodeCache(codecache.Options{})
+			solo[bench] = run(bench, cfg)
+			distinctKeys += cfg.Compile.SharedCache.Stats().Compiles
+		}
+	}
+
+	pool := compilequeue.NewPool(2)
+	defer pool.Close()
+	cache := dynopt.NewCodeCache(codecache.Options{MaxEntries: 1})
+	tenants := make([]FleetTenant, len(mix))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for i, bench := range mix {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cfg := config()
+				cfg.Compile.SharedPool = pool
+				cfg.Compile.SharedCache = cache
+				tenants[i] = run(bench, cfg)
+				tenants[i].Tenant = i
+			}()
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("the fleet did not finish: a cache flight was never settled")
+	}
+
+	if got := cache.Stats().Compiles; got <= distinctKeys {
+		t.Errorf("the fleet led %d flights for at most %d distinct keys: no key was led twice, so no leader could re-install",
+			got, distinctKeys)
+	}
+	for i := range tenants {
+		base := solo[tenants[i].Bench]
+		if err := verifyTenant(&tenants[i], &base); err != nil {
+			t.Error(err)
+		}
 	}
 }

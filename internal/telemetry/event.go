@@ -56,7 +56,7 @@ const (
 	KindChaos
 	// KindCompileEnqueue: a background compilation was enqueued
 	// (Cost=modelled compile latency in cycles, A=queue depth after the
-	// enqueue, B=1 when the content-hash memo already held the result).
+	// enqueue, B=1 when the fleet's shared cache already held the result).
 	KindCompileEnqueue
 	// KindCompileCancel: a pending background compilation was thrown away
 	// before installing (Cause: stale inputs, a pinned region, or the end
@@ -120,9 +120,6 @@ const (
 	// CausePoison: install-time validation (content checksum or
 	// structural invariants) rejected a corrupted compile result.
 	CausePoison
-	// CauseMemoPressure: injected host memory pressure evicted a memoized
-	// compile.
-	CauseMemoPressure
 	// CauseHealth: the system health controller forced the action (a
 	// degradation-ladder consequence, e.g. quarantining a new region).
 	CauseHealth
@@ -134,7 +131,7 @@ var causeNames = [numCauses]string{
 	"", "alias", "guard", "fault", "injected-alias", "injected-guard",
 	"rollback-rate", "fault-storm", "pair-repeat", "chronic",
 	"compile-fail", "corrupt", "stale", "run-end",
-	"worker-panic", "watchdog", "poison", "memo-pressure", "health",
+	"worker-panic", "watchdog", "poison", "health",
 }
 
 // String returns the cause name ("" for CauseNone).

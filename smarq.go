@@ -141,7 +141,7 @@ func DefaultChaos(seed int64) ChaosConfig { return faultinject.Default(seed) }
 
 // DefaultHostChaos returns the standard chaos mix extended with the host
 // fault classes: compile-worker panics, compile hangs killed by the
-// watchdog, poisoned compile results, and memo pressure.
+// watchdog, and poisoned compile results.
 func DefaultHostChaos(seed int64) ChaosConfig { return faultinject.DefaultHost(seed) }
 
 // HealthConfig tunes the system-scope graceful-degradation controller
