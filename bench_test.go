@@ -6,6 +6,7 @@
 package smarq_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -20,9 +21,9 @@ import (
 	"smarq/internal/harness"
 	"smarq/internal/interp"
 	"smarq/internal/ir"
-	"smarq/internal/opt"
 	"smarq/internal/region"
 	"smarq/internal/sched"
+	"smarq/internal/telemetry"
 	"smarq/internal/vliw"
 	"smarq/internal/workload"
 	"smarq/internal/xlate"
@@ -277,95 +278,61 @@ func BenchmarkInterpreter(b *testing.B) {
 	}
 }
 
-// BenchmarkTranslatePipeline measures region formation through scheduling
-// — the full translation path the runtime pays per hot region.
-func BenchmarkTranslatePipeline(b *testing.B) {
-	bm, _ := workload.ByName("ammp")
-	prog := bm.Build()
-	it := interp.New(prog, &guest.State{}, guest.NewMemory(bm.MemSize))
-	_, _ = it.Run(0, 500_000)
-	best, bc := 0, uint64(0)
-	for id, c := range it.Prof.BlockCounts {
-		if c > bc {
-			best, bc = id, c
+// commitCounter is a telemetry sink that counts commit events per region.
+type commitCounter map[int32]int64
+
+func (c commitCounter) WriteEvents(evs []telemetry.Event) error {
+	for i := range evs {
+		if evs[i].Kind == telemetry.KindCommit {
+			c[evs[i].Region]++
 		}
 	}
-	machine := vliw.DefaultConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sb, err := region.Form(prog, it.Prof, best, region.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reg, err := xlate.Translate(sb)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tbl := alias.BuildTable(reg, nil)
-		optRes := opt.Run(reg, tbl, opt.Config{LoadElim: true, StoreElim: true, Speculative: true})
-		ds := deps.Compute(reg, tbl)
-		opt.AddExtendedDeps(ds, reg, tbl, optRes)
-		if _, err := sched.Run(reg, tbl, ds, sched.Config{
-			Mode: sched.HWOrdered, NumAliasRegs: 64, StoreReorder: true,
-			PressureMargin: 4, Machine: machine,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return nil
 }
 
-// BenchmarkCompilePipeline measures one full compilation — translation,
-// alias analysis, eliminations, dependences, scheduling with alias
-// register allocation, VLIW baking and the working-set statistics — over
-// the hottest ammp superblock, with region formation excluded (production
-// caches superblocks per entry). This is the per-compile cost the
-// flat-arena pipeline targets; BenchmarkCompile below measures the same
-// machinery embedded in a full system run.
+func (commitCounter) Close() error { return nil }
+
+// BenchmarkCompilePipeline times the compile pipeline dynopt runs —
+// translation, alias analysis, eliminations, dependences, scheduling with
+// alias register allocation (with the overflow retry ladder), VLIW baking
+// and the working-set statistics — by rebuilding ammp's most-committed
+// installed region through InspectRegion. Region formation is excluded
+// (dynopt caches superblocks per entry); BenchmarkCompile below measures
+// the same machinery embedded in a full system run.
 func BenchmarkCompilePipeline(b *testing.B) {
 	bm, _ := workload.ByName("ammp")
-	prog := bm.Build()
-	it := interp.New(prog, &guest.State{}, guest.NewMemory(bm.MemSize))
-	_, _ = it.Run(0, 500_000)
-	best, bc := 0, uint64(0)
-	for id, c := range it.Prof.BlockCounts {
-		if c > bc {
-			best, bc = id, c
-		}
-	}
-	sb, err := region.Form(prog, it.Prof, best, region.DefaultConfig())
-	if err != nil {
+	commits := commitCounter{}
+	tracer := telemetry.NewTracer(0, commits)
+	cfg := dynopt.DefaultConfig()
+	cfg.Telemetry = &telemetry.Telemetry{Events: tracer}
+	sys := dynopt.New(bm.Build(), &guest.State{}, guest.NewMemory(bm.MemSize), cfg)
+	if _, err := sys.Run(bm.MaxInsts); err != nil {
 		b.Fatal(err)
 	}
-	machine := vliw.DefaultConfig()
-	scfg := sched.Config{
-		Mode: sched.HWOrdered, NumAliasRegs: 64, StoreReorder: true,
-		PressureMargin: 4, Machine: machine,
+	if err := tracer.Close(); err != nil {
+		b.Fatal(err)
 	}
-	arena := ir.NewArena()
+	best := -1
+	for _, r := range sys.Stats.Regions {
+		err := sys.InspectRegion(r.Entry, nil)
+		if errors.Is(err, dynopt.ErrNoCode) {
+			continue
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if c, bc := commits[int32(r.Entry)], commits[int32(best)]; best < 0 || c > bc || c == bc && r.Entry < best {
+			best = r.Entry
+		}
+	}
+	if best < 0 {
+		b.Fatal("ammp left no region installed")
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reg, err := xlate.TranslateArena(sb, arena)
-		if err != nil {
+		if err := sys.InspectRegion(best, nil); err != nil {
 			b.Fatal(err)
-		}
-		tbl := alias.BuildTable(reg, nil)
-		optRes := opt.Run(reg, tbl, opt.Config{LoadElim: true, StoreElim: true, Speculative: true})
-		ds := deps.Compute(reg, tbl)
-		opt.AddExtendedDeps(ds, reg, tbl, optRes)
-		sc, err := sched.Run(reg, tbl, ds, scfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cr := machine.Compile(sc.Seq, reg, len(sb.Insts))
-		ws := core.MeasureWorkingSets(sc.Alloc, sb.NumMemOps())
-		tbl.Release()
-		ds.Release()
-		optRes.Release()
-		sc.Release()
-		arena.Reset()
-		if cr.Cycles == 0 || ws.SMARQ == 0 {
-			b.Fatal("degenerate compile")
 		}
 	}
 }
@@ -400,7 +367,7 @@ func benchLoopRegion(b *testing.B, mode sched.HWMode, nar int) (*vliw.CompiledRe
 	if err != nil {
 		b.Fatal(err)
 	}
-	reg, err := xlate.Translate(sb)
+	reg, err := xlate.TranslateArena(sb, ir.NewArena())
 	if err != nil {
 		b.Fatal(err)
 	}

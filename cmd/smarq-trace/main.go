@@ -1,191 +1,151 @@
-// Command smarq-trace shows the optimizer's work on one region of a
-// benchmark: the superblock, the dependences, the final schedule with its
-// alias register annotations (P/C bits, offsets, rotations, AMOVs), and
-// the allocation statistics.
+// Command smarq-trace shows the optimizer's work on the code dynopt
+// installed for a benchmark. It runs the benchmark under the dynamic
+// optimizer, ranks the regions left installed by commit count (ties to
+// the lower entry), rebuilds each through System.InspectRegion and prints
+// its superblock, dependences, schedule with issue cycles and alias
+// register annotations (P/C bits, offsets, rotations, AMOVs), and
+// allocation statistics.
 //
 // Usage:
 //
-//	smarq-trace -bench ammp             # hottest region
-//	smarq-trace -bench mesa -all        # every compiled region
+//	smarq-trace -bench ammp             # most-committed installed region
+//	smarq-trace -bench mesa -all        # every installed region
 //	smarq-trace -bench swim -regs 16    # with a 16-register file
-//	smarq-trace -bench swim -all -json  # machine-readable compile events
-//
-// -json replaces the text dump with one telemetry compile event per
-// region (the same JSONL schema `smarq-run -trace` emits at runtime), so
-// static dumps and runtime traces share one encoding.
 package main
 
 import (
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 
-	"smarq/internal/alias"
-	"smarq/internal/deps"
+	"smarq/internal/dynopt"
 	"smarq/internal/guest"
-	"smarq/internal/interp"
-	"smarq/internal/opt"
-	"smarq/internal/region"
-	"smarq/internal/sched"
 	"smarq/internal/telemetry"
-	"smarq/internal/vliw"
 	"smarq/internal/workload"
-	"smarq/internal/xlate"
 )
 
-// Force the dynopt tier-name hook so -json tier labels match runtime
-// traces (ladder names, not t<N> numbers).
-import _ "smarq/internal/dynopt"
-
 func main() {
-	bench := flag.String("bench", "swim", "benchmark name")
-	all := flag.Bool("all", false, "trace every hot region, not just the hottest")
-	regs := flag.Int("regs", 64, "alias register count")
-	storeReorder := flag.Bool("storereorder", true, "allow speculative store reordering")
-	asJSON := flag.Bool("json", false, "emit one telemetry compile event per region (JSONL) instead of the text dump")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// commitCounter is a telemetry sink that counts commit events per region.
+type commitCounter map[int32]int64
+
+func (c commitCounter) WriteEvents(evs []telemetry.Event) error {
+	for i := range evs {
+		if evs[i].Kind == telemetry.KindCommit {
+			c[evs[i].Region]++
+		}
+	}
+	return nil
+}
+
+func (commitCounter) Close() error { return nil }
+
+// run is main with a testable surface: it returns the exit code (0 ok,
+// 1 runtime failure, 2 usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("smarq-trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	bench := fs.String("bench", "swim", "benchmark name")
+	all := fs.Bool("all", false, "dump every installed region, not just the most committed")
+	regs := fs.Int("regs", 64, "alias register count")
+	storeReorder := fs.Bool("storereorder", true, "allow speculative store reordering")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	bm, ok := workload.ByName(*bench)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "smarq-trace: unknown benchmark %q\n", *bench)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "smarq-trace: unknown benchmark %q\n", *bench)
+		return 2
+	}
+	cfg := dynopt.DefaultConfig()
+	cfg.NumAliasRegs, cfg.StoreReorder = *regs, *storeReorder
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(stderr, "smarq-trace:", err)
+		return 2
 	}
 
-	prog := bm.Build()
-	it := interp.New(prog, &guest.State{}, guest.NewMemory(bm.MemSize))
-	if _, err := it.Run(0, bm.MaxInsts/4); err != nil {
-		fmt.Fprintln(os.Stderr, "smarq-trace: profiling run:", err)
-		os.Exit(1)
+	commits := commitCounter{}
+	tracer := telemetry.NewTracer(0, commits)
+	cfg.Telemetry = &telemetry.Telemetry{Events: tracer}
+	sys := dynopt.New(bm.Build(), &guest.State{}, guest.NewMemory(bm.MemSize), cfg)
+	_, err := sys.Run(bm.MaxInsts)
+	if cerr := tracer.Close(); err == nil {
+		err = cerr
 	}
-
-	type hot struct {
-		id    int
-		count uint64
-	}
-	var hots []hot
-	for id, c := range it.Prof.BlockCounts {
-		if c >= 50 {
-			hots = append(hots, hot{id, c})
+	regions := slices.Clone(sys.Stats.Regions)
+	slices.SortFunc(regions, func(a, b dynopt.RegionStats) int {
+		return cmp.Or(cmp.Compare(commits[int32(b.Entry)], commits[int32(a.Entry)]), cmp.Compare(a.Entry, b.Entry))
+	})
+	dumped := 0
+	for _, r := range regions {
+		if err != nil || dumped > 0 && !*all {
+			break
 		}
-	}
-	if len(hots) == 0 {
-		fmt.Fprintln(os.Stderr, "smarq-trace: no hot blocks found")
-		os.Exit(1)
-	}
-	// Hottest first.
-	for i := 0; i < len(hots); i++ {
-		for j := i + 1; j < len(hots); j++ {
-			if hots[j].count > hots[i].count {
-				hots[i], hots[j] = hots[j], hots[i]
-			}
-		}
-	}
-	if !*all {
-		hots = hots[:1]
-	}
-
-	machine := vliw.DefaultConfig()
-	var jsonSink *telemetry.JSONLSink
-	if *asJSON {
-		jsonSink = telemetry.NewJSONLSink(os.Stdout)
-		if err := jsonSink.WriteEvents([]telemetry.Event{{
-			Kind: telemetry.KindMeta, Region: -1, Tier: -1, To: -1,
-			Name: bm.Name,
-		}}); err != nil {
-			fmt.Fprintln(os.Stderr, "smarq-trace:", err)
-			os.Exit(1)
-		}
-	}
-	for _, h := range hots {
-		sb, err := region.Form(prog, it.Prof, h.id, region.DefaultConfig())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smarq-trace:", err)
-			os.Exit(1)
-		}
-		if !*asJSON {
-			fmt.Printf("=== %s: block B%d (executed %d times) ===\n", bm.Name, h.id, h.count)
-			fmt.Print(sb)
-		}
-
-		reg, err := xlate.Translate(sb)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smarq-trace:", err)
-			os.Exit(1)
-		}
-		tbl := alias.BuildTable(reg, nil)
-		optRes := opt.Run(reg, tbl, opt.Config{LoadElim: true, StoreElim: true, Speculative: true})
-		ds := deps.Compute(reg, tbl)
-		opt.AddExtendedDeps(ds, reg, tbl, optRes)
-
-		if !*asJSON {
-			fmt.Printf("\neliminations: %d loads forwarded, %d stores removed\n",
-				optRes.LoadsRemoved, optRes.StoresRemoved)
-			base, ext := ds.Counts()
-			fmt.Printf("dependences: %d base, %d extended\n", base, ext)
-			for _, d := range ds.Sorted() {
-				fmt.Println("  ", d)
-			}
-		}
-
-		sc, err := sched.Run(reg, tbl, ds, sched.Config{
-			Mode: sched.HWOrdered, NumAliasRegs: *regs,
-			StoreReorder: *storeReorder, PressureMargin: 4, Machine: machine,
+		err = sys.InspectRegion(r.Entry, func(c *dynopt.Compilation) {
+			fmt.Fprintf(stdout, "=== %s: region B%d (committed %d times, tier %s) ===\n",
+				bm.Name, r.Entry, commits[int32(r.Entry)], r.Tier)
+			dump(stdout, cfg, c)
+			dumped++
 		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smarq-trace: schedule:", err)
-			os.Exit(1)
-		}
-
-		if *asJSON {
-			// One compile event per region: the same shape the runtime
-			// emits when it installs this region (Cycle 0: a static dump
-			// has no clock).
-			if err := jsonSink.WriteEvents([]telemetry.Event{{
-				Kind: telemetry.KindCompile, Region: int32(h.id),
-				Tier: 0, To: -1,
-				Cost: machine.CycleCount(sc.Seq, reg.NumVRegs),
-				A:    int64(len(sc.Seq)), B: int64(len(sb.Insts)),
-				C: int64(sb.NumMemOps()), D: int64(sc.Alloc.Stats.WorkingSet),
-			}}); err != nil {
-				fmt.Fprintln(os.Stderr, "smarq-trace:", err)
-				os.Exit(1)
-			}
-			continue
-		}
-
-		cycles := machine.IssueCycles(sc.Seq, reg.NumVRegs)
-		fmt.Printf("\nschedule (%d ops, %d cycles on the VLIW):\n",
-			len(sc.Seq), machine.CycleCount(sc.Seq, reg.NumVRegs))
-		lastCycle := int64(-1)
-		for i, op := range sc.Seq {
-			annot := ""
-			if op.IsMem() && op.AROffset >= 0 {
-				bits := ""
-				if op.P {
-					bits += "P"
-				}
-				if op.C {
-					bits += "C"
-				}
-				annot = fmt.Sprintf("   ; AR offset %d [%s]", op.AROffset, bits)
-			}
-			cycleCol := "     "
-			if cycles[i] != lastCycle {
-				cycleCol = fmt.Sprintf("%4d:", cycles[i])
-				lastCycle = cycles[i]
-			}
-			fmt.Printf("  %s %3d: %s%s\n", cycleCol, i, op, annot)
-		}
-
-		st := sc.Alloc.Stats
-		fmt.Printf("\nallocation: P=%d C=%d checks=%d antis=%d amovs=%d (cleanups=%d) rotates=%d working-set=%d\n\n",
-			st.PBits, st.CBits, st.Checks, st.Antis, st.AMovs, st.AMovCleanups,
-			st.Rotates, st.WorkingSet)
-	}
-	if jsonSink != nil {
-		if err := jsonSink.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "smarq-trace:", err)
-			os.Exit(1)
+		if errors.Is(err, dynopt.ErrNoCode) {
+			err = nil
 		}
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, "smarq-trace:", err)
+		return 1
+	}
+	return 0
+}
+
+// dump prints one compilation: superblock, eliminations, dependences,
+// schedule with issue cycles and alias register annotations, allocation.
+func dump(w io.Writer, cfg dynopt.Config, c *dynopt.Compilation) {
+	sb := c.Superblock
+	fmt.Fprintf(w, "%v%d guest insts, %d mem ops, %d overflow retries\n\n",
+		sb, len(sb.Insts), sb.NumMemOps(), c.OverflowRetries)
+	if c.Opt != nil {
+		fmt.Fprintf(w, "eliminations: %d loads forwarded, %d stores removed\n",
+			c.Opt.LoadsRemoved, c.Opt.StoresRemoved)
+	} else {
+		fmt.Fprintln(w, "eliminations: none (re-translated after an alias register overflow)")
+	}
+	base, ext := c.Deps.Counts()
+	fmt.Fprintf(w, "dependences: %d base, %d extended\n", base, ext)
+	for _, d := range c.Deps.Sorted() {
+		fmt.Fprintln(w, "  ", d)
+	}
+
+	seq := c.Schedule.Seq
+	cycles := cfg.Machine.IssueCycles(seq, c.Region.NumVRegs)
+	fmt.Fprintf(w, "\nschedule (%d ops, %d cycles on the VLIW):\n", len(seq), c.Code.Cycles)
+	for i, op := range seq {
+		annot := ""
+		if op.IsMem() && op.AROffset >= 0 {
+			bits := ""
+			if op.P {
+				bits += "P"
+			}
+			if op.C {
+				bits += "C"
+			}
+			annot = fmt.Sprintf("   ; AR offset %d [%s]", op.AROffset, bits)
+		}
+		cycleCol := "     "
+		if i == 0 || cycles[i] != cycles[i-1] {
+			cycleCol = fmt.Sprintf("%4d:", cycles[i])
+		}
+		fmt.Fprintf(w, "  %s %3d: %s%s\n", cycleCol, i, op, annot)
+	}
+
+	st := c.Schedule.Alloc.Stats
+	fmt.Fprintf(w, "\nallocation: P=%d C=%d checks=%d antis=%d amovs=%d (cleanups=%d) rotates=%d working-set=%d\n\n",
+		st.PBits, st.CBits, st.Checks, st.Antis, st.AMovs, st.AMovCleanups,
+		st.Rotates, st.WorkingSet)
 }

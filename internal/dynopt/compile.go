@@ -331,19 +331,32 @@ var arenaPool = sync.Pool{New: func() interface{} { return ir.NewArena() }}
 // compilePipeline is the active compile path. Tests swap in
 // runCompilePipelineRef to differentially check the flat-arena pipeline
 // against the retained reference implementation.
-var compilePipeline = runCompilePipeline
+var compilePipeline = func(in *compileInput) *compileOutput { return runCompilePipeline(in, nil) }
+
+// Compilation is a read-only view of one pipeline run after the bake (see
+// InspectRegion). Only Superblock and Code outlive the callback.
+type Compilation struct {
+	Superblock      *region.Superblock
+	Region          *ir.Region
+	Opt             *opt.Result // nil on the retry ladder's re-translate rung
+	Deps            *deps.Set
+	Schedule        *sched.Schedule
+	Code            *vliw.CompiledRegion
+	OverflowRetries int
+}
 
 // runCompilePipeline is the pure compile path: translate, optimize,
 // compute dependences, schedule with alias register allocation (with the
-// overflow retry ladder), and bake the VLIW code. It touches nothing but
-// its input, so it is safe on a worker goroutine.
+// overflow retry ladder), and bake the VLIW code; a non-nil fn then sees
+// the compilation. It touches nothing but its input, so it is safe on a
+// worker goroutine.
 //
 // Every intermediate structure is recycled: the IR comes from a pooled
 // arena, and the alias table, dependence set and optimizer result are
 // handed back to their pools on exit. Only the decoded CompiledRegion and
 // plain-value stats escape (install records and the fleet cache retain
 // compile outputs).
-func runCompilePipeline(in *compileInput) *compileOutput {
+func runCompilePipeline(in *compileInput, fn func(*Compilation)) *compileOutput {
 	out := &compileOutput{
 		guestInsts: len(in.sb.Insts),
 		memOps:     in.sb.NumMemOps(),
@@ -390,6 +403,8 @@ func runCompilePipeline(in *compileInput) *compileOutput {
 			}
 			tbl.Release()
 			ds.Release()
+			optRes.Release()
+			optRes = nil
 			tbl = alias.BuildTable(reg, in.blacklist)
 			ds = deps.Compute(reg, tbl)
 			sc, err = sched.Run(reg, tbl, ds, scfg)
@@ -406,6 +421,10 @@ func runCompilePipeline(in *compileInput) *compileOutput {
 	out.cr = in.scfg.Machine.Compile(sc.Seq, reg, len(in.sb.Insts))
 	out.alloc = sc.Alloc.Stats
 	out.working = core.MeasureWorkingSets(sc.Alloc, in.sb.NumMemOps())
+	if fn != nil {
+		fn(&Compilation{Superblock: in.sb, Region: reg, Opt: optRes, Deps: ds,
+			Schedule: sc, Code: out.cr, OverflowRetries: out.overflowRetries})
+	}
 	sc.Release()
 	return out
 }
@@ -419,7 +438,7 @@ func runCompilePipelineRef(in *compileInput) *compileOutput {
 		guestInsts: len(in.sb.Insts),
 		memOps:     in.sb.NumMemOps(),
 	}
-	reg, err := xlate.Translate(in.sb)
+	reg, err := xlate.TranslateArena(in.sb, ir.NewArena())
 	if err != nil {
 		out.err = err
 		return out
@@ -437,7 +456,7 @@ func runCompilePipelineRef(in *compileInput) *compileOutput {
 		scfg.ForceNonSpec = true
 		sc, err = sched.RunRef(reg, tbl, ds, scfg)
 		if err != nil {
-			reg, err = xlate.Translate(in.sb)
+			reg, err = xlate.TranslateArena(in.sb, ir.NewArena())
 			if err != nil {
 				out.err = err
 				return out
@@ -1039,6 +1058,30 @@ func (s *System) installOutput(entry int, in *compileInput, out *compileOutput, 
 		s.Stats.Regions = append(s.Stats.Regions, rs)
 	}
 	s.tel.regionCompile(s.now(), entry, rr.tier, &rs)
+}
+
+// ErrNoCode is InspectRegion's error for a region without installed code.
+var ErrNoCode = errors.New("dynopt: region has no installed code")
+
+// InspectRegion rebuilds entry's installed code from the install record
+// holding it and passes fn (which may be nil) the compilation. It fails
+// unless the rebuild's checksum equals the installed code's, and changes
+// no Stats, event or record. Call it between runs, never during Run.
+func (s *System) InspectRegion(entry int, fn func(*Compilation)) error {
+	if entry < 0 || entry >= len(s.disp) || s.disp[entry].code == nil {
+		return fmt.Errorf("%w: B%d", ErrNoCode, entry)
+	}
+	cr := s.disp[entry].code.cr
+	for _, rec := range s.disp[entry].rec.installs {
+		if rec.out != nil && rec.out.cr == cr {
+			out := runCompilePipeline(rec.in, fn)
+			if out.err == nil && out.cr.Checksum() != cr.Checksum() {
+				out.err = fmt.Errorf("dynopt: B%d does not rebuild to its installed code", entry)
+			}
+			return out.err
+		}
+	}
+	return fmt.Errorf("dynopt: B%d has no install record for its code", entry)
 }
 
 // compileFailBackoff applies the hot-path cooldown after a failed

@@ -16,8 +16,9 @@ import (
 // closes its worker pool before returning, so no goroutine reads the
 // hook concurrently with the swap.
 func withRefPipeline(fn func()) {
+	saved := compilePipeline
 	compilePipeline = runCompilePipelineRef
-	defer func() { compilePipeline = runCompilePipeline }()
+	defer func() { compilePipeline = saved }()
 	fn()
 }
 
@@ -92,7 +93,7 @@ func TestCompileFlatMatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					keyBefore := memoKey(&in)
-					fout := runCompilePipeline(&in)
+					fout := runCompilePipeline(&in, nil)
 					rout := runCompilePipelineRef(&in)
 					if keyAfter := memoKey(&in); keyAfter != keyBefore {
 						t.Errorf("B%d: pipeline mutated its input: memo key %x -> %x", entry, keyBefore, keyAfter)

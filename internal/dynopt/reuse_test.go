@@ -18,11 +18,12 @@ import (
 func countPipelineRuns(t *testing.T) *atomic.Int64 {
 	t.Helper()
 	n := new(atomic.Int64)
+	saved := compilePipeline
 	compilePipeline = func(in *compileInput) *compileOutput {
 		n.Add(1)
-		return runCompilePipeline(in)
+		return runCompilePipeline(in, nil)
 	}
-	t.Cleanup(func() { compilePipeline = runCompilePipeline })
+	t.Cleanup(func() { compilePipeline = saved })
 	return n
 }
 

@@ -214,10 +214,9 @@ func (k Kind) String() string {
 }
 
 // AppendJSON appends the canonical one-line JSON encoding of e to dst and
-// returns the extended slice. This encoding is the shared schema between
-// runtime traces (`smarq-run -trace`) and static dumps
-// (`smarq-trace -json`): field order is fixed, unset optional fields are
-// omitted, so identical event streams encode to identical bytes.
+// returns the extended slice: the JSONL trace schema. Field order is fixed
+// and unset optional fields are omitted, so identical event streams encode
+// to identical bytes.
 func AppendJSON(dst []byte, e *Event) []byte {
 	spec := &kindSpecs[e.Kind]
 	dst = append(dst, `{"cycle":`...)

@@ -167,7 +167,7 @@ func fuzzSchedule(prog *guest.Program, seedBlock int, mode sched.HWMode) ([]*ir.
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	reg, err := xlate.Translate(sb)
+	reg, err := xlate.TranslateArena(sb, ir.NewArena())
 	if err != nil {
 		return nil, nil, 0, err
 	}

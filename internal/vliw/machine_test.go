@@ -38,7 +38,7 @@ func scheduleGuest(t *testing.T, seed int, mode sched.HWMode, build func(*guest.
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := xlate.Translate(sb)
+	reg, err := xlate.TranslateArena(sb, ir.NewArena())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestExecuteBitmaskDetector(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg, err := xlate.Translate(sb)
+		reg, err := xlate.TranslateArena(sb, ir.NewArena())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -463,7 +463,7 @@ func TestExecuteAllGuardKinds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reg, err := xlate.Translate(sb)
+			reg, err := xlate.TranslateArena(sb, ir.NewArena())
 			if err != nil {
 				t.Fatal(err)
 			}

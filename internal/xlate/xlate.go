@@ -51,12 +51,6 @@ type translator struct {
 // arena.
 var transPool = sync.Pool{New: func() interface{} { return new(translator) }}
 
-// Translate converts a superblock into an IR region backed by a private,
-// never-recycled arena, so the result may be retained indefinitely.
-func Translate(sb *region.Superblock) (*ir.Region, error) {
-	return TranslateArena(sb, ir.NewArena())
-}
-
 // TranslateArena converts a superblock into an IR region carved out of
 // ar. The caller owns the arena: every pointer in the returned region
 // aliases arena memory and dies at the arena's next Reset, so long-lived

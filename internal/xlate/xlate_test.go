@@ -35,7 +35,7 @@ func TestTranslateRenaming(t *testing.T) {
 		b.Ld8(2, 1, 0)  // v66 = mem[v65]
 		b.Halt()
 	})
-	reg, err := Translate(sb)
+	reg, err := TranslateArena(sb, ir.NewArena())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestTranslateCanonicalAddresses(t *testing.T) {
 		b.St8(5, 4, 3)   // [512+4] -> abs 516
 		b.Halt()
 	})
-	reg, err := Translate(sb)
+	reg, err := TranslateArena(sb, ir.NewArena())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestTranslateAddWithConstant(t *testing.T) {
 		b.Ld8(8, 5, 0)
 		b.Halt()
 	})
-	reg, err := Translate(sb)
+	reg, err := TranslateArena(sb, ir.NewArena())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestTranslateGuard(t *testing.T) {
 		b.NewBlock() // B2
 		b.Halt()
 	})
-	reg, err := Translate(sb)
+	reg, err := TranslateArena(sb, ir.NewArena())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestTranslateFloatOps(t *testing.T) {
 		b.CvtIF(6, 5)
 		b.Halt()
 	})
-	reg, err := Translate(sb)
+	reg, err := TranslateArena(sb, ir.NewArena())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestTranslateStoreValueOperand(t *testing.T) {
 		b.St8(2, 0, 1)
 		b.Halt()
 	})
-	reg, err := Translate(sb)
+	reg, err := TranslateArena(sb, ir.NewArena())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestTranslateDropsJmp(t *testing.T) {
 		b.NewBlock()
 		b.Halt()
 	})
-	reg, err := Translate(sb)
+	reg, err := TranslateArena(sb, ir.NewArena())
 	if err != nil {
 		t.Fatal(err)
 	}
