@@ -102,7 +102,7 @@ type Stats struct {
 	Entries int64 // live entries
 	Bytes   int64 // live payload bytes
 
-	Lookups     int64 // Get + Lookup calls
+	Lookups     int64 // Lookup calls
 	Hits        int64 // served from the table
 	Misses      int64 // not in the table at lookup time
 	FlightWaits int64 // misses that joined another caller's flight
@@ -189,21 +189,6 @@ func (c *Cache[V]) lock(sh *shard[V]) {
 	}
 	c.contention.Add(1)
 	sh.mu.Lock()
-}
-
-// Get looks k up without single-flight bookkeeping: a hit freshens the
-// entry's recency, a miss just counts. The fast path never locks.
-func (c *Cache[V]) Get(k Key) (V, bool) {
-	c.lookups.Add(1)
-	sh := c.shardOf(k)
-	if e, ok := (*sh.snap.Load())[k]; ok {
-		e.used.Store(c.clock.Add(1))
-		c.hits.Add(1)
-		return e.val, true
-	}
-	c.misses.Add(1)
-	var zero V
-	return zero, false
 }
 
 // Peek reports whether k is cached without touching recency or counters —
@@ -369,16 +354,6 @@ func (c *Cache[V]) evictOne() bool {
 	vs.mu.Unlock()
 	return ok
 }
-
-// Len returns the live entry count.
-func (c *Cache[V]) Len() int { return int(c.entries.Load()) }
-
-// Evictions returns how many entries the budgets removed.
-// Unlike Stats it does not allocate.
-func (c *Cache[V]) Evictions() int64 { return c.evictions.Load() }
-
-// Bytes returns the live payload byte total.
-func (c *Cache[V]) Bytes() int64 { return c.bytes.Load() }
 
 // Stats snapshots the counters. Taken while other goroutines run, the
 // counters are individually atomic but not mutually consistent; at

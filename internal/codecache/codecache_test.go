@@ -19,11 +19,11 @@ func mkKey(i int) Key {
 }
 
 // seqModel is the sequential-model oracle: a plain map plus explicit
-// recency stamps mirroring the cache's global clock. Get stamps clock+1 on
-// a hit; Put stamps the inserted entry; budget eviction removes the
-// minimum stamp. Run in lockstep with a Cache under
-// single-threaded use, every hit/miss outcome, eviction victim, Len,
-// Bytes and counter must match exactly.
+// recency stamps mirroring the cache's global clock. A lookup stamps
+// clock+1 on a hit; Put stamps the inserted entry; budget eviction
+// removes the minimum stamp. Run in lockstep with a Cache under
+// single-threaded use, every hit/miss outcome, eviction victim, entry
+// count, byte total and counter must match exactly.
 type seqModel struct {
 	vals    map[Key]int
 	sizes   map[Key]int64
@@ -86,14 +86,16 @@ func (m *seqModel) evictOldest() {
 }
 
 // TestSequentialLRUOracle drives a Cache and the oracle through the same
-// random get/put stream and requires identical hit/miss outcomes, values,
-// eviction survivors (checked with the non-perturbing Peek), entry
-// counts, byte totals and eviction counts after every step, and identical
-// hit/miss totals at the end. The cases cover an entry bound, a byte
-// bound, both at once, capacity 1, no bound at all (nothing is ever
-// evicted), values weighing nothing (no size function: Bytes stays 0), and
-// values larger than the whole byte budget (admitted, then evicted
-// together with everything older, leaving the cache empty but usable).
+// random lookup/put stream and requires identical hit/miss outcomes,
+// values, eviction survivors (checked with the non-perturbing Peek),
+// entry counts, byte totals and eviction counts after every step, and
+// identical hit/miss totals at the end. A missing lookup leads a flight
+// and settles it without inserting, as a failed compile does. The cases
+// cover an entry bound, a byte bound, both at once, capacity 1, no bound
+// at all (nothing is ever evicted), values weighing nothing (no size
+// function: the byte total stays 0), and values larger than the whole
+// byte budget (admitted, then evicted together with everything older,
+// leaving the cache empty but usable).
 func TestSequentialLRUOracle(t *testing.T) {
 	sized := func(v int) int64 { return int64(v%64 + 1) }
 	for _, tc := range []struct {
@@ -118,10 +120,16 @@ func TestSequentialLRUOracle(t *testing.T) {
 				k := mkKey(rng.Intn(40))
 				switch op := rng.Intn(10); {
 				case op <= 5:
-					gv, gok := c.Get(k)
+					gv, gok, f, leader := c.Lookup(k)
+					if !gok {
+						if !leader {
+							t.Fatalf("step %d: a sequential miss did not lead its flight", step)
+						}
+						c.Complete(k, f, 0, false)
+					}
 					wv, wok := m.get(k)
 					if gok != wok || (gok && gv != wv) {
-						t.Fatalf("step %d: Get = (%d,%v), oracle (%d,%v)", step, gv, gok, wv, wok)
+						t.Fatalf("step %d: Lookup = (%d,%v), oracle (%d,%v)", step, gv, gok, wv, wok)
 					}
 				default:
 					v := rng.Intn(1000)
@@ -133,19 +141,20 @@ func TestSequentialLRUOracle(t *testing.T) {
 					m.put(k, v, size)
 					if tc.maxBytes > 0 && size > tc.maxBytes {
 						oversized++
-						if c.Len() != 0 || c.Bytes() != 0 {
-							t.Fatalf("step %d: oversized value left len=%d bytes=%d", step, c.Len(), c.Bytes())
+						if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
+							t.Fatalf("step %d: oversized value left entries=%d bytes=%d", step, st.Entries, st.Bytes)
 						}
 					}
 				}
-				if c.Len() != len(m.vals) {
-					t.Fatalf("step %d: Len %d, oracle %d", step, c.Len(), len(m.vals))
+				st := c.Stats()
+				if st.Entries != int64(len(m.vals)) {
+					t.Fatalf("step %d: Entries %d, oracle %d", step, st.Entries, len(m.vals))
 				}
-				if c.Bytes() != m.bytes {
-					t.Fatalf("step %d: Bytes %d, oracle %d", step, c.Bytes(), m.bytes)
+				if st.Bytes != m.bytes {
+					t.Fatalf("step %d: Bytes %d, oracle %d", step, st.Bytes, m.bytes)
 				}
-				if c.Evictions() != m.evictions {
-					t.Fatalf("step %d: Evictions %d, oracle %d", step, c.Evictions(), m.evictions)
+				if st.Evictions != m.evictions {
+					t.Fatalf("step %d: Evictions %d, oracle %d", step, st.Evictions, m.evictions)
 				}
 			}
 			if tc.name == "oversized" && oversized == 0 {
@@ -174,9 +183,10 @@ func TestSequentialLRUOracle(t *testing.T) {
 }
 
 // TestConcurrentTorture hammers one cache from 8 goroutines with random
-// gets, puts and single-flight lookups under a byte+entry budget; -race must stay silent, values must never cross
-// keys, and at quiescence the budgets and the entry/byte accounting must
-// be exact.
+// puts and single-flight lookups under a byte+entry budget; -race must
+// stay silent, values must never cross keys, and at quiescence the
+// budgets and the entry/byte accounting must be exact. Half the lookups
+// only read: their misses settle the flight without inserting.
 func TestConcurrentTorture(t *testing.T) {
 	const (
 		goroutines = 8
@@ -198,12 +208,7 @@ func TestConcurrentTorture(t *testing.T) {
 				k := mkKey(ki)
 				// Values encode their key so a cross-key mixup is
 				// detectable: v = ki*1000 + noise(<1000).
-				switch rng.Intn(3) {
-				case 0:
-					if v, ok := c.Get(k); ok && int(v/1000) != ki {
-						t.Errorf("Get(%d) returned value %d for a different key", ki, v)
-						return
-					}
+				switch op := rng.Intn(3); op {
 				case 1:
 					c.Put(k, int64(ki*1000+rng.Intn(1000)))
 				default:
@@ -215,7 +220,7 @@ func TestConcurrentTorture(t *testing.T) {
 							return
 						}
 					case leader:
-						c.Complete(k, f, int64(ki*1000+rng.Intn(1000)), rng.Intn(4) != 0)
+						c.Complete(k, f, int64(ki*1000+rng.Intn(1000)), op == 2 && rng.Intn(4) != 0)
 					default:
 						<-f.Done()
 						// A failed flight (insert=false) still publishes its
@@ -400,7 +405,10 @@ func TestPublishMetrics(t *testing.T) {
 	}
 	hits := c.Stats().Hits
 	for i := 0; i < 3; i++ {
-		c.Get(mkKey(999)) // misses
+		k := mkKey(999)
+		if _, hit, f, _ := c.Lookup(k); !hit { // misses
+			c.Complete(k, f, 0, false)
+		}
 	}
 	c.PublishMetrics(reg)
 	if got := reg.Counter(mMisses).Value(); got < 3 {
@@ -412,7 +420,7 @@ func TestPublishMetrics(t *testing.T) {
 }
 
 // TestCodecacheMetricsConcurrent hammers the cache from many tenant
-// goroutines — lookups, flight completions, plain gets — while a monitor
+// goroutines — lookups, flight completions, read-only lookups — while a monitor
 // goroutine repeatedly delta-syncs PublishMetrics, then checks the
 // published instruments against the cache's own Stats at quiescence:
 // every counter must match exactly, hits+misses must cover every lookup,
@@ -450,16 +458,14 @@ func TestCodecacheMetricsConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(tenant) + 1))
 			for i := 0; i < iters; i++ {
 				k := mkKey(rng.Intn(keys))
-				switch rng.Intn(3) {
-				case 0:
-					c.Get(k)
-				default:
-					if _, hit, f, leader := c.Lookup(k); !hit {
-						if leader {
-							c.Complete(k, f, tenant, true)
-						} else {
-							<-f.Done()
-						}
+				// One lookup in three only reads: its miss settles the
+				// flight without inserting.
+				insert := rng.Intn(3) != 0
+				if _, hit, f, leader := c.Lookup(k); !hit {
+					if leader {
+						c.Complete(k, f, tenant, insert)
+					} else {
+						<-f.Done()
 					}
 				}
 			}
@@ -512,5 +518,25 @@ func TestCodecacheMetricsConcurrent(t *testing.T) {
 	}
 	if got := reg.Gauge(gEntries).Value(); got != st.Entries {
 		t.Errorf("entries gauge %d, Stats say %d", got, st.Entries)
+	}
+}
+
+// TestMemoHitZeroAllocs pins a cache hit at zero heap allocations: a
+// Lookup hit on a one-shard cache, the path dynopt's fleet cache takes, is
+// a snapshot map read plus counter and recency updates.
+// dynopt.TestMemoKeyZeroAllocs pins the other half, the content-key fold.
+func TestMemoHitZeroAllocs(t *testing.T) {
+	type region struct{ cycles int }
+	c := New[*region](Options{Shards: 1}, nil)
+	k := compilequeue.NewKey().Int(7).Int(3).Bool(true)
+	want := &region{cycles: 42}
+	c.Put(k, want)
+	allocs := testing.AllocsPerRun(200, func() {
+		if got, hit, f, _ := c.Lookup(k); !hit || got != want || f != nil {
+			t.Fatal("Lookup missed a cached key")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a cache hit allocates %v times per lookup, want 0", allocs)
 	}
 }

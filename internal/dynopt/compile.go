@@ -155,10 +155,11 @@ var errPoisonedResult = errors.New("dynopt: poisoned compile result rejected")
 
 // compileInput is everything the pipeline reads. newCompileInput builds
 // it on the simulation thread at enqueue as a view: the superblock is
-// immutable after Form, but the blacklist and pin sets are the live maps,
-// which the simulation thread mutates on alias exceptions. An input that
-// outlives its request — handed to a worker, or kept in an install record
-// for the reuse check — is a snapshot, with both sets copied.
+// immutable after Form, but the blacklist and pin sets are the region
+// record's live maps, which the simulation thread mutates on alias
+// exceptions. An input that outlives its request — handed to a worker, or
+// kept in an install record for the reuse check — is a snapshot, with
+// both sets copied.
 type compileInput struct {
 	entry     int
 	sb        *region.Superblock
@@ -264,37 +265,34 @@ func (p *pendingCompile) at() int64 {
 
 // compileQueue is the System's compile-request state. inline marks the
 // zero-latency case (Compile.Workers == 0): its compiles run and install
-// inside the request, so they never enter pending or queue and never
-// start the pool.
+// inside the request, so they never enter the queue and never start the
+// pool.
 type compileQueue struct {
 	inline bool
 	pool   *compilequeue.Pool
 	// sharedPool marks pool as fleet-owned: the System must never close
 	// it (other tenants' compiles are still running on it).
 	sharedPool bool
-	// pending maps a region entry to its live pending compile
-	// (single-flight per entry); queue holds the same entries in install
-	// order (readyAt, then enqueue seq).
-	pending map[int]*pendingCompile
-	queue   []*pendingCompile
-	seq     int64
+	// queue holds the live pending compiles in install order (readyAt,
+	// then enqueue seq); each is also its region record's pending
+	// (single-flight per region).
+	queue []*pendingCompile
+	seq   int64
 }
 
 // newCompileInput returns a view of entry's compile inputs over the live
-// blacklist and pin sets (see compileInput), forming (and caching) its
-// superblock on first use. Take a snapshot before the input outlives the
-// request.
+// blacklist and pin sets (see compileInput), forming the region's
+// superblock into its record when it has none. Take a snapshot before the
+// input outlives the request.
 func (s *System) newCompileInput(entry int) (compileInput, error) {
-	sb, ok := s.sbCache[entry]
-	if !ok {
-		var err error
-		sb, err = region.Form(s.prog, s.it.Prof, entry, s.cfg.Region)
+	rr := s.recordOf(entry)
+	if rr.sb == nil {
+		sb, err := region.Form(s.prog, s.it.Prof, entry, s.cfg.Region)
 		if err != nil {
 			return compileInput{}, err
 		}
-		s.sbCache[entry] = sb
+		rr.sb, rr.formed = sb, true
 	}
-	s.recoveryOf(entry) // create the ladder controller on first compile
 	// The effective tier folds the health controller's no-speculation
 	// clamp; it flows into both the opt and sched configs, and through
 	// them into the reuse check and the fleet-cache key, so clamped and
@@ -302,15 +300,15 @@ func (s *System) newCompileInput(entry int) (compileInput, error) {
 	et := s.effectiveTier(entry)
 	return compileInput{
 		entry:     entry,
-		sb:        sb,
+		sb:        rr.sb,
 		optCfg:    s.optConfig(et),
-		blacklist: s.blacklist[entry],
+		blacklist: rr.blacklist,
 		scfg: sched.Config{
 			Mode:           s.cfg.Mode,
 			NumAliasRegs:   s.cfg.NumAliasRegs,
 			StoreReorder:   s.cfg.StoreReorder && et < TierNoStoreReorder,
 			ForceNonSpec:   et >= TierConservative,
-			PinnedOps:      s.pinnedLoads[entry],
+			PinnedOps:      rr.pins,
 			PressureMargin: 4,
 			Machine:        s.cfg.Machine,
 			Alloc: core.Options{
@@ -754,10 +752,10 @@ func (s *System) recompileRegion(entry int, stale bool) {
 
 // enqueueCompile builds entry's inputs, probes the fleet cache and counts
 // the request; then it either runs the job and installs the result inline
-// or queues it (queueCompile). Single-flight per entry: a live pending
+// or queues it (queueCompile). Single-flight per region: a live pending
 // compile absorbs the request.
 func (s *System) enqueueCompile(entry int) error {
-	if s.cq.pending[entry] != nil {
+	if rr := s.disp[entry].rec; rr != nil && rr.pending != nil {
 		return nil
 	}
 	// The chaos draw happens at enqueue on the simulation thread, so the
@@ -785,7 +783,7 @@ func (s *System) enqueueCompile(entry int) error {
 		return nil
 	}
 	// Inline: the job runs here on the simulation thread and installs
-	// before the request returns, so p never enters pending or queue.
+	// before the request returns, so p never enters the queue.
 	panicInject, _, poison := s.drawHostFaults(entry, false)
 	if !s.reuseRecord(&p, &in, panicInject, poison) {
 		p.in = in.snapshot()
@@ -809,11 +807,11 @@ func (s *System) reuseRecord(p *pendingCompile, in *compileInput, panicInject bo
 	if panicInject || poison != faultinject.PoisonNone {
 		return false
 	}
-	rec := &s.recoveryOf(p.entry).installs[s.effectiveTier(p.entry)]
-	if rec.in == nil || !rec.in.equal(in) {
+	last := &s.disp[p.entry].rec.installs[s.effectiveTier(p.entry)]
+	if last.in == nil || !last.in.equal(in) {
 		return false
 	}
-	p.in, p.out = rec.in, rec.out
+	p.in, p.out = last.in, last.out
 	return true
 }
 
@@ -893,7 +891,7 @@ func (s *System) queueCompile(p pendingCompile, in *compileInput, key compileque
 			close(job.done)
 		})
 	}
-	cq.pending[entry] = &p
+	s.disp[entry].rec.pending = &p
 	q := append(cq.queue, &p)
 	for i := len(q) - 1; i > 0; i-- {
 		prev := q[i-1]
@@ -903,7 +901,7 @@ func (s *System) queueCompile(p pendingCompile, in *compileInput, key compileque
 		q[i-1], q[i] = q[i], q[i-1]
 	}
 	cq.queue = q
-	depth := len(cq.pending)
+	depth := len(q)
 	if depth > s.Stats.Compile.MaxQueueDepth {
 		s.Stats.Compile.MaxQueueDepth = depth
 	}
@@ -914,12 +912,12 @@ func (s *System) queueCompile(p pendingCompile, in *compileInput, key compileque
 // still running) finishes into an unread result; the pool drains it at
 // Close.
 func (s *System) cancelPending(entry int, cause telemetry.Cause) {
-	cq := s.cq
-	p := cq.pending[entry]
-	if p == nil {
+	rr := s.disp[entry].rec
+	if rr == nil || rr.pending == nil {
 		return
 	}
-	delete(cq.pending, entry)
+	cq, p := s.cq, rr.pending
+	rr.pending = nil
 	for i, q := range cq.queue {
 		if q == p {
 			cq.queue = append(cq.queue[:i], cq.queue[i+1:]...)
@@ -927,7 +925,7 @@ func (s *System) cancelPending(entry int, cause telemetry.Cause) {
 		}
 	}
 	s.Stats.Compile.Canceled++
-	s.tel.compileCancel(s.now(), entry, s.tierOf(entry), cause, len(cq.pending))
+	s.tel.compileCancel(s.now(), entry, s.tierOf(entry), cause, len(cq.queue))
 }
 
 // drainCompiles installs every pending compilation whose event time the
@@ -943,8 +941,8 @@ func (s *System) drainCompiles() {
 		p := cq.queue[0]
 		copy(cq.queue, cq.queue[1:])
 		cq.queue = cq.queue[:len(cq.queue)-1]
-		delete(cq.pending, p.entry)
-		s.tel.compileDequeued(len(cq.pending))
+		s.disp[p.entry].rec.pending = nil
+		s.tel.compileDequeued(len(cq.queue))
 		if p.done != nil {
 			<-p.done
 		}
@@ -1025,9 +1023,8 @@ func (s *System) installOutput(entry int, in *compileInput, out *compileOutput, 
 		s.Stats.OptCycles += out.numOps * int64(s.cfg.Machine.OptCyclesPerOp)
 		s.Stats.SchedCycles += out.numOps * int64(s.cfg.Machine.SchedCyclesPerOp)
 	}
-	delete(s.injFailStreak, entry)
-
-	rr := s.recoveryOf(entry)
+	rr := s.disp[entry].rec
+	rr.injFailStreak = 0
 	c := s.disp[entry].code
 	if c != nil {
 		s.Stats.Recompiles++
@@ -1051,10 +1048,10 @@ func (s *System) installOutput(entry int, in *compileInput, out *compileOutput, 
 		CompileLatency: latency,
 		Tier:           rr.tier,
 	}
-	if idx, ok := s.regionIdx[entry]; ok {
-		s.Stats.Regions[idx] = rs
+	if rr.statsIdx >= 0 {
+		s.Stats.Regions[rr.statsIdx] = rs
 	} else {
-		s.regionIdx[entry] = len(s.Stats.Regions)
+		rr.statsIdx = len(s.Stats.Regions)
 		s.Stats.Regions = append(s.Stats.Regions, rs)
 	}
 	s.tel.regionCompile(s.now(), entry, rr.tier, &rs)
@@ -1099,12 +1096,9 @@ func (s *System) compileFailBackoff(entry int, err error) {
 	count := s.it.Prof.BlockCounts[entry]
 	if errors.Is(err, errInjectedCompileFail) || errors.Is(err, errWatchdogTimeout) ||
 		errors.Is(err, errPoisonedResult) {
-		streak := s.injFailStreak[entry] + 1
-		if streak > injFailStreakCap {
-			streak = injFailStreakCap
-		}
-		s.injFailStreak[entry] = streak
-		s.disp[entry].cooldown = count + streak*s.cfg.HotThreshold
+		rr := s.recordOf(entry)
+		rr.injFailStreak = min(rr.injFailStreak+1, injFailStreakCap)
+		s.disp[entry].cooldown = count + rr.injFailStreak*s.cfg.HotThreshold
 		return
 	}
 	s.disp[entry].cooldown = count * 2

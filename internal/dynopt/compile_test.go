@@ -223,7 +223,7 @@ func TestInjectedFailStreakResetsOnInstall(t *testing.T) {
 	// Seed a phantom streak on every block; each successful install must
 	// clear its entry's streak (compileFailBackoff restarts at 1 after).
 	for b := range sys.it.Prof.BlockCounts {
-		sys.injFailStreak[b] = 5
+		sys.recordOf(b).injFailStreak = 5
 	}
 	if halted, err := sys.Run(50_000_000); err != nil || !halted {
 		t.Fatalf("halted=%v err=%v", halted, err)
@@ -232,7 +232,7 @@ func TestInjectedFailStreakResetsOnInstall(t *testing.T) {
 		t.Fatal("run compiled no regions")
 	}
 	for _, r := range sys.Stats.Regions {
-		if got := sys.injFailStreak[r.Entry]; got != 0 {
+		if got := sys.disp[r.Entry].rec.injFailStreak; got != 0 {
 			t.Errorf("B%d: streak %d after successful install, want cleared", r.Entry, got)
 		}
 	}

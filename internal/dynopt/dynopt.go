@@ -265,8 +265,8 @@ type Stats struct {
 	// cache evictions.
 	Recovery RecoveryStats
 	// Health is the system health controller's accounting: ladder moves,
-	// observation counts, the final level, and the quarantined-region
-	// count (zero when Config.Health is disabled).
+	// observation counts and the final level (zero when Config.Health is
+	// disabled).
 	Health health.Stats
 	// Injected reports which chaos faults actually fired (zero without
 	// Config.Chaos).
@@ -298,11 +298,12 @@ type compiled struct {
 	fresh       bool
 }
 
-// dispEntry is one block's slot in the dense dispatch table. Entries are
-// region entry blocks; blocks that never become regions keep a zero slot.
+// dispEntry is one block's slot in the dense dispatch table. It stays
+// three words, since every block of every System pays for each slot
+// byte; a region's state lives behind rec.
 type dispEntry struct {
 	code     *compiled
-	rec      *regionRecovery
+	rec      *regionRecord
 	cooldown uint64 // block count required to recompile
 }
 
@@ -317,30 +318,14 @@ type System struct {
 	inj  *faultinject.Injector
 
 	// disp is the dense block-indexed dispatch table: installed code, the
-	// region's ladder controller (created at first compilation, kept
-	// across drops and evictions so a region's history survives its code)
-	// and the recompile cooldown live in one slot per block, so steering
-	// between interpreter and compiled code is a single bounds-checked
-	// load instead of three map probes. installed counts slots with code.
+	// region's record (see regionRecord) and the recompile cooldown live
+	// in one slot per block, so steering between interpreter and compiled
+	// code is a single bounds-checked load. installed counts slots with code.
 	disp      []dispEntry
 	installed int
-	sbCache   map[int]*region.Superblock
-	blacklist map[int]alias.Blacklist
-	regionIdx map[int]int // entry -> index into Stats.Regions
-	// pinnedLoads collects, per region entry, ops that must no longer be
-	// speculated on. Under ALAT a store checks *every* advanced load, so
-	// a false positive can only be silenced by not advancing the load at
-	// all; hardening the pair is not enough.
-	pinnedLoads map[int]map[int]bool
 	// fatalErr records a genuine guest fault hit while interpreting (see
 	// interpretOne), or a rollback invariant violation; Run surfaces it.
 	fatalErr error
-	// exceptions counts alias exceptions per region entry; past
-	// Recovery.MaxExceptionsPerRegion the region jumps to
-	// TierConservative and stops promoting (a guard against pathological
-	// trap-recompile churn, e.g. when the anti-constraint ablation floods
-	// a region with false positives).
-	exceptions map[int]int
 	// entrySeq numbers region dispatches — the eviction clock source.
 	entrySeq int64
 	// cq is the compile queue every compile request runs through (inline
@@ -348,15 +333,9 @@ type System struct {
 	// shared compile-output cache (Compile.SharedCache), or nil.
 	cq    *compileQueue
 	cache *codecache.Cache[*compileOutput]
-	// injFailStreak counts consecutive chaos-injected compile failures
-	// per entry; injected failures back off additively instead of the
-	// real-failure doubling (see compileFailBackoff).
-	injFailStreak map[int]uint64
 	// hc is the system health controller (nil unless Config.Health is
-	// enabled) and quarantined the set of regions permanently barred from
-	// compiling (worker panics, or admission at the quarantine level).
-	hc          *health.Controller
-	quarantined map[int]bool
+	// enabled).
+	hc *health.Controller
 	// ectx is the reusable execution context: vreg files, checkpoint and
 	// undo log are pooled here so steady-state region entries allocate
 	// nothing.
@@ -392,25 +371,17 @@ func New(prog *guest.Program, st *guest.State, mem *guest.Memory, cfg Config) *S
 		inj = faultinject.New(cfg.Chaos)
 	}
 	s := &System{
-		cfg:           cfg,
-		prog:          prog,
-		st:            st,
-		mem:           mem,
-		it:            interp.New(prog, st, mem),
-		det:           det,
-		inj:           inj,
-		disp:          make([]dispEntry, len(prog.Blocks)),
-		sbCache:       make(map[int]*region.Superblock),
-		blacklist:     make(map[int]alias.Blacklist),
-		regionIdx:     make(map[int]int),
-		pinnedLoads:   make(map[int]map[int]bool),
-		exceptions:    make(map[int]int),
-		injFailStreak: make(map[int]uint64),
-		quarantined:   make(map[int]bool),
-		tel:           newSystemTelemetry(&cfg),
+		cfg:  cfg,
+		prog: prog,
+		st:   st,
+		mem:  mem,
+		it:   interp.New(prog, st, mem),
+		det:  det,
+		inj:  inj,
+		disp: make([]dispEntry, len(prog.Blocks)),
+		tel:  newSystemTelemetry(&cfg),
 		cq: &compileQueue{
 			inline:     cfg.Compile.Workers == 0,
-			pending:    make(map[int]*pendingCompile),
 			pool:       cfg.Compile.SharedPool,
 			sharedPool: cfg.Compile.SharedPool != nil,
 		},
@@ -443,12 +414,12 @@ func (s *System) dropCode(entry int) {
 	}
 }
 
-// recoveryOf returns the region's ladder controller, creating it at
-// TierFull on first use.
-func (s *System) recoveryOf(entry int) *regionRecovery {
+// recordOf returns the region's record, creating it (unformed, at
+// TierFull) on first use.
+func (s *System) recordOf(entry int) *regionRecord {
 	de := &s.disp[entry]
 	if de.rec == nil {
-		de.rec = newRegionRecovery(s.cfg.Recovery)
+		de.rec = newRegionRecord(s.cfg.Recovery)
 	}
 	return de.rec
 }
@@ -491,8 +462,8 @@ func (s *System) optConfig(tier Tier) opt.Config {
 
 // evictForCapacity makes room for a new region when the code cache is at
 // capacity by evicting the least recently dispatched region (deterministic
-// lowest-entry tie break). The evicted region keeps its superblock,
-// blacklist and ladder state, so re-compilation resumes where it left off.
+// lowest-entry tie break). Only the code leaves: the region keeps its
+// record, so a recompile with unchanged inputs re-installs its build.
 func (s *System) evictForCapacity(entry int) {
 	cap := s.cfg.Recovery.CodeCacheCapacity
 	for s.installed >= cap {
@@ -635,7 +606,7 @@ func (s *System) executeRegion(entry int, tier Tier, c *compiled) (vliw.ExecResu
 func (s *System) runRegion(entry int, c *compiled) int {
 	s.entrySeq++
 	c.lastUse = s.entrySeq
-	rr := s.recoveryOf(entry)
+	rr := s.recordOf(entry)
 	s.Stats.Recovery.TierDispatches[rr.tier]++
 	s.tel.dispatch(s.now(), entry, rr.tier)
 	if c.fresh {
@@ -689,7 +660,7 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		s.Stats.RegionCycles += c.cr.Cycles
 		s.Stats.RollbackCycles += int64(s.cfg.Machine.RollbackPenalty)
 		s.Stats.AliasExceptions++
-		s.exceptions[entry]++
+		rr.exceptions++
 		s.healthRollback()
 		if s.tel != nil {
 			cause, checker, origin := telemetry.CauseAlias, -1, -1
@@ -713,34 +684,30 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		// signals below, which demote one rung at a time.
 		learned := false
 		if res.Conflict != nil {
-			bl := s.blacklist[entry]
-			if bl == nil {
-				bl = make(alias.Blacklist)
-				s.blacklist[entry] = bl
+			if rr.blacklist == nil {
+				rr.blacklist = make(alias.Blacklist)
 			}
 			pair := alias.MakePair(res.Conflict.Checker, res.Conflict.Origin)
 			if s.cfg.Mode == sched.HWALAT {
-				pins := s.pinnedLoads[entry]
-				if pins == nil {
-					pins = make(map[int]bool)
-					s.pinnedLoads[entry] = pins
+				if rr.pins == nil {
+					rr.pins = make(map[int]bool)
 				}
-				if pins[res.Conflict.Origin] {
+				if rr.pins[res.Conflict.Origin] {
 					s.demoteToConservative(entry, rr)
 				} else {
 					learned = true
 				}
-				pins[res.Conflict.Origin] = true
-			} else if bl[pair] {
+				rr.pins[res.Conflict.Origin] = true
+			} else if rr.blacklist[pair] {
 				s.demoteToConservative(entry, rr)
 			} else {
 				learned = true
 			}
-			bl[pair] = true
+			rr.blacklist[pair] = true
 		}
 		// Chronic offender: jump straight to conservative code and stop
 		// promoting (the old one-shot pin, now the ladder's hard cap).
-		if s.exceptions[entry] > s.cfg.Recovery.MaxExceptionsPerRegion &&
+		if rr.exceptions > s.cfg.Recovery.MaxExceptionsPerRegion &&
 			rr.tier < TierConservative {
 			before, from := rr.demotions, rr.tier
 			if rr.demoteTo(s.cfg.Recovery, TierConservative) {
@@ -788,10 +755,7 @@ func (s *System) runRegion(entry int, c *compiled) int {
 			// twice the heat before re-forming.
 			s.cancelPending(entry, telemetry.CauseStale)
 			s.dropCode(entry)
-			delete(s.sbCache, entry)
-			// Every recorded input holds the dropped superblock, so none
-			// can equal a re-formed region's input again.
-			rr.installs = [TierPinned]installRecord{}
+			rr.dropTrace()
 			s.disp[entry].cooldown = s.it.Prof.BlockCounts[entry] * 2
 			s.Stats.RegionsDropped++
 			s.tel.drop(s.now(), entry, rr.tier, telemetry.CauseGuard)
@@ -827,7 +791,7 @@ func (s *System) runRegion(entry int, c *compiled) int {
 // pair-level hardening failed (a repeated blacklisted pair or re-pinned
 // ALAT load): the precise fix did not hold, so speculation as a whole is
 // wrong for this region. Re-promotion stays possible, under backoff.
-func (s *System) demoteToConservative(entry int, rr *regionRecovery) {
+func (s *System) demoteToConservative(entry int, rr *regionRecord) {
 	before, from := rr.demotions, rr.tier
 	if rr.demoteTo(s.cfg.Recovery, TierConservative) {
 		s.Stats.Recovery.Demotions += int64(rr.demotions - before)
@@ -866,7 +830,7 @@ func (s *System) finalize() {
 	rec.TierRegions = [NumTiers]int{}
 	for entry := range s.disp {
 		rr := s.disp[entry].rec
-		if rr == nil {
+		if rr == nil || !rr.formed {
 			continue
 		}
 		rec.TierRegions[rr.tier]++
@@ -876,8 +840,8 @@ func (s *System) finalize() {
 		if rr.sticky {
 			rec.StickyRegions++
 		}
-		if idx, ok := s.regionIdx[entry]; ok {
-			rs := &s.Stats.Regions[idx]
+		if rr.statsIdx >= 0 {
+			rs := &s.Stats.Regions[rr.statsIdx]
 			rs.Tier = rr.tier
 			rs.Demotions = rr.demotions
 			rs.Promotions = rr.promotions
@@ -896,7 +860,6 @@ func (s *System) syncLiveStats() {
 	}
 	if s.hc != nil {
 		s.Stats.Health = s.hc.Stats()
-		s.Stats.Health.QuarantinedRegions = int64(len(s.quarantined))
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"smarq/internal/faultinject"
@@ -82,12 +81,10 @@ func TestCompileFlatMatchesReference(t *testing.T) {
 				// field-for-field on the compiled region, alias
 				// annotations, allocation stats and working sets, and
 				// must leave the input (hence its memo key) untouched.
-				entries := make([]int, 0, len(flat.sys.sbCache))
-				for entry := range flat.sys.sbCache {
-					entries = append(entries, entry)
-				}
-				sort.Ints(entries)
-				for _, entry := range entries {
+				for entry, de := range flat.sys.disp {
+					if de.rec == nil || de.rec.sb == nil {
+						continue
+					}
 					in, err := flat.sys.newCompileInput(entry)
 					if err != nil {
 						t.Fatal(err)

@@ -27,7 +27,7 @@ func (s *System) healthDispatchOK() bool {
 // nothing does. A region becoming hot while the controller sits at the
 // quarantine level is permanently barred (quarantine-new-regions).
 func (s *System) compileAllowed(entry int) bool {
-	if s.quarantined[entry] {
+	if rr := s.disp[entry].rec; rr != nil && rr.quarantined {
 		return false
 	}
 	if s.hc == nil {
@@ -97,13 +97,14 @@ func (s *System) recordHostFault(entry int, cause telemetry.Cause) {
 // in its compile proves the pipeline cannot be trusted with this input,
 // and at the quarantine health level new regions are not admitted at
 // all. Installed code, if any, is dropped by the caller's failure path;
-// the bar itself is just membership in the quarantined set, checked by
+// the bar itself is the record's quarantine bit, checked by
 // compileAllowed.
 func (s *System) quarantineRegion(entry int, cause telemetry.Cause) {
-	if s.quarantined[entry] {
+	rr := s.recordOf(entry)
+	if rr.quarantined {
 		return
 	}
-	s.quarantined[entry] = true
+	rr.quarantined = true
 	s.Stats.Compile.Quarantined++
 	s.tel.quarantine(s.now(), entry, s.tierOf(entry), cause)
 }

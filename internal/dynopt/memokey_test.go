@@ -19,7 +19,10 @@ func sampleCompileInput(t *testing.T) *compileInput {
 	if _, err := sys.Run(40_000); err != nil {
 		t.Fatal(err)
 	}
-	for e := range sys.sbCache {
+	for e := range sys.disp {
+		if rr := sys.disp[e].rec; rr == nil || rr.sb == nil {
+			continue
+		}
 		in, err := sys.newCompileInput(e)
 		if err != nil {
 			t.Fatal(err)

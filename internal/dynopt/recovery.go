@@ -1,6 +1,11 @@
 package dynopt
 
-import "fmt"
+import (
+	"fmt"
+
+	"smarq/internal/alias"
+	"smarq/internal/region"
+)
 
 // Tier is one rung of the per-region speculation ladder. Regions start at
 // TierFull and the recovery controller demotes them one rung at a time
@@ -73,8 +78,10 @@ type RecoveryConfig struct {
 	// re-optimizations any region can undergo (no livelock).
 	MaxBackoff int
 	// CodeCacheCapacity bounds how many compiled regions stay installed;
-	// inserting past it evicts the least recently dispatched region, so
-	// chronic recompilation cannot grow memory without bound.
+	// inserting past it evicts the least recently dispatched region. It
+	// bounds installed code, not the memory behind it: an evicted region
+	// keeps its record, including up to NumTiers-1 install records (one
+	// build per code tier), until a guard-fail drop clears them.
 	CodeCacheCapacity int
 }
 
@@ -143,8 +150,31 @@ type RecoveryStats struct {
 	InvariantViolations int64
 }
 
-// regionRecovery is the per-region controller state.
-type regionRecovery struct {
+// regionRecord is everything the runtime keeps about one region, behind
+// its entry block's dispatch slot. An entry gets one when it first needs
+// per-region state (its first formation, or earlier for a transient
+// compile failure or a quarantine) and keeps it for the run: drops,
+// evictions and tier moves remove code, not the record.
+type regionRecord struct {
+	sb *region.Superblock // nil until formed, and after dropTrace
+	// formed marks that the region got past region.Form once. The ladder
+	// starts then: only formed records count in TierRegions.
+	formed bool
+	// blacklist and pins are the pairs and ALAT loads the region's alias
+	// exceptions hardened (nil until the first). Under ALAT a store checks
+	// *every* advanced load, so a false positive is silenced only by not
+	// advancing the load at all.
+	blacklist alias.Blacklist
+	pins      map[int]bool
+	// exceptions counts alias exceptions; past
+	// Recovery.MaxExceptionsPerRegion the region goes conservative and
+	// sticky (a guard against trap-recompile churn).
+	exceptions    int
+	injFailStreak uint64          // consecutive transient compile failures
+	quarantined   bool            // barred from compiling (quarantineRegion)
+	statsIdx      int             // index into Stats.Regions; -1 before the first install
+	pending       *pendingCompile // live queued compile (single-flight), or nil
+
 	tier Tier
 	// window is a ring buffer over the last Window region entries:
 	// true marks a misspeculation rollback.
@@ -161,10 +191,9 @@ type regionRecovery struct {
 	// output the region last installed at that tier (indexed by the
 	// effective tier). An inline compile request whose inputs equal its
 	// tier's record re-installs that output instead of running the
-	// pipeline (see enqueueCompile). The records outlive evictions,
+	// pipeline (see enqueueCompile). The records outlive evictions, code
 	// drops and tier moves, which is when a region returns to a build it
-	// made before; they are cleared only when a guard-fail drop discards
-	// the superblock, after which no input can equal them again.
+	// made before; only dropTrace clears them.
 	installs [TierPinned]installRecord
 }
 
@@ -175,12 +204,20 @@ type installRecord struct {
 	out *compileOutput
 }
 
-func newRegionRecovery(cfg RecoveryConfig) *regionRecovery {
-	return &regionRecovery{window: make([]bool, cfg.Window), backoff: 1}
+func newRegionRecord(cfg RecoveryConfig) *regionRecord {
+	return &regionRecord{window: make([]bool, cfg.Window), backoff: 1, statsIdx: -1}
+}
+
+// dropTrace is the guard-fail drop: the superblock goes, and with it every
+// install record, since each holds that superblock. What the region
+// learned stays: blacklist, pins, exception count, ladder and quarantine.
+func (rr *regionRecord) dropTrace() {
+	rr.sb = nil
+	rr.installs = [TierPinned]installRecord{}
 }
 
 // push records one region entry outcome in the sliding window.
-func (rr *regionRecovery) push(rollback bool) {
+func (rr *regionRecord) push(rollback bool) {
 	if rr.wlen == len(rr.window) {
 		if rr.window[rr.wpos] {
 			rr.rollbacks--
@@ -195,7 +232,7 @@ func (rr *regionRecovery) push(rollback bool) {
 	rr.wpos = (rr.wpos + 1) % len(rr.window)
 }
 
-func (rr *regionRecovery) resetWindow() {
+func (rr *regionRecord) resetWindow() {
 	for i := range rr.window {
 		rr.window[i] = false
 	}
@@ -204,7 +241,7 @@ func (rr *regionRecovery) resetWindow() {
 
 // recordCommit notes a clean commit and reports whether the region earned
 // a one-rung promotion.
-func (rr *regionRecovery) recordCommit(cfg RecoveryConfig) bool {
+func (rr *regionRecord) recordCommit(cfg RecoveryConfig) bool {
 	rr.push(false)
 	rr.consec = 0
 	rr.clean++
@@ -222,7 +259,7 @@ func (rr *regionRecovery) recordCommit(cfg RecoveryConfig) bool {
 // a clean-commit run but is learning, not storming — blacklist
 // convergence bursts at region warmup must not demote — so it stays out
 // of the storm and window detectors.
-func (rr *regionRecovery) recordHardeningRollback() {
+func (rr *regionRecord) recordHardeningRollback() {
 	rr.clean = 0
 }
 
@@ -230,7 +267,7 @@ func (rr *regionRecovery) recordHardeningRollback() {
 // taught the optimizer nothing: a spurious exception, a repeated pair, or
 // a speculation-induced fault) and reports whether the region was demoted
 // one rung (storm or window rate).
-func (rr *regionRecovery) recordRollback(cfg RecoveryConfig) bool {
+func (rr *regionRecord) recordRollback(cfg RecoveryConfig) bool {
 	rr.push(true)
 	rr.consec++
 	rr.clean = 0
@@ -246,7 +283,7 @@ func (rr *regionRecovery) recordRollback(cfg RecoveryConfig) bool {
 
 // demote moves one rung down and doubles the promotion backoff; past
 // MaxBackoff the region becomes sticky.
-func (rr *regionRecovery) demote(cfg RecoveryConfig) {
+func (rr *regionRecord) demote(cfg RecoveryConfig) {
 	rr.tier++
 	rr.demotions++
 	rr.resetWindow()
@@ -258,7 +295,7 @@ func (rr *regionRecovery) demote(cfg RecoveryConfig) {
 
 // demoteTo jumps down to at least t (the chronic-offender cap) and
 // reports whether the tier changed.
-func (rr *regionRecovery) demoteTo(cfg RecoveryConfig, t Tier) bool {
+func (rr *regionRecord) demoteTo(cfg RecoveryConfig, t Tier) bool {
 	changed := false
 	for rr.tier < t {
 		rr.demote(cfg)
@@ -270,7 +307,7 @@ func (rr *regionRecovery) demoteTo(cfg RecoveryConfig, t Tier) bool {
 // recordPinnedEntry notes one clean interpreted execution of a pinned
 // region's entry block and reports whether the region earned re-promotion
 // back to compiled (conservative) code.
-func (rr *regionRecovery) recordPinnedEntry(cfg RecoveryConfig) bool {
+func (rr *regionRecord) recordPinnedEntry(cfg RecoveryConfig) bool {
 	rr.clean++
 	if rr.sticky || rr.clean < cfg.PromoteAfter*rr.backoff {
 		return false
@@ -283,4 +320,4 @@ func (rr *regionRecovery) recordPinnedEntry(cfg RecoveryConfig) bool {
 
 // transitions returns the total number of ladder moves this region made —
 // the livelock bound the chaos soak asserts on.
-func (rr *regionRecovery) transitions() int { return rr.demotions + rr.promotions }
+func (rr *regionRecord) transitions() int { return rr.demotions + rr.promotions }

@@ -110,7 +110,7 @@ func TestNewPanicsOnInvalidConfig(t *testing.T) {
 
 func TestLadderStormDemotes(t *testing.T) {
 	cfg := DefaultRecoveryConfig()
-	rr := newRegionRecovery(cfg)
+	rr := newRegionRecord(cfg)
 	for i := 0; i < cfg.StormThreshold-1; i++ {
 		if rr.recordRollback(cfg) {
 			t.Fatalf("demoted after %d rollbacks, storm threshold is %d", i+1, cfg.StormThreshold)
@@ -131,7 +131,7 @@ func TestLadderWindowDemotes(t *testing.T) {
 	// Rollbacks interleaved with commits: the storm detector never fires
 	// (consec resets each commit) but the window rate accumulates.
 	cfg := DefaultRecoveryConfig()
-	rr := newRegionRecovery(cfg)
+	rr := newRegionRecord(cfg)
 	demoted := false
 	for i := 0; i < cfg.DemoteThreshold && !demoted; i++ {
 		rr.recordCommit(cfg)
@@ -152,7 +152,7 @@ func TestHardeningRollbacksNeverDemote(t *testing.T) {
 	// Blacklist-convergence bursts — every rollback hardens a fresh pair —
 	// must leave the ladder alone no matter how long they run.
 	cfg := DefaultRecoveryConfig()
-	rr := newRegionRecovery(cfg)
+	rr := newRegionRecord(cfg)
 	for i := 0; i < 10*cfg.Window; i++ {
 		rr.recordHardeningRollback()
 	}
@@ -172,7 +172,7 @@ func TestHardeningRollbacksNeverDemote(t *testing.T) {
 
 func TestLadderPromotionWithBackoff(t *testing.T) {
 	cfg := DefaultRecoveryConfig()
-	rr := newRegionRecovery(cfg)
+	rr := newRegionRecord(cfg)
 	for i := 0; i < cfg.StormThreshold; i++ {
 		rr.recordRollback(cfg)
 	}
@@ -203,7 +203,7 @@ func TestLadderStickyBoundsTransitions(t *testing.T) {
 	// livelock shape: each oscillation doubles the backoff until it
 	// exhausts MaxBackoff and the region goes sticky forever.
 	cfg := DefaultRecoveryConfig()
-	rr := newRegionRecovery(cfg)
+	rr := newRegionRecord(cfg)
 	for round := 0; !rr.sticky; round++ {
 		if round > maxDemotionsBound(cfg) {
 			t.Fatalf("no stickiness after %d oscillations (backoff=%d)", round, rr.backoff)
@@ -238,7 +238,7 @@ func TestLadderStickyBoundsTransitions(t *testing.T) {
 // further rollbacks are absorbed without counter churn.
 func TestLadderFloorStopsDemoting(t *testing.T) {
 	cfg := DefaultRecoveryConfig()
-	rr := newRegionRecovery(cfg)
+	rr := newRegionRecord(cfg)
 	for i := 0; i < 100*cfg.StormThreshold; i++ {
 		rr.recordRollback(cfg)
 	}
@@ -264,7 +264,7 @@ func maxDemotionsBound(cfg RecoveryConfig) int {
 
 func TestDemoteToJumps(t *testing.T) {
 	cfg := DefaultRecoveryConfig()
-	rr := newRegionRecovery(cfg)
+	rr := newRegionRecord(cfg)
 	if !rr.demoteTo(cfg, TierConservative) {
 		t.Fatal("demoteTo reported no change from TierFull")
 	}
@@ -279,7 +279,7 @@ func TestDemoteToJumps(t *testing.T) {
 func TestPinnedEntryRepromotes(t *testing.T) {
 	cfg := DefaultRecoveryConfig()
 	cfg.MaxBackoff = 1 << 20 // keep the region promotable all the way down
-	rr := newRegionRecovery(cfg)
+	rr := newRegionRecord(cfg)
 	rr.demoteTo(cfg, TierPinned)
 	if rr.sticky {
 		t.Fatal("setup: region went sticky")
@@ -310,8 +310,10 @@ func TestTierString(t *testing.T) {
 }
 
 // TestCodeCacheEviction: with a one-region cache, a program with two hot
-// loops keeps evicting and recompiling — and still computes the right
-// answer.
+// loops keeps evicting and re-installing — and still computes the right
+// answer. Eviction removes only the code: an evicted region keeps its
+// record, so its next install re-installs its build without running the
+// pipeline.
 func TestCodeCacheEviction(t *testing.T) {
 	cfg := ConfigSMARQ(64)
 	cfg.Recovery.CodeCacheCapacity = 1
@@ -323,6 +325,28 @@ func TestCodeCacheEviction(t *testing.T) {
 	}
 	if sys.Stats.Recovery.Evictions == 0 {
 		t.Error("capacity-1 cache with 2+ regions never evicted")
+	}
+
+	e := -1
+	for i, de := range sys.disp {
+		if de.code == nil && de.rec != nil && sys.installRecordOf(i).out != nil {
+			e = i
+			break
+		}
+	}
+	if e < 0 {
+		t.Fatal("no evicted region kept its install record")
+	}
+	last := sys.installRecordOf(e)
+	runs := countPipelineRuns(t)
+	if err := sys.requestCompile(e); err != nil {
+		t.Fatal(err)
+	}
+	if runs.Load() != 0 {
+		t.Errorf("re-installing evicted B%d ran the pipeline %d times, want 0", e, runs.Load())
+	}
+	if c := sys.disp[e].code; c == nil || c.cr != last.out.cr {
+		t.Errorf("evicted B%d did not re-install its recorded build", e)
 	}
 }
 
@@ -347,7 +371,9 @@ func TestInvariantCheckerCatchesCorruption(t *testing.T) {
 }
 
 // TestCompileFailInjection: with compilation failing every time, the
-// system must degrade to pure interpretation — and still be correct.
+// system must degrade to pure interpretation — and still be correct. The
+// failures strike before any region forms, so no ladder starts: the
+// failure streaks' records are not regions.
 func TestCompileFailInjection(t *testing.T) {
 	cfg := ConfigSMARQ(64)
 	cfg.Chaos = faultinject.Config{Seed: 5, CompileFailRate: 1}
@@ -360,6 +386,9 @@ func TestCompileFailInjection(t *testing.T) {
 	}
 	if sys.Stats.Injected.CompileFails == 0 {
 		t.Error("no compile failures recorded")
+	}
+	if got := sys.Stats.Recovery.TierRegions; got != ([NumTiers]int{}) {
+		t.Errorf("TierRegions %v with no region formed, want all zero", got)
 	}
 }
 
@@ -421,7 +450,7 @@ func TestTierAccounting(t *testing.T) {
 	}
 	tracked := 0
 	for i := range sys.disp {
-		if sys.disp[i].rec != nil {
+		if rr := sys.disp[i].rec; rr != nil && rr.formed {
 			tracked++
 		}
 	}

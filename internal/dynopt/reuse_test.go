@@ -51,7 +51,7 @@ func installedSystem(t *testing.T, workers int) (*System, int) {
 
 // installRecordOf returns entry's install record for its effective tier.
 func (s *System) installRecordOf(entry int) installRecord {
-	return s.recoveryOf(entry).installs[s.effectiveTier(entry)]
+	return s.recordOf(entry).installs[s.effectiveTier(entry)]
 }
 
 // settle advances the simulated clock to entry's pending compile's event
@@ -59,7 +59,7 @@ func (s *System) installRecordOf(entry int) installRecord {
 // the queue there, as the Run loop would.
 func settle(t *testing.T, sys *System, entry int) {
 	t.Helper()
-	p := sys.cq.pending[entry]
+	p := sys.disp[entry].rec.pending
 	if p == nil {
 		t.Fatalf("B%d has no pending compile", entry)
 	}
@@ -119,11 +119,11 @@ func TestInlineRecompileFreshOnChangedInputs(t *testing.T) {
 		change func(sys *System, e int)
 	}{
 		{"blacklist", func(sys *System, e int) {
-			bl := sys.blacklist[e]
-			if bl == nil {
-				bl = make(alias.Blacklist)
-				sys.blacklist[e] = bl
+			rr := sys.disp[e].rec
+			if rr.blacklist == nil {
+				rr.blacklist = make(alias.Blacklist)
 			}
+			bl := rr.blacklist
 			// Mutate the live map in place: the installed snapshot must not
 			// see the new pair.
 			for a := 1000; ; a++ {
@@ -134,11 +134,11 @@ func TestInlineRecompileFreshOnChangedInputs(t *testing.T) {
 			}
 		}},
 		{"pin", func(sys *System, e int) {
-			pins := sys.pinnedLoads[e]
-			if pins == nil {
-				pins = make(map[int]bool)
-				sys.pinnedLoads[e] = pins
+			rr := sys.disp[e].rec
+			if rr.pins == nil {
+				rr.pins = make(map[int]bool)
 			}
+			pins := rr.pins
 			for op := 0; ; op++ {
 				if !pins[op] {
 					pins[op] = true
@@ -147,11 +147,11 @@ func TestInlineRecompileFreshOnChangedInputs(t *testing.T) {
 			}
 		}},
 		{"tier", func(sys *System, e int) {
-			rr := sys.recoveryOf(e)
+			rr := sys.disp[e].rec
 			rr.tier = (rr.tier + 1) % TierPinned
 		}},
 		{"reformed", func(sys *System, e int) {
-			delete(sys.sbCache, e)
+			sys.disp[e].rec.sb = nil
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -205,7 +205,7 @@ func TestHostFaultDrawForcesFreshJob(t *testing.T) {
 			// installed until the replacement's install point.
 			sys.recompileRegion(e, !sys.cq.inline)
 			if !sys.cq.inline {
-				p := sys.cq.pending[e]
+				p := sys.disp[e].rec.pending
 				if p == nil {
 					t.Fatal("the recompile queued nothing")
 				}
@@ -254,7 +254,7 @@ func TestQueuedRecompileReusesRecord(t *testing.T) {
 	runs := countPipelineRuns(t)
 	reuse, e := installedSystem(t, 1)
 	fresh, _ := installedSystem(t, 1)
-	fresh.recoveryOf(e).installs = [TierPinned]installRecord{}
+	fresh.disp[e].rec.installs = [TierPinned]installRecord{}
 	rec := reuse.installRecordOf(e)
 	before := reuse.Stats.Compile
 	base := runs.Load()
@@ -263,7 +263,7 @@ func TestQueuedRecompileReusesRecord(t *testing.T) {
 	// replacement installs.
 	reuse.recompileRegion(e, false)
 	fresh.recompileRegion(e, false)
-	p := reuse.cq.pending[e]
+	p := reuse.disp[e].rec.pending
 	if p == nil {
 		t.Fatal("the recompile queued nothing")
 	}
@@ -273,7 +273,7 @@ func TestQueuedRecompileReusesRecord(t *testing.T) {
 	if p.in != rec.in || p.out != rec.out {
 		t.Fatal("the queued compile does not carry the install record")
 	}
-	if fresh.cq.pending[e].done == nil {
+	if fresh.disp[e].rec.pending.done == nil {
 		t.Fatal("the twin without a record submitted no job")
 	}
 	settle(t, reuse, e)
@@ -334,7 +334,7 @@ func TestFleetLeaderReuseCompletesFlight(t *testing.T) {
 
 	sys.recompileRegion(e, false)
 
-	p := sys.cq.pending[e]
+	p := sys.disp[e].rec.pending
 	if p == nil {
 		t.Fatal("the recompile queued nothing")
 	}
@@ -404,8 +404,9 @@ func TestReusePipelineRunsAmmpChaos(t *testing.T) {
 // the pipeline runs. The live sets are deliberately nonempty.
 func TestReuseDecisionZeroAllocs(t *testing.T) {
 	sys, e := installedSystem(t, 0)
-	sys.blacklist[e] = alias.Blacklist{alias.MakePair(3, 1): true, alias.MakePair(2, 5): true}
-	sys.pinnedLoads[e] = map[int]bool{9: true, 2: true}
+	rr := sys.disp[e].rec
+	rr.blacklist = alias.Blacklist{alias.MakePair(3, 1): true, alias.MakePair(2, 5): true}
+	rr.pins = map[int]bool{9: true, 2: true}
 	sys.recompileRegion(e, true)
 	if sys.disp[e].code == nil {
 		t.Fatal("recompile installed no code")
@@ -444,7 +445,7 @@ func TestInlineReinstallZeroAllocs(t *testing.T) {
 // rungs in between do not evict it — and is charged as for a compile.
 func TestPromotionReinstallsEarlierTier(t *testing.T) {
 	sys, e := installedSystem(t, 0)
-	rr := sys.recoveryOf(e)
+	rr := sys.disp[e].rec
 	rr.installs = [TierPinned]installRecord{}
 	runs := countPipelineRuns(t)
 
@@ -487,24 +488,38 @@ func TestPromotionReinstallsEarlierTier(t *testing.T) {
 	}
 }
 
-// TestInstallRecordsClearedOnReform: the guard-fail drop that deletes a
-// region's superblock also clears its install records — every one holds
-// the dropped superblock, so none could match again.
+// TestInstallRecordsClearedOnReform: the guard-fail drop clears the
+// region's superblock and its install records — every record holds the
+// dropped superblock, so none could match again — and nothing else: the
+// blacklist, the pins, the exception count, the ladder (tier and backoff
+// included) and the quarantine bit survive, so the re-formed region
+// resumes what it learned.
 func TestInstallRecordsClearedOnReform(t *testing.T) {
 	sys, e := installedSystem(t, 0)
-	rr := sys.recoveryOf(e)
+	rr := sys.disp[e].rec
 	if sys.installRecordOf(e).out == nil {
 		t.Fatal("the installed region has no install record")
 	}
+	rr.blacklist = alias.Blacklist{alias.MakePair(3, 1): true}
+	rr.pins = map[int]bool{9: true}
+	rr.exceptions = 5
+	rr.tier, rr.backoff, rr.demotions = TierNoElim, 4, 2
+	rr.quarantined = true
+	want := *rr
+	want.sb, want.installs = nil, [TierPinned]installRecord{}
+
 	sys.inj = faultinject.New(faultinject.Config{Seed: 1, GuardFailRate: 1})
 	c := sys.disp[e].code
 	c.failStreak = sys.cfg.MaxGuardFails - 1
 	sys.runRegion(e, c)
-	if _, ok := sys.sbCache[e]; ok || sys.disp[e].code != nil {
+	if rr.sb != nil || sys.disp[e].code != nil {
 		t.Fatal("the guard-fail storm did not drop the region and its superblock")
 	}
 	if rr.installs != [TierPinned]installRecord{} {
 		t.Error("install records survived the superblock drop")
+	}
+	if !reflect.DeepEqual(*rr, want) {
+		t.Errorf("the drop changed more than the superblock and install records:\ngot  %+v\nwant %+v", *rr, want)
 	}
 }
 

@@ -289,16 +289,16 @@ func TestDecisionPathsZeroAllocs(t *testing.T) {
 			cq, p := sys.cq, &pendingCompile{entry: entry}
 			before := sys.Stats.Compile.Canceled
 			allocs := testing.AllocsPerRun(200, func() {
-				cq.pending[entry] = p
+				sys.disp[entry].rec.pending = p
 				cq.queue = append(cq.queue, p)
 				sys.cancelPending(entry, telemetry.CauseStale)
 			})
 			if allocs != 0 {
 				t.Errorf("cancelPending allocates %v times per cancel, want 0", allocs)
 			}
-			if sys.Stats.Compile.Canceled <= before || len(cq.pending) != 0 || len(cq.queue) != 0 {
-				t.Fatalf("pending compile not cancelled: canceled %d→%d, %d pending, %d queued",
-					before, sys.Stats.Compile.Canceled, len(cq.pending), len(cq.queue))
+			if sys.Stats.Compile.Canceled <= before || sys.disp[entry].rec.pending != nil || len(cq.queue) != 0 {
+				t.Fatalf("pending compile not cancelled: canceled %d→%d, pending %v, %d queued",
+					before, sys.Stats.Compile.Canceled, sys.disp[entry].rec.pending != nil, len(cq.queue))
 			}
 		})
 		t.Run(name+"/evict", func(t *testing.T) {

@@ -492,5 +492,5 @@ func HealthLine(st *dynopt.Stats) string {
 	}
 	return fmt.Sprintf("level=%s demotions=%d promotions=%d host-faults=%d rollbacks=%d quarantined=%d sticky=%v entries[%s]",
 		hs.FinalLevel, hs.Demotions, hs.Promotions, hs.HostFaults, hs.Rollbacks,
-		hs.QuarantinedRegions, hs.Sticky, strings.Join(entries, " "))
+		st.Compile.Quarantined, hs.Sticky, strings.Join(entries, " "))
 }

@@ -132,9 +132,6 @@ type Stats struct {
 	HostFaults int64
 	Rollbacks  int64
 	Cleans     int64
-	// QuarantinedRegions counts regions permanently barred from
-	// compiling (filled by dynopt, not the controller).
-	QuarantinedRegions int64
 	// FinalLevel and Sticky are the end-of-run controller state.
 	FinalLevel Level
 	Sticky     bool
