@@ -20,8 +20,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Everything CI gates on, runnable locally in one shot.
-ci: build test fmt-check bench-smoke trace-smoke analyze-smoke
+# The deterministic CI gates, runnable locally in one shot. Not included,
+# run them separately: race and fleet-smoke (under the race detector),
+# fuzz-smoke (time-boxed fuzzing) and lint (fetches its pinned tools on
+# first use).
+ci: build test fmt-check bench-smoke trace-smoke analyze-smoke chaos-smoke
 
 # Static analysis and known-vulnerability scan. Tool versions are pinned
 # so the gate is reproducible; `go run pkg@version` fetches them into the
@@ -112,7 +115,9 @@ fuzz-smoke:
 # Chaos gate: the seeded fault-injection soak (spurious alias exceptions,
 # guard-fail storms, compile failures, and the host fault classes: worker
 # panics, watchdog kills, poisoned results) with the
-# rollback invariant checker on, plus CLI replay smokes. SMARQ_CHAOS_FULL=1
+# rollback invariant checker on, the region ladder's and the health
+# controller's unit tests (one hysteresis machine, internal/health), plus
+# CLI replay smokes. SMARQ_CHAOS_FULL=1
 # widens to the full suite. Three inline-compile chaos runs (ammp; swim,
 # whose injected compile-fail drops and demotions re-install earlier
 # builds; and equake with host faults, which exercises the worker-panic
@@ -124,7 +129,7 @@ CHAOS_TMP = /tmp/smarq-chaos-smoke
 CHAOS_GOLDEN_OUT =
 chaos-smoke:
 	$(GO) test -count=1 ./internal/faultinject ./internal/health
-	$(GO) test -run='^TestChaos|^TestInvariantChecker|^TestSpuriousAlias|^TestCompileFail|^TestGuardFailInjection|^TestHostChaos|^TestWorkerPanic|^TestWatchdog|^TestPoisoned|^TestHealth' \
+	$(GO) test -run='^TestChaos|^TestInvariantChecker|^TestSpuriousAlias|^TestCompileFail|^TestGuardFailInjection|^TestHostChaos|^TestWorkerPanic|^TestWatchdog|^TestPoisoned|^TestOneOutputScreen|^TestHealth|^TestLadder|^TestHardeningRollbacks|^TestDemoteTo|^TestPinnedEntry|^TestChronicOffenderCap' \
 		-count=1 ./internal/dynopt
 	$(GO) run ./cmd/smarq-run -bench equake -chaos-seed 7 -check-invariants >/dev/null
 	$(GO) run ./cmd/smarq-run -bench equake -chaos-seed 7 -chaos-host -health \

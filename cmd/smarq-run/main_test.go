@@ -53,6 +53,36 @@ func TestHostChaosRunSucceeds(t *testing.T) {
 	}
 }
 
+// TestHealthTuningThatCannotDemote: a -health tuning whose demotion
+// threshold the window score can never reach (128 slots × host-fault
+// weight 4 = 512 < 600, or 4 × 4 = 16 < 17) would run an inert
+// controller, so the command refuses it with Validate's message and exits
+// 2.
+func TestHealthTuningThatCannotDemote(t *testing.T) {
+	for _, tc := range []struct{ window, demote int }{{0, 600}, {4, 17}} {
+		cfg := health.DefaultConfig()
+		if tc.window > 0 {
+			cfg.Window = tc.window
+		}
+		cfg.DemoteThreshold = tc.demote
+		verr := cfg.Validate()
+		if verr == nil {
+			t.Fatalf("Validate accepted window %d demote %d", cfg.Window, tc.demote)
+		}
+		args := []string{"-bench", "swim", "-health", "-health-demote", fmt.Sprint(tc.demote)}
+		if tc.window > 0 {
+			args = append(args, "-health-window", fmt.Sprint(tc.window))
+		}
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit code %d, want 2", args, code)
+		}
+		if !strings.Contains(errb.String(), verr.Error()) {
+			t.Errorf("%v: stderr %q does not carry %q", args, errb.String(), verr.Error())
+		}
+	}
+}
+
 // TestCompileLatencyAverage: the printed average compile latency divides
 // LatencySum by every compile the sum covers — admitted or rejected at
 // the install point, never a watchdog kill — so a run with a rejected

@@ -113,7 +113,7 @@ func TestChaosSoak(t *testing.T) {
 				}
 
 				// 2. Livelock bound: every region settles in bounded moves.
-				bound := 2 * maxDemotionsBound(cfg.withDefaults().Recovery)
+				bound := 2 * maxDemotionsBound(regionPolicy)
 				for _, rs := range sys.Stats.Regions {
 					if rs.Demotions+rs.Promotions > bound {
 						t.Errorf("%s/%s/seed%d: region B%d made %d ladder moves, bound %d",

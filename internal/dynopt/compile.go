@@ -592,21 +592,26 @@ func memoKey(in *compileInput) compilequeue.Key {
 	return k
 }
 
-// outputClean reports whether a fresh compile result is fit for the
-// shared fleet cache: not panicked, no pipeline error, and
-// self-consistent (the content checksum recomputes and the structural
-// invariants hold). It mirrors admitOutput without the stats and
-// quarantine side effects — the leading tenant decides cache admission
-// with it, so a poisoned or failed result never enters the shared table,
-// while every installing tenant still re-screens through admitOutput.
-func outputClean(out *compileOutput) bool {
-	if out == nil || out.panicked || out.err != nil || out.cr == nil {
-		return false
+// screenOutput is the one admission screen for a fresh compile result.
+// It has no side effects: it returns nil when the output is fit to install
+// and to share through the fleet cache, and otherwise the reason. A
+// recovered worker panic or a pipeline failure returns the output's own
+// error (errCompilePanic for a panic). A poisoned result returns an
+// errPoisonedResult: its content checksum no longer matches the worker's
+// stamp, or, for corruption that predates the stamp, its structural
+// invariants fail. admitOutput applies the verdict's side effects; the
+// fleet leader inserts into the shared cache only what passes.
+func screenOutput(entry int, out *compileOutput) error {
+	if out.err != nil {
+		return out.err
 	}
-	if out.cr.Checksum() != out.checksum {
-		return false
+	if got := out.cr.Checksum(); got != out.checksum {
+		return fmt.Errorf("%w: B%d content checksum %#x, stamped %#x", errPoisonedResult, entry, got, out.checksum)
 	}
-	return out.cr.Validate() == nil
+	if verr := out.cr.Validate(); verr != nil {
+		return fmt.Errorf("%w: B%d structural invariants: %v", errPoisonedResult, entry, verr)
+	}
+	return nil
 }
 
 // compileOutputBytes sizes a compile output for byte-budgeted caches by
@@ -673,36 +678,26 @@ func (s *System) lookupOutput(in *compileInput) (key compilequeue.Key, out *comp
 	return key, out, flight, leader
 }
 
-// admitOutput decides whether a fresh compile result may be installed.
-// Three screens, in order: a recovered worker panic (the result never
-// existed, and the region is quarantined — the pipeline provably cannot
-// handle this input), the pipeline's own error, then the poisoned-result
-// screen — the content checksum recomputed on the simulation thread
-// against the worker's stamp, and the structural invariants for
-// corruption that predates the stamp. A rejected result is never
-// recorded and never dispatched. Fleet-cache hits and re-installs were
-// screened before, so re-admitting them is a pure double-check.
+// admitOutput decides whether a fresh compile result may be installed
+// (screenOutput) and applies the verdict's side effects: a worker panic
+// is a host fault and quarantines the region — the pipeline provably
+// cannot handle this input — and a poisoned result is a rejected host
+// fault. A rejected result is never recorded and never dispatched.
+// Fleet-cache hits and re-installs were screened before, so re-admitting
+// them is a pure double-check.
 func (s *System) admitOutput(entry int, out *compileOutput) error {
-	if out.panicked {
+	err := screenOutput(entry, out)
+	switch {
+	case err == nil:
+	case out.panicked:
 		s.Stats.Compile.WorkerPanics++
 		s.recordHostFault(entry, telemetry.CauseWorkerPanic)
 		s.quarantineRegion(entry, telemetry.CauseWorkerPanic)
-		return out.err
-	}
-	if out.err != nil {
-		return out.err
-	}
-	if got := out.cr.Checksum(); got != out.checksum {
+	case errors.Is(err, errPoisonedResult):
 		s.Stats.Compile.Rejected++
 		s.recordHostFault(entry, telemetry.CausePoison)
-		return fmt.Errorf("%w: B%d content checksum %#x, stamped %#x", errPoisonedResult, entry, got, out.checksum)
 	}
-	if verr := out.cr.Validate(); verr != nil {
-		s.Stats.Compile.Rejected++
-		s.recordHostFault(entry, telemetry.CausePoison)
-		return fmt.Errorf("%w: B%d structural invariants: %v", errPoisonedResult, entry, verr)
-	}
-	return nil
+	return err
 }
 
 // requestCompile starts a compilation for entry. An error is returned
@@ -864,7 +859,7 @@ func (s *System) queueCompile(p pendingCompile, in *compileInput, key compileque
 			if flight != nil {
 				// A leader that re-installs submits no job, so it settles
 				// the flight with the record's output, as its worker would.
-				s.cache.Complete(key, flight, p.out, outputClean(p.out))
+				s.cache.Complete(key, flight, p.out, screenOutput(entry, p.out) == nil)
 			}
 			break
 		}
@@ -880,7 +875,7 @@ func (s *System) queueCompile(p pendingCompile, in *compileInput, key compileque
 			cache := s.cache
 			cq.pool.Submit(func() {
 				out := runCompileJob(snap, panicInject, poison)
-				cache.Complete(key, flight, out, outputClean(out))
+				cache.Complete(key, flight, out, screenOutput(entry, out) == nil)
 			})
 			break
 		}
@@ -1046,7 +1041,7 @@ func (s *System) installOutput(entry int, in *compileInput, out *compileOutput, 
 		SeqLen:         out.cr.Ops(),
 		Cycles:         out.cr.Cycles,
 		CompileLatency: latency,
-		Tier:           rr.tier,
+		Tier:           rr.Level,
 	}
 	if rr.statsIdx >= 0 {
 		s.Stats.Regions[rr.statsIdx] = rs
@@ -1054,7 +1049,7 @@ func (s *System) installOutput(entry int, in *compileInput, out *compileOutput, 
 		rr.statsIdx = len(s.Stats.Regions)
 		s.Stats.Regions = append(s.Stats.Regions, rs)
 	}
-	s.tel.regionCompile(s.now(), entry, rr.tier, &rs)
+	s.tel.regionCompile(s.now(), entry, rr.Level, &rs)
 }
 
 // ErrNoCode is InspectRegion's error for a region without installed code.

@@ -45,12 +45,13 @@ type Config struct {
 	// HotThreshold is the block execution count that triggers region
 	// formation.
 	HotThreshold uint64
-	// MaxGuardFails drops a region from the cache after this many
-	// consecutive off-trace exits.
-	MaxGuardFails int
-	// Recovery tunes the tiered deoptimization controller and the code
-	// cache bound. The zero value means DefaultRecoveryConfig().
-	Recovery RecoveryConfig
+	// CodeCacheCapacity bounds how many compiled regions stay installed;
+	// inserting past it evicts the least recently dispatched region. It
+	// bounds installed code, not the memory behind it: an evicted region
+	// keeps its record, including up to NumTiers-1 install records (one
+	// build per code tier), until a guard-fail drop clears them. 0 means
+	// 256.
+	CodeCacheCapacity int
 	// Chaos configures the deterministic fault injector (zero = off).
 	Chaos faultinject.Config
 	// CheckInvariants verifies after every rollback that the
@@ -95,12 +96,12 @@ type Ablation struct {
 	Elim bool
 }
 
-// withDefaults fills zero-valued sub-configurations.
-func (c Config) withDefaults() Config {
-	if c.Recovery == (RecoveryConfig{}) {
-		c.Recovery = DefaultRecoveryConfig()
+// codeCacheCapacity resolves CodeCacheCapacity's 0 to the default.
+func (c Config) codeCacheCapacity() int {
+	if c.CodeCacheCapacity == 0 {
+		return defaultCodeCacheCapacity
 	}
-	return c
+	return c.CodeCacheCapacity
 }
 
 // Validate rejects nonsensical configurations: an ordered queue or bit
@@ -117,8 +118,8 @@ func (c Config) Validate() error {
 	if c.HotThreshold == 0 {
 		return fmt.Errorf("dynopt: HotThreshold 0, want > 0")
 	}
-	if c.MaxGuardFails <= 0 {
-		return fmt.Errorf("dynopt: MaxGuardFails %d, want > 0", c.MaxGuardFails)
+	if c.CodeCacheCapacity < 0 {
+		return fmt.Errorf("dynopt: CodeCacheCapacity %d, want >= 0", c.CodeCacheCapacity)
 	}
 	if c.Compile.Workers < 0 {
 		return fmt.Errorf("dynopt: Compile.Workers %d, want >= 0", c.Compile.Workers)
@@ -131,9 +132,6 @@ func (c Config) Validate() error {
 	}
 	if c.Compile.SharedCache != nil && c.Compile.Workers < 1 {
 		return fmt.Errorf("dynopt: Compile.SharedCache set with Workers %d, want >= 1 (the background path)", c.Compile.Workers)
-	}
-	if err := c.withDefaults().Recovery.Validate(); err != nil {
-		return err
 	}
 	if err := c.Health.Validate(); err != nil {
 		return err
@@ -154,14 +152,12 @@ func mustValid(c Config) Config {
 // alias registers.
 func DefaultConfig() Config {
 	return mustValid(Config{
-		Mode:          sched.HWOrdered,
-		NumAliasRegs:  64,
-		StoreReorder:  true,
-		HotThreshold:  50,
-		MaxGuardFails: 8,
-		Recovery:      DefaultRecoveryConfig(),
-		Region:        region.DefaultConfig(),
-		Machine:       vliw.DefaultConfig(),
+		Mode:         sched.HWOrdered,
+		NumAliasRegs: 64,
+		StoreReorder: true,
+		HotThreshold: 50,
+		Region:       region.DefaultConfig(),
+		Machine:      vliw.DefaultConfig(),
 	})
 }
 
@@ -351,7 +347,6 @@ type System struct {
 // It panics when cfg fails Validate; use Config.Validate first for
 // configurations assembled from user input.
 func New(prog *guest.Program, st *guest.State, mem *guest.Memory, cfg Config) *System {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		panic("dynopt: invalid config: " + err.Error())
 	}
@@ -419,7 +414,7 @@ func (s *System) dropCode(entry int) {
 func (s *System) recordOf(entry int) *regionRecord {
 	de := &s.disp[entry]
 	if de.rec == nil {
-		de.rec = newRegionRecord(s.cfg.Recovery)
+		de.rec = newRegionRecord()
 	}
 	return de.rec
 }
@@ -428,7 +423,7 @@ func (s *System) recordOf(entry int) *regionRecord {
 // first compilation).
 func (s *System) tierOf(entry int) Tier {
 	if rr := s.disp[entry].rec; rr != nil {
-		return rr.tier
+		return rr.Level
 	}
 	return TierFull
 }
@@ -465,7 +460,7 @@ func (s *System) optConfig(tier Tier) opt.Config {
 // lowest-entry tie break). Only the code leaves: the region keeps its
 // record, so a recompile with unchanged inputs re-installs its build.
 func (s *System) evictForCapacity(entry int) {
-	cap := s.cfg.Recovery.CodeCacheCapacity
+	cap := s.cfg.codeCacheCapacity()
 	for s.installed >= cap {
 		victim, oldest := -1, int64(0)
 		for e := range s.disp {
@@ -542,22 +537,22 @@ func (s *System) Run(maxInsts uint64) (bool, error) {
 
 		// RunBlock succeeded, so id indexes a real block (and its slot).
 		de := &s.disp[id]
-		if rr := de.rec; rr != nil && rr.tier == TierPinned {
+		if rr := de.rec; rr != nil && rr.Level == TierPinned {
 			// Interpreter-pinned region: count the clean entry; a long
 			// enough clean run re-promotes it to conservative compiled
 			// code (unless its backoff is exhausted).
 			s.Stats.Recovery.TierDispatches[TierPinned]++
-			if rr.recordPinnedEntry(s.cfg.Recovery) {
+			if rr.Clean(regionPolicy) {
 				s.Stats.Recovery.Promotions++
 				de.cooldown = 0
-				s.tel.tierMove(s.now(), id, TierPinned, rr.tier, telemetry.CauseNone)
+				s.tel.tierMove(s.now(), id, TierPinned, rr.Level, telemetry.CauseNone)
 			}
 		}
 
 		if s.hc != nil && s.hc.Level() >= health.CompileOff {
 			// Interpreter-only: nothing dispatches, so quiet interpreted
 			// progress is the only clean signal left to earn re-promotion
-			// with (the per-region analogue is recordPinnedEntry).
+			// with (the per-region analogue is a pinned region's Clean).
 			s.healthClean()
 		}
 
@@ -607,8 +602,8 @@ func (s *System) runRegion(entry int, c *compiled) int {
 	s.entrySeq++
 	c.lastUse = s.entrySeq
 	rr := s.recordOf(entry)
-	s.Stats.Recovery.TierDispatches[rr.tier]++
-	s.tel.dispatch(s.now(), entry, rr.tier)
+	s.Stats.Recovery.TierDispatches[rr.Level]++
+	s.tel.dispatch(s.now(), entry, rr.Level)
 	if c.fresh {
 		c.fresh = false
 		s.tel.firstDispatch(s.now() - c.installedAt)
@@ -619,14 +614,14 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		snap = faultinject.Capture(s.st, s.mem)
 	}
 
-	res, injected := s.executeRegion(entry, rr.tier, c)
+	res, injected := s.executeRegion(entry, rr.Level, c)
 
 	if res.Outcome != vliw.Commit {
 		// Every non-commit outcome rolled back (or never ran). Chaos may
 		// now model a broken restore; the invariant checker must catch
 		// either that or a genuine recovery bug.
 		if s.inj != nil && s.inj.CorruptState(s.st) {
-			s.tel.chaosInjected(s.now(), entry, rr.tier, telemetry.CauseCorrupt)
+			s.tel.chaosInjected(s.now(), entry, rr.Level, telemetry.CauseCorrupt)
 		}
 		if s.cfg.CheckInvariants {
 			if err := snap.Verify(s.st, s.mem); err != nil {
@@ -645,10 +640,10 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		s.Stats.Commits++
 		c.failStreak = 0
 		s.healthClean()
-		s.tel.commit(s.now(), entry, rr.tier, cost, res.ARHighWater, res.StoresBuffered)
-		if rr.recordCommit(s.cfg.Recovery) {
+		s.tel.commit(s.now(), entry, rr.Level, cost, res.ARHighWater, res.StoresBuffered)
+		if rr.Clean(regionPolicy) {
 			s.Stats.Recovery.Promotions++
-			s.tel.tierMove(s.now(), entry, rr.tier+1, rr.tier, telemetry.CauseNone)
+			s.tel.tierMove(s.now(), entry, rr.Level+1, rr.Level, telemetry.CauseNone)
 			// The promoted code replaces the conservative version, which
 			// stays installed (it is still correct) until the replacement
 			// is ready.
@@ -671,7 +666,7 @@ func (s *System) runRegion(entry int, c *compiled) int {
 				checker, origin = res.Conflict.Checker, res.Conflict.Origin
 			}
 			cost := c.cr.Cycles + int64(s.cfg.Machine.RollbackPenalty)
-			s.tel.aliasRollback(s.now(), entry, rr.tier, cause, cost, res.OpsExecuted, checker, origin)
+			s.tel.aliasRollback(s.now(), entry, rr.Level, cause, cost, res.OpsExecuted, checker, origin)
 		}
 		// Conservative re-optimization (Figure 1). Under the ordered
 		// queue the check identifies exactly the speculated pair, so the
@@ -693,13 +688,13 @@ func (s *System) runRegion(entry int, c *compiled) int {
 					rr.pins = make(map[int]bool)
 				}
 				if rr.pins[res.Conflict.Origin] {
-					s.demoteToConservative(entry, rr)
+					s.demoteToConservative(entry, rr, telemetry.CausePairRepeat)
 				} else {
 					learned = true
 				}
 				rr.pins[res.Conflict.Origin] = true
 			} else if rr.blacklist[pair] {
-				s.demoteToConservative(entry, rr)
+				s.demoteToConservative(entry, rr, telemetry.CausePairRepeat)
 			} else {
 				learned = true
 			}
@@ -707,24 +702,20 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		}
 		// Chronic offender: jump straight to conservative code and stop
 		// promoting (the old one-shot pin, now the ladder's hard cap).
-		if rr.exceptions > s.cfg.Recovery.MaxExceptionsPerRegion &&
-			rr.tier < TierConservative {
-			before, from := rr.demotions, rr.tier
-			if rr.demoteTo(s.cfg.Recovery, TierConservative) {
-				s.Stats.Recovery.Demotions += int64(rr.demotions - before)
-				s.tel.tierMove(s.now(), entry, from, rr.tier, telemetry.CauseChronic)
-			}
-			rr.sticky = true
+		if rr.exceptions > maxExceptionsPerRegion && rr.Level < TierConservative {
+			s.demoteToConservative(entry, rr, telemetry.CauseChronic)
+			rr.Sticky = true
 		}
 		if learned {
 			// A fresh pair was hardened: productive learning, not a
-			// storm — only the clean-commit run resets.
-			rr.recordHardeningRollback()
-		} else if rr.recordRollback(s.cfg.Recovery) {
+			// storm, so it stays out of the window and the storm
+			// detector — only the clean-commit run resets.
+			rr.ResetRun()
+		} else if rr.Fault(regionPolicy, 1) {
 			s.Stats.Recovery.Demotions++
-			s.tel.tierMove(s.now(), entry, rr.tier-1, rr.tier, telemetry.CauseRate)
+			s.tel.tierMove(s.now(), entry, rr.Level-1, rr.Level, telemetry.CauseRate)
 		}
-		if rr.tier == TierPinned {
+		if rr.Level == TierPinned {
 			s.cancelPending(entry, telemetry.CauseStale)
 			s.dropCode(entry)
 		} else {
@@ -748,9 +739,9 @@ func (s *System) runRegion(entry int, c *compiled) int {
 				cause = injected
 			}
 			cost := c.cr.Cycles + int64(s.cfg.Machine.RollbackPenalty)
-			s.tel.guardRollback(s.now(), entry, rr.tier, cause, cost, res.OpsExecuted, c.failStreak)
+			s.tel.guardRollback(s.now(), entry, rr.Level, cause, cost, res.OpsExecuted, c.failStreak)
 		}
-		if c.failStreak >= s.cfg.MaxGuardFails {
+		if c.failStreak >= maxGuardFails {
 			// The trace no longer matches behaviour: drop it and require
 			// twice the heat before re-forming.
 			s.cancelPending(entry, telemetry.CauseStale)
@@ -758,7 +749,7 @@ func (s *System) runRegion(entry int, c *compiled) int {
 			rr.dropTrace()
 			s.disp[entry].cooldown = s.it.Prof.BlockCounts[entry] * 2
 			s.Stats.RegionsDropped++
-			s.tel.drop(s.now(), entry, rr.tier, telemetry.CauseGuard)
+			s.tel.drop(s.now(), entry, rr.Level, telemetry.CauseGuard)
 		}
 		return s.interpretOne(entry)
 
@@ -767,15 +758,15 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		s.Stats.RollbackCycles += int64(s.cfg.Machine.RollbackPenalty)
 		s.Stats.Faults++
 		s.healthRollback()
-		s.tel.rollback(s.now(), entry, rr.tier, telemetry.CauseFault,
+		s.tel.rollback(s.now(), entry, rr.Level, telemetry.CauseFault,
 			c.cr.Cycles+int64(s.cfg.Machine.RollbackPenalty), res.OpsExecuted)
 		// Speculation-induced faults are misspeculation too: a region
 		// whose hoisted loads keep faulting steps down the ladder until
 		// the faults stop (TierConservative hoists nothing).
-		if rr.recordRollback(s.cfg.Recovery) {
+		if rr.Fault(regionPolicy, 1) {
 			s.Stats.Recovery.Demotions++
-			s.tel.tierMove(s.now(), entry, rr.tier-1, rr.tier, telemetry.CauseFaultStorm)
-			if rr.tier == TierPinned {
+			s.tel.tierMove(s.now(), entry, rr.Level-1, rr.Level, telemetry.CauseFaultStorm)
+			if rr.Level == TierPinned {
 				s.cancelPending(entry, telemetry.CauseStale)
 				s.dropCode(entry)
 			} else {
@@ -787,16 +778,15 @@ func (s *System) runRegion(entry int, c *compiled) int {
 	}
 }
 
-// demoteToConservative jumps a region to TierConservative after
-// pair-level hardening failed (a repeated blacklisted pair or re-pinned
-// ALAT load): the precise fix did not hold, so speculation as a whole is
-// wrong for this region. Re-promotion stays possible, under backoff.
-func (s *System) demoteToConservative(entry int, rr *regionRecord) {
-	before, from := rr.demotions, rr.tier
-	if rr.demoteTo(s.cfg.Recovery, TierConservative) {
-		s.Stats.Recovery.Demotions += int64(rr.demotions - before)
-		s.tel.tierMove(s.now(), entry, from, rr.tier, telemetry.CausePairRepeat)
-	}
+// demoteToConservative jumps a region to TierConservative, one demotion
+// per rung passed, after pair-level hardening failed (CausePairRepeat: a
+// repeated blacklisted pair or re-pinned ALAT load, so speculation as a
+// whole is wrong for this region; re-promotion stays possible, under
+// backoff) or at the chronic-offender cap (CauseChronic).
+func (s *System) demoteToConservative(entry int, rr *regionRecord, cause telemetry.Cause) {
+	from := rr.Level
+	s.Stats.Recovery.Demotions += int64(rr.DemoteTo(regionPolicy, TierConservative))
+	s.tel.tierMove(s.now(), entry, from, rr.Level, cause) // no event if already there
 }
 
 // interpretOne interprets a single block — Run's interpreted dispatch, or
@@ -833,19 +823,19 @@ func (s *System) finalize() {
 		if rr == nil || !rr.formed {
 			continue
 		}
-		rec.TierRegions[rr.tier]++
-		if rr.tier == TierPinned {
+		rec.TierRegions[rr.Level]++
+		if rr.Level == TierPinned {
 			rec.PinnedRegions++
 		}
-		if rr.sticky {
+		if rr.Sticky {
 			rec.StickyRegions++
 		}
 		if rr.statsIdx >= 0 {
 			rs := &s.Stats.Regions[rr.statsIdx]
-			rs.Tier = rr.tier
-			rs.Demotions = rr.demotions
-			rs.Promotions = rr.promotions
-			rs.Sticky = rr.sticky
+			rs.Tier = rr.Level
+			rs.Demotions = rr.Demotions
+			rs.Promotions = rr.Promotions
+			rs.Sticky = rr.Sticky
 		}
 	}
 }

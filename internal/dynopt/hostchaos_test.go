@@ -2,10 +2,12 @@ package dynopt
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 
+	"smarq/internal/codecache"
 	"smarq/internal/faultinject"
 	"smarq/internal/guest"
 	"smarq/internal/health"
@@ -225,6 +227,109 @@ func TestPoisonedResultsNeverInstall(t *testing.T) {
 			if cs.Rejected != sys.Stats.Injected.PoisonedResults {
 				t.Errorf("injector poisoned %d results, validation rejected %d",
 					sys.Stats.Injected.PoisonedResults, cs.Rejected)
+			}
+		})
+	}
+}
+
+// TestOneOutputScreen: the fleet leader's cache insert and the install
+// point's admission are one verdict (screenOutput). Over a clean output,
+// a pipeline error, a panicked job and both poison modes, the screen the
+// leader inserts on passes exactly the outputs admitOutput accepts, and
+// admitOutput moves Rejected, WorkerPanics and Quarantined for the
+// failure it saw and nothing else. TestLeaderCachesWhatInstallAdmits
+// drives the leader itself.
+func TestOneOutputScreen(t *testing.T) {
+	type moved struct{ rejected, panics, quarantined int64 }
+	for _, tc := range []struct {
+		name  string
+		out   func(in *compileInput) *compileOutput
+		admit bool
+		want  moved
+	}{
+		{"clean", func(in *compileInput) *compileOutput {
+			return runCompileJob(in, false, faultinject.PoisonNone)
+		}, true, moved{}},
+		{"pipeline-error", func(in *compileInput) *compileOutput {
+			return &compileOutput{err: errors.New("unschedulable")}
+		}, false, moved{}},
+		{"panicked", func(in *compileInput) *compileOutput {
+			return runCompileJob(in, true, faultinject.PoisonNone)
+		}, false, moved{panics: 1, quarantined: 1}},
+		{"poison-checksum", func(in *compileInput) *compileOutput {
+			return runCompileJob(in, false, faultinject.PoisonChecksum)
+		}, false, moved{rejected: 1}},
+		{"poison-structure", func(in *compileInput) *compileOutput {
+			return runCompileJob(in, false, faultinject.PoisonStructure)
+		}, false, moved{rejected: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, e := installedSystem(t, 0)
+			in, err := sys.newCompileInput(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := tc.out(in.snapshot())
+			inserts := screenOutput(e, out) == nil
+
+			before := sys.Stats.Compile
+			admitted := sys.admitOutput(e, out) == nil
+			if admitted != tc.admit {
+				t.Fatalf("admitOutput accepted=%v, want %v", admitted, tc.admit)
+			}
+			if inserts != admitted {
+				t.Errorf("leader inserts=%v, admitOutput accepted=%v", inserts, admitted)
+			}
+			cs := sys.Stats.Compile
+			if got := (moved{cs.Rejected - before.Rejected, cs.WorkerPanics - before.WorkerPanics,
+				cs.Quarantined - before.Quarantined}); got != tc.want {
+				t.Errorf("Rejected/WorkerPanics/Quarantined moved %+v, want %+v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestLeaderCachesWhatInstallAdmits runs TestOneOutputScreen's injectable
+// outputs through a real queued fleet-cache leader: the job's result
+// enters the shared cache exactly when the leader's own install point
+// admits it.
+func TestLeaderCachesWhatInstallAdmits(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		chaos  faultinject.Config
+		skip   int // poison draws to burn first (they alternate checksum, structure)
+		admits bool
+	}{
+		{"clean", faultinject.Config{}, 0, true},
+		{"panicked", faultinject.Config{Seed: 1, WorkerPanicRate: 1}, 0, false},
+		{"poison-checksum", faultinject.Config{Seed: 1, PoisonResultRate: 1}, 0, false},
+		{"poison-structure", faultinject.Config{Seed: 1, PoisonResultRate: 1}, 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, e := installedSystem(t, 1)
+			sys.cache = NewCodeCache(codecache.Options{}).cache
+			sys.inj = faultinject.New(tc.chaos)
+			for i := 0; i < tc.skip; i++ {
+				sys.inj.PoisonResult()
+			}
+			sys.disp[e].rec.installs = [TierPinned]installRecord{} // run a job
+			in, err := sys.newCompileInput(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := memoKey(&in)
+			installed := sys.Stats.Compile.Installed
+
+			sys.recompileRegion(e, false)
+			if sys.disp[e].rec.pending.flight == nil {
+				t.Fatal("the recompile did not lead a fleet-cache flight")
+			}
+			settle(t, sys, e)
+
+			admitted := sys.Stats.Compile.Installed > installed
+			_, cached, _, _ := sys.cache.Lookup(key)
+			if admitted != tc.admits || cached != admitted {
+				t.Errorf("install admitted=%v (want %v), leader cached=%v", admitted, tc.admits, cached)
 			}
 		})
 	}

@@ -8,33 +8,16 @@ import (
 	"smarq/internal/compilequeue"
 	"smarq/internal/faultinject"
 	"smarq/internal/guest"
+	"smarq/internal/health"
 	"smarq/internal/sched"
+	"smarq/internal/telemetry"
 )
 
-func TestRecoveryConfigValidate(t *testing.T) {
-	if err := DefaultRecoveryConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
-	}
-	mutate := func(f func(*RecoveryConfig)) RecoveryConfig {
-		c := DefaultRecoveryConfig()
-		f(&c)
-		return c
-	}
-	bad := map[string]RecoveryConfig{
-		"zero-max-exceptions": mutate(func(c *RecoveryConfig) { c.MaxExceptionsPerRegion = 0 }),
-		"zero-window":         mutate(func(c *RecoveryConfig) { c.Window = 0 }),
-		"demote-over-window":  mutate(func(c *RecoveryConfig) { c.DemoteThreshold = c.Window + 1 }),
-		"zero-demote":         mutate(func(c *RecoveryConfig) { c.DemoteThreshold = 0 }),
-		"zero-storm":          mutate(func(c *RecoveryConfig) { c.StormThreshold = 0 }),
-		"zero-promote":        mutate(func(c *RecoveryConfig) { c.PromoteAfter = 0 }),
-		"backoff-one":         mutate(func(c *RecoveryConfig) { c.BackoffFactor = 1 }),
-		"zero-max-backoff":    mutate(func(c *RecoveryConfig) { c.MaxBackoff = 0 }),
-		"zero-cache":          mutate(func(c *RecoveryConfig) { c.CodeCacheCapacity = 0 }),
-	}
-	for name, c := range bad {
-		if c.Validate() == nil {
-			t.Errorf("%s accepted: %+v", name, c)
-		}
+// TestRegionPolicyValid: the region ladder's fixed tuning passes the one
+// policy validation the health controller's tuning does.
+func TestRegionPolicyValid(t *testing.T) {
+	if err := regionPolicy.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -58,15 +41,10 @@ func TestConfigValidate(t *testing.T) {
 	if cold.Validate() == nil {
 		t.Error("HotThreshold=0 accepted")
 	}
-	guards := DefaultConfig()
-	guards.MaxGuardFails = 0
-	if guards.Validate() == nil {
-		t.Error("MaxGuardFails=0 accepted")
-	}
-	ladder := DefaultConfig()
-	ladder.Recovery.BackoffFactor = 1
-	if ladder.Validate() == nil {
-		t.Error("BackoffFactor=1 accepted")
+	cache := DefaultConfig()
+	cache.CodeCacheCapacity = -1
+	if cache.Validate() == nil {
+		t.Error("CodeCacheCapacity=-1 accepted")
 	}
 	chaos := DefaultConfig()
 	chaos.Chaos.SpuriousAliasRate = 2
@@ -90,12 +68,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := fleet.Validate(); err != nil {
 		t.Errorf("SharedCache with Workers=1 rejected: %v", err)
 	}
-	// The zero Recovery value means defaults, so it must validate.
-	zeroRec := DefaultConfig()
-	zeroRec.Recovery = RecoveryConfig{}
-	if err := zeroRec.Validate(); err != nil {
-		t.Errorf("zero Recovery rejected: %v", err)
-	}
 }
 
 func TestNewPanicsOnInvalidConfig(t *testing.T) {
@@ -104,97 +76,97 @@ func TestNewPanicsOnInvalidConfig(t *testing.T) {
 			t.Error("New accepted an invalid config")
 		}
 	}()
-	cfg := Config{Mode: sched.HWOrdered, NumAliasRegs: 1, HotThreshold: 50, MaxGuardFails: 8}
+	cfg := Config{Mode: sched.HWOrdered, NumAliasRegs: 1, HotThreshold: 50}
 	New(sumLoopProgram(10), &guest.State{}, guest.NewMemory(1<<12), cfg)
 }
 
 func TestLadderStormDemotes(t *testing.T) {
-	cfg := DefaultRecoveryConfig()
-	rr := newRegionRecord(cfg)
-	for i := 0; i < cfg.StormThreshold-1; i++ {
-		if rr.recordRollback(cfg) {
-			t.Fatalf("demoted after %d rollbacks, storm threshold is %d", i+1, cfg.StormThreshold)
+	p := regionPolicy
+	rr := newRegionRecord()
+	for i := 0; i < p.Storm-1; i++ {
+		if rr.Fault(p, 1) {
+			t.Fatalf("demoted after %d rollbacks, storm threshold is %d", i+1, p.Storm)
 		}
 	}
-	if !rr.recordRollback(cfg) {
+	if !rr.Fault(p, 1) {
 		t.Fatal("storm threshold reached without demotion")
 	}
-	if rr.tier != TierNoStoreReorder {
-		t.Errorf("tier = %v after one demotion, want %v", rr.tier, TierNoStoreReorder)
+	if rr.Level != TierNoStoreReorder {
+		t.Errorf("tier = %v after one demotion, want %v", rr.Level, TierNoStoreReorder)
 	}
-	if rr.backoff != cfg.BackoffFactor {
-		t.Errorf("backoff = %d after one demotion, want %d", rr.backoff, cfg.BackoffFactor)
+	if rr.Backoff != p.BackoffFactor {
+		t.Errorf("backoff = %d after one demotion, want %d", rr.Backoff, p.BackoffFactor)
 	}
 }
 
 func TestLadderWindowDemotes(t *testing.T) {
 	// Rollbacks interleaved with commits: the storm detector never fires
 	// (consec resets each commit) but the window rate accumulates.
-	cfg := DefaultRecoveryConfig()
-	rr := newRegionRecord(cfg)
-	demoted := false
-	for i := 0; i < cfg.DemoteThreshold && !demoted; i++ {
-		rr.recordCommit(cfg)
-		demoted = rr.recordRollback(cfg)
+	p := regionPolicy
+	rr := newRegionRecord()
+	for i := 1; i <= p.DemoteThreshold; i++ {
+		rr.Clean(p)
+		if demoted := rr.Fault(p, 1); demoted != (i == p.DemoteThreshold) {
+			t.Fatalf("rollback %d of %d in the window: demoted=%v", i, p.DemoteThreshold, demoted)
+		}
 	}
-	if !demoted {
-		t.Fatalf("window rate %d/%d never demoted", cfg.DemoteThreshold, 2*cfg.DemoteThreshold)
-	}
-	if rr.consec >= cfg.StormThreshold {
-		t.Fatal("test invalid: the storm detector fired, not the window")
-	}
-	if rr.tier != TierNoStoreReorder {
-		t.Errorf("tier = %v, want %v", rr.tier, TierNoStoreReorder)
+	if rr.Level != TierNoStoreReorder {
+		t.Errorf("tier = %v, want %v", rr.Level, TierNoStoreReorder)
 	}
 }
 
 func TestHardeningRollbacksNeverDemote(t *testing.T) {
 	// Blacklist-convergence bursts — every rollback hardens a fresh pair —
 	// must leave the ladder alone no matter how long they run.
-	cfg := DefaultRecoveryConfig()
-	rr := newRegionRecord(cfg)
-	for i := 0; i < 10*cfg.Window; i++ {
-		rr.recordHardeningRollback()
+	p := regionPolicy
+	rr := newRegionRecord()
+	for i := 0; i < 10*p.Window; i++ {
+		rr.ResetRun()
 	}
-	if rr.tier != TierFull || rr.demotions != 0 {
-		t.Errorf("tier = %v, demotions = %d after hardening rollbacks, want full/0", rr.tier, rr.demotions)
+	if rr.Level != TierFull || rr.Demotions != 0 {
+		t.Errorf("tier = %v, demotions = %d after hardening rollbacks, want full/0", rr.Level, rr.Demotions)
+	}
+	// They stay out of the window and the storm detector: one
+	// unproductive rollback after the burst is still just one.
+	if rr.Fault(p, 1) {
+		t.Error("one rollback after a hardening burst demoted")
 	}
 	// But they do interrupt a clean-commit promotion run.
-	rr.tier = TierNoElim
-	for i := 0; i < cfg.PromoteAfter-1; i++ {
-		rr.recordCommit(cfg)
+	rr.Level = TierNoElim
+	for i := 0; i < p.PromoteAfter-1; i++ {
+		rr.Clean(p)
 	}
-	rr.recordHardeningRollback()
-	if rr.recordCommit(cfg) {
+	rr.ResetRun()
+	if rr.Clean(p) {
 		t.Error("promotion run survived a hardening rollback")
 	}
 }
 
 func TestLadderPromotionWithBackoff(t *testing.T) {
-	cfg := DefaultRecoveryConfig()
-	rr := newRegionRecord(cfg)
-	for i := 0; i < cfg.StormThreshold; i++ {
-		rr.recordRollback(cfg)
+	p := regionPolicy
+	rr := newRegionRecord()
+	for i := 0; i < p.Storm; i++ {
+		rr.Fault(p, 1)
 	}
-	if rr.tier != TierNoStoreReorder {
-		t.Fatalf("setup: tier = %v", rr.tier)
+	if rr.Level != TierNoStoreReorder {
+		t.Fatalf("setup: tier = %v", rr.Level)
 	}
 	// One demotion doubled the backoff: promotion needs PromoteAfter *
 	// BackoffFactor clean commits, not PromoteAfter.
-	need := cfg.PromoteAfter * cfg.BackoffFactor
+	need := p.PromoteAfter * p.BackoffFactor
 	for i := 0; i < need-1; i++ {
-		if rr.recordCommit(cfg) {
+		if rr.Clean(p) {
 			t.Fatalf("promoted after %d clean commits, want %d", i+1, need)
 		}
 	}
-	if !rr.recordCommit(cfg) {
+	if !rr.Clean(p) {
 		t.Fatalf("no promotion after %d clean commits", need)
 	}
-	if rr.tier != TierFull {
-		t.Errorf("tier = %v after promotion, want %v", rr.tier, TierFull)
+	if rr.Level != TierFull {
+		t.Errorf("tier = %v after promotion, want %v", rr.Level, TierFull)
 	}
-	if rr.transitions() != 2 {
-		t.Errorf("transitions = %d, want 2", rr.transitions())
+	if rr.Demotions != 1 || rr.Promotions != 1 {
+		t.Errorf("%d demotions, %d promotions, want 1 and 1", rr.Demotions, rr.Promotions)
 	}
 }
 
@@ -202,51 +174,51 @@ func TestLadderStickyBoundsTransitions(t *testing.T) {
 	// An oscillating region — storm, climb back, storm again — is the
 	// livelock shape: each oscillation doubles the backoff until it
 	// exhausts MaxBackoff and the region goes sticky forever.
-	cfg := DefaultRecoveryConfig()
-	rr := newRegionRecord(cfg)
-	for round := 0; !rr.sticky; round++ {
-		if round > maxDemotionsBound(cfg) {
-			t.Fatalf("no stickiness after %d oscillations (backoff=%d)", round, rr.backoff)
+	p := regionPolicy
+	rr := newRegionRecord()
+	for round := 0; !rr.Sticky; round++ {
+		if round > maxDemotionsBound(p) {
+			t.Fatalf("no stickiness after %d oscillations (backoff=%d)", round, rr.Backoff)
 		}
-		for i := 0; i < cfg.StormThreshold; i++ {
-			rr.recordRollback(cfg)
+		for i := 0; i < p.Storm; i++ {
+			rr.Fault(p, 1)
 		}
-		for i := 0; rr.tier != TierFull && !rr.sticky; i++ {
-			if i > 100*cfg.PromoteAfter*cfg.MaxBackoff {
+		for i := 0; rr.Level != TierFull && !rr.Sticky; i++ {
+			if i > 100*p.PromoteAfter*p.MaxBackoff {
 				t.Fatal("region stuck below TierFull while promotable")
 			}
-			rr.recordCommit(cfg)
+			rr.Clean(p)
 		}
 	}
-	before := rr.transitions()
-	tier := rr.tier
-	for i := 0; i < 2*cfg.PromoteAfter*cfg.MaxBackoff; i++ {
-		if rr.recordCommit(cfg) || rr.recordPinnedEntry(cfg) {
+	before := rr.Demotions + rr.Promotions
+	tier := rr.Level
+	for i := 0; i < 2*p.PromoteAfter*p.MaxBackoff; i++ {
+		if rr.Clean(p) || rr.Clean(p) {
 			t.Fatal("sticky region promoted")
 		}
 	}
-	if rr.transitions() != before || rr.tier != tier {
+	if after := rr.Demotions + rr.Promotions; after != before || rr.Level != tier {
 		t.Errorf("sticky region still moved: %d -> %d transitions, tier %v -> %v",
-			before, rr.transitions(), tier, rr.tier)
+			before, after, tier, rr.Level)
 	}
-	if before > 2*maxDemotionsBound(cfg) {
-		t.Errorf("transitions = %d exceeds the ladder bound %d", before, 2*maxDemotionsBound(cfg))
+	if before > 2*maxDemotionsBound(p) {
+		t.Errorf("transitions = %d exceeds the ladder bound %d", before, 2*maxDemotionsBound(p))
 	}
 }
 
 // TestLadderFloorStopsDemoting: a pinned region is already at the floor;
 // further rollbacks are absorbed without counter churn.
 func TestLadderFloorStopsDemoting(t *testing.T) {
-	cfg := DefaultRecoveryConfig()
-	rr := newRegionRecord(cfg)
-	for i := 0; i < 100*cfg.StormThreshold; i++ {
-		rr.recordRollback(cfg)
+	p := regionPolicy
+	rr := newRegionRecord()
+	for i := 0; i < 100*p.Storm; i++ {
+		rr.Fault(p, 1)
 	}
-	if rr.tier != TierPinned {
-		t.Fatalf("tier = %v after sustained rollbacks, want %v", rr.tier, TierPinned)
+	if rr.Level != TierPinned {
+		t.Fatalf("tier = %v after sustained rollbacks, want %v", rr.Level, TierPinned)
 	}
-	if rr.demotions != NumTiers-1 {
-		t.Errorf("demotions = %d walking the full ladder, want %d", rr.demotions, NumTiers-1)
+	if rr.Demotions != NumTiers-1 {
+		t.Errorf("demotions = %d walking the full ladder, want %d", rr.Demotions, NumTiers-1)
 	}
 }
 
@@ -254,47 +226,109 @@ func TestLadderFloorStopsDemoting(t *testing.T) {
 // demotion multiplies the backoff by BackoffFactor and past MaxBackoff the
 // region is sticky (no more promotions), after which at most NumTiers-1
 // further demotions can happen before the floor.
-func maxDemotionsBound(cfg RecoveryConfig) int {
+func maxDemotionsBound(p health.Policy) int {
 	n := 0
-	for b := 1; b <= cfg.MaxBackoff; b *= cfg.BackoffFactor {
+	for b := 1; b <= p.MaxBackoff; b *= p.BackoffFactor {
 		n++
 	}
 	return n + NumTiers - 1
 }
 
 func TestDemoteToJumps(t *testing.T) {
-	cfg := DefaultRecoveryConfig()
-	rr := newRegionRecord(cfg)
-	if !rr.demoteTo(cfg, TierConservative) {
-		t.Fatal("demoteTo reported no change from TierFull")
+	p := regionPolicy
+	rr := newRegionRecord()
+	if n := rr.DemoteTo(p, TierConservative); n != int(TierConservative) {
+		t.Fatalf("DemoteTo moved %d rungs from TierFull, want %d", n, int(TierConservative))
 	}
-	if rr.tier != TierConservative || rr.demotions != int(TierConservative) {
-		t.Errorf("tier = %v demotions = %d, want %v/%d", rr.tier, rr.demotions, TierConservative, int(TierConservative))
+	if rr.Level != TierConservative || rr.Demotions != int(TierConservative) {
+		t.Errorf("tier = %v demotions = %d, want %v/%d", rr.Level, rr.Demotions, TierConservative, int(TierConservative))
 	}
-	if rr.demoteTo(cfg, TierConservative) {
-		t.Error("demoteTo reported a change when already at the target")
+	// Every rung passed multiplies the backoff, as a demotion does.
+	if want := p.BackoffFactor * p.BackoffFactor * p.BackoffFactor; rr.Backoff != want {
+		t.Errorf("backoff = %d after a 3-rung jump, want %d", rr.Backoff, want)
+	}
+	if rr.DemoteTo(p, TierConservative) != 0 {
+		t.Error("DemoteTo moved when already at the target")
 	}
 }
 
 func TestPinnedEntryRepromotes(t *testing.T) {
-	cfg := DefaultRecoveryConfig()
-	cfg.MaxBackoff = 1 << 20 // keep the region promotable all the way down
-	rr := newRegionRecord(cfg)
-	rr.demoteTo(cfg, TierPinned)
-	if rr.sticky {
+	p := regionPolicy
+	p.MaxBackoff = 1 << 20 // keep the region promotable all the way down
+	rr := newRegionRecord()
+	rr.DemoteTo(p, TierPinned)
+	if rr.Sticky {
 		t.Fatal("setup: region went sticky")
 	}
-	need := cfg.PromoteAfter * rr.backoff
+	need := p.PromoteAfter * rr.Backoff
 	for i := 0; i < need-1; i++ {
-		if rr.recordPinnedEntry(cfg) {
+		if rr.Clean(p) {
 			t.Fatalf("re-promoted after %d interpreted entries, want %d", i+1, need)
 		}
 	}
-	if !rr.recordPinnedEntry(cfg) {
+	if !rr.Clean(p) {
 		t.Fatal("pinned region never re-promoted")
 	}
-	if rr.tier != TierConservative {
-		t.Errorf("tier = %v after un-pinning, want %v", rr.tier, TierConservative)
+	if rr.Level != TierConservative {
+		t.Errorf("tier = %v after un-pinning, want %v", rr.Level, TierConservative)
+	}
+}
+
+// TestChronicOffenderCap drives spurious alias exceptions through an
+// installed region whose record is seeded at the chronic-offender cap.
+// At exactly the cap nothing jumps; one exception past it the region
+// lands on TierConservative, sticky, with one CauseChronic tier move; a
+// region already at TierConservative does not move. Each ladder starts
+// fresh, so the jump's own backoff (8) leaves the region promotable and
+// only the cap can make it sticky.
+func TestChronicOffenderCap(t *testing.T) {
+	sys, e := installedSystem(t, 0)
+	tr := telemetry.NewTracer(0, nil)
+	sys.tel = newSystemTelemetry(&Config{Telemetry: &telemetry.Telemetry{Events: tr}})
+	sys.inj = faultinject.New(faultinject.Config{Seed: 1, SpuriousAliasRate: 1})
+	rr := sys.disp[e].rec
+	chronic := func() int {
+		n := 0
+		for _, ev := range tr.Events() {
+			if ev.Kind == telemetry.KindDemote && ev.Cause == telemetry.CauseChronic {
+				n++
+			}
+		}
+		return n
+	}
+	except := func() {
+		t.Helper()
+		c := sys.disp[e].code
+		if c == nil {
+			t.Fatal("region has no installed code to dispatch")
+		}
+		sys.runRegion(e, c)
+	}
+
+	rr.Ladder = health.NewLadder[Tier](regionPolicy)
+	rr.exceptions = maxExceptionsPerRegion - 1
+	except()
+	if rr.exceptions != maxExceptionsPerRegion || rr.Level != TierFull || rr.Sticky || chronic() != 0 {
+		t.Fatalf("at the cap (%d exceptions): tier %v sticky=%v, %d chronic moves; want full, not sticky, none",
+			rr.exceptions, rr.Level, rr.Sticky, chronic())
+	}
+	demotions := sys.Stats.Recovery.Demotions
+	except()
+	if rr.Level != TierConservative || !rr.Sticky || chronic() != 1 {
+		t.Fatalf("past the cap: tier %v sticky=%v, %d chronic moves; want conservative, sticky, 1",
+			rr.Level, rr.Sticky, chronic())
+	}
+	if got := sys.Stats.Recovery.Demotions - demotions; got != int64(TierConservative) {
+		t.Errorf("the jump counted %d demotions, want one per rung (%d)", got, int(TierConservative))
+	}
+
+	rr.Ladder = health.NewLadder[Tier](regionPolicy)
+	rr.DemoteTo(regionPolicy, TierConservative)
+	rr.exceptions = maxExceptionsPerRegion
+	except()
+	if rr.Level != TierConservative || rr.Sticky || chronic() != 1 {
+		t.Errorf("already conservative, past the cap: tier %v sticky=%v, %d chronic moves; want conservative, not sticky, 1",
+			rr.Level, rr.Sticky, chronic())
 	}
 }
 
@@ -316,7 +350,7 @@ func TestTierString(t *testing.T) {
 // pipeline.
 func TestCodeCacheEviction(t *testing.T) {
 	cfg := ConfigSMARQ(64)
-	cfg.Recovery.CodeCacheCapacity = 1
+	cfg.CodeCacheCapacity = 1
 	const memSize = 1 << 16
 	sys, ref := runBoth(t, sumLoopProgram(3000), cfg, memSize)
 	assertSameState(t, sys, ref, memSize)
@@ -412,7 +446,7 @@ func TestSpuriousAliasStormDemotes(t *testing.T) {
 	if sys.Stats.Recovery.TierDispatches[TierPinned] == 0 {
 		t.Error("no region reached the interpreter pin under a total storm")
 	}
-	bound := maxDemotionsBound(cfg.Recovery) * 2 // promotions <= demotions
+	bound := maxDemotionsBound(regionPolicy) * 2 // promotions <= demotions
 	for _, rs := range sys.Stats.Regions {
 		if rs.Demotions+rs.Promotions > bound {
 			t.Errorf("region B%d made %d ladder moves, bound %d",

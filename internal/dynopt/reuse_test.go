@@ -80,7 +80,7 @@ func TestInlineRecompileReusesInstalledCode(t *testing.T) {
 		t.Fatal("the installed code is not its tier's install record")
 	}
 	// Dispatch state the re-install must not carry over.
-	old.failStreak, old.fresh = sys.cfg.MaxGuardFails-1, false
+	old.failStreak, old.fresh = maxGuardFails-1, false
 	before := sys.Stats
 
 	sys.recompileRegion(e, true)
@@ -148,7 +148,7 @@ func TestInlineRecompileFreshOnChangedInputs(t *testing.T) {
 		}},
 		{"tier", func(sys *System, e int) {
 			rr := sys.disp[e].rec
-			rr.tier = (rr.tier + 1) % TierPinned
+			rr.Level = (rr.Level + 1) % TierPinned
 		}},
 		{"reformed", func(sys *System, e int) {
 			sys.disp[e].rec.sb = nil
@@ -449,10 +449,10 @@ func TestPromotionReinstallsEarlierTier(t *testing.T) {
 	rr.installs = [TierPinned]installRecord{}
 	runs := countPipelineRuns(t)
 
-	rr.tier = TierFull
+	rr.Level = TierFull
 	sys.recompileRegion(e, true)
 	full := sys.disp[e].code.cr
-	rr.tier = TierNoStoreReorder
+	rr.Level = TierNoStoreReorder
 	sys.recompileRegion(e, true)
 	if runs.Load() != 2 {
 		t.Fatalf("%d pipeline runs to build the full and no-store-reorder tiers, want 2", runs.Load())
@@ -461,7 +461,7 @@ func TestPromotionReinstallsEarlierTier(t *testing.T) {
 		t.Fatal("the no-store-reorder build is the full tier's code")
 	}
 	nsr := rr.installs[TierNoStoreReorder]
-	rr.tier = TierFull
+	rr.Level = TierFull
 	fullOps := sys.installRecordOf(e).out.numOps
 	before := sys.Stats
 
@@ -503,14 +503,14 @@ func TestInstallRecordsClearedOnReform(t *testing.T) {
 	rr.blacklist = alias.Blacklist{alias.MakePair(3, 1): true}
 	rr.pins = map[int]bool{9: true}
 	rr.exceptions = 5
-	rr.tier, rr.backoff, rr.demotions = TierNoElim, 4, 2
+	rr.Level, rr.Backoff, rr.Demotions = TierNoElim, 4, 2
 	rr.quarantined = true
 	want := *rr
 	want.sb, want.installs = nil, [TierPinned]installRecord{}
 
 	sys.inj = faultinject.New(faultinject.Config{Seed: 1, GuardFailRate: 1})
 	c := sys.disp[e].code
-	c.failStreak = sys.cfg.MaxGuardFails - 1
+	c.failStreak = maxGuardFails - 1
 	sys.runRegion(e, c)
 	if rr.sb != nil || sys.disp[e].code != nil {
 		t.Fatal("the guard-fail storm did not drop the region and its superblock")

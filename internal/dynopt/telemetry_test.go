@@ -303,7 +303,7 @@ func TestDecisionPathsZeroAllocs(t *testing.T) {
 		})
 		t.Run(name+"/evict", func(t *testing.T) {
 			sys, entry, c := warmCommitSystem(t, tel)
-			sys.cfg.Recovery.CodeCacheCapacity = 1
+			sys.cfg.CodeCacheCapacity = 1
 			victim := (entry + 1) % len(sys.disp)
 			before := sys.Stats.Recovery.Evictions
 			allocs := testing.AllocsPerRun(200, func() {

@@ -215,8 +215,7 @@ func TestFleetLeaderReuseOneEntryCache(t *testing.T) {
 	mix := []string{"swim", "ammp", "swim", "ammp"}
 	config := func() dynopt.Config {
 		cfg := dynopt.ConfigSMARQ(64)
-		cfg.Recovery = dynopt.DefaultRecoveryConfig()
-		cfg.Recovery.CodeCacheCapacity = 1
+		cfg.CodeCacheCapacity = 1
 		cfg.Compile.Workers = 2
 		return cfg
 	}

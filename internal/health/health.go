@@ -1,6 +1,7 @@
 // Package health is the system-scope graceful-degradation controller: it
 // does for the whole dynamic optimization system what the per-region
-// recovery ladder (internal/dynopt/recovery.go) does for one region.
+// recovery ladder (internal/dynopt/recovery.go) does for one region, and
+// it runs the same hysteresis state machine (Ladder) to do it.
 //
 // The controller watches a sliding window of system events — host faults
 // (compile-worker panics, watchdog kills, rejected poisoned results) and
@@ -11,11 +12,14 @@
 // Each demotion sheds one capability: first speculation (new compiles are
 // clamped to the conservative tier), then compilation entirely
 // (interpreter-only execution), then admission (regions that become hot
-// while quarantined are permanently barred from compiling). Re-promotion
-// needs a sustained run of clean observations, scaled by an exponential
-// backoff that doubles on every demotion — the hysteresis that keeps a
-// flapping host from oscillating — and past MaxBackoff the controller
-// goes sticky and never promotes again.
+// while quarantined are permanently barred from compiling). Unlike the
+// region ladder, observations are weighted (a host fault scores
+// HostFaultWeight, a rollback 1) and there is no storm detector: only the
+// window score demotes. Re-promotion needs a sustained run of clean
+// observations, scaled by an exponential backoff that doubles on every
+// demotion — the hysteresis that keeps a flapping host from oscillating —
+// and past MaxBackoff the controller goes sticky and never promotes
+// again.
 //
 // Determinism: the controller is plain single-threaded state fed only
 // from the simulation thread (dispatch outcomes and install points, both
@@ -67,11 +71,12 @@ type Config struct {
 	// score is measured.
 	Window int
 	// DemoteThreshold demotes one level when the weighted fault score
-	// inside the window reaches it.
+	// inside the window reaches it; at most Window × HostFaultWeight, the
+	// highest score the window can hold.
 	DemoteThreshold int
 	// HostFaultWeight is how many window points one host fault scores
 	// (rollbacks score 1): host faults are rarer and individually more
-	// alarming than rollbacks.
+	// alarming than rollbacks. At most 255: a window slot is one byte.
 	HostFaultWeight int
 	// PromoteAfter re-promotes one level after this many consecutive
 	// clean observations, scaled by the current backoff multiplier.
@@ -101,26 +106,27 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate rejects nonsensical tunings (a zero Config is valid: disabled).
+// policy is the controller's Ladder tuning: the quarantine floor, weighted
+// observations and no storm detector.
+func (c Config) policy() Policy {
+	return Policy{
+		Floor:           int(Quarantine),
+		Window:          c.Window,
+		DemoteThreshold: c.DemoteThreshold,
+		MaxWeight:       c.HostFaultWeight,
+		PromoteAfter:    c.PromoteAfter,
+		BackoffFactor:   c.BackoffFactor,
+		MaxBackoff:      c.MaxBackoff,
+	}
+}
+
+// Validate rejects nonsensical tunings, and tunings whose window score
+// can never reach DemoteThreshold (a zero Config is valid: disabled).
 func (c Config) Validate() error {
 	if !c.Enabled() {
 		return nil
 	}
-	switch {
-	case c.Window <= 0:
-		return fmt.Errorf("health: Window %d, want > 0", c.Window)
-	case c.DemoteThreshold <= 0:
-		return fmt.Errorf("health: DemoteThreshold %d, want > 0", c.DemoteThreshold)
-	case c.HostFaultWeight <= 0:
-		return fmt.Errorf("health: HostFaultWeight %d, want > 0", c.HostFaultWeight)
-	case c.PromoteAfter <= 0:
-		return fmt.Errorf("health: PromoteAfter %d, want > 0", c.PromoteAfter)
-	case c.BackoffFactor < 2:
-		return fmt.Errorf("health: BackoffFactor %d, want >= 2", c.BackoffFactor)
-	case c.MaxBackoff < 1:
-		return fmt.Errorf("health: MaxBackoff %d, want >= 1", c.MaxBackoff)
-	}
-	return nil
+	return c.policy().Validate()
 }
 
 // Stats is the controller's run-wide accounting (dynopt.Stats.Health).
@@ -145,76 +151,40 @@ type Move struct {
 	From, To Level
 }
 
-// Controller is the sliding-window health state machine. Not safe for
-// concurrent use; the simulation thread owns it.
+// Controller is the system-scope Ladder plus its observation accounting.
+// Not safe for concurrent use; the simulation thread owns it.
 type Controller struct {
-	cfg   Config
-	level Level
-	// window is a ring of observation weights (0 clean, 1 rollback,
-	// HostFaultWeight host fault); score is their sum.
-	window     []int
-	wpos, wlen int
-	score      int
-	clean      int // consecutive clean observations
-	backoff    int
-	sticky     bool
-	stats      Stats
+	policy Policy
+	ladder Ladder[Level]
+	stats  Stats
 }
 
 // New returns a controller at Normal. cfg must be Enabled and Valid.
 func New(cfg Config) *Controller {
-	return &Controller{cfg: cfg, window: make([]int, cfg.Window), backoff: 1}
+	p := cfg.policy()
+	return &Controller{policy: p, ladder: NewLadder[Level](p)}
 }
 
 // Level returns the current degradation level.
-func (c *Controller) Level() Level { return c.level }
+func (c *Controller) Level() Level { return c.ladder.Level }
 
-// Sticky reports whether the promotion backoff is exhausted.
-func (c *Controller) Sticky() bool { return c.sticky }
-
-// Stats returns the accounting with the end-of-run fields filled.
+// Stats returns the accounting with the move counts and the end-of-run
+// fields filled.
 func (c *Controller) Stats() Stats {
 	st := c.stats
-	st.FinalLevel = c.level
-	st.Sticky = c.sticky
+	st.Demotions, st.Promotions = int64(c.ladder.Demotions), int64(c.ladder.Promotions)
+	st.FinalLevel, st.Sticky = c.ladder.Level, c.ladder.Sticky
 	return st
 }
 
-// push slides one observation weight into the window.
-func (c *Controller) push(weight int) {
-	if c.wlen == len(c.window) {
-		c.score -= c.window[c.wpos]
-	} else {
-		c.wlen++
-	}
-	c.window[c.wpos] = weight
-	c.score += weight
-	c.wpos = (c.wpos + 1) % len(c.window)
-}
-
-func (c *Controller) resetWindow() {
-	for i := range c.window {
-		c.window[i] = 0
-	}
-	c.wpos, c.wlen, c.score, c.clean = 0, 0, 0, 0
-}
-
-// demoteIfDue walks one level down when the window score crossed the
-// threshold, doubling the promotion backoff (sticky past MaxBackoff).
-func (c *Controller) demoteIfDue() (Move, bool) {
-	if c.score < c.cfg.DemoteThreshold || c.level == Quarantine {
+// move reports the ladder move from level from, if the observation just
+// fed made one, and counts the level it entered.
+func (c *Controller) move(from Level, moved bool) (Move, bool) {
+	if !moved {
 		return Move{}, false
 	}
-	from := c.level
-	c.level++
-	c.stats.Demotions++
-	c.stats.LevelEntries[c.level]++
-	c.resetWindow()
-	c.backoff *= c.cfg.BackoffFactor
-	if c.backoff > c.cfg.MaxBackoff {
-		c.sticky = true
-	}
-	return Move{From: from, To: c.level}, true
+	c.stats.LevelEntries[c.ladder.Level]++
+	return Move{From: from, To: c.ladder.Level}, true
 }
 
 // RecordClean feeds one clean observation (a committed dispatch, or — at
@@ -223,26 +193,16 @@ func (c *Controller) demoteIfDue() (Move, bool) {
 // backoff consecutive cleans, unless sticky.
 func (c *Controller) RecordClean() (Move, bool) {
 	c.stats.Cleans++
-	c.push(0)
-	c.clean++
-	if c.sticky || c.level == Normal || c.clean < c.cfg.PromoteAfter*c.backoff {
-		return Move{}, false
-	}
-	from := c.level
-	c.level--
-	c.stats.Promotions++
-	c.stats.LevelEntries[c.level]++
-	c.resetWindow()
-	return Move{From: from, To: c.level}, true
+	from := c.ladder.Level
+	return c.move(from, c.ladder.Clean(c.policy))
 }
 
 // RecordRollback feeds one misspeculation rollback (weight 1) and reports
-// a demotion if the window score crossed the threshold.
+// a demotion if the window score reached the threshold.
 func (c *Controller) RecordRollback() (Move, bool) {
 	c.stats.Rollbacks++
-	c.push(1)
-	c.clean = 0
-	return c.demoteIfDue()
+	from := c.ladder.Level
+	return c.move(from, c.ladder.Fault(c.policy, 1))
 }
 
 // RecordHostFault feeds one host fault — a worker panic, watchdog kill or
@@ -250,7 +210,6 @@ func (c *Controller) RecordRollback() (Move, bool) {
 // demotion if due.
 func (c *Controller) RecordHostFault() (Move, bool) {
 	c.stats.HostFaults++
-	c.push(c.cfg.HostFaultWeight)
-	c.clean = 0
-	return c.demoteIfDue()
+	from := c.ladder.Level
+	return c.move(from, c.ladder.Fault(c.policy, c.policy.MaxWeight))
 }

@@ -37,12 +37,22 @@ func TestValidateRejectsBadTunings(t *testing.T) {
 		func(c *Config) { c.PromoteAfter = 0 },
 		func(c *Config) { c.BackoffFactor = 1 },
 		func(c *Config) { c.MaxBackoff = 0 },
+		// A score the window can never hold: 16 slots × weight 4 = 64.
+		func(c *Config) { c.DemoteThreshold = c.Window*c.HostFaultWeight + 1 },
+		// A window slot is one byte.
+		func(c *Config) { c.HostFaultWeight = 256 },
 	} {
 		c := testConfig()
 		mut(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("Validate accepted bad config %+v", c)
 		}
+	}
+	// The highest score the window can hold is reachable, so valid.
+	c := testConfig()
+	c.DemoteThreshold = c.Window * c.HostFaultWeight
+	if err := c.Validate(); err != nil {
+		t.Errorf("Validate rejected a full-window threshold: %v", err)
 	}
 }
 
@@ -137,7 +147,7 @@ func TestStickyStopsPromotion(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.RecordHostFault()
 	}
-	if c.Sticky() {
+	if c.Stats().Sticky {
 		t.Fatal("sticky after a one-way walk to the bottom")
 	}
 	// Flap once: climb one level (8*8 cleans), then fault again. The
@@ -149,7 +159,7 @@ func TestStickyStopsPromotion(t *testing.T) {
 		t.Fatalf("level = %s after clean run, want compile-off", c.Level())
 	}
 	c.RecordHostFault()
-	if !c.Sticky() {
+	if !c.Stats().Sticky {
 		t.Fatal("controller not sticky after backoff exhaustion")
 	}
 	for i := 0; i < cfg.PromoteAfter*1000; i++ {

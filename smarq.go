@@ -118,15 +118,9 @@ func ConfigNoStoreReorder() Config { return dynopt.ConfigNoStoreReorder() }
 // Tiered recovery and fault injection.
 
 // Tier is one rung of the per-region speculation ladder (full speculation
-// down to interpreter-pinned).
+// down to interpreter-pinned). The ladder's tuning is fixed; the one
+// recovery setting is the code cache bound, Config.CodeCacheCapacity.
 type Tier = dynopt.Tier
-
-// RecoveryConfig tunes the tiered deoptimization controller and the code
-// cache bound (Config.Recovery).
-type RecoveryConfig = dynopt.RecoveryConfig
-
-// DefaultRecoveryConfig returns the standard ladder tuning.
-func DefaultRecoveryConfig() RecoveryConfig { return dynopt.DefaultRecoveryConfig() }
 
 // RecoveryStats is the recovery controller's run-wide accounting
 // (Stats.Recovery).
