@@ -158,7 +158,7 @@ else
 endif
 
 # Fleet gate: 8 concurrent tenants over the shared compile pool and
-# sharded code cache, under the race detector pinned to 2 cores, with
+# code cache, under the race detector pinned to 2 cores, with
 # every tenant's stats, guest registers and memory digest diffed against
 # its solo run (the fleet determinism contract).
 fleet-smoke:

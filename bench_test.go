@@ -452,7 +452,7 @@ func BenchmarkCompile(b *testing.B) {
 }
 
 // BenchmarkFleet measures concurrent multi-tenant throughput over the
-// shared compile pool and sharded code cache: N identical swim tenants on
+// shared compile pool and code cache: N identical swim tenants on
 // their own goroutines, one shared 2-worker pool, one shared cache. The
 // headline metrics are aggregate regions/sec (tenants4 vs tenants1 is the
 // fleet-scaling gate on a multi-core host) and dedupe-pct — the share of

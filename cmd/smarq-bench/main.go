@@ -62,9 +62,8 @@ func main() {
 	tenantMix := flag.String("tenant-mix", "swim", "fleet mode: comma-separated benchmarks assigned to tenants round-robin")
 	fleetConfig := flag.String("fleet-config", "smarq64", "fleet mode: dynopt configuration every tenant runs under")
 	fleetVerify := flag.Bool("fleet-verify", false, "fleet mode: diff every tenant's results against its solo run; exit nonzero on divergence")
-	cacheShards := flag.Int("cache-shards", 0, "fleet mode: shared code cache shard count (0 = default)")
-	cacheEntries := flag.Int64("cache-entries", 0, "fleet mode: shared code cache global entry budget (0 = unbounded)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "fleet mode: shared code cache global byte budget (0 = unbounded)")
+	cacheEntries := flag.Int64("cache-entries", 0, "fleet mode: shared code cache entry budget (0 = unbounded)")
+	cacheBytes := flag.Int64("cache-bytes", 0, "fleet mode: shared code cache byte budget (0 = unbounded)")
 	listen := flag.String("listen", "", "fleet mode: serve the observability endpoints (/metrics, /healthz, /debug/*) at this address during the run")
 	flag.Parse()
 
@@ -81,7 +80,6 @@ func main() {
 				Mix:             splitList(*tenantMix),
 				Config:          *fleetConfig,
 				CompileWorkers:  *compileWorkers,
-				CacheShards:     *cacheShards,
 				CacheMaxEntries: *cacheEntries,
 				CacheMaxBytes:   *cacheBytes,
 				Scale:           *scale,

@@ -67,14 +67,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	memSize := fs.Int("mem", 1<<20, "guest memory size for -file runs")
 	maxInsts := fs.Uint64("maxinsts", 0, "instruction budget (0 = benchmark default; -file runs default to 100M)")
 	chaosSeed := fs.Int64("chaos-seed", 0, "enable deterministic fault injection with this seed (default chaos mix)")
-	aliasRate := fs.Float64("chaos-alias-rate", -1, "override the spurious-alias injection rate (with -chaos-seed)")
-	guardRate := fs.Float64("chaos-guard-rate", -1, "override the guard-fail injection rate (with -chaos-seed)")
-	compileRate := fs.Float64("chaos-compile-rate", -1, "override the compile-fail injection rate (with -chaos-seed)")
-	corruptRate := fs.Float64("chaos-corrupt-rate", -1, "override the post-rollback corruption rate (with -chaos-seed)")
+	aliasRate := fs.Float64("chaos-alias-rate", 0, "override the spurious-alias injection rate (with -chaos-seed)")
+	guardRate := fs.Float64("chaos-guard-rate", 0, "override the guard-fail injection rate (with -chaos-seed)")
+	compileRate := fs.Float64("chaos-compile-rate", 0, "override the compile-fail injection rate (with -chaos-seed)")
+	corruptRate := fs.Float64("chaos-corrupt-rate", 0, "override the post-rollback corruption rate (with -chaos-seed)")
 	chaosHost := fs.Bool("chaos-host", false, "extend the chaos mix with the default host fault rates (with -chaos-seed)")
-	panicRate := fs.Float64("chaos-host-panic-rate", -1, "override the compile-worker panic rate (with -chaos-seed)")
-	hangRate := fs.Float64("chaos-host-hang-rate", -1, "override the compile-hang (watchdog overrun) rate (with -chaos-seed)")
-	poisonRate := fs.Float64("chaos-host-poison-rate", -1, "override the poisoned-compile-result rate (with -chaos-seed)")
+	panicRate := fs.Float64("chaos-host-panic-rate", 0, "override the compile-worker panic rate (with -chaos-seed)")
+	hangRate := fs.Float64("chaos-host-hang-rate", 0, "override the compile-hang (watchdog overrun) rate (with -chaos-seed)")
+	poisonRate := fs.Float64("chaos-host-poison-rate", 0, "override the poisoned-compile-result rate (with -chaos-seed)")
 	healthOn := fs.Bool("health", false, "arm the graceful-degradation health controller (default tuning)")
 	healthWindow := fs.Int("health-window", 0, "override the health controller's observation window (with -health)")
 	healthDemote := fs.Int("health-demote", 0, "override the health controller's demotion score threshold (with -health)")
@@ -134,34 +134,49 @@ func run(args []string, stdout, stderr io.Writer) int {
 		} else {
 			cfg.Chaos = faultinject.Default(*chaosSeed)
 		}
-		for _, o := range []struct {
-			v   float64
-			dst *float64
-		}{
-			{*aliasRate, &cfg.Chaos.SpuriousAliasRate},
-			{*guardRate, &cfg.Chaos.GuardFailRate},
-			{*compileRate, &cfg.Chaos.CompileFailRate},
-			{*corruptRate, &cfg.Chaos.CorruptRate},
-			{*panicRate, &cfg.Chaos.WorkerPanicRate},
-			{*hangRate, &cfg.Chaos.CompileHangRate},
-			{*poisonRate, &cfg.Chaos.PoisonResultRate},
-		} {
-			if o.v >= 0 {
-				*o.dst = o.v
-			}
-		}
 	}
 	if *healthOn {
 		cfg.Health = health.DefaultConfig()
-		if *healthWindow > 0 {
-			cfg.Health.Window = *healthWindow
+	}
+	// Apply exactly the tuning flags given on the command line, so
+	// Validate sees every value set; a tuning flag whose feature is off
+	// is a usage error, not a silent no-op.
+	tuning := []struct {
+		on      bool
+		feature string
+		apply   map[string]func()
+	}{
+		{chaos, "-chaos-seed", map[string]func(){
+			"chaos-host":             func() {},
+			"chaos-alias-rate":       func() { cfg.Chaos.SpuriousAliasRate = *aliasRate },
+			"chaos-guard-rate":       func() { cfg.Chaos.GuardFailRate = *guardRate },
+			"chaos-compile-rate":     func() { cfg.Chaos.CompileFailRate = *compileRate },
+			"chaos-corrupt-rate":     func() { cfg.Chaos.CorruptRate = *corruptRate },
+			"chaos-host-panic-rate":  func() { cfg.Chaos.WorkerPanicRate = *panicRate },
+			"chaos-host-hang-rate":   func() { cfg.Chaos.CompileHangRate = *hangRate },
+			"chaos-host-poison-rate": func() { cfg.Chaos.PoisonResultRate = *poisonRate },
+		}},
+		{*healthOn, "-health", map[string]func(){
+			"health-window":  func() { cfg.Health.Window = *healthWindow },
+			"health-demote":  func() { cfg.Health.DemoteThreshold = *healthDemote },
+			"health-promote": func() { cfg.Health.PromoteAfter = *healthPromote },
+		}},
+	}
+	var tuningErr error
+	fs.Visit(func(f *flag.Flag) {
+		for _, g := range tuning {
+			if apply, ok := g.apply[f.Name]; ok && tuningErr == nil {
+				if !g.on {
+					tuningErr = fmt.Errorf("-%s needs %s", f.Name, g.feature)
+					return
+				}
+				apply()
+			}
 		}
-		if *healthDemote > 0 {
-			cfg.Health.DemoteThreshold = *healthDemote
-		}
-		if *healthPromote > 0 {
-			cfg.Health.PromoteAfter = *healthPromote
-		}
+	})
+	if tuningErr != nil {
+		fmt.Fprintln(stderr, "smarq-run:", tuningErr)
+		return 2
 	}
 	cfg.CheckInvariants = *checkInv
 	cfg.Compile.Workers = *compileWorkers

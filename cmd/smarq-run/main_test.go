@@ -167,9 +167,13 @@ func TestListenBindErrorFailsFast(t *testing.T) {
 
 func TestUsageErrors(t *testing.T) {
 	cases := map[string][]string{
-		"unknown benchmark": {"-bench", "nope"},
-		"bad host rate":     {"-bench", "swim", "-chaos-seed", "1", "-chaos-host-panic-rate", "2"},
-		"bad flag":          {"-definitely-not-a-flag"},
+		"unknown benchmark":              {"-bench", "nope"},
+		"bad host rate":                  {"-bench", "swim", "-chaos-seed", "1", "-chaos-host-panic-rate", "2"},
+		"bad flag":                       {"-definitely-not-a-flag"},
+		"negative health window":         {"-bench", "swim", "-health", "-health-window", "-5"},
+		"negative alias rate":            {"-bench", "swim", "-chaos-seed", "1", "-chaos-alias-rate", "-0.5"},
+		"health tuning without -health":  {"-bench", "swim", "-health-window", "4"},
+		"chaos rate without -chaos-seed": {"-bench", "swim", "-chaos-alias-rate", "0.5"},
 	}
 	for name, args := range cases {
 		var out, errb bytes.Buffer

@@ -1,36 +1,27 @@
-// Package codecache is a sharded, content-addressed cache for compiled
-// regions, keyed by compilequeue's FNV-1a content hash. It is dynopt's
-// fleet compile-output cache: a fleet of concurrently running
-// dynopt.Systems shares one (safe — and fast — under true cross-goroutine
-// contention). Under single-threaded use a one-shard instance is exact
-// LRU.
+// Package codecache is a content-addressed LRU cache for compiled regions,
+// keyed by compilequeue's FNV-1a content hash. It is dynopt's fleet
+// compile-output cache: a fleet of concurrently running dynopt.Systems
+// shares one.
 //
 // Layout and discipline:
 //
-//   - N shards (a power of two), selected by the key's high bits. Content
-//     hashes are uniform, so high bits spread as well as low bits and keep
-//     the shard index a single shift.
-//   - Hits are lock-free: each shard publishes its entry table as a
-//     copy-on-write map snapshot behind an atomic.Pointer. A reader loads
-//     the snapshot, indexes it, and bumps the entry's recency stamp with
-//     one atomic store; it never takes the shard mutex.
-//   - Mutations (insert, evict, single-flight transitions) take the shard
-//     mutex and install a fresh snapshot. Tables hold compiled regions —
-//     hundreds of entries, not millions — so the copy is cheap relative
-//     to a compile, and in exchange the hit path stays wait-free.
-//   - Recency is a global atomic clock: every hit or insert stamps the
-//     entry with clock+1. Eviction scans all shards for the minimum stamp
-//     — exact LRU under sequential use, approximate (scan-min) under
-//     concurrency — and honors a *global* entry/byte budget rather than a
-//     per-shard one, so one hot tenant cannot starve the others' shards.
+//   - One mutex guards one entry map, one flight map, the recency clock
+//     and the counters. The cache is probed once per compile request,
+//     never per dispatch — a benchmark fleet job makes tens of lookups per
+//     run — so one lock costs nothing measurable and every Stats snapshot
+//     is mutually consistent.
+//   - Recency is a clock bumped under the mutex: every hit or insert
+//     stamps the entry with clock+1. An insert past the entry or byte
+//     budget evicts the minimum stamp until the cache fits. Stamps are
+//     unique, so the policy is exact LRU under any interleaving.
 //   - Cross-tenant single-flight: the first Lookup to miss a key becomes
 //     the leader and receives a Flight to complete; concurrent misses on
 //     the same key receive the same Flight to wait on. A region being
 //     compiled by one tenant is therefore awaited, not recompiled, by
-//     every other tenant. Complete inserts the value into the table
-//     *before* removing the flight (both under the shard mutex), so there
-//     is no window in which a second compile of the same key can start:
-//     the fleet-wide compile count per key is exactly one.
+//     every other tenant. Complete inserts the value into the table and
+//     removes the flight in one critical section, so there is no window
+//     in which a second compile of the same key can start: the
+//     fleet-wide compile count per key is exactly one.
 //
 // Determinism: the cache never makes a simulated decision. Hit/miss
 // outcomes differ between a fleet run and a solo run, but dynopt replays a
@@ -40,9 +31,7 @@
 package codecache
 
 import (
-	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"smarq/internal/compilequeue"
 	"smarq/internal/telemetry"
@@ -54,18 +43,12 @@ type Key = compilequeue.Key
 
 // Options configures a Cache.
 type Options struct {
-	// Shards is the shard count, rounded up to a power of two; 0 selects
-	// DefaultShards.
-	Shards int
-	// MaxEntries bounds the cache globally in entries (0 = unbounded).
+	// MaxEntries bounds the cache in entries (0 = unbounded).
 	MaxEntries int64
-	// MaxBytes bounds the cache globally in payload bytes as reported by
-	// the size function (0 = unbounded).
+	// MaxBytes bounds the cache in payload bytes as reported by the size
+	// function (0 = unbounded).
 	MaxBytes int64
 }
-
-// DefaultShards is the shard count when Options.Shards is 0.
-const DefaultShards = 16
 
 // Flight is one in-progress fill of a key: the leader computes the value
 // and calls Cache.Complete; everyone else selects on Done and reads Value.
@@ -80,24 +63,15 @@ func (f *Flight[V]) Done() <-chan struct{} { return f.done }
 // Value returns the flight's result; valid only after Done is closed.
 func (f *Flight[V]) Value() V { return f.val }
 
-// entry is one cached value. val and size are immutable after publication
-// (entries are published by swapping in a fresh map snapshot); used is the
-// recency stamp, atomically rewritten on every hit.
+// entry is one cached value; used is its recency stamp.
 type entry[V any] struct {
 	val  V
 	size int64
-	used atomic.Int64
+	used int64
 }
 
-type shard[V any] struct {
-	mu sync.Mutex
-	// snap is the copy-on-write entry table; readers load it without the
-	// mutex, writers replace it under the mutex.
-	snap    atomic.Pointer[map[Key]*entry[V]]
-	flights map[Key]*Flight[V]
-}
-
-// Stats is a point-in-time snapshot of the cache counters.
+// Stats is a point-in-time snapshot of the cache counters, taken under
+// the cache mutex: every snapshot is mutually consistent.
 type Stats struct {
 	Entries int64 // live entries
 	Bytes   int64 // live payload bytes
@@ -108,37 +82,20 @@ type Stats struct {
 	FlightWaits int64 // misses that joined another caller's flight
 	Compiles    int64 // misses that became flight leaders
 	Evictions   int64 // entries removed by the budget
-	Contention  int64 // shard-mutex acquisitions that had to block
-
-	// ShardEntries is the per-shard occupancy at snapshot time.
-	ShardEntries []int
+	Contention  int64 // mutex acquisitions that had to block
 }
 
-// Cache is the sharded content-addressed cache. The zero value is not
-// usable; construct with New.
+// Cache is the content-addressed LRU cache. The zero value is not usable;
+// construct with New.
 type Cache[V any] struct {
-	size   func(V) int64
-	shards []shard[V]
-	shift  uint // shard index = key >> shift (high bits)
+	size func(V) int64
+	opts Options
 
-	maxEntries int64
-	maxBytes   int64
-
-	clock   atomic.Int64 // recency stamp source
-	entries atomic.Int64
-	bytes   atomic.Int64
-
-	lookups     atomic.Int64
-	hits        atomic.Int64
-	misses      atomic.Int64
-	flightWaits atomic.Int64
-	compiles    atomic.Int64
-	evictions   atomic.Int64
-	contention  atomic.Int64
-
-	// evictMu serializes budget enforcement so concurrent inserters do not
-	// race each other into over-eviction.
-	evictMu sync.Mutex
+	mu      sync.Mutex
+	entries map[Key]*entry[V]
+	flights map[Key]*Flight[V]
+	clock   int64 // recency stamp source
+	st      Stats
 
 	// met holds the published telemetry instruments (PublishMetrics).
 	metMu sync.Mutex
@@ -149,52 +106,29 @@ type Cache[V any] struct {
 // for the byte budget; nil means every value counts as zero bytes (only
 // the entry budget applies).
 func New[V any](opts Options, size func(V) int64) *Cache[V] {
-	n := opts.Shards
-	if n <= 0 {
-		n = DefaultShards
+	return &Cache[V]{
+		size:    size,
+		opts:    opts,
+		entries: make(map[Key]*entry[V]),
+		flights: make(map[Key]*Flight[V]),
 	}
-	// Round up to a power of two so the shard index is a shift.
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	c := &Cache[V]{
-		size:       size,
-		shards:     make([]shard[V], p),
-		maxEntries: opts.MaxEntries,
-		maxBytes:   opts.MaxBytes,
-	}
-	shift := uint(64)
-	for b := p; b > 1; b >>= 1 {
-		shift--
-	}
-	c.shift = shift
-	empty := make(map[Key]*entry[V])
-	for i := range c.shards {
-		c.shards[i].snap.Store(&empty)
-		c.shards[i].flights = make(map[Key]*Flight[V])
-	}
-	return c
 }
 
-// shardOf selects the shard by the key's high bits.
-func (c *Cache[V]) shardOf(k Key) *shard[V] {
-	return &c.shards[uint64(k)>>c.shift]
-}
-
-// lock takes the shard mutex, counting contention when it has to block.
-func (c *Cache[V]) lock(sh *shard[V]) {
-	if sh.mu.TryLock() {
+// lock takes the mutex, counting contention when it has to block.
+func (c *Cache[V]) lock() {
+	if c.mu.TryLock() {
 		return
 	}
-	c.contention.Add(1)
-	sh.mu.Lock()
+	c.mu.Lock()
+	c.st.Contention++
 }
 
 // Peek reports whether k is cached without touching recency or counters —
 // the non-perturbing probe the LRU-oracle tests use.
 func (c *Cache[V]) Peek(k Key) (V, bool) {
-	if e, ok := (*c.shardOf(k).snap.Load())[k]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[k]; ok {
 		return e.val, true
 	}
 	var zero V
@@ -203,178 +137,96 @@ func (c *Cache[V]) Peek(k Key) (V, bool) {
 
 // Lookup resolves k with cross-tenant single-flight:
 //
-//   - hit: (value, true, nil, false) — lock-free, recency freshened;
+//   - hit: (value, true, nil, false) — recency freshened;
 //   - miss, first caller: (zero, false, flight, true) — the caller is the
 //     leader and must eventually call Complete on the flight;
 //   - miss, concurrent callers: (zero, false, flight, false) — wait on
 //     flight.Done, then read flight.Value.
 func (c *Cache[V]) Lookup(k Key) (v V, hit bool, f *Flight[V], leader bool) {
-	c.lookups.Add(1)
-	sh := c.shardOf(k)
-	if e, ok := (*sh.snap.Load())[k]; ok {
-		e.used.Store(c.clock.Add(1))
-		c.hits.Add(1)
+	c.lock()
+	defer c.mu.Unlock()
+	c.st.Lookups++
+	if e, ok := c.entries[k]; ok {
+		c.clock++
+		e.used = c.clock
+		c.st.Hits++
 		return e.val, true, nil, false
 	}
-	c.lock(sh)
-	// Re-check under the mutex: Complete inserts before removing the
-	// flight, so a key is always in the table, in flight, or genuinely
-	// absent — never in between.
-	if e, ok := (*sh.snap.Load())[k]; ok {
-		sh.mu.Unlock()
-		e.used.Store(c.clock.Add(1))
-		c.hits.Add(1)
-		return e.val, true, nil, false
-	}
-	if fl, ok := sh.flights[k]; ok {
-		sh.mu.Unlock()
-		c.misses.Add(1)
-		c.flightWaits.Add(1)
+	c.st.Misses++
+	if fl, ok := c.flights[k]; ok {
+		c.st.FlightWaits++
 		return v, false, fl, false
 	}
 	fl := &Flight[V]{done: make(chan struct{})}
-	sh.flights[k] = fl
-	sh.mu.Unlock()
-	c.misses.Add(1)
-	c.compiles.Add(1)
+	c.flights[k] = fl
+	c.st.Compiles++
 	return v, false, fl, true
 }
 
 // Complete finishes a flight obtained from Lookup as its leader: the value
 // is published to every waiter, and inserted into the table when insert is
 // true (a failed compile passes false so the next request retries).
-// Insert-then-remove under the shard mutex closes the duplicate-compile
-// window; the publication write to f.val happens before close(done), so
-// waiters read it race-free.
+// Inserting and removing the flight in one critical section closes the
+// duplicate-compile window; the write to f.val happens before
+// close(done), so waiters read it race-free.
 func (c *Cache[V]) Complete(k Key, f *Flight[V], v V, insert bool) {
-	sh := c.shardOf(k)
-	c.lock(sh)
+	c.lock()
 	if insert {
-		c.insertLocked(sh, k, v)
+		c.insertLocked(k, v)
 	}
-	delete(sh.flights, k)
-	sh.mu.Unlock()
+	delete(c.flights, k)
+	c.mu.Unlock()
 	f.val = v
 	close(f.done)
-	if insert {
-		c.enforceBudget()
-	}
 }
 
 // Put inserts k directly (no flight), replacing any existing entry.
 func (c *Cache[V]) Put(k Key, v V) {
-	sh := c.shardOf(k)
-	c.lock(sh)
-	c.insertLocked(sh, k, v)
-	sh.mu.Unlock()
-	c.enforceBudget()
+	c.lock()
+	defer c.mu.Unlock()
+	c.insertLocked(k, v)
 }
 
-// insertLocked swaps in a fresh snapshot containing k. Caller holds sh.mu.
-func (c *Cache[V]) insertLocked(sh *shard[V], k Key, v V) {
-	old := *sh.snap.Load()
-	m := make(map[Key]*entry[V], len(old)+1)
-	for kk, ee := range old {
-		m[kk] = ee
-	}
+// insertLocked stores k, then evicts least-recently-used entries until
+// both budgets hold. A value larger than the whole byte budget is
+// admitted and then evicted with everything older. Caller holds c.mu.
+func (c *Cache[V]) insertLocked(k Key, v V) {
 	e := &entry[V]{val: v}
 	if c.size != nil {
 		e.size = c.size(v)
 	}
-	e.used.Store(c.clock.Add(1))
-	if prev, ok := m[k]; ok {
-		c.bytes.Add(-prev.size)
-		c.entries.Add(-1)
+	c.clock++
+	e.used = c.clock
+	if prev, ok := c.entries[k]; ok {
+		c.st.Bytes -= prev.size
+		c.st.Entries--
 	}
-	m[k] = e
-	sh.snap.Store(&m)
-	c.entries.Add(1)
-	c.bytes.Add(e.size)
-}
-
-// over reports whether either global budget is exceeded.
-func (c *Cache[V]) over() bool {
-	return (c.maxEntries > 0 && c.entries.Load() > c.maxEntries) ||
-		(c.maxBytes > 0 && c.bytes.Load() > c.maxBytes)
-}
-
-// enforceBudget evicts minimum-stamp entries until the cache is back
-// within its global budgets. Serialized so concurrent inserters cannot
-// over-evict each other's survivors.
-func (c *Cache[V]) enforceBudget() {
-	if c.maxEntries <= 0 && c.maxBytes <= 0 {
-		return
-	}
-	c.evictMu.Lock()
-	defer c.evictMu.Unlock()
-	for c.over() {
-		if !c.evictOne() {
-			return
-		}
-	}
-}
-
-// evictOne removes the entry with the globally minimum recency stamp.
-// Stamps are unique (one atomic clock), so the victim is unambiguous at
-// scan time; under concurrency a racing hit may freshen the victim between
-// the scan and the removal, making the policy scan-min approximate rather
-// than strict LRU — an accepted trade for the lock-free hit path.
-func (c *Cache[V]) evictOne() bool {
-	var (
-		vs   *shard[V]
-		vk   Key
-		vmin int64 = 1<<63 - 1
-	)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		for k, e := range *sh.snap.Load() {
-			if u := e.used.Load(); u < vmin {
-				vmin, vs, vk = u, sh, k
+	c.entries[k] = e
+	c.st.Entries++
+	c.st.Bytes += e.size
+	for (c.opts.MaxEntries > 0 && c.st.Entries > c.opts.MaxEntries) ||
+		(c.opts.MaxBytes > 0 && c.st.Bytes > c.opts.MaxBytes) {
+		var (
+			vk   Key
+			vmin int64 = 1<<63 - 1
+		)
+		for kk, ee := range c.entries {
+			if ee.used < vmin {
+				vk, vmin = kk, ee.used
 			}
 		}
+		c.st.Bytes -= c.entries[vk].size
+		c.st.Entries--
+		c.st.Evictions++
+		delete(c.entries, vk)
 	}
-	if vs == nil {
-		return false
-	}
-	c.lock(vs)
-	old := *vs.snap.Load()
-	e, ok := old[vk]
-	if ok {
-		m := make(map[Key]*entry[V], len(old)-1)
-		for kk, ee := range old {
-			if kk != vk {
-				m[kk] = ee
-			}
-		}
-		vs.snap.Store(&m)
-		c.entries.Add(-1)
-		c.bytes.Add(-e.size)
-		c.evictions.Add(1)
-	}
-	vs.mu.Unlock()
-	return ok
 }
 
-// Stats snapshots the counters. Taken while other goroutines run, the
-// counters are individually atomic but not mutually consistent; at
-// quiescence the snapshot is exact.
+// Stats snapshots the counters.
 func (c *Cache[V]) Stats() Stats {
-	st := Stats{
-		Entries:      c.entries.Load(),
-		Bytes:        c.bytes.Load(),
-		Lookups:      c.lookups.Load(),
-		Hits:         c.hits.Load(),
-		Misses:       c.misses.Load(),
-		FlightWaits:  c.flightWaits.Load(),
-		Compiles:     c.compiles.Load(),
-		Evictions:    c.evictions.Load(),
-		Contention:   c.contention.Load(),
-		ShardEntries: make([]int, len(c.shards)),
-	}
-	for i := range c.shards {
-		st.ShardEntries[i] = len(*c.shards[i].snap.Load())
-	}
-	return st
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.st
 }
 
 // Metric instrument names, as they appear in a -metrics JSON snapshot.
@@ -388,10 +240,6 @@ const (
 	mContention  = "codecache_contention"
 	gEntries     = "codecache_entries"
 	gBytes       = "codecache_bytes"
-	gShardMax    = "codecache_shard_max_entries"
-	// gShardEntries is the per-shard occupancy family; series carry a
-	// shard="N" label (telemetry.Labeled).
-	gShardEntries = "codecache_shard_entries"
 )
 
 // metrics holds the resolved instruments plus the counter values already
@@ -400,11 +248,8 @@ const (
 type metrics struct {
 	lookups, hits, misses, flightWaits *telemetry.Counter
 	compiles, evictions, contention    *telemetry.Counter
-	entries, bytes, shardMax           *telemetry.Gauge
-	// shardEntries is the per-shard occupancy as labeled series
-	// (codecache_shard_entries{shard="N"}), one gauge per shard.
-	shardEntries []*telemetry.Gauge
-	last         Stats
+	entries, bytes                     *telemetry.Gauge
+	last                               Stats
 }
 
 // PublishMetrics registers the cache's instruments against reg on first
@@ -428,13 +273,6 @@ func (c *Cache[V]) PublishMetrics(reg *telemetry.Registry) {
 			contention:  reg.Counter(mContention),
 			entries:     reg.Gauge(gEntries),
 			bytes:       reg.Gauge(gBytes),
-			shardMax:    reg.Gauge(gShardMax),
-
-			shardEntries: make([]*telemetry.Gauge, len(c.shards)),
-		}
-		for i := range c.shards {
-			c.met.shardEntries[i] = reg.Gauge(telemetry.Labeled(gShardEntries,
-				telemetry.Label{Name: "shard", Value: strconv.Itoa(i)}))
 		}
 	}
 	st := c.Stats()
@@ -448,13 +286,5 @@ func (c *Cache[V]) PublishMetrics(reg *telemetry.Registry) {
 	m.contention.Add(st.Contention - m.last.Contention)
 	m.entries.Set(st.Entries)
 	m.bytes.Set(st.Bytes)
-	maxOcc := 0
-	for i, n := range st.ShardEntries {
-		if n > maxOcc {
-			maxOcc = n
-		}
-		m.shardEntries[i].Set(int64(n))
-	}
-	m.shardMax.Set(int64(maxOcc))
 	m.last = st
 }

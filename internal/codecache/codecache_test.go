@@ -2,7 +2,6 @@ package codecache
 
 import (
 	"math/rand"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,9 +10,9 @@ import (
 	"smarq/internal/telemetry"
 )
 
-// mkKey derives a well-spread content key from a small integer the way
-// dynopt does — through the FNV fold — so the tests exercise real shard
-// distribution rather than consecutive integers landing in one shard.
+// mkKey derives a content key from a small integer the way dynopt does —
+// through the FNV fold — so the tests use real, well-spread hashes rather
+// than consecutive integers.
 func mkKey(i int) Key {
 	return compilequeue.NewKey().Int(int64(i))
 }
@@ -112,7 +111,7 @@ func TestSequentialLRUOracle(t *testing.T) {
 		{"oversized", 0, 50, sized},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New[int](Options{Shards: 4, MaxEntries: tc.maxEnt, MaxBytes: tc.maxBytes}, tc.size)
+			c := New[int](Options{MaxEntries: tc.maxEnt, MaxBytes: tc.maxBytes}, tc.size)
 			m := newSeqModel(tc.maxEnt, tc.maxBytes)
 			rng := rand.New(rand.NewSource(42))
 			oversized := 0
@@ -195,7 +194,7 @@ func TestConcurrentTorture(t *testing.T) {
 		maxEntries = 48
 		maxBytes   = 2000
 	)
-	c := New[int64](Options{Shards: 8, MaxEntries: maxEntries, MaxBytes: maxBytes},
+	c := New[int64](Options{MaxEntries: maxEntries, MaxBytes: maxBytes},
 		func(v int64) int64 { return v % 50 })
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -243,30 +242,30 @@ func TestConcurrentTorture(t *testing.T) {
 	if st.Bytes > maxBytes {
 		t.Errorf("bytes %d exceed budget %d at quiescence", st.Bytes, maxBytes)
 	}
-	// Recount from the shard snapshots: the atomic totals must agree with
-	// the tables exactly once all mutators are done.
-	var entries int64
-	for i := range c.shards {
-		entries += int64(len(*c.shards[i].snap.Load()))
+	// Recount from the table: the running totals must agree with it
+	// exactly, and no flight may outlive its leader.
+	var entries, bytes int64
+	for _, e := range c.entries {
+		entries++
+		bytes += e.size
 	}
-	if entries != st.Entries {
-		t.Errorf("atomic entry total %d, shard tables hold %d", st.Entries, entries)
+	if entries != st.Entries || bytes != st.Bytes {
+		t.Errorf("Stats hold %d entries / %d bytes, the table %d / %d",
+			st.Entries, st.Bytes, entries, bytes)
+	}
+	if n := len(c.flights); n != 0 {
+		t.Errorf("%d flights left at quiescence", n)
 	}
 	if st.Lookups != st.Hits+st.Misses {
 		t.Errorf("lookups %d != hits %d + misses %d", st.Lookups, st.Hits, st.Misses)
 	}
-	if st.FlightWaits+st.Compiles > st.Misses {
-		t.Errorf("flight waits %d + compiles %d exceed misses %d",
+	if st.FlightWaits+st.Compiles != st.Misses {
+		t.Errorf("flight waits %d + compiles %d != misses %d",
 			st.FlightWaits, st.Compiles, st.Misses)
 	}
 	if st.Compiles == 0 || st.Evictions == 0 {
 		t.Errorf("torture run exercised no compiles (%d) or evictions (%d)",
 			st.Compiles, st.Evictions)
-	}
-	for i := range c.shards {
-		if n := len(c.shards[i].flights); n != 0 {
-			t.Errorf("shard %d still holds %d flights at quiescence", i, n)
-		}
 	}
 }
 
@@ -276,7 +275,7 @@ func TestConcurrentTorture(t *testing.T) {
 // fleet-wide compile count for the key is 1.
 func TestSingleFlight(t *testing.T) {
 	const waiters = 16
-	c := New[string](Options{Shards: 4}, nil)
+	c := New[string](Options{}, nil)
 	k := mkKey(7)
 
 	var (
@@ -328,7 +327,7 @@ func TestSingleFlight(t *testing.T) {
 		t.Fatalf("hits %d + flight waits %d, want %d non-leaders served",
 			st.Hits, st.FlightWaits, waiters-1)
 	}
-	// A second round is all lock-free hits.
+	// A second round is all hits.
 	for i := 0; i < 4; i++ {
 		v, hit, _, leader := c.Lookup(k)
 		if !hit || leader || v != "compiled-once" {
@@ -341,7 +340,7 @@ func TestSingleFlight(t *testing.T) {
 // insert=false leaves the key uncached, so the next Lookup elects a new
 // leader instead of serving the failure forever.
 func TestFailedFlightRetries(t *testing.T) {
-	c := New[int](Options{Shards: 2}, nil)
+	c := New[int](Options{}, nil)
 	k := mkKey(3)
 	_, hit, f, leader := c.Lookup(k)
 	if hit || !leader {
@@ -361,37 +360,11 @@ func TestFailedFlightRetries(t *testing.T) {
 	}
 }
 
-// TestShardSelection checks that keys spread over shards by their high
-// bits and that every shard round-trips its own keys.
-func TestShardSelection(t *testing.T) {
-	c := New[int](Options{Shards: 16}, nil)
-	used := map[uint64]bool{}
-	for i := 0; i < 512; i++ {
-		k := mkKey(i)
-		c.Put(k, i)
-		used[uint64(k)>>c.shift] = true
-		if v, ok := c.Peek(k); !ok || v != i {
-			t.Fatalf("key %d lost after Put", i)
-		}
-	}
-	if len(used) < 8 {
-		t.Fatalf("512 content keys landed in only %d/16 shards", len(used))
-	}
-	st := c.Stats()
-	sum := 0
-	for _, n := range st.ShardEntries {
-		sum += n
-	}
-	if sum != 512 || st.Entries != 512 {
-		t.Fatalf("occupancy sum %d, entries %d, want 512", sum, st.Entries)
-	}
-}
-
 // TestPublishMetrics checks instrument registration and delta syncing:
 // calling it twice must not double-count already-published increments.
 func TestPublishMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	c := New[int](Options{Shards: 2, MaxEntries: 2}, nil)
+	c := New[int](Options{MaxEntries: 2}, nil)
 	for i := 0; i < 4; i++ {
 		c.Put(mkKey(i), i)
 	}
@@ -423,9 +396,10 @@ func TestPublishMetrics(t *testing.T) {
 // goroutines — lookups, flight completions, read-only lookups — while a monitor
 // goroutine repeatedly delta-syncs PublishMetrics, then checks the
 // published instruments against the cache's own Stats at quiescence:
-// every counter must match exactly, hits+misses must cover every lookup,
-// and the per-shard labeled gauges must sum to the live entry count.
-// Run with -race: the publish path races real mutations.
+// every counter must match exactly. Every Stats snapshot, mid-run ones
+// included, must balance: hits+misses cover every lookup, and every miss
+// either led or joined a flight. Run with -race: the publish path races
+// real mutations.
 func TestCodecacheMetricsConcurrent(t *testing.T) {
 	const (
 		tenants = 8
@@ -433,7 +407,7 @@ func TestCodecacheMetricsConcurrent(t *testing.T) {
 		iters   = 400
 	)
 	reg := telemetry.NewRegistry()
-	c := New[int](Options{Shards: 4, MaxEntries: 48}, func(int) int64 { return 8 })
+	c := New[int](Options{MaxEntries: 48}, func(int) int64 { return 8 })
 
 	stop := make(chan struct{})
 	var monitor sync.WaitGroup
@@ -446,6 +420,11 @@ func TestCodecacheMetricsConcurrent(t *testing.T) {
 				return
 			default:
 				c.PublishMetrics(reg)
+				if st := c.Stats(); st.Hits+st.Misses != st.Lookups ||
+					st.FlightWaits+st.Compiles != st.Misses {
+					t.Errorf("mid-run snapshot unbalanced: %+v", st)
+					return
+				}
 			}
 		}
 	}()
@@ -500,21 +479,9 @@ func TestCodecacheMetricsConcurrent(t *testing.T) {
 	if st.Hits+st.Misses != st.Lookups {
 		t.Errorf("hits %d + misses %d != lookups %d", st.Hits, st.Misses, st.Lookups)
 	}
-	if st.FlightWaits+st.Compiles > st.Misses {
-		t.Errorf("flight waits %d + compiles %d exceed misses %d",
+	if st.FlightWaits+st.Compiles != st.Misses {
+		t.Errorf("flight waits %d + compiles %d != misses %d",
 			st.FlightWaits, st.Compiles, st.Misses)
-	}
-	var shardSum int64
-	for i := range st.ShardEntries {
-		g := reg.Gauge(telemetry.Labeled(gShardEntries,
-			telemetry.Label{Name: "shard", Value: strconv.Itoa(i)}))
-		if got := g.Value(); got != int64(st.ShardEntries[i]) {
-			t.Errorf("shard %d gauge = %d, Stats say %d", i, got, st.ShardEntries[i])
-		}
-		shardSum += int64(st.ShardEntries[i])
-	}
-	if shardSum != st.Entries {
-		t.Errorf("per-shard occupancy sums to %d, entries gauge says %d", shardSum, st.Entries)
 	}
 	if got := reg.Gauge(gEntries).Value(); got != st.Entries {
 		t.Errorf("entries gauge %d, Stats say %d", got, st.Entries)
@@ -522,12 +489,12 @@ func TestCodecacheMetricsConcurrent(t *testing.T) {
 }
 
 // TestMemoHitZeroAllocs pins a cache hit at zero heap allocations: a
-// Lookup hit on a one-shard cache, the path dynopt's fleet cache takes, is
-// a snapshot map read plus counter and recency updates.
+// Lookup hit, the path dynopt's fleet cache takes, is a map read plus
+// counter and recency updates under the mutex.
 // dynopt.TestMemoKeyZeroAllocs pins the other half, the content-key fold.
 func TestMemoHitZeroAllocs(t *testing.T) {
 	type region struct{ cycles int }
-	c := New[*region](Options{Shards: 1}, nil)
+	c := New[*region](Options{}, nil)
 	k := compilequeue.NewKey().Int(7).Int(3).Bool(true)
 	want := &region{cycles: 42}
 	c.Put(k, want)

@@ -67,7 +67,7 @@ type CompileConfig struct {
 	// pool — its creator does, after every System using it has finished.
 	SharedPool *compilequeue.Pool
 	// SharedCache, when non-nil, is a compile-output cache shared across
-	// Systems: a concurrent sharded content-addressed cache, so identical
+	// Systems: a concurrent content-addressed LRU cache, so identical
 	// regions compile once fleet-wide, and a region being compiled by one
 	// tenant is awaited (cross-tenant single-flight), not recompiled, by
 	// others. Hits replay the modelled compile costs exactly like a fresh

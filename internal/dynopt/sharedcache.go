@@ -1,5 +1,5 @@
 // The fleet-wide compile cache: a thin, type-opaque wrapper binding
-// codecache's generic sharded cache to dynopt's compile outputs. The
+// codecache's generic LRU cache to dynopt's compile outputs. The
 // wrapper exists so the concrete payload type (*compileOutput) stays
 // unexported while fleet drivers — harness.RunFleet, smarq-bench — can
 // still construct one cache, hand it to many Systems via
@@ -11,7 +11,7 @@ import (
 	"smarq/internal/telemetry"
 )
 
-// CodeCache is a sharded content-addressed compile cache shared by many
+// CodeCache is a content-addressed LRU compile cache shared by many
 // concurrently running Systems. Construct one with NewCodeCache, set it
 // on every tenant's CompileConfig.SharedCache, and run the Systems on
 // separate goroutines: identical regions compile exactly once fleet-wide

@@ -1,6 +1,6 @@
 // Fleet execution: M independent tenant Systems running concurrently on
 // their own goroutines, all compiling through one shared host worker pool
-// and one sharded content-addressed compile cache (dynopt.CodeCache).
+// and one content-addressed LRU compile cache (dynopt.CodeCache).
 // Tenants share *host* resources only — guest state, memory, stats and
 // telemetry stay per-tenant, and every tenant's simulated results are
 // byte-identical to its solo run modulo the cache hit/miss/dedupe
@@ -41,10 +41,9 @@ type FleetConfig struct {
 	// Every tenant's Compile.Workers is set to the same value, so a
 	// 1-tenant fleet is exactly the solo baseline configuration.
 	CompileWorkers int
-	// CacheShards/CacheMaxEntries/CacheMaxBytes configure the shared
-	// compile cache (see codecache.Options); zeros mean the default
-	// shard count and unbounded budgets.
-	CacheShards     int
+	// CacheMaxEntries/CacheMaxBytes bound the shared compile cache (see
+	// codecache.Options); 0 means unbounded, and a negative budget is an
+	// error.
 	CacheMaxEntries int64
 	CacheMaxBytes   int64
 	// MaxInsts caps each tenant's retired guest instructions; 0 uses each
@@ -152,6 +151,10 @@ func (r *FleetResult) DedupeRate() float64 {
 // are exact.
 func RunFleet(fc FleetConfig) (*FleetResult, error) {
 	fc = fc.withDefaults()
+	if fc.CacheMaxEntries < 0 || fc.CacheMaxBytes < 0 {
+		return nil, fmt.Errorf("harness: cache budgets %d entries / %d bytes, want >= 0 (0 = unbounded)",
+			fc.CacheMaxEntries, fc.CacheMaxBytes)
+	}
 	baseCfg, err := ParseConfig(fc.Config)
 	if err != nil {
 		return nil, err
@@ -176,7 +179,6 @@ func RunFleet(fc FleetConfig) (*FleetResult, error) {
 
 	pool := compilequeue.NewPool(fc.CompileWorkers)
 	cache := dynopt.NewCodeCache(codecache.Options{
-		Shards:     fc.CacheShards,
 		MaxEntries: fc.CacheMaxEntries,
 		MaxBytes:   fc.CacheMaxBytes,
 	})

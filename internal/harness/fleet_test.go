@@ -156,6 +156,21 @@ func TestVerifyFleet(t *testing.T) {
 	}
 }
 
+// TestFleetRejectsNegativeCacheBudget: a negative entry or byte budget is
+// a configuration error, not a silently unbounded cache.
+func TestFleetRejectsNegativeCacheBudget(t *testing.T) {
+	for _, fc := range []FleetConfig{
+		{Tenants: 2, CacheMaxEntries: -5},
+		{Tenants: 2, CacheMaxBytes: -1},
+		{Tenants: 2, CacheMaxEntries: -5, CacheMaxBytes: -1},
+	} {
+		if res, err := RunFleet(fc); err == nil {
+			t.Errorf("entries %d / bytes %d: RunFleet ran %d tenants, want an error",
+				fc.CacheMaxEntries, fc.CacheMaxBytes, len(res.Tenants))
+		}
+	}
+}
+
 // TestFleetCompilesEachKeyOnce pins the shared cache's deduplication at
 // 100%: four identical tenants over one 2-worker pool must compile exactly
 // as many regions as one tenant alone. Every would-be duplicate compile is

@@ -64,7 +64,7 @@ func TestFleetObsEndpoints(t *testing.T) {
 			}
 
 			code, body = scrape(addr, "/debug/cache")
-			if code != http.StatusOK || !strings.Contains(body, "ShardEntries") {
+			if code != http.StatusOK || !strings.Contains(body, `"FlightWaits"`) {
 				t.Errorf("/debug/cache mid-run: code=%d body=%s", code, body)
 			}
 

@@ -12,8 +12,8 @@
 //	                selects the JSON snapshot of the fleet registry
 //	/healthz        per-tenant health-controller levels as JSON; 503 once
 //	                any tenant has degraded to compile-off or worse
-//	/debug/cache    shared codecache stats: totals, derived rates, and
-//	                per-shard occupancy
+//	/debug/cache    shared codecache stats: totals, occupancy and
+//	                derived rates
 //	/debug/tenants  per-tenant progress and stats snapshots
 //	/debug/pprof/   the standard runtime profiles
 package obs

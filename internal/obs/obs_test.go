@@ -39,7 +39,6 @@ func testServer(t1Level health.Level) (*Server, *telemetry.Registry) {
 			return codecache.Stats{
 				Entries: 3, Lookups: 10, Hits: 6, Misses: 4,
 				FlightWaits: 1, Compiles: 3, Evictions: 1,
-				ShardEntries: []int{2, 1},
 			}
 		},
 	}), fleet
@@ -126,15 +125,15 @@ func TestCacheEndpoint(t *testing.T) {
 		t.Fatalf("code=%d", rec.Code)
 	}
 	var out struct {
-		Entries      int64   `json:"Entries"`
-		ShardEntries []int   `json:"ShardEntries"`
-		HitRate      float64 `json:"hit_rate"`
-		DedupeRate   float64 `json:"dedupe_rate"`
+		Entries    int64   `json:"Entries"`
+		Evictions  int64   `json:"Evictions"`
+		HitRate    float64 `json:"hit_rate"`
+		DedupeRate float64 `json:"dedupe_rate"`
 	}
 	if err := json.Unmarshal([]byte(body), &out); err != nil {
 		t.Fatalf("cache debug is not JSON: %v\n%s", err, body)
 	}
-	if out.Entries != 3 || len(out.ShardEntries) != 2 {
+	if out.Entries != 3 || out.Evictions != 1 {
 		t.Errorf("cache stats: %+v", out)
 	}
 	if out.HitRate != 0.6 || out.DedupeRate != 0.7 {
