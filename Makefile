@@ -160,7 +160,10 @@ endif
 # Fleet gate: 8 concurrent tenants over the shared compile pool and
 # code cache, under the race detector pinned to 2 cores, with
 # every tenant's stats, guest registers and memory digest diffed against
-# its solo run (the fleet determinism contract).
+# its solo run (the fleet determinism contract). Tenants of one benchmark
+# also share its one immutable program and decoded code, so this races
+# their first build and decode too; CI adds the shared-program tests of
+# internal/harness, internal/interp and internal/workload under -race.
 fleet-smoke:
 	GOMAXPROCS=2 $(GO) run -race ./cmd/smarq-bench -tenants 8 \
 		-tenant-mix swim,equake -compile-workers 2 -fleet-verify >/dev/null

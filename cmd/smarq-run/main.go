@@ -82,8 +82,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	checkInv := fs.Bool("check-invariants", false, "verify every rollback restores the exact checkpoint (slow)")
 	compileWorkers := fs.Int("compile-workers", 0, "background compile workers (0 = synchronous instant install; any N >= 1 is simulation-identical)")
 	watchdog := fs.Int("compile-watchdog", 0, "watchdog deadline as a multiple of the modelled compile cost (0 = default)")
-	compileCPI := fs.Int("compile-cycles-per-inst", -1, "override the compile-latency model's cycles per guest instruction (-1 = machine default)")
-	compileCPC := fs.Int("compile-cycles-per-check", -1, "override the compile-latency model's cycles per guest memory op (-1 = machine default)")
+	compileCPI := fs.Int("compile-cycles-per-inst", 0, "override the compile-latency model's cycles per guest instruction (default: the machine's)")
+	compileCPC := fs.Int("compile-cycles-per-check", 0, "override the compile-latency model's cycles per guest memory op (default: the machine's)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file after the run")
 	if err := fs.Parse(args); err != nil {
@@ -146,6 +146,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		feature string
 		apply   map[string]func()
 	}{
+		{true, "", map[string]func(){
+			"compile-cycles-per-inst":  func() { cfg.Machine.CompileCyclesPerInst = *compileCPI },
+			"compile-cycles-per-check": func() { cfg.Machine.CompileCyclesPerCheck = *compileCPC },
+		}},
 		{chaos, "-chaos-seed", map[string]func(){
 			"chaos-host":             func() {},
 			"chaos-alias-rate":       func() { cfg.Chaos.SpuriousAliasRate = *aliasRate },
@@ -181,12 +185,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.CheckInvariants = *checkInv
 	cfg.Compile.Workers = *compileWorkers
 	cfg.Compile.WatchdogFactor = *watchdog
-	if *compileCPI >= 0 {
-		cfg.Machine.CompileCyclesPerInst = *compileCPI
-	}
-	if *compileCPC >= 0 {
-		cfg.Machine.CompileCyclesPerCheck = *compileCPC
-	}
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(stderr, "smarq-run:", err)
 		return 2

@@ -166,19 +166,28 @@ func TestListenBindErrorFailsFast(t *testing.T) {
 }
 
 func TestUsageErrors(t *testing.T) {
-	cases := map[string][]string{
-		"unknown benchmark":              {"-bench", "nope"},
-		"bad host rate":                  {"-bench", "swim", "-chaos-seed", "1", "-chaos-host-panic-rate", "2"},
-		"bad flag":                       {"-definitely-not-a-flag"},
-		"negative health window":         {"-bench", "swim", "-health", "-health-window", "-5"},
-		"negative alias rate":            {"-bench", "swim", "-chaos-seed", "1", "-chaos-alias-rate", "-0.5"},
-		"health tuning without -health":  {"-bench", "swim", "-health-window", "4"},
-		"chaos rate without -chaos-seed": {"-bench", "swim", "-chaos-alias-rate", "0.5"},
+	// Each case exits 2 and names the bad input on stderr.
+	cases := map[string]struct {
+		args []string
+		want string
+	}{
+		"unknown benchmark":              {[]string{"-bench", "nope"}, `unknown benchmark "nope"`},
+		"bad host rate":                  {[]string{"-bench", "swim", "-chaos-seed", "1", "-chaos-host-panic-rate", "2"}, "WorkerPanicRate = 2"},
+		"bad flag":                       {[]string{"-definitely-not-a-flag"}, "-definitely-not-a-flag"},
+		"negative health window":         {[]string{"-bench", "swim", "-health", "-health-window", "-5"}, "Window -5"},
+		"negative alias rate":            {[]string{"-bench", "swim", "-chaos-seed", "1", "-chaos-alias-rate", "-0.5"}, "SpuriousAliasRate = -0.5"},
+		"health tuning without -health":  {[]string{"-bench", "swim", "-health-window", "4"}, "-health-window needs -health"},
+		"chaos rate without -chaos-seed": {[]string{"-bench", "swim", "-chaos-alias-rate", "0.5"}, "-chaos-alias-rate needs -chaos-seed"},
+		"negative compile cycles/inst":   {[]string{"-bench", "swim", "-compile-cycles-per-inst", "-5"}, "CompileCyclesPerInst -5"},
+		"negative compile cycles/check":  {[]string{"-bench", "swim", "-compile-cycles-per-check", "-5"}, "CompileCyclesPerCheck -5"},
 	}
-	for name, args := range cases {
+	for name, c := range cases {
 		var out, errb bytes.Buffer
-		if code := run(args, &out, &errb); code != 2 {
+		if code := run(c.args, &out, &errb); code != 2 {
 			t.Errorf("%s: exit code %d, want 2 (stderr: %s)", name, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), c.want) {
+			t.Errorf("%s: stderr %q does not contain %q", name, errb.String(), c.want)
 		}
 	}
 }

@@ -127,6 +127,10 @@ func (c Config) Validate() error {
 	if c.Compile.WatchdogFactor < 0 {
 		return fmt.Errorf("dynopt: Compile.WatchdogFactor %d, want >= 0", c.Compile.WatchdogFactor)
 	}
+	if c.Machine.CompileCyclesPerInst < 0 || c.Machine.CompileCyclesPerCheck < 0 {
+		return fmt.Errorf("dynopt: Machine.CompileCyclesPerInst %d / CompileCyclesPerCheck %d, want >= 0",
+			c.Machine.CompileCyclesPerInst, c.Machine.CompileCyclesPerCheck)
+	}
 	if c.Compile.SharedPool != nil && c.Compile.Workers < 1 {
 		return fmt.Errorf("dynopt: Compile.SharedPool set with Workers %d, want >= 1 (the background path)", c.Compile.Workers)
 	}

@@ -46,6 +46,21 @@ func TestConfigValidate(t *testing.T) {
 	if cache.Validate() == nil {
 		t.Error("CodeCacheCapacity=-1 accepted")
 	}
+	perInst := DefaultConfig()
+	perInst.Machine.CompileCyclesPerInst = -1
+	if perInst.Validate() == nil {
+		t.Error("Machine.CompileCyclesPerInst=-1 accepted")
+	}
+	perCheck := DefaultConfig()
+	perCheck.Machine.CompileCyclesPerCheck = -1
+	if perCheck.Validate() == nil {
+		t.Error("Machine.CompileCyclesPerCheck=-1 accepted")
+	}
+	free := DefaultConfig()
+	free.Machine.CompileCyclesPerInst, free.Machine.CompileCyclesPerCheck = 0, 0
+	if err := free.Validate(); err != nil {
+		t.Errorf("zero compile cost rejected: %v", err)
+	}
 	chaos := DefaultConfig()
 	chaos.Chaos.SpuriousAliasRate = 2
 	if chaos.Validate() == nil {

@@ -18,8 +18,8 @@ import "fmt"
 //	_ = exit
 //	prog, err := b.Program()
 type Builder struct {
-	prog Program
-	cur  *Block
+	blocks []*Block
+	cur    *Block
 }
 
 // NewBuilder returns an empty Builder.
@@ -27,9 +27,9 @@ func NewBuilder() *Builder { return &Builder{} }
 
 // NewBlock appends a new empty block, makes it current, and returns its ID.
 func (b *Builder) NewBlock() int {
-	id := len(b.prog.Blocks)
+	id := len(b.blocks)
 	blk := &Block{ID: id}
-	b.prog.Blocks = append(b.prog.Blocks, blk)
+	b.blocks = append(b.blocks, blk)
 	b.cur = blk
 	return id
 }
@@ -37,19 +37,19 @@ func (b *Builder) NewBlock() int {
 // Reserve appends n empty blocks without making them current and returns the
 // ID of the first. Used for forward branch targets.
 func (b *Builder) Reserve(n int) int {
-	first := len(b.prog.Blocks)
+	first := len(b.blocks)
 	for i := 0; i < n; i++ {
-		b.prog.Blocks = append(b.prog.Blocks, &Block{ID: first + i})
+		b.blocks = append(b.blocks, &Block{ID: first + i})
 	}
 	return first
 }
 
 // At switches the current block to the block with the given ID.
 func (b *Builder) At(id int) {
-	if id < 0 || id >= len(b.prog.Blocks) {
+	if id < 0 || id >= len(b.blocks) {
 		panic(fmt.Sprintf("guest: Builder.At(%d): no such block", id))
 	}
-	b.cur = b.prog.Blocks[id]
+	b.cur = b.blocks[id]
 }
 
 // Emit appends a raw instruction to the current block.
@@ -61,13 +61,14 @@ func (b *Builder) Emit(in Inst) {
 }
 
 // Program validates and returns the assembled program. The entry point is
-// block 0.
+// block 0. The program shares its blocks with the builder, so emit nothing
+// more once it is built: programs are immutable after build.
 func (b *Builder) Program() (*Program, error) {
-	p := b.prog
+	p := &Program{Blocks: b.blocks}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &p, nil
+	return p, nil
 }
 
 // MustProgram is Program but panics on validation failure. Intended for

@@ -1,6 +1,9 @@
 package guest
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Block is a guest basic block: a straight-line sequence of instructions
 // ending either in a control instruction or by falling through to the block
@@ -39,9 +42,29 @@ func (b *Block) Successors() []int {
 
 // Program is a complete guest program: blocks indexed by ID, starting at
 // Entry.
+//
+// A program is immutable once built: nothing writes Blocks, Entry or any
+// block's Insts after the Builder or DecodeProgram returns it, so one
+// *Program is shared by every System, fleet tenant and figure cell that
+// runs it. A Program must not be copied by value (it holds a sync.Once).
 type Program struct {
 	Blocks []*Block
 	Entry  int
+
+	// decodeOnce guards decoded, the read-only derived form of the program
+	// that Decoded computes on first use.
+	decodeOnce sync.Once
+	decoded    any
+}
+
+// Decoded returns decode(p), calling decode only on the first call: every
+// later call, from any goroutine, returns that first result whatever
+// function it passes. The interpreter keeps its pre-decoded code here, so
+// every interpreter over one program shares one decode. The program must
+// not be modified after the first call.
+func (p *Program) Decoded(decode func(*Program) any) any {
+	p.decodeOnce.Do(func() { p.decoded = decode(p) })
+	return p.decoded
 }
 
 // Block returns the block with the given ID, or nil when out of range.

@@ -49,7 +49,7 @@ type FleetConfig struct {
 	// MaxInsts caps each tenant's retired guest instructions; 0 uses each
 	// benchmark's own budget.
 	MaxInsts uint64
-	// Scale divides the workload iteration counts (workload.SuiteScaled).
+	// Scale multiplies the workload iteration counts (workload.SuiteScaled).
 	Scale int64
 	// Telemetry, when set, builds each tenant's telemetry bundle before
 	// it runs (nil return leaves that tenant untraced). The fleet flushes
@@ -159,18 +159,10 @@ func RunFleet(fc FleetConfig) (*FleetResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	suite := workload.Suite()
-	if fc.Scale > 1 {
-		suite = workload.SuiteScaled(fc.Scale)
-	}
-	byName := make(map[string]workload.Benchmark, len(suite))
-	for _, bm := range suite {
-		byName[bm.Name] = bm
-	}
 	benches := make([]workload.Benchmark, fc.Tenants)
 	for i := range benches {
 		name := fc.Mix[i%len(fc.Mix)]
-		bm, ok := byName[name]
+		bm, ok := workload.ByNameScaled(name, fc.Scale)
 		if !ok {
 			return nil, fmt.Errorf("harness: no benchmark %q in the suite", name)
 		}
@@ -230,6 +222,9 @@ func RunFleet(fc FleetConfig) (*FleetResult, error) {
 					maxInsts = fc.MaxInsts
 				}
 				t0 := time.Now()
+				// Tenants of one benchmark share its immutable program
+				// and decoded code; whichever tenant gets there first
+				// builds and decodes it, once.
 				sys := dynopt.New(bm.Build(), &guest.State{}, guest.NewMemory(bm.MemSize), cfg)
 				halted, err := sys.Run(maxInsts)
 				if ferr := cfg.Telemetry.Tracer().Flush(); ferr != nil && err == nil {

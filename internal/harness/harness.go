@@ -140,7 +140,9 @@ func (r *Runner) Run(bench, config string) (*dynopt.Stats, error) {
 }
 
 // execute performs one benchmark×configuration run. Each run owns a
-// fresh Program, State and Memory, so runs never share mutable state.
+// fresh State and Memory; every cell of a benchmark shares its one
+// immutable Program (workload.Benchmark.Build), so runs never share
+// mutable state.
 func (r *Runner) execute(bench, config string) (*dynopt.Stats, error) {
 	bm, ok := r.byName[bench]
 	if !ok {

@@ -126,7 +126,8 @@ type decBlock struct {
 }
 
 // decProgram is the decode cache for a whole program: every block decoded
-// once, back to back, in one flat value-struct array.
+// once, back to back, in one flat value-struct array. It is shared by every
+// interpreter over the program and never written after decodeProgram.
 type decProgram struct {
 	code   []decInst
 	blocks []decBlock
@@ -140,6 +141,14 @@ const (
 	slotFall  = 0
 	slotTaken = 1
 )
+
+// decodeShared is the decoder New hands to guest.Program.Decoded: the
+// program keeps the result, so a program is decoded once per process and
+// its decoded code is read-only from then on.
+func decodeShared(prog *guest.Program) any {
+	d := decodeProgram(prog)
+	return &d
+}
 
 // decodeProgram decodes every block of prog into a flat decInst array,
 // fusing adjacent pairs where the second instruction consumes the first

@@ -163,14 +163,17 @@ type Interpreter struct {
 }
 
 // New returns an interpreter over prog with the given architectural state.
-// The program is decoded once here; New is the only constructor.
+// New is the only constructor. The first New over a program decodes it into
+// the program's decode slot (guest.Program.Decoded); every later New over
+// the same program, from any goroutine, shares that read-only decoded code
+// and allocates only the interpreter and its profile.
 func New(prog *guest.Program, st *guest.State, mem *guest.Memory) *Interpreter {
 	return &Interpreter{
 		Prog: prog,
 		St:   st,
 		Mem:  mem,
 		Prof: NewProfile(len(prog.Blocks)),
-		dec:  decodeProgram(prog),
+		dec:  *prog.Decoded(decodeShared).(*decProgram),
 	}
 }
 

@@ -2,14 +2,12 @@ package workload
 
 import "smarq/internal/guest"
 
-// Galgel is a Galerkin-method fluid benchmark: column-major sweeps over a
+// galgelScaled is a Galerkin-method fluid benchmark: column-major sweeps over a
 // small dense matrix with strided computed addresses, accumulating into a
 // coefficient vector. The row store crosses the next column's strided
 // loads.
-func Galgel() Benchmark { return galgelScaled(1) }
-
-// galgelScaled builds the benchmark with its main loop count multiplied
-// by scale (SuiteScaled).
+//
+// scale multiplies the main loop count (SuiteScaled).
 func galgelScaled(scale int64) Benchmark {
 	const m = 24 // m x m matrix
 	sweeps := 60 * scale
@@ -87,14 +85,12 @@ func galgelScaled(scale int64) Benchmark {
 	}
 }
 
-// Lucas is the Lucas-Lehmer/FFT benchmark: in-place butterfly pairs — two
+// lucasScaled is the Lucas-Lehmer/FFT benchmark: in-place butterfly pairs — two
 // loads and two stores at computed positions i and i+half per butterfly.
 // The two stores of one butterfly cross the loads of the next; half the
 // accesses are an opaque distance apart, so everything may alias.
-func Lucas() Benchmark { return lucasScaled(1) }
-
-// lucasScaled builds the benchmark with its main loop count multiplied
-// by scale (SuiteScaled).
+//
+// scale multiplies the main loop count (SuiteScaled).
 func lucasScaled(scale int64) Benchmark {
 	const n = 128
 	sweeps := 70 * scale
@@ -154,15 +150,13 @@ func lucasScaled(scale int64) Benchmark {
 	}
 }
 
-// Fma3d is the finite-element crash benchmark: per element, gather two
+// fma3dScaled is the finite-element crash benchmark: per element, gather two
 // node positions through an index table, compute a spring force, and
 // scatter-add it back into both nodes — a lighter cousin of ammp's
 // indirect force accumulation with genuine occasional sharing (adjacent
 // elements share a node).
-func Fma3d() Benchmark { return fma3dScaled(1) }
-
-// fma3dScaled builds the benchmark with its main loop count multiplied
-// by scale (SuiteScaled).
+//
+// scale multiplies the main loop count (SuiteScaled).
 func fma3dScaled(scale int64) Benchmark {
 	const nodes, elems = 96, 95
 	sweeps := 50 * scale
@@ -243,15 +237,13 @@ func fma3dScaled(scale int64) Benchmark {
 	}
 }
 
-// Sixtrack is the particle-tracking benchmark: each particle's six-word
+// sixtrackScaled is the particle-tracking benchmark: each particle's six-word
 // state is loaded, pushed through a deep floating-point map, and stored
 // back. Particles are independent, so hoisting the next particle's loads
 // above this particle's stores is pure profit — but the state pointers
 // are opaque, so only alias hardware permits it.
-func Sixtrack() Benchmark { return sixtrackScaled(1) }
-
-// sixtrackScaled builds the benchmark with its main loop count multiplied
-// by scale (SuiteScaled).
+//
+// scale multiplies the main loop count (SuiteScaled).
 func sixtrackScaled(scale int64) Benchmark {
 	const particles = 48
 	turns := 90 * scale

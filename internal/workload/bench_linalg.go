@@ -2,13 +2,11 @@ package workload
 
 import "smarq/internal/guest"
 
-// Wupwise is a dense 4x4 matrix-vector kernel with a feedback vector: each
+// wupwiseScaled is a dense 4x4 matrix-vector kernel with a feedback vector: each
 // result store is followed (in program order) by the next row's matrix and
 // vector loads from different base registers — textbook Figure 2 material.
-func Wupwise() Benchmark { return wupwiseScaled(1) }
-
-// wupwiseScaled builds the benchmark with its main loop count multiplied
-// by scale (SuiteScaled).
+//
+// scale multiplies the main loop count (SuiteScaled).
 func wupwiseScaled(scale int64) Benchmark {
 	const itersBase = 2500
 	iters := itersBase * scale
@@ -86,14 +84,12 @@ func wupwiseScaled(scale int64) Benchmark {
 	}
 }
 
-// Facerec is a sliding-window correlation: eight image/template load pairs
+// facerecScaled is a sliding-window correlation: eight image/template load pairs
 // feed one response store per position. Arrays are disjoint at runtime but
 // indistinguishable to the binary-level analysis, so this is the cleanest
 // speculation win in the suite.
-func Facerec() Benchmark { return facerecScaled(1) }
-
-// facerecScaled builds the benchmark with its main loop count multiplied
-// by scale (SuiteScaled).
+//
+// scale multiplies the main loop count (SuiteScaled).
 func facerecScaled(scale int64) Benchmark {
 	const n, positions = 256, 200
 	passes := 30 * scale
@@ -164,13 +160,11 @@ func facerecScaled(scale int64) Benchmark {
 	}
 }
 
-// Apsi runs phases through a pointer descriptor table: the hot loop's
+// apsiScaled runs phases through a pointer descriptor table: the hot loop's
 // array bases are themselves loaded from memory, the fully unanalyzable
 // case the paper's §7 discussion highlights.
-func Apsi() Benchmark { return apsiScaled(1) }
-
-// apsiScaled builds the benchmark with its main loop count multiplied
-// by scale (SuiteScaled).
+//
+// scale multiplies the main loop count (SuiteScaled).
 func apsiScaled(scale int64) Benchmark {
 	const n = 128
 	sweeps := 45 * scale

@@ -2,15 +2,13 @@ package workload
 
 import "smarq/internal/guest"
 
-// Mesa is the store-reordering benchmark (Figure 16: ~13%): a span fill
+// mesaScaled is the store-reordering benchmark (Figure 16: ~13%): a span fill
 // writes one slow depth value (behind a floating-point divide) followed by
 // eight ready framebuffer stores. Without store reordering the eight
 // stores queue behind the slow one on the memory ports; with it they
 // drain early.
-func Mesa() Benchmark { return mesaScaled(1) }
-
-// mesaScaled builds the benchmark with its main loop count multiplied
-// by scale (SuiteScaled).
+//
+// scale multiplies the main loop count (SuiteScaled).
 func mesaScaled(scale int64) Benchmark {
 	const rowLen = 512
 	rows := 60 * scale
@@ -79,14 +77,12 @@ func mesaScaled(scale int64) Benchmark {
 	}
 }
 
-// Art is a neural-net gather with weight update: indirect weight loads
+// artScaled is a neural-net gather with weight update: indirect weight loads
 // (roots loaded from an index table) cross the previous element's weight-
 // update store. The index walk is collision-free, so speculation always
 // wins.
-func Art() Benchmark { return artScaled(1) }
-
-// artScaled builds the benchmark with its main loop count multiplied
-// by scale (SuiteScaled).
+//
+// scale multiplies the main loop count (SuiteScaled).
 func artScaled(scale int64) Benchmark {
 	const n = 128
 	sweeps := 60 * scale
@@ -158,14 +154,12 @@ func artScaled(scale int64) Benchmark {
 	}
 }
 
-// Equake is a sparse kernel whose column indices occasionally equal the
+// equakeScaled is a sparse kernel whose column indices occasionally equal the
 // destination row: the hoisted source loads then genuinely alias the
 // row store, so speculation truly fails sometimes — exercising rollback,
 // blacklisting and conservative re-optimization.
-func Equake() Benchmark { return equakeScaled(1) }
-
-// equakeScaled builds the benchmark with its main loop count multiplied
-// by scale (SuiteScaled).
+//
+// scale multiplies the main loop count (SuiteScaled).
 func equakeScaled(scale int64) Benchmark {
 	const n = 96
 	sweeps := 60 * scale
@@ -253,7 +247,7 @@ func equakeScaled(scale int64) Benchmark {
 	}
 }
 
-// Ammp is the register-pressure benchmark: one superblock computes an
+// ammpScaled is the register-pressure benchmark: one superblock computes an
 // atom's interactions with four indirectly-indexed neighbours — about
 // fifty memory operations per block. 16 alias registers cannot hold the
 // speculation working set (the paper's §2.2: ammp gains 30% from 64
@@ -262,10 +256,8 @@ func equakeScaled(scale int64) Benchmark {
 // occasional duplicate indices, so reordered force stores sometimes truly
 // alias — the paper notes ammp loses slightly *with* store reordering
 // (Figure 16).
-func Ammp() Benchmark { return ammpScaled(1) }
-
-// ammpScaled builds the benchmark with its main loop count multiplied
-// by scale (SuiteScaled).
+//
+// scale multiplies the main loop count (SuiteScaled).
 func ammpScaled(scale int64) Benchmark {
 	const n = 64
 	sweeps := 120 * scale

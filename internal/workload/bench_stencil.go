@@ -2,17 +2,15 @@ package workload
 
 import "smarq/internal/guest"
 
-// Swim is the shallow-water stencil: five loads feed two stores per cell,
+// swimScaled is the shallow-water stencil: five loads feed two stores per cell,
 // over ping-pong arrays. Inside the hot region the five array bases are
 // unanalyzable live-ins, so every UNEW/VNEW store may-aliases the next
 // cell's U/V/P loads — hoisting those loads is the whole game.
 //
 // Register map: r1=U r2=V r3=P r4=UN r5=VN, r6=i, r7=limit, r8=t, r9=T,
 // r10/r11/r12 address temps; f20/f21 constants.
-func Swim() Benchmark { return swimScaled(1) }
-
-// swimScaled builds the benchmark with its main loop count multiplied
-// by scale (SuiteScaled).
+//
+// scale multiplies the main loop count (SuiteScaled).
 func swimScaled(scale int64) Benchmark {
 	const n = 192
 	sweeps := 50 * scale
@@ -106,15 +104,13 @@ func swimScaled(scale int64) Benchmark {
 	}
 }
 
-// Mgrid is a multigrid-flavoured stencil: neighbour loads feed a deeper
+// mgridScaled is a multigrid-flavoured stencil: neighbour loads feed a deeper
 // floating-point chain, and the same-array accesses use per-iteration
 // computed addresses — which a binary-level analysis cannot relate, so
 // even same-array neighbours are may-alias (a real property of the
 // paper's setting, §1).
-func Mgrid() Benchmark { return mgridScaled(1) }
-
-// mgridScaled builds the benchmark with its main loop count multiplied
-// by scale (SuiteScaled).
+//
+// scale multiplies the main loop count (SuiteScaled).
 func mgridScaled(scale int64) Benchmark {
 	const n = 160
 	sweeps := 40 * scale
@@ -180,15 +176,13 @@ func mgridScaled(scale int64) Benchmark {
 	}
 }
 
-// Applu is SSOR with indirectly indexed diagonals: the element to update
+// appluScaled is SSOR with indirectly indexed diagonals: the element to update
 // is found through an index table, so its address root is a loaded value —
 // exactly the "indexed by non-stack-frame registers" case binary alias
 // analysis cannot crack (§7). The read-modify-write of A[idx] crosses the
 // B/C loads of the next unrolled iteration.
-func Applu() Benchmark { return appluScaled(1) }
-
-// appluScaled builds the benchmark with its main loop count multiplied
-// by scale (SuiteScaled).
+//
+// scale multiplies the main loop count (SuiteScaled).
 func appluScaled(scale int64) Benchmark {
 	const n = 128
 	sweeps := 45 * scale

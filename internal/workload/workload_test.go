@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sync"
 	"testing"
 
 	"smarq/internal/dynopt"
@@ -200,5 +201,51 @@ func TestOverheadAmortizesWithScale(t *testing.T) {
 	oShort, oLong := overhead(short), overhead(long)
 	if oLong >= oShort/2 {
 		t.Errorf("overhead did not amortize: short %.4f, 8x run %.4f", oShort, oLong)
+	}
+}
+
+// TestBuildShared pins the build-once contract: every Benchmark value of
+// one (name, scale) pair, from any Suite, SuiteScaled or ByName call,
+// returns the same *guest.Program, built once even when raced from many
+// goroutines; another scale is another program.
+func TestBuildShared(t *testing.T) {
+	for _, scale := range []int64{1, 3} {
+		a, b := SuiteScaled(scale), SuiteScaled(scale)
+		progs := make([]*guest.Program, len(a))
+		var wg sync.WaitGroup
+		for i := range a {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				progs[i] = a[i].Build()
+			}()
+		}
+		wg.Wait()
+		for i := range a {
+			if b[i].Build() != progs[i] || a[i].Build() != progs[i] {
+				t.Errorf("scale %d: %s: two suites build different programs", scale, a[i].Name)
+			}
+			named, ok := ByNameScaled(a[i].Name, scale)
+			if !ok || named.Build() != progs[i] {
+				t.Errorf("scale %d: ByNameScaled(%q) builds a different program", scale, a[i].Name)
+			}
+		}
+	}
+	for i, bm := range Suite() {
+		if named, _ := ByName(bm.Name); named.Build() != bm.Build() {
+			t.Errorf("ByName(%q) builds a different program than Suite()", bm.Name)
+		}
+		if SuiteScaled(0)[i].Build() != bm.Build() {
+			t.Errorf("%s: SuiteScaled(0) is not Suite()", bm.Name)
+		}
+		if SuiteScaled(3)[i].Build() == bm.Build() {
+			t.Errorf("%s: scales 1 and 3 share a program", bm.Name)
+		}
+	}
+	// Callers own the returned slice: editing it leaves the suite intact.
+	s := Suite()
+	s[0].Name = "edited"
+	if Suite()[0].Name == "edited" {
+		t.Error("Suite hands out the shared slice")
 	}
 }
