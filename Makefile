@@ -162,8 +162,12 @@ endif
 # every tenant's stats, guest registers and memory digest diffed against
 # its solo run (the fleet determinism contract). Tenants of one benchmark
 # also share its one immutable program and decoded code, so this races
-# their first build and decode too; CI adds the shared-program tests of
-# internal/harness, internal/interp and internal/workload under -race.
+# their first build and decode too. Every tenant's Run also borrows its
+# vreg files, undo log and alias detector from one process-wide pool, so
+# this races those loans. CI adds, under -race, the shared-program tests of
+# internal/harness, internal/interp and internal/workload, and the
+# executor-pool tests of internal/dynopt (ConcurrentBorrow,
+# SplitRunMatchesOneRun).
 fleet-smoke:
 	GOMAXPROCS=2 $(GO) run -race ./cmd/smarq-bench -tenants 8 \
 		-tenant-mix swim,equake -compile-workers 2 -fleet-verify >/dev/null

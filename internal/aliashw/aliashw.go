@@ -29,11 +29,18 @@ type Detector interface {
 	// AMov moves the register at src to dst, or clears src when src==dst
 	// (order-based only).
 	AMov(src, dst int)
-	// Reset clears all state (called at region commit and rollback).
+	// Reset clears all state (called at region commit and rollback): a
+	// reset detector behaves exactly like a newly constructed one, apart
+	// from Checked. That is what lets the dynopt runtime pool detectors
+	// process-wide and lend one to each System.Run, as the paper's core
+	// owns its alias register file and every atomic region starts with
+	// it empty.
 	Reset()
 	// Checked returns the cumulative number of register comparisons the
 	// hardware has performed — the energy proxy of §2.4 ("unnecessary
-	// alias detections ... cost energy"). Reset does not clear it.
+	// alias detections ... cost energy"). Reset does not clear it, so a
+	// borrower that wants its own count takes the difference across its
+	// loan.
 	Checked() uint64
 	// Name identifies the model in traces and tables.
 	Name() string

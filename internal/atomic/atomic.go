@@ -15,9 +15,9 @@
 // Store returns ErrFinished and Commit/Rollback panic.
 //
 // A finished Region may, however, be re-armed with Begin: the runtime
-// keeps one Region per system and recycles its undo-log storage and
-// checkpoint across region entries, so the steady-state execute path
-// allocates nothing. Re-arming does not weaken the single-use contract —
+// keeps one Region per pooled execution context, lent to one System.Run
+// at a time, and recycles its undo-log storage and checkpoint across
+// region entries, so the steady-state execute path allocates nothing. Re-arming does not weaken the single-use contract —
 // between one Begin and the next Commit/Rollback the region behaves
 // exactly like a freshly allocated one.
 package atomic
@@ -72,6 +72,18 @@ func (r *Region) Begin(st *guest.State, mem *guest.Memory) {
 	r.checkpoint = *st
 	r.undo = r.undo[:0]
 	r.finished = false
+}
+
+// Detach drops a finished region's references to the guest state and
+// memory it last ran over, keeping its undo-log storage, so a pooled
+// Region does not keep a finished guest alive. The region stays finished;
+// Begin re-arms it. Detaching an active region would lose its undo log,
+// so it panics.
+func (r *Region) Detach() {
+	if !r.Finished() {
+		panic("atomic: Detach on an active region")
+	}
+	r.st, r.mem = nil, nil
 }
 
 // Finished reports whether the region has committed or rolled back. The

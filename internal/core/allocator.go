@@ -67,7 +67,36 @@ type Result struct {
 	// retargeting), as (src, dst) pairs.
 	Checks, Antis [][2]int
 	Stats         Stats
+
+	// pseudo holds the Rotate and AMov ops the allocator inserted into
+	// Seq: they live exactly as long as Seq and recycle with it.
+	pseudo pseudoSlab
 }
+
+// pseudoSlab carves pseudo-ops out of chunks that never move, so a carved
+// op's address stays valid while more are carved. Chunks double in size
+// and are kept across reset; a pseudo-op holds no pointers, so reset
+// need not clear them.
+type pseudoSlab struct {
+	chunks [][]ir.Op
+	cur    int // chunk being carved
+	n      int // ops carved from it
+}
+
+func (s *pseudoSlab) newOp(o ir.Op) *ir.Op {
+	if s.cur < len(s.chunks) && s.n == len(s.chunks[s.cur]) {
+		s.cur, s.n = s.cur+1, 0
+	}
+	if s.cur == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]ir.Op, 16<<len(s.chunks)))
+	}
+	p := &s.chunks[s.cur][s.n]
+	s.n++
+	*p = o
+	return p
+}
+
+func (s *pseudoSlab) reset() { s.cur, s.n = 0, 0 }
 
 // Allocated reports whether op id received an alias register order.
 func (r *Result) Allocated(id int) bool {
@@ -92,6 +121,7 @@ func (r *Result) Release() {
 	r.Checks = r.Checks[:0]
 	r.Antis = r.Antis[:0]
 	r.Stats = Stats{}
+	r.pseudo.reset()
 	resultPool.Put(r)
 }
 
@@ -356,13 +386,13 @@ func (a *Allocator) Schedule(y *ir.Op) []*ir.Op {
 
 	a.emit = append(a.emit, y)
 	if a.nextOrder > baseAtStart && !a.opts.DisableRotation {
-		rot := &ir.Op{
+		rot := a.res.pseudo.newOp(ir.Op{
 			ID:       a.nextPseudo,
 			Kind:     ir.Rotate,
 			Dst:      ir.NoVReg,
 			Amount:   a.nextOrder - baseAtStart,
 			AROffset: -1,
-		}
+		})
 		a.nextPseudo++
 		a.seq = append(a.seq, rot)
 		a.emit = append(a.emit, rot)
@@ -385,7 +415,7 @@ func (a *Allocator) insertAMov(x, yID int) *ir.Op {
 	moved := a.g.RetargetIncomingChecks(x, xp, func(src int) bool {
 		return !a.scheduled[src]
 	})
-	op := &ir.Op{ID: xp, Kind: ir.AMov, Dst: ir.NoVReg, AROffset: -1}
+	op := a.res.pseudo.newOp(ir.Op{ID: xp, Kind: ir.AMov, Dst: ir.NoVReg, AROffset: -1})
 	for len(a.amovs) <= xp-a.numOps {
 		a.amovs = append(a.amovs, amovInfo{})
 	}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"sync"
 
 	"smarq/internal/aliashw"
 	"smarq/internal/deps"
@@ -22,102 +22,130 @@ import (
 // AMOVs exist in this mode). The ops are annotated in place: checkees get
 // P and AROffset (the register number), checkers get C and ARMask. It
 // fails when the live ranges need more than numRegs registers — the
-// caller must retry with less speculation.
+// caller must retry with less speculation. The Result holds a copy of
+// seq, so the caller may reuse seq's storage.
 func AllocateBitmask(seq []*ir.Op, ds *deps.Set, numRegs int) (*Result, error) {
 	if numRegs > aliashw.MaxBitmaskRegs {
 		numRegs = aliashw.MaxBitmaskRegs
 	}
-	pos := make(map[int]int, len(seq))
+	b := bitmaskPool.Get().(*bitmaskScratch)
+	defer bitmaskPool.Put(b)
+
+	maxID := -1
+	for _, op := range seq {
+		maxID = max(maxID, op.ID)
+	}
+	for _, d := range ds.All {
+		maxID = max(maxID, d.Src, d.Dst)
+	}
+	b.pos = resetInt32s(b.pos, maxID+1, -1)
 	for i, op := range seq {
-		pos[op.ID] = i
+		b.pos[op.ID] = int32(i)
 	}
 
 	// Derive check pairs: for a dependence s →dep d, the later-executing
 	// op checks the earlier one exactly when d precedes s in the schedule
 	// (the same CHECK-CONSTRAINT rule as the ordered queue; here it only
-	// decides who checks whom, with no ordering consequences).
-	type interval struct {
-		checkee  int
-		start    int
-		end      int
-		checkers []int
-	}
-	byCheckee := make(map[int]*interval)
+	// decides who checks whom, with no ordering consequences). Each
+	// checkee's interval runs from its own position to its last checker's;
+	// ckOff first counts each interval's checkers.
+	b.ivOf = resetInt32s(b.ivOf, maxID+1, -1)
+	b.ivs = b.ivs[:0]
+	b.ckOff = b.ckOff[:0]
 	for _, d := range ds.All {
-		ps, okS := pos[d.Src]
-		pd, okD := pos[d.Dst]
-		if !okS || !okD || pd >= ps {
+		ps, pd := b.pos[d.Src], b.pos[d.Dst]
+		if ps < 0 || pd < 0 || pd >= ps {
 			continue
 		}
-		iv := byCheckee[d.Dst]
-		if iv == nil {
-			iv = &interval{checkee: d.Dst, start: pd, end: pd}
-			byCheckee[d.Dst] = iv
+		iv := b.ivOf[d.Dst]
+		if iv < 0 {
+			iv = int32(len(b.ivs))
+			b.ivOf[d.Dst] = iv
+			b.ivs = append(b.ivs, bmInterval{start: pd, end: pd})
+			b.ckOff = append(b.ckOff, 0)
 		}
-		if ps > iv.end {
-			iv.end = ps
+		b.ivs[iv].end = max(b.ivs[iv].end, ps)
+		b.ckOff[iv]++
+	}
+	// Group the checkers by interval, in dependence order: interval i's
+	// are ck[ckOff[i]:ckOff[i+1]].
+	n := int32(0)
+	for i, c := range b.ckOff {
+		b.ckOff[i] = n
+		n += c
+	}
+	b.ckOff = append(b.ckOff, n)
+	b.cursor = append(b.cursor[:0], b.ckOff...)
+	b.ck = resetInt32s(b.ck, int(n), 0)
+	for _, d := range ds.All {
+		ps, pd := b.pos[d.Src], b.pos[d.Dst]
+		if ps < 0 || pd < 0 || pd >= ps {
+			continue
 		}
-		iv.checkers = append(iv.checkers, d.Src)
+		iv := b.ivOf[d.Dst]
+		b.ck[b.cursor[iv]] = ps
+		b.cursor[iv]++
 	}
 
-	// Linear scan over intervals ordered by start.
-	ivs := make([]*interval, 0, len(byCheckee))
-	for _, iv := range byCheckee {
-		ivs = append(ivs, iv)
+	// Linear scan over intervals ordered by start. A checkee's position is
+	// its interval's start, so starts are unique and bucketing the
+	// intervals by start sorts them.
+	b.ivAt = resetInt32s(b.ivAt, len(seq), -1)
+	for i := range b.ivs {
+		b.ivAt[b.ivs[i].start] = int32(i)
 	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].start < ivs[j].start })
-
-	free := make([]int, 0, numRegs)
+	b.free = b.free[:0]
 	for r := numRegs - 1; r >= 0; r-- {
-		free = append(free, r) // pop from the back -> lowest register first
+		b.free = append(b.free, int32(r)) // pop from the back -> lowest register first
 	}
-	type active struct{ end, reg int }
-	var act []active
-	regOf := make(map[int]int, len(ivs))
+	b.act = b.act[:0]
 	stats := Stats{}
-	for _, iv := range ivs {
+	for _, i := range b.ivAt {
+		if i < 0 {
+			continue
+		}
+		iv := &b.ivs[i]
 		// Expire finished intervals.
-		keep := act[:0]
-		for _, a := range act {
+		keep := b.act[:0]
+		for _, a := range b.act {
 			if a.end < iv.start {
-				free = append(free, a.reg)
+				b.free = append(b.free, a.reg)
 			} else {
 				keep = append(keep, a)
 			}
 		}
-		act = keep
-		if len(free) == 0 {
+		b.act = keep
+		if len(b.free) == 0 {
 			return nil, fmt.Errorf("core: bitmask allocation needs more than %d registers", numRegs)
 		}
-		reg := free[len(free)-1]
-		free = free[:len(free)-1]
-		act = append(act, active{end: iv.end, reg: reg})
-		regOf[iv.checkee] = reg
-		if len(act) > stats.WorkingSet {
-			stats.WorkingSet = len(act)
-		}
+		iv.reg = b.free[len(b.free)-1]
+		b.free = b.free[:len(b.free)-1]
+		b.act = append(b.act, bmActive{end: iv.end, reg: iv.reg})
+		stats.WorkingSet = max(stats.WorkingSet, len(b.act))
 	}
 
-	// Annotate.
-	opByID := make(map[int]*ir.Op, len(seq))
-	for _, op := range seq {
-		opByID[op.ID] = op
-	}
-	checks := make([][2]int, 0)
-	for _, iv := range ivs {
-		ce := opByID[iv.checkee]
+	// Annotate, in the same order.
+	res := resultPool.Get().(*Result)
+	res.Seq = append(res.Seq[:0], seq...)
+	res.Checks = res.Checks[:0]
+	for _, i := range b.ivAt {
+		if i < 0 {
+			continue
+		}
+		iv := &b.ivs[i]
+		ce := seq[iv.start]
 		ce.P = true
-		ce.AROffset = regOf[iv.checkee]
+		ce.AROffset = int(iv.reg)
 		stats.PBits++
-		for _, ck := range iv.checkers {
-			op := opByID[ck]
+		for _, p := range b.ck[b.ckOff[i]:b.ckOff[i+1]] {
+			op := seq[p]
 			if !op.C {
 				op.C = true
 				stats.CBits++
 			}
-			op.ARMask |= 1 << uint(regOf[iv.checkee])
+			op.ARMask |= 1 << uint(iv.reg)
 			stats.Checks++
-			checks = append(checks, [2]int{ck, iv.checkee})
+			res.Checks = append(res.Checks, [2]int{op.ID, ce.ID})
 		}
 	}
 	for _, op := range seq {
@@ -125,6 +153,29 @@ func AllocateBitmask(seq []*ir.Op, ds *deps.Set, numRegs int) (*Result, error) {
 			stats.MemOps++
 		}
 	}
-
-	return &Result{Seq: seq, Stats: stats, Checks: checks}, nil
+	res.Stats = stats
+	return res, nil
 }
+
+// bitmaskScratch is AllocateBitmask's working storage, indexed by op ID
+// or schedule position and pooled, so the bit-mask path builds no maps
+// and, once warm, allocates nothing but what its Result lacks.
+type bitmaskScratch struct {
+	pos    []int32 // op ID -> schedule position, -1 when not in seq
+	ivOf   []int32 // checkee op ID -> its interval, -1 when none
+	ivAt   []int32 // schedule position -> the interval starting there, -1 when none
+	ivs    []bmInterval
+	ckOff  []int32 // interval i's checkers' positions are ck[ckOff[i]:ckOff[i+1]]
+	cursor []int32
+	ck     []int32
+	free   []int32
+	act    []bmActive
+}
+
+// bmInterval is one checkee's live range, in schedule positions, and the
+// register it gets.
+type bmInterval struct{ start, end, reg int32 }
+
+type bmActive struct{ end, reg int32 }
+
+var bitmaskPool = sync.Pool{New: func() any { return new(bitmaskScratch) }}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -127,5 +128,57 @@ func TestBitmaskNoChecksNoRegisters(t *testing.T) {
 	}
 	if res.Stats.PBits != 0 || res.Stats.WorkingSet != 0 {
 		t.Errorf("unexpected allocation: %+v", res.Stats)
+	}
+}
+
+// TestBitmaskLiveRangesNeverShareARegister checks the linear scan on
+// random schedules: a checkee's live range runs from its own position to
+// its last checker's, and two ranges that overlap must never hold the
+// same named register, or a check would test the wrong access. Every
+// checker's mask must name its checkee's register.
+func TestBitmaskLiveRangesNeverShareARegister(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 4 + rng.Intn(24)
+		kinds := make([]byte, n)
+		for i := range kinds {
+			kinds[i] = "LS"[rng.Intn(2)]
+		}
+		ops := mkOps(string(kinds))
+		ds := mkDeps()
+		for k := rng.Intn(3 * n); k > 0; k-- {
+			ds.Add(dep(rng.Intn(n), rng.Intn(n)))
+		}
+		order := rng.Perm(n)
+		if _, err := AllocateBitmask(seqOf(ops, order...), ds, 15); err != nil {
+			continue // more simultaneous ranges than registers
+		}
+		pos := make([]int, n)
+		for p, id := range order {
+			pos[id] = p
+		}
+		end := make([]int, n)
+		for i := range end {
+			end[i] = -1
+		}
+		for _, d := range ds.All {
+			if pos[d.Dst] < pos[d.Src] {
+				end[d.Dst] = max(end[d.Dst], pos[d.Src])
+				if !ops[d.Src].C || ops[d.Src].ARMask&(1<<uint(ops[d.Dst].AROffset)) == 0 {
+					t.Fatalf("seed %d: checker %d does not check checkee %d's register", seed, d.Src, d.Dst)
+				}
+			}
+		}
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				if end[a] < 0 || end[b] < 0 {
+					continue
+				}
+				overlap := pos[a] <= end[b] && pos[b] <= end[a]
+				if overlap && ops[a].AROffset == ops[b].AROffset {
+					t.Fatalf("seed %d: overlapping live ranges of ops %d and %d share register %d", seed, a, b, ops[a].AROffset)
+				}
+			}
+		}
 	}
 }

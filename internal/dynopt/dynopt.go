@@ -17,9 +17,9 @@ package dynopt
 
 import (
 	"fmt"
+	"sync"
 
 	"smarq/internal/alias"
-	"smarq/internal/aliashw"
 	"smarq/internal/codecache"
 	"smarq/internal/core"
 	"smarq/internal/faultinject"
@@ -314,7 +314,6 @@ type System struct {
 	st   *guest.State
 	mem  *guest.Memory
 	it   *interp.Interpreter
-	det  aliashw.Detector
 	inj  *faultinject.Injector
 
 	// disp is the dense block-indexed dispatch table: installed code, the
@@ -336,10 +335,17 @@ type System struct {
 	// hc is the system health controller (nil unless Config.Health is
 	// enabled).
 	hc *health.Controller
-	// ectx is the reusable execution context: vreg files, checkpoint and
-	// undo log are pooled here so steady-state region entries allocate
-	// nothing.
-	ectx vliw.ExecContext
+	// x is the executor scratch borrowed per Run from scratchPool (the
+	// process-wide pool for this System's detector): the execution context
+	// (vreg files, checkpoint and undo log) and the alias detector, so
+	// steady-state region entries allocate nothing and the System owns
+	// neither. It is nil between Runs. xChecked is the borrowed detector's
+	// Checked() at borrow time, and hwChecks totals the checks of finished
+	// loans (see syncLiveStats).
+	scratchPool *sync.Pool
+	x           *execScratch
+	xChecked    uint64
+	hwChecks    uint64
 	// tel is the resolved telemetry view (nil when Config.Telemetry is
 	// unset); every emit helper nil-checks it.
 	tel *systemTelemetry
@@ -354,17 +360,6 @@ func New(prog *guest.Program, st *guest.State, mem *guest.Memory, cfg Config) *S
 	if err := cfg.Validate(); err != nil {
 		panic("dynopt: invalid config: " + err.Error())
 	}
-	var det aliashw.Detector
-	switch cfg.Mode {
-	case sched.HWOrdered:
-		det = aliashw.NewOrderedQueue(cfg.NumAliasRegs)
-	case sched.HWALAT:
-		det = aliashw.NewALAT()
-	case sched.HWBitmask:
-		det = aliashw.NewBitmask(cfg.NumAliasRegs)
-	default:
-		det = aliashw.None{}
-	}
 	var inj *faultinject.Injector
 	if cfg.Chaos.Enabled() {
 		inj = faultinject.New(cfg.Chaos)
@@ -375,7 +370,6 @@ func New(prog *guest.Program, st *guest.State, mem *guest.Memory, cfg Config) *S
 		st:   st,
 		mem:  mem,
 		it:   interp.New(prog, st, mem),
-		det:  det,
 		inj:  inj,
 		disp: make([]dispEntry, len(prog.Blocks)),
 		tel:  newSystemTelemetry(&cfg),
@@ -384,6 +378,7 @@ func New(prog *guest.Program, st *guest.State, mem *guest.Memory, cfg Config) *S
 			pool:       cfg.Compile.SharedPool,
 			sharedPool: cfg.Compile.SharedPool != nil,
 		},
+		scratchPool: scratchPoolFor(scratchKeyOf(cfg)),
 	}
 	if cfg.Compile.SharedCache != nil {
 		s.cache = cfg.Compile.SharedCache.cache
@@ -513,6 +508,8 @@ func resetAnnotations(reg *ir.Region) {
 // most publishPeriod loop iterations.
 func (s *System) Run(maxInsts uint64) (bool, error) {
 	defer s.publish()
+	s.borrowExec()
+	defer s.returnExec()
 	id := s.prog.Entry
 	for id != interp.HaltID {
 		if s.tel.due() {
@@ -597,7 +594,7 @@ func (s *System) executeRegion(entry int, tier Tier, c *compiled) (vliw.ExecResu
 			return vliw.ExecResult{Outcome: vliw.GuardFail}, telemetry.CauseInjectedGuard
 		}
 	}
-	return s.ectx.Execute(c.cr, s.st, s.mem, s.det), telemetry.CauseNone
+	return s.x.ctx.Execute(c.cr, s.st, s.mem, s.x.det), telemetry.CauseNone
 }
 
 // runRegion executes an installed region and handles its outcome,
@@ -845,10 +842,14 @@ func (s *System) finalize() {
 }
 
 // syncLiveStats copies into Stats the counts whose live source sits
-// outside it: the alias hardware's checks, the injector's draws and the
-// health controller's accounting.
+// outside it: the alias hardware's checks (the finished loans' total plus
+// the current loan's so far), the injector's draws and the health
+// controller's accounting.
 func (s *System) syncLiveStats() {
-	s.Stats.HWChecks = s.det.Checked()
+	s.Stats.HWChecks = s.hwChecks
+	if s.x != nil {
+		s.Stats.HWChecks += s.x.det.Checked() - s.xChecked
+	}
 	if s.inj != nil {
 		s.Stats.Injected = s.inj.Counts()
 	}

@@ -298,6 +298,8 @@ func TestPinnedEntryRepromotes(t *testing.T) {
 // only the cap can make it sticky.
 func TestChronicOffenderCap(t *testing.T) {
 	sys, e := installedSystem(t, 0)
+	sys.borrowExec() // runRegion below dispatches outside Run
+	defer sys.returnExec()
 	tr := telemetry.NewTracer(0, nil)
 	sys.tel = newSystemTelemetry(&Config{Telemetry: &telemetry.Telemetry{Events: tr}})
 	sys.inj = faultinject.New(faultinject.Config{Seed: 1, SpuriousAliasRate: 1})

@@ -496,6 +496,8 @@ func TestPromotionReinstallsEarlierTier(t *testing.T) {
 // resumes what it learned.
 func TestInstallRecordsClearedOnReform(t *testing.T) {
 	sys, e := installedSystem(t, 0)
+	sys.borrowExec() // runRegion below dispatches outside Run
+	defer sys.returnExec()
 	rr := sys.disp[e].rec
 	if sys.installRecordOf(e).out == nil {
 		t.Fatal("the installed region has no install record")

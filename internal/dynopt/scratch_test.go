@@ -1,0 +1,296 @@
+package dynopt
+
+import (
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+
+	"smarq/internal/aliashw"
+	"smarq/internal/guest"
+	"smarq/internal/interp"
+	"smarq/internal/sched"
+)
+
+// figureConfigs are the six configurations the figure harness runs every
+// benchmark under.
+func figureConfigs() map[string]Config {
+	return map[string]Config{
+		"smarq64":        ConfigSMARQ(64),
+		"smarq16":        ConfigSMARQ(16),
+		"alat":           ConfigALAT(),
+		"efficeon":       ConfigEfficeon(),
+		"nohw":           ConfigNoHW(),
+		"nostorereorder": ConfigNoStoreReorder(),
+	}
+}
+
+// runResult is everything a run leaves observable: its Stats, the final
+// architectural state and the memory digest.
+type runResult struct {
+	stats  Stats
+	state  guest.State
+	digest uint64
+}
+
+// entryAliasLoopProgram is entryLoopProgram's shape — the loop body is
+// the entry block and every register it reads is set in it or starts at
+// zero — with a load the scheduler hoists above a may-alias store, so the
+// alias hardware checks on every iteration. The load's base comes from
+// memory that nothing writes, which keeps the pair unprovable.
+func entryAliasLoopProgram(n int64) *guest.Program {
+	b := guest.NewBuilder()
+	loop := b.NewBlock()
+	b.Li(10, 16)
+	b.Ld8(2, 10, 0) // 0: mem[16] is never written
+	b.Addi(2, 2, 4096)
+	b.Li(1, 1024)
+	b.Muli(6, 3, 8)
+	b.Add(7, 1, 6) // p
+	b.Add(9, 2, 6) // q
+	b.Ld8(11, 7, 0)
+	b.Mul(12, 11, 11)
+	b.Add(5, 5, 12)
+	b.Addi(5, 5, 3)
+	b.St8(7, 0, 5) // [p]: its data is late
+	b.Ld8(8, 9, 0) // [q]: its address is early
+	b.Add(5, 5, 8)
+	b.Addi(3, 3, 1)
+	b.Li(4, n)
+	b.Blt(3, 4, loop)
+	b.NewBlock()
+	b.Halt()
+	return b.MustProgram()
+}
+
+// TestSplitRunMatchesOneRun: a run cut into k budget slices, each a
+// separate Run that borrows and returns its own executor scratch, is the
+// same run as one uninterrupted Run — Stats (HWChecks included), final
+// state and memory digest. Both programs' budget stops land on the
+// program entry, where the next Run restarts.
+func TestSplitRunMatchesOneRun(t *testing.T) {
+	progs := map[string]*guest.Program{
+		"entry-loop":       entryLoopProgram(4000),
+		"entry-alias-loop": entryAliasLoopProgram(4000),
+	}
+	for name, base := range figureConfigs() {
+		for pname, prog := range progs {
+			for _, workers := range []int{0, 2} {
+				t.Run(fmt.Sprintf("%s/%s/workers%d", name, pname, workers), func(t *testing.T) {
+					cfg := base
+					cfg.Compile.Workers = workers
+					run := func(budgets ...uint64) runResult {
+						sys := New(prog, &guest.State{}, guest.NewMemory(1<<16), cfg)
+						for _, b := range budgets {
+							if _, err := sys.Run(b); err != nil {
+								t.Fatal(err)
+							}
+						}
+						if sys.x != nil {
+							t.Fatal("Run returned with the executor scratch still borrowed")
+						}
+						return runResult{sys.Stats, *sys.State(), sys.Mem().Digest()}
+					}
+					whole := run(50_000_000)
+					if whole.stats.Commits == 0 {
+						t.Fatalf("no region committed: %+v", whole.stats)
+					}
+					if pname == "entry-alias-loop" && cfg.Mode != sched.HWNone && whole.stats.HWChecks == 0 {
+						t.Fatalf("the alias hardware never checked: %+v", whole.stats)
+					}
+					total := uint64(whole.stats.GuestInsts)
+					for _, k := range []uint64{1, 3, 17} {
+						var budgets []uint64
+						for i := uint64(1); i < k; i++ {
+							budgets = append(budgets, total*i/k)
+						}
+						got := run(append(budgets, 50_000_000)...)
+						if !reflect.DeepEqual(got, whole) {
+							t.Errorf("%d slices differ from one Run:\n got %+v\nwant %+v", k, got, whole)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestConcurrentBorrow runs Systems of mixed detector configurations
+// concurrently, so they borrow from and return to the shared pools at
+// the same time (run it under -race); each must end bit-exact against the
+// guest.Exec reference and with the HWChecks of a solo run.
+func TestConcurrentBorrow(t *testing.T) {
+	cfgs := []Config{ConfigSMARQ(64), ConfigSMARQ(16), ConfigALAT(), ConfigEfficeon()}
+	progs := []*guest.Program{aliasingProgram(3000, 7), sumLoopProgram(2000), aliasingProgram(2000, 5), sumLoopProgram(3000)}
+	const memSize = 1 << 16
+	budgets := []uint64{5_000, 20_000, 50_000_000}
+	workers := func(i int) int { return i % 2 * 2 }
+	solo := make([]uint64, len(cfgs))
+	for i, cfg := range cfgs {
+		cfg.Compile.Workers = workers(i)
+		sys := New(progs[i], &guest.State{}, guest.NewMemory(memSize), cfg)
+		for _, b := range budgets {
+			if _, err := sys.Run(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		solo[i] = sys.Stats.HWChecks
+	}
+	for round := 0; round < 3; round++ {
+		systems := make([]*System, len(cfgs))
+		errs := make([]error, len(cfgs))
+		var wg sync.WaitGroup
+		for i, cfg := range cfgs {
+			cfg.Compile.Workers = workers(i)
+			systems[i] = New(progs[i], &guest.State{}, guest.NewMemory(memSize), cfg)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// Several Runs each, so loans interleave across Systems.
+				for _, b := range budgets {
+					if _, errs[i] = systems[i].Run(b); errs[i] != nil {
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for i, sys := range systems {
+			if errs[i] != nil {
+				t.Fatalf("system %d: %v", i, errs[i])
+			}
+			ref := interp.New(progs[i], &guest.State{}, guest.NewMemory(memSize))
+			ref.Ref = true
+			if halted, err := ref.Run(0, 50_000_000); err != nil || !halted {
+				t.Fatalf("reference %d: halted=%v err=%v", i, halted, err)
+			}
+			if *sys.State() != *ref.St || sys.Mem().Digest() != ref.Mem.Digest() {
+				t.Errorf("round %d system %d (%v/%d): final state differs from the reference",
+					round, i, cfgs[i].Mode, cfgs[i].NumAliasRegs)
+			}
+			if sys.Stats.Commits == 0 {
+				t.Errorf("system %d never committed a region", i)
+			}
+			if sys.Stats.HWChecks != solo[i] {
+				t.Errorf("round %d system %d: HWChecks %d, solo run %d", round, i, sys.Stats.HWChecks, solo[i])
+			}
+		}
+	}
+}
+
+// TestScratchKey: a scratch is shared only between Systems whose
+// detectors are the same hardware, and the key fixes that hardware.
+func TestScratchKey(t *testing.T) {
+	alat, alat7 := ConfigALAT(), ConfigALAT()
+	alat7.NumAliasRegs = 7
+	bm15, bm40 := ConfigEfficeon(), ConfigEfficeon()
+	bm40.NumAliasRegs = 40
+	same := [][2]Config{{alat, alat7}, {bm15, bm40}, {ConfigSMARQ(64), ConfigNoStoreReorder()}}
+	for _, p := range same {
+		if a, b := scratchKeyOf(p[0]), scratchKeyOf(p[1]); a != b {
+			t.Errorf("keys %+v and %+v differ for the same detector", a, b)
+		}
+	}
+	differ := [][2]Config{{ConfigSMARQ(64), ConfigSMARQ(16)}, {ConfigSMARQ(15), bm15}, {alat, ConfigNoHW()}}
+	for _, p := range differ {
+		if a, b := scratchKeyOf(p[0]), scratchKeyOf(p[1]); a == b {
+			t.Errorf("configs %v/%d and %v/%d share key %+v", p[0].Mode, p[0].NumAliasRegs, p[1].Mode, p[1].NumAliasRegs, a)
+		}
+	}
+	for want, cfg := range map[string]Config{
+		"ordered-64": ConfigSMARQ(64), "ordered-16": ConfigSMARQ(16),
+		"alat": alat, "bitmask": bm40, "none": ConfigNoHW(),
+	} {
+		if got := scratchKeyOf(cfg).newDetector().Name(); got != want {
+			t.Errorf("%v/%d: pooled detector %s, want %s", cfg.Mode, cfg.NumAliasRegs, got, want)
+		}
+	}
+	if got := scratchKeyOf(bm40).newDetector().(*aliashw.Bitmask).NumRegs(); got != aliashw.MaxBitmaskRegs {
+		t.Errorf("bit mask has %d registers, want %d", got, aliashw.MaxBitmaskRegs)
+	}
+}
+
+// panicDetector traps on the first memory operation, leaving the atomic
+// region it runs in open.
+type panicDetector struct{ aliashw.None }
+
+func (panicDetector) OnMem(int, bool, bool, bool, int, uint16, uint64, uint64) *aliashw.Conflict {
+	panic("detector fault")
+}
+
+// TestScratchReturnedOnlyIdle: an idle scratch goes back to the pool and
+// is lent again; one left mid-entry by a panic is dropped.
+func TestScratchReturnedOnlyIdle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	sys, entry, c := warmCommitSystem(t, nil)
+	sys.returnExec()
+	k := scratchKeyOf(sys.cfg)
+	sys.scratchPool = &sync.Pool{New: func() any { return &execScratch{det: k.newDetector()} }}
+
+	sys.borrowExec()
+	idle := sys.x
+	sys.runRegion(entry, c)
+	sys.returnExec()
+	sys.borrowExec()
+	if sys.x != idle {
+		t.Fatal("an idle scratch was not lent again")
+	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the detector did not trap")
+			}
+		}()
+		defer sys.returnExec()
+		sys.x.ctx.Execute(c.cr, sys.st, sys.mem, panicDetector{})
+	}()
+	if sys.x != nil {
+		t.Fatal("the loan outlived the panic")
+	}
+	sys.borrowExec()
+	defer sys.returnExec()
+	if sys.x == idle {
+		t.Fatal("a scratch left mid-entry was lent again")
+	}
+}
+
+// TestWarmPoolRunAllocs pins what borrowing saves: with the pool warm, a
+// new System's New+Run allocates neither vreg files nor a detector. The
+// same run over an empty pool of its own must allocate at least five more
+// times: the scratch, the ordered queue and its register file, and the
+// integer and float vreg files (plus the undo log's growth).
+func TestWarmPoolRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	prog := commitLoopProgram(400)
+	cfg := ConfigSMARQ(64)
+	k := scratchKeyOf(cfg)
+	run := func(cold bool) {
+		sys := New(prog, &guest.State{}, guest.NewMemory(1<<14), cfg)
+		if cold {
+			sys.scratchPool = &sync.Pool{New: func() any { return &execScratch{det: k.newDetector()} }}
+		}
+		if halted, err := sys.Run(50_000_000); err != nil || !halted || sys.Stats.Commits == 0 {
+			t.Fatalf("halted=%v err=%v commits=%d", halted, err, sys.Stats.Commits)
+		}
+	}
+	run(false) // warm the pool
+	warm := testing.AllocsPerRun(20, func() { run(false) })
+	cold := testing.AllocsPerRun(20, func() { run(true) })
+	if cold-warm < 5 {
+		t.Errorf("New+Run allocates %v times with a warm pool, %v with an empty one: want at least 5 fewer", warm, cold)
+	}
+
+	// A warm borrow itself allocates nothing.
+	sys := New(prog, &guest.State{}, guest.NewMemory(1<<14), cfg)
+	if allocs := testing.AllocsPerRun(100, func() {
+		sys.borrowExec()
+		sys.returnExec()
+	}); allocs != 0 {
+		t.Errorf("a warm borrow allocates %v times, want 0", allocs)
+	}
+}

@@ -349,7 +349,8 @@ func commitLoopProgram(n int64) *guest.Program {
 // warmCommitSystem builds a system over commitLoopProgram, runs it far
 // enough to compile and warm the loop region, and returns the system with
 // its single cached region — parked at the loop entry, with enough
-// iterations left that every subsequent dispatch commits.
+// iterations left that every subsequent dispatch commits — and with an
+// executor scratch borrowed until the test ends.
 func warmCommitSystem(t *testing.T, tel *telemetry.Telemetry) (*System, int, *compiled) {
 	t.Helper()
 	cfg := ConfigSMARQ(64)
@@ -361,6 +362,9 @@ func warmCommitSystem(t *testing.T, tel *telemetry.Telemetry) (*System, int, *co
 	if sys.installed != 1 {
 		t.Fatalf("cache holds %d regions, want 1", sys.installed)
 	}
+	// Dispatching outside Run borrows the executor scratch the way Run does.
+	sys.borrowExec()
+	t.Cleanup(sys.returnExec)
 	for entry := range sys.disp {
 		c := sys.disp[entry].code
 		if c == nil {

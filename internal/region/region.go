@@ -42,12 +42,12 @@ func DefaultConfig() Config {
 	return Config{MaxInsts: 512, ColdRatio: 0.05, MaxBlocks: 64}
 }
 
-// Inst is one guest instruction placed in a superblock, with enough
-// provenance to resume interpretation on a side exit.
+// Inst is one guest instruction placed in a superblock, with the guard
+// fields needed to resume interpretation on a side exit. It is 48 bytes
+// (TestInstSize): Form allocates one per superblock instruction, so a field
+// that pads it or that nothing reads is not free.
 type Inst struct {
-	Inst   guest.Inst
-	GBlock int // guest block the instruction came from
-	GIndex int // index within that block
+	Inst guest.Inst
 
 	// Guard fields, meaningful only when Inst.Op.IsBranch() and this is
 	// not the final trace-ending branch:
@@ -166,13 +166,13 @@ func Form(prog *guest.Program, prof *interp.Profile, seed int, cfg Config) (*Sup
 		if hasTerm {
 			body = body[:len(body)-1]
 		}
-		for j, in := range body {
-			sb.Insts = append(sb.Insts, Inst{Inst: in, GBlock: cur, GIndex: j})
+		for _, in := range body {
+			sb.Insts = append(sb.Insts, Inst{Inst: in})
 		}
 		if !hasTerm {
 			continue
 		}
-		ri := Inst{Inst: term, GBlock: cur, GIndex: len(blk.Insts) - 1}
+		ri := Inst{Inst: term}
 		if term.Op.IsBranch() {
 			// The on-trace successor: the next block, or past the last
 			// block the trace's final target.

@@ -125,28 +125,61 @@ type allocSink interface {
 
 // bitmaskSink records the schedule and tracks how many protected live
 // ranges are simultaneously open, which is exactly the register demand of
-// the bit-mask file.
+// the bit-mask file. Its per-op state is indexed by op ID (a region op's
+// ID is its index in the region) and the sink itself is pooled, so the
+// bit-mask path builds no maps.
 type bitmaskSink struct {
-	ds        *deps.Set
-	bySrc     map[int][]int
-	scheduled map[int]bool
-	pending   map[int]int // checkee -> unscheduled checkers
+	ds *deps.Set
+	// dstOff/dsts list, by source op, the destinations of its
+	// dependences: op i's are dsts[dstOff[i]:dstOff[i+1]].
+	dstOff    []int32
+	dsts      []int32
+	scheduled []bool
+	pending   []int32 // checkee -> unscheduled checkers
 	live      int
 	seq       []*ir.Op
 	out       [1]*ir.Op // Schedule's reused return storage
 }
 
-func newBitmaskSink(ds *deps.Set) *bitmaskSink {
-	s := &bitmaskSink{
-		ds:        ds,
-		bySrc:     make(map[int][]int),
-		scheduled: make(map[int]bool),
-		pending:   make(map[int]int),
-	}
+var bitmaskSinkPool = sync.Pool{New: func() any { return new(bitmaskSink) }}
+
+// newBitmaskSink takes a pooled sink for a region of n ops; release
+// returns it once core.AllocateBitmask has copied its sequence.
+func newBitmaskSink(ds *deps.Set, n int) *bitmaskSink {
+	s := bitmaskSinkPool.Get().(*bitmaskSink)
+	s.ds = ds
 	for _, d := range ds.All {
-		s.bySrc[d.Src] = append(s.bySrc[d.Src], d.Dst)
+		n = max(n, d.Src+1, d.Dst+1)
 	}
+	s.dstOff = resize(s.dstOff, n+1)
+	for _, d := range ds.All {
+		s.dstOff[d.Src+1]++
+	}
+	for i := 1; i <= n; i++ {
+		s.dstOff[i] += s.dstOff[i-1]
+	}
+	s.dsts = resize(s.dsts, len(ds.All))
+	// pending doubles as the fill cursor, then is cleared for Schedule.
+	s.pending = resize(s.pending, n)
+	copy(s.pending, s.dstOff[:n])
+	for _, d := range ds.All {
+		s.dsts[s.pending[d.Src]] = int32(d.Dst)
+		s.pending[d.Src]++
+	}
+	clear(s.pending)
+	s.scheduled = resize(s.scheduled, n)
+	s.live = 0
+	s.seq = s.seq[:0]
 	return s
+}
+
+// release returns the sink to its pool.
+func (s *bitmaskSink) release() {
+	clear(s.seq)
+	s.seq = s.seq[:0]
+	s.ds = nil
+	s.out[0] = nil
+	bitmaskSinkPool.Put(s)
 }
 
 // Schedule implements allocSink.
@@ -165,7 +198,7 @@ func (s *bitmaskSink) Schedule(op *ir.Op) []*ir.Op {
 			}
 		}
 		// op may close live ranges it was the pending checker of.
-		for _, dst := range s.bySrc[op.ID] {
+		for _, dst := range s.dsts[s.dstOff[op.ID]:s.dstOff[op.ID+1]] {
 			if s.scheduled[dst] && s.pending[dst] > 0 {
 				s.pending[dst]--
 				if s.pending[dst] == 0 {
@@ -432,7 +465,8 @@ func Run(reg *ir.Region, tbl *alias.Table, ds *deps.Set, cfg Config) (*Schedule,
 		if numRegs > aliashw.MaxBitmaskRegs {
 			numRegs = aliashw.MaxBitmaskRegs
 		}
-		bitmask = newBitmaskSink(ds)
+		bitmask = newBitmaskSink(ds, n)
+		defer bitmask.release()
 		alloc = bitmask
 	} else {
 		ordered = core.NewAllocatorOpts(n, ds, numRegs, cfg.Alloc)

@@ -140,3 +140,40 @@ func compareRegions(t *testing.T, got, want *ir.Region, mode HWMode, numRegs int
 		}
 	}
 }
+
+// TestBitmaskSinkPressureIsOpenRanges checks the bit-mask sink's live
+// count, the register demand the scheduler throttles on, against a
+// recount after every op: the scheduled memory ops that some still
+// unscheduled op must check. Ops arrive in random orders and one pooled
+// sink serves region after region, so stale state from a previous region
+// would show.
+func TestBitmaskSinkPressureIsOpenRanges(t *testing.T) {
+	for seed := int64(0); seed < 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		reg := buildRegion(randSpecs(rng, 20+rng.Intn(60)))
+		ds := deps.Compute(reg, alias.BuildTable(reg, nil))
+		n := len(reg.Ops)
+		s := newBitmaskSink(ds, n)
+		done := make([]bool, n)
+		for _, i := range rng.Perm(n) {
+			s.Schedule(reg.Ops[i])
+			done[i] = true
+			open := 0
+			for _, op := range reg.Ops {
+				if !done[op.ID] || !op.IsMem() {
+					continue
+				}
+				for _, d := range ds.ByDst(op.ID) {
+					if !done[d.Src] {
+						open++
+						break
+					}
+				}
+			}
+			if got := s.Pressure(0); got != open {
+				t.Fatalf("seed %d, after op %d: pressure %d, want %d open live ranges", seed, i, got, open)
+			}
+		}
+		s.release()
+	}
+}

@@ -103,7 +103,8 @@ func RunRef(reg *ir.Region, tbl *alias.Table, ds *deps.Set, cfg Config) (*Schedu
 		if numRegs > aliashw.MaxBitmaskRegs {
 			numRegs = aliashw.MaxBitmaskRegs
 		}
-		bitmask = newBitmaskSink(ds)
+		bitmask = newBitmaskSink(ds, n)
+		defer bitmask.release()
 		alloc = bitmask
 	} else {
 		ordered = core.NewAllocatorOpts(n, ds, numRegs, cfg.Alloc)

@@ -3,9 +3,12 @@
 // Compile decodes the scheduled []*ir.Op sequence into a flat array of
 // decOp value structs, the only form of the code a CompiledRegion keeps,
 // so the steady-state execute loop walks contiguous memory with no per-op
-// pointer chasing. ExecContext owns the reusable per-system state — the
-// virtual register files and one pooled atomic.Region — so a committed
-// region entry performs zero heap allocations. The detector is devirtualized once per entry: a type
+// pointer chasing. ExecContext holds the reusable execution state — the
+// virtual register files and one pooled atomic.Region — and is borrowed
+// per Run: the dynopt runtime takes one from a process-wide pool for each
+// System.Run call and returns it idle, so a committed region entry
+// performs zero heap allocations and a fresh System allocates none of
+// this state. The detector is devirtualized once per entry: a type
 // switch picks a concrete fast path (OrderedQueue/ALAT/Bitmask/None) and
 // conflicts come back by value, so the no-conflict path never allocates
 // either. The original *ir.Op-walking executor survives in the tests
@@ -211,16 +214,38 @@ func (dd *detDispatch) amov(src, dst int) {
 	dd.det.AMov(src, dst)
 }
 
-// ExecContext is the reusable per-system execution state: the virtual
-// register files and the pooled atomic region. A zero ExecContext is
-// ready to use; it must not be shared between concurrently executing
-// systems. Pooling preserves the atomic.Region single-use contract —
-// each entry re-arms the same region, and between Begin and
-// Commit/Rollback it behaves exactly like a fresh one.
+// ExecContext is the reusable execution state, borrowed per Run: the
+// virtual register files and the pooled atomic region. A zero ExecContext
+// is ready to use; it must not be shared between concurrently executing
+// systems. No region entry depends on what an earlier entry left behind
+// (Execute initializes every vreg it reads and re-arms the atomic
+// region), so an idle context may move between systems. Pooling
+// preserves the atomic.Region single-use contract — each entry re-arms
+// the same region, and between Begin and Commit/Rollback it behaves
+// exactly like a fresh one.
 type ExecContext struct {
 	vri []int64
 	vrf []float64
 	ar  atomic.Region
+	// busy is set for the whole of an Execute call and cleared once its
+	// atomic region is finished and its detector reset (see Idle).
+	busy bool
+}
+
+// Idle reports whether no region entry is in flight: every Execute has
+// returned, so its atomic region is finished and the detector it ran
+// against was reset. A context whose Execute panicked stays busy, and its
+// detector in an unknown state; neither may be reused.
+func (ctx *ExecContext) Idle() bool { return !ctx.busy && ctx.ar.Finished() }
+
+// Detach drops an idle context's references to the guest state and memory
+// of its last entry, keeping its storage, so a pooled context does not
+// keep a finished guest alive. It panics on a busy context.
+func (ctx *ExecContext) Detach() {
+	if ctx.busy {
+		panic("vliw: Detach on a busy ExecContext")
+	}
+	ctx.ar.Detach()
 }
 
 // Execute runs a compiled region against the guest state, memory, and
@@ -251,12 +276,14 @@ func (ctx *ExecContext) Execute(cr *CompiledRegion, st *guest.State, mem *guest.
 	dd := dispatchFor(det)
 	dec := cr.dec
 
+	ctx.busy = true
 	ctx.ar.Begin(st, mem)
 	arHW := int32(0) // alias-register occupancy high-water (telemetry)
 	abort := func(out Outcome, conf *aliashw.Conflict, n int) ExecResult {
 		buffered := ctx.ar.StoreCount()
 		ctx.ar.Rollback()
 		det.Reset()
+		ctx.busy = false
 		return ExecResult{Outcome: out, Conflict: conf, OpsExecuted: n,
 			ARHighWater: int(arHW), StoresBuffered: buffered}
 	}
@@ -336,14 +363,16 @@ func (ctx *ExecContext) Execute(cr *CompiledRegion, st *guest.State, mem *guest.
 	buffered := ctx.ar.StoreCount()
 	ctx.ar.Commit()
 	det.Reset()
+	ctx.busy = false
 	return ExecResult{Outcome: Commit, NextBlock: cr.FinalTarget, OpsExecuted: len(dec),
 		ARHighWater: int(arHW), StoresBuffered: buffered}
 }
 
 // Execute is the context-free convenience entry point: it runs the region
 // through a fresh ExecContext. Long-running callers (the dynopt runtime)
-// hold one ExecContext per system and call its Execute method instead, so
-// the vreg files, checkpoint and undo log are recycled across entries.
+// borrow a pooled ExecContext per Run and call its Execute method instead,
+// so the vreg files, checkpoint and undo log are recycled across entries
+// and across systems.
 func Execute(cr *CompiledRegion, st *guest.State, mem *guest.Memory, det aliashw.Detector) ExecResult {
 	var ctx ExecContext
 	return ctx.Execute(cr, st, mem, det)
