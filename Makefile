@@ -165,9 +165,10 @@ endif
 # their first build and decode too. Every tenant's Run also borrows its
 # vreg files, undo log and alias detector from one process-wide pool, so
 # this races those loans. CI adds, under -race, the shared-program tests of
-# internal/harness, internal/interp and internal/workload, and the
+# internal/harness, internal/interp and internal/workload, the
 # executor-pool tests of internal/dynopt (ConcurrentBorrow,
-# SplitRunMatchesOneRun).
+# SplitRunMatchesOneRun), and its inline-fleet test (InlineFleet: tenants
+# whose compiles install at their request, over one shared cache).
 fleet-smoke:
 	GOMAXPROCS=2 $(GO) run -race ./cmd/smarq-bench -tenants 8 \
 		-tenant-mix swim,equake -compile-workers 2 -fleet-verify >/dev/null

@@ -73,17 +73,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	corruptRate := fs.Float64("chaos-corrupt-rate", 0, "override the post-rollback corruption rate (with -chaos-seed)")
 	chaosHost := fs.Bool("chaos-host", false, "extend the chaos mix with the default host fault rates (with -chaos-seed)")
 	panicRate := fs.Float64("chaos-host-panic-rate", 0, "override the compile-worker panic rate (with -chaos-seed)")
-	hangRate := fs.Float64("chaos-host-hang-rate", 0, "override the compile-hang (watchdog overrun) rate (with -chaos-seed)")
+	hangRate := fs.Float64("chaos-host-hang-rate", 0, "override the compile-hang (watchdog overrun) rate (with -chaos-seed and -compile-workers)")
 	poisonRate := fs.Float64("chaos-host-poison-rate", 0, "override the poisoned-compile-result rate (with -chaos-seed)")
 	healthOn := fs.Bool("health", false, "arm the graceful-degradation health controller (default tuning)")
 	healthWindow := fs.Int("health-window", 0, "override the health controller's observation window (with -health)")
 	healthDemote := fs.Int("health-demote", 0, "override the health controller's demotion score threshold (with -health)")
 	healthPromote := fs.Int("health-promote", 0, "override the clean-run length one promotion requires (with -health)")
 	checkInv := fs.Bool("check-invariants", false, "verify every rollback restores the exact checkpoint (slow)")
-	compileWorkers := fs.Int("compile-workers", 0, "background compile workers (0 = synchronous instant install; any N >= 1 is simulation-identical)")
-	watchdog := fs.Int("compile-watchdog", 0, "watchdog deadline as a multiple of the modelled compile cost (0 = default)")
-	compileCPI := fs.Int("compile-cycles-per-inst", 0, "override the compile-latency model's cycles per guest instruction (default: the machine's)")
-	compileCPC := fs.Int("compile-cycles-per-check", 0, "override the compile-latency model's cycles per guest memory op (default: the machine's)")
+	compileWorkers := fs.Int("compile-workers", 0, "background compile workers (0 = each compile installs at its request; any N >= 1 is simulation-identical)")
+	compileCPI := fs.Int("compile-cycles-per-inst", 0, "override the compile-latency model's cycles per guest instruction (with -compile-workers; default: the machine's)")
+	compileCPC := fs.Int("compile-cycles-per-check", 0, "override the compile-latency model's cycles per guest memory op (with -compile-workers; default: the machine's)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file after the run")
 	if err := fs.Parse(args); err != nil {
@@ -140,15 +139,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// Apply exactly the tuning flags given on the command line, so
 	// Validate sees every value set; a tuning flag whose feature is off
-	// is a usage error, not a silent no-op.
+	// is a usage error, not a silent no-op. The latency model and the
+	// compile hang exist only when compiles have a latency; the hang rate
+	// is applied with the other chaos rates.
 	tuning := []struct {
 		on      bool
 		feature string
 		apply   map[string]func()
 	}{
-		{true, "", map[string]func(){
+		{*compileWorkers >= 1, "-compile-workers", map[string]func(){
 			"compile-cycles-per-inst":  func() { cfg.Machine.CompileCyclesPerInst = *compileCPI },
 			"compile-cycles-per-check": func() { cfg.Machine.CompileCyclesPerCheck = *compileCPC },
+			"chaos-host-hang-rate":     func() {},
 		}},
 		{chaos, "-chaos-seed", map[string]func(){
 			"chaos-host":             func() {},
@@ -184,7 +186,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg.CheckInvariants = *checkInv
 	cfg.Compile.Workers = *compileWorkers
-	cfg.Compile.WatchdogFactor = *watchdog
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(stderr, "smarq-run:", err)
 		return 2

@@ -178,8 +178,12 @@ func TestUsageErrors(t *testing.T) {
 		"negative alias rate":            {[]string{"-bench", "swim", "-chaos-seed", "1", "-chaos-alias-rate", "-0.5"}, "SpuriousAliasRate = -0.5"},
 		"health tuning without -health":  {[]string{"-bench", "swim", "-health-window", "4"}, "-health-window needs -health"},
 		"chaos rate without -chaos-seed": {[]string{"-bench", "swim", "-chaos-alias-rate", "0.5"}, "-chaos-alias-rate needs -chaos-seed"},
-		"negative compile cycles/inst":   {[]string{"-bench", "swim", "-compile-cycles-per-inst", "-5"}, "CompileCyclesPerInst -5"},
-		"negative compile cycles/check":  {[]string{"-bench", "swim", "-compile-cycles-per-check", "-5"}, "CompileCyclesPerCheck -5"},
+		"negative compile cycles/inst":   {[]string{"-bench", "swim", "-compile-workers", "1", "-compile-cycles-per-inst", "-5"}, "CompileCyclesPerInst -5"},
+		"negative compile cycles/check":  {[]string{"-bench", "swim", "-compile-workers", "1", "-compile-cycles-per-check", "-5"}, "CompileCyclesPerCheck -5"},
+		"compile cycles/inst inline":     {[]string{"-bench", "swim", "-compile-cycles-per-inst", "999"}, "-compile-cycles-per-inst needs -compile-workers"},
+		"compile cycles/check inline":    {[]string{"-bench", "swim", "-compile-cycles-per-check", "999"}, "-compile-cycles-per-check needs -compile-workers"},
+		"hang rate inline":               {[]string{"-bench", "swim", "-chaos-seed", "3", "-chaos-host-hang-rate", "1"}, "-chaos-host-hang-rate needs -compile-workers"},
+		"removed watchdog flag":          {[]string{"-bench", "swim", "-compile-watchdog", "7"}, "-compile-watchdog"},
 	}
 	for name, c := range cases {
 		var out, errb bytes.Buffer

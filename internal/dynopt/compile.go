@@ -1,12 +1,12 @@
 // The compile path: the pipeline (xlate → opt → constraint/deps → sched →
 // alias allocation → vliw.Compile) is a pure function over snapshotted
-// inputs, and every compile request runs through one queue — enqueue
-// (enqueueCompile), then install (installPending). With Compile.Workers
-// >= 1 the job runs on a bounded host worker pool behind a deterministic
-// simulated compile-latency model. With Workers == 0 the request is the
-// queue's inline, zero-latency case: the job runs on the simulation
-// thread and installs before the request returns, charging Opt/SchedCycles
-// on the critical path (the paper's model).
+// inputs, every compile request runs one sequence (enqueueCompile), and
+// every result installs through one install point (installPending).
+// Compile.Workers decides only when a compile installs. With Workers == 0
+// it installs at its request: the job runs on the simulation thread and
+// its Opt/SchedCycles are charged on the critical path (the paper's
+// model). With Workers >= 1 it has a latency: the job runs on a bounded
+// host worker pool, and the compile installs at its readyAt.
 //
 // Determinism rule: a queued region's install point is a pure function of
 // the simulated clock — readyAt = enqueue-cycle + CompileCyclesPerInst ×
@@ -43,22 +43,16 @@ import (
 	"smarq/internal/xlate"
 )
 
-// CompileConfig configures the compile queue.
+// CompileConfig configures the compile path.
 type CompileConfig struct {
-	// Workers selects the compile latency model. 0 (the default) compiles
-	// inline: the job runs on the simulation thread, installs before the
-	// request returns, and charges Opt/SchedCycles on the critical path.
-	// Workers >= 1 enables background compilation: jobs run on that many
-	// host workers while the interpreter keeps executing, and install only
-	// once the simulated clock passes the region's readyAt point. Every
-	// N >= 1 yields byte-identical simulated results.
+	// Workers selects when a compile installs. 0 (the default) installs
+	// it at its request: the job runs on the simulation thread, and its
+	// Opt/SchedCycles are charged on the critical path. Workers >= 1 gives
+	// each compile a latency: jobs run on that many host workers while the
+	// interpreter keeps executing, and a compile installs only once the
+	// simulated clock passes its readyAt point. Every N >= 1 yields
+	// byte-identical simulated results.
 	Workers int
-	// WatchdogFactor fixes each background compile's watchdog deadline at
-	// enqueue-cycle + modelled-cost × factor, in simulated cycles. A
-	// compile still pending at its deadline is killed at that point — its
-	// result is never read — and the region retries later under the
-	// transient-failure backoff. 0 selects DefaultWatchdogFactor.
-	WatchdogFactor int
 	// SharedPool, when non-nil, runs this System's background compiles on
 	// a host-wide worker pool shared across concurrently running Systems
 	// (fleet execution) instead of a private per-System pool. Workers must
@@ -72,27 +66,22 @@ type CompileConfig struct {
 	// tenant is awaited (cross-tenant single-flight), not recompiled, by
 	// others. Hits replay the modelled compile costs exactly like a fresh
 	// compile, so each tenant's simulated results are byte-identical to a
-	// solo run modulo the hit/miss/dedupe counters.
-	// Requires Workers >= 1 (background compilation).
+	// solo run modulo the hit/miss/dedupe counters, at any Workers.
 	SharedCache *CodeCache
 }
 
-// DefaultWatchdogFactor is the deadline multiple when WatchdogFactor is 0.
-const DefaultWatchdogFactor = 4
+// watchdogFactor fixes a queued compile's watchdog deadline at
+// enqueue-cycle + modelled-cost × watchdogFactor. Only an injected hang
+// reaches it (a compile that does not hang installs at readyAt): it is
+// killed there unread, and the region retries under the transient-failure
+// backoff.
+const watchdogFactor = 4
 
-// watchdogFactor resolves the configured deadline multiple.
-func (cc CompileConfig) watchdogFactor() int64 {
-	if cc.WatchdogFactor > 0 {
-		return int64(cc.WatchdogFactor)
-	}
-	return DefaultWatchdogFactor
-}
-
-// CompileStats is the compile queue's accounting.
+// CompileStats is the compile path's accounting.
 type CompileStats struct {
 	// Enqueued/Installed/Canceled/Failed count compilations through their
-	// lifecycle, inline or queued: Enqueued == Installed + Failed +
-	// Canceled at the end of every run. Inline compiles never cancel.
+	// lifecycle: Enqueued == Installed + Failed + Canceled at the end of
+	// every run. A compile that installs at its request never cancels.
 	Enqueued  int64
 	Installed int64
 	Canceled  int64
@@ -108,9 +97,9 @@ type CompileStats struct {
 	// WorkCycles is the simulated compile occupancy performed off the
 	// critical path (the latency model's cost per installed region). It
 	// is deliberately excluded from Stats.TotalCycles: hiding this work
-	// is the point of background compilation. Inline compiles charge
-	// Opt/SchedCycles instead, so WorkCycles, LatencySum and
-	// MaxQueueDepth stay zero with Workers == 0.
+	// is the point of background compilation. A compile that installs at
+	// its request charges Opt/SchedCycles instead and never queues, so
+	// WorkCycles, LatencySum and MaxQueueDepth stay zero at Workers 0.
 	WorkCycles int64
 	// LatencySum accumulates observed enqueue→install latencies (the
 	// per-region value is RegionStats.CompileLatency).
@@ -222,31 +211,35 @@ type compileOutput struct {
 	panicked bool
 }
 
-// pendingCompile is one compilation between its enqueue and install
-// point. An inline one lives only for the duration of its request.
+// pendingCompile is one compilation between its request and its install
+// point. One that installs at its request lives on the request's stack;
+// only a queued one is moved to the heap (see queueCompile).
 type pendingCompile struct {
 	entry      int
 	seq        int64 // enqueue order, the (readyAt, seq) tie break
 	enqueuedAt int64 // simulated cycle of the enqueue
 	readyAt    int64 // earliest simulated cycle the result may install
-	deadline   int64 // watchdog kill point: enqueue cycle + cost × watchdog factor
-	memoHit    bool
-	recompile  bool // old code still installed (promotion-style recompile)
+	deadline   int64 // watchdog kill point: enqueue cycle + cost × watchdogFactor
+	// queued marks a compile with a latency: it enters the queue and
+	// installs at readyAt. Any other compile installs at its request.
+	queued    bool
+	memoHit   bool
+	recompile bool // old code still installed (promotion-style recompile)
 	// in is the snapshot of the inputs out was compiled from; the install
 	// point keeps both in the region's install record for its tier.
 	in *compileInput
 	// hung marks a chaos-injected compile hang: no job is submitted, and
 	// the pending entry is killed by the watchdog at deadline.
 	hung bool
-	// out is written by the worker then published by closing done; on a
-	// fleet-cache hit or a re-install it is set at enqueue and done stays
-	// nil.
+	// out is written by a queued job's worker then published by closing
+	// done; on a fleet-cache hit, a re-install or a job run at the request
+	// it is set at the request and done stays nil.
 	out  *compileOutput
 	done chan struct{}
-	// flight is the shared-cache single-flight this enqueue leads or
-	// joined (shared mode only); the install point takes the result from
-	// it when out is still nil. deduped marks the follower case — this
-	// enqueue joined another tenant's flight instead of leading one — so
+	// flight is the shared-cache single-flight a queued job leads, or the
+	// one this request joined; the install point takes the result from it
+	// when out is still nil. deduped marks the follower case — this
+	// request joined another tenant's flight instead of leading one — so
 	// the install point can attribute its latency as dedupe wait.
 	flight  *codecache.Flight[*compileOutput]
 	deduped bool
@@ -263,13 +256,11 @@ func (p *pendingCompile) at() int64 {
 	return p.readyAt
 }
 
-// compileQueue is the System's compile-request state. inline marks the
-// zero-latency case (Compile.Workers == 0): its compiles run and install
-// inside the request, so they never enter the queue and never start the
-// pool.
+// compileQueue holds the System's compiles that have a latency, and the
+// worker pool their jobs run on. A compile that installs at its request
+// never enters the queue and never starts the pool.
 type compileQueue struct {
-	inline bool
-	pool   *compilequeue.Pool
+	pool *compilequeue.Pool
 	// sharedPool marks pool as fleet-owned: the System must never close
 	// it (other tenants' compiles are still running on it).
 	sharedPool bool
@@ -320,7 +311,7 @@ func (s *System) newCompileInput(entry int) (compileInput, error) {
 }
 
 // arenaPool recycles translate arenas across compiles. Each pipeline run
-// (inline or on a worker goroutine) takes one arena for its
+// (on the simulation thread or a worker goroutine) takes one arena for its
 // duration; vliw.Compile decodes the schedule out of the arena into the
 // installed code before it returns to the pool, so nothing that outlives
 // the compile aliases pooled memory.
@@ -477,7 +468,7 @@ func runCompilePipelineRef(in *compileInput) *compileOutput {
 }
 
 // runCompileJob is the fault-domain wrapper every fresh compile runs
-// inside (on a worker goroutine, or on the simulation thread inline): it
+// inside (compileJob.run, on a worker or the simulation thread): it
 // recovers a panicking pipeline into a failed compileOutput — so a host
 // bug in one compile can never take down the process or wedge the
 // install point — and stamps the content checksum the install-time
@@ -625,33 +616,31 @@ func compileOutputBytes(out *compileOutput) int64 {
 
 // drawHostFaults performs the per-fresh-compile host-fault draws, in a
 // fixed order on the simulation thread, so the injector's sequence is
-// independent of the worker count and host timing. withHang is false for
-// an inline compile — it has no watchdog deadline to overrun. A drawn
-// hang dominates (the job never finishes, so a panic or poison inside it
-// would be unobservable), and a drawn panic dominates poison (a panicking
-// job produces no result to poison).
-func (s *System) drawHostFaults(entry int, withHang bool) (panicInject, hang bool, poison faultinject.PoisonMode) {
+// independent of the worker count and host timing. Only a queued compile
+// draws a hang (p.hung): no other has a deadline. A drawn hang dominates
+// (the job never finishes, so a panic or poison inside it would be
+// unobservable), and a drawn panic dominates poison (a panicking job
+// produces no result to poison).
+func (s *System) drawHostFaults(p *pendingCompile) (panicInject bool, poison faultinject.PoisonMode) {
 	if s.inj == nil {
-		return false, false, faultinject.PoisonNone
+		return false, faultinject.PoisonNone
 	}
 	panicInject = s.inj.WorkerPanic()
-	if withHang {
-		hang = s.inj.CompileHang()
-	}
+	p.hung = p.queued && s.inj.CompileHang()
 	poison = s.inj.PoisonResult()
-	now, tier := s.now(), s.tierOf(entry)
-	if hang {
-		s.tel.chaosInjected(now, entry, tier, telemetry.CauseWatchdog)
-		return false, true, faultinject.PoisonNone
+	now, tier := s.now(), s.tierOf(p.entry)
+	if p.hung {
+		s.tel.chaosInjected(now, p.entry, tier, telemetry.CauseWatchdog)
+		return false, faultinject.PoisonNone
 	}
 	if panicInject {
-		s.tel.chaosInjected(now, entry, tier, telemetry.CauseWorkerPanic)
-		return true, false, faultinject.PoisonNone
+		s.tel.chaosInjected(now, p.entry, tier, telemetry.CauseWorkerPanic)
+		return true, faultinject.PoisonNone
 	}
 	if poison != faultinject.PoisonNone {
-		s.tel.chaosInjected(now, entry, tier, telemetry.CausePoison)
+		s.tel.chaosInjected(now, p.entry, tier, telemetry.CausePoison)
 	}
-	return false, false, poison
+	return false, poison
 }
 
 // lookupOutput probes the fleet cache for in's key and counts the hit or
@@ -703,10 +692,10 @@ func (s *System) admitOutput(entry int, out *compileOutput) error {
 // requestCompile starts a compilation for entry. An error is returned
 // only for failures observable at request time (injected compile
 // failures and region formation); pipeline failures surface at the
-// install point, which applies their consequences itself — inline, before
-// the request returns. Suppressed requests (a quarantined region, or
-// compilation shed by the health controller) return nil silently: not
-// compiling is the intended outcome, not a failure to back off from.
+// install point, which applies their consequences itself. Suppressed
+// requests (a quarantined region, or compilation shed by the health
+// controller) return nil silently: not compiling is the intended outcome,
+// not a failure to back off from.
 func (s *System) requestCompile(entry int) error {
 	if !s.compileAllowed(entry) {
 		return nil
@@ -714,18 +703,22 @@ func (s *System) requestCompile(entry int) error {
 	return s.enqueueCompile(entry)
 }
 
+// installsAtRequest reports whether compiles install at their request
+// (the paper's model) rather than after a latency: all Workers decides.
+func (s *System) installsAtRequest() bool { return s.cfg.Compile.Workers == 0 }
+
 // recompileRegion re-(or newly-)compiles entry after its compile inputs
 // changed (a tier move, a hardened pair, a pinned load), cancelling any
 // now-stale pending compile first. stale marks installed code that just
-// trapped under the old inputs: a queued replacement takes a while, so
-// the code is dropped now and the region interprets meanwhile; an inline
-// replacement installs over it at once (a recompile, not a fresh
+// trapped under the old inputs. When its replacement does not install at
+// once, the code is dropped now and the region interprets meanwhile;
+// otherwise the replacement installs over it (a recompile, not a fresh
 // compile). A request-time failure drops the installed code. When
 // compilation is suppressed, both the pending compile and any installed
 // code are built against the old inputs — throw both away; the region
 // re-forms once compiles are allowed again.
 func (s *System) recompileRegion(entry int, stale bool) {
-	if stale && !s.cq.inline {
+	if stale && !s.installsAtRequest() {
 		s.dropCode(entry)
 	}
 	if !s.compileAllowed(entry) {
@@ -745,16 +738,17 @@ func (s *System) recompileRegion(entry int, stale bool) {
 	}
 }
 
-// enqueueCompile builds entry's inputs, probes the fleet cache and counts
-// the request; then it either runs the job and installs the result inline
-// or queues it (queueCompile). Single-flight per region: a live pending
-// compile absorbs the request.
+// enqueueCompile is the one compile sequence, each step at one place: the
+// CompileFail draw, the input, the fleet-cache lookup, then (unless it hit
+// or joined a flight) the host-fault draws, the reuse check and a fresh
+// job. A compile with a latency is then queued; any other installs before
+// the request returns. A live pending compile absorbs the request.
 func (s *System) enqueueCompile(entry int) error {
 	if rr := s.disp[entry].rec; rr != nil && rr.pending != nil {
 		return nil
 	}
-	// The chaos draw happens at enqueue on the simulation thread, so the
-	// injector's sequence is independent of the worker count.
+	// The chaos draw happens at the request on the simulation thread, so
+	// the injector's sequence is independent of the worker count.
 	if s.inj != nil && s.inj.CompileFail() {
 		s.tel.chaosInjected(s.now(), entry, s.tierOf(entry), telemetry.CauseCompileFail)
 		return fmt.Errorf("%w for B%d", errInjectedCompileFail, entry)
@@ -770,34 +764,94 @@ func (s *System) enqueueCompile(entry int) error {
 		readyAt:    now,
 		recompile:  s.disp[entry].code != nil,
 	}
+	if !s.installsAtRequest() {
+		// The latency is fixed here from the superblock alone, so the
+		// install point never depends on the result or the host.
+		cost := int64(s.cfg.Machine.CompileCyclesPerInst)*int64(len(in.sb.Insts)) +
+			int64(s.cfg.Machine.CompileCyclesPerCheck)*int64(in.sb.NumMemOps())
+		p.queued, p.readyAt, p.deadline = true, now+cost, now+cost*watchdogFactor
+	}
 	key, out, flight, leader := s.lookupOutput(&in)
 	p.out, p.memoHit = out, out != nil
 	s.Stats.Compile.Enqueued++
-	if !s.cq.inline {
-		s.queueCompile(p, &in, key, flight, leader)
+	var job compileJob
+	switch {
+	case p.memoHit || flight != nil && !leader:
+		// A hit, or a join of another tenant's compile of this key (awaited
+		// at the install point like a private job), runs no job: there is
+		// nothing for a host fault to panic, hang or poison.
+		p.in = in.snapshot()
+		p.flight, p.deduped = flight, flight != nil
+	default:
+		job = compileJob{cache: s.cache, key: key, flight: flight}
+		panicInject, poison := s.drawHostFaults(&p)
+		switch {
+		case p.hung:
+			// A hung compile runs no job, so a leader settles its flight
+			// now with a synthetic watchdog failure, or followers on other
+			// tenants would wait forever.
+			job.settle(entry, &compileOutput{
+				guestInsts: len(in.sb.Insts),
+				memOps:     in.sb.NumMemOps(),
+				err:        fmt.Errorf("%w for B%d", errWatchdogTimeout, entry),
+			})
+		case s.reuseRecord(&p, &in, panicInject, poison):
+			// A re-install runs no job either: a leader settles its flight
+			// with the record's output, as its job would.
+			job.settle(entry, p.out)
+		default:
+			p.in = in.snapshot()
+			job.in, job.panicInject, job.poison = p.in, panicInject, poison
+		}
+	}
+	if p.queued {
+		s.queueCompile(p, job)
 		return nil
 	}
-	// Inline: the job runs here on the simulation thread and installs
-	// before the request returns, so p never enters the queue.
-	panicInject, _, poison := s.drawHostFaults(entry, false)
-	if !s.reuseRecord(&p, &in, panicInject, poison) {
-		p.in = in.snapshot()
-		p.out = runCompileJob(p.in, panicInject, poison)
+	if job.in != nil {
+		p.out = job.run()
 	}
 	s.installPending(&p)
 	return nil
 }
 
-// reuseRecord is the one reuse rule, inline and queued: re-install,
-// don't recompile. If no host fault was drawn for this compile and in
-// equals the region's install record for its effective tier
-// (compileInput.equal), it gives p the record's input and output and
-// reports true; the caller then runs no pipeline. Injected alias
-// exceptions, drops, evictions and tier moves often bring back inputs a
-// region compiled before. The result still goes through admitOutput and
-// is charged like a fresh compile of the same input. A panic or poison
-// draw always gets a fresh job, so a fault never reaches a recorded
-// output.
+// compileJob is a fresh compile: its snapshot input (nil when the request
+// runs no job), the host faults drawn for it, and the fleet-cache flight
+// it settles when it leads one.
+type compileJob struct {
+	in          *compileInput
+	panicInject bool
+	poison      faultinject.PoisonMode
+	cache       *codecache.Cache[*compileOutput]
+	key         compilequeue.Key
+	flight      *codecache.Flight[*compileOutput]
+}
+
+// run runs the pipeline in its fault domain (runCompileJob) and settles
+// the job's flight with the output.
+func (j compileJob) run() *compileOutput {
+	out := runCompileJob(j.in, j.panicInject, j.poison)
+	j.settle(j.in.entry, out)
+	return out
+}
+
+// settle resolves a leader's flight with out, caching out only if it
+// passes screenOutput (else the next lookup elects a fresh leader).
+func (j compileJob) settle(entry int, out *compileOutput) {
+	if j.flight != nil {
+		j.cache.Complete(j.key, j.flight, out, screenOutput(entry, out) == nil)
+	}
+}
+
+// reuseRecord is the one reuse rule: re-install, don't recompile. If no
+// host fault was drawn for this compile and in equals the region's install
+// record for its effective tier (compileInput.equal), it gives p the
+// record's input and output and reports true; the caller then runs no
+// pipeline. Injected alias exceptions, drops, evictions and tier moves
+// often bring back inputs a region compiled before. The result still goes
+// through admitOutput and is charged like a fresh compile of the same
+// input. A panic or poison draw always gets a fresh job, so a fault never
+// reaches a recorded output.
 func (s *System) reuseRecord(p *pendingCompile, in *compileInput, panicInject bool, poison faultinject.PoisonMode) bool {
 	if panicInject || poison != faultinject.PoisonNone {
 		return false
@@ -810,81 +864,30 @@ func (s *System) reuseRecord(p *pendingCompile, in *compileInput, panicInject bo
 	return true
 }
 
-// queueCompile fixes p's install point from the simulated clock and the
-// superblock alone, hands the pure pipeline to the worker pool (unless the
-// fleet cache already holds the result, another tenant's flight will
-// deliver it, or the region re-installs its record), and queues p in
-// install order. p arrives by value: only a queued compile outlives its
-// request, so only it is moved to the heap. in is the request's input
-// view; p keeps a snapshot of it unless p re-installs a record. key,
-// flight and leader are the fleet-cache lookup's (see lookupOutput).
-func (s *System) queueCompile(p pendingCompile, in *compileInput, key compilequeue.Key, flight *codecache.Flight[*compileOutput], leader bool) {
+// queueCompile queues p, a compile with a latency, in install order and
+// hands its fresh job, if any, to the worker pool: a leader's output
+// travels to this tenant's install point and to every follower through
+// its flight, any other through p.out and done. p arrives by value: only a
+// queued compile outlives its request, so only it is moved to the heap.
+func (s *System) queueCompile(p pendingCompile, job compileJob) {
 	cq, entry, now := s.cq, p.entry, p.enqueuedAt
-	cost := int64(s.cfg.Machine.CompileCyclesPerInst)*int64(len(in.sb.Insts)) +
-		int64(s.cfg.Machine.CompileCyclesPerCheck)*int64(in.sb.NumMemOps())
 	cq.seq++
 	p.seq = cq.seq
-	p.readyAt = now + cost
-	p.deadline = now + cost*s.cfg.Compile.watchdogFactor()
-	switch {
-	case p.memoHit:
-		// Host faults only strike fresh compiles: a hit runs no worker
-		// job, so there is nothing to panic, hang or poison.
-		p.in = in.snapshot()
-	case flight != nil && !leader:
-		// Another tenant's compile of this key is in flight: join it.
-		// The install point blocks on the flight only once the simulated
-		// clock passes readyAt, exactly like a private job.
-		p.in = in.snapshot()
-		p.flight, p.deduped = flight, true
-	default:
-		panicInject, hang, poison := s.drawHostFaults(entry, true)
-		if hang {
-			p.hung = true
-			if flight != nil {
-				// A hung leader never submits a job, so it must settle the
-				// flight here or followers on other tenants would wait
-				// forever. The synthetic watchdog failure is never
-				// inserted (insert=false): the next lookup elects a fresh
-				// leader.
-				s.cache.Complete(key, flight, &compileOutput{
-					guestInsts: len(in.sb.Insts),
-					memOps:     in.sb.NumMemOps(),
-					err:        fmt.Errorf("%w for B%d", errWatchdogTimeout, entry),
-				}, false)
-			}
-			break
-		}
-		if s.reuseRecord(&p, in, panicInject, poison) {
-			if flight != nil {
-				// A leader that re-installs submits no job, so it settles
-				// the flight with the record's output, as its worker would.
-				s.cache.Complete(key, flight, p.out, screenOutput(entry, p.out) == nil)
-			}
-			break
-		}
-		snap := in.snapshot()
-		p.in = snap
+	if job.in != nil {
 		if cq.pool == nil {
 			cq.pool = compilequeue.NewPool(s.cfg.Compile.Workers)
 		}
-		if flight != nil {
-			// Fleet-cache leader: the result travels to this tenant's
-			// install point and to every follower through the flight.
-			p.flight = flight
-			cache := s.cache
+		if job.flight != nil {
+			p.flight = job.flight
+			cq.pool.Submit(func() { job.run() })
+		} else {
+			p.done = make(chan struct{})
+			jp := &p
 			cq.pool.Submit(func() {
-				out := runCompileJob(snap, panicInject, poison)
-				cache.Complete(key, flight, out, screenOutput(entry, out) == nil)
+				jp.out = job.run()
+				close(jp.done)
 			})
-			break
 		}
-		p.done = make(chan struct{})
-		job := &p
-		cq.pool.Submit(func() {
-			job.out = runCompileJob(snap, panicInject, poison)
-			close(job.done)
-		})
 	}
 	s.disp[entry].rec.pending = &p
 	q := append(cq.queue, &p)
@@ -900,7 +903,7 @@ func (s *System) queueCompile(p pendingCompile, in *compileInput, key compileque
 	if depth > s.Stats.Compile.MaxQueueDepth {
 		s.Stats.Compile.MaxQueueDepth = depth
 	}
-	s.tel.compileQueued(now, entry, s.tierOf(entry), cost, depth, p.memoHit)
+	s.tel.compileQueued(now, entry, s.tierOf(entry), p.readyAt-now, depth, p.memoHit)
 }
 
 // cancelPending discards entry's pending compile, if any. The worker (if
@@ -925,10 +928,7 @@ func (s *System) cancelPending(entry int, cause telemetry.Cause) {
 
 // drainCompiles installs every pending compilation whose event time the
 // simulated clock has passed, in deterministic (event time, enqueue-seq)
-// order. This is the only place the simulation thread blocks on a worker
-// — and only when the simulated install point has already arrived. Hung
-// jobs never block: their done channel is nil and the watchdog kills
-// them at their deadline without reading a result.
+// order.
 func (s *System) drainCompiles() {
 	cq := s.cq
 	now := s.now()
@@ -938,25 +938,25 @@ func (s *System) drainCompiles() {
 		cq.queue = cq.queue[:len(cq.queue)-1]
 		s.disp[p.entry].rec.pending = nil
 		s.tel.compileDequeued(len(cq.queue))
-		if p.done != nil {
-			<-p.done
-		}
-		if p.flight != nil {
-			// Shared-cache job (led here or by another tenant): the result
-			// travels through the flight, not p.out.
-			<-p.flight.Done()
-			if p.out == nil {
-				p.out = p.flight.Value()
-			}
-		}
 		s.installPending(p)
 	}
 }
 
-// installPending applies one completed compilation at its install point:
-// a queued one once the simulated clock reaches it, an inline one inside
-// its request.
+// installPending applies one compilation at its install point: a queued
+// one once the simulated clock reaches it, any other at its request. Only
+// here does the simulation thread block on host work (a worker or a
+// flight), and only once the install point has arrived; a hung job has
+// neither, and the watchdog kills it at its deadline unread.
 func (s *System) installPending(p *pendingCompile) {
+	if p.done != nil {
+		<-p.done
+	}
+	if p.flight != nil {
+		<-p.flight.Done()
+		if p.out == nil {
+			p.out = p.flight.Value()
+		}
+	}
 	if p.hung {
 		// Watchdog kill at the deadline. The job was never submitted (an
 		// injected hang) or its result is simply never read, so the kill
@@ -1000,21 +1000,22 @@ func (s *System) installPending(p *pendingCompile) {
 		}
 		return
 	}
-	s.installOutput(p.entry, p.in, out, latency)
+	s.installOutput(p, latency)
 	s.Stats.Compile.Installed++
 }
 
-// installOutput installs a successful compile result, compiled from in:
-// cycle accounting, code cache insert (with capacity eviction), the
-// region's install record for its effective tier, per-region statistics
-// and the compile telemetry event. A recompile overwrites the installed
-// compiled record in place; nothing else holds it.
-func (s *System) installOutput(entry int, in *compileInput, out *compileOutput, latency int64) {
+// installOutput installs p's admitted output, compiled from p.in: cycle
+// accounting, code cache insert (with capacity eviction), the region's
+// install record for its effective tier, per-region statistics and the
+// compile telemetry event. A recompile overwrites the installed compiled
+// record in place; nothing else holds it.
+func (s *System) installOutput(p *pendingCompile, latency int64) {
+	entry, in, out := p.entry, p.in, p.out
 	s.Stats.OverflowRetries += out.overflowRetries
-	if s.cq.inline {
-		// An inline compile executes on the critical path (the paper's
-		// Figure 18 cost); a queued compile's occupancy is charged to
-		// CompileStats.WorkCycles at the install point instead.
+	if !p.queued {
+		// A compile that installs at its request ran on the critical path
+		// (the paper's Figure 18 cost); a queued compile's occupancy is
+		// charged to CompileStats.WorkCycles at its install point instead.
 		s.Stats.OptCycles += out.numOps * int64(s.cfg.Machine.OptCyclesPerOp)
 		s.Stats.SchedCycles += out.numOps * int64(s.cfg.Machine.SchedCyclesPerOp)
 	}

@@ -74,9 +74,9 @@ type Config struct {
 	// its decisions, and this path never formats and never allocates on
 	// the hot path; see internal/telemetry.
 	Telemetry *telemetry.Telemetry
-	// Compile configures the compile queue and the fleet's shared cache
-	// (compile.go). The zero value compiles inline: on the critical path,
-	// installing before the request returns.
+	// Compile configures the compile path and the fleet's shared cache
+	// (compile.go). The zero value installs each compile at its request,
+	// on the critical path.
 	Compile CompileConfig
 	// Health configures the system-scope graceful-degradation controller
 	// (internal/health): a sliding window over host faults and rollbacks
@@ -124,18 +124,12 @@ func (c Config) Validate() error {
 	if c.Compile.Workers < 0 {
 		return fmt.Errorf("dynopt: Compile.Workers %d, want >= 0", c.Compile.Workers)
 	}
-	if c.Compile.WatchdogFactor < 0 {
-		return fmt.Errorf("dynopt: Compile.WatchdogFactor %d, want >= 0", c.Compile.WatchdogFactor)
-	}
 	if c.Machine.CompileCyclesPerInst < 0 || c.Machine.CompileCyclesPerCheck < 0 {
 		return fmt.Errorf("dynopt: Machine.CompileCyclesPerInst %d / CompileCyclesPerCheck %d, want >= 0",
 			c.Machine.CompileCyclesPerInst, c.Machine.CompileCyclesPerCheck)
 	}
 	if c.Compile.SharedPool != nil && c.Compile.Workers < 1 {
 		return fmt.Errorf("dynopt: Compile.SharedPool set with Workers %d, want >= 1 (the background path)", c.Compile.Workers)
-	}
-	if c.Compile.SharedCache != nil && c.Compile.Workers < 1 {
-		return fmt.Errorf("dynopt: Compile.SharedCache set with Workers %d, want >= 1 (the background path)", c.Compile.Workers)
 	}
 	if err := c.Health.Validate(); err != nil {
 		return err
@@ -222,8 +216,8 @@ type RegionStats struct {
 	SeqLen     int
 	Cycles     int64
 	// CompileLatency is the simulated enqueue→install latency of the
-	// region's most recent compilation (0 for an inline compile, which
-	// installs before its request returns).
+	// region's most recent compilation (0 for a compile that installs at
+	// its request).
 	CompileLatency int64
 
 	// Tier is the region's final rung on the speculation ladder;
@@ -327,9 +321,9 @@ type System struct {
 	fatalErr error
 	// entrySeq numbers region dispatches — the eviction clock source.
 	entrySeq int64
-	// cq is the compile queue every compile request runs through (inline
-	// when Compile.Workers == 0); see compile.go. cache is the fleet's
-	// shared compile-output cache (Compile.SharedCache), or nil.
+	// cq queues the compiles that have a latency (Compile.Workers >= 1);
+	// see compile.go. cache is the fleet's shared compile-output cache
+	// (Compile.SharedCache), or nil.
 	cq    *compileQueue
 	cache *codecache.Cache[*compileOutput]
 	// hc is the system health controller (nil unless Config.Health is
@@ -374,7 +368,6 @@ func New(prog *guest.Program, st *guest.State, mem *guest.Memory, cfg Config) *S
 		disp: make([]dispEntry, len(prog.Blocks)),
 		tel:  newSystemTelemetry(&cfg),
 		cq: &compileQueue{
-			inline:     cfg.Compile.Workers == 0,
 			pool:       cfg.Compile.SharedPool,
 			sharedPool: cfg.Compile.SharedPool != nil,
 		},
@@ -722,8 +715,8 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		} else {
 			// Re-optimize: a learned pair or tier move makes the trapped
 			// code stale. An injected exception carries no pair, so the
-			// inputs usually still equal the installed code's, and an
-			// inline recompile then re-installs that code.
+			// inputs usually still equal the installed code's, and a
+			// recompile that installs at its request re-installs that code.
 			s.recompileRegion(entry, true)
 		}
 		// Make forward progress in the interpreter before re-dispatching.

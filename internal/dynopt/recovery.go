@@ -137,9 +137,9 @@ type regionRecord struct {
 	health.Ladder[Tier]
 	// installs holds, per code tier, the input snapshot and admitted
 	// output the region last installed at that tier (indexed by the
-	// effective tier). An inline compile request whose inputs equal its
-	// tier's record re-installs that output instead of running the
-	// pipeline (see enqueueCompile). The records outlive evictions, code
+	// effective tier). A compile request whose inputs equal its tier's
+	// record re-installs that output instead of running the pipeline (see
+	// reuseRecord). The records outlive evictions, code
 	// drops and tier moves, which is when a region returns to a build it
 	// made before; only dropTrace clears them.
 	installs [TierPinned]installRecord

@@ -66,7 +66,9 @@ func TestConfigValidate(t *testing.T) {
 	if chaos.Validate() == nil {
 		t.Error("SpuriousAliasRate=2 accepted")
 	}
-	// Fleet resources only exist on the background path.
+	// A shared pool only runs compiles that have a latency; a shared
+	// cache serves every compile, including one that installs at its
+	// request.
 	syncPool := DefaultConfig()
 	syncPool.Compile.SharedPool = compilequeue.NewPool(1)
 	defer syncPool.Compile.SharedPool.Close()
@@ -75,8 +77,8 @@ func TestConfigValidate(t *testing.T) {
 	}
 	syncCache := DefaultConfig()
 	syncCache.Compile.SharedCache = NewCodeCache(codecache.Options{})
-	if syncCache.Validate() == nil {
-		t.Error("SharedCache with Workers=0 accepted")
+	if err := syncCache.Validate(); err != nil {
+		t.Errorf("SharedCache with Workers=0 rejected: %v", err)
 	}
 	fleet := syncCache
 	fleet.Compile.Workers = 1

@@ -203,8 +203,8 @@ func TestHostFaultDrawForcesFreshJob(t *testing.T) {
 
 			// Queued: a promotion-style recompile, so the old code stays
 			// installed until the replacement's install point.
-			sys.recompileRegion(e, !sys.cq.inline)
-			if !sys.cq.inline {
+			sys.recompileRegion(e, !sys.installsAtRequest())
+			if !sys.installsAtRequest() {
 				p := sys.disp[e].rec.pending
 				if p == nil {
 					t.Fatal("the recompile queued nothing")
