@@ -157,8 +157,8 @@ else
 	@echo "chaos-smoke: refreshed goldens in $(CHAOS_GOLDEN_OUT)"
 endif
 
-# Fleet gate: 8 concurrent tenants over the shared compile pool and
-# code cache, under the race detector pinned to 2 cores, with
+# Fleet gate: 8 concurrent tenants over the process's compile pool and
+# the shared code cache, under the race detector pinned to 2 cores, with
 # every tenant's stats, guest registers and memory digest diffed against
 # its solo run (the fleet determinism contract). Tenants of one benchmark
 # also share its one immutable program and decoded code, so this races
@@ -167,8 +167,9 @@ endif
 # this races those loans. CI adds, under -race, the shared-program tests of
 # internal/harness, internal/interp and internal/workload, the
 # executor-pool tests of internal/dynopt (ConcurrentBorrow,
-# SplitRunMatchesOneRun), and its inline-fleet test (InlineFleet: tenants
-# whose compiles install at their request, over one shared cache).
+# SplitRunMatchesOneRun), its inline-fleet test (InlineFleet: tenants
+# whose compiles install at their request, over one shared cache), and
+# RunWaitsForItsJobs (no compile job of a queued System outlives its Run).
 fleet-smoke:
 	GOMAXPROCS=2 $(GO) run -race ./cmd/smarq-bench -tenants 8 \
 		-tenant-mix swim,equake -compile-workers 2 -fleet-verify >/dev/null

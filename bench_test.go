@@ -452,8 +452,8 @@ func BenchmarkCompile(b *testing.B) {
 }
 
 // BenchmarkFleet measures concurrent multi-tenant throughput over the
-// shared compile pool and code cache: N identical swim tenants on
-// their own goroutines, one shared 2-worker pool, one shared cache. The
+// shared code cache: N identical swim tenants on their own goroutines,
+// their compiles queued on the process's compile pool, one shared cache. The
 // headline metrics are aggregate regions/sec (tenants4 vs tenants1 is the
 // fleet-scaling gate on a multi-core host) and dedupe-pct — the share of
 // would-be duplicate compiles the shared cache eliminated, deterministically

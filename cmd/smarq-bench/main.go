@@ -10,7 +10,7 @@
 //	smarq-bench -v                    # per-run summaries
 //	smarq-bench -trace all.trace.json -trace-format chrome
 //	smarq-bench -metrics all.metrics.json
-//	smarq-bench -tenants 8 -tenant-mix swim,equake -compile-workers 4
+//	smarq-bench -tenants 8 -tenant-mix swim,equake -compile-workers 1
 //	smarq-bench -tenants 4 -fleet-verify    # diff every tenant vs its solo run
 //
 // Benchmark×configuration cells fan out over a bounded worker pool; the
@@ -51,14 +51,14 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit all results as one JSON document")
 	scale := flag.Int64("scale", 1, "multiply every benchmark's main loop count (longer runs amortize translation cost)")
 	parallel := flag.Int("parallel", 0, "max concurrent benchmark runs (0 = GOMAXPROCS)")
-	compileWorkers := flag.Int("compile-workers", 0, "background compile workers per run (0 = synchronous instant install; any N >= 1 is simulation-identical)")
+	compileWorkers := flag.Int("compile-workers", 0, "when compiles install (0 = at their request, the paper's model; N >= 1 = queued with a simulated latency, the same results at every N)")
 	healthOn := flag.Bool("health", false, "arm the graceful-degradation health controller in every run (default tuning)")
 	traceFile := flag.String("trace", "", "write a cycle-stamped event trace of every run to this file")
 	traceFormat := flag.String("trace-format", "jsonl", "trace encoding: jsonl or chrome (Perfetto-loadable)")
 	metricsFile := flag.String("metrics", "", "write a JSON metrics snapshot aggregated across all runs")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the harness run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	tenants := flag.Int("tenants", 0, "fleet mode: run N concurrent tenant Systems over one shared compile pool and code cache (0 = classic artifact mode)")
+	tenants := flag.Int("tenants", 0, "fleet mode: run N concurrent tenant Systems over one shared code cache (0 = classic artifact mode)")
 	tenantMix := flag.String("tenant-mix", "swim", "fleet mode: comma-separated benchmarks assigned to tenants round-robin")
 	fleetConfig := flag.String("fleet-config", "smarq64", "fleet mode: dynopt configuration every tenant runs under")
 	fleetVerify := flag.Bool("fleet-verify", false, "fleet mode: diff every tenant's results against its solo run; exit nonzero on divergence")
@@ -66,6 +66,10 @@ func main() {
 	cacheBytes := flag.Int64("cache-bytes", 0, "fleet mode: shared code cache byte budget (0 = unbounded)")
 	listen := flag.String("listen", "", "fleet mode: serve the observability endpoints (/metrics, /healthz, /debug/*) at this address during the run")
 	flag.Parse()
+	if *compileWorkers < 0 {
+		fmt.Fprintf(os.Stderr, "smarq-bench: -compile-workers %d, want >= 0\n", *compileWorkers)
+		os.Exit(2)
+	}
 
 	stopCPU, err := profiledump.StartCPU(*cpuprofile)
 	if err != nil {
@@ -389,8 +393,8 @@ func tenantTracePath(base string, tenant int, bench string) string {
 }
 
 // runFleetMode is the -tenants path: one concurrent multi-tenant run over
-// the shared compile pool and code cache, reported as a text table (or
-// JSON), optionally followed by the per-tenant solo-determinism diff.
+// the shared code cache, reported as a text table (or JSON), optionally
+// followed by the per-tenant solo-determinism diff.
 // -trace writes one JSONL/Chrome file per tenant (the fleet determinism
 // contract makes each byte-identical to the tenant's solo trace), and
 // -listen serves the live observability endpoints for the run's duration.
@@ -470,6 +474,6 @@ func runFleetMode(o fleetOpts) {
 		}
 		fmt.Fprintln(os.Stderr, "# fleet-verify: every tenant byte-identical to its solo run")
 	}
-	fmt.Fprintf(os.Stderr, "# smarq-bench: fleet of %d tenants (%d workers) in %s\n",
-		len(res.Tenants), res.Workers, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "# smarq-bench: fleet of %d tenants (%s) in %s\n",
+		len(res.Tenants), res.CompileMode(), time.Since(start).Round(time.Millisecond))
 }

@@ -80,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	healthDemote := fs.Int("health-demote", 0, "override the health controller's demotion score threshold (with -health)")
 	healthPromote := fs.Int("health-promote", 0, "override the clean-run length one promotion requires (with -health)")
 	checkInv := fs.Bool("check-invariants", false, "verify every rollback restores the exact checkpoint (slow)")
-	compileWorkers := fs.Int("compile-workers", 0, "background compile workers (0 = each compile installs at its request; any N >= 1 is simulation-identical)")
+	compileWorkers := fs.Int("compile-workers", 0, "when compiles install (0 = at their request, the paper's model; N >= 1 = queued with a simulated latency, the same results at every N)")
 	compileCPI := fs.Int("compile-cycles-per-inst", 0, "override the compile-latency model's cycles per guest instruction (with -compile-workers; default: the machine's)")
 	compileCPC := fs.Int("compile-cycles-per-check", 0, "override the compile-latency model's cycles per guest memory op (with -compile-workers; default: the machine's)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")

@@ -5,8 +5,9 @@
 // Compile.Workers decides only when a compile installs. With Workers == 0
 // it installs at its request: the job runs on the simulation thread and
 // its Opt/SchedCycles are charged on the critical path (the paper's
-// model). With Workers >= 1 it has a latency: the job runs on a bounded
-// host worker pool, and the compile installs at its readyAt.
+// model). With Workers >= 1 it has a latency: the job runs on the
+// process's compile workers (compilequeue.Submit), and the compile
+// installs at its readyAt.
 //
 // Determinism rule: a queued region's install point is a pure function of
 // the simulated clock — readyAt = enqueue-cycle + CompileCyclesPerInst ×
@@ -15,8 +16,7 @@
 // Every simulated decision (chaos draws, cache lookups, reuse, enqueue,
 // install, cancellation) happens on the simulation thread; workers only evaluate
 // the pure pipeline. Any Workers >= 1 therefore produces byte-identical
-// stats, telemetry and guest state; the worker count is host parallelism
-// only.
+// stats, telemetry and guest state, and so does any host parallelism.
 package dynopt
 
 import (
@@ -45,21 +45,14 @@ import (
 
 // CompileConfig configures the compile path.
 type CompileConfig struct {
-	// Workers selects when a compile installs. 0 (the default) installs
-	// it at its request: the job runs on the simulation thread, and its
-	// Opt/SchedCycles are charged on the critical path. Workers >= 1 gives
-	// each compile a latency: jobs run on that many host workers while the
-	// interpreter keeps executing, and a compile installs only once the
-	// simulated clock passes its readyAt point. Every N >= 1 yields
-	// byte-identical simulated results.
+	// Workers selects when a compile installs, and nothing else. 0 (the
+	// default) installs it at its request: the job runs on the simulation
+	// thread, and its Opt/SchedCycles are charged on the critical path.
+	// Workers >= 1 queues it: the job runs on the process's one compile
+	// pool (GOMAXPROCS workers) while the interpreter keeps executing, and
+	// the compile installs only once the simulated clock passes its
+	// readyAt point. Every value >= 1 is the same program.
 	Workers int
-	// SharedPool, when non-nil, runs this System's background compiles on
-	// a host-wide worker pool shared across concurrently running Systems
-	// (fleet execution) instead of a private per-System pool. Workers must
-	// still be >= 1 to select background compilation; the shared pool's own
-	// size governs host parallelism. The System never closes a shared
-	// pool — its creator does, after every System using it has finished.
-	SharedPool *compilequeue.Pool
 	// SharedCache, when non-nil, is a compile-output cache shared across
 	// Systems: a concurrent content-addressed LRU cache, so identical
 	// regions compile once fleet-wide, and a region being compiled by one
@@ -236,13 +229,11 @@ type pendingCompile struct {
 	// it is set at the request and done stays nil.
 	out  *compileOutput
 	done chan struct{}
-	// flight is the shared-cache single-flight a queued job leads, or the
-	// one this request joined; the install point takes the result from it
-	// when out is still nil. deduped marks the follower case — this
-	// request joined another tenant's flight instead of leading one — so
-	// the install point can attribute its latency as dedupe wait.
-	flight  *codecache.Flight[*compileOutput]
-	deduped bool
+	// flight is the shared-cache single-flight this request joined instead
+	// of compiling (a follower of another tenant's compile); the install
+	// point takes the result from it and counts its latency as dedupe
+	// wait. A leader's own output comes through done like any fresh job.
+	flight *codecache.Flight[*compileOutput]
 }
 
 // at is the pending compile's queue event time: its install point, or —
@@ -256,14 +247,13 @@ func (p *pendingCompile) at() int64 {
 	return p.readyAt
 }
 
-// compileQueue holds the System's compiles that have a latency, and the
-// worker pool their jobs run on. A compile that installs at its request
-// never enters the queue and never starts the pool.
+// compileQueue holds the System's compiles that have a latency. A
+// compile that installs at its request never enters the queue and never
+// submits a job.
 type compileQueue struct {
-	pool *compilequeue.Pool
-	// sharedPool marks pool as fleet-owned: the System must never close
-	// it (other tenants' compiles are still running on it).
-	sharedPool bool
+	// jobs counts this System's jobs still running on the compile pool;
+	// every exit of Run waits for them, so no job outlives its run.
+	jobs sync.WaitGroup
 	// queue holds the live pending compiles in install order (readyAt,
 	// then enqueue seq); each is also its region record's pending
 	// (single-flight per region).
@@ -781,7 +771,7 @@ func (s *System) enqueueCompile(entry int) error {
 		// at the install point like a private job), runs no job: there is
 		// nothing for a host fault to panic, hang or poison.
 		p.in = in.snapshot()
-		p.flight, p.deduped = flight, flight != nil
+		p.flight = flight
 	default:
 		job = compileJob{cache: s.cache, key: key, flight: flight}
 		panicInject, poison := s.drawHostFaults(&p)
@@ -865,29 +855,23 @@ func (s *System) reuseRecord(p *pendingCompile, in *compileInput, panicInject bo
 }
 
 // queueCompile queues p, a compile with a latency, in install order and
-// hands its fresh job, if any, to the worker pool: a leader's output
-// travels to this tenant's install point and to every follower through
-// its flight, any other through p.out and done. p arrives by value: only a
-// queued compile outlives its request, so only it is moved to the heap.
+// submits its fresh job, if any, to the compile pool: the output travels
+// to this System's install point through p.out and done, and a leader's
+// job also settles its flight for the followers. p arrives by value: only
+// a queued compile outlives its request, so only it is moved to the heap.
 func (s *System) queueCompile(p pendingCompile, job compileJob) {
-	cq, entry, now := s.cq, p.entry, p.enqueuedAt
+	cq, entry, now := &s.cq, p.entry, p.enqueuedAt
 	cq.seq++
 	p.seq = cq.seq
 	if job.in != nil {
-		if cq.pool == nil {
-			cq.pool = compilequeue.NewPool(s.cfg.Compile.Workers)
-		}
-		if job.flight != nil {
-			p.flight = job.flight
-			cq.pool.Submit(func() { job.run() })
-		} else {
-			p.done = make(chan struct{})
-			jp := &p
-			cq.pool.Submit(func() {
-				jp.out = job.run()
-				close(jp.done)
-			})
-		}
+		p.done = make(chan struct{})
+		jp := &p
+		cq.jobs.Add(1)
+		compilequeue.Submit(func() {
+			defer cq.jobs.Done()
+			jp.out = job.run()
+			close(jp.done)
+		})
 	}
 	s.disp[entry].rec.pending = &p
 	q := append(cq.queue, &p)
@@ -907,14 +891,14 @@ func (s *System) queueCompile(p pendingCompile, job compileJob) {
 }
 
 // cancelPending discards entry's pending compile, if any. The worker (if
-// still running) finishes into an unread result; the pool drains it at
-// Close.
+// still running) finishes into an unread result; Run waits for it before
+// it returns.
 func (s *System) cancelPending(entry int, cause telemetry.Cause) {
 	rr := s.disp[entry].rec
 	if rr == nil || rr.pending == nil {
 		return
 	}
-	cq, p := s.cq, rr.pending
+	cq, p := &s.cq, rr.pending
 	rr.pending = nil
 	for i, q := range cq.queue {
 		if q == p {
@@ -930,7 +914,7 @@ func (s *System) cancelPending(entry int, cause telemetry.Cause) {
 // simulated clock has passed, in deterministic (event time, enqueue-seq)
 // order.
 func (s *System) drainCompiles() {
-	cq := s.cq
+	cq := &s.cq
 	now := s.now()
 	for len(cq.queue) > 0 && cq.queue[0].at() <= now {
 		p := cq.queue[0]
@@ -953,9 +937,7 @@ func (s *System) installPending(p *pendingCompile) {
 	}
 	if p.flight != nil {
 		<-p.flight.Done()
-		if p.out == nil {
-			p.out = p.flight.Value()
-		}
+		p.out = p.flight.Value()
 	}
 	if p.hung {
 		// Watchdog kill at the deadline. The job was never submitted (an
@@ -981,7 +963,7 @@ func (s *System) installPending(p *pendingCompile) {
 	s.Stats.Compile.WorkCycles += p.readyAt - p.enqueuedAt
 	s.Stats.Compile.LatencySum += latency
 	s.tel.compileInstalled(latency)
-	if p.deduped {
+	if p.flight != nil {
 		s.tel.dedupeWaited(latency)
 	}
 	out := p.out
@@ -1101,18 +1083,10 @@ func (s *System) compileFailBackoff(entry int, err error) {
 }
 
 // abandonCompiles cancels every still-pending compilation at the end of
-// the run and releases the worker pool.
+// the run. Their jobs finish into unread results; Run waits for them.
 func (s *System) abandonCompiles() {
-	cq := s.cq
+	cq := &s.cq
 	for len(cq.queue) > 0 {
 		s.cancelPending(cq.queue[0].entry, telemetry.CauseRunEnd)
-	}
-	if cq.pool != nil {
-		if !cq.sharedPool {
-			// A fleet-owned pool is still serving other tenants; its
-			// creator closes it after every System using it has finished.
-			cq.pool.Close()
-		}
-		cq.pool = nil
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"smarq/internal/faultinject"
 	"smarq/internal/guest"
@@ -101,6 +103,68 @@ func TestBackgroundWorkersDeterministic(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestRunWaitsForItsJobs: a queued System submits its jobs to the
+// process's compile pool, and every return of Run waits for them, so no
+// job of a run runs once Run has returned. The swapped pipeline counts
+// running jobs, holds each for a millisecond, and counts every job that
+// starts or ends while no Run is active. Fresh Systems first run to
+// growing budget caps until five of them have returned with a compile
+// pending, and each then runs to halt. After a Run that left a compile
+// pending, the test idles a few milliseconds, long enough for a job that
+// outlived the Run to reach a worker. Run restarts at the entry, so the
+// program's loop head is its entry block.
+func TestRunWaitsForItsJobs(t *testing.T) {
+	var running, outside atomic.Int64
+	var inRun atomic.Bool
+	saved := compilePipeline
+	compilePipeline = func(in *compileInput) *compileOutput {
+		if !inRun.Load() {
+			outside.Add(1)
+		}
+		running.Add(1)
+		time.Sleep(time.Millisecond)
+		out := runCompilePipeline(in, nil)
+		running.Add(-1)
+		if !inRun.Load() {
+			outside.Add(1)
+		}
+		return out
+	}
+	t.Cleanup(func() { compilePipeline = saved })
+
+	cfg := ConfigSMARQ(64)
+	cfg.Compile.Workers = 1
+	pendingAtReturn := 0
+	for budget := uint64(10); pendingAtReturn < 5; budget += 10 {
+		if budget > 20_000 {
+			t.Fatalf("only %d budget caps left a compile pending", pendingAtReturn)
+		}
+		sys := New(entryLoopProgram(4000), &guest.State{}, guest.NewMemory(1<<16), cfg)
+		for _, b := range []uint64{budget, 50_000_000} {
+			canceled := sys.Stats.Compile.Canceled
+			inRun.Store(true)
+			_, err := sys.Run(b)
+			inRun.Store(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := running.Load(); n != 0 {
+				t.Fatalf("Run(%d) returned with %d compile jobs still running", b, n)
+			}
+			if sys.Stats.Compile.Canceled > canceled {
+				pendingAtReturn++
+				time.Sleep(5 * time.Millisecond)
+			}
+			if n := outside.Load(); n != 0 {
+				t.Fatalf("after Run(%d), compile jobs started or ended %d times with no Run active", b, n)
+			}
+		}
+		if sys.Stats.Compile.Installed == 0 {
+			t.Fatalf("budget %d: no compile installed: %+v", budget, sys.Stats.Compile)
 		}
 	}
 }

@@ -128,9 +128,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("dynopt: Machine.CompileCyclesPerInst %d / CompileCyclesPerCheck %d, want >= 0",
 			c.Machine.CompileCyclesPerInst, c.Machine.CompileCyclesPerCheck)
 	}
-	if c.Compile.SharedPool != nil && c.Compile.Workers < 1 {
-		return fmt.Errorf("dynopt: Compile.SharedPool set with Workers %d, want >= 1 (the background path)", c.Compile.Workers)
-	}
 	if err := c.Health.Validate(); err != nil {
 		return err
 	}
@@ -324,7 +321,7 @@ type System struct {
 	// cq queues the compiles that have a latency (Compile.Workers >= 1);
 	// see compile.go. cache is the fleet's shared compile-output cache
 	// (Compile.SharedCache), or nil.
-	cq    *compileQueue
+	cq    compileQueue
 	cache *codecache.Cache[*compileOutput]
 	// hc is the system health controller (nil unless Config.Health is
 	// enabled).
@@ -359,18 +356,14 @@ func New(prog *guest.Program, st *guest.State, mem *guest.Memory, cfg Config) *S
 		inj = faultinject.New(cfg.Chaos)
 	}
 	s := &System{
-		cfg:  cfg,
-		prog: prog,
-		st:   st,
-		mem:  mem,
-		it:   interp.New(prog, st, mem),
-		inj:  inj,
-		disp: make([]dispEntry, len(prog.Blocks)),
-		tel:  newSystemTelemetry(&cfg),
-		cq: &compileQueue{
-			pool:       cfg.Compile.SharedPool,
-			sharedPool: cfg.Compile.SharedPool != nil,
-		},
+		cfg:         cfg,
+		prog:        prog,
+		st:          st,
+		mem:         mem,
+		it:          interp.New(prog, st, mem),
+		inj:         inj,
+		disp:        make([]dispEntry, len(prog.Blocks)),
+		tel:         newSystemTelemetry(&cfg),
 		scratchPool: scratchPoolFor(scratchKeyOf(cfg)),
 	}
 	if cfg.Compile.SharedCache != nil {
@@ -499,10 +492,15 @@ func resetAnnotations(reg *ir.Region) {
 // With a metrics registry, every return publishes Stats into it, so a
 // snapshot taken after Run is exact; mid-run, the registry lags Stats by at
 // most publishPeriod loop iterations.
+//
+// Every return waits for this System's jobs still on the compile pool
+// (those of compiles the run cancelled or left pending), so no job
+// outlives the call.
 func (s *System) Run(maxInsts uint64) (bool, error) {
 	defer s.publish()
 	s.borrowExec()
 	defer s.returnExec()
+	defer s.cq.jobs.Wait()
 	id := s.prog.Entry
 	for id != interp.HaltID {
 		if s.tel.due() {

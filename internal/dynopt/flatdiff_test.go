@@ -11,9 +11,9 @@ import (
 )
 
 // withRefPipeline runs fn with the compile path swapped to the retained
-// reference pipeline. Safe to do between runs: System.Run drains and
-// closes its worker pool before returning, so no goroutine reads the
-// hook concurrently with the swap.
+// reference pipeline. Safe to do between runs: System.Run waits for its
+// compile jobs before returning, so no goroutine reads the hook
+// concurrently with the swap.
 func withRefPipeline(fn func()) {
 	saved := compilePipeline
 	compilePipeline = runCompilePipelineRef

@@ -321,8 +321,8 @@ func TestLeaderCachesWhatInstallAdmits(t *testing.T) {
 			installed := sys.Stats.Compile.Installed
 
 			sys.recompileRegion(e, false)
-			if sys.disp[e].rec.pending.flight == nil {
-				t.Fatal("the recompile did not lead a fleet-cache flight")
+			if got := sys.cache.Stats().Compiles; got != 1 {
+				t.Fatalf("the recompile led %d fleet-cache flights, want 1", got)
 			}
 			settle(t, sys, e)
 

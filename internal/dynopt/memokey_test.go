@@ -6,7 +6,6 @@ import (
 
 	"smarq/internal/alias"
 	"smarq/internal/codecache"
-	"smarq/internal/compilequeue"
 	"smarq/internal/guest"
 	"smarq/internal/workload"
 )
@@ -83,7 +82,7 @@ func TestMemoKeyFoldsMachine(t *testing.T) {
 }
 
 // TestSharedCacheKeysOnMachine runs tenants with different machine
-// models, one after another, over one shared compile cache and pool. Each
+// models, one after another, over one shared compile cache. Each
 // must land on exactly the cycles, registers and memory of its solo run
 // with a private cache: a tenant never installs code compiled for
 // another machine. The third tenant repeats the first one's machine, so
@@ -95,13 +94,10 @@ func TestSharedCacheKeysOnMachine(t *testing.T) {
 			bm = b
 		}
 	}
-	pool := compilequeue.NewPool(1)
-	defer pool.Close()
 	run := func(memLat int, cache *CodeCache) *System {
 		cfg := ConfigSMARQ(64)
 		cfg.Machine.MemLat = memLat
 		cfg.Compile.Workers = 1
-		cfg.Compile.SharedPool = pool
 		cfg.Compile.SharedCache = cache
 		sys := New(bm.Build(), &guest.State{}, guest.NewMemory(bm.MemSize), cfg)
 		if halted, err := sys.Run(bm.MaxInsts); err != nil || !halted {

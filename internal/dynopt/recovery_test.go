@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"smarq/internal/codecache"
-	"smarq/internal/compilequeue"
 	"smarq/internal/faultinject"
 	"smarq/internal/guest"
 	"smarq/internal/health"
@@ -66,15 +65,8 @@ func TestConfigValidate(t *testing.T) {
 	if chaos.Validate() == nil {
 		t.Error("SpuriousAliasRate=2 accepted")
 	}
-	// A shared pool only runs compiles that have a latency; a shared
-	// cache serves every compile, including one that installs at its
-	// request.
-	syncPool := DefaultConfig()
-	syncPool.Compile.SharedPool = compilequeue.NewPool(1)
-	defer syncPool.Compile.SharedPool.Close()
-	if syncPool.Validate() == nil {
-		t.Error("SharedPool with Workers=0 accepted")
-	}
+	// A shared cache serves every compile, including one that installs
+	// at its request.
 	syncCache := DefaultConfig()
 	syncCache.Compile.SharedCache = NewCodeCache(codecache.Options{})
 	if err := syncCache.Validate(); err != nil {

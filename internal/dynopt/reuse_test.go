@@ -30,7 +30,7 @@ func countPipelineRuns(t *testing.T) *atomic.Int64 {
 // installedSystem runs the aliasing program to halt with the given
 // compile worker count and returns the system with the entry of one
 // region whose code is still installed. A queued system's later compiles
-// start a new pool, which the test's cleanup closes.
+// submit jobs, which the test's cleanup waits for.
 func installedSystem(t *testing.T, workers int) (*System, int) {
 	t.Helper()
 	cfg := ConfigSMARQ(64)
@@ -39,7 +39,7 @@ func installedSystem(t *testing.T, workers int) (*System, int) {
 	if halted, err := sys.Run(50_000_000); err != nil || !halted {
 		t.Fatalf("halted=%v err=%v", halted, err)
 	}
-	t.Cleanup(sys.abandonCompiles)
+	t.Cleanup(sys.cq.jobs.Wait)
 	for e := range sys.disp {
 		if sys.disp[e].code != nil {
 			return sys, e
@@ -314,7 +314,7 @@ func TestFleetLeaderReuseCompletesFlight(t *testing.T) {
 	if halted, err := sys.Run(50_000_000); err != nil || !halted {
 		t.Fatalf("halted=%v err=%v", halted, err)
 	}
-	t.Cleanup(sys.abandonCompiles)
+	t.Cleanup(sys.cq.jobs.Wait)
 	e := -1
 	for i := range sys.disp {
 		if sys.disp[i].code != nil {

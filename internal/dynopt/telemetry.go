@@ -36,7 +36,7 @@ const (
 	hCompileLatency = "compile_latency_cycles"
 
 	// Observability-plane additions: install-to-dispatch lag, and the
-	// wait of a deduped compile on another tenant's flight.
+	// wait of a compile that joined another tenant's flight.
 	hInstallLag = "install_dispatch_lag_cycles"
 	hDedupeWait = "dedupe_wait_cycles"
 )
@@ -142,8 +142,8 @@ type systemTelemetry struct {
 	queueDepth     *telemetry.Gauge
 	compileLatency *telemetry.Histogram
 
-	// dedupeWait tracks how long a deduped background compile waited on
-	// the cross-tenant flight it joined (shared cache only).
+	// dedupeWait tracks how long a compile that joined a cross-tenant
+	// flight waited on it (shared cache only).
 	dedupeWait *telemetry.Histogram
 
 	healthLevel *telemetry.Gauge
@@ -312,8 +312,8 @@ func (st *systemTelemetry) firstDispatch(lag int64) {
 	st.installLag.Observe(lag)
 }
 
-// dedupeWaited records how long a deduped background compile sat behind
-// the cross-tenant flight that produced its code.
+// dedupeWaited records how long a compile that joined a cross-tenant
+// flight sat behind the flight that produced its code.
 func (st *systemTelemetry) dedupeWaited(wait int64) {
 	if st == nil {
 		return

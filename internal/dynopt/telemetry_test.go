@@ -286,7 +286,7 @@ func TestDecisionPathsZeroAllocs(t *testing.T) {
 	for name, tel := range cases {
 		t.Run(name+"/cancel", func(t *testing.T) {
 			sys, entry, _ := warmCommitSystem(t, tel)
-			cq, p := sys.cq, &pendingCompile{entry: entry}
+			cq, p := &sys.cq, &pendingCompile{entry: entry}
 			before := sys.Stats.Compile.Canceled
 			allocs := testing.AllocsPerRun(200, func() {
 				sys.disp[entry].rec.pending = p

@@ -1,6 +1,6 @@
 // Fleet execution: M independent tenant Systems running concurrently on
-// their own goroutines, all compiling through one shared host worker pool
-// and one content-addressed LRU compile cache (dynopt.CodeCache).
+// their own goroutines, all compiling through one content-addressed LRU
+// compile cache (dynopt.CodeCache).
 // Tenants share *host* resources only — guest state, memory, stats and
 // telemetry stay per-tenant, and every tenant's simulated results are
 // byte-identical to its solo run modulo the cache hit/miss/dedupe
@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"smarq/internal/codecache"
-	"smarq/internal/compilequeue"
 	"smarq/internal/dynopt"
 	"smarq/internal/guest"
 	"smarq/internal/telemetry"
@@ -37,9 +36,10 @@ type FleetConfig struct {
 	// Config names the dynopt configuration every tenant runs under
 	// (ParseConfig names). Empty selects "smarq64".
 	Config string
-	// CompileWorkers sizes the shared host compile pool (0 selects 2).
-	// Every tenant's Compile.Workers is set to the same value, so a
-	// 1-tenant fleet is exactly the solo baseline configuration.
+	// CompileWorkers is every tenant's Compile.Workers: 0 (the default)
+	// installs each compile at its request, >= 1 queues it; a negative
+	// value is an error. A 1-tenant fleet is therefore exactly the solo
+	// baseline configuration.
 	CompileWorkers int
 	// CacheMaxEntries/CacheMaxBytes bound the shared compile cache (see
 	// codecache.Options); 0 means unbounded, and a negative budget is an
@@ -84,9 +84,6 @@ func (fc FleetConfig) withDefaults() FleetConfig {
 	if fc.Config == "" {
 		fc.Config = CfgSMARQ64
 	}
-	if fc.CompileWorkers < 1 {
-		fc.CompileWorkers = 2
-	}
 	return fc
 }
 
@@ -117,6 +114,14 @@ type FleetResult struct {
 	Config  string
 }
 
+// CompileMode names how the fleet's tenants installed their compiles.
+func (r *FleetResult) CompileMode() string {
+	if r.Workers >= 1 {
+		return "queued compiles"
+	}
+	return "compiles install at their request"
+}
+
 // Commits sums regions executed (committed) across tenants.
 func (r *FleetResult) Commits() int64 {
 	var n int64
@@ -145,12 +150,15 @@ func (r *FleetResult) DedupeRate() float64 {
 	return float64(r.Cache.Lookups-r.Cache.Compiles) / float64(r.Cache.Lookups)
 }
 
-// RunFleet executes fc.Tenants Systems concurrently over the shared pool
-// and cache and blocks until every tenant finishes. The pool is closed
-// and the cache snapshotted after the last tenant, so the returned stats
-// are exact.
+// RunFleet executes fc.Tenants Systems concurrently over the shared cache
+// and blocks until every tenant finishes. Each tenant's Run waits for its
+// own compile jobs, and the cache is snapshotted after the last tenant, so
+// the returned stats are exact.
 func RunFleet(fc FleetConfig) (*FleetResult, error) {
 	fc = fc.withDefaults()
+	if fc.CompileWorkers < 0 {
+		return nil, fmt.Errorf("harness: CompileWorkers %d, want >= 0 (0 = install at the request)", fc.CompileWorkers)
+	}
 	if fc.CacheMaxEntries < 0 || fc.CacheMaxBytes < 0 {
 		return nil, fmt.Errorf("harness: cache budgets %d entries / %d bytes, want >= 0 (0 = unbounded)",
 			fc.CacheMaxEntries, fc.CacheMaxBytes)
@@ -169,7 +177,6 @@ func RunFleet(fc FleetConfig) (*FleetResult, error) {
 		benches[i] = bm
 	}
 
-	pool := compilequeue.NewPool(fc.CompileWorkers)
 	cache := dynopt.NewCodeCache(codecache.Options{
 		MaxEntries: fc.CacheMaxEntries,
 		MaxBytes:   fc.CacheMaxBytes,
@@ -186,7 +193,6 @@ func RunFleet(fc FleetConfig) (*FleetResult, error) {
 	}
 	obsrv, err := startFleetObs(fc, benches, telemetries, cache)
 	if err != nil {
-		pool.Close()
 		return nil, err
 	}
 	defer obsrv.shutdown()
@@ -214,7 +220,6 @@ func RunFleet(fc FleetConfig) (*FleetResult, error) {
 			pprof.Do(context.Background(), labels, func(context.Context) {
 				cfg := baseCfg
 				cfg.Compile.Workers = fc.CompileWorkers
-				cfg.Compile.SharedPool = pool
 				cfg.Compile.SharedCache = cache
 				cfg.Telemetry = telemetries[tenant]
 				maxInsts := bm.MaxInsts
@@ -248,7 +253,6 @@ func RunFleet(fc FleetConfig) (*FleetResult, error) {
 		}(i, benches[i])
 	}
 	wg.Wait()
-	pool.Close()
 	res.Wall = time.Since(start)
 	res.Cache = cache.Stats()
 	if fc.Metrics != nil {
@@ -366,7 +370,7 @@ func (r *FleetResult) Render() string {
 		})
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Fleet: %d tenants, %d shared compile workers, config %s\n\n", len(r.Tenants), r.Workers, r.Config)
+	fmt.Fprintf(&sb, "Fleet: %d tenants, %s, config %s\n\n", len(r.Tenants), r.CompileMode(), r.Config)
 	sb.WriteString(table(header, rows))
 	secs := r.Wall.Seconds()
 	if secs <= 0 {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"smarq/internal/codecache"
-	"smarq/internal/compilequeue"
 	"smarq/internal/dynopt"
 	"smarq/internal/guest"
 	"smarq/internal/telemetry"
@@ -43,13 +42,13 @@ func scrubEvents(evs []telemetry.Event) []telemetry.Event {
 	return out
 }
 
-// TestFleetTenantDeterminism is the tentpole's correctness gate: at every
-// tenant-count × shared-worker-count combination, each tenant's stats,
-// event trace, final guest registers and guest memory must be
-// byte-identical to a solo run of the same benchmark — the shared pool
-// and cache may only change host wall time and the scrubbed hit/miss
-// counters. Run it with -race: the tenants genuinely share the pool and
-// cache concurrently.
+// TestFleetTenantDeterminism is the fleet's correctness gate: at every
+// tenant count, with compiles installed at their request (workers 0) and
+// queued (workers 1), each tenant's stats, event trace, final guest
+// registers and guest memory must be byte-identical to a solo run of the
+// same benchmark — the shared compile pool and cache may only change host
+// wall time and the scrubbed hit/miss counters. Run it with -race: the
+// tenants genuinely share the pool and cache concurrently.
 func TestFleetTenantDeterminism(t *testing.T) {
 	mix := []string{"swim", "equake", "ammp"}
 	const maxInsts = 60_000
@@ -87,7 +86,7 @@ func TestFleetTenantDeterminism(t *testing.T) {
 	}
 
 	for _, tenants := range []int{1, 4, 8} {
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{0, 1} {
 			t.Run(fmt.Sprintf("tenants%d/workers%d", tenants, workers), func(t *testing.T) {
 				sinks := make([]*captureSink, tenants)
 				res, err := RunFleet(FleetConfig{
@@ -156,23 +155,59 @@ func TestVerifyFleet(t *testing.T) {
 	}
 }
 
+// TestDefaultFleetInstallsAtRequest: a default fleet's tenants install
+// each compile at its request, as -compile-workers 0 says, so a default
+// 1-tenant swim fleet is a solo Workers 0 run with no shared cache, in
+// scrubbed stats, registers and memory digest.
+func TestDefaultFleetInstallsAtRequest(t *testing.T) {
+	res, err := RunFleet(FleetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.CompileMode(); got != "compiles install at their request" {
+		t.Errorf("default fleet compile mode %q", got)
+	}
+	cfg, err := ParseConfig(CfgSMARQ64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Compile.Workers != 0 || cfg.Compile.SharedCache != nil {
+		t.Fatalf("solo baseline is not an inline run without a cache: %+v", cfg.Compile)
+	}
+	bm, _ := workload.ByName("swim")
+	sys := dynopt.New(bm.Build(), &guest.State{}, guest.NewMemory(bm.MemSize), cfg)
+	halted, err := sys.Run(bm.MaxInsts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo := FleetTenant{Bench: "swim", Stats: sys.Stats, Halted: halted, State: *sys.State(), MemDigest: sys.Mem().Digest()}
+	if err := verifyTenant(&res.Tenants[0], &solo); err != nil {
+		t.Error(err)
+	}
+	if c := res.Tenants[0].Stats.Compile; c.Installed == 0 || c.WorkCycles != 0 {
+		t.Errorf("the fleet tenant did not install at its requests: %+v", c)
+	}
+}
+
 // TestFleetRejectsNegativeCacheBudget: a negative entry or byte budget is
-// a configuration error, not a silently unbounded cache.
+// a configuration error, not a silently unbounded cache, and so is a
+// negative CompileWorkers, not a silent choice of compile mode.
 func TestFleetRejectsNegativeCacheBudget(t *testing.T) {
 	for _, fc := range []FleetConfig{
 		{Tenants: 2, CacheMaxEntries: -5},
 		{Tenants: 2, CacheMaxBytes: -1},
 		{Tenants: 2, CacheMaxEntries: -5, CacheMaxBytes: -1},
+		{Tenants: 2, CompileWorkers: -1},
 	} {
 		if res, err := RunFleet(fc); err == nil {
-			t.Errorf("entries %d / bytes %d: RunFleet ran %d tenants, want an error",
-				fc.CacheMaxEntries, fc.CacheMaxBytes, len(res.Tenants))
+			t.Errorf("entries %d / bytes %d / workers %d: RunFleet ran %d tenants, want an error",
+				fc.CacheMaxEntries, fc.CacheMaxBytes, fc.CompileWorkers, len(res.Tenants))
 		}
 	}
 }
 
 // TestFleetCompilesEachKeyOnce pins the shared cache's deduplication at
-// 100%: four identical tenants over one 2-worker pool must compile exactly
+// 100%: four identical tenants with queued compiles must compile exactly
 // as many regions as one tenant alone. Every would-be duplicate compile is
 // either a table hit or a wait on another tenant's in-flight compile. The
 // swim cell is BenchmarkFleet's shape (its dedupe-pct); the full ammp run
@@ -262,8 +297,6 @@ func TestFleetLeaderReuseOneEntryCache(t *testing.T) {
 		}
 	}
 
-	pool := compilequeue.NewPool(2)
-	defer pool.Close()
 	cache := dynopt.NewCodeCache(codecache.Options{MaxEntries: 1})
 	tenants := make([]FleetTenant, len(mix))
 	done := make(chan struct{})
@@ -275,7 +308,6 @@ func TestFleetLeaderReuseOneEntryCache(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				cfg := config()
-				cfg.Compile.SharedPool = pool
 				cfg.Compile.SharedCache = cache
 				tenants[i] = run(bench, cfg)
 				tenants[i].Tenant = i
