@@ -166,9 +166,10 @@ func (in *compileInput) snapshot() *compileInput {
 }
 
 // equal reports whether two inputs are the same pipeline input, field by
-// field: the same superblock (by pointer — a re-formed one is new), the
-// same optimizer and scheduler configuration, and equal pin and blacklist
-// sets. The pipeline is a pure function of these, so equal inputs compile
+// field: the same superblock (by pointer, which for a trace in the
+// program's trace table means equal content: re-forming the same trace
+// returns the same superblock), the same optimizer and scheduler
+// configuration, and equal pin and blacklist sets. The pipeline is a pure function of these, so equal inputs compile
 // to equal code. It never compares memo keys: a 64-bit hash collision
 // would install wrong code.
 func (in *compileInput) equal(o *compileInput) bool {

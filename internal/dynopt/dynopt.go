@@ -318,6 +318,10 @@ type System struct {
 	fatalErr error
 	// entrySeq numbers region dispatches — the eviction clock source.
 	entrySeq int64
+	// resume is the guest block the next Run dispatches first: the
+	// program entry until the first Run, then wherever the last Run
+	// stopped (interp.HaltID once the guest has halted).
+	resume int
 	// cq queues the compiles that have a latency (Compile.Workers >= 1);
 	// see compile.go. cache is the fleet's shared compile-output cache
 	// (Compile.SharedCache), or nil.
@@ -363,6 +367,7 @@ func New(prog *guest.Program, st *guest.State, mem *guest.Memory, cfg Config) *S
 		it:          interp.New(prog, st, mem),
 		inj:         inj,
 		disp:        make([]dispEntry, len(prog.Blocks)),
+		resume:      prog.Entry,
 		tel:         newSystemTelemetry(&cfg),
 		scratchPool: scratchPoolFor(scratchKeyOf(cfg)),
 	}
@@ -480,7 +485,11 @@ func resetAnnotations(reg *ir.Region) {
 }
 
 // Run executes the guest until it halts or maxInsts guest instructions
-// retire. It reports whether the guest halted.
+// retire. It reports whether the guest halted. maxInsts counts every
+// guest instruction the System has retired, over all its Runs, and each
+// Run resumes at the block where the previous one stopped, so a run cut
+// into budget slices computes what one Run does. A Run after the guest
+// halted retires nothing and returns (true, nil).
 //
 // The budget is a soft cap checked between dispatches: a run may overshoot
 // maxInsts by at most one block (interpreted dispatch) or one region
@@ -501,7 +510,8 @@ func (s *System) Run(maxInsts uint64) (bool, error) {
 	s.borrowExec()
 	defer s.returnExec()
 	defer s.cq.jobs.Wait()
-	id := s.prog.Entry
+	id := s.resume
+	defer func() { s.resume = id }()
 	for id != interp.HaltID {
 		if s.tel.due() {
 			s.publish()

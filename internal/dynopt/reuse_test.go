@@ -111,8 +111,8 @@ func TestInlineRecompileReusesInstalledCode(t *testing.T) {
 }
 
 // TestInlineRecompileFreshOnChangedInputs: any change to the inputs — a
-// new blacklist pair, a new pin, a tier move, a re-formed superblock —
-// runs the pipeline again.
+// new blacklist pair, a new pin, a tier move, a superblock re-formed as a
+// different trace — runs the pipeline again.
 func TestInlineRecompileFreshOnChangedInputs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -151,6 +151,10 @@ func TestInlineRecompileFreshOnChangedInputs(t *testing.T) {
 			rr.Level = (rr.Level + 1) % TierPinned
 		}},
 		{"reformed", func(sys *System, e int) {
+			// Re-form the region as a different trace of the same entry,
+			// its loop unrolled one copy more. Re-forming the same trace
+			// returns the same superblock (TestReformedTraceReinstalls).
+			sys.cfg.Region.Unroll = max(sys.cfg.Region.Unroll, 1) + 1
 			sys.disp[e].rec.sb = nil
 		}},
 	} {
@@ -171,6 +175,27 @@ func TestInlineRecompileFreshOnChangedInputs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReformedTraceReinstalls: re-forming a region's trace returns the
+// program's one superblock for it, which its install record already
+// holds, so the recompile re-installs that code without a pipeline run.
+func TestReformedTraceReinstalls(t *testing.T) {
+	sys, e := installedSystem(t, 0)
+	runs := countPipelineRuns(t)
+	rr := sys.disp[e].rec
+	oldSB, oldCR := rr.sb, sys.disp[e].code.cr
+	rr.sb = nil
+	sys.recompileRegion(e, true)
+	if rr.sb != oldSB {
+		t.Fatal("re-forming the same trace returned a new superblock")
+	}
+	if runs.Load() != 0 {
+		t.Errorf("pipeline ran %d times for a re-formed identical trace, want 0", runs.Load())
+	}
+	if c := sys.disp[e].code; c == nil || c.cr != oldCR {
+		t.Error("the recompile did not re-install the installed CompiledRegion")
 	}
 }
 

@@ -66,8 +66,9 @@ func entryAliasLoopProgram(n int64) *guest.Program {
 // TestSplitRunMatchesOneRun: a run cut into k budget slices, each a
 // separate Run that borrows and returns its own executor scratch, is the
 // same run as one uninterrupted Run — Stats (HWChecks included), final
-// state and memory digest. Both programs' budget stops land on the
-// program entry, where the next Run restarts.
+// state and memory digest. The entry-loop programs' budget stops land on
+// the program entry; the resume cases' land inside the loop, so each Run
+// must continue where the last one stopped.
 func TestSplitRunMatchesOneRun(t *testing.T) {
 	progs := map[string]*guest.Program{
 		"entry-loop":       entryLoopProgram(4000),
@@ -112,6 +113,63 @@ func TestSplitRunMatchesOneRun(t *testing.T) {
 				})
 			}
 		}
+	}
+
+	// The resume cases: 500-instruction slices of a program whose loop
+	// head is not its entry. Inline, the slices are the one Run; queued,
+	// a budget stop cancels pending compiles, so only the guest result is
+	// the one Run's.
+	const memSize = 1 << 16
+	prog := aliasingProgram(2500, 7)
+	ref := interp.New(prog, &guest.State{}, guest.NewMemory(memSize))
+	ref.Ref = true
+	if halted, err := ref.Run(0, 50_000_000); err != nil || !halted {
+		t.Fatalf("reference: halted=%v err=%v", halted, err)
+	}
+	for _, workers := range []int{0, 1} {
+		t.Run(fmt.Sprintf("resume/workers%d", workers), func(t *testing.T) {
+			cfg := ConfigSMARQ(64)
+			cfg.Compile.Workers = workers
+			sys := New(prog, &guest.State{}, guest.NewMemory(memSize), cfg)
+			offEntry := 0
+			budget := uint64(0)
+			for halted := false; !halted; {
+				if budget += 500; budget > 1_000_000 {
+					t.Fatalf("500-instruction slices did not halt within %d instructions", budget-500)
+				}
+				var err error
+				if halted, err = sys.Run(budget); err != nil {
+					t.Fatal(err)
+				}
+				if !halted && sys.resume != prog.Entry {
+					offEntry++
+				}
+			}
+			if offEntry == 0 {
+				t.Fatal("no budget stop landed off the program entry")
+			}
+			before := sys.Stats
+			if halted, err := sys.Run(budget + 500); !halted || err != nil {
+				t.Fatalf("Run after the halt: halted=%v err=%v, want true, nil", halted, err)
+			}
+			if !reflect.DeepEqual(sys.Stats, before) {
+				t.Errorf("Run after the halt changed Stats:\n got %+v\nwant %+v", sys.Stats, before)
+			}
+			got := runResult{sys.Stats, *sys.State(), sys.Mem().Digest()}
+			if got.state != *ref.St || got.digest != ref.Mem.Digest() {
+				t.Fatal("final state differs from the guest.Exec reference")
+			}
+			if workers > 0 {
+				return
+			}
+			one := New(prog, &guest.State{}, guest.NewMemory(memSize), cfg)
+			if _, err := one.Run(50_000_000); err != nil {
+				t.Fatal(err)
+			}
+			if want := (runResult{one.Stats, *one.State(), one.Mem().Digest()}); !reflect.DeepEqual(got, want) {
+				t.Errorf("slices differ from one Run:\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }
 

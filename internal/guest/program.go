@@ -26,17 +26,23 @@ func (b *Block) Terminator() (Inst, bool) {
 // Successors returns the IDs of the blocks control may transfer to after b.
 // The fall-through successor, when one exists, is listed first.
 func (b *Block) Successors() []int {
+	return b.AppendSuccessors(nil)
+}
+
+// AppendSuccessors appends b's successors, in Successors order, to dst and
+// returns the result; with a dst of capacity 2 it never allocates.
+func (b *Block) AppendSuccessors(dst []int) []int {
 	term, ok := b.Terminator()
 	if !ok {
-		return []int{b.ID + 1}
+		return append(dst, b.ID+1)
 	}
 	switch {
 	case term.Op == Halt:
-		return nil
+		return dst
 	case term.Op == Jmp:
-		return []int{term.Target}
+		return append(dst, term.Target)
 	default: // conditional branch: fall through or taken
-		return []int{b.ID + 1, term.Target}
+		return append(dst, b.ID+1, term.Target)
 	}
 }
 
@@ -46,15 +52,25 @@ func (b *Block) Successors() []int {
 // A program is immutable once built: nothing writes Blocks, Entry or any
 // block's Insts after the Builder or DecodeProgram returns it, so one
 // *Program is shared by every System, fleet tenant and figure cell that
-// runs it. A Program must not be copied by value (it holds a sync.Once).
+// runs it. A Program must not be copied by value (it holds sync.Onces).
 type Program struct {
 	Blocks []*Block
 	Entry  int
 
-	// decodeOnce guards decoded, the read-only derived form of the program
-	// that Decoded computes on first use.
-	decodeOnce sync.Once
-	decoded    any
+	// decoded and traces hold what Decoded and Traces derive from the
+	// program on first use; they live and die with it.
+	decoded, traces slot
+}
+
+// slot is one value derived from a program, made on first use.
+type slot struct {
+	once sync.Once
+	v    any
+}
+
+func (s *slot) get(p *Program, derive func(*Program) any) any {
+	s.once.Do(func() { s.v = derive(p) })
+	return s.v
 }
 
 // Decoded returns decode(p), calling decode only on the first call: every
@@ -63,8 +79,16 @@ type Program struct {
 // every interpreter over one program shares one decode. The program must
 // not be modified after the first call.
 func (p *Program) Decoded(decode func(*Program) any) any {
-	p.decodeOnce.Do(func() { p.decoded = decode(p) })
-	return p.decoded
+	return p.decoded.get(p, decode)
+}
+
+// Traces returns newTable(p), calling newTable only on the first call,
+// like Decoded. Region formation keeps its trace table here, so every
+// System over one program shares the superblocks formed from it. Unlike
+// the decode, the table grows after it is made: its owner synchronizes
+// it.
+func (p *Program) Traces(newTable func(*Program) any) any {
+	return p.traces.get(p, newTable)
 }
 
 // Block returns the block with the given ID, or nil when out of range.

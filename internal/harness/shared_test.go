@@ -7,6 +7,7 @@ import (
 
 	"smarq/internal/guest"
 	"smarq/internal/interp"
+	"smarq/internal/region"
 	"smarq/internal/workload"
 )
 
@@ -15,8 +16,9 @@ import (
 // writes to it. After the whole suite has run under all six figure
 // configurations (two cells at a time) and as an identical fleet pair,
 // each program still encodes to the same bytes, Build still returns the
-// same *guest.Program, and the decode stored in it still equals a fresh
-// decode of the same bytes.
+// same *guest.Program, the decode stored in it still equals a fresh
+// decode of the same bytes, and every superblock in its trace table still
+// equals a fresh fill of its trace.
 func TestSharedProgramsImmutable(t *testing.T) {
 	suite := workload.Suite()
 	progs := make([]*guest.Program, len(suite))
@@ -67,6 +69,9 @@ func TestSharedProgramsImmutable(t *testing.T) {
 		// Both slots are filled, so Decoded returns them without decoding.
 		if !reflect.DeepEqual(progs[i].Decoded(nil), fresh.Decoded(nil)) {
 			t.Errorf("%s: a run modified the shared decoded code", bm.Name)
+		}
+		if n, err := region.CheckTraces(progs[i]); n == 0 || err != nil {
+			t.Errorf("%s: %d shared traces checked: %v", bm.Name, n, err)
 		}
 	}
 }
