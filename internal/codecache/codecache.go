@@ -1,12 +1,13 @@
 // Package codecache is a content-addressed LRU cache for compiled regions,
-// keyed by compilequeue's FNV-1a content hash. It is dynopt's fleet
-// compile-output cache: a fleet of concurrently running dynopt.Systems
-// shares one.
+// generic in its comparable key type, so a hit is decided by Go's map
+// equality on the whole key and no hash is trusted. It is dynopt's fleet
+// compile-output cache, keyed by dynopt's exact compile-input key: a fleet
+// of concurrently running dynopt.Systems shares one.
 //
 // Layout and discipline:
 //
-//   - One mutex guards one entry map, one flight map, the recency clock
-//     and the counters. The cache is probed once per compile request,
+//   - One mutex guards one table (cached values and fills in progress),
+//     the recency clock and the counters. The cache is probed once per compile request,
 //     never per dispatch — a benchmark fleet job makes tens of lookups per
 //     run — so one lock costs nothing measurable and every Stats snapshot
 //     is mutually consistent.
@@ -18,10 +19,10 @@
 //     the leader and receives a Flight to complete; concurrent misses on
 //     the same key receive the same Flight to wait on. A region being
 //     compiled by one tenant is therefore awaited, not recompiled, by
-//     every other tenant. Complete inserts the value into the table and
-//     removes the flight in one critical section, so there is no window
-//     in which a second compile of the same key can start: the
-//     fleet-wide compile count per key is exactly one.
+//     every other tenant. Complete turns the flight's table entry into
+//     the cached value in one critical section, so there is no window in
+//     which a second compile of the same key can start: the fleet-wide
+//     compile count per key is exactly one.
 //
 // Determinism: the cache never makes a simulated decision. Hit/miss
 // outcomes differ between a fleet run and a solo run, but dynopt replays a
@@ -37,8 +38,8 @@ import (
 	"smarq/internal/telemetry"
 )
 
-// Key aliases the compilequeue content hash so callers build keys with the
-// same NewKey/Word/Int/Bool fold.
+// Key aliases the compilequeue content hash, the key type of New. Only the
+// benchmark's lookup replay (bench/replay.go) still keys a cache by it.
 type Key = compilequeue.Key
 
 // Options configures a Cache.
@@ -63,11 +64,14 @@ func (f *Flight[V]) Done() <-chan struct{} { return f.done }
 // Value returns the flight's result; valid only after Done is closed.
 func (f *Flight[V]) Value() V { return f.val }
 
-// entry is one cached value; used is its recency stamp.
+// entry is one key's slot in the table: a cached value, used its recency
+// stamp, or, while flight is not nil, a fill in progress, which holds no
+// value and counts in no Stats total.
 type entry[V any] struct {
-	val  V
-	size int64
-	used int64
+	val    V
+	size   int64
+	used   int64
+	flight *Flight[V]
 }
 
 // Stats is a point-in-time snapshot of the cache counters, taken under
@@ -85,15 +89,14 @@ type Stats struct {
 	Contention  int64 // mutex acquisitions that had to block
 }
 
-// Cache is the content-addressed LRU cache. The zero value is not usable;
-// construct with New.
-type Cache[V any] struct {
+// Cache is the content-addressed LRU cache from K to V. The zero value is
+// not usable; construct with NewKeyed.
+type Cache[K comparable, V any] struct {
 	size func(V) int64
 	opts Options
 
 	mu      sync.Mutex
-	entries map[Key]*entry[V]
-	flights map[Key]*Flight[V]
+	entries map[K]*entry[V]
 	clock   int64 // recency stamp source
 	st      Stats
 
@@ -102,20 +105,22 @@ type Cache[V any] struct {
 	met   *metrics
 }
 
-// New returns an empty cache. size reports the payload bytes of a value
-// for the byte budget; nil means every value counts as zero bytes (only
-// the entry budget applies).
-func New[V any](opts Options, size func(V) int64) *Cache[V] {
-	return &Cache[V]{
+// NewKeyed returns an empty cache keyed by K. size reports the payload
+// bytes of a value for the byte budget; nil means every value counts as
+// zero bytes (only the entry budget applies).
+func NewKeyed[K comparable, V any](opts Options, size func(V) int64) *Cache[K, V] {
+	return &Cache[K, V]{
 		size:    size,
 		opts:    opts,
-		entries: make(map[Key]*entry[V]),
-		flights: make(map[Key]*Flight[V]),
+		entries: make(map[K]*entry[V]),
 	}
 }
 
+// New returns an empty cache keyed by the content hash Key.
+func New[V any](opts Options, size func(V) int64) *Cache[Key, V] { return NewKeyed[Key](opts, size) }
+
 // lock takes the mutex, counting contention when it has to block.
-func (c *Cache[V]) lock() {
+func (c *Cache[K, V]) lock() {
 	if c.mu.TryLock() {
 		return
 	}
@@ -125,10 +130,10 @@ func (c *Cache[V]) lock() {
 
 // Peek reports whether k is cached without touching recency or counters —
 // the non-perturbing probe the LRU-oracle tests use.
-func (c *Cache[V]) Peek(k Key) (V, bool) {
+func (c *Cache[K, V]) Peek(k K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[k]; ok {
+	if e, ok := c.entries[k]; ok && e.flight == nil {
 		return e.val, true
 	}
 	var zero V
@@ -142,23 +147,24 @@ func (c *Cache[V]) Peek(k Key) (V, bool) {
 //     leader and must eventually call Complete on the flight;
 //   - miss, concurrent callers: (zero, false, flight, false) — wait on
 //     flight.Done, then read flight.Value.
-func (c *Cache[V]) Lookup(k Key) (v V, hit bool, f *Flight[V], leader bool) {
+func (c *Cache[K, V]) Lookup(k K) (v V, hit bool, f *Flight[V], leader bool) {
 	c.lock()
 	defer c.mu.Unlock()
 	c.st.Lookups++
-	if e, ok := c.entries[k]; ok {
+	e, ok := c.entries[k]
+	if ok && e.flight == nil {
 		c.clock++
 		e.used = c.clock
 		c.st.Hits++
 		return e.val, true, nil, false
 	}
 	c.st.Misses++
-	if fl, ok := c.flights[k]; ok {
+	if ok {
 		c.st.FlightWaits++
-		return v, false, fl, false
+		return v, false, e.flight, false
 	}
 	fl := &Flight[V]{done: make(chan struct{})}
-	c.flights[k] = fl
+	c.entries[k] = &entry[V]{flight: fl}
 	c.st.Compiles++
 	return v, false, fl, true
 }
@@ -166,52 +172,58 @@ func (c *Cache[V]) Lookup(k Key) (v V, hit bool, f *Flight[V], leader bool) {
 // Complete finishes a flight obtained from Lookup as its leader: the value
 // is published to every waiter, and inserted into the table when insert is
 // true (a failed compile passes false so the next request retries).
-// Inserting and removing the flight in one critical section closes the
-// duplicate-compile window; the write to f.val happens before
+// Filling or removing the flight's entry in one critical section closes
+// the duplicate-compile window; the write to f.val happens before
 // close(done), so waiters read it race-free.
-func (c *Cache[V]) Complete(k Key, f *Flight[V], v V, insert bool) {
+func (c *Cache[K, V]) Complete(k K, f *Flight[V], v V, insert bool) {
 	c.lock()
-	if insert {
-		c.insertLocked(k, v)
+	e := c.entries[k]
+	if e == nil || e.flight != f {
+		e = new(entry[V]) // a Put replaced the flight's entry
 	}
-	delete(c.flights, k)
+	if insert {
+		c.insertLocked(k, e, v)
+	} else if e.flight == f {
+		delete(c.entries, k)
+	}
 	c.mu.Unlock()
 	f.val = v
 	close(f.done)
 }
 
 // Put inserts k directly (no flight), replacing any existing entry.
-func (c *Cache[V]) Put(k Key, v V) {
+func (c *Cache[K, V]) Put(k K, v V) {
 	c.lock()
 	defer c.mu.Unlock()
-	c.insertLocked(k, v)
+	c.insertLocked(k, new(entry[V]), v)
 }
 
-// insertLocked stores k, then evicts least-recently-used entries until
-// both budgets hold. A value larger than the whole byte budget is
+// insertLocked stores v as k's entry e (a new entry, or k's flight entry,
+// which stops being a flight), then evicts least-recently-used entries
+// until both budgets hold. A value larger than the whole byte budget is
 // admitted and then evicted with everything older. Caller holds c.mu.
-func (c *Cache[V]) insertLocked(k Key, v V) {
-	e := &entry[V]{val: v}
+func (c *Cache[K, V]) insertLocked(k K, e *entry[V], v V) {
+	if prev, ok := c.entries[k]; ok && prev.flight == nil {
+		c.st.Bytes -= prev.size
+		c.st.Entries--
+	}
+	e.val, e.flight, e.size = v, nil, 0
 	if c.size != nil {
 		e.size = c.size(v)
 	}
 	c.clock++
 	e.used = c.clock
-	if prev, ok := c.entries[k]; ok {
-		c.st.Bytes -= prev.size
-		c.st.Entries--
-	}
 	c.entries[k] = e
 	c.st.Entries++
 	c.st.Bytes += e.size
 	for (c.opts.MaxEntries > 0 && c.st.Entries > c.opts.MaxEntries) ||
 		(c.opts.MaxBytes > 0 && c.st.Bytes > c.opts.MaxBytes) {
 		var (
-			vk   Key
+			vk   K
 			vmin int64 = 1<<63 - 1
 		)
 		for kk, ee := range c.entries {
-			if ee.used < vmin {
+			if ee.flight == nil && ee.used < vmin {
 				vk, vmin = kk, ee.used
 			}
 		}
@@ -223,7 +235,7 @@ func (c *Cache[V]) insertLocked(k Key, v V) {
 }
 
 // Stats snapshots the counters.
-func (c *Cache[V]) Stats() Stats {
+func (c *Cache[K, V]) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.st
@@ -256,7 +268,7 @@ type metrics struct {
 // call and syncs them to the current counters (call it again at any point
 // — at end of run, periodically from a monitor — to refresh). Safe for
 // concurrent use; nil reg is a no-op.
-func (c *Cache[V]) PublishMetrics(reg *telemetry.Registry) {
+func (c *Cache[K, V]) PublishMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}

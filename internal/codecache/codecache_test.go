@@ -2,6 +2,7 @@ package codecache
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,9 +11,9 @@ import (
 	"smarq/internal/telemetry"
 )
 
-// mkKey derives a content key from a small integer the way dynopt does —
-// through the FNV fold — so the tests use real, well-spread hashes rather
-// than consecutive integers.
+// mkKey derives a content key from a small integer the way the benchmark's
+// lookup replay does — through the FNV fold — so the tests use real,
+// well-spread hashes rather than consecutive integers.
 func mkKey(i int) Key {
 	return compilequeue.NewKey().Int(int64(i))
 }
@@ -244,8 +245,12 @@ func TestConcurrentTorture(t *testing.T) {
 	}
 	// Recount from the table: the running totals must agree with it
 	// exactly, and no flight may outlive its leader.
-	var entries, bytes int64
+	var entries, bytes, flights int64
 	for _, e := range c.entries {
+		if e.flight != nil {
+			flights++
+			continue
+		}
 		entries++
 		bytes += e.size
 	}
@@ -253,8 +258,8 @@ func TestConcurrentTorture(t *testing.T) {
 		t.Errorf("Stats hold %d entries / %d bytes, the table %d / %d",
 			st.Entries, st.Bytes, entries, bytes)
 	}
-	if n := len(c.flights); n != 0 {
-		t.Errorf("%d flights left at quiescence", n)
+	if flights != 0 {
+		t.Errorf("%d flights left at quiescence", flights)
 	}
 	if st.Lookups != st.Hits+st.Misses {
 		t.Errorf("lookups %d != hits %d + misses %d", st.Lookups, st.Hits, st.Misses)
@@ -357,6 +362,37 @@ func TestFailedFlightRetries(t *testing.T) {
 	c.Complete(k, f2, 42, true)
 	if v, ok := c.Peek(k); !ok || v != 42 {
 		t.Fatalf("retry result not cached: (%d, %v)", v, ok)
+	}
+}
+
+// TestPutDuringFlight: a flight is a table entry until its leader
+// completes, so a Put of the key meanwhile replaces it. Lookups then hit
+// the Put value, a failed completion leaves that value, and a successful
+// one replaces it; the entry count holds throughout.
+func TestPutDuringFlight(t *testing.T) {
+	for _, insert := range []bool{false, true} {
+		c := New[int](Options{}, nil)
+		k := mkKey(5)
+		_, _, f, leader := c.Lookup(k)
+		if !leader || c.Stats().Entries != 0 {
+			t.Fatalf("cold lookup: leader=%v, %d entries", leader, c.Stats().Entries)
+		}
+		c.Put(k, 7)
+		if v, hit, _, _ := c.Lookup(k); !hit || v != 7 {
+			t.Fatalf("lookup after Put: (%d, %v)", v, hit)
+		}
+		c.Complete(k, f, 9, insert)
+		want := 7
+		if insert {
+			want = 9
+		}
+		if v, ok := c.Peek(k); !ok || v != want || c.Stats().Entries != 1 {
+			t.Errorf("insert=%v: Peek = (%d, %v), %d entries; want %d in 1", insert, v, ok, c.Stats().Entries, want)
+		}
+		<-f.Done()
+		if f.Value() != 9 {
+			t.Errorf("insert=%v: the flight's waiters read %d, want 9", insert, f.Value())
+		}
 	}
 }
 
@@ -490,20 +526,33 @@ func TestCodecacheMetricsConcurrent(t *testing.T) {
 
 // TestMemoHitZeroAllocs pins a cache hit at zero heap allocations: a
 // Lookup hit, the path dynopt's fleet cache takes, is a map read plus
-// counter and recency updates under the mutex.
-// dynopt.TestMemoKeyZeroAllocs pins the other half, the content-key fold.
+// counter and recency updates under the mutex. The key is a struct
+// holding a long string, like dynopt's compile-input key, and the lookup
+// uses an equal copy of it: a hit compares content, not pointers, and a
+// key that differs in any part misses. dynopt.TestReuseDecisionZeroAllocs
+// pins the other half, building the key.
 func TestMemoHitZeroAllocs(t *testing.T) {
+	type key struct {
+		content string
+		n       int
+	}
 	type region struct{ cycles int }
-	c := New[*region](Options{}, nil)
-	k := compilequeue.NewKey().Int(7).Int(3).Bool(true)
+	c := NewKeyed[key, *region](Options{}, nil)
+	k := key{content: strings.Repeat("superblock", 100), n: 3}
 	want := &region{cycles: 42}
 	c.Put(k, want)
+	probe := key{content: strings.Clone(k.content), n: 3}
 	allocs := testing.AllocsPerRun(200, func() {
-		if got, hit, f, _ := c.Lookup(k); !hit || got != want || f != nil {
+		if got, hit, f, _ := c.Lookup(probe); !hit || got != want || f != nil {
 			t.Fatal("Lookup missed a cached key")
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("a cache hit allocates %v times per lookup, want 0", allocs)
+	}
+	for _, other := range []key{{content: k.content, n: 4}, {content: k.content[1:], n: 3}} {
+		if _, hit := c.Peek(other); hit {
+			t.Errorf("a key differing from the cached one hit: %d bytes, n %d", len(other.content), other.n)
+		}
 	}
 }

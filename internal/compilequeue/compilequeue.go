@@ -1,12 +1,12 @@
 // Package compilequeue is the host-side machinery behind dynopt's
 // queued compilation: one process-wide worker pool that runs pure compile
-// jobs off the dispatch path, and the content-hash key — the canonical
-// bytes of a region's guest instructions plus the configuration bits that
-// affect its compilation — that dynopt's compile-output cache
-// (internal/codecache) is addressed by.
+// jobs off the dispatch path. It also keeps Key, a 64-bit FNV-1a fold
+// that only the benchmark's lookup replay (bench/replay.go) still uses to
+// key a codecache.Cache; dynopt keys its caches by its exact compile
+// input instead.
 //
 // Determinism discipline: nothing in this package makes a *simulated*
-// decision. Workers execute pure functions whose inputs are snapshotted on
+// decision. Workers execute pure functions over immutable inputs built on
 // the simulation thread; every observable choice — what to enqueue, when a
 // result installs, cache lookups and inserts — happens on the simulation
 // thread at points fixed by the simulated clock. The pool's size and
@@ -55,10 +55,10 @@ func runJob(fn func()) {
 	fn()
 }
 
-// Key is a 64-bit FNV-1a content hash identifying a compilation input:
-// the superblock's instruction bytes plus every configuration bit that
-// changes the produced code (tier-derived flags, blacklist pairs, pinned
-// loads). Two enqueues with equal keys compile to interchangeable code.
+// Key is a 64-bit FNV-1a hash of the words folded into it. Equal fold
+// sequences give equal keys, but a hash can collide, so nothing that
+// installs code is keyed by it; the benchmark's lookup replay times
+// codecache lookups with it.
 type Key uint64
 
 const (

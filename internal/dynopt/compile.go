@@ -1,5 +1,5 @@
 // The compile path: the pipeline (xlate → opt → constraint/deps → sched →
-// alias allocation → vliw.Compile) is a pure function over snapshotted
+// alias allocation → vliw.Compile) is a pure function over immutable
 // inputs, every compile request runs one sequence (enqueueCompile), and
 // every result installs through one install point (installPending).
 // Compile.Workers decides only when a compile installs. With Workers == 0
@@ -20,12 +20,8 @@
 package dynopt
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"maps"
-	"math"
-	"slices"
 	"sync"
 
 	"smarq/internal/alias"
@@ -54,12 +50,13 @@ type CompileConfig struct {
 	// readyAt point. Every value >= 1 is the same program.
 	Workers int
 	// SharedCache, when non-nil, is a compile-output cache shared across
-	// Systems: a concurrent content-addressed LRU cache, so identical
-	// regions compile once fleet-wide, and a region being compiled by one
-	// tenant is awaited (cross-tenant single-flight), not recompiled, by
-	// others. Hits replay the modelled compile costs exactly like a fresh
-	// compile, so each tenant's simulated results are byte-identical to a
-	// solo run modulo the hit/miss/dedupe counters, at any Workers.
+	// Systems: a concurrent LRU cache keyed by the exact compile input, so
+	// identical regions compile once fleet-wide, whichever programs they
+	// come from, and a region being compiled by one tenant is awaited
+	// (cross-tenant single-flight), not recompiled, by others. Hits
+	// replay the modelled compile costs exactly like a fresh compile, so
+	// each tenant's simulated results are byte-identical to a solo run
+	// modulo the hit/miss/dedupe counters, at any Workers.
 	SharedCache *CodeCache
 }
 
@@ -79,8 +76,8 @@ type CompileStats struct {
 	Installed int64
 	Canceled  int64
 	Failed    int64
-	// MemoHits/MemoMisses count content-hash lookups against the shared
-	// fleet cache.
+	// MemoHits/MemoMisses count lookups of the exact compile-input key
+	// against the shared fleet cache.
 	MemoHits   int64
 	MemoMisses int64
 	// DedupeWaits counts lookups that joined another tenant's in-flight
@@ -135,65 +132,80 @@ var errWatchdogTimeout = errors.New("dynopt: compile watchdog deadline overrun")
 // expected to come out clean).
 var errPoisonedResult = errors.New("dynopt: poisoned compile result rejected")
 
-// compileInput is everything the pipeline reads. newCompileInput builds
-// it on the simulation thread at enqueue as a view: the superblock is
-// immutable after Form, but the blacklist and pin sets are the region
-// record's live maps, which the simulation thread mutates on alias
-// exceptions. An input that outlives its request — handed to a worker, or
-// kept in an install record for the reuse check — is a snapshot, with
-// both sets copied.
+// compileInput is everything the pipeline reads, and its key. Every part
+// is immutable: the superblock once filled, and the blacklist and pin sets
+// because a hardening replaces the region record's maps instead of
+// writing to them (regionRecord.harden). An input is therefore a plain
+// value that a request, a job, an install record and the fleet cache may
+// all hold.
 type compileInput struct {
 	entry     int
 	sb        *region.Superblock
-	optCfg    opt.Config
-	scfg      sched.Config
 	blacklist alias.Blacklist
+	pins      map[int]bool
+	key       compileKey
 }
 
-// snapshot returns a heap copy of the input that owns its blacklist and
-// pin sets, so later mutation of the live maps cannot reach it.
-func (in *compileInput) snapshot() *compileInput {
-	c := *in
-	c.blacklist = nil
-	if len(in.blacklist) > 0 {
-		c.blacklist = maps.Clone(in.blacklist)
+// compileKey is a compile input's identity, and the fleet cache's key. It
+// holds the superblock's content (region.Superblock.Key), the optimizer
+// configuration, every sched.Config field but PinnedOps (named as there;
+// Machine and Alloc whole, so a field added to vliw.Config or core.Options
+// is in the key by construction) and the pin and blacklist sets
+// (encodeSets). It holds no pointer, so == compares content: the pipeline
+// is a pure function of the input, and inputs with equal keys compile to
+// equal code, whichever program or region formed them.
+type compileKey struct {
+	trace          string
+	opt            opt.Config
+	Mode           sched.HWMode
+	NumAliasRegs   int
+	StoreReorder   bool
+	ForceNonSpec   bool
+	PressureMargin int
+	Machine        vliw.Config
+	Alloc          core.Options
+	sets           string
+}
+
+// schedConfig is the scheduler configuration the input's key and pin set
+// describe.
+func (in *compileInput) schedConfig() sched.Config {
+	k := &in.key
+	return sched.Config{
+		Mode:           k.Mode,
+		NumAliasRegs:   k.NumAliasRegs,
+		StoreReorder:   k.StoreReorder,
+		ForceNonSpec:   k.ForceNonSpec,
+		PinnedOps:      in.pins,
+		PressureMargin: k.PressureMargin,
+		Machine:        k.Machine,
+		Alloc:          k.Alloc,
 	}
-	c.scfg.PinnedOps = nil
-	if len(in.scfg.PinnedOps) > 0 {
-		c.scfg.PinnedOps = maps.Clone(in.scfg.PinnedOps)
+}
+
+// encodeSets returns the canonical encoding of a region's pin and
+// blacklist sets for compileKey: "" when both are empty, else both maps as
+// fmt prints them, which is in sorted key order, so equal sets encode
+// equally whatever order they were hardened in.
+func encodeSets(pins map[int]bool, blacklist alias.Blacklist) string {
+	if len(pins) == 0 && len(blacklist) == 0 {
+		return ""
 	}
-	return &c
+	return fmt.Sprint(pins, blacklist)
 }
 
-// equal reports whether two inputs are the same pipeline input, field by
-// field: the same superblock (by pointer, which for a trace in the
-// program's trace table means equal content: re-forming the same trace
-// returns the same superblock), the same optimizer and scheduler
-// configuration, and equal pin and blacklist sets. The pipeline is a pure function of these, so equal inputs compile
-// to equal code. It never compares memo keys: a 64-bit hash collision
-// would install wrong code.
-func (in *compileInput) equal(o *compileInput) bool {
-	a, b := &in.scfg, &o.scfg
-	return in.sb == o.sb && in.optCfg == o.optCfg &&
-		a.Mode == b.Mode && a.NumAliasRegs == b.NumAliasRegs &&
-		a.StoreReorder == b.StoreReorder && a.ForceNonSpec == b.ForceNonSpec &&
-		a.PressureMargin == b.PressureMargin &&
-		a.Machine == b.Machine && a.Alloc == b.Alloc &&
-		maps.Equal(a.PinnedOps, b.PinnedOps) &&
-		maps.Equal(in.blacklist, o.blacklist)
-}
-
-// compileOutput is the pipeline's result plus everything the install
-// point needs to replay the compilation's simulated costs — fleet-cache
-// hits and re-installs hand back the same object, so either must be
-// observationally identical to a re-run.
+// compileOutput is the pipeline's result, the input it was compiled from,
+// and everything the install point needs to replay the compilation's
+// simulated costs — fleet-cache hits and re-installs hand back the same
+// object, so either must be observationally identical to a re-run. A
+// fleet-cache hit's input may come from another program, with a key equal
+// to the requester's.
 type compileOutput struct {
+	in              compileInput
 	cr              *vliw.CompiledRegion
 	alloc           core.Stats
 	working         core.WorkingSets
 	numOps          int64
-	guestInsts      int
-	memOps          int
 	overflowRetries int
 	err             error
 	// checksum is the content hash of cr, stamped by the worker right
@@ -219,9 +231,6 @@ type pendingCompile struct {
 	queued    bool
 	memoHit   bool
 	recompile bool // old code still installed (promotion-style recompile)
-	// in is the snapshot of the inputs out was compiled from; the install
-	// point keeps both in the region's install record for its tier.
-	in *compileInput
 	// hung marks a chaos-injected compile hang: no job is submitted, and
 	// the pending entry is killed by the watchdog at deadline.
 	hung bool
@@ -262,10 +271,8 @@ type compileQueue struct {
 	seq   int64
 }
 
-// newCompileInput returns a view of entry's compile inputs over the live
-// blacklist and pin sets (see compileInput), forming the region's
-// superblock into its record when it has none. Take a snapshot before the
-// input outlives the request.
+// newCompileInput returns entry's compile input, forming the region's
+// superblock into its record when it has none.
 func (s *System) newCompileInput(entry int) (compileInput, error) {
 	rr := s.recordOf(entry)
 	if rr.sb == nil {
@@ -277,26 +284,28 @@ func (s *System) newCompileInput(entry int) (compileInput, error) {
 	}
 	// The effective tier folds the health controller's no-speculation
 	// clamp; it flows into both the opt and sched configs, and through
-	// them into the reuse check and the fleet-cache key, so clamped and
-	// unclamped compiles of the same region never share code.
+	// them into the key, so clamped and unclamped compiles of the same
+	// region never share code.
 	et := s.effectiveTier(entry)
 	return compileInput{
 		entry:     entry,
 		sb:        rr.sb,
-		optCfg:    s.optConfig(et),
 		blacklist: rr.blacklist,
-		scfg: sched.Config{
+		pins:      rr.pins,
+		key: compileKey{
+			trace:          rr.sb.Key(),
+			opt:            s.optConfig(et),
 			Mode:           s.cfg.Mode,
 			NumAliasRegs:   s.cfg.NumAliasRegs,
 			StoreReorder:   s.cfg.StoreReorder && et < TierNoStoreReorder,
 			ForceNonSpec:   et >= TierConservative,
-			PinnedOps:      rr.pins,
 			PressureMargin: 4,
 			Machine:        s.cfg.Machine,
 			Alloc: core.Options{
 				DisableAnti:     s.cfg.Ablation.Anti,
 				DisableRotation: s.cfg.Ablation.Rotation,
 			},
+			sets: rr.sets,
 		},
 	}, nil
 }
@@ -311,7 +320,7 @@ var arenaPool = sync.Pool{New: func() interface{} { return ir.NewArena() }}
 // compilePipeline is the active compile path. Tests swap in
 // runCompilePipelineRef to differentially check the flat-arena pipeline
 // against the retained reference implementation.
-var compilePipeline = func(in *compileInput) *compileOutput { return runCompilePipeline(in, nil) }
+var compilePipeline = func(out *compileOutput) *compileOutput { return runCompilePipeline(out, nil) }
 
 // Compilation is a read-only view of one pipeline run after the bake (see
 // InspectRegion). Only Superblock and Code outlive the callback.
@@ -328,19 +337,17 @@ type Compilation struct {
 // runCompilePipeline is the pure compile path: translate, optimize,
 // compute dependences, schedule with alias register allocation (with the
 // overflow retry ladder), and bake the VLIW code; a non-nil fn then sees
-// the compilation. It touches nothing but its input, so it is safe on a
-// worker goroutine.
+// the compilation. It compiles out.in, writes the result into out and
+// returns out; a request allocates the output with its input once. It
+// touches nothing but out, so it is safe on a worker goroutine.
 //
 // Every intermediate structure is recycled: the IR comes from a pooled
 // arena, and the alias table, dependence set and optimizer result are
 // handed back to their pools on exit. Only the decoded CompiledRegion and
 // plain-value stats escape (install records and the fleet cache retain
 // compile outputs).
-func runCompilePipeline(in *compileInput, fn func(*Compilation)) *compileOutput {
-	out := &compileOutput{
-		guestInsts: len(in.sb.Insts),
-		memOps:     in.sb.NumMemOps(),
-	}
+func runCompilePipeline(out *compileOutput, fn func(*Compilation)) *compileOutput {
+	in := &out.in
 	ar := arenaPool.Get().(*ir.Arena)
 	defer func() {
 		ar.Reset()
@@ -352,7 +359,7 @@ func runCompilePipeline(in *compileInput, fn func(*Compilation)) *compileOutput 
 		return out
 	}
 	tbl := alias.BuildTable(reg, in.blacklist)
-	optRes := opt.Run(reg, tbl, in.optCfg)
+	optRes := opt.Run(reg, tbl, in.key.opt)
 	ds := deps.Compute(reg, tbl)
 	opt.AddExtendedDeps(ds, reg, tbl, optRes)
 	// The deferred closures release whatever tbl/ds refer to at return —
@@ -363,7 +370,7 @@ func runCompilePipeline(in *compileInput, fn func(*Compilation)) *compileOutput 
 		optRes.Release()
 	}()
 
-	scfg := in.scfg
+	scfg := in.schedConfig()
 	sc, err := sched.Run(reg, tbl, ds, scfg)
 	if err != nil {
 		// Alias register overflow: retry pinned to non-speculation mode,
@@ -398,7 +405,7 @@ func runCompilePipeline(in *compileInput, fn func(*Compilation)) *compileOutput 
 	out.numOps = int64(len(reg.Ops))
 	// Compile decodes the schedule into storage of its own, so the arena
 	// can be recycled while the compiled region lives on.
-	out.cr = in.scfg.Machine.Compile(sc.Seq, reg, len(in.sb.Insts))
+	out.cr = in.key.Machine.Compile(sc.Seq, reg, len(in.sb.Insts))
 	out.alloc = sc.Alloc.Stats
 	out.working = core.MeasureWorkingSets(sc.Alloc, in.sb.NumMemOps())
 	if fn != nil {
@@ -413,22 +420,19 @@ func runCompilePipeline(in *compileInput, fn func(*Compilation)) *compileOutput 
 // never-recycled IR allocations and the heap-based reference scheduler,
 // with no pooling hand-backs. TestCompileFlatMatchesReference drives it
 // against runCompilePipeline and requires identical outputs.
-func runCompilePipelineRef(in *compileInput) *compileOutput {
-	out := &compileOutput{
-		guestInsts: len(in.sb.Insts),
-		memOps:     in.sb.NumMemOps(),
-	}
+func runCompilePipelineRef(out *compileOutput) *compileOutput {
+	in := &out.in
 	reg, err := xlate.TranslateArena(in.sb, ir.NewArena())
 	if err != nil {
 		out.err = err
 		return out
 	}
 	tbl := alias.BuildTable(reg, in.blacklist)
-	optRes := opt.Run(reg, tbl, in.optCfg)
+	optRes := opt.Run(reg, tbl, in.key.opt)
 	ds := deps.Compute(reg, tbl)
 	opt.AddExtendedDeps(ds, reg, tbl, optRes)
 
-	scfg := in.scfg
+	scfg := in.schedConfig()
 	sc, err := sched.RunRef(reg, tbl, ds, scfg)
 	if err != nil {
 		out.overflowRetries++
@@ -452,7 +456,7 @@ func runCompilePipelineRef(in *compileInput) *compileOutput {
 	}
 
 	out.numOps = int64(len(reg.Ops))
-	out.cr = in.scfg.Machine.Compile(sc.Seq, reg, len(in.sb.Insts))
+	out.cr = in.key.Machine.Compile(sc.Seq, reg, len(in.sb.Insts))
 	out.alloc = sc.Alloc.Stats
 	out.working = core.MeasureWorkingSets(sc.Alloc, in.sb.NumMemOps())
 	return out
@@ -460,29 +464,28 @@ func runCompilePipelineRef(in *compileInput) *compileOutput {
 
 // runCompileJob is the fault-domain wrapper every fresh compile runs
 // inside (compileJob.run, on a worker or the simulation thread): it
-// recovers a panicking pipeline into a failed compileOutput — so a host
-// bug in one compile can never take down the process or wedge the
-// install point — and stamps the content checksum the install-time
-// validation recomputes. The chaos knobs are plumbed in as plain values
-// drawn on the simulation thread (drawHostFaults); the job itself makes
-// no decisions.
-func runCompileJob(in *compileInput, panicInject bool, poison faultinject.PoisonMode) (out *compileOutput) {
+// compiles out.in into out, recovering a panicking pipeline into a failed
+// output — so a host bug in one compile can never take down the process
+// or wedge the install point — and stamps the content checksum the
+// install-time validation recomputes. The chaos knobs are plumbed in as
+// plain values drawn on the simulation thread (drawHostFaults); the job
+// itself makes no decisions.
+func runCompileJob(out *compileOutput, panicInject bool, poison faultinject.PoisonMode) {
 	defer func() {
 		if r := recover(); r != nil {
-			out = &compileOutput{
-				guestInsts: len(in.sb.Insts),
-				memOps:     in.sb.NumMemOps(),
-				panicked:   true,
-				err:        fmt.Errorf("%w: B%d: %v", errCompilePanic, in.entry, r),
+			*out = compileOutput{
+				in:       out.in,
+				panicked: true,
+				err:      fmt.Errorf("%w: B%d: %v", errCompilePanic, out.in.entry, r),
 			}
 		}
 	}()
 	if panicInject {
 		panic("faultinject: injected compile-worker panic")
 	}
-	out = compilePipeline(in)
+	compilePipeline(out)
 	if out.err != nil {
-		return out
+		return
 	}
 	if poison == faultinject.PoisonStructure {
 		// Corrupt before the checksum stamp: the hash is consistent with
@@ -496,82 +499,6 @@ func runCompileJob(in *compileInput, panicInject bool, poison faultinject.Poison
 		// not constrain: only the checksum comparison can reject it.
 		out.cr.Corrupt(false)
 	}
-	return out
-}
-
-// keyScratch recycles the sorted-encoding buffers memoKey needs for the
-// pin and blacklist sets: hashing runs on the dispatch path at every
-// enqueue, so key construction must not allocate.
-type keyScratch struct {
-	ints  []int
-	pairs []alias.Pair
-}
-
-var keyScratchPool = sync.Pool{New: func() interface{} { return &keyScratch{} }}
-
-// memoKey canonically hashes a compile input: every superblock byte plus
-// every configuration bit the pipeline reads. Fields that cannot vary
-// within one System (the machine model, ablations, hardware mode) are
-// still folded: Systems with different configurations may share one
-// fleet cache, and the machine model decides both the schedule and the
-// compiled region's cycle cost.
-func memoKey(in *compileInput) compilequeue.Key {
-	k := compilequeue.NewKey()
-	sb := in.sb
-	k = k.Int(int64(sb.Entry)).Int(int64(sb.FinalTarget)).Int(int64(sb.UnrollFactor))
-	k = k.Int(int64(len(sb.Blocks)))
-	for _, b := range sb.Blocks {
-		k = k.Int(int64(b))
-	}
-	k = k.Int(int64(len(sb.Insts)))
-	for i := range sb.Insts {
-		gi := &sb.Insts[i]
-		k = k.Int(int64(gi.Inst.Op)).Int(int64(gi.Inst.Rd)).Int(int64(gi.Inst.Rs1)).Int(int64(gi.Inst.Rs2))
-		k = k.Int(gi.Inst.Imm).Word(math.Float64bits(gi.Inst.FImm)).Int(int64(gi.Inst.Target))
-		k = k.Bool(gi.IsGuard).Bool(gi.OnTraceTaken).Int(int64(gi.OffTrace))
-	}
-	k = k.Bool(in.optCfg.LoadElim).Bool(in.optCfg.StoreElim).Bool(in.optCfg.Speculative)
-	sc := &in.scfg
-	k = k.Int(int64(sc.Mode)).Int(int64(sc.NumAliasRegs)).Bool(sc.StoreReorder).Bool(sc.ForceNonSpec)
-	k = k.Int(int64(sc.PressureMargin)).Bool(sc.Alloc.DisableAnti).Bool(sc.Alloc.DisableRotation)
-	m := &sc.Machine
-	k = k.Int(int64(m.IssueWidth)).Int(int64(m.MemPorts))
-	k = k.Int(int64(m.IntLat)).Int(int64(m.MemLat)).Int(int64(m.FPLat)).Int(int64(m.FDivLat)).Int(int64(m.FSqrtLat))
-	k = k.Int(int64(m.AliasRegs)).Int(int64(m.RollbackPenalty)).Int(int64(m.CommitCycles)).Int(int64(m.InterpCyclesPerInst))
-	k = k.Int(int64(m.OptCyclesPerOp)).Int(int64(m.SchedCyclesPerOp))
-	k = k.Int(int64(m.CompileCyclesPerInst)).Int(int64(m.CompileCyclesPerCheck))
-	if len(sc.PinnedOps) == 0 && len(in.blacklist) == 0 {
-		// Common case: no pins, no blacklist. Encode the zero lengths
-		// without touching the scratch pool.
-		return k.Int(0).Int(0)
-	}
-	scr := keyScratchPool.Get().(*keyScratch)
-	pins := scr.ints[:0]
-	for op := range sc.PinnedOps {
-		pins = append(pins, op)
-	}
-	slices.Sort(pins)
-	k = k.Int(int64(len(pins)))
-	for _, op := range pins {
-		k = k.Int(int64(op))
-	}
-	pairs := scr.pairs[:0]
-	for p := range in.blacklist {
-		pairs = append(pairs, p)
-	}
-	slices.SortFunc(pairs, func(a, b alias.Pair) int {
-		if c := cmp.Compare(a.A, b.A); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.B, b.B)
-	})
-	k = k.Int(int64(len(pairs)))
-	for _, p := range pairs {
-		k = k.Int(int64(p.A)).Int(int64(p.B))
-	}
-	scr.ints, scr.pairs = pins, pairs
-	keyScratchPool.Put(scr)
-	return k
 }
 
 // screenOutput is the one admission screen for a fresh compile result.
@@ -636,17 +563,16 @@ func (s *System) drawHostFaults(p *pendingCompile) (panicInject bool, poison fau
 
 // lookupOutput probes the fleet cache for in's key and counts the hit or
 // miss in Stats — the one cache lookup of the compile path. out is
-// non-nil on a hit. A miss either leads (flight != nil, leader), and the
+// non-nil on a hit; its input's key equals in's, so it is in's code. A miss either leads (flight != nil, leader), and the
 // leader fills the cache with Complete as soon as its compile ends, or
 // joins another tenant's compile (flight != nil, !leader); tenants
 // therefore never wait on each other's install points. Without a fleet
 // cache it counts nothing and returns a nil output.
-func (s *System) lookupOutput(in *compileInput) (key compilequeue.Key, out *compileOutput, flight *codecache.Flight[*compileOutput], leader bool) {
+func (s *System) lookupOutput(in *compileInput) (out *compileOutput, flight *codecache.Flight[*compileOutput], leader bool) {
 	if s.cache == nil {
-		return key, nil, nil, false
+		return nil, nil, false
 	}
-	key = memoKey(in)
-	out, hit, flight, leader := s.cache.Lookup(key)
+	out, hit, flight, leader := s.cache.Lookup(in.key)
 	if hit {
 		s.Stats.Compile.MemoHits++
 	} else {
@@ -655,7 +581,7 @@ func (s *System) lookupOutput(in *compileInput) (key compilequeue.Key, out *comp
 			s.Stats.Compile.DedupeWaits++
 		}
 	}
-	return key, out, flight, leader
+	return out, flight, leader
 }
 
 // admitOutput decides whether a fresh compile result may be installed
@@ -762,82 +688,78 @@ func (s *System) enqueueCompile(entry int) error {
 			int64(s.cfg.Machine.CompileCyclesPerCheck)*int64(in.sb.NumMemOps())
 		p.queued, p.readyAt, p.deadline = true, now+cost, now+cost*watchdogFactor
 	}
-	key, out, flight, leader := s.lookupOutput(&in)
+	out, flight, leader := s.lookupOutput(&in)
 	p.out, p.memoHit = out, out != nil
 	s.Stats.Compile.Enqueued++
-	var job compileJob
+	job := compileJob{cache: s.cache}
 	switch {
 	case p.memoHit || flight != nil && !leader:
 		// A hit, or a join of another tenant's compile of this key (awaited
 		// at the install point like a private job), runs no job: there is
 		// nothing for a host fault to panic, hang or poison.
-		p.in = in.snapshot()
 		p.flight = flight
 	default:
-		job = compileJob{cache: s.cache, key: key, flight: flight}
+		job.flight = flight
 		panicInject, poison := s.drawHostFaults(&p)
 		switch {
 		case p.hung:
 			// A hung compile runs no job, so a leader settles its flight
 			// now with a synthetic watchdog failure, or followers on other
 			// tenants would wait forever.
-			job.settle(entry, &compileOutput{
-				guestInsts: len(in.sb.Insts),
-				memOps:     in.sb.NumMemOps(),
-				err:        fmt.Errorf("%w for B%d", errWatchdogTimeout, entry),
-			})
+			job.settle(&compileOutput{in: in, err: fmt.Errorf("%w for B%d", errWatchdogTimeout, entry)})
 		case s.reuseRecord(&p, &in, panicInject, poison):
 			// A re-install runs no job either: a leader settles its flight
 			// with the record's output, as its job would.
-			job.settle(entry, p.out)
+			job.settle(p.out)
 		default:
-			p.in = in.snapshot()
-			job.in, job.panicInject, job.poison = p.in, panicInject, poison
+			job.out, job.panicInject, job.poison = &compileOutput{in: in}, panicInject, poison
 		}
 	}
 	if p.queued {
 		s.queueCompile(p, job)
 		return nil
 	}
-	if job.in != nil {
+	if job.out != nil {
 		p.out = job.run()
 	}
 	s.installPending(&p)
 	return nil
 }
 
-// compileJob is a fresh compile: its snapshot input (nil when the request
-// runs no job), the host faults drawn for it, and the fleet-cache flight
-// it settles when it leads one.
+// compileJob is a request's compile: the output a fresh job fills (it
+// holds the input; nil when the request runs no job), the host faults
+// drawn for it, and the fleet-cache flight it settles when it leads one.
 type compileJob struct {
-	in          *compileInput
+	out         *compileOutput
 	panicInject bool
 	poison      faultinject.PoisonMode
-	cache       *codecache.Cache[*compileOutput]
-	key         compilequeue.Key
+	cache       *codecache.Cache[compileKey, *compileOutput]
 	flight      *codecache.Flight[*compileOutput]
 }
 
 // run runs the pipeline in its fault domain (runCompileJob) and settles
 // the job's flight with the output.
 func (j compileJob) run() *compileOutput {
-	out := runCompileJob(j.in, j.panicInject, j.poison)
-	j.settle(j.in.entry, out)
-	return out
+	runCompileJob(j.out, j.panicInject, j.poison)
+	return j.settle(j.out)
 }
 
 // settle resolves a leader's flight with out, caching out only if it
-// passes screenOutput (else the next lookup elects a fresh leader).
-func (j compileJob) settle(entry int, out *compileOutput) {
+// passes screenOutput (else the next lookup elects a fresh leader), and
+// returns out. out's input has the flight's key: it is the request's own
+// (a fresh or a hung job) or the install record's, which the reuse rule
+// requires to be equal.
+func (j compileJob) settle(out *compileOutput) *compileOutput {
 	if j.flight != nil {
-		j.cache.Complete(j.key, j.flight, out, screenOutput(entry, out) == nil)
+		j.cache.Complete(out.in.key, j.flight, out, screenOutput(out.in.entry, out) == nil)
 	}
+	return out
 }
 
 // reuseRecord is the one reuse rule: re-install, don't recompile. If no
-// host fault was drawn for this compile and in equals the region's install
-// record for its effective tier (compileInput.equal), it gives p the
-// record's input and output and reports true; the caller then runs no
+// host fault was drawn for this compile and in's key equals that of the
+// region's install record for its effective tier, it gives p the record
+// and reports true; the caller then runs no
 // pipeline. Injected alias exceptions, drops, evictions and tier moves
 // often bring back inputs a region compiled before. The result still goes
 // through admitOutput and is charged like a fresh compile of the same
@@ -847,11 +769,11 @@ func (s *System) reuseRecord(p *pendingCompile, in *compileInput, panicInject bo
 	if panicInject || poison != faultinject.PoisonNone {
 		return false
 	}
-	last := &s.disp[p.entry].rec.installs[s.effectiveTier(p.entry)]
-	if last.in == nil || !last.in.equal(in) {
+	last := s.disp[p.entry].rec.installs[s.effectiveTier(p.entry)]
+	if last == nil || last.in.key != in.key {
 		return false
 	}
-	p.in, p.out = last.in, last.out
+	p.out = last
 	return true
 }
 
@@ -864,7 +786,7 @@ func (s *System) queueCompile(p pendingCompile, job compileJob) {
 	cq, entry, now := &s.cq, p.entry, p.enqueuedAt
 	cq.seq++
 	p.seq = cq.seq
-	if job.in != nil {
+	if job.out != nil {
 		p.done = make(chan struct{})
 		jp := &p
 		cq.jobs.Add(1)
@@ -987,13 +909,13 @@ func (s *System) installPending(p *pendingCompile) {
 	s.Stats.Compile.Installed++
 }
 
-// installOutput installs p's admitted output, compiled from p.in: cycle
-// accounting, code cache insert (with capacity eviction), the region's
+// installOutput installs p's admitted output: cycle accounting, code
+// cache insert (with capacity eviction), the output as the region's
 // install record for its effective tier, per-region statistics and the
 // compile telemetry event. A recompile overwrites the installed compiled
 // record in place; nothing else holds it.
 func (s *System) installOutput(p *pendingCompile, latency int64) {
-	entry, in, out := p.entry, p.in, p.out
+	entry, out := p.entry, p.out
 	s.Stats.OverflowRetries += out.overflowRetries
 	if !p.queued {
 		// A compile that installs at its request ran on the critical path
@@ -1014,12 +936,12 @@ func (s *System) installOutput(p *pendingCompile, latency int64) {
 		s.setCode(entry, c)
 	}
 	*c = compiled{cr: out.cr, lastUse: s.entrySeq, installedAt: s.now(), fresh: true}
-	rr.installs[s.effectiveTier(entry)] = installRecord{in: in, out: out}
+	rr.installs[s.effectiveTier(entry)] = out
 
 	rs := RegionStats{
 		Entry:          entry,
-		GuestInsts:     out.guestInsts,
-		MemOps:         out.memOps,
+		GuestInsts:     len(out.in.sb.Insts),
+		MemOps:         out.in.sb.NumMemOps(),
 		Alloc:          out.alloc,
 		Working:        out.working,
 		SeqLen:         out.cr.Ops(),
@@ -1049,8 +971,8 @@ func (s *System) InspectRegion(entry int, fn func(*Compilation)) error {
 	}
 	cr := s.disp[entry].code.cr
 	for _, rec := range s.disp[entry].rec.installs {
-		if rec.out != nil && rec.out.cr == cr {
-			out := runCompilePipeline(rec.in, fn)
+		if rec != nil && rec.cr == cr {
+			out := runCompilePipeline(&compileOutput{in: rec.in}, fn)
 			if out.err == nil && out.cr.Checksum() != cr.Checksum() {
 				out.err = fmt.Errorf("dynopt: B%d does not rebuild to its installed code", entry)
 			}

@@ -121,13 +121,13 @@ func TestRunWaitsForItsJobs(t *testing.T) {
 	var running, outside atomic.Int64
 	var inRun atomic.Bool
 	saved := compilePipeline
-	compilePipeline = func(in *compileInput) *compileOutput {
+	compilePipeline = func(out *compileOutput) *compileOutput {
 		if !inRun.Load() {
 			outside.Add(1)
 		}
 		running.Add(1)
 		time.Sleep(time.Millisecond)
-		out := runCompilePipeline(in, nil)
+		runCompilePipeline(out, nil)
 		running.Add(-1)
 		if !inRun.Load() {
 			outside.Add(1)

@@ -326,7 +326,7 @@ type System struct {
 	// see compile.go. cache is the fleet's shared compile-output cache
 	// (Compile.SharedCache), or nil.
 	cq    compileQueue
-	cache *codecache.Cache[*compileOutput]
+	cache *codecache.Cache[compileKey, *compileOutput]
 	// hc is the system health controller (nil unless Config.Health is
 	// enabled).
 	hc *health.Controller
@@ -681,26 +681,18 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		// signals below, which demote one rung at a time.
 		learned := false
 		if res.Conflict != nil {
-			if rr.blacklist == nil {
-				rr.blacklist = make(alias.Blacklist)
-			}
-			pair := alias.MakePair(res.Conflict.Checker, res.Conflict.Origin)
+			pair, pin := alias.MakePair(res.Conflict.Checker, res.Conflict.Origin), -1
+			repeat := rr.blacklist[pair]
 			if s.cfg.Mode == sched.HWALAT {
-				if rr.pins == nil {
-					rr.pins = make(map[int]bool)
-				}
-				if rr.pins[res.Conflict.Origin] {
-					s.demoteToConservative(entry, rr, telemetry.CausePairRepeat)
-				} else {
-					learned = true
-				}
-				rr.pins[res.Conflict.Origin] = true
-			} else if rr.blacklist[pair] {
+				pin = res.Conflict.Origin
+				repeat = rr.pins[pin]
+			}
+			if repeat {
 				s.demoteToConservative(entry, rr, telemetry.CausePairRepeat)
 			} else {
 				learned = true
 			}
-			rr.blacklist[pair] = true
+			rr.harden(pair, pin)
 		}
 		// Chronic offender: jump straight to conservative code and stop
 		// promoting (the old one-shot pin, now the ladder's hard cap).

@@ -8,6 +8,7 @@ import (
 
 	"smarq/internal/faultinject"
 	"smarq/internal/guest"
+	"smarq/internal/region"
 )
 
 // withRefPipeline runs fn with the compile path swapped to the retained
@@ -38,7 +39,7 @@ func diffConfigs() map[string]Config {
 // alias/deps/opt structures, decoded install) must be observationally
 // identical to the retained reference pipeline (private allocations,
 // heap scheduler, no pooling) — same schedules, alias assignments,
-// stats, memo keys and guest state, across hardware modes and chaos
+// stats and guest state, across hardware modes and chaos
 // seeds.
 func TestCompileFlatMatchesReference(t *testing.T) {
 	for name, cfg := range diffConfigs() {
@@ -80,7 +81,8 @@ func TestCompileFlatMatchesReference(t *testing.T) {
 				// formed: both pipelines on identical inputs must agree
 				// field-for-field on the compiled region, alias
 				// annotations, allocation stats and working sets, and
-				// must leave the input (hence its memo key) untouched.
+				// must leave the input untouched: its sets, and the
+				// shared superblocks (CheckTraces).
 				for entry, de := range flat.sys.disp {
 					if de.rec == nil || de.rec.sb == nil {
 						continue
@@ -89,13 +91,16 @@ func TestCompileFlatMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					keyBefore := memoKey(&in)
-					fout := runCompilePipeline(&in, nil)
-					rout := runCompilePipelineRef(&in)
-					if keyAfter := memoKey(&in); keyAfter != keyBefore {
-						t.Errorf("B%d: pipeline mutated its input: memo key %x -> %x", entry, keyBefore, keyAfter)
+					sets := in.key.sets
+					fout := runCompilePipeline(&compileOutput{in: in}, nil)
+					rout := runCompilePipelineRef(&compileOutput{in: in})
+					if got := encodeSets(in.pins, in.blacklist); got != sets {
+						t.Errorf("B%d: pipeline mutated its input's sets", entry)
 					}
 					compareOutputs(t, entry, fout, rout)
+				}
+				if _, err := region.CheckTraces(flat.sys.prog); err != nil {
+					t.Errorf("a pipeline wrote to a superblock: %v", err)
 				}
 			})
 		}
@@ -120,11 +125,9 @@ func compareOutputs(t *testing.T, entry int, flat, ref *compileOutput) {
 	if flat.working != ref.working {
 		t.Errorf("%sworking sets %+v vs %+v", pfx, flat.working, ref.working)
 	}
-	if flat.numOps != ref.numOps || flat.guestInsts != ref.guestInsts ||
-		flat.memOps != ref.memOps || flat.overflowRetries != ref.overflowRetries {
-		t.Errorf("%sscalar outputs (%d,%d,%d,%d) vs (%d,%d,%d,%d)", pfx,
-			flat.numOps, flat.guestInsts, flat.memOps, flat.overflowRetries,
-			ref.numOps, ref.guestInsts, ref.memOps, ref.overflowRetries)
+	if flat.numOps != ref.numOps || flat.overflowRetries != ref.overflowRetries {
+		t.Errorf("%sscalar outputs (%d,%d) vs (%d,%d)", pfx,
+			flat.numOps, flat.overflowRetries, ref.numOps, ref.overflowRetries)
 	}
 	// The compiled region is the decoded stream plus its header: equal
 	// values mean every op, operand, alias annotation and live-out agree.

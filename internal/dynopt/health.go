@@ -45,9 +45,9 @@ func (s *System) compileAllowed(entry int) bool {
 
 // effectiveTier is the region's ladder rung clamped by the health level:
 // at no-speculation and below, every new compile is at least
-// conservative. The clamp applies at compile-input snapshot time, so the
-// reuse check and the fleet-cache key (which fold the tier-derived flags)
-// stay correct.
+// conservative. The clamp applies when the compile input is built, so its
+// key (which holds the tier-derived flags) stays correct for the reuse
+// check and the fleet cache.
 func (s *System) effectiveTier(entry int) Tier {
 	t := s.tierOf(entry)
 	if s.hc != nil && s.hc.Level() >= health.NoSpeculation && t < TierConservative {

@@ -241,26 +241,31 @@ func TestPoisonedResultsNeverInstall(t *testing.T) {
 // drives the leader itself.
 func TestOneOutputScreen(t *testing.T) {
 	type moved struct{ rejected, panics, quarantined int64 }
+	jobOutput := func(in compileInput, panicInject bool, poison faultinject.PoisonMode) *compileOutput {
+		out := &compileOutput{in: in}
+		runCompileJob(out, panicInject, poison)
+		return out
+	}
 	for _, tc := range []struct {
 		name  string
-		out   func(in *compileInput) *compileOutput
+		out   func(in compileInput) *compileOutput
 		admit bool
 		want  moved
 	}{
-		{"clean", func(in *compileInput) *compileOutput {
-			return runCompileJob(in, false, faultinject.PoisonNone)
+		{"clean", func(in compileInput) *compileOutput {
+			return jobOutput(in, false, faultinject.PoisonNone)
 		}, true, moved{}},
-		{"pipeline-error", func(in *compileInput) *compileOutput {
+		{"pipeline-error", func(in compileInput) *compileOutput {
 			return &compileOutput{err: errors.New("unschedulable")}
 		}, false, moved{}},
-		{"panicked", func(in *compileInput) *compileOutput {
-			return runCompileJob(in, true, faultinject.PoisonNone)
+		{"panicked", func(in compileInput) *compileOutput {
+			return jobOutput(in, true, faultinject.PoisonNone)
 		}, false, moved{panics: 1, quarantined: 1}},
-		{"poison-checksum", func(in *compileInput) *compileOutput {
-			return runCompileJob(in, false, faultinject.PoisonChecksum)
+		{"poison-checksum", func(in compileInput) *compileOutput {
+			return jobOutput(in, false, faultinject.PoisonChecksum)
 		}, false, moved{rejected: 1}},
-		{"poison-structure", func(in *compileInput) *compileOutput {
-			return runCompileJob(in, false, faultinject.PoisonStructure)
+		{"poison-structure", func(in compileInput) *compileOutput {
+			return jobOutput(in, false, faultinject.PoisonStructure)
 		}, false, moved{rejected: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -269,7 +274,7 @@ func TestOneOutputScreen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out := tc.out(in.snapshot())
+			out := tc.out(in)
 			inserts := screenOutput(e, out) == nil
 
 			before := sys.Stats.Compile
@@ -312,12 +317,12 @@ func TestLeaderCachesWhatInstallAdmits(t *testing.T) {
 			for i := 0; i < tc.skip; i++ {
 				sys.inj.PoisonResult()
 			}
-			sys.disp[e].rec.installs = [TierPinned]installRecord{} // run a job
+			sys.disp[e].rec.installs = [TierPinned]*compileOutput{} // run a job
 			in, err := sys.newCompileInput(e)
 			if err != nil {
 				t.Fatal(err)
 			}
-			key := memoKey(&in)
+			key := in.key
 			installed := sys.Stats.Compile.Installed
 
 			sys.recompileRegion(e, false)

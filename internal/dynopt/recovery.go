@@ -2,6 +2,7 @@ package dynopt
 
 import (
 	"fmt"
+	"maps"
 
 	"smarq/internal/alias"
 	"smarq/internal/health"
@@ -116,11 +117,14 @@ type regionRecord struct {
 	// starts then: only formed records count in TierRegions.
 	formed bool
 	// blacklist and pins are the pairs and ALAT loads the region's alias
-	// exceptions hardened (nil until the first). Under ALAT a store checks
-	// *every* advanced load, so a false positive is silenced only by not
-	// advancing the load at all.
+	// exceptions hardened (nil until the first), and sets is their
+	// encoding for compileKey. Under ALAT a store checks *every* advanced
+	// load, so a false positive is silenced only by not advancing the load
+	// at all. The maps are never written: harden replaces them with
+	// copies, so compile inputs taken earlier keep what they saw.
 	blacklist alias.Blacklist
 	pins      map[int]bool
+	sets      string
 	// exceptions counts alias exceptions; past maxExceptionsPerRegion
 	// the region goes conservative and sticky (a guard against
 	// trap-recompile churn).
@@ -135,21 +139,39 @@ type regionRecord struct {
 	// is a Fault of weight 1; a clean commit, and a pinned region's clean
 	// interpreted entry, is a Clean.
 	health.Ladder[Tier]
-	// installs holds, per code tier, the input snapshot and admitted
-	// output the region last installed at that tier (indexed by the
-	// effective tier). A compile request whose inputs equal its tier's
-	// record re-installs that output instead of running the pipeline (see
-	// reuseRecord). The records outlive evictions, code
+	// installs holds, per code tier, the admitted output (with the input
+	// it was compiled from) the region last installed at that tier
+	// (indexed by the effective tier). A compile request whose input's key
+	// equals its tier's record re-installs that output instead of running
+	// the pipeline (see reuseRecord). The records outlive evictions, code
 	// drops and tier moves, which is when a region returns to a build it
 	// made before; only dropTrace clears them.
-	installs [TierPinned]installRecord
+	installs [TierPinned]*compileOutput
 }
 
-// installRecord is one tier's last installed build: the snapshot it was
-// compiled from and the output that passed admitOutput.
-type installRecord struct {
-	in  *compileInput
-	out *compileOutput
+// harden records an alias exception's pair in the blacklist and, when pin
+// >= 0, the pinned ALAT load (under ALAT a conflict writes both sets).
+// When either is new, the record replaces the sets it writes with copies
+// holding them and re-encodes sets; the old maps stay as they were, so no
+// compile input, install record or cache entry taken before the hardening
+// sees it.
+func (rr *regionRecord) harden(pair alias.Pair, pin int) {
+	if rr.blacklist[pair] && (pin < 0 || rr.pins[pin]) {
+		return
+	}
+	rr.blacklist = with(rr.blacklist, pair)
+	if pin >= 0 {
+		rr.pins = with(rr.pins, pin)
+	}
+	rr.sets = encodeSets(rr.pins, rr.blacklist)
+}
+
+// with returns a copy of set that also holds k.
+func with[M ~map[K]bool, K comparable](set M, k K) M {
+	c := make(M, len(set)+1)
+	maps.Copy(c, set)
+	c[k] = true
+	return c
 }
 
 func newRegionRecord() *regionRecord {
@@ -157,9 +179,9 @@ func newRegionRecord() *regionRecord {
 }
 
 // dropTrace is the guard-fail drop: the superblock goes, and with it every
-// install record, since each holds that superblock. What the region
+// install record, since each was compiled from that trace. What the region
 // learned stays: blacklist, pins, exception count, ladder and quarantine.
 func (rr *regionRecord) dropTrace() {
 	rr.sb = nil
-	rr.installs = [TierPinned]installRecord{}
+	rr.installs = [TierPinned]*compileOutput{}
 }

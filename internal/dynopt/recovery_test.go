@@ -374,7 +374,7 @@ func TestCodeCacheEviction(t *testing.T) {
 
 	e := -1
 	for i, de := range sys.disp {
-		if de.code == nil && de.rec != nil && sys.installRecordOf(i).out != nil {
+		if de.code == nil && de.rec != nil && sys.installRecordOf(i) != nil {
 			e = i
 			break
 		}
@@ -390,7 +390,7 @@ func TestCodeCacheEviction(t *testing.T) {
 	if runs.Load() != 0 {
 		t.Errorf("re-installing evicted B%d ran the pipeline %d times, want 0", e, runs.Load())
 	}
-	if c := sys.disp[e].code; c == nil || c.cr != last.out.cr {
+	if c := sys.disp[e].code; c == nil || c.cr != last.cr {
 		t.Errorf("evicted B%d did not re-install its recorded build", e)
 	}
 }

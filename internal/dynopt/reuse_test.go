@@ -19,9 +19,9 @@ func countPipelineRuns(t *testing.T) *atomic.Int64 {
 	t.Helper()
 	n := new(atomic.Int64)
 	saved := compilePipeline
-	compilePipeline = func(in *compileInput) *compileOutput {
+	compilePipeline = func(out *compileOutput) *compileOutput {
 		n.Add(1)
-		return runCompilePipeline(in, nil)
+		return runCompilePipeline(out, nil)
 	}
 	t.Cleanup(func() { compilePipeline = saved })
 	return n
@@ -50,7 +50,7 @@ func installedSystem(t *testing.T, workers int) (*System, int) {
 }
 
 // installRecordOf returns entry's install record for its effective tier.
-func (s *System) installRecordOf(entry int) installRecord {
+func (s *System) installRecordOf(entry int) *compileOutput {
 	return s.recordOf(entry).installs[s.effectiveTier(entry)]
 }
 
@@ -76,7 +76,7 @@ func TestInlineRecompileReusesInstalledCode(t *testing.T) {
 	runs := countPipelineRuns(t)
 	old := sys.disp[e].code
 	oldCR, rec := old.cr, sys.installRecordOf(e)
-	if rec.out == nil || rec.out.cr != oldCR {
+	if rec == nil || rec.cr != oldCR {
 		t.Fatal("the installed code is not its tier's install record")
 	}
 	// Dispatch state the re-install must not carry over.
@@ -99,10 +99,10 @@ func TestInlineRecompileReusesInstalledCode(t *testing.T) {
 		t.Errorf("Recompiles %d, want %d", got, want)
 	}
 	m := sys.cfg.Machine
-	if got, want := sys.Stats.OptCycles, before.OptCycles+rec.out.numOps*int64(m.OptCyclesPerOp); got != want {
+	if got, want := sys.Stats.OptCycles, before.OptCycles+rec.numOps*int64(m.OptCyclesPerOp); got != want {
 		t.Errorf("OptCycles %d, want %d (one more compile's charge)", got, want)
 	}
-	if got, want := sys.Stats.SchedCycles, before.SchedCycles+rec.out.numOps*int64(m.SchedCyclesPerOp); got != want {
+	if got, want := sys.Stats.SchedCycles, before.SchedCycles+rec.numOps*int64(m.SchedCyclesPerOp); got != want {
 		t.Errorf("SchedCycles %d, want %d (one more compile's charge)", got, want)
 	}
 	if got, want := sys.Stats.Compile.Installed, before.Compile.Installed+1; got != want {
@@ -114,43 +114,39 @@ func TestInlineRecompileReusesInstalledCode(t *testing.T) {
 // new blacklist pair, a new pin, a tier move, a superblock re-formed as a
 // different trace — runs the pipeline again.
 func TestInlineRecompileFreshOnChangedInputs(t *testing.T) {
+	pinned := alias.MakePair(1000, 1001)
 	for _, tc := range []struct {
 		name   string
+		setup  func(sys *System, e int) // before counting, if not nil
 		change func(sys *System, e int)
 	}{
-		{"blacklist", func(sys *System, e int) {
+		{"blacklist", nil, func(sys *System, e int) {
 			rr := sys.disp[e].rec
-			if rr.blacklist == nil {
-				rr.blacklist = make(alias.Blacklist)
-			}
-			bl := rr.blacklist
-			// Mutate the live map in place: the installed snapshot must not
-			// see the new pair.
 			for a := 1000; ; a++ {
-				if p := alias.MakePair(a, a+1); !bl[p] {
-					bl[p] = true
+				if p := alias.MakePair(a, a+1); !rr.blacklist[p] {
+					rr.harden(p, -1)
 					return
 				}
 			}
 		}},
 		{"pin", func(sys *System, e int) {
+			// Blacklist the pair first, so the pin is the only change.
+			sys.disp[e].rec.harden(pinned, -1)
+			sys.recompileRegion(e, true)
+		}, func(sys *System, e int) {
 			rr := sys.disp[e].rec
-			if rr.pins == nil {
-				rr.pins = make(map[int]bool)
-			}
-			pins := rr.pins
 			for op := 0; ; op++ {
-				if !pins[op] {
-					pins[op] = true
+				if !rr.pins[op] {
+					rr.harden(pinned, op)
 					return
 				}
 			}
 		}},
-		{"tier", func(sys *System, e int) {
+		{"tier", nil, func(sys *System, e int) {
 			rr := sys.disp[e].rec
 			rr.Level = (rr.Level + 1) % TierPinned
 		}},
-		{"reformed", func(sys *System, e int) {
+		{"reformed", nil, func(sys *System, e int) {
 			// Re-form the region as a different trace of the same entry,
 			// its loop unrolled one copy more. Re-forming the same trace
 			// returns the same superblock (TestReformedTraceReinstalls).
@@ -160,9 +156,12 @@ func TestInlineRecompileFreshOnChangedInputs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys, e := installedSystem(t, 0)
+			if tc.setup != nil {
+				tc.setup(sys, e)
+			}
 			runs := countPipelineRuns(t)
-			// Two rounds: the second mutates live state that the first
-			// round's install already snapshotted.
+			// Two rounds: the second changes sets that the first round's
+			// install already holds.
 			for round := 1; round <= 2; round++ {
 				oldCR := sys.disp[e].code.cr
 				tc.change(sys, e)
@@ -234,7 +233,7 @@ func TestHostFaultDrawForcesFreshJob(t *testing.T) {
 				if p == nil {
 					t.Fatal("the recompile queued nothing")
 				}
-				if p.in == sys.installRecordOf(e).in {
+				if p.done == nil && !p.hung {
 					t.Fatal("the recompile reused the install record despite a host-fault draw")
 				}
 				if p.hung != (tc.chaos.CompileHangRate > 0) || (p.done == nil) != p.hung {
@@ -263,7 +262,7 @@ func TestHostFaultDrawForcesFreshJob(t *testing.T) {
 			if err := old.Validate(); err != nil {
 				t.Errorf("the previously installed code no longer validates: %v", err)
 			}
-			if rec := sys.installRecordOf(e); rec.out == nil || rec.out.cr != old {
+			if rec := sys.installRecordOf(e); rec == nil || rec.cr != old {
 				t.Error("the rejected result replaced the install record")
 			}
 		})
@@ -279,7 +278,7 @@ func TestQueuedRecompileReusesRecord(t *testing.T) {
 	runs := countPipelineRuns(t)
 	reuse, e := installedSystem(t, 1)
 	fresh, _ := installedSystem(t, 1)
-	fresh.disp[e].rec.installs = [TierPinned]installRecord{}
+	fresh.disp[e].rec.installs = [TierPinned]*compileOutput{}
 	rec := reuse.installRecordOf(e)
 	before := reuse.Stats.Compile
 	base := runs.Load()
@@ -295,7 +294,7 @@ func TestQueuedRecompileReusesRecord(t *testing.T) {
 	if p.done != nil || p.flight != nil || p.hung {
 		t.Fatal("the recompile submitted a job for unchanged inputs")
 	}
-	if p.in != rec.in || p.out != rec.out {
+	if p.out != rec {
 		t.Fatal("the queued compile does not carry the install record")
 	}
 	if fresh.disp[e].rec.pending.done == nil {
@@ -308,7 +307,7 @@ func TestQueuedRecompileReusesRecord(t *testing.T) {
 		t.Errorf("%d pipeline runs, want 1 (the twin's fresh job only)", got)
 	}
 	c := reuse.disp[e].code
-	if c == nil || c.cr != rec.out.cr {
+	if c == nil || c.cr != rec.cr {
 		t.Fatal("the recompile did not install the record's CompiledRegion")
 	}
 	if c.installedAt != p.readyAt {
@@ -351,9 +350,11 @@ func TestFleetLeaderReuseCompletesFlight(t *testing.T) {
 		t.Fatal("run left no region installed")
 	}
 	rec := sys.installRecordOf(e)
-	key := memoKey(rec.in)
+	key := rec.in.key
 	// Make the key a miss: the one-entry cache now holds another key.
-	cc.cache.Put(key+1, nil)
+	other := key
+	other.sets = "another key"
+	cc.cache.Put(other, nil)
 	before := sys.Stats.Compile
 	base := runs.Load()
 
@@ -367,20 +368,20 @@ func TestFleetLeaderReuseCompletesFlight(t *testing.T) {
 		t.Fatalf("the lookup did not lead a flight: misses %d -> %d, dedupe waits %d -> %d",
 			before.MemoMisses, got.MemoMisses, before.DedupeWaits, got.DedupeWaits)
 	}
-	if p.done != nil || p.flight != nil || p.out != rec.out {
+	if p.done != nil || p.flight != nil || p.out != rec {
 		t.Fatal("the leader did not re-install its record")
 	}
-	if out, hit := cc.cache.Peek(key); !hit || out != rec.out {
+	if out, hit := cc.cache.Peek(key); !hit || out != rec {
 		t.Fatal("the leader's flight did not insert the record's output")
 	}
-	if out, hit, flight, _ := cc.cache.Lookup(key); !hit || out != rec.out || flight != nil {
+	if out, hit, flight, _ := cc.cache.Lookup(key); !hit || out != rec || flight != nil {
 		t.Fatal("a later lookup of the key found no entry")
 	}
 	settle(t, sys, e)
 	if runs.Load() != base {
 		t.Errorf("%d pipeline runs, want 0", runs.Load()-base)
 	}
-	if c := sys.disp[e].code; c == nil || c.cr != rec.out.cr {
+	if c := sys.disp[e].code; c == nil || c.cr != rec.cr {
 		t.Error("the leader did not install the record's CompiledRegion")
 	}
 }
@@ -423,24 +424,31 @@ func TestReusePipelineRunsAmmpChaos(t *testing.T) {
 	}
 }
 
-// TestReuseDecisionZeroAllocs pins the reuse decision — building the
-// input view and comparing it with the install record's snapshot — at
-// zero heap allocations: the pin and blacklist copies are made only when
-// the pipeline runs. The live sets are deliberately nonempty.
+// TestReuseDecisionZeroAllocs pins the reuse decision and the fleet
+// cache's key — building the input with its key and comparing it with the
+// install record's, then looking the key up in a fleet cache that holds
+// it — at zero heap allocations: the superblock and set encodings are
+// built when they change, never per request. The sets are deliberately
+// nonempty.
 func TestReuseDecisionZeroAllocs(t *testing.T) {
 	sys, e := installedSystem(t, 0)
 	rr := sys.disp[e].rec
-	rr.blacklist = alias.Blacklist{alias.MakePair(3, 1): true, alias.MakePair(2, 5): true}
-	rr.pins = map[int]bool{9: true, 2: true}
+	rr.harden(alias.MakePair(3, 1), 9)
+	rr.harden(alias.MakePair(2, 5), 2)
 	sys.recompileRegion(e, true)
 	if sys.disp[e].code == nil {
 		t.Fatal("recompile installed no code")
 	}
+	cc := NewCodeCache(codecache.Options{})
+	cc.cache.Put(sys.installRecordOf(e).in.key, sys.installRecordOf(e))
 	allocs := testing.AllocsPerRun(200, func() {
 		in, err := sys.newCompileInput(e)
 		rec := sys.installRecordOf(e)
-		if err != nil || rec.in == nil || !rec.in.equal(&in) {
+		if err != nil || rec == nil || rec.in.key != in.key || in.key.sets == "" {
 			t.Fatalf("unchanged inputs do not compare equal (err %v)", err)
+		}
+		if out, hit, _, _ := cc.cache.Lookup(in.key); !hit || out != rec {
+			t.Fatal("the fleet cache missed the input's key")
 		}
 	})
 	if allocs != 0 {
@@ -471,7 +479,7 @@ func TestInlineReinstallZeroAllocs(t *testing.T) {
 func TestPromotionReinstallsEarlierTier(t *testing.T) {
 	sys, e := installedSystem(t, 0)
 	rr := sys.disp[e].rec
-	rr.installs = [TierPinned]installRecord{}
+	rr.installs = [TierPinned]*compileOutput{}
 	runs := countPipelineRuns(t)
 
 	rr.Level = TierFull
@@ -487,7 +495,7 @@ func TestPromotionReinstallsEarlierTier(t *testing.T) {
 	}
 	nsr := rr.installs[TierNoStoreReorder]
 	rr.Level = TierFull
-	fullOps := sys.installRecordOf(e).out.numOps
+	fullOps := sys.installRecordOf(e).numOps
 	before := sys.Stats
 
 	sys.recompileRegion(e, true)
@@ -524,16 +532,15 @@ func TestInstallRecordsClearedOnReform(t *testing.T) {
 	sys.borrowExec() // runRegion below dispatches outside Run
 	defer sys.returnExec()
 	rr := sys.disp[e].rec
-	if sys.installRecordOf(e).out == nil {
+	if sys.installRecordOf(e) == nil {
 		t.Fatal("the installed region has no install record")
 	}
-	rr.blacklist = alias.Blacklist{alias.MakePair(3, 1): true}
-	rr.pins = map[int]bool{9: true}
+	rr.harden(alias.MakePair(3, 1), 9)
 	rr.exceptions = 5
 	rr.Level, rr.Backoff, rr.Demotions = TierNoElim, 4, 2
 	rr.quarantined = true
 	want := *rr
-	want.sb, want.installs = nil, [TierPinned]installRecord{}
+	want.sb, want.installs = nil, [TierPinned]*compileOutput{}
 
 	sys.inj = faultinject.New(faultinject.Config{Seed: 1, GuardFailRate: 1})
 	c := sys.disp[e].code
@@ -542,74 +549,10 @@ func TestInstallRecordsClearedOnReform(t *testing.T) {
 	if rr.sb != nil || sys.disp[e].code != nil {
 		t.Fatal("the guard-fail storm did not drop the region and its superblock")
 	}
-	if rr.installs != [TierPinned]installRecord{} {
+	if rr.installs != [TierPinned]*compileOutput{} {
 		t.Error("install records survived the superblock drop")
 	}
 	if !reflect.DeepEqual(*rr, want) {
 		t.Errorf("the drop changed more than the superblock and install records:\ngot  %+v\nwant %+v", *rr, want)
 	}
-}
-
-// TestInputEqualCoversEveryField requires every optimizer and scheduler
-// configuration field, and both sets, to reach compileInput.equal, so a
-// field added to opt.Config, sched.Config, vliw.Config or core.Options
-// cannot silently fall out of the reuse check.
-func TestInputEqualCoversEveryField(t *testing.T) {
-	base := sampleCompileInput(t)
-	for _, root := range []string{"optCfg", "scfg", "blacklist"} {
-		in := base.snapshot()
-		perturbEach(t, reflect.ValueOf(in).Elem().FieldByName(root), root, func(path string) {
-			if base.equal(in) {
-				t.Errorf("%s does not reach compileInput.equal", path)
-			}
-		})
-		if !base.equal(in) {
-			t.Errorf("%s: perturbation not restored", root)
-		}
-	}
-}
-
-// perturbEach changes each leaf under v in turn (an integer by one, a
-// bool flipped, a map by one extra entry), calls check, and restores it.
-func perturbEach(t *testing.T, v reflect.Value, path string, check func(path string)) {
-	t.Helper()
-	// Unexported fields are reached through an addressable copy of the
-	// pointer, which lets reflect set them.
-	v = reflect.NewAt(v.Type(), v.Addr().UnsafePointer()).Elem()
-	orig := reflect.New(v.Type()).Elem()
-	orig.Set(v)
-	switch v.Kind() {
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			perturbEach(t, v.Field(i), path+"."+v.Type().Field(i).Name, check)
-		}
-		return
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		v.SetInt(v.Int() + 1)
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		v.SetUint(v.Uint() + 1)
-	case reflect.Bool:
-		v.SetBool(!v.Bool())
-	case reflect.Map:
-		m := reflect.MakeMap(v.Type())
-		for it := v.MapRange(); it.Next(); {
-			m.SetMapIndex(it.Key(), it.Value())
-		}
-		// A key not yet present: count up its first int (an op ID, or a
-		// pair's first op).
-		k := reflect.New(v.Type().Key()).Elem()
-		n := k
-		if n.Kind() == reflect.Struct {
-			n = n.Field(0)
-		}
-		for m.MapIndex(k).IsValid() {
-			n.SetInt(n.Int() + 1)
-		}
-		m.SetMapIndex(k, reflect.ValueOf(true))
-		v.Set(m)
-	default:
-		t.Fatalf("%s: no perturbation for kind %v", path, v.Kind())
-	}
-	check(path)
-	v.Set(orig)
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"smarq/internal/codecache"
-	"smarq/internal/compilequeue"
 	"smarq/internal/guest"
 	"smarq/internal/telemetry"
 	"smarq/internal/workload"
@@ -61,13 +60,13 @@ func TestInlineFleetMatchesSolo(t *testing.T) {
 		for _, tenants := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/tenants%d", name, tenants), func(t *testing.T) {
 				var mu sync.Mutex
-				compiled := map[compilequeue.Key]int{}
+				compiled := map[compileKey]int{}
 				saved := compilePipeline
-				compilePipeline = func(in *compileInput) *compileOutput {
+				compilePipeline = func(out *compileOutput) *compileOutput {
 					mu.Lock()
-					compiled[memoKey(in)]++
+					compiled[out.in.key]++
 					mu.Unlock()
-					return runCompilePipeline(in, nil)
+					return runCompilePipeline(out, nil)
 				}
 				defer func() { compilePipeline = saved }()
 
@@ -106,9 +105,9 @@ func TestInlineFleetMatchesSolo(t *testing.T) {
 				if st.Compiles != int64(len(compiled)) {
 					t.Errorf("the cache elected %d leaders for %d distinct keys", st.Compiles, len(compiled))
 				}
-				for k, n := range compiled {
+				for _, n := range compiled {
 					if n != 1 {
-						t.Errorf("key %#x compiled %d times fleet-wide, want once", uint64(k), n)
+						t.Errorf("a key compiled %d times fleet-wide, want once", n)
 					}
 				}
 			})

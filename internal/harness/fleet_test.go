@@ -250,6 +250,47 @@ func TestFleetCompilesEachKeyOnce(t *testing.T) {
 	}
 }
 
+// TestFleetSharesAcrossPrograms runs 2-tenant fleets of two different
+// programs that contain one equal trace (a 6-instruction single-block
+// loop body). The fleet cache keys on the compile input's content, not on
+// the superblock pointer, so one tenant's lookup of that trace is served
+// by the other program's compile: the fleet makes as many lookups as the
+// two solo runs together and exactly one compile fewer. Both tenants must
+// still match their solo runs (VerifyFleet).
+func TestFleetSharesAcrossPrograms(t *testing.T) {
+	for _, mix := range [][]string{{"equake", "fma3d"}, {"mgrid", "applu"}} {
+		for _, workers := range []int{0, 1} {
+			t.Run(fmt.Sprintf("%s+%s/workers%d", mix[0], mix[1], workers), func(t *testing.T) {
+				fc := FleetConfig{Tenants: 2, Mix: mix, CompileWorkers: workers}
+				var solo codecache.Stats
+				for _, bench := range mix {
+					sfc := fc
+					sfc.Tenants, sfc.Mix = 1, []string{bench}
+					res, err := RunFleet(sfc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					solo.Lookups += res.Cache.Lookups
+					solo.Compiles += res.Cache.Compiles
+				}
+				res, err := RunFleet(fc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Cache.Lookups != solo.Lookups {
+					t.Errorf("the fleet made %d lookups, its solo runs %d", res.Cache.Lookups, solo.Lookups)
+				}
+				if shared := solo.Compiles - res.Cache.Compiles; shared != 1 {
+					t.Errorf("%d lookups were served by the other program's compile, want 1 (fleet %+v)", shared, res.Cache)
+				}
+				if err := VerifyFleet(fc, res); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+	}
+}
+
 // TestFleetLeaderReuseOneEntryCache runs a fleet whose tenants keep
 // returning to code they built: a one-region code cache evicts a region
 // at every other region's install, and the region's next compile request

@@ -9,6 +9,7 @@
 package region
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -65,7 +66,8 @@ type Inst struct {
 // A superblock is immutable once Form returns it. Form returns one
 // superblock per trace of a program (up to maxTracesPerSeed per seed), so
 // every System running the program shares it, and two such superblocks
-// with equal content are the same pointer.
+// with equal content are the same pointer. Superblocks of different
+// programs can still be equal in content; Key compares them.
 type Superblock struct {
 	Entry  int   // guest block ID of the trace head
 	Blocks []int // guest blocks along the trace, in order
@@ -77,6 +79,48 @@ type Superblock struct {
 	// UnrollFactor records how many loop iterations the trace covers
 	// (0 or 1: not unrolled).
 	UnrollFactor int
+
+	key string // the encoding Key returns, written once by fill
+}
+
+// Key returns the superblock's content as a string: Entry, Blocks,
+// FinalTarget, UnrollFactor and every field of every Inst, FImm as its
+// bits. Two superblocks have equal keys exactly when their contents are
+// equal, whichever program formed them. The encoding is written once,
+// when the superblock is filled, so Key costs nothing, and comparing the
+// keys of one superblock costs O(1).
+func (sb *Superblock) Key() string { return sb.key }
+
+// encode builds Key's encoding from the superblock's current content: a
+// fixed sequence of varints, with Blocks and Insts prefixed by their
+// lengths, so no two contents share an encoding.
+func (sb *Superblock) encode() string {
+	b := make([]byte, 0, 8*(4+len(sb.Blocks))+16*len(sb.Insts))
+	put := func(vs ...int64) {
+		for _, v := range vs {
+			b = binary.AppendVarint(b, v)
+		}
+	}
+	put(int64(sb.Entry), int64(sb.FinalTarget), int64(sb.UnrollFactor), int64(len(sb.Blocks)))
+	for _, id := range sb.Blocks {
+		put(int64(id))
+	}
+	put(int64(len(sb.Insts)))
+	for i := range sb.Insts {
+		in := &sb.Insts[i]
+		put(int64(in.Inst.Op), int64(in.Inst.Rd), int64(in.Inst.Rs1), int64(in.Inst.Rs2), in.Inst.Imm,
+			int64(math.Float64bits(in.Inst.FImm)), int64(in.Inst.Target), bit(in.IsGuard), bit(in.OnTraceTaken),
+			int64(in.OffTrace))
+	}
+	return string(b)
+}
+
+// bit is b as 1 or 0.
+func bit(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // NumMemOps returns the number of memory instructions in the superblock
@@ -174,9 +218,9 @@ func Form(prog *guest.Program, prof *interp.Profile, seed int, cfg Config) (*Sup
 }
 
 // CheckTraces re-fills every superblock in prog's trace table from its key
-// and reports the first one that differs from its fill: something wrote to
-// a superblock that every System running prog shares. It returns how many
-// superblocks it checked.
+// and reports the first one that differs from its fill, in its content or
+// in its Key: something wrote to a superblock that every System running
+// prog shares. It returns how many superblocks it checked.
 func CheckTraces(prog *guest.Program) (int, error) {
 	tab := prog.Traces(newTraceTable).(*traceTable)
 	tab.mu.Lock()
@@ -189,20 +233,12 @@ func CheckTraces(prog *guest.Program) (int, error) {
 				return n, fmt.Errorf("region: trace at seed B%d has entry B%d, blocks %v", seed, sb.Entry, sb.Blocks)
 			}
 			f := fill(prog, sb.Blocks, sb.FinalTarget, sb.UnrollFactor)
-			if !slices.EqualFunc(sb.Insts, f.Insts, sameInst) {
+			if sb.encode() != f.key || sb.key != f.key {
 				return n, fmt.Errorf("region: shared trace %v differs from its fill", sb.Blocks)
 			}
 		}
 	}
 	return n, nil
-}
-
-// sameInst compares two superblock instructions bit for bit, so a NaN
-// immediate equals itself.
-func sameInst(a, b Inst) bool {
-	fa, fb := math.Float64bits(a.Inst.FImm), math.Float64bits(b.Inst.FImm)
-	a.Inst.FImm, b.Inst.FImm = 0, 0
-	return a == b && fa == fb
 }
 
 // chooseTrace appends to blocks the trace grown from seed along the
@@ -253,7 +289,8 @@ func chooseTrace(prog *guest.Program, prof *interp.Profile, seed int, cfg Config
 
 // fill builds the superblock of a chosen trace: the instructions of its
 // blocks, each branch terminator resolved against the chain into a guard,
-// repeated for an unrolled trace, in one exact-size allocation.
+// repeated for an unrolled trace, in one exact-size allocation, and then
+// its Key.
 func fill(prog *guest.Program, blocks []int, final, unroll int) *Superblock {
 	n := 0
 	for _, id := range blocks {
@@ -305,6 +342,7 @@ func fill(prog *guest.Program, blocks []int, final, unroll int) *Superblock {
 	for k := 1; k < copies; k++ {
 		sb.Insts = append(sb.Insts, sb.Insts[:n]...)
 	}
+	sb.key = sb.encode()
 	return sb
 }
 

@@ -175,8 +175,84 @@ func TestCheckTracesCatchesAWrite(t *testing.T) {
 		t.Error("CheckTraces missed a written instruction")
 	}
 	sb.Insts[0].Inst.Imm--
+	op := sb.Insts[0].Inst.Op
 	sb.Insts[0].Inst.Op = guest.Nop
 	if _, err := CheckTraces(prog); err == nil {
 		t.Error("CheckTraces missed a written opcode")
+	}
+	sb.Insts[0].Inst.Op = op
+	key := sb.key
+	sb.key = key[:len(key)-1]
+	if _, err := CheckTraces(prog); err == nil {
+		t.Error("CheckTraces missed a written key")
+	}
+	sb.key = key
+	if _, err := CheckTraces(prog); err != nil {
+		t.Errorf("the restored trace fails CheckTraces: %v", err)
+	}
+}
+
+// TestKeyCoversEveryField changes each field of a superblock in turn —
+// every header field, one block, and every field of one instruction —
+// and requires its encoding to change, so a field added to Superblock,
+// Inst or guest.Inst cannot fall out of Key. Equal content, formed by
+// another program, must encode equally.
+func TestKeyCoversEveryField(t *testing.T) {
+	prog := loopProgram()
+	sb, err := Form(prog, profileOf(t, prog), 1, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := loopProgram()
+	if twin, _ := Form(other, profileOf(t, other), 1, DefaultConfig()); twin == sb || twin.Key() != sb.Key() {
+		t.Fatal("equal superblocks of two programs have different keys")
+	}
+	if sb.Key() != sb.encode() || sb.Key() == "" {
+		t.Fatal("Key is not the superblock's encoding")
+	}
+	c := *sb
+	c.Blocks = slices.Clone(sb.Blocks)
+	c.Insts = slices.Clone(sb.Insts)
+	var perturb func(v reflect.Value, path string)
+	perturb = func(v reflect.Value, path string) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if f := v.Type().Field(i); f.IsExported() {
+					perturb(v.Field(i), path+"."+f.Name)
+				}
+			}
+			return
+		case reflect.Slice:
+			perturb(v.Index(0), path+"[0]")
+			v.SetLen(v.Len() - 1)
+			if c.encode() == sb.Key() {
+				t.Errorf("%s: dropping an element does not change the key", path)
+			}
+			v.SetLen(v.Len() + 1)
+			return
+		}
+		orig := reflect.New(v.Type()).Elem()
+		orig.Set(v)
+		switch v.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Uint8:
+			v.SetUint(v.Uint() + 1)
+		case reflect.Float64:
+			v.SetFloat(v.Float() + 0.5)
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		default:
+			t.Fatalf("%s: no perturbation for kind %v", path, v.Kind())
+		}
+		if c.encode() == sb.Key() {
+			t.Errorf("%s does not reach the key", path)
+		}
+		v.Set(orig)
+	}
+	perturb(reflect.ValueOf(&c).Elem(), "Superblock")
+	if c.encode() != sb.Key() {
+		t.Error("perturbations not restored")
 	}
 }
