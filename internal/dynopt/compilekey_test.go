@@ -11,9 +11,9 @@ import (
 	"smarq/internal/workload"
 )
 
-// TestCompileKeyCoversEveryInput checks compileKey's shape, so a field
-// added to the pipeline's inputs cannot fall out of the reuse check or the
-// fleet cache:
+// TestInputEqualCoversEveryField checks compileKey's shape, so a field
+// added to the pipeline's inputs cannot fall out of the key whose ==
+// decides input equality for the reuse check and the fleet cache:
 //   - the key holds no pointer, map, slice, interface, func or channel at
 //     any depth, so == on keys compares content, never identity;
 //   - every sched.Config field but PinnedOps is a key field of the same
@@ -23,7 +23,7 @@ import (
 //
 // opt.Config, vliw.Config and core.Options are held whole, so their
 // fields are in the key by construction.
-func TestCompileKeyCoversEveryInput(t *testing.T) {
+func TestInputEqualCoversEveryField(t *testing.T) {
 	var walk func(typ reflect.Type, path string)
 	walk = func(typ reflect.Type, path string) {
 		switch typ.Kind() {
@@ -128,6 +128,56 @@ func sampleCompileInput(t *testing.T) compileInput {
 	}
 	t.Fatal("run formed no superblocks")
 	return compileInput{}
+}
+
+// TestMemoKeyFoldsMachine requires every field of the System's machine
+// model to reach the key newCompileInput builds, so neither a field added
+// to vliw.Config nor a builder that stops passing the machine on can make
+// two machines share compiled code.
+func TestMemoKeyFoldsMachine(t *testing.T) {
+	sys, e := installedSystem(t, 0)
+	base, err := sys.newCompileInput(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := reflect.ValueOf(&sys.cfg.Machine).Elem()
+	for i := 0; i < m.NumField(); i++ {
+		f := m.Field(i)
+		f.SetInt(f.Int() + 1)
+		in, err := sys.newCompileInput(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.key == base.key {
+			t.Errorf("vliw.Config.%s does not reach the compile key", m.Type().Field(i).Name)
+		}
+		f.SetInt(f.Int() - 1)
+	}
+}
+
+// TestMemoKeyZeroAllocs pins building a region's compile key, and
+// comparing it with an earlier one, at zero heap allocations: the key is
+// built on the dispatch path at every compile request, so the superblock
+// and set encodings must be written when they change, never per request.
+// The blacklist and pin sets are deliberately nonempty.
+func TestMemoKeyZeroAllocs(t *testing.T) {
+	sys, e := installedSystem(t, 0)
+	rr := sys.disp[e].rec
+	rr.harden(alias.MakePair(3, 1), 9)
+	rr.harden(alias.MakePair(2, 5), 2)
+	rr.harden(alias.MakePair(0, 4), 5)
+	want, err := sys.newCompileInput(e)
+	if err != nil || want.key.sets == "" {
+		t.Fatalf("no key with nonempty sets (err %v)", err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if got, err := sys.newCompileInput(e); err != nil || got.key != want.key {
+			t.Fatalf("compile key unstable (err %v)", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("building the compile key allocates %.1f times per call, want 0", allocs)
+	}
 }
 
 // TestHardeningKeepsEarlierInputs: a hardening replaces the region's sets
