@@ -15,6 +15,9 @@
 //     stamps the entry with clock+1. An insert past the entry or byte
 //     budget evicts the minimum stamp until the cache fits. Stamps are
 //     unique, so the policy is exact LRU under any interleaving.
+//   - Get is the flight-free probe: a hit freshens recency, a miss
+//     elects no leader. A cache filled only by Put and probed only by Get
+//     is a plain LRU store.
 //   - Cross-tenant single-flight: the first Lookup to miss a key becomes
 //     the leader and receives a Flight to complete; concurrent misses on
 //     the same key receive the same Flight to wait on. A region being
@@ -80,11 +83,11 @@ type Stats struct {
 	Entries int64 // live entries
 	Bytes   int64 // live payload bytes
 
-	Lookups     int64 // Lookup calls
+	Lookups     int64 // Lookup and Get calls
 	Hits        int64 // served from the table
 	Misses      int64 // not in the table at lookup time
-	FlightWaits int64 // misses that joined another caller's flight
-	Compiles    int64 // misses that became flight leaders
+	FlightWaits int64 // Lookup misses that joined another caller's flight
+	Compiles    int64 // Lookup misses that became flight leaders
 	Evictions   int64 // entries removed by the budget
 	Contention  int64 // mutex acquisitions that had to block
 }
@@ -140,6 +143,24 @@ func (c *Cache[K, V]) Peek(k K) (V, bool) {
 	return zero, false
 }
 
+// Get returns k's cached value and freshens its recency on a hit. Unlike
+// Lookup it never starts or joins a flight: a miss (or a fill in
+// progress) returns (zero, false) and leaves the table as it was.
+func (c *Cache[K, V]) Get(k K) (V, bool) {
+	c.lock()
+	defer c.mu.Unlock()
+	c.st.Lookups++
+	if e, ok := c.entries[k]; ok && e.flight == nil {
+		c.clock++
+		e.used = c.clock
+		c.st.Hits++
+		return e.val, true
+	}
+	c.st.Misses++
+	var zero V
+	return zero, false
+}
+
 // Lookup resolves k with cross-tenant single-flight:
 //
 //   - hit: (value, true, nil, false) — recency freshened;
@@ -191,11 +212,16 @@ func (c *Cache[K, V]) Complete(k K, f *Flight[V], v V, insert bool) {
 	close(f.done)
 }
 
-// Put inserts k directly (no flight), replacing any existing entry.
+// Put inserts k directly (no flight), replacing any existing entry. A
+// cached key's entry is reused, so re-putting a key allocates nothing.
 func (c *Cache[K, V]) Put(k K, v V) {
 	c.lock()
 	defer c.mu.Unlock()
-	c.insertLocked(k, new(entry[V]), v)
+	e := c.entries[k]
+	if e == nil || e.flight != nil {
+		e = new(entry[V])
+	}
+	c.insertLocked(k, e, v)
 }
 
 // insertLocked stores v as k's entry e (a new entry, or k's flight entry,

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"smarq/internal/alias"
 	"smarq/internal/codecache"
@@ -49,14 +50,17 @@ type CompileConfig struct {
 	// the compile installs only once the simulated clock passes its
 	// readyAt point. Every value >= 1 is the same program.
 	Workers int
-	// SharedCache, when non-nil, is a compile-output cache shared across
-	// Systems: a concurrent LRU cache keyed by the exact compile input, so
+	// SharedCache, when non-nil, is the simulated shared code cache of a
+	// fleet: a concurrent LRU cache keyed by the exact compile input, so
 	// identical regions compile once fleet-wide, whichever programs they
 	// come from, and a region being compiled by one tenant is awaited
-	// (cross-tenant single-flight), not recompiled, by others. Hits
-	// replay the modelled compile costs exactly like a fresh compile, so
-	// each tenant's simulated results are byte-identical to a solo run
-	// modulo the hit/miss/dedupe counters, at any Workers.
+	// (cross-tenant single-flight), not recompiled, by others. Its
+	// lookups are simulated events, counted in MemoHits, MemoMisses and
+	// DedupeWaits. Hits replay the modelled compile costs exactly like a
+	// fresh compile, so each tenant's simulated results are byte-identical
+	// to a solo run modulo those counters, at any Workers. It is not the
+	// output store (outputStore), the host's process-wide record of
+	// admitted builds, which no simulated number sees.
 	SharedCache *CodeCache
 }
 
@@ -136,7 +140,7 @@ var errPoisonedResult = errors.New("dynopt: poisoned compile result rejected")
 // is immutable: the superblock once filled, and the blacklist and pin sets
 // because a hardening replaces the region record's maps instead of
 // writing to them (regionRecord.harden). An input is therefore a plain
-// value that a request, a job, an install record and the fleet cache may
+// value that a request, a job, the output store and the fleet cache may
 // all hold.
 type compileInput struct {
 	entry     int
@@ -196,10 +200,12 @@ func encodeSets(pins map[int]bool, blacklist alias.Blacklist) string {
 
 // compileOutput is the pipeline's result, the input it was compiled from,
 // and everything the install point needs to replay the compilation's
-// simulated costs — fleet-cache hits and re-installs hand back the same
-// object, so either must be observationally identical to a re-run. A
-// fleet-cache hit's input may come from another program, with a key equal
-// to the requester's.
+// simulated costs. Once admitted it is never written again: the installed
+// code, the output store and the fleet cache share it, and a store or
+// fleet-cache hit hands back the same object, so it must be
+// observationally identical to a re-run. A hit's input may come from
+// another System or program; its key equals the requester's, so the code
+// is the requester's.
 type compileOutput struct {
 	in              compileInput
 	cr              *vliw.CompiledRegion
@@ -230,12 +236,13 @@ type pendingCompile struct {
 	// installs at readyAt. Any other compile installs at its request.
 	queued    bool
 	memoHit   bool
+	stored    bool // out came from the output store (reuseRecord)
 	recompile bool // old code still installed (promotion-style recompile)
 	// hung marks a chaos-injected compile hang: no job is submitted, and
 	// the pending entry is killed by the watchdog at deadline.
 	hung bool
 	// out is written by a queued job's worker then published by closing
-	// done; on a fleet-cache hit, a re-install or a job run at the request
+	// done; on a fleet-cache hit, a store hit or a job run at the request
 	// it is set at the request and done stays nil.
 	out  *compileOutput
 	done chan struct{}
@@ -344,8 +351,8 @@ type Compilation struct {
 // Every intermediate structure is recycled: the IR comes from a pooled
 // arena, and the alias table, dependence set and optimizer result are
 // handed back to their pools on exit. Only the decoded CompiledRegion and
-// plain-value stats escape (install records and the fleet cache retain
-// compile outputs).
+// plain-value stats escape (the installed code, the output store and the
+// fleet cache retain compile outputs).
 func runCompilePipeline(out *compileOutput, fn func(*Compilation)) *compileOutput {
 	in := &out.in
 	ar := arenaPool.Get().(*ir.Arena)
@@ -523,13 +530,49 @@ func screenOutput(entry int, out *compileOutput) error {
 	return nil
 }
 
-// compileOutputBytes sizes a compile output for byte-budgeted caches by
-// its dominant retained allocation, the decoded compiled region.
+// compileOutputBytes sizes a compile output for the fleet cache's byte
+// budget by its decoded compiled region. The output store charges more
+// (storedOutputBytes).
 func compileOutputBytes(out *compileOutput) int64 {
 	if out == nil || out.cr == nil {
 		return 0
 	}
 	return out.cr.Bytes()
+}
+
+// outputStoreBytes is the output store's budget in storedOutputBytes. A
+// full smarq-bench -parallel 1 puts 1087 outputs charged 8.98 MB, so its
+// last puts evict.
+const outputStoreBytes = 8 << 20
+
+// outputStore is the process's one store of admitted compile outputs, by
+// compile key: every System puts each output it installs, and a compile
+// request whose key is stored re-installs that output instead of running
+// the pipeline (reuseRecord). The pipeline is a pure function of the key,
+// so which System or program built a stored output, and whether the store
+// still holds it, changes host work only: no simulated number, event or
+// golden depends on it. It is LRU under a constant byte budget. There is
+// no single-flight: two Systems that miss one key at once both compile it.
+// Tests swap it between runs for an empty one.
+var outputStore = newOutputStore(outputStoreBytes)
+
+// newOutputStore returns an empty output store of maxBytes.
+func newOutputStore(maxBytes int64) *codecache.Cache[compileKey, *compileOutput] {
+	return codecache.NewKeyed[compileKey](codecache.Options{MaxBytes: maxBytes}, storedOutputBytes)
+}
+
+// storedOutputBytes charges a stored output for what the store keeps
+// alive: the output itself, its decoded code, its key's trace and set
+// encodings, and its superblock's blocks and instructions; the pin and
+// blacklist maps are charged by their encoding. A superblock that several
+// outputs share is charged to each, so the charge runs above the bytes
+// the store keeps alive (DESIGN.md, "One output store", measures both).
+func storedOutputBytes(out *compileOutput) int64 {
+	sb := out.in.sb
+	return int64(unsafe.Sizeof(*out)) + compileOutputBytes(out) +
+		int64(len(out.in.key.trace)+len(out.in.key.sets)) +
+		int64(len(sb.Blocks))*int64(unsafe.Sizeof(0)) +
+		int64(len(sb.Insts))*int64(unsafe.Sizeof(region.Inst{}))
 }
 
 // drawHostFaults performs the per-fresh-compile host-fault draws, in a
@@ -562,12 +605,12 @@ func (s *System) drawHostFaults(p *pendingCompile) (panicInject bool, poison fau
 }
 
 // lookupOutput probes the fleet cache for in's key and counts the hit or
-// miss in Stats — the one cache lookup of the compile path. out is
-// non-nil on a hit; its input's key equals in's, so it is in's code. A miss either leads (flight != nil, leader), and the
-// leader fills the cache with Complete as soon as its compile ends, or
-// joins another tenant's compile (flight != nil, !leader); tenants
-// therefore never wait on each other's install points. Without a fleet
-// cache it counts nothing and returns a nil output.
+// miss in Stats. On a hit out is non-nil, and its key equals in's, so it
+// is in's code. A miss either leads a flight (flight != nil, leader) or
+// joins another tenant's (flight != nil, !leader). A leader fills the
+// cache with Complete as soon as its compile ends, so tenants never wait
+// on each other's install points. Without a fleet cache it counts nothing
+// and returns a nil output.
 func (s *System) lookupOutput(in *compileInput) (out *compileOutput, flight *codecache.Flight[*compileOutput], leader bool) {
 	if s.cache == nil {
 		return nil, nil, false
@@ -588,9 +631,9 @@ func (s *System) lookupOutput(in *compileInput) (out *compileOutput, flight *cod
 // (screenOutput) and applies the verdict's side effects: a worker panic
 // is a host fault and quarantines the region — the pipeline provably
 // cannot handle this input — and a poisoned result is a rejected host
-// fault. A rejected result is never recorded and never dispatched.
-// Fleet-cache hits and re-installs were screened before, so re-admitting
-// them is a pure double-check.
+// fault. A rejected result is never stored and never dispatched.
+// Fleet-cache and store hits were screened before, so re-admitting them is
+// a pure double-check.
 func (s *System) admitOutput(entry int, out *compileOutput) error {
 	err := screenOutput(entry, out)
 	switch {
@@ -657,9 +700,9 @@ func (s *System) recompileRegion(entry int, stale bool) {
 
 // enqueueCompile is the one compile sequence, each step at one place: the
 // CompileFail draw, the input, the fleet-cache lookup, then (unless it hit
-// or joined a flight) the host-fault draws, the reuse check and a fresh
-// job. A compile with a latency is then queued; any other installs before
-// the request returns. A live pending compile absorbs the request.
+// or joined a flight) the host-fault draws, the output-store lookup and a
+// fresh job. A compile with a latency is then queued; any other installs
+// before the request returns. A live pending compile absorbs the request.
 func (s *System) enqueueCompile(entry int) error {
 	if rr := s.disp[entry].rec; rr != nil && rr.pending != nil {
 		return nil
@@ -709,7 +752,7 @@ func (s *System) enqueueCompile(entry int) error {
 			job.settle(&compileOutput{in: in, err: fmt.Errorf("%w for B%d", errWatchdogTimeout, entry)})
 		case s.reuseRecord(&p, &in, panicInject, poison):
 			// A re-install runs no job either: a leader settles its flight
-			// with the record's output, as its job would.
+			// with the stored output, as its job would.
 			job.settle(p.out)
 		default:
 			job.out, job.panicInject, job.poison = &compileOutput{in: in}, panicInject, poison
@@ -747,8 +790,8 @@ func (j compileJob) run() *compileOutput {
 // settle resolves a leader's flight with out, caching out only if it
 // passes screenOutput (else the next lookup elects a fresh leader), and
 // returns out. out's input has the flight's key: it is the request's own
-// (a fresh or a hung job) or the install record's, which the reuse rule
-// requires to be equal.
+// (a fresh or a hung job) or a stored output's, which the reuse rule finds
+// by that key.
 func (j compileJob) settle(out *compileOutput) *compileOutput {
 	if j.flight != nil {
 		j.cache.Complete(out.in.key, j.flight, out, screenOutput(out.in.entry, out) == nil)
@@ -757,24 +800,23 @@ func (j compileJob) settle(out *compileOutput) *compileOutput {
 }
 
 // reuseRecord is the one reuse rule: re-install, don't recompile. If no
-// host fault was drawn for this compile and in's key equals that of the
-// region's install record for its effective tier, it gives p the record
-// and reports true; the caller then runs no
-// pipeline. Injected alias exceptions, drops, evictions and tier moves
-// often bring back inputs a region compiled before. The result still goes
-// through admitOutput and is charged like a fresh compile of the same
-// input. A panic or poison draw always gets a fresh job, so a fault never
-// reaches a recorded output.
+// host fault was drawn for this compile and the output store holds in's
+// key, it gives p the stored output and reports true; the caller then runs
+// no pipeline. Injected alias exceptions, drops, evictions and tier moves
+// often bring back inputs a region compiled before, and another System may
+// have built the same input. The output still goes through admitOutput
+// and is charged like a fresh compile of the same input. A panic or
+// poison draw always gets a fresh job, so a fault never reaches a stored
+// output.
 func (s *System) reuseRecord(p *pendingCompile, in *compileInput, panicInject bool, poison faultinject.PoisonMode) bool {
 	if panicInject || poison != faultinject.PoisonNone {
 		return false
 	}
-	last := s.disp[p.entry].rec.installs[s.effectiveTier(p.entry)]
-	if last == nil || last.in.key != in.key {
-		return false
+	out, ok := outputStore.Get(in.key)
+	if ok {
+		p.out, p.stored = out, true
 	}
-	p.out = last
-	return true
+	return ok
 }
 
 // queueCompile queues p, a compile with a latency, in install order and
@@ -910,10 +952,11 @@ func (s *System) installPending(p *pendingCompile) {
 }
 
 // installOutput installs p's admitted output: cycle accounting, code
-// cache insert (with capacity eviction), the output as the region's
-// install record for its effective tier, per-region statistics and the
-// compile telemetry event. A recompile overwrites the installed compiled
-// record in place; nothing else holds it.
+// cache insert (with capacity eviction), the output into the output store
+// (unless it came from there; its Get already freshened it),
+// per-region statistics and the compile telemetry event. A recompile
+// overwrites the installed compiled record in place; nothing else holds
+// it.
 func (s *System) installOutput(p *pendingCompile, latency int64) {
 	entry, out := p.entry, p.out
 	s.Stats.OverflowRetries += out.overflowRetries
@@ -935,8 +978,10 @@ func (s *System) installOutput(p *pendingCompile, latency int64) {
 		c = new(compiled)
 		s.setCode(entry, c)
 	}
-	*c = compiled{cr: out.cr, lastUse: s.entrySeq, installedAt: s.now(), fresh: true}
-	rr.installs[s.effectiveTier(entry)] = out
+	*c = compiled{out: out, lastUse: s.entrySeq, installedAt: s.now(), fresh: true}
+	if !p.stored {
+		outputStore.Put(out.in.key, out)
+	}
 
 	rs := RegionStats{
 		Entry:          entry,
@@ -961,25 +1006,21 @@ func (s *System) installOutput(p *pendingCompile, latency int64) {
 // ErrNoCode is InspectRegion's error for a region without installed code.
 var ErrNoCode = errors.New("dynopt: region has no installed code")
 
-// InspectRegion rebuilds entry's installed code from the install record
-// holding it and passes fn (which may be nil) the compilation. It fails
-// unless the rebuild's checksum equals the installed code's, and changes
-// no Stats, event or record. Call it between runs, never during Run.
+// InspectRegion rebuilds entry's installed code from the input of the
+// output it was installed from and passes fn (which may be nil) the
+// compilation. It fails unless the rebuild's checksum equals the installed
+// code's, and changes no Stats, event, record or stored output. Call it
+// between runs, never during Run.
 func (s *System) InspectRegion(entry int, fn func(*Compilation)) error {
 	if entry < 0 || entry >= len(s.disp) || s.disp[entry].code == nil {
 		return fmt.Errorf("%w: B%d", ErrNoCode, entry)
 	}
-	cr := s.disp[entry].code.cr
-	for _, rec := range s.disp[entry].rec.installs {
-		if rec != nil && rec.cr == cr {
-			out := runCompilePipeline(&compileOutput{in: rec.in}, fn)
-			if out.err == nil && out.cr.Checksum() != cr.Checksum() {
-				out.err = fmt.Errorf("dynopt: B%d does not rebuild to its installed code", entry)
-			}
-			return out.err
-		}
+	installed := s.disp[entry].code.out
+	out := runCompilePipeline(&compileOutput{in: installed.in}, fn)
+	if out.err == nil && out.cr.Checksum() != installed.cr.Checksum() {
+		out.err = fmt.Errorf("dynopt: B%d does not rebuild to its installed code", entry)
 	}
-	return fmt.Errorf("dynopt: B%d has no install record for its code", entry)
+	return out.err
 }
 
 // compileFailBackoff applies the hot-path cooldown after a failed

@@ -25,9 +25,12 @@ type bgRun struct {
 }
 
 // runInstrumented executes prog under cfg with a JSONL tracer and a
-// metrics registry attached, so runs can be compared byte-for-byte.
+// metrics registry attached, so runs can be compared byte-for-byte. It
+// runs over an empty output store, so every run compiles what it would
+// alone in the process, whatever ran before it.
 func runInstrumented(t *testing.T, prog *guest.Program, memSize int, cfg Config) *bgRun {
 	t.Helper()
+	useStore(t, outputStoreBytes)
 	var jb, mb bytes.Buffer
 	tel := &telemetry.Telemetry{
 		Events:  telemetry.NewTracer(0, telemetry.NewJSONLSink(&jb)),
@@ -59,7 +62,8 @@ func runInstrumented(t *testing.T, prog *guest.Program, memSize int, cfg Config)
 // N >= 1 must produce byte-identical stats, telemetry streams and guest
 // state — including under chaos injection, whose draws happen at enqueue
 // on the simulation thread precisely so the injector sequence cannot
-// depend on worker scheduling.
+// depend on worker scheduling. Each run compiles on the pool over an
+// empty output store (checkWorkersInvisible).
 func TestBackgroundWorkersDeterministic(t *testing.T) {
 	progs := map[string]func() *guest.Program{
 		"sumloop":  func() *guest.Program { return sumLoopProgram(2000) },
@@ -84,27 +88,46 @@ func TestBackgroundWorkersDeterministic(t *testing.T) {
 					}
 					return cfg
 				}
-				ref := runInstrumented(t, build(), 1<<16, baseCfg(1))
-				for _, workers := range []int{2, 4} {
-					got := runInstrumented(t, build(), 1<<16, baseCfg(workers))
-					if !reflect.DeepEqual(ref.sys.Stats, got.sys.Stats) {
-						t.Errorf("workers=%d: stats diverge from workers=1\n 1: %+v\n%2d: %+v",
-							workers, ref.sys.Stats, workers, got.sys.Stats)
-					}
-					if !bytes.Equal(ref.trace, got.trace) {
-						t.Errorf("workers=%d: event trace diverges from workers=1", workers)
-					}
-					if !bytes.Equal(ref.metrics, got.metrics) {
-						t.Errorf("workers=%d: metrics snapshot diverges from workers=1", workers)
-					}
-					snap := faultinject.Capture(ref.st, ref.mem)
-					if err := snap.Verify(got.st, got.mem); err != nil {
-						t.Errorf("workers=%d: guest state diverges from workers=1: %v", workers, err)
-					}
-				}
+				checkWorkersInvisible(t, build, baseCfg)
 			})
 		}
 	}
+}
+
+// checkWorkersInvisible runs build's program at workers 1, 2 and 4, each
+// over an empty output store, and requires byte-identical stats, event
+// trace, metrics and guest state, and the same nonzero number of pipeline
+// runs: every run compiles on the pool, none re-installs another run's
+// builds. It returns the workers=1 run.
+func checkWorkersInvisible(t *testing.T, build func() *guest.Program, cfg func(workers int) Config) *bgRun {
+	t.Helper()
+	runs := countPipelineRuns(t)
+	ref := runInstrumented(t, build(), 1<<16, cfg(1))
+	refRuns := runs.Swap(0)
+	if refRuns == 0 {
+		t.Error("workers=1: the run compiled nothing on the pool")
+	}
+	for _, workers := range []int{2, 4} {
+		got := runInstrumented(t, build(), 1<<16, cfg(workers))
+		if n := runs.Swap(0); n != refRuns {
+			t.Errorf("workers=%d: %d pipeline runs, workers=1 ran %d", workers, n, refRuns)
+		}
+		if !reflect.DeepEqual(ref.sys.Stats, got.sys.Stats) {
+			t.Errorf("workers=%d: stats diverge from workers=1\n 1: %+v\n%2d: %+v",
+				workers, ref.sys.Stats, workers, got.sys.Stats)
+		}
+		if !bytes.Equal(ref.trace, got.trace) {
+			t.Errorf("workers=%d: event trace diverges from workers=1", workers)
+		}
+		if !bytes.Equal(ref.metrics, got.metrics) {
+			t.Errorf("workers=%d: metrics snapshot diverges from workers=1", workers)
+		}
+		snap := faultinject.Capture(ref.st, ref.mem)
+		if err := snap.Verify(got.st, got.mem); err != nil {
+			t.Errorf("workers=%d: guest state diverges from workers=1: %v", workers, err)
+		}
+	}
+	return ref
 }
 
 // TestRunWaitsForItsJobs: a queued System submits its jobs to the
@@ -120,8 +143,7 @@ func TestBackgroundWorkersDeterministic(t *testing.T) {
 func TestRunWaitsForItsJobs(t *testing.T) {
 	var running, outside atomic.Int64
 	var inRun atomic.Bool
-	saved := compilePipeline
-	compilePipeline = func(out *compileOutput) *compileOutput {
+	swapPipeline(t, func(out *compileOutput) *compileOutput {
 		if !inRun.Load() {
 			outside.Add(1)
 		}
@@ -133,8 +155,7 @@ func TestRunWaitsForItsJobs(t *testing.T) {
 			outside.Add(1)
 		}
 		return out
-	}
-	t.Cleanup(func() { compilePipeline = saved })
+	})
 
 	cfg := ConfigSMARQ(64)
 	cfg.Compile.Workers = 1
@@ -143,6 +164,8 @@ func TestRunWaitsForItsJobs(t *testing.T) {
 		if budget > 20_000 {
 			t.Fatalf("only %d budget caps left a compile pending", pendingAtReturn)
 		}
+		// An empty output store, so this System's compiles run jobs.
+		outputStore = newOutputStore(outputStoreBytes)
 		sys := New(entryLoopProgram(4000), &guest.State{}, guest.NewMemory(1<<16), cfg)
 		for _, b := range []uint64{budget, 50_000_000} {
 			canceled := sys.Stats.Compile.Canceled

@@ -194,8 +194,8 @@ func TestHardeningKeepsEarlierInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := sys.installRecordOf(e)
-	if rec == nil || rec.in.key != before.key {
+	rec := sys.disp[e].code.out
+	if rec.in.key != before.key {
 		t.Fatal("the installed output was not compiled from the current input")
 	}
 	want := before.key

@@ -47,9 +47,8 @@ type Config struct {
 	HotThreshold uint64
 	// CodeCacheCapacity bounds how many compiled regions stay installed;
 	// inserting past it evicts the least recently dispatched region. It
-	// bounds installed code, not the memory behind it: an evicted region
-	// keeps its record, including up to NumTiers-1 install records (one
-	// build per code tier), until a guard-fail drop clears them. 0 means
+	// bounds installed code only: an evicted region's build stays in the
+	// process-wide output store, which its own byte budget bounds. 0 means
 	// 256.
 	CodeCacheCapacity int
 	// Chaos configures the deterministic fault injector (zero = off).
@@ -277,7 +276,9 @@ type Stats struct {
 }
 
 type compiled struct {
-	cr         *vliw.CompiledRegion
+	// out is the admitted compile output the code came from: out.cr runs,
+	// and InspectRegion rebuilds the code from out.in.
+	out        *compileOutput
 	failStreak int
 	// lastUse is the dispatch sequence number of the region's most
 	// recent execution — the code cache eviction clock.
@@ -448,7 +449,8 @@ func (s *System) optConfig(tier Tier) opt.Config {
 // evictForCapacity makes room for a new region when the code cache is at
 // capacity by evicting the least recently dispatched region (deterministic
 // lowest-entry tie break). Only the code leaves: the region keeps its
-// record, so a recompile with unchanged inputs re-installs its build.
+// record, and a recompile with unchanged inputs re-installs its build from
+// the output store while the store still holds it.
 func (s *System) evictForCapacity(entry int) {
 	cap := s.cfg.codeCacheCapacity()
 	for s.installed >= cap {
@@ -595,7 +597,7 @@ func (s *System) executeRegion(entry int, tier Tier, c *compiled) (vliw.ExecResu
 			return vliw.ExecResult{Outcome: vliw.GuardFail}, telemetry.CauseInjectedGuard
 		}
 	}
-	return s.x.ctx.Execute(c.cr, s.st, s.mem, s.x.det), telemetry.CauseNone
+	return s.x.ctx.Execute(c.out.cr, s.st, s.mem, s.x.det), telemetry.CauseNone
 }
 
 // runRegion executes an installed region and handles its outcome,
@@ -636,9 +638,9 @@ func (s *System) runRegion(entry int, c *compiled) int {
 
 	switch res.Outcome {
 	case vliw.Commit:
-		cost := c.cr.Cycles + int64(s.cfg.Machine.CommitCycles)
+		cost := c.out.cr.Cycles + int64(s.cfg.Machine.CommitCycles)
 		s.Stats.RegionCycles += cost
-		s.Stats.GuestInsts += int64(c.cr.GuestInsts)
+		s.Stats.GuestInsts += int64(c.out.cr.GuestInsts)
 		s.Stats.Commits++
 		c.failStreak = 0
 		s.healthClean()
@@ -654,7 +656,7 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		return res.NextBlock
 
 	case vliw.AliasException:
-		s.Stats.RegionCycles += c.cr.Cycles
+		s.Stats.RegionCycles += c.out.cr.Cycles
 		s.Stats.RollbackCycles += int64(s.cfg.Machine.RollbackPenalty)
 		s.Stats.AliasExceptions++
 		rr.exceptions++
@@ -667,7 +669,7 @@ func (s *System) runRegion(entry int, c *compiled) int {
 			if res.Conflict != nil {
 				checker, origin = res.Conflict.Checker, res.Conflict.Origin
 			}
-			cost := c.cr.Cycles + int64(s.cfg.Machine.RollbackPenalty)
+			cost := c.out.cr.Cycles + int64(s.cfg.Machine.RollbackPenalty)
 			s.tel.aliasRollback(s.now(), entry, rr.Level, cause, cost, res.OpsExecuted, checker, origin)
 		}
 		// Conservative re-optimization (Figure 1). Under the ordered
@@ -723,7 +725,7 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		return s.interpretOne(entry)
 
 	case vliw.GuardFail:
-		s.Stats.RegionCycles += c.cr.Cycles
+		s.Stats.RegionCycles += c.out.cr.Cycles
 		s.Stats.RollbackCycles += int64(s.cfg.Machine.RollbackPenalty)
 		s.Stats.GuardFails++
 		c.failStreak++
@@ -732,7 +734,7 @@ func (s *System) runRegion(entry int, c *compiled) int {
 			if injected != telemetry.CauseNone {
 				cause = injected
 			}
-			cost := c.cr.Cycles + int64(s.cfg.Machine.RollbackPenalty)
+			cost := c.out.cr.Cycles + int64(s.cfg.Machine.RollbackPenalty)
 			s.tel.guardRollback(s.now(), entry, rr.Level, cause, cost, res.OpsExecuted, c.failStreak)
 		}
 		if c.failStreak >= maxGuardFails {
@@ -748,12 +750,12 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		return s.interpretOne(entry)
 
 	default: // Fault
-		s.Stats.RegionCycles += c.cr.Cycles
+		s.Stats.RegionCycles += c.out.cr.Cycles
 		s.Stats.RollbackCycles += int64(s.cfg.Machine.RollbackPenalty)
 		s.Stats.Faults++
 		s.healthRollback()
 		s.tel.rollback(s.now(), entry, rr.Level, telemetry.CauseFault,
-			c.cr.Cycles+int64(s.cfg.Machine.RollbackPenalty), res.OpsExecuted)
+			c.out.cr.Cycles+int64(s.cfg.Machine.RollbackPenalty), res.OpsExecuted)
 		// Speculation-induced faults are misspeculation too: a region
 		// whose hoisted loads keep faulting steps down the ladder until
 		// the faults stop (TierConservative hoists nothing).

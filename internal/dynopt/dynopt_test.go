@@ -75,10 +75,12 @@ func aliasingProgram(n, k int64) *guest.Program {
 	return b.MustProgram()
 }
 
-// runBoth runs the program under the system and under pure interpretation,
-// returning both final states for comparison.
+// runBoth runs the program under the system, over an empty output store,
+// and under pure interpretation, returning both final states for
+// comparison.
 func runBoth(t *testing.T, prog *guest.Program, cfg Config, memSize int) (*System, *interp.Interpreter) {
 	t.Helper()
+	useStore(t, outputStoreBytes)
 	sys := New(prog, &guest.State{}, guest.NewMemory(memSize), cfg)
 	halted, err := sys.Run(50_000_000)
 	if err != nil {

@@ -11,17 +11,6 @@ import (
 	"smarq/internal/region"
 )
 
-// withRefPipeline runs fn with the compile path swapped to the retained
-// reference pipeline. Safe to do between runs: System.Run waits for its
-// compile jobs before returning, so no goroutine reads the hook
-// concurrently with the swap.
-func withRefPipeline(fn func()) {
-	saved := compilePipeline
-	compilePipeline = runCompilePipelineRef
-	defer func() { compilePipeline = saved }()
-	fn()
-}
-
 // diffConfigs covers every hardware mode the scheduler and allocator
 // dispatch on.
 func diffConfigs() map[string]Config {
@@ -58,11 +47,12 @@ func TestCompileFlatMatchesReference(t *testing.T) {
 					return c
 				}
 				prog := func() *guest.Program { return aliasingProgram(1500, 7) }
+				// Each run starts over an empty output store, so every
+				// compile of it runs its pipeline.
+				swapPipeline(t, func(out *compileOutput) *compileOutput { return runCompilePipeline(out, nil) })
 				flat := runInstrumented(t, prog(), 1<<16, mk())
-				var ref *bgRun
-				withRefPipeline(func() {
-					ref = runInstrumented(t, prog(), 1<<16, mk())
-				})
+				swapPipeline(t, runCompilePipelineRef)
+				ref := runInstrumented(t, prog(), 1<<16, mk())
 				if !reflect.DeepEqual(flat.sys.Stats, ref.sys.Stats) {
 					t.Errorf("stats diverge:\nflat: %+v\nref:  %+v", flat.sys.Stats, ref.sys.Stats)
 				}

@@ -1,10 +1,8 @@
 package dynopt
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"smarq/internal/codecache"
@@ -49,27 +47,9 @@ func TestHostChaosDeterministic(t *testing.T) {
 					cfg.Health = smallHealthConfig()
 					return cfg
 				}
-				ref := runInstrumented(t, build(), 1<<16, baseCfg(1))
-				inj := ref.sys.Stats.Injected
+				inj := checkWorkersInvisible(t, build, baseCfg).sys.Stats.Injected
 				if inj.WorkerPanics+inj.CompileHangs+inj.PoisonedResults == 0 {
 					t.Errorf("seed %d injected no host faults — the test exercised nothing: %+v", seed, inj)
-				}
-				for _, workers := range []int{2, 4} {
-					got := runInstrumented(t, build(), 1<<16, baseCfg(workers))
-					if !reflect.DeepEqual(ref.sys.Stats, got.sys.Stats) {
-						t.Errorf("workers=%d: stats diverge from workers=1\n 1: %+v\n%2d: %+v",
-							workers, ref.sys.Stats, workers, got.sys.Stats)
-					}
-					if !bytes.Equal(ref.trace, got.trace) {
-						t.Errorf("workers=%d: event trace diverges from workers=1", workers)
-					}
-					if !bytes.Equal(ref.metrics, got.metrics) {
-						t.Errorf("workers=%d: metrics snapshot diverges from workers=1", workers)
-					}
-					snap := faultinject.Capture(ref.st, ref.mem)
-					if err := snap.Verify(got.st, got.mem); err != nil {
-						t.Errorf("workers=%d: guest state diverges from workers=1: %v", workers, err)
-					}
 				}
 			})
 		}
@@ -317,7 +297,7 @@ func TestLeaderCachesWhatInstallAdmits(t *testing.T) {
 			for i := 0; i < tc.skip; i++ {
 				sys.inj.PoisonResult()
 			}
-			sys.disp[e].rec.installs = [TierPinned]*compileOutput{} // run a job
+			useStore(t, outputStoreBytes) // run a job
 			in, err := sys.newCompileInput(e)
 			if err != nil {
 				t.Fatal(err)

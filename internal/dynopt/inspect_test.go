@@ -79,17 +79,17 @@ func TestInspectRegionReproducesInstalledCode(t *testing.T) {
 					}
 					before := sys.Stats
 					before.Regions = slices.Clone(sys.Stats.Regions)
-					records := sys.disp[entry].rec.installs
+					store := outputStore.Stats()
 					calls := 0
 					err := sys.InspectRegion(entry, func(c *Compilation) {
 						calls++
-						if c.Code.Checksum() != code.cr.Checksum() {
+						if c.Code.Checksum() != code.out.cr.Checksum() {
 							t.Errorf("%s: B%d view shows code other than the installed code", bm.Name, entry)
 						}
-						if c.Superblock.Entry != entry || len(c.Schedule.Seq) != code.cr.Ops() ||
+						if c.Superblock.Entry != entry || len(c.Schedule.Seq) != code.out.cr.Ops() ||
 							c.Region == nil || c.Deps == nil {
 							t.Errorf("%s: B%d view (entry B%d, %d scheduled ops) does not describe the installed %d ops",
-								bm.Name, entry, c.Superblock.Entry, len(c.Schedule.Seq), code.cr.Ops())
+								bm.Name, entry, c.Superblock.Entry, len(c.Schedule.Seq), code.out.cr.Ops())
 						}
 					})
 					if err != nil {
@@ -101,8 +101,8 @@ func TestInspectRegionReproducesInstalledCode(t *testing.T) {
 					if !reflect.DeepEqual(before, sys.Stats) {
 						t.Fatalf("%s: B%d: InspectRegion changed Stats", bm.Name, entry)
 					}
-					if sys.disp[entry].rec.installs != records || sys.disp[entry].code != code {
-						t.Fatalf("%s: B%d: InspectRegion changed the install records or the installed code", bm.Name, entry)
+					if outputStore.Stats() != store || sys.disp[entry].code != code {
+						t.Fatalf("%s: B%d: InspectRegion touched the output store or changed the installed code", bm.Name, entry)
 					}
 					inspected++
 				}
@@ -129,4 +129,44 @@ func TestInspectRegionReproducesInstalledCode(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestInspectRegionAfterInputsChange: InspectRegion rebuilds from the
+// input the installed code was compiled from, not from the region's
+// current inputs. A queued promotion-style recompile to the conservative
+// tier keeps the old code installed until its install point; meanwhile
+// the rebuild must still reproduce the installed code. The region is one
+// of ammp's whose conservative code differs from its installed code.
+func TestInspectRegionAfterInputsChange(t *testing.T) {
+	bm, _ := workload.ByName("ammp")
+	cfg := ConfigSMARQ(64)
+	cfg.Compile.Workers = 1
+	sys := New(bm.Build(), &guest.State{}, guest.NewMemory(bm.MemSize), cfg)
+	if halted, err := sys.Run(bm.MaxInsts); err != nil || !halted {
+		t.Fatalf("halted=%v err=%v", halted, err)
+	}
+	t.Cleanup(sys.cq.jobs.Wait)
+	for e, de := range sys.disp {
+		if de.code == nil || de.rec.Level == TierConservative {
+			continue
+		}
+		installed := de.code.out
+		de.rec.Level = TierConservative
+		in, err := sys.newCompileInput(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runCompilePipeline(&compileOutput{in: in}, nil).cr.Checksum() == installed.cr.Checksum() {
+			continue
+		}
+		sys.recompileRegion(e, false)
+		if sys.disp[e].code.out != installed {
+			t.Fatal("the queued recompile replaced the installed code before its install point")
+		}
+		if err := sys.InspectRegion(e, nil); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	t.Fatal("no installed region compiles to other code at the conservative tier")
 }

@@ -139,21 +139,13 @@ type regionRecord struct {
 	// is a Fault of weight 1; a clean commit, and a pinned region's clean
 	// interpreted entry, is a Clean.
 	health.Ladder[Tier]
-	// installs holds, per code tier, the admitted output (with the input
-	// it was compiled from) the region last installed at that tier
-	// (indexed by the effective tier). A compile request whose input's key
-	// equals its tier's record re-installs that output instead of running
-	// the pipeline (see reuseRecord). The records outlive evictions, code
-	// drops and tier moves, which is when a region returns to a build it
-	// made before; only dropTrace clears them.
-	installs [TierPinned]*compileOutput
 }
 
 // harden records an alias exception's pair in the blacklist and, when pin
 // >= 0, the pinned ALAT load (under ALAT a conflict writes both sets).
 // When either is new, the record replaces the sets it writes with copies
 // holding them and re-encodes sets; the old maps stay as they were, so no
-// compile input, install record or cache entry taken before the hardening
+// compile input, stored output or cache entry taken before the hardening
 // sees it.
 func (rr *regionRecord) harden(pair alias.Pair, pin int) {
 	if rr.blacklist[pair] && (pin < 0 || rr.pins[pin]) {
@@ -178,10 +170,10 @@ func newRegionRecord() *regionRecord {
 	return &regionRecord{Ladder: health.NewLadder[Tier](regionPolicy), statsIdx: -1}
 }
 
-// dropTrace is the guard-fail drop: the superblock goes, and with it every
-// install record, since each was compiled from that trace. What the region
+// dropTrace is the guard-fail drop: the superblock goes. What the region
 // learned stays: blacklist, pins, exception count, ladder and quarantine.
+// Its builds stay in the output store, so a region re-formed as the same
+// trace re-installs its earlier build.
 func (rr *regionRecord) dropTrace() {
 	rr.sb = nil
-	rr.installs = [TierPinned]*compileOutput{}
 }

@@ -356,10 +356,11 @@ func TestTierString(t *testing.T) {
 
 // TestCodeCacheEviction: with a one-region cache, a program with two hot
 // loops keeps evicting and re-installing — and still computes the right
-// answer. Eviction removes only the code: an evicted region keeps its
-// record, so its next install re-installs its build without running the
-// pipeline.
+// answer. Eviction removes only the code: an evicted region's build stays
+// in the output store, so its next install re-installs it without running
+// the pipeline.
 func TestCodeCacheEviction(t *testing.T) {
+	runs := countPipelineRuns(t)
 	cfg := ConfigSMARQ(64)
 	cfg.CodeCacheCapacity = 1
 	const memSize = 1 << 16
@@ -374,24 +375,24 @@ func TestCodeCacheEviction(t *testing.T) {
 
 	e := -1
 	for i, de := range sys.disp {
-		if de.code == nil && de.rec != nil && sys.installRecordOf(i) != nil {
+		if de.code == nil && de.rec != nil && de.rec.sb != nil && sys.storedOutput(i) != nil {
 			e = i
 			break
 		}
 	}
 	if e < 0 {
-		t.Fatal("no evicted region kept its install record")
+		t.Fatal("no evicted region's build is stored")
 	}
-	last := sys.installRecordOf(e)
-	runs := countPipelineRuns(t)
+	last := sys.storedOutput(e)
+	runs.Store(0)
 	if err := sys.requestCompile(e); err != nil {
 		t.Fatal(err)
 	}
 	if runs.Load() != 0 {
 		t.Errorf("re-installing evicted B%d ran the pipeline %d times, want 0", e, runs.Load())
 	}
-	if c := sys.disp[e].code; c == nil || c.cr != last.cr {
-		t.Errorf("evicted B%d did not re-install its recorded build", e)
+	if c := sys.disp[e].code; c == nil || c.out.cr != last.cr {
+		t.Errorf("evicted B%d did not re-install its stored build", e)
 	}
 }
 

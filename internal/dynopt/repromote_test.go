@@ -76,6 +76,7 @@ func TestRegionRePromotion(t *testing.T) {
 			cfg := ConfigSMARQ(64)
 			cfg.Compile.Workers = workers
 			cfg.CheckInvariants = true
+			useStore(t, outputStoreBytes) // each arm compiles, on the pool when queued
 			sys := New(prog, &guest.State{}, guest.NewMemory(memSize), cfg)
 			if halted, err := sys.Run(50_000_000); err != nil || !halted {
 				t.Fatalf("halted=%v err=%v", halted, err)

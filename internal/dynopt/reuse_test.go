@@ -12,18 +12,40 @@ import (
 	"smarq/internal/workload"
 )
 
-// countPipelineRuns swaps the compile pipeline for a counting wrapper
-// until the test ends. The count is atomic because a queued system runs
-// the pipeline on its workers; read it once their jobs are drained.
-func countPipelineRuns(t *testing.T) *atomic.Int64 {
+// useStore gives the rest of the test a fresh, empty output store of
+// maxBytes, and restores the process's store when the test ends. Swap it
+// only while no System of the test is running.
+func useStore(t testing.TB, maxBytes int64) {
+	t.Helper()
+	saved := outputStore
+	outputStore = newOutputStore(maxBytes)
+	t.Cleanup(func() { outputStore = saved })
+}
+
+// swapPipeline is the one test seam for the compile pipeline: until the
+// test ends, p runs every fresh compile, over a fresh, empty output store.
+// So a test counts what its own Systems compile, whatever ran before it in
+// the process. Call it before the test's Systems run: System.Run waits
+// for its compile jobs, so no goroutine reads either variable while they
+// change.
+func swapPipeline(t testing.TB, p func(*compileOutput) *compileOutput) {
+	t.Helper()
+	useStore(t, outputStoreBytes)
+	saved := compilePipeline
+	compilePipeline = p
+	t.Cleanup(func() { compilePipeline = saved })
+}
+
+// countPipelineRuns swaps in a pipeline that counts its runs
+// (swapPipeline). The count is atomic because a queued system runs the
+// pipeline on its workers; read it once their jobs are drained.
+func countPipelineRuns(t testing.TB) *atomic.Int64 {
 	t.Helper()
 	n := new(atomic.Int64)
-	saved := compilePipeline
-	compilePipeline = func(out *compileOutput) *compileOutput {
+	swapPipeline(t, func(out *compileOutput) *compileOutput {
 		n.Add(1)
 		return runCompilePipeline(out, nil)
-	}
-	t.Cleanup(func() { compilePipeline = saved })
+	})
 	return n
 }
 
@@ -49,9 +71,15 @@ func installedSystem(t *testing.T, workers int) (*System, int) {
 	return nil, 0
 }
 
-// installRecordOf returns entry's install record for its effective tier.
-func (s *System) installRecordOf(entry int) *compileOutput {
-	return s.recordOf(entry).installs[s.effectiveTier(entry)]
+// storedOutput returns the output store's output for entry's current
+// compile input, or nil. It leaves the store's recency as it was.
+func (s *System) storedOutput(entry int) *compileOutput {
+	in, err := s.newCompileInput(entry)
+	if err != nil {
+		return nil
+	}
+	out, _ := outputStore.Peek(in.key)
+	return out
 }
 
 // settle advances the simulated clock to entry's pending compile's event
@@ -68,16 +96,17 @@ func settle(t *testing.T, sys *System, entry int) {
 }
 
 // TestInlineRecompileReusesInstalledCode: an inline recompile whose
-// inputs equal its tier's install record re-installs that code without
+// input's key is in the output store re-installs that code without
 // running the pipeline, charges it exactly like a fresh compile, and
 // resets the overwritten compiled record's dispatch state.
 func TestInlineRecompileReusesInstalledCode(t *testing.T) {
-	sys, e := installedSystem(t, 0)
 	runs := countPipelineRuns(t)
+	sys, e := installedSystem(t, 0)
+	runs.Store(0)
 	old := sys.disp[e].code
-	oldCR, rec := old.cr, sys.installRecordOf(e)
-	if rec == nil || rec.cr != oldCR {
-		t.Fatal("the installed code is not its tier's install record")
+	oldCR, rec := old.out.cr, sys.storedOutput(e)
+	if rec == nil || rec != old.out {
+		t.Fatal("the installed output is not the stored output for its input")
 	}
 	// Dispatch state the re-install must not carry over.
 	old.failStreak, old.fresh = maxGuardFails-1, false
@@ -89,7 +118,7 @@ func TestInlineRecompileReusesInstalledCode(t *testing.T) {
 		t.Errorf("pipeline ran %d times for unchanged inputs, want 0", runs.Load())
 	}
 	c := sys.disp[e].code
-	if c == nil || c.cr != oldCR {
+	if c == nil || c.out.cr != oldCR {
 		t.Fatal("the recompile did not re-install the installed CompiledRegion")
 	}
 	if c.failStreak != 0 || !c.fresh {
@@ -155,21 +184,22 @@ func TestInlineRecompileFreshOnChangedInputs(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			runs := countPipelineRuns(t)
 			sys, e := installedSystem(t, 0)
 			if tc.setup != nil {
 				tc.setup(sys, e)
 			}
-			runs := countPipelineRuns(t)
+			runs.Store(0)
 			// Two rounds: the second changes sets that the first round's
 			// install already holds.
 			for round := 1; round <= 2; round++ {
-				oldCR := sys.disp[e].code.cr
+				oldCR := sys.disp[e].code.out.cr
 				tc.change(sys, e)
 				sys.recompileRegion(e, true)
 				if runs.Load() != int64(round) {
 					t.Fatalf("round %d: %d pipeline runs, want %d", round, runs.Load(), round)
 				}
-				if c := sys.disp[e].code; c == nil || c.cr == oldCR {
+				if c := sys.disp[e].code; c == nil || c.out.cr == oldCR {
 					t.Fatalf("round %d: changed inputs did not install fresh code", round)
 				}
 			}
@@ -178,13 +208,15 @@ func TestInlineRecompileFreshOnChangedInputs(t *testing.T) {
 }
 
 // TestReformedTraceReinstalls: re-forming a region's trace returns the
-// program's one superblock for it, which its install record already
-// holds, so the recompile re-installs that code without a pipeline run.
+// program's one superblock for it, so the input's key is the stored
+// output's and the recompile re-installs that code without a pipeline
+// run.
 func TestReformedTraceReinstalls(t *testing.T) {
-	sys, e := installedSystem(t, 0)
 	runs := countPipelineRuns(t)
+	sys, e := installedSystem(t, 0)
+	runs.Store(0)
 	rr := sys.disp[e].rec
-	oldSB, oldCR := rr.sb, sys.disp[e].code.cr
+	oldSB, oldCR := rr.sb, sys.disp[e].code.out.cr
 	rr.sb = nil
 	sys.recompileRegion(e, true)
 	if rr.sb != oldSB {
@@ -193,14 +225,14 @@ func TestReformedTraceReinstalls(t *testing.T) {
 	if runs.Load() != 0 {
 		t.Errorf("pipeline ran %d times for a re-formed identical trace, want 0", runs.Load())
 	}
-	if c := sys.disp[e].code; c == nil || c.cr != oldCR {
+	if c := sys.disp[e].code; c == nil || c.out.cr != oldCR {
 		t.Error("the recompile did not re-install the installed CompiledRegion")
 	}
 }
 
 // TestHostFaultDrawForcesFreshJob: a worker-panic or poison draw always
-// gets a fresh job, even when the inputs equal the install record's, and
-// the fault never reaches the recorded code — inline and queued alike. A
+// gets a fresh job, even when the input's key is stored, and the fault
+// never reaches the stored code — inline and queued alike. A
 // queued hang draw never reuses either: no job is submitted, and the
 // watchdog kills the compile at its deadline.
 func TestHostFaultDrawForcesFreshJob(t *testing.T) {
@@ -220,7 +252,7 @@ func TestHostFaultDrawForcesFreshJob(t *testing.T) {
 			runs := countPipelineRuns(t)
 			sys, e := installedSystem(t, tc.workers)
 			sys.inj = faultinject.New(tc.chaos)
-			old := sys.disp[e].code.cr
+			old := sys.disp[e].code.out.cr
 			sum := old.Checksum()
 			before := sys.Stats.Compile
 			base := runs.Load()
@@ -234,7 +266,7 @@ func TestHostFaultDrawForcesFreshJob(t *testing.T) {
 					t.Fatal("the recompile queued nothing")
 				}
 				if p.done == nil && !p.hung {
-					t.Fatal("the recompile reused the install record despite a host-fault draw")
+					t.Fatal("the recompile reused the stored output despite a host-fault draw")
 				}
 				if p.hung != (tc.chaos.CompileHangRate > 0) || (p.done == nil) != p.hung {
 					t.Fatalf("hung=%v job=%v: a hang submits no job, any other draw a fresh one",
@@ -262,30 +294,33 @@ func TestHostFaultDrawForcesFreshJob(t *testing.T) {
 			if err := old.Validate(); err != nil {
 				t.Errorf("the previously installed code no longer validates: %v", err)
 			}
-			if rec := sys.installRecordOf(e); rec == nil || rec.cr != old {
-				t.Error("the rejected result replaced the install record")
+			if rec := sys.storedOutput(e); rec == nil || rec.cr != old {
+				t.Error("the rejected result replaced the stored output")
 			}
 		})
 	}
 }
 
-// TestQueuedRecompileReusesRecord: a queued recompile whose inputs equal
-// its tier's install record submits no job and runs no pipeline. It
-// installs the record's CompiledRegion at its readyAt point and is
-// charged exactly like a fresh compile of the same input, which a twin
-// system without the record runs.
+// TestQueuedRecompileReusesRecord: a queued recompile whose input's key is
+// in the output store submits no job and runs no pipeline. It installs
+// the stored CompiledRegion at its readyAt point and is charged exactly
+// like a fresh compile of the same input, which a twin system runs over an
+// empty store.
 func TestQueuedRecompileReusesRecord(t *testing.T) {
 	runs := countPipelineRuns(t)
 	reuse, e := installedSystem(t, 1)
 	fresh, _ := installedSystem(t, 1)
-	fresh.disp[e].rec.installs = [TierPinned]*compileOutput{}
-	rec := reuse.installRecordOf(e)
+	rec := reuse.storedOutput(e)
+	if rec == nil || rec != reuse.disp[e].code.out {
+		t.Fatal("the installed output is not the stored output for its input")
+	}
 	before := reuse.Stats.Compile
 	base := runs.Load()
 
 	// A promotion-style recompile: the old code stays installed until the
 	// replacement installs.
 	reuse.recompileRegion(e, false)
+	useStore(t, outputStoreBytes)
 	fresh.recompileRegion(e, false)
 	p := reuse.disp[e].rec.pending
 	if p == nil {
@@ -295,10 +330,10 @@ func TestQueuedRecompileReusesRecord(t *testing.T) {
 		t.Fatal("the recompile submitted a job for unchanged inputs")
 	}
 	if p.out != rec {
-		t.Fatal("the queued compile does not carry the install record")
+		t.Fatal("the queued compile does not carry the stored output")
 	}
 	if fresh.disp[e].rec.pending.done == nil {
-		t.Fatal("the twin without a record submitted no job")
+		t.Fatal("the twin over an empty store submitted no job")
 	}
 	settle(t, reuse, e)
 	settle(t, fresh, e)
@@ -307,8 +342,8 @@ func TestQueuedRecompileReusesRecord(t *testing.T) {
 		t.Errorf("%d pipeline runs, want 1 (the twin's fresh job only)", got)
 	}
 	c := reuse.disp[e].code
-	if c == nil || c.cr != rec.cr {
-		t.Fatal("the recompile did not install the record's CompiledRegion")
+	if c == nil || c.out.cr != rec.cr {
+		t.Fatal("the recompile did not install the stored CompiledRegion")
 	}
 	if c.installedAt != p.readyAt {
 		t.Errorf("installed at cycle %d, want readyAt %d", c.installedAt, p.readyAt)
@@ -323,9 +358,9 @@ func TestQueuedRecompileReusesRecord(t *testing.T) {
 	}
 }
 
-// TestFleetLeaderReuseCompletesFlight: a fleet-cache leader whose inputs
-// equal its install record submits no job and settles its flight with the
-// record's output, so the cache holds it again and the next lookup of the
+// TestFleetLeaderReuseCompletesFlight: a fleet-cache leader whose input's
+// key is in the output store submits no job and settles its flight with
+// the stored output, so the cache holds it again and the next lookup of the
 // key — from any tenant — is a hit, not a wait on a flight that never
 // ends.
 func TestFleetLeaderReuseCompletesFlight(t *testing.T) {
@@ -349,7 +384,10 @@ func TestFleetLeaderReuseCompletesFlight(t *testing.T) {
 	if e < 0 {
 		t.Fatal("run left no region installed")
 	}
-	rec := sys.installRecordOf(e)
+	rec := sys.storedOutput(e)
+	if rec == nil {
+		t.Fatal("the installed region's output is not stored")
+	}
 	key := rec.in.key
 	// Make the key a miss: the one-entry cache now holds another key.
 	other := key
@@ -369,10 +407,10 @@ func TestFleetLeaderReuseCompletesFlight(t *testing.T) {
 			before.MemoMisses, got.MemoMisses, before.DedupeWaits, got.DedupeWaits)
 	}
 	if p.done != nil || p.flight != nil || p.out != rec {
-		t.Fatal("the leader did not re-install its record")
+		t.Fatal("the leader did not re-install the stored output")
 	}
 	if out, hit := cc.cache.Peek(key); !hit || out != rec {
-		t.Fatal("the leader's flight did not insert the record's output")
+		t.Fatal("the leader's flight did not insert the stored output")
 	}
 	if out, hit, flight, _ := cc.cache.Lookup(key); !hit || out != rec || flight != nil {
 		t.Fatal("a later lookup of the key found no entry")
@@ -381,8 +419,8 @@ func TestFleetLeaderReuseCompletesFlight(t *testing.T) {
 	if runs.Load() != base {
 		t.Errorf("%d pipeline runs, want 0", runs.Load()-base)
 	}
-	if c := sys.disp[e].code; c == nil || c.cr != rec.cr {
-		t.Error("the leader did not install the record's CompiledRegion")
+	if c := sys.disp[e].code; c == nil || c.out.cr != rec.cr {
+		t.Error("the leader did not install the stored CompiledRegion")
 	}
 }
 
@@ -425,10 +463,10 @@ func TestReusePipelineRunsAmmpChaos(t *testing.T) {
 }
 
 // TestReuseDecisionZeroAllocs pins the reuse decision and the fleet
-// cache's key — building the input with its key and comparing it with the
-// install record's, then looking the key up in a fleet cache that holds
-// it — at zero heap allocations: the superblock and set encodings are
-// built when they change, never per request. The sets are deliberately
+// cache's key — building the input with its key and finding it in the
+// output store, then looking the key up in a fleet cache that holds it —
+// at zero heap allocations: the superblock and set encodings are built
+// when they change, never per request. The sets are deliberately
 // nonempty.
 func TestReuseDecisionZeroAllocs(t *testing.T) {
 	sys, e := installedSystem(t, 0)
@@ -439,13 +477,13 @@ func TestReuseDecisionZeroAllocs(t *testing.T) {
 	if sys.disp[e].code == nil {
 		t.Fatal("recompile installed no code")
 	}
+	rec := sys.disp[e].code.out
 	cc := NewCodeCache(codecache.Options{})
-	cc.cache.Put(sys.installRecordOf(e).in.key, sys.installRecordOf(e))
+	cc.cache.Put(rec.in.key, rec)
 	allocs := testing.AllocsPerRun(200, func() {
 		in, err := sys.newCompileInput(e)
-		rec := sys.installRecordOf(e)
-		if err != nil || rec == nil || rec.in.key != in.key || in.key.sets == "" {
-			t.Fatalf("unchanged inputs do not compare equal (err %v)", err)
+		if out, ok := outputStore.Get(in.key); err != nil || !ok || out != rec || in.key.sets == "" {
+			t.Fatalf("unchanged inputs miss the stored output (err %v)", err)
 		}
 		if out, hit, _, _ := cc.cache.Lookup(in.key); !hit || out != rec {
 			t.Fatal("the fleet cache missed the input's key")
@@ -460,8 +498,9 @@ func TestReuseDecisionZeroAllocs(t *testing.T) {
 // unchanged inputs at zero heap allocations: the decision, the install
 // path and the compiled record, which is overwritten in place.
 func TestInlineReinstallZeroAllocs(t *testing.T) {
-	sys, e := installedSystem(t, 0)
 	runs := countPipelineRuns(t)
+	sys, e := installedSystem(t, 0)
+	runs.Store(0)
 	allocs := testing.AllocsPerRun(200, func() {
 		sys.recompileRegion(e, true)
 	})
@@ -475,27 +514,27 @@ func TestInlineReinstallZeroAllocs(t *testing.T) {
 
 // TestPromotionReinstallsEarlierTier: a region that leaves a tier and
 // comes back with the same inputs re-installs that tier's build — the
-// rungs in between do not evict it — and is charged as for a compile.
+// rungs in between do not evict it — and is charged as for a compile. The
+// region is installed over another store, so both tiers build here.
 func TestPromotionReinstallsEarlierTier(t *testing.T) {
 	sys, e := installedSystem(t, 0)
 	rr := sys.disp[e].rec
-	rr.installs = [TierPinned]*compileOutput{}
 	runs := countPipelineRuns(t)
 
 	rr.Level = TierFull
 	sys.recompileRegion(e, true)
-	full := sys.disp[e].code.cr
+	full := sys.disp[e].code.out.cr
 	rr.Level = TierNoStoreReorder
 	sys.recompileRegion(e, true)
 	if runs.Load() != 2 {
 		t.Fatalf("%d pipeline runs to build the full and no-store-reorder tiers, want 2", runs.Load())
 	}
-	if sys.disp[e].code.cr == full {
+	if sys.disp[e].code.out.cr == full {
 		t.Fatal("the no-store-reorder build is the full tier's code")
 	}
-	nsr := rr.installs[TierNoStoreReorder]
+	nsr := sys.storedOutput(e)
 	rr.Level = TierFull
-	fullOps := sys.installRecordOf(e).numOps
+	fullOps := sys.storedOutput(e).numOps
 	before := sys.Stats
 
 	sys.recompileRegion(e, true)
@@ -503,7 +542,7 @@ func TestPromotionReinstallsEarlierTier(t *testing.T) {
 	if runs.Load() != 2 {
 		t.Errorf("returning to the full tier ran the pipeline %d more times, want 0", runs.Load()-2)
 	}
-	if c := sys.disp[e].code; c == nil || c.cr != full {
+	if c := sys.disp[e].code; c == nil || c.out.cr != full {
 		t.Fatal("returning to the full tier did not re-install its original CompiledRegion")
 	}
 	m := sys.cfg.Machine
@@ -516,31 +555,33 @@ func TestPromotionReinstallsEarlierTier(t *testing.T) {
 	if got, want := sys.Stats.Recompiles, before.Recompiles+1; got != want {
 		t.Errorf("Recompiles %d, want %d", got, want)
 	}
-	if rr.installs[TierNoStoreReorder] != nsr {
-		t.Error("re-installing the full tier disturbed the no-store-reorder record")
+	if out, ok := outputStore.Peek(nsr.in.key); !ok || out != nsr {
+		t.Error("re-installing the full tier disturbed the stored no-store-reorder build")
 	}
 }
 
-// TestInstallRecordsClearedOnReform: the guard-fail drop clears the
-// region's superblock and its install records — every record holds the
-// dropped superblock, so none could match again — and nothing else: the
-// blacklist, the pins, the exception count, the ladder (tier and backoff
-// included) and the quarantine bit survive, so the re-formed region
-// resumes what it learned.
-func TestInstallRecordsClearedOnReform(t *testing.T) {
+// TestGuardFailDropReinstalls: the guard-fail drop clears the region's
+// superblock and nothing else: the blacklist, the pins, the exception
+// count, the ladder (tier and backoff included) and the quarantine bit
+// survive, so the re-formed region resumes what it learned. Its build
+// stays in the output store, so once compiles are allowed again the region
+// re-forms as the same *Superblock and re-installs the same
+// CompiledRegion without a pipeline run.
+func TestGuardFailDropReinstalls(t *testing.T) {
+	runs := countPipelineRuns(t)
 	sys, e := installedSystem(t, 0)
 	sys.borrowExec() // runRegion below dispatches outside Run
 	defer sys.returnExec()
 	rr := sys.disp[e].rec
-	if sys.installRecordOf(e) == nil {
-		t.Fatal("the installed region has no install record")
-	}
 	rr.harden(alias.MakePair(3, 1), 9)
+	rr.Level = TierNoElim
+	sys.recompileRegion(e, true) // build and store the learned input
+	oldSB, oldCR := rr.sb, sys.disp[e].code.out.cr
 	rr.exceptions = 5
-	rr.Level, rr.Backoff, rr.Demotions = TierNoElim, 4, 2
+	rr.Backoff, rr.Demotions = 4, 2
 	rr.quarantined = true
 	want := *rr
-	want.sb, want.installs = nil, [TierPinned]*compileOutput{}
+	want.sb = nil
 
 	sys.inj = faultinject.New(faultinject.Config{Seed: 1, GuardFailRate: 1})
 	c := sys.disp[e].code
@@ -549,10 +590,21 @@ func TestInstallRecordsClearedOnReform(t *testing.T) {
 	if rr.sb != nil || sys.disp[e].code != nil {
 		t.Fatal("the guard-fail storm did not drop the region and its superblock")
 	}
-	if rr.installs != [TierPinned]*compileOutput{} {
-		t.Error("install records survived the superblock drop")
-	}
 	if !reflect.DeepEqual(*rr, want) {
-		t.Errorf("the drop changed more than the superblock and install records:\ngot  %+v\nwant %+v", *rr, want)
+		t.Errorf("the drop changed more than the superblock:\ngot  %+v\nwant %+v", *rr, want)
+	}
+
+	sys.inj = nil
+	rr.quarantined = false
+	runs.Store(0)
+	sys.recompileRegion(e, true)
+	if rr.sb != oldSB {
+		t.Fatal("re-forming the dropped trace returned a new superblock")
+	}
+	if runs.Load() != 0 {
+		t.Errorf("re-installing the dropped trace ran the pipeline %d times, want 0", runs.Load())
+	}
+	if c := sys.disp[e].code; c == nil || c.out.cr != oldCR {
+		t.Error("the re-formed region did not re-install its CompiledRegion")
 	}
 }

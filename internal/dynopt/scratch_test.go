@@ -81,6 +81,7 @@ func TestSplitRunMatchesOneRun(t *testing.T) {
 					cfg := base
 					cfg.Compile.Workers = workers
 					run := func(budgets ...uint64) runResult {
+						useStore(t, outputStoreBytes) // each run compiles, on the pool when queued
 						sys := New(prog, &guest.State{}, guest.NewMemory(1<<16), cfg)
 						for _, b := range budgets {
 							if _, err := sys.Run(b); err != nil {
@@ -130,6 +131,7 @@ func TestSplitRunMatchesOneRun(t *testing.T) {
 		t.Run(fmt.Sprintf("resume/workers%d", workers), func(t *testing.T) {
 			cfg := ConfigSMARQ(64)
 			cfg.Compile.Workers = workers
+			useStore(t, outputStoreBytes) // the slices compile, on the pool when queued
 			sys := New(prog, &guest.State{}, guest.NewMemory(memSize), cfg)
 			offEntry := 0
 			budget := uint64(0)
@@ -303,7 +305,7 @@ func TestScratchReturnedOnlyIdle(t *testing.T) {
 			}
 		}()
 		defer sys.returnExec()
-		sys.x.ctx.Execute(c.cr, sys.st, sys.mem, panicDetector{})
+		sys.x.ctx.Execute(c.out.cr, sys.st, sys.mem, panicDetector{})
 	}()
 	if sys.x != nil {
 		t.Fatal("the loan outlived the panic")

@@ -23,20 +23,11 @@ type tenantRun struct {
 // runTenant runs bm to halt (or maxInsts) on a fresh System with compiles
 // that install at their request, over cache when it is non-nil.
 func runTenant(bm workload.Benchmark, maxInsts uint64, cache *CodeCache) (tenantRun, error) {
-	sink := &captureSink{}
 	cfg := ConfigSMARQ(64)
 	cfg.Compile.SharedCache = cache
-	cfg.Telemetry = &telemetry.Telemetry{Events: telemetry.NewTracer(0, sink)}
-	sys := New(bm.Build(), &guest.State{}, guest.NewMemory(bm.MemSize), cfg)
-	if _, err := sys.Run(maxInsts); err != nil {
-		return tenantRun{}, err
-	}
-	if err := cfg.Telemetry.Tracer().Flush(); err != nil {
-		return tenantRun{}, err
-	}
-	st := sys.Stats
-	st.Compile.MemoHits, st.Compile.MemoMisses, st.Compile.DedupeWaits = 0, 0, 0
-	return tenantRun{stats: st, events: sink.events, state: *sys.State(), digest: sys.Mem().Digest()}, nil
+	r, _, err := runRecorded(bm, maxInsts, cfg)
+	r.stats.Compile.MemoHits, r.stats.Compile.MemoMisses, r.stats.Compile.DedupeWaits = 0, 0, 0
+	return r, err
 }
 
 // TestInlineFleetMatchesSolo runs 1 and 4 concurrent tenants of one
@@ -61,14 +52,12 @@ func TestInlineFleetMatchesSolo(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/tenants%d", name, tenants), func(t *testing.T) {
 				var mu sync.Mutex
 				compiled := map[compileKey]int{}
-				saved := compilePipeline
-				compilePipeline = func(out *compileOutput) *compileOutput {
+				swapPipeline(t, func(out *compileOutput) *compileOutput {
 					mu.Lock()
 					compiled[out.in.key]++
 					mu.Unlock()
 					return runCompilePipeline(out, nil)
-				}
-				defer func() { compilePipeline = saved }()
+				})
 
 				cache := NewCodeCache(codecache.Options{})
 				runs := make([]tenantRun, tenants)

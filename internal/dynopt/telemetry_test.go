@@ -115,6 +115,7 @@ func TestTelemetryMatchesStats(t *testing.T) {
 				sink := &captureSink{}
 				reg := telemetry.NewRegistry()
 				cfg.Telemetry = &telemetry.Telemetry{Events: telemetry.NewTracer(0, sink), Metrics: reg}
+				useStore(t, outputStoreBytes) // each cell compiles, on the pool when queued
 				sys := New(build(), &guest.State{}, guest.NewMemory(1<<16), cfg)
 				if halted, err := sys.Run(50_000_000); err != nil || !halted {
 					t.Fatalf("%s: halted=%v err=%v", id, halted, err)

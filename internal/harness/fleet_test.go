@@ -294,9 +294,9 @@ func TestFleetSharesAcrossPrograms(t *testing.T) {
 // TestFleetLeaderReuseOneEntryCache runs a fleet whose tenants keep
 // returning to code they built: a one-region code cache evicts a region
 // at every other region's install, and the region's next compile request
-// carries the inputs of its install record. A one-entry shared cache has
+// carries the inputs of its stored build. A one-entry shared cache has
 // almost always evicted that key too, so the tenant leads a new flight
-// and re-installs the record instead of compiling. Such a leader runs no
+// and re-installs the stored build instead of compiling. Such a leader runs no
 // job, so it must settle the flight itself: an unsettled flight blocks
 // every later lookup of its key, and the fleet never finishes. Every
 // tenant must still match its solo run, by the same diff VerifyFleet
