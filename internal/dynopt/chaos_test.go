@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"testing"
+	"unsafe"
 
 	"smarq/internal/faultinject"
 	"smarq/internal/guest"
@@ -160,5 +161,31 @@ func TestChaosDeterministicReplay(t *testing.T) {
 	c := run(18)
 	if a.Injected == c.Injected && a.TotalCycles == c.TotalCycles {
 		t.Error("different seeds produced identical runs (injection may be inert)")
+	}
+}
+
+// chaosSink keeps the allocation pins' results alive.
+var chaosSink any
+
+// TestNewChaosAllocs pins what chaos costs a new System: New with the
+// default chaos mix allocates no more than New without chaos, plus the
+// injector itself, one allocation of a few hundred bytes that holds no
+// draw state. A region's draw ordinals come with its first draw.
+func TestNewChaosAllocs(t *testing.T) {
+	prog := sumLoopProgram(10)
+	st, mem := &guest.State{}, guest.NewMemory(1<<16)
+	plain := ConfigSMARQ(64)
+	chaos := plain
+	chaos.Chaos = faultinject.Default(3)
+	chaosSink = New(prog, st, mem, plain) // decode and resolve pools once
+	withoutChaos := testing.AllocsPerRun(100, func() { chaosSink = New(prog, st, mem, plain) })
+	withChaos := testing.AllocsPerRun(100, func() { chaosSink = New(prog, st, mem, chaos) })
+	injector := testing.AllocsPerRun(100, func() { chaosSink = faultinject.New(chaos.Chaos) })
+	if size := unsafe.Sizeof(faultinject.Injector{}); injector != 1 || size > 256 {
+		t.Errorf("faultinject.New allocates %v times, a %d-byte injector; want once, at most 256 bytes", injector, size)
+	}
+	if withChaos > withoutChaos+injector {
+		t.Errorf("New allocates %v times with chaos, %v without: more than the injector's %v",
+			withChaos, withoutChaos, injector)
 	}
 }

@@ -20,8 +20,11 @@
 package dynopt
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"sync"
 	"unsafe"
 
@@ -188,14 +191,38 @@ func (in *compileInput) schedConfig() sched.Config {
 }
 
 // encodeSets returns the canonical encoding of a region's pin and
-// blacklist sets for compileKey: "" when both are empty, else both maps as
-// fmt prints them, which is in sorted key order, so equal sets encode
-// equally whatever order they were hardened in.
+// blacklist sets for compileKey: "" when both are empty, else the sorted
+// pins, each followed by a space, then '|' and the sorted pairs, each as
+// " A:B". Equal sets encode equally whatever order they were hardened in,
+// and unequal sets unequally. The sets hold only true entries (harden).
 func encodeSets(pins map[int]bool, blacklist alias.Blacklist) string {
 	if len(pins) == 0 && len(blacklist) == 0 {
 		return ""
 	}
-	return fmt.Sprint(pins, blacklist)
+	var pinBuf [16]int
+	ps := pinBuf[:0]
+	for p := range pins {
+		ps = append(ps, p)
+	}
+	slices.Sort(ps)
+	var pairBuf [16]alias.Pair
+	bs := pairBuf[:0]
+	for pr := range blacklist {
+		bs = append(bs, pr)
+	}
+	slices.SortFunc(bs, func(x, y alias.Pair) int {
+		return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
+	})
+	b := make([]byte, 0, 64)
+	for _, p := range ps {
+		b = append(strconv.AppendInt(b, int64(p), 10), ' ')
+	}
+	b = append(b, '|')
+	for _, pr := range bs {
+		b = strconv.AppendInt(append(b, ' '), int64(pr.A), 10)
+		b = strconv.AppendInt(append(b, ':'), int64(pr.B), 10)
+	}
+	return string(b)
 }
 
 // compileOutput is the pipeline's result, the input it was compiled from,
@@ -575,33 +602,44 @@ func storedOutputBytes(out *compileOutput) int64 {
 		int64(len(sb.Insts))*int64(unsafe.Sizeof(region.Inst{}))
 }
 
-// drawHostFaults performs the per-fresh-compile host-fault draws, in a
-// fixed order on the simulation thread, so the injector's sequence is
-// independent of the worker count and host timing. Only a queued compile
-// draws a hang (p.hung): no other has a deadline. A drawn hang dominates
-// (the job never finishes, so a panic or poison inside it would be
-// unobservable), and a drawn panic dominates poison (a panicking job
-// produces no result to poison).
-func (s *System) drawHostFaults(p *pendingCompile) (panicInject bool, poison faultinject.PoisonMode) {
+// hostFaults is a compile request's host-fault draws, resolved to the one
+// fault that applies if the request runs a fresh job: a drawn hang
+// dominates (the job never finishes, so a panic or poison inside it would
+// be unobservable), and a drawn panic dominates poison (a panicking job
+// produces no result to poison). cause is CauseWatchdog, CauseWorkerPanic,
+// CausePoison, or CauseNone when no draw fired; ord is its draw's ordinal.
+type hostFaults struct {
+	cause  telemetry.Cause
+	poison faultinject.PoisonMode
+	ord    uint32
+}
+
+// drawHostFaults makes a compile request's host-fault draws on the
+// simulation thread. Every request draws, so a region's host ordinals
+// count its requests: a fleet-cache hit, a joined flight and a fresh job
+// make the same draws, and only a fresh job applies them. Only a queued
+// request draws a hang: no other has a deadline to overrun.
+func (s *System) drawHostFaults(entry int, rr *regionRecord, queued bool) hostFaults {
 	if s.inj == nil {
-		return false, faultinject.PoisonNone
+		return hostFaults{}
 	}
-	panicInject = s.inj.WorkerPanic()
-	p.hung = p.queued && s.inj.CompileHang()
-	poison = s.inj.PoisonResult()
-	now, tier := s.now(), s.tierOf(p.entry)
-	if p.hung {
-		s.tel.chaosInjected(now, p.entry, tier, telemetry.CauseWatchdog)
-		return false, faultinject.PoisonNone
+	d := rr.chaosDraws()
+	panicOrd, panicked := s.inj.Draw(faultinject.WorkerPanic, entry, d)
+	var hangOrd uint32
+	hung := false
+	if queued {
+		hangOrd, hung = s.inj.Draw(faultinject.CompileHang, entry, d)
 	}
-	if panicInject {
-		s.tel.chaosInjected(now, p.entry, tier, telemetry.CauseWorkerPanic)
-		return true, faultinject.PoisonNone
+	poisonOrd, poison := s.inj.Poison(entry, d)
+	switch {
+	case hung:
+		return hostFaults{cause: telemetry.CauseWatchdog, ord: hangOrd}
+	case panicked:
+		return hostFaults{cause: telemetry.CauseWorkerPanic, ord: panicOrd}
+	case poison != faultinject.PoisonNone:
+		return hostFaults{cause: telemetry.CausePoison, poison: poison, ord: poisonOrd}
 	}
-	if poison != faultinject.PoisonNone {
-		s.tel.chaosInjected(now, p.entry, tier, telemetry.CausePoison)
-	}
-	return false, poison
+	return hostFaults{}
 }
 
 // lookupOutput probes the fleet cache for in's key and counts the hit or
@@ -699,19 +737,23 @@ func (s *System) recompileRegion(entry int, stale bool) {
 }
 
 // enqueueCompile is the one compile sequence, each step at one place: the
-// CompileFail draw, the input, the fleet-cache lookup, then (unless it hit
-// or joined a flight) the host-fault draws, the output-store lookup and a
-// fresh job. A compile with a latency is then queued; any other installs
-// before the request returns. A live pending compile absorbs the request.
+// CompileFail draw, the input, the host-fault draws, the fleet-cache
+// lookup, then (unless it hit or joined a flight) the output-store lookup
+// and a fresh job. A compile with a latency is then queued; any other
+// installs before the request returns. A live pending compile absorbs the
+// request.
 func (s *System) enqueueCompile(entry int) error {
-	if rr := s.disp[entry].rec; rr != nil && rr.pending != nil {
+	rr := s.recordOf(entry)
+	if rr.pending != nil {
 		return nil
 	}
-	// The chaos draw happens at the request on the simulation thread, so
-	// the injector's sequence is independent of the worker count.
-	if s.inj != nil && s.inj.CompileFail() {
-		s.tel.chaosInjected(s.now(), entry, s.tierOf(entry), telemetry.CauseCompileFail)
-		return fmt.Errorf("%w for B%d", errInjectedCompileFail, entry)
+	// Every chaos draw happens at the request on the simulation thread, so
+	// no draw depends on the worker count or on host timing.
+	if s.inj != nil {
+		if ord, fired := s.inj.Draw(faultinject.CompileFail, entry, rr.chaosDraws()); fired {
+			s.tel.chaosInjected(s.now(), entry, rr.Level, telemetry.CauseCompileFail, ord)
+			return errInjectedCompileFail
+		}
 	}
 	in, err := s.newCompileInput(entry)
 	if err != nil {
@@ -731,6 +773,7 @@ func (s *System) enqueueCompile(entry int) error {
 			int64(s.cfg.Machine.CompileCyclesPerCheck)*int64(in.sb.NumMemOps())
 		p.queued, p.readyAt, p.deadline = true, now+cost, now+cost*watchdogFactor
 	}
+	hf := s.drawHostFaults(entry, rr, p.queued)
 	out, flight, leader := s.lookupOutput(&in)
 	p.out, p.memoHit = out, out != nil
 	s.Stats.Compile.Enqueued++
@@ -743,19 +786,22 @@ func (s *System) enqueueCompile(entry int) error {
 		p.flight = flight
 	default:
 		job.flight = flight
-		panicInject, poison := s.drawHostFaults(&p)
+		if hf.cause != telemetry.CauseNone {
+			s.tel.chaosInjected(now, entry, rr.Level, hf.cause, hf.ord)
+		}
+		p.hung = hf.cause == telemetry.CauseWatchdog
 		switch {
 		case p.hung:
 			// A hung compile runs no job, so a leader settles its flight
 			// now with a synthetic watchdog failure, or followers on other
 			// tenants would wait forever.
 			job.settle(&compileOutput{in: in, err: fmt.Errorf("%w for B%d", errWatchdogTimeout, entry)})
-		case s.reuseRecord(&p, &in, panicInject, poison):
+		case hf.cause == telemetry.CauseNone && s.reuseRecord(&p, &in):
 			// A re-install runs no job either: a leader settles its flight
 			// with the stored output, as its job would.
 			job.settle(p.out)
 		default:
-			job.out, job.panicInject, job.poison = &compileOutput{in: in}, panicInject, poison
+			job.out, job.panicInject, job.poison = &compileOutput{in: in}, hf.cause == telemetry.CauseWorkerPanic, hf.poison
 		}
 	}
 	if p.queued {
@@ -799,19 +845,16 @@ func (j compileJob) settle(out *compileOutput) *compileOutput {
 	return out
 }
 
-// reuseRecord is the one reuse rule: re-install, don't recompile. If no
-// host fault was drawn for this compile and the output store holds in's
-// key, it gives p the stored output and reports true; the caller then runs
-// no pipeline. Injected alias exceptions, drops, evictions and tier moves
-// often bring back inputs a region compiled before, and another System may
-// have built the same input. The output still goes through admitOutput
-// and is charged like a fresh compile of the same input. A panic or
-// poison draw always gets a fresh job, so a fault never reaches a stored
-// output.
-func (s *System) reuseRecord(p *pendingCompile, in *compileInput, panicInject bool, poison faultinject.PoisonMode) bool {
-	if panicInject || poison != faultinject.PoisonNone {
-		return false
-	}
+// reuseRecord is the one reuse rule: re-install, don't recompile. If the
+// output store holds in's key, it gives p the stored output and reports
+// true; the caller then runs no pipeline. Injected alias exceptions,
+// drops, evictions and tier moves often bring back inputs a region
+// compiled before, and another System may have built the same input. The
+// output still goes through admitOutput and is charged like a fresh
+// compile of the same input. The caller asks only when no host fault
+// applies: a panic or poison always gets a fresh job, so a fault never
+// reaches a stored output.
+func (s *System) reuseRecord(p *pendingCompile, in *compileInput) bool {
 	out, ok := outputStore.Get(in.key)
 	if ok {
 		p.out, p.stored = out, true

@@ -276,7 +276,18 @@ func TestInjectedCompileFailBackoff(t *testing.T) {
 	const entry = 3
 	sys.it.Prof.BlockCounts[entry] = 1000
 	hot := sys.cfg.HotThreshold
-	injected := fmt.Errorf("%w for B%d", errInjectedCompileFail, entry)
+	// An injected failure is the sentinel itself: the chaos event names
+	// the region, so the request formats nothing and allocates nothing
+	// once the region has its draw ordinals.
+	sys.inj = faultinject.New(faultinject.Config{Seed: 1, CompileFailRate: 1})
+	injected := sys.requestCompile(entry)
+	if injected != errInjectedCompileFail {
+		t.Fatalf("an injected compile failure returned %v, want errInjectedCompileFail", injected)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = sys.requestCompile(entry) }); allocs != 0 {
+		t.Errorf("an injected compile failure allocates %.1f times, want 0", allocs)
+	}
+	sys.inj = nil
 
 	for i := uint64(1); i <= 2*injFailStreakCap; i++ {
 		sys.compileFailBackoff(entry, injected)

@@ -108,6 +108,57 @@ func TestInputEqualCoversEveryField(t *testing.T) {
 	}
 }
 
+// TestEncodeSetsDistinct: every pair of distinct pin and blacklist sets
+// drawn from a small universe encodes distinctly, equal sets encode
+// equally whatever order they were built in, and only two empty sets
+// encode as "". The op IDs share digits (1, 2, 11, 12), so an encoding
+// without delimiters would collide.
+func TestEncodeSetsDistinct(t *testing.T) {
+	ids := []int{1, 2, 11, 12}
+	pairs := []alias.Pair{alias.MakePair(1, 2), alias.MakePair(1, 12), alias.MakePair(11, 2), alias.MakePair(12, 11)}
+	seen := map[string][2]int{}
+	for pm := 0; pm < 1<<len(ids); pm++ {
+		for bm := 0; bm < 1<<len(pairs); bm++ {
+			var pins, rev map[int]bool
+			var bl, revBL alias.Blacklist
+			for i, id := range ids {
+				if pm&(1<<i) != 0 {
+					pins = with(pins, id)
+				}
+				if j := len(ids) - 1 - i; pm&(1<<j) != 0 {
+					rev = with(rev, ids[j])
+				}
+			}
+			for i, pr := range pairs {
+				if bm&(1<<i) != 0 {
+					bl = with(bl, pr)
+				}
+				if j := len(pairs) - 1 - i; bm&(1<<j) != 0 {
+					revBL = with(revBL, pairs[j])
+				}
+			}
+			enc := encodeSets(pins, bl)
+			if got := encodeSets(rev, revBL); got != enc {
+				t.Fatalf("pins %v, blacklist %v: %q built in reverse, %q in order", pins, bl, got, enc)
+			}
+			if (enc == "") != (pm == 0 && bm == 0) {
+				t.Fatalf("pins %v, blacklist %v encode as %q", pins, bl, enc)
+			}
+			if prev, ok := seen[enc]; ok {
+				t.Fatalf("sets %v and %v both encode as %q", prev, [2]int{pm, bm}, enc)
+			}
+			seen[enc] = [2]int{pm, bm}
+		}
+	}
+	pins, bl := map[int]bool{}, alias.Blacklist{}
+	for i, id := range ids {
+		pins[id], bl[pairs[i]] = true, true
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = encodeSets(pins, bl) }); allocs != 1 {
+		t.Errorf("encoding %d pins and %d pairs allocates %v times, want 1 (the string)", len(pins), len(bl), allocs)
+	}
+}
+
 // sampleCompileInput runs a short SMARQ system and returns the compile
 // input of one region it formed.
 func sampleCompileInput(t *testing.T) compileInput {

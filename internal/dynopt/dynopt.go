@@ -258,8 +258,10 @@ type Stats struct {
 	// observation counts and the final level (zero when Config.Health is
 	// disabled).
 	Health health.Stats
-	// Injected reports which chaos faults actually fired (zero without
-	// Config.Chaos).
+	// Injected reports how many chaos draws fired, per class (zero
+	// without Config.Chaos). A host-fault draw fires at every compile
+	// request but applies only to a fresh job, and only the dominant one
+	// of several (drawHostFaults).
 	Injected faultinject.Counts
 
 	// Retirement.
@@ -586,14 +588,15 @@ func (s *System) Run(maxInsts uint64) (bool, error) {
 // blacklist), mirroring an inexplicable hardware false positive.
 // The second return distinguishes injected outcomes (CauseInjectedAlias /
 // CauseInjectedGuard) from real execution (CauseNone) for telemetry.
-func (s *System) executeRegion(entry int, tier Tier, c *compiled) (vliw.ExecResult, telemetry.Cause) {
+func (s *System) executeRegion(entry int, rr *regionRecord, c *compiled) (vliw.ExecResult, telemetry.Cause) {
 	if s.inj != nil {
-		if s.inj.SpuriousAlias() {
-			s.tel.chaosInjected(s.now(), entry, tier, telemetry.CauseInjectedAlias)
+		d := rr.chaosDraws()
+		if ord, fired := s.inj.Draw(faultinject.SpuriousAlias, entry, d); fired {
+			s.tel.chaosInjected(s.now(), entry, rr.Level, telemetry.CauseInjectedAlias, ord)
 			return vliw.ExecResult{Outcome: vliw.AliasException}, telemetry.CauseInjectedAlias
 		}
-		if s.inj.GuardFail() {
-			s.tel.chaosInjected(s.now(), entry, tier, telemetry.CauseInjectedGuard)
+		if ord, fired := s.inj.Draw(faultinject.GuardFail, entry, d); fired {
+			s.tel.chaosInjected(s.now(), entry, rr.Level, telemetry.CauseInjectedGuard, ord)
 			return vliw.ExecResult{Outcome: vliw.GuardFail}, telemetry.CauseInjectedGuard
 		}
 	}
@@ -618,14 +621,16 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		snap = faultinject.Capture(s.st, s.mem)
 	}
 
-	res, injected := s.executeRegion(entry, rr.Level, c)
+	res, injected := s.executeRegion(entry, rr, c)
 
 	if res.Outcome != vliw.Commit {
 		// Every non-commit outcome rolled back (or never ran). Chaos may
 		// now model a broken restore; the invariant checker must catch
 		// either that or a genuine recovery bug.
-		if s.inj != nil && s.inj.CorruptState(s.st) {
-			s.tel.chaosInjected(s.now(), entry, rr.Level, telemetry.CauseCorrupt)
+		if s.inj != nil {
+			if ord, fired := s.inj.Corrupt(entry, rr.chaosDraws(), s.st); fired {
+				s.tel.chaosInjected(s.now(), entry, rr.Level, telemetry.CauseCorrupt, ord)
+			}
 		}
 		if s.cfg.CheckInvariants {
 			if err := snap.Verify(s.st, s.mem); err != nil {

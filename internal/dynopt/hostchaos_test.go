@@ -282,7 +282,7 @@ func TestLeaderCachesWhatInstallAdmits(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		chaos  faultinject.Config
-		skip   int // poison draws to burn first (they alternate checksum, structure)
+		skip   uint32 // the region's poison ordinal (the mode alternates checksum, structure)
 		admits bool
 	}{
 		{"clean", faultinject.Config{}, 0, true},
@@ -294,9 +294,7 @@ func TestLeaderCachesWhatInstallAdmits(t *testing.T) {
 			sys, e := installedSystem(t, 1)
 			sys.cache = NewCodeCache(codecache.Options{}).cache
 			sys.inj = faultinject.New(tc.chaos)
-			for i := 0; i < tc.skip; i++ {
-				sys.inj.PoisonResult()
-			}
+			sys.disp[e].rec.draws = &faultinject.Ordinals{faultinject.PoisonResult: tc.skip}
 			useStore(t, outputStoreBytes) // run a job
 			in, err := sys.newCompileInput(e)
 			if err != nil {

@@ -5,6 +5,7 @@ import (
 	"maps"
 
 	"smarq/internal/alias"
+	"smarq/internal/faultinject"
 	"smarq/internal/health"
 	"smarq/internal/region"
 )
@@ -133,6 +134,11 @@ type regionRecord struct {
 	quarantined   bool            // barred from compiling (quarantineRegion)
 	statsIdx      int             // index into Stats.Regions; -1 before the first install
 	pending       *pendingCompile // live queued compile (single-flight), or nil
+	// draws counts the region's chaos draws per fault class, which keys
+	// each next draw (faultinject.Ordinals). It is nil until the region's
+	// first draw, so the record of a System without chaos keeps its size
+	// class; once set it lasts as long as the record, across runs.
+	draws *faultinject.Ordinals
 
 	// Ladder is the region's speculation ladder (its Level is the
 	// region's tier), run under regionPolicy. A misspeculation rollback
@@ -164,6 +170,15 @@ func with[M ~map[K]bool, K comparable](set M, k K) M {
 	maps.Copy(c, set)
 	c[k] = true
 	return c
+}
+
+// chaosDraws returns the region's chaos draw ordinals, allocating them at
+// its first draw.
+func (rr *regionRecord) chaosDraws() *faultinject.Ordinals {
+	if rr.draws == nil {
+		rr.draws = new(faultinject.Ordinals)
+	}
+	return rr.draws
 }
 
 func newRegionRecord() *regionRecord {

@@ -71,6 +71,40 @@ func installedSystem(t *testing.T, workers int) (*System, int) {
 	return nil, 0
 }
 
+// tieredSystem runs ammp to halt with compiles that install at their
+// request and returns the system with the entry of an installed region
+// whose full, no-store-reorder and conservative tiers compile to three
+// different codes, so that a test of its tier builds tells code apart, not
+// only keys. (A small loop's region schedules alike at every tier.)
+func tieredSystem(t *testing.T) (*System, int) {
+	t.Helper()
+	bm := mustBenchmark(t, "ammp")
+	sys := New(bm.Build(), &guest.State{}, guest.NewMemory(bm.MemSize), ConfigSMARQ(64))
+	if halted, err := sys.Run(bm.MaxInsts); err != nil || !halted {
+		t.Fatalf("halted=%v err=%v", halted, err)
+	}
+	for e, de := range sys.disp {
+		if de.code == nil {
+			continue
+		}
+		level, codes := de.rec.Level, map[uint64]bool{}
+		for _, tier := range []Tier{TierFull, TierNoStoreReorder, TierConservative} {
+			de.rec.Level = tier
+			in, err := sys.newCompileInput(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			codes[runCompilePipeline(&compileOutput{in: in}, nil).cr.Checksum()] = true
+		}
+		de.rec.Level = level
+		if len(codes) == 3 {
+			return sys, e
+		}
+	}
+	t.Fatal("no installed ammp region compiles to three codes at the full, no-store-reorder and conservative tiers")
+	return nil, 0
+}
+
 // storedOutput returns the output store's output for entry's current
 // compile input, or nil. It leaves the store's recency as it was.
 func (s *System) storedOutput(entry int) *compileOutput {
@@ -440,8 +474,8 @@ func TestReusePipelineRunsAmmpChaos(t *testing.T) {
 		workers                int
 		wantEnqueued, wantRuns int64
 	}{
-		{"inline", 0, 208, 14},
-		{"queued", 1, 275, 13},
+		{"inline", 0, 381, 13},
+		{"queued", 1, 245, 13},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			runs := countPipelineRuns(t)
@@ -515,9 +549,10 @@ func TestInlineReinstallZeroAllocs(t *testing.T) {
 // TestPromotionReinstallsEarlierTier: a region that leaves a tier and
 // comes back with the same inputs re-installs that tier's build — the
 // rungs in between do not evict it — and is charged as for a compile. The
-// region is installed over another store, so both tiers build here.
+// region is installed over another store, so both tiers build here, and
+// its two tiers compile to different code.
 func TestPromotionReinstallsEarlierTier(t *testing.T) {
-	sys, e := installedSystem(t, 0)
+	sys, e := tieredSystem(t)
 	rr := sys.disp[e].rec
 	runs := countPipelineRuns(t)
 
@@ -529,7 +564,7 @@ func TestPromotionReinstallsEarlierTier(t *testing.T) {
 	if runs.Load() != 2 {
 		t.Fatalf("%d pipeline runs to build the full and no-store-reorder tiers, want 2", runs.Load())
 	}
-	if sys.disp[e].code.out.cr == full {
+	if sys.disp[e].code.out.cr.Checksum() == full.Checksum() {
 		t.Fatal("the no-store-reorder build is the full tier's code")
 	}
 	nsr := sys.storedOutput(e)
@@ -562,11 +597,11 @@ func TestPromotionReinstallsEarlierTier(t *testing.T) {
 
 // TestGuardFailDropReinstalls: the guard-fail drop clears the region's
 // superblock and nothing else: the blacklist, the pins, the exception
-// count, the ladder (tier and backoff included) and the quarantine bit
-// survive, so the re-formed region resumes what it learned. Its build
-// stays in the output store, so once compiles are allowed again the region
-// re-forms as the same *Superblock and re-installs the same
-// CompiledRegion without a pipeline run.
+// count, the ladder (tier and backoff included), the quarantine bit and
+// the chaos draw ordinals survive, so the re-formed region resumes what it
+// learned. Its build stays in the output store, so once compiles are
+// allowed again the region re-forms as the same *Superblock and
+// re-installs the same CompiledRegion without a pipeline run.
 func TestGuardFailDropReinstalls(t *testing.T) {
 	runs := countPipelineRuns(t)
 	sys, e := installedSystem(t, 0)
@@ -580,8 +615,12 @@ func TestGuardFailDropReinstalls(t *testing.T) {
 	rr.exceptions = 5
 	rr.Backoff, rr.Demotions = 4, 2
 	rr.quarantined = true
+	rr.draws = &faultinject.Ordinals{faultinject.SpuriousAlias: 3, faultinject.GuardFail: 7}
 	want := *rr
 	want.sb = nil
+	// The storm's one draw advances the guard ordinal, and the drop keeps
+	// the ordinals, so the region's later draws continue its sequence.
+	want.draws = &faultinject.Ordinals{faultinject.SpuriousAlias: 3, faultinject.GuardFail: 8}
 
 	sys.inj = faultinject.New(faultinject.Config{Seed: 1, GuardFailRate: 1})
 	c := sys.disp[e].code

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"smarq/internal/codecache"
+	"smarq/internal/faultinject"
 	"smarq/internal/guest"
 	"smarq/internal/telemetry"
 	"smarq/internal/workload"
@@ -21,10 +22,12 @@ type tenantRun struct {
 }
 
 // runTenant runs bm to halt (or maxInsts) on a fresh System with compiles
-// that install at their request, over cache when it is non-nil.
-func runTenant(bm workload.Benchmark, maxInsts uint64, cache *CodeCache) (tenantRun, error) {
+// that install at their request and the given chaos, over cache when it
+// is non-nil.
+func runTenant(bm workload.Benchmark, maxInsts uint64, cache *CodeCache, chaos faultinject.Config) (tenantRun, error) {
 	cfg := ConfigSMARQ(64)
 	cfg.Compile.SharedCache = cache
+	cfg.Chaos = chaos
 	r, _, err := runRecorded(bm, maxInsts, cfg)
 	r.stats.Compile.MemoHits, r.stats.Compile.MemoMisses, r.stats.Compile.DedupeWaits = 0, 0, 0
 	return r, err
@@ -44,7 +47,7 @@ func TestInlineFleetMatchesSolo(t *testing.T) {
 		if !ok {
 			t.Fatalf("no benchmark %q", name)
 		}
-		solo, err := runTenant(bm, bm.MaxInsts, nil)
+		solo, err := runTenant(bm, bm.MaxInsts, nil, faultinject.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +70,7 @@ func TestInlineFleetMatchesSolo(t *testing.T) {
 					wg.Add(1)
 					go func(i int) {
 						defer wg.Done()
-						runs[i], errs[i] = runTenant(bm, bm.MaxInsts, cache)
+						runs[i], errs[i] = runTenant(bm, bm.MaxInsts, cache, faultinject.Config{})
 					}(i)
 				}
 				wg.Wait()
@@ -101,5 +104,76 @@ func TestInlineFleetMatchesSolo(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestChaosFleetHitMatchesSolo: under the default chaos mix, a System
+// whose compiles hit a fleet cache that another System warmed ends
+// exactly as its solo run without a cache — stats (but the hit/miss/dedupe
+// split), events, registers and memory. A hit runs no job, yet it makes
+// the request's draws like a fresh compile, so no later fault moves.
+func TestChaosFleetHitMatchesSolo(t *testing.T) {
+	chaos := faultinject.Default(7)
+	for _, name := range []string{"swim", "equake", "ammp"} {
+		t.Run(name, func(t *testing.T) {
+			bm := mustBenchmark(t, name)
+			solo, err := runTenant(bm, bm.MaxInsts, nil, chaos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cache := NewCodeCache(codecache.Options{})
+			if _, err := runTenant(bm, bm.MaxInsts, cache, chaos); err != nil {
+				t.Fatal(err)
+			}
+			warmed := cache.Stats()
+			r, err := runTenant(bm, bm.MaxInsts, cache, chaos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hits := cache.Stats().Hits - warmed.Hits; hits == 0 {
+				t.Fatal("no compile hit the warmed cache")
+			}
+			if !reflect.DeepEqual(r.stats, solo.stats) {
+				t.Errorf("stats diverge from the solo run:\nfleet: %+v\nsolo:  %+v", r.stats, solo.stats)
+			}
+			if !reflect.DeepEqual(r.events, solo.events) {
+				t.Errorf("event trace diverges from the solo run (%d vs %d events)", len(r.events), len(solo.events))
+			}
+			if r.state != solo.state || r.digest != solo.digest {
+				t.Error("final registers or memory digest diverge from the solo run")
+			}
+		})
+	}
+}
+
+// TestHostOrdinalsCountRequests: a region's host-fault ordinals count its
+// compile requests. A fleet-cache hit runs no job, yet advances them like
+// the miss that ran one, so no later draw depends on whether a request
+// hit. Only a queued request draws a hang.
+func TestHostOrdinalsCountRequests(t *testing.T) {
+	for _, workers := range []int{0, 1} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			sys, e := installedSystem(t, workers)
+			sys.cache = NewCodeCache(codecache.Options{}).cache
+			// Rates that never fire here, so every request installs.
+			sys.inj = faultinject.New(faultinject.Config{Seed: 1,
+				WorkerPanicRate: 1e-9, CompileHangRate: 1e-9, PoisonResultRate: 1e-9})
+			for range 2 { // a miss that leads a flight, then a hit
+				sys.recompileRegion(e, false)
+				if !sys.installsAtRequest() {
+					settle(t, sys, e)
+				}
+			}
+			if c := sys.Stats.Compile; c.MemoMisses != 1 || c.MemoHits != 1 {
+				t.Fatalf("%d fleet-cache misses and %d hits, want 1 and 1", c.MemoMisses, c.MemoHits)
+			}
+			want := faultinject.Ordinals{faultinject.WorkerPanic: 2, faultinject.PoisonResult: 2}
+			if workers > 0 {
+				want[faultinject.CompileHang] = 2
+			}
+			if got := *sys.disp[e].rec.draws; got != want {
+				t.Errorf("ordinals %v after a miss and a hit, want %v", got, want)
+			}
+		})
 	}
 }

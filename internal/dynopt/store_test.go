@@ -164,8 +164,8 @@ func TestStoreAdmitsOnlyScreenedOutputs(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		chaos faultinject.Config
-		skip  int  // poison draws to burn first (they alternate checksum, structure)
-		fails bool // the pipeline returns an error
+		skip  uint32 // the region's poison ordinal (the mode alternates checksum, structure)
+		fails bool   // the pipeline returns an error
 	}{
 		{"panic", faultinject.Config{Seed: 1, WorkerPanicRate: 1}, 0, false},
 		{"poison-checksum", faultinject.Config{Seed: 1, PoisonResultRate: 1}, 0, false},
@@ -180,9 +180,7 @@ func TestStoreAdmitsOnlyScreenedOutputs(t *testing.T) {
 				recompile := func() {
 					sys.inj = faultinject.New(tc.chaos)
 					sys.disp[e].rec.quarantined = false // a worker panic quarantines
-					for i := 0; i < tc.skip; i++ {
-						sys.inj.PoisonResult()
-					}
+					sys.disp[e].rec.draws = &faultinject.Ordinals{faultinject.PoisonResult: tc.skip}
 					failed := sys.Stats.Compile.Failed
 					sys.recompileRegion(e, !sys.installsAtRequest())
 					if !sys.installsAtRequest() {
@@ -226,23 +224,23 @@ func TestStoreAdmitsOnlyScreenedOutputs(t *testing.T) {
 
 // TestStoreBudgetEvictsLRU: under a byte budget the store evicts its least
 // recently used outputs, a store hit counting as a use, and never holds
-// more than the budget. The region's builds at three tiers size the
-// budget so that exactly the LRU build must go; a request for an evicted
-// build runs the pipeline again.
+// more than the budget. The region's builds at three tiers, each other
+// code, size the budget so that exactly the LRU build must go; a request
+// for an evicted build runs the pipeline again.
 func TestStoreBudgetEvictsLRU(t *testing.T) {
 	runs := countPipelineRuns(t)
-	sys, e := installedSystem(t, 0)
+	sys, e := tieredSystem(t)
 	rr := sys.disp[e].rec
 	build := func(tier Tier) *compileOutput {
 		rr.Level = tier
 		sys.recompileRegion(e, true)
 		return sys.disp[e].code.out
 	}
-	full, nsr, noElim := build(TierFull), build(TierNoStoreReorder), build(TierNoElim)
-	a, b, c := storedOutputBytes(full), storedOutputBytes(nsr), storedOutputBytes(noElim)
+	full, nsr, cons := build(TierFull), build(TierNoStoreReorder), build(TierConservative)
+	a, b, c := storedOutputBytes(full), storedOutputBytes(nsr), storedOutputBytes(cons)
 	budget := a + b + c - min(a, b, c) // holds any two of the three builds, never all three
-	if full.in.key == nsr.in.key || nsr.in.key == noElim.in.key || full.in.key == noElim.in.key {
-		t.Fatal("two tiers share a compile key")
+	if sf, sn, sc := full.cr.Checksum(), nsr.cr.Checksum(), cons.cr.Checksum(); sf == sn || sn == sc || sf == sc {
+		t.Fatal("two tiers compile to the same code")
 	}
 
 	useStore(t, budget)
@@ -259,15 +257,15 @@ func TestStoreBudgetEvictsLRU(t *testing.T) {
 		if runs.Load() != wantRuns {
 			t.Errorf("%s: %d pipeline runs, want %d", step, runs.Load(), wantRuns)
 		}
-		if got := []bool{stored(full), stored(nsr), stored(noElim)}; !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: full, no-store-reorder, no-elim stored %v, want %v", step, got, want)
+		if got := []bool{stored(full), stored(nsr), stored(cons)}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: full, no-store-reorder, conservative stored %v, want %v", step, got, want)
 		}
 	}
 	build(TierFull)
 	build(TierNoStoreReorder)
 	build(TierFull) // a hit: the full build is now the most recently used
 	check("two builds", 2, true, true, false)
-	build(TierNoElim)
+	build(TierConservative)
 	check("third build", 3, true, false, true)
 	build(TierNoStoreReorder)
 	check("evicted build", 4, false, true, true)

@@ -418,14 +418,16 @@ func (st *systemTelemetry) drop(cycle int64, entry int, tier Tier, cause telemet
 	})
 }
 
-func (st *systemTelemetry) chaosInjected(cycle int64, entry int, tier Tier, cause telemetry.Cause) {
+// chaosInjected records one applied fault, named by its cause, its region
+// and the ordinal of its draw among the region's draws of its class.
+func (st *systemTelemetry) chaosInjected(cycle int64, entry int, tier Tier, cause telemetry.Cause, ord uint32) {
 	if st == nil {
 		return
 	}
 	st.tr.Emit(telemetry.Event{
 		Cycle: cycle, Kind: telemetry.KindChaos,
 		Region: int32(entry), Tier: int8(tier), To: -1,
-		Cause: cause,
+		Cause: cause, A: int64(ord),
 	})
 }
 

@@ -9,12 +9,16 @@
 // checkpoint. None of those can be provoked on demand from guest code
 // alone, so this package fakes them at the runtime layer.
 //
-// Determinism: the injector is a sequence of Bernoulli draws from a
-// private PRNG. Each probe (SpuriousAlias, GuardFail, CompileFail,
-// CorruptState, and the host fault classes WorkerPanic, CompileHang,
-// PoisonResult) consumes exactly one draw, and every probe
-// runs on the simulation thread at a point fixed by the simulated clock,
-// so for a fixed seed and workload the injected fault pattern is exactly
+// Determinism: every injection decision is a keyed draw. A draw hashes
+// (seed, class, region entry, ordinal) with the SplitMix64 finalizer and
+// fires when the top 53 bits of the hash, read as a uniform value in
+// [0, 1), fall below the class's rate. The ordinal is the region's count
+// of earlier draws of that class (Ordinals), which the caller keeps with
+// the region. No draw depends on any other region's draws, on other
+// classes, or on the order of probes, so a fault is a pure function of
+// its site and is named by (class, entry, ordinal). Every probe runs on
+// the simulation thread at a point fixed by the simulated clock, so for a
+// fixed seed and workload the injected fault pattern is exactly
 // reproducible — `smarq-run -chaos-seed N` replays a CI chaos failure
 // bit-for-bit, at any background worker count.
 package faultinject
@@ -22,17 +26,17 @@ package faultinject
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"smarq/internal/guest"
 )
 
 // Config selects the injection rates. The zero value disables injection
 // entirely. Every rate is the per-opportunity probability in [0, 1]:
-// alias/guard rates are drawn once per region dispatch, the compile rate
-// once per compilation, and the corrupt rate once per rollback.
+// alias/guard rates are drawn once per region dispatch, the compile and
+// host rates once per compile request, and the corrupt rate once per
+// rollback. A rate of 0 draws nothing.
 type Config struct {
-	// Seed drives the injector's PRNG. Runs with equal seeds, rates and
+	// Seed keys the injector's draws. Runs with equal seeds, rates and
 	// workloads inject identical fault patterns.
 	Seed int64
 	// SpuriousAliasRate forces alias exceptions that no speculation
@@ -53,8 +57,8 @@ type Config struct {
 
 	// Host fault classes: faults of the *host-side* compile machinery
 	// rather than the simulated guest. All are drawn on the simulation
-	// thread when a compile job is about to be handed to a worker (or run
-	// synchronously), so the pattern is identical at any worker count.
+	// thread at each compile request, and apply only when the request
+	// runs a fresh job, so the pattern is identical at any worker count.
 
 	// WorkerPanicRate makes the compile job panic inside the worker. The
 	// pipeline's recover() converts it into a failed-compile event and the
@@ -130,7 +134,44 @@ func DefaultHost(seed int64) Config {
 	return c
 }
 
-// Counts reports how often each fault kind actually fired.
+// Class is one fault class. Each class has its own rate, and each region
+// its own count of the class's draws (Ordinals).
+type Class uint8
+
+// The fault classes, one per Config rate.
+const (
+	SpuriousAlias Class = iota
+	GuardFail
+	CompileFail
+	CorruptState
+	WorkerPanic
+	CompileHang
+	PoisonResult
+	NumClasses
+)
+
+// rate returns k's per-opportunity probability in c.
+func (c Config) rate(k Class) float64 {
+	return [NumClasses]float64{
+		SpuriousAlias: c.SpuriousAliasRate,
+		GuardFail:     c.GuardFailRate,
+		CompileFail:   c.CompileFailRate,
+		CorruptState:  c.CorruptRate,
+		WorkerPanic:   c.WorkerPanicRate,
+		CompileHang:   c.CompileHangRate,
+		PoisonResult:  c.PoisonResultRate,
+	}[k]
+}
+
+// Ordinals counts one region's draws of each class: the ordinal of the
+// region's next draw of class c is o[c]. The caller keeps them with the
+// region for as long as the injector lives, across runs.
+type Ordinals [NumClasses]uint32
+
+// Counts reports how often each fault kind's draw fired. A caller may
+// leave a fired draw unapplied: dynopt draws the host faults at every
+// compile request but applies them only to one that runs a fresh job, and
+// only the dominant one of several.
 type Counts struct {
 	SpuriousAliases int64
 	GuardFails      int64
@@ -141,63 +182,83 @@ type Counts struct {
 	PoisonedResults int64
 }
 
-// Injector draws injection decisions. Not safe for concurrent use; each
-// System owns its injector.
+// Injector draws injection decisions. It holds no draw state: each draw
+// is a hash of (seed, class, entry, ordinal), and the ordinals live with
+// the caller's regions. Not safe for concurrent use (it counts what
+// fired); each System owns its injector.
 type Injector struct {
-	cfg    Config
-	rng    *rand.Rand
-	counts Counts
+	// key is each class's hash key, derived from the seed; threshold is
+	// its rate scaled to 53 bits: a draw fires when its top 53 bits are
+	// below it, so a rate of 0 never fires and a rate of 1 always does.
+	key       [NumClasses]uint64
+	threshold [NumClasses]uint64
+	fired     [NumClasses]int64
 }
 
 // New returns an injector for the given configuration.
 func New(cfg Config) *Injector {
-	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
-}
-
-func (in *Injector) roll(rate float64) bool {
-	return in.rng.Float64() < rate
-}
-
-// SpuriousAlias decides whether this region dispatch suffers a hardware
-// false-positive alias exception.
-func (in *Injector) SpuriousAlias() bool {
-	if in.roll(in.cfg.SpuriousAliasRate) {
-		in.counts.SpuriousAliases++
-		return true
+	in := &Injector{}
+	for c := range NumClasses {
+		in.key[c] = mix64(uint64(cfg.Seed) + uint64(c+1)*golden)
+		in.threshold[c] = uint64(math.Ceil(cfg.rate(c) * (1 << 53)))
 	}
-	return false
+	return in
 }
 
-// GuardFail decides whether this region dispatch is forced off-trace.
-func (in *Injector) GuardFail() bool {
-	if in.roll(in.cfg.GuardFailRate) {
-		in.counts.GuardFails++
-		return true
-	}
-	return false
+// golden is SplitMix64's increment, 2^64 divided by the golden ratio.
+const golden = 0x9e3779b97f4a7c15
+
+// mix64 is SplitMix64's output finalizer, a bijection on 64 bits whose
+// output bits each depend on every input bit.
+func mix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
-// CompileFail decides whether this compilation attempt fails.
-func (in *Injector) CompileFail() bool {
-	if in.roll(in.cfg.CompileFailRate) {
-		in.counts.CompileFails++
-		return true
-	}
-	return false
+// hash is the draw word for the ordinal-th draw of class c at entry: the
+// SplitMix64 output at index (entry, ordinal) of a stream keyed by (seed,
+// class).
+func (in *Injector) hash(c Class, entry int, ord uint32) uint64 {
+	return mix64(in.key[c] + (uint64(uint32(entry))<<32|uint64(ord))*golden)
 }
 
-// CorruptState decides whether to corrupt the post-rollback state and,
-// when it fires, flips bits in one integer register — the divergence a
-// broken undo log or checkpoint restore would cause. Returns whether it
-// fired.
-func (in *Injector) CorruptState(st *guest.State) bool {
-	if !in.roll(in.cfg.CorruptRate) {
-		return false
+// draw makes the region's next draw of class c and returns its ordinal,
+// whether it fired and its hash word. A class whose rate is 0 draws
+// nothing: its ordinal stays put.
+func (in *Injector) draw(c Class, entry int, o *Ordinals) (ord uint32, fired bool, h uint64) {
+	if in.threshold[c] == 0 {
+		return 0, false, 0
 	}
-	r := 1 + in.rng.Intn(guest.NumRegs-1)
-	st.R[r] ^= 0x5a5a5a5a
-	in.counts.Corruptions++
-	return true
+	ord = o[c]
+	o[c]++
+	h = in.hash(c, entry, ord)
+	if h>>11 >= in.threshold[c] {
+		return ord, false, h
+	}
+	in.fired[c]++
+	return ord, true, h
+}
+
+// Draw makes the next draw of class c for the region at entry, whose
+// draw counts are o, and reports the draw's ordinal and whether the fault
+// fires. Whether it fires depends on the seed, c, entry and the ordinal
+// alone; (c, entry, ordinal) names the fault.
+func (in *Injector) Draw(c Class, entry int, o *Ordinals) (ord uint32, fired bool) {
+	ord, fired, _ = in.draw(c, entry, o)
+	return ord, fired
+}
+
+// Corrupt makes the region's next CorruptState draw, after a rollback,
+// and when it fires flips bits in one integer register — the divergence
+// a broken undo log or checkpoint restore would cause. The register comes
+// from a second hash word, independent of the one that fired.
+func (in *Injector) Corrupt(entry int, o *Ordinals, st *guest.State) (ord uint32, fired bool) {
+	ord, fired, h := in.draw(CorruptState, entry, o)
+	if fired {
+		st.R[1+mix64(h+golden)%(guest.NumRegs-1)] ^= 0x5a5a5a5a
+	}
+	return ord, fired
 }
 
 // PoisonMode selects how an injected poisoned result is corrupted, so
@@ -216,41 +277,35 @@ const (
 	PoisonStructure
 )
 
-// WorkerPanic decides whether this compile job panics in its worker.
-func (in *Injector) WorkerPanic() bool {
-	if in.roll(in.cfg.WorkerPanicRate) {
-		in.counts.WorkerPanics++
-		return true
+// Poison makes the region's next PoisonResult draw and, when it fires,
+// says which validation layer must catch it: the mode alternates with the
+// draw's ordinal, so both layers are exercised and the mode is named by
+// the fault's ordinal too.
+func (in *Injector) Poison(entry int, o *Ordinals) (ord uint32, mode PoisonMode) {
+	ord, fired := in.Draw(PoisonResult, entry, o)
+	switch {
+	case !fired:
+		return ord, PoisonNone
+	case ord%2 == 0:
+		return ord, PoisonChecksum
+	default:
+		return ord, PoisonStructure
 	}
-	return false
-}
-
-// CompileHang decides whether this compile overruns its watchdog deadline.
-func (in *Injector) CompileHang() bool {
-	if in.roll(in.cfg.CompileHangRate) {
-		in.counts.CompileHangs++
-		return true
-	}
-	return false
-}
-
-// PoisonResult decides whether this compile result is corrupted and, when
-// it fires, which validation layer must catch it. One draw; the mode
-// alternates with the fired count so both layers are exercised without
-// consuming extra randomness.
-func (in *Injector) PoisonResult() PoisonMode {
-	if !in.roll(in.cfg.PoisonResultRate) {
-		return PoisonNone
-	}
-	in.counts.PoisonedResults++
-	if in.counts.PoisonedResults%2 == 1 {
-		return PoisonChecksum
-	}
-	return PoisonStructure
 }
 
 // Counts returns the cumulative fired-fault counters.
-func (in *Injector) Counts() Counts { return in.counts }
+func (in *Injector) Counts() Counts {
+	f := &in.fired
+	return Counts{
+		SpuriousAliases: f[SpuriousAlias],
+		GuardFails:      f[GuardFail],
+		CompileFails:    f[CompileFail],
+		Corruptions:     f[CorruptState],
+		WorkerPanics:    f[WorkerPanic],
+		CompileHangs:    f[CompileHang],
+		PoisonedResults: f[PoisonResult],
+	}
+}
 
 // Snapshot fingerprints the architectural state at a region entry: the
 // full register file plus a digest of guest memory. Verify after a

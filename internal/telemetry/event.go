@@ -52,7 +52,9 @@ const (
 	// KindDrop: the region was dropped from the code cache (Cause:
 	// guard-fail streak or a failed recompilation).
 	KindDrop
-	// KindChaos: the fault injector fired (Cause says which fault).
+	// KindChaos: the fault injector fired (Cause says which fault; A=the
+	// draw's ordinal among the region's draws of that fault class, so
+	// Cause, Region and A name the fault).
 	KindChaos
 	// KindCompileEnqueue: a background compilation was enqueued
 	// (Cost=modelled compile latency in cycles, A=queue depth after the
@@ -197,7 +199,7 @@ var kindSpecs = [numKinds]kindSpec{
 	KindPromote:        {name: "promote"},
 	KindEvict:          {name: "evict"},
 	KindDrop:           {name: "drop"},
-	KindChaos:          {name: "chaos"},
+	KindChaos:          {name: "chaos", aN: "ord"},
 	KindCompileEnqueue: {name: "compile-enqueue", aN: "depth", bN: "memo"},
 	KindCompileCancel:  {name: "compile-cancel"},
 	KindHostFault:      {name: "host-fault"},
