@@ -62,8 +62,7 @@ func main() {
 	tenantMix := flag.String("tenant-mix", "swim", "fleet mode: comma-separated benchmarks assigned to tenants round-robin")
 	fleetConfig := flag.String("fleet-config", "smarq64", "fleet mode: dynopt configuration every tenant runs under")
 	fleetVerify := flag.Bool("fleet-verify", false, "fleet mode: diff every tenant's results against its solo run; exit nonzero on divergence")
-	cacheEntries := flag.Int64("cache-entries", 0, "fleet mode: shared code cache entry budget (0 = unbounded)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "fleet mode: shared code cache byte budget (0 = unbounded)")
+	cacheEntries := flag.Int64("cache-entries", 0, "fleet mode: how many compile keys the shared code cache counts, LRU (0 = unbounded)")
 	listen := flag.String("listen", "", "fleet mode: serve the observability endpoints (/metrics, /healthz, /debug/*) at this address during the run")
 	flag.Parse()
 	if *compileWorkers < 0 {
@@ -85,7 +84,6 @@ func main() {
 				Config:          *fleetConfig,
 				CompileWorkers:  *compileWorkers,
 				CacheMaxEntries: *cacheEntries,
-				CacheMaxBytes:   *cacheBytes,
 				Scale:           *scale,
 			},
 			verify:      *fleetVerify,

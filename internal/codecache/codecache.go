@@ -1,37 +1,35 @@
 // Package codecache is a content-addressed LRU cache for compiled regions,
 // generic in its comparable key type, so a hit is decided by Go's map
-// equality on the whole key and no hash is trusted. It is dynopt's fleet
-// compile-output cache, keyed by dynopt's exact compile-input key: a fleet
-// of concurrently running dynopt.Systems shares one.
+// equality on the whole key and no hash is trusted. Keyed by dynopt's
+// exact compile-input key it backs dynopt's process-wide output store,
+// which holds and single-flights every build, and each fleet's shared code
+// cache, which only counts its tenants' lookups.
 //
 // Layout and discipline:
 //
 //   - One mutex guards one table (cached values and fills in progress),
-//     the recency clock and the counters. The cache is probed once per compile request,
-//     never per dispatch — a benchmark fleet job makes tens of lookups per
-//     run — so one lock costs nothing measurable and every Stats snapshot
-//     is mutually consistent.
+//     the recency clock and the counters. The cache is probed once per
+//     compile request, never per dispatch — a benchmark fleet job makes
+//     tens of lookups per run — so one lock costs nothing measurable and
+//     every Stats snapshot is mutually consistent.
 //   - Recency is a clock bumped under the mutex: every hit or insert
 //     stamps the entry with clock+1. An insert past the entry or byte
 //     budget evicts the minimum stamp until the cache fits. Stamps are
 //     unique, so the policy is exact LRU under any interleaving.
-//   - Get is the flight-free probe: a hit freshens recency, a miss
-//     elects no leader. A cache filled only by Put and probed only by Get
-//     is a plain LRU store.
-//   - Cross-tenant single-flight: the first Lookup to miss a key becomes
-//     the leader and receives a Flight to complete; concurrent misses on
-//     the same key receive the same Flight to wait on. A region being
-//     compiled by one tenant is therefore awaited, not recompiled, by
-//     every other tenant. Complete turns the flight's table entry into
-//     the cached value in one critical section, so there is no window in
-//     which a second compile of the same key can start: the fleet-wide
-//     compile count per key is exactly one.
+//   - Single-flight: the first Lookup to miss a key becomes the leader and
+//     receives a Flight to complete; concurrent misses on the same key
+//     receive the same Flight to wait on. A region being compiled by one
+//     caller is therefore awaited, not recompiled, by every other caller.
+//     Complete turns the flight's table entry into the cached value in one
+//     critical section, so there is no window in which a second compile
+//     of the same key can start: the compile count per key is exactly one
+//     while the key stays cached.
 //
 // Determinism: the cache never makes a simulated decision. Hit/miss
-// outcomes differ between a fleet run and a solo run, but dynopt replays a
-// hit's modelled costs exactly as a fresh compile's, so per-tenant
-// simulated results are identical modulo the hit/miss counters themselves
-// (proven by harness.TestFleetTenantDeterminism).
+// outcomes differ between a fleet run and a solo run, but dynopt charges a
+// hit exactly as a fresh compile, so per-tenant simulated results are
+// identical modulo the hit/miss counters themselves (proven by
+// harness.TestFleetTenantDeterminism).
 package codecache
 
 import (
@@ -83,7 +81,7 @@ type Stats struct {
 	Entries int64 // live entries
 	Bytes   int64 // live payload bytes
 
-	Lookups     int64 // Lookup and Get calls
+	Lookups     int64 // Lookup calls
 	Hits        int64 // served from the table
 	Misses      int64 // not in the table at lookup time
 	FlightWaits int64 // Lookup misses that joined another caller's flight
@@ -143,25 +141,7 @@ func (c *Cache[K, V]) Peek(k K) (V, bool) {
 	return zero, false
 }
 
-// Get returns k's cached value and freshens its recency on a hit. Unlike
-// Lookup it never starts or joins a flight: a miss (or a fill in
-// progress) returns (zero, false) and leaves the table as it was.
-func (c *Cache[K, V]) Get(k K) (V, bool) {
-	c.lock()
-	defer c.mu.Unlock()
-	c.st.Lookups++
-	if e, ok := c.entries[k]; ok && e.flight == nil {
-		c.clock++
-		e.used = c.clock
-		c.st.Hits++
-		return e.val, true
-	}
-	c.st.Misses++
-	var zero V
-	return zero, false
-}
-
-// Lookup resolves k with cross-tenant single-flight:
+// Lookup resolves k with single-flight:
 //
 //   - hit: (value, true, nil, false) — recency freshened;
 //   - miss, first caller: (zero, false, flight, true) — the caller is the

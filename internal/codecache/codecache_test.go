@@ -86,7 +86,7 @@ func (m *seqModel) evictOldest() {
 }
 
 // TestSequentialLRUOracle drives a Cache and the oracle through the same
-// random get/lookup/put stream and requires identical hit/miss outcomes,
+// random lookup/put stream and requires identical hit/miss outcomes,
 // values, eviction survivors (checked with the non-perturbing Peek),
 // entry counts, byte totals and eviction counts after every step, and
 // identical hit/miss totals at the end. A missing lookup leads a flight
@@ -119,12 +119,6 @@ func TestSequentialLRUOracle(t *testing.T) {
 			for step := 0; step < 5000; step++ {
 				k := mkKey(rng.Intn(40))
 				switch op := rng.Intn(10); {
-				case op <= 1:
-					gv, gok := c.Get(k)
-					wv, wok := m.get(k)
-					if gok != wok || (gok && gv != wv) {
-						t.Fatalf("step %d: Get = (%d,%v), oracle (%d,%v)", step, gv, gok, wv, wok)
-					}
 				case op <= 5:
 					gv, gok, f, leader := c.Lookup(k)
 					if !gok {
@@ -203,10 +197,7 @@ func TestConcurrentTorture(t *testing.T) {
 	)
 	c := New[int64](Options{MaxEntries: maxEntries, MaxBytes: maxBytes},
 		func(v int64) int64 { return v % 50 })
-	var (
-		wg        sync.WaitGroup
-		getMisses atomic.Int64 // a Get miss joins and leads no flight
-	)
+	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -221,11 +212,8 @@ func TestConcurrentTorture(t *testing.T) {
 				case 1:
 					c.Put(k, int64(ki*1000+rng.Intn(1000)))
 				case 3:
-					v, hit := c.Get(k)
-					if !hit {
-						getMisses.Add(1)
-					} else if int(v/1000) != ki {
-						t.Errorf("Get(%d) hit value %d for a different key", ki, v)
+					if v, hit := c.Peek(k); hit && int(v/1000) != ki {
+						t.Errorf("Peek(%d) hit value %d for a different key", ki, v)
 						return
 					}
 				default:
@@ -281,9 +269,8 @@ func TestConcurrentTorture(t *testing.T) {
 	if st.Lookups != st.Hits+st.Misses {
 		t.Errorf("lookups %d != hits %d + misses %d", st.Lookups, st.Hits, st.Misses)
 	}
-	if st.FlightWaits+st.Compiles+getMisses.Load() != st.Misses {
-		t.Errorf("flight waits %d + compiles %d + Get misses %d != misses %d",
-			st.FlightWaits, st.Compiles, getMisses.Load(), st.Misses)
+	if st.FlightWaits+st.Compiles != st.Misses {
+		t.Errorf("flight waits %d + compiles %d != misses %d", st.FlightWaits, st.Compiles, st.Misses)
 	}
 	if st.Compiles == 0 || st.Evictions == 0 {
 		t.Errorf("torture run exercised no compiles (%d) or evictions (%d)",
@@ -379,34 +366,6 @@ func TestFailedFlightRetries(t *testing.T) {
 	c.Complete(k, f2, 42, true)
 	if v, ok := c.Peek(k); !ok || v != 42 {
 		t.Fatalf("retry result not cached: (%d, %v)", v, ok)
-	}
-}
-
-// TestGetNeverJoinsAFlight: Get is the flight-free probe. While a key's
-// fill is in progress Get misses without joining or electing a leader, a
-// Get miss leaves no flight behind, and once the leader inserts, Get hits.
-func TestGetNeverJoinsAFlight(t *testing.T) {
-	c := New[int](Options{}, nil)
-	k := mkKey(9)
-	if _, ok := c.Get(k); ok {
-		t.Fatal("Get hit a cold key")
-	}
-	_, _, f, leader := c.Lookup(k)
-	if !leader {
-		t.Fatal("a Get miss left a flight behind: the next Lookup did not lead")
-	}
-	if v, ok := c.Get(k); ok {
-		t.Fatalf("Get during the fill = (%d, true), want a miss", v)
-	}
-	if st := c.Stats(); st.FlightWaits != 0 || st.Compiles != 1 || st.Entries != 0 {
-		t.Fatalf("Get joined or started a flight: %+v", st)
-	}
-	c.Complete(k, f, 4, true)
-	if v, ok := c.Get(k); !ok || v != 4 {
-		t.Fatalf("Get after the fill = (%d, %v), want (4, true)", v, ok)
-	}
-	if st := c.Stats(); st.Lookups != 4 || st.Hits != 1 || st.Misses != 3 {
-		t.Fatalf("counters %+v, want 4 lookups, 1 hit, 3 misses", st)
 	}
 }
 
@@ -570,13 +529,13 @@ func TestCodecacheMetricsConcurrent(t *testing.T) {
 }
 
 // TestMemoHitZeroAllocs pins a cache hit at zero heap allocations: a
-// Lookup hit, the path dynopt's fleet cache takes, is a map read plus
-// counter and recency updates under the mutex, and so is a Get hit, the
-// path dynopt's output store takes, with the re-Put of its install. The key is a struct
-// holding a long string, like dynopt's compile-input key, and the lookup
-// uses an equal copy of it: a hit compares content, not pointers, and a
-// key that differs in any part misses. dynopt.TestReuseDecisionZeroAllocs
-// pins the other half, building the key.
+// Lookup hit, the path dynopt's output store and fleet cache take, is a
+// map read plus counter and recency updates under the mutex, and so is a
+// re-Put of a cached key. The key is a struct holding a long string, like
+// dynopt's compile-input key, and the lookup uses an equal copy of it: a
+// hit compares content, not pointers, and a key that differs in any part
+// misses. dynopt.TestReuseDecisionZeroAllocs pins the other half, building
+// the key.
 func TestMemoHitZeroAllocs(t *testing.T) {
 	type key struct {
 		content string
@@ -596,17 +555,10 @@ func TestMemoHitZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("a cache hit allocates %v times per lookup, want 0", allocs)
 	}
-	// The store path: a Get hit, then re-putting the cached key, which
-	// reuses its entry.
-	allocs = testing.AllocsPerRun(200, func() {
-		got, hit := c.Get(probe)
-		if !hit || got != want {
-			t.Fatal("Get missed a cached key")
-		}
-		c.Put(probe, got)
-	})
+	// Re-putting the cached key reuses its entry.
+	allocs = testing.AllocsPerRun(200, func() { c.Put(probe, want) })
 	if allocs != 0 {
-		t.Errorf("a Get hit and re-Put allocate %v times, want 0", allocs)
+		t.Errorf("a re-Put of a cached key allocates %v times, want 0", allocs)
 	}
 	for _, other := range []key{{content: k.content, n: 4}, {content: k.content[1:], n: 3}} {
 		if _, hit := c.Peek(other); hit {

@@ -54,16 +54,13 @@ type CompileConfig struct {
 	// readyAt point. Every value >= 1 is the same program.
 	Workers int
 	// SharedCache, when non-nil, is the simulated shared code cache of a
-	// fleet: a concurrent LRU cache keyed by the exact compile input, so
-	// identical regions compile once fleet-wide, whichever programs they
-	// come from, and a region being compiled by one tenant is awaited
-	// (cross-tenant single-flight), not recompiled, by others. Its
-	// lookups are simulated events, counted in MemoHits, MemoMisses and
-	// DedupeWaits. Hits replay the modelled compile costs exactly like a
-	// fresh compile, so each tenant's simulated results are byte-identical
-	// to a solo run modulo those counters, at any Workers. It is not the
-	// output store (outputStore), the host's process-wide record of
-	// admitted builds, which no simulated number sees.
+	// fleet: an LRU record of the exact compile inputs its tenants have
+	// requested. Every request looks its key up there, and the lookup is
+	// counted in MemoHits, MemoMisses and DedupeWaits, but the cache holds
+	// no code and decides nothing: the output store (outputStore) holds and
+	// single-flights every build. A hit is charged exactly like a fresh
+	// compile, so each tenant's simulated results are byte-identical to a
+	// solo run modulo those counters, at any Workers and any chaos.
 	SharedCache *CodeCache
 }
 
@@ -84,12 +81,12 @@ type CompileStats struct {
 	Canceled  int64
 	Failed    int64
 	// MemoHits/MemoMisses count lookups of the exact compile-input key
-	// against the shared fleet cache.
+	// in the shared fleet cache.
 	MemoHits   int64
 	MemoMisses int64
-	// DedupeWaits counts lookups that joined another tenant's in-flight
-	// compile of the same key instead of compiling (shared cache only;
-	// every dedupe wait is also counted as a miss).
+	// DedupeWaits counts fleet-cache lookups that raced another tenant's
+	// lookup of the same key (shared cache only; every dedupe wait is also
+	// counted as a miss).
 	DedupeWaits int64
 	// WorkCycles is the simulated compile occupancy performed off the
 	// critical path (the latency model's cost per installed region). It
@@ -143,8 +140,7 @@ var errPoisonedResult = errors.New("dynopt: poisoned compile result rejected")
 // is immutable: the superblock once filled, and the blacklist and pin sets
 // because a hardening replaces the region record's maps instead of
 // writing to them (regionRecord.harden). An input is therefore a plain
-// value that a request, a job, the output store and the fleet cache may
-// all hold.
+// value that a request, a job and the output store may all hold.
 type compileInput struct {
 	entry     int
 	sb        *region.Superblock
@@ -153,12 +149,12 @@ type compileInput struct {
 	key       compileKey
 }
 
-// compileKey is a compile input's identity, and the fleet cache's key. It
-// holds the superblock's content (region.Superblock.Key), the optimizer
-// configuration, every sched.Config field but PinnedOps (named as there;
-// Machine and Alloc whole, so a field added to vliw.Config or core.Options
-// is in the key by construction) and the pin and blacklist sets
-// (encodeSets). It holds no pointer, so == compares content: the pipeline
+// compileKey is a compile input's identity, and the output store's and the
+// fleet cache's key. It holds the superblock's content
+// (region.Superblock.Key), the optimizer configuration, every sched.Config
+// field but PinnedOps (named as there; Machine and Alloc whole, so a field
+// added to vliw.Config or core.Options is in the key by construction) and
+// the pin and blacklist sets (encodeSets). It holds no pointer, so == compares content: the pipeline
 // is a pure function of the input, and inputs with equal keys compile to
 // equal code, whichever program or region formed them.
 type compileKey struct {
@@ -228,11 +224,10 @@ func encodeSets(pins map[int]bool, blacklist alias.Blacklist) string {
 // compileOutput is the pipeline's result, the input it was compiled from,
 // and everything the install point needs to replay the compilation's
 // simulated costs. Once admitted it is never written again: the installed
-// code, the output store and the fleet cache share it, and a store or
-// fleet-cache hit hands back the same object, so it must be
-// observationally identical to a re-run. A hit's input may come from
-// another System or program; its key equals the requester's, so the code
-// is the requester's.
+// code and the output store share it, and a store hit or join hands back
+// the same object, so it must be observationally identical to a re-run. A
+// hit's input may come from another System or program; its key equals the
+// requester's, so the code is the requester's.
 type compileOutput struct {
 	in              compileInput
 	cr              *vliw.CompiledRegion
@@ -261,22 +256,23 @@ type pendingCompile struct {
 	deadline   int64 // watchdog kill point: enqueue cycle + cost × watchdogFactor
 	// queued marks a compile with a latency: it enters the queue and
 	// installs at readyAt. Any other compile installs at its request.
-	queued    bool
-	memoHit   bool
-	stored    bool // out came from the output store (reuseRecord)
-	recompile bool // old code still installed (promotion-style recompile)
+	queued bool
+	// memoHit and deduped are the request's fleet-cache lookup: a hit, or
+	// a miss that raced a peer's lookup of the key (countLookup).
+	memoHit, deduped bool
+	recompile        bool // old code still installed (promotion-style recompile)
 	// hung marks a chaos-injected compile hang: no job is submitted, and
 	// the pending entry is killed by the watchdog at deadline.
 	hung bool
 	// out is written by a queued job's worker then published by closing
-	// done; on a fleet-cache hit, a store hit or a job run at the request
-	// it is set at the request and done stays nil.
+	// done; on a store hit or a job run at the request it is set at the
+	// request and done stays nil.
 	out  *compileOutput
 	done chan struct{}
-	// flight is the shared-cache single-flight this request joined instead
-	// of compiling (a follower of another tenant's compile); the install
-	// point takes the result from it and counts its latency as dedupe
-	// wait. A leader's own output comes through done like any fresh job.
+	// flight is the output store's flight this request joined instead of
+	// compiling (another request's build of the same key); the install
+	// point takes the result from it. A leader's own output comes through
+	// done like any fresh job.
 	flight *codecache.Flight[*compileOutput]
 }
 
@@ -378,8 +374,8 @@ type Compilation struct {
 // Every intermediate structure is recycled: the IR comes from a pooled
 // arena, and the alias table, dependence set and optimizer result are
 // handed back to their pools on exit. Only the decoded CompiledRegion and
-// plain-value stats escape (the installed code, the output store and the
-// fleet cache retain compile outputs).
+// plain-value stats escape (the installed code and the output store retain
+// compile outputs).
 func runCompilePipeline(out *compileOutput, fn func(*Compilation)) *compileOutput {
 	in := &out.in
 	ar := arenaPool.Get().(*ir.Arena)
@@ -537,13 +533,13 @@ func runCompileJob(out *compileOutput, panicInject bool, poison faultinject.Pois
 
 // screenOutput is the one admission screen for a fresh compile result.
 // It has no side effects: it returns nil when the output is fit to install
-// and to share through the fleet cache, and otherwise the reason. A
+// and to share through the output store, and otherwise the reason. A
 // recovered worker panic or a pipeline failure returns the output's own
 // error (errCompilePanic for a panic). A poisoned result returns an
 // errPoisonedResult: its content checksum no longer matches the worker's
 // stamp, or, for corruption that predates the stamp, its structural
-// invariants fail. admitOutput applies the verdict's side effects; the
-// fleet leader inserts into the shared cache only what passes.
+// invariants fail. admitOutput applies the verdict's side effects; a store
+// leader's job inserts only what passes (compileJob.run).
 func screenOutput(entry int, out *compileOutput) error {
 	if out.err != nil {
 		return out.err
@@ -557,30 +553,23 @@ func screenOutput(entry int, out *compileOutput) error {
 	return nil
 }
 
-// compileOutputBytes sizes a compile output for the fleet cache's byte
-// budget by its decoded compiled region. The output store charges more
-// (storedOutputBytes).
-func compileOutputBytes(out *compileOutput) int64 {
-	if out == nil || out.cr == nil {
-		return 0
-	}
-	return out.cr.Bytes()
-}
-
 // outputStoreBytes is the output store's budget in storedOutputBytes. A
 // full smarq-bench -parallel 1 puts 1087 outputs charged 8.98 MB, so its
 // last puts evict.
 const outputStoreBytes = 8 << 20
 
-// outputStore is the process's one store of admitted compile outputs, by
-// compile key: every System puts each output it installs, and a compile
-// request whose key is stored re-installs that output instead of running
-// the pipeline (reuseRecord). The pipeline is a pure function of the key,
-// so which System or program built a stored output, and whether the store
-// still holds it, changes host work only: no simulated number, event or
-// golden depends on it. It is LRU under a constant byte budget. There is
-// no single-flight: two Systems that miss one key at once both compile it.
-// Tests swap it between runs for an empty one.
+// outputStore is the process's one table of compiled code: the admitted
+// compile outputs, by compile key. A compile request with no drawn host
+// fault looks its key up there (enqueueCompile): a hit re-installs the
+// stored output instead of running the pipeline, a miss leads the key's
+// flight and runs the job that settles it, and a request that finds the
+// flight open joins it and waits at its install point. So a key compiles
+// once at a time process-wide, whichever Systems, fleets or programs ask
+// for it. The pipeline is a pure function of the key, so which request
+// built a stored output, and whether the store still holds it, changes
+// host work only: no simulated number, event or golden depends on it. It
+// is LRU under a constant byte budget. Tests swap it between runs for an
+// empty one.
 var outputStore = newOutputStore(outputStoreBytes)
 
 // newOutputStore returns an empty output store of maxBytes.
@@ -596,7 +585,7 @@ func newOutputStore(maxBytes int64) *codecache.Cache[compileKey, *compileOutput]
 // the store keeps alive (DESIGN.md, "One output store", measures both).
 func storedOutputBytes(out *compileOutput) int64 {
 	sb := out.in.sb
-	return int64(unsafe.Sizeof(*out)) + compileOutputBytes(out) +
+	return int64(unsafe.Sizeof(*out)) + out.cr.Bytes() +
 		int64(len(out.in.key.trace)+len(out.in.key.sets)) +
 		int64(len(sb.Blocks))*int64(unsafe.Sizeof(0)) +
 		int64(len(sb.Insts))*int64(unsafe.Sizeof(region.Inst{}))
@@ -616,9 +605,10 @@ type hostFaults struct {
 
 // drawHostFaults makes a compile request's host-fault draws on the
 // simulation thread. Every request draws, so a region's host ordinals
-// count its requests: a fleet-cache hit, a joined flight and a fresh job
-// make the same draws, and only a fresh job applies them. Only a queued
-// request draws a hang: no other has a deadline to overrun.
+// count its requests, and a drawn fault always applies: the request runs a
+// private job (enqueueCompile), whatever the fleet cache or the output
+// store hold. Only a queued request draws a hang: no other has a deadline
+// to overrun.
 func (s *System) drawHostFaults(entry int, rr *regionRecord, queued bool) hostFaults {
 	if s.inj == nil {
 		return hostFaults{}
@@ -642,36 +632,36 @@ func (s *System) drawHostFaults(entry int, rr *regionRecord, queued bool) hostFa
 	return hostFaults{}
 }
 
-// lookupOutput probes the fleet cache for in's key and counts the hit or
-// miss in Stats. On a hit out is non-nil, and its key equals in's, so it
-// is in's code. A miss either leads a flight (flight != nil, leader) or
-// joins another tenant's (flight != nil, !leader). A leader fills the
-// cache with Complete as soon as its compile ends, so tenants never wait
-// on each other's install points. Without a fleet cache it counts nothing
-// and returns a nil output.
-func (s *System) lookupOutput(in *compileInput) (out *compileOutput, flight *codecache.Flight[*compileOutput], leader bool) {
+// countLookup looks key up in the fleet cache and counts the hit or miss
+// in Stats. The cache only counts: a leader completes its entry at once,
+// so a miss that joins a flight (deduped) raced a peer's lookup of the
+// key, and the lookup never decides which job runs. Without a fleet cache
+// it counts nothing.
+func (s *System) countLookup(key compileKey) (hit, deduped bool) {
 	if s.cache == nil {
-		return nil, nil, false
+		return false, false
 	}
-	out, hit, flight, leader := s.cache.Lookup(in.key)
-	if hit {
+	_, hit, flight, leader := s.cache.Lookup(key)
+	switch {
+	case hit:
 		s.Stats.Compile.MemoHits++
-	} else {
+	case leader:
 		s.Stats.Compile.MemoMisses++
-		if flight != nil && !leader {
-			s.Stats.Compile.DedupeWaits++
-		}
+		s.cache.Complete(key, flight, struct{}{}, true)
+	default:
+		s.Stats.Compile.MemoMisses++
+		s.Stats.Compile.DedupeWaits++
 	}
-	return out, flight, leader
+	return hit, !hit && !leader
 }
 
 // admitOutput decides whether a fresh compile result may be installed
 // (screenOutput) and applies the verdict's side effects: a worker panic
 // is a host fault and quarantines the region — the pipeline provably
 // cannot handle this input — and a poisoned result is a rejected host
-// fault. A rejected result is never stored and never dispatched.
-// Fleet-cache and store hits were screened before, so re-admitting them is
-// a pure double-check.
+// fault. A rejected result is never stored and never dispatched. A store
+// hit was screened before, so re-admitting it is a pure double-check, and
+// a joined flight's output gets the verdict its leader got.
 func (s *System) admitOutput(entry int, out *compileOutput) error {
 	err := screenOutput(entry, out)
 	switch {
@@ -738,10 +728,12 @@ func (s *System) recompileRegion(entry int, stale bool) {
 
 // enqueueCompile is the one compile sequence, each step at one place: the
 // CompileFail draw, the input, the host-fault draws, the fleet-cache
-// lookup, then (unless it hit or joined a flight) the output-store lookup
-// and a fresh job. A compile with a latency is then queued; any other
-// installs before the request returns. A live pending compile absorbs the
-// request.
+// count, then the job. A drawn host fault gets a private job (or, for a
+// hang, none) that no other request can join, so a fault never reaches
+// the output store or another request. Any other request takes its code
+// from the store (reuseOutput). A compile with a latency is then queued;
+// any other installs before the request returns. A live pending compile
+// absorbs the request.
 func (s *System) enqueueCompile(entry int) error {
 	rr := s.recordOf(entry)
 	if rr.pending != nil {
@@ -774,33 +766,16 @@ func (s *System) enqueueCompile(entry int) error {
 		p.queued, p.readyAt, p.deadline = true, now+cost, now+cost*watchdogFactor
 	}
 	hf := s.drawHostFaults(entry, rr, p.queued)
-	out, flight, leader := s.lookupOutput(&in)
-	p.out, p.memoHit = out, out != nil
+	p.memoHit, p.deduped = s.countLookup(in.key)
 	s.Stats.Compile.Enqueued++
-	job := compileJob{cache: s.cache}
-	switch {
-	case p.memoHit || flight != nil && !leader:
-		// A hit, or a join of another tenant's compile of this key (awaited
-		// at the install point like a private job), runs no job: there is
-		// nothing for a host fault to panic, hang or poison.
-		p.flight = flight
-	default:
-		job.flight = flight
-		if hf.cause != telemetry.CauseNone {
-			s.tel.chaosInjected(now, entry, rr.Level, hf.cause, hf.ord)
-		}
+	var job compileJob
+	if hf.cause == telemetry.CauseNone {
+		job = reuseOutput(&p, in)
+	} else {
+		s.tel.chaosInjected(now, entry, rr.Level, hf.cause, hf.ord)
+		// A hung compile runs no job: the watchdog kills it at its deadline.
 		p.hung = hf.cause == telemetry.CauseWatchdog
-		switch {
-		case p.hung:
-			// A hung compile runs no job, so a leader settles its flight
-			// now with a synthetic watchdog failure, or followers on other
-			// tenants would wait forever.
-			job.settle(&compileOutput{in: in, err: fmt.Errorf("%w for B%d", errWatchdogTimeout, entry)})
-		case hf.cause == telemetry.CauseNone && s.reuseRecord(&p, &in):
-			// A re-install runs no job either: a leader settles its flight
-			// with the stored output, as its job would.
-			job.settle(p.out)
-		default:
+		if !p.hung {
 			job.out, job.panicInject, job.poison = &compileOutput{in: in}, hf.cause == telemetry.CauseWorkerPanic, hf.poison
 		}
 	}
@@ -815,58 +790,58 @@ func (s *System) enqueueCompile(entry int) error {
 	return nil
 }
 
+// reuseOutput is the one reuse rule: re-install, don't recompile. It looks
+// in's key up in the output store. On a hit it gives p the stored output
+// and returns no job; the request runs no pipeline. Injected alias
+// exceptions, drops, evictions and tier moves often bring back inputs a
+// region compiled before, and another System may have built the same
+// input. If another request is building the key, p joins its flight and
+// takes the output at its install point. Otherwise p leads the flight, and
+// the returned job builds the output and settles the flight. Whichever
+// way, the output goes through admitOutput and is charged like a fresh
+// compile of the same input.
+func reuseOutput(p *pendingCompile, in compileInput) compileJob {
+	out, hit, flight, leader := outputStore.Lookup(in.key)
+	switch {
+	case hit:
+		p.out = out
+	case leader:
+		return compileJob{out: &compileOutput{in: in}, flight: flight}
+	default:
+		p.flight = flight
+	}
+	return compileJob{}
+}
+
 // compileJob is a request's compile: the output a fresh job fills (it
 // holds the input; nil when the request runs no job), the host faults
-// drawn for it, and the fleet-cache flight it settles when it leads one.
+// drawn for it, and the output store's flight it settles when it leads
+// one. A job with a host fault leads no flight.
 type compileJob struct {
 	out         *compileOutput
 	panicInject bool
 	poison      faultinject.PoisonMode
-	cache       *codecache.Cache[compileKey, *compileOutput]
 	flight      *codecache.Flight[*compileOutput]
 }
 
 // run runs the pipeline in its fault domain (runCompileJob) and settles
-// the job's flight with the output.
+// the job's store flight, if it leads one, with the output. That is the
+// store's one insert point: the output enters the store only if it passes
+// screenOutput (else the next lookup elects a fresh leader).
 func (j compileJob) run() *compileOutput {
 	runCompileJob(j.out, j.panicInject, j.poison)
-	return j.settle(j.out)
-}
-
-// settle resolves a leader's flight with out, caching out only if it
-// passes screenOutput (else the next lookup elects a fresh leader), and
-// returns out. out's input has the flight's key: it is the request's own
-// (a fresh or a hung job) or a stored output's, which the reuse rule finds
-// by that key.
-func (j compileJob) settle(out *compileOutput) *compileOutput {
 	if j.flight != nil {
-		j.cache.Complete(out.in.key, j.flight, out, screenOutput(out.in.entry, out) == nil)
+		outputStore.Complete(j.out.in.key, j.flight, j.out, screenOutput(j.out.in.entry, j.out) == nil)
 	}
-	return out
-}
-
-// reuseRecord is the one reuse rule: re-install, don't recompile. If the
-// output store holds in's key, it gives p the stored output and reports
-// true; the caller then runs no pipeline. Injected alias exceptions,
-// drops, evictions and tier moves often bring back inputs a region
-// compiled before, and another System may have built the same input. The
-// output still goes through admitOutput and is charged like a fresh
-// compile of the same input. The caller asks only when no host fault
-// applies: a panic or poison always gets a fresh job, so a fault never
-// reaches a stored output.
-func (s *System) reuseRecord(p *pendingCompile, in *compileInput) bool {
-	out, ok := outputStore.Get(in.key)
-	if ok {
-		p.out, p.stored = out, true
-	}
-	return ok
+	return j.out
 }
 
 // queueCompile queues p, a compile with a latency, in install order and
 // submits its fresh job, if any, to the compile pool: the output travels
 // to this System's install point through p.out and done, and a leader's
-// job also settles its flight for the followers. p arrives by value: only
-// a queued compile outlives its request, so only it is moved to the heap.
+// job also settles its store flight for the followers. p arrives by value:
+// only a queued compile outlives its request, so only it is moved to the
+// heap.
 func (s *System) queueCompile(p pendingCompile, job compileJob) {
 	cq, entry, now := &s.cq, p.entry, p.enqueuedAt
 	cq.seq++
@@ -971,7 +946,7 @@ func (s *System) installPending(p *pendingCompile) {
 	s.Stats.Compile.WorkCycles += p.readyAt - p.enqueuedAt
 	s.Stats.Compile.LatencySum += latency
 	s.tel.compileInstalled(latency)
-	if p.flight != nil {
+	if p.deduped {
 		s.tel.dedupeWaited(latency)
 	}
 	out := p.out
@@ -995,9 +970,8 @@ func (s *System) installPending(p *pendingCompile) {
 }
 
 // installOutput installs p's admitted output: cycle accounting, code
-// cache insert (with capacity eviction), the output into the output store
-// (unless it came from there; its Get already freshened it),
-// per-region statistics and the compile telemetry event. A recompile
+// cache insert (with capacity eviction), per-region statistics and the
+// compile telemetry event. A recompile
 // overwrites the installed compiled record in place; nothing else holds
 // it.
 func (s *System) installOutput(p *pendingCompile, latency int64) {
@@ -1022,9 +996,6 @@ func (s *System) installOutput(p *pendingCompile, latency int64) {
 		s.setCode(entry, c)
 	}
 	*c = compiled{out: out, lastUse: s.entrySeq, installedAt: s.now(), fresh: true}
-	if !p.stored {
-		outputStore.Put(out.in.key, out)
-	}
 
 	rs := RegionStats{
 		Entry:          entry,

@@ -326,10 +326,10 @@ type System struct {
 	// stopped (interp.HaltID once the guest has halted).
 	resume int
 	// cq queues the compiles that have a latency (Compile.Workers >= 1);
-	// see compile.go. cache is the fleet's shared compile-output cache
-	// (Compile.SharedCache), or nil.
+	// see compile.go. cache is the fleet's shared code cache
+	// (Compile.SharedCache), which only counts lookups, or nil.
 	cq    compileQueue
-	cache *codecache.Cache[compileKey, *compileOutput]
+	cache *codecache.Cache[compileKey, struct{}]
 	// hc is the system health controller (nil unless Config.Health is
 	// enabled).
 	hc *health.Controller

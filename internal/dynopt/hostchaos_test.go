@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"smarq/internal/codecache"
 	"smarq/internal/faultinject"
 	"smarq/internal/guest"
 	"smarq/internal/health"
@@ -212,8 +211,8 @@ func TestPoisonedResultsNeverInstall(t *testing.T) {
 	}
 }
 
-// TestOneOutputScreen: the fleet leader's cache insert and the install
-// point's admission are one verdict (screenOutput). Over a clean output,
+// TestOneOutputScreen: a store leader's insert and the install point's
+// admission are one verdict (screenOutput). Over a clean output,
 // a pipeline error, a panicked job and both poison modes, the screen the
 // leader inserts on passes exactly the outputs admitOutput accepts, and
 // admitOutput moves Rejected, WorkerPanics and Quarantined for the
@@ -275,44 +274,55 @@ func TestOneOutputScreen(t *testing.T) {
 }
 
 // TestLeaderCachesWhatInstallAdmits runs TestOneOutputScreen's injectable
-// outputs through a real queued fleet-cache leader: the job's result
-// enters the shared cache exactly when the leader's own install point
-// admits it.
+// outputs through a real queued request over an empty output store. A
+// request with no drawn fault leads the key's store flight, and its job's
+// result enters the store exactly when the leader's own install point
+// admits it: a pipeline error settles the flight but is not stored. A
+// request with a drawn panic or poison leads no flight, so its private
+// job never reaches the store.
 func TestLeaderCachesWhatInstallAdmits(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		chaos  faultinject.Config
 		skip   uint32 // the region's poison ordinal (the mode alternates checksum, structure)
+		fails  bool   // the pipeline returns an error
+		leads  bool
 		admits bool
 	}{
-		{"clean", faultinject.Config{}, 0, true},
-		{"panicked", faultinject.Config{Seed: 1, WorkerPanicRate: 1}, 0, false},
-		{"poison-checksum", faultinject.Config{Seed: 1, PoisonResultRate: 1}, 0, false},
-		{"poison-structure", faultinject.Config{Seed: 1, PoisonResultRate: 1}, 1, false},
+		{"clean", faultinject.Config{}, 0, false, true, true},
+		{"pipeline-error", faultinject.Config{}, 0, true, true, false},
+		{"panicked", faultinject.Config{Seed: 1, WorkerPanicRate: 1}, 0, false, false, false},
+		{"poison-checksum", faultinject.Config{Seed: 1, PoisonResultRate: 1}, 0, false, false, false},
+		{"poison-structure", faultinject.Config{Seed: 1, PoisonResultRate: 1}, 1, false, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys, e := installedSystem(t, 1)
-			sys.cache = NewCodeCache(codecache.Options{}).cache
 			sys.inj = faultinject.New(tc.chaos)
 			sys.disp[e].rec.draws = &faultinject.Ordinals{faultinject.PoisonResult: tc.skip}
-			useStore(t, outputStoreBytes) // run a job
+			if tc.fails {
+				swapPipeline(t, func(out *compileOutput) *compileOutput {
+					out.err = errors.New("unschedulable")
+					return out
+				})
+			} else {
+				useStore(t, outputStoreBytes) // run a job
+			}
 			in, err := sys.newCompileInput(e)
 			if err != nil {
 				t.Fatal(err)
 			}
-			key := in.key
 			installed := sys.Stats.Compile.Installed
 
 			sys.recompileRegion(e, false)
-			if got := sys.cache.Stats().Compiles; got != 1 {
-				t.Fatalf("the recompile led %d fleet-cache flights, want 1", got)
+			if got := outputStore.Stats().Compiles; got != b2i(tc.leads) {
+				t.Fatalf("the recompile led %d store flights, want %d", got, b2i(tc.leads))
 			}
 			settle(t, sys, e)
 
 			admitted := sys.Stats.Compile.Installed > installed
-			_, cached, _, _ := sys.cache.Lookup(key)
-			if admitted != tc.admits || cached != admitted {
-				t.Errorf("install admitted=%v (want %v), leader cached=%v", admitted, tc.admits, cached)
+			_, stored := outputStore.Peek(in.key)
+			if admitted != tc.admits || stored != admitted {
+				t.Errorf("install admitted=%v (want %v), leader stored=%v", admitted, tc.admits, stored)
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"smarq/internal/codecache"
 	"smarq/internal/faultinject"
 	"smarq/internal/guest"
 	"smarq/internal/health"
@@ -68,7 +67,7 @@ func TestConfigValidate(t *testing.T) {
 	// A shared cache serves every compile, including one that installs
 	// at its request.
 	syncCache := DefaultConfig()
-	syncCache.Compile.SharedCache = NewCodeCache(codecache.Options{})
+	syncCache.Compile.SharedCache = NewCodeCache(0)
 	if err := syncCache.Validate(); err != nil {
 		t.Errorf("SharedCache with Workers=0 rejected: %v", err)
 	}

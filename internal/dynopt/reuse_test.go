@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"smarq/internal/alias"
-	"smarq/internal/codecache"
 	"smarq/internal/faultinject"
 	"smarq/internal/guest"
 	"smarq/internal/workload"
@@ -392,72 +391,6 @@ func TestQueuedRecompileReusesRecord(t *testing.T) {
 	}
 }
 
-// TestFleetLeaderReuseCompletesFlight: a fleet-cache leader whose input's
-// key is in the output store submits no job and settles its flight with
-// the stored output, so the cache holds it again and the next lookup of the
-// key — from any tenant — is a hit, not a wait on a flight that never
-// ends.
-func TestFleetLeaderReuseCompletesFlight(t *testing.T) {
-	runs := countPipelineRuns(t)
-	cc := NewCodeCache(codecache.Options{MaxEntries: 1})
-	cfg := ConfigSMARQ(64)
-	cfg.Compile.Workers = 1
-	cfg.Compile.SharedCache = cc
-	sys := New(aliasingProgram(800, 7), &guest.State{}, guest.NewMemory(1<<16), cfg)
-	if halted, err := sys.Run(50_000_000); err != nil || !halted {
-		t.Fatalf("halted=%v err=%v", halted, err)
-	}
-	t.Cleanup(sys.cq.jobs.Wait)
-	e := -1
-	for i := range sys.disp {
-		if sys.disp[i].code != nil {
-			e = i
-			break
-		}
-	}
-	if e < 0 {
-		t.Fatal("run left no region installed")
-	}
-	rec := sys.storedOutput(e)
-	if rec == nil {
-		t.Fatal("the installed region's output is not stored")
-	}
-	key := rec.in.key
-	// Make the key a miss: the one-entry cache now holds another key.
-	other := key
-	other.sets = "another key"
-	cc.cache.Put(other, nil)
-	before := sys.Stats.Compile
-	base := runs.Load()
-
-	sys.recompileRegion(e, false)
-
-	p := sys.disp[e].rec.pending
-	if p == nil {
-		t.Fatal("the recompile queued nothing")
-	}
-	if got := sys.Stats.Compile; got.MemoMisses != before.MemoMisses+1 || got.DedupeWaits != before.DedupeWaits {
-		t.Fatalf("the lookup did not lead a flight: misses %d -> %d, dedupe waits %d -> %d",
-			before.MemoMisses, got.MemoMisses, before.DedupeWaits, got.DedupeWaits)
-	}
-	if p.done != nil || p.flight != nil || p.out != rec {
-		t.Fatal("the leader did not re-install the stored output")
-	}
-	if out, hit := cc.cache.Peek(key); !hit || out != rec {
-		t.Fatal("the leader's flight did not insert the stored output")
-	}
-	if out, hit, flight, _ := cc.cache.Lookup(key); !hit || out != rec || flight != nil {
-		t.Fatal("a later lookup of the key found no entry")
-	}
-	settle(t, sys, e)
-	if runs.Load() != base {
-		t.Errorf("%d pipeline runs, want 0", runs.Load()-base)
-	}
-	if c := sys.disp[e].code; c == nil || c.out.cr != rec.cr {
-		t.Error("the leader did not install the stored CompiledRegion")
-	}
-}
-
 // TestReusePipelineRunsAmmpChaos pins how many of ammp's compiles under
 // the default chaos mix run the pipeline, inline and queued: most requests
 // follow an injected alias exception that changes no input, or return a
@@ -497,11 +430,11 @@ func TestReusePipelineRunsAmmpChaos(t *testing.T) {
 }
 
 // TestReuseDecisionZeroAllocs pins the reuse decision and the fleet
-// cache's key — building the input with its key and finding it in the
-// output store, then looking the key up in a fleet cache that holds it —
-// at zero heap allocations: the superblock and set encodings are built
-// when they change, never per request. The sets are deliberately
-// nonempty.
+// cache's count — building the input with its key and finding it in the
+// output store with a Lookup hit, then counting the key in a fleet cache
+// that holds it — at zero heap allocations: the superblock and set
+// encodings are built when they change, never per request. The sets are
+// deliberately nonempty.
 func TestReuseDecisionZeroAllocs(t *testing.T) {
 	sys, e := installedSystem(t, 0)
 	rr := sys.disp[e].rec
@@ -512,14 +445,14 @@ func TestReuseDecisionZeroAllocs(t *testing.T) {
 		t.Fatal("recompile installed no code")
 	}
 	rec := sys.disp[e].code.out
-	cc := NewCodeCache(codecache.Options{})
-	cc.cache.Put(rec.in.key, rec)
+	sys.cache = NewCodeCache(0).cache
+	sys.cache.Put(rec.in.key, struct{}{})
 	allocs := testing.AllocsPerRun(200, func() {
 		in, err := sys.newCompileInput(e)
-		if out, ok := outputStore.Get(in.key); err != nil || !ok || out != rec || in.key.sets == "" {
+		if out, hit, _, _ := outputStore.Lookup(in.key); err != nil || !hit || out != rec || in.key.sets == "" {
 			t.Fatalf("unchanged inputs miss the stored output (err %v)", err)
 		}
-		if out, hit, _, _ := cc.cache.Lookup(in.key); !hit || out != rec {
+		if hit, _ := sys.countLookup(in.key); !hit {
 			t.Fatal("the fleet cache missed the input's key")
 		}
 	})

@@ -1,10 +1,9 @@
-// The fleet-wide compile cache: a thin, type-opaque wrapper binding
-// codecache's generic LRU cache to dynopt's compile-input keys and
-// compile outputs. The wrapper exists so the concrete key and payload
-// types (compileKey, *compileOutput) stay unexported while fleet drivers
-// — harness.RunFleet, smarq-bench — can still construct one cache, hand
-// it to many Systems via CompileConfig.SharedCache, and read its
-// aggregate statistics.
+// The fleet's shared code cache: a thin, type-opaque wrapper binding
+// codecache's generic LRU cache to dynopt's compile-input keys. The
+// wrapper exists so the concrete key type (compileKey) stays unexported
+// while fleet drivers — harness.RunFleet, smarq-bench — can still
+// construct one cache, hand it to many Systems via
+// CompileConfig.SharedCache, and read its aggregate statistics.
 package dynopt
 
 import (
@@ -12,24 +11,27 @@ import (
 	"smarq/internal/telemetry"
 )
 
-// CodeCache is an LRU compile cache shared by many concurrently running
-// Systems, keyed by the exact compile input (compileKey): a hit needs the
-// same superblock content, configuration and sets, compared by Go's map
-// equality, so no hash decides it. Construct one with NewCodeCache, set
-// it on every tenant's CompileConfig.SharedCache, and run the Systems on
-// separate goroutines: identical regions, of one program or of several,
-// compile exactly once fleet-wide (cross-tenant single-flight), and every
+// CodeCache is the simulated code cache a fleet of concurrently running
+// Systems shares: an LRU record of the exact compile inputs (compileKey)
+// its tenants have requested, compared by Go's map equality, so no hash
+// decides a hit. Construct one with NewCodeCache, set it on every
+// tenant's CompileConfig.SharedCache, and run the Systems on separate
+// goroutines. Every compile request looks its key up, and the outcome is
+// counted in the tenant's MemoHits, MemoMisses and DedupeWaits and in the
+// cache's Stats: identical regions, of one program or of several, count
+// one compile fleet-wide. The cache holds no code and decides no job: the
+// process's output store holds and single-flights every build. So every
 // tenant's simulated results stay byte-identical to its solo run modulo
-// the hit/miss/dedupe counters.
+// those three counters, at any chaos setting.
 type CodeCache struct {
-	cache *codecache.Cache[compileKey, *compileOutput]
+	cache *codecache.Cache[compileKey, struct{}]
 }
 
-// NewCodeCache returns an empty shared compile cache. opts.MaxBytes
-// bounds retained compiled-region bytes, as reported by
-// vliw.CompiledRegion.Bytes.
-func NewCodeCache(opts codecache.Options) *CodeCache {
-	return &CodeCache{cache: codecache.NewKeyed[compileKey](opts, compileOutputBytes)}
+// NewCodeCache returns an empty shared code cache that counts up to
+// maxEntries keys in LRU order (0 = unbounded). It holds no code, so it
+// has no bytes to bound.
+func NewCodeCache(maxEntries int64) *CodeCache {
+	return &CodeCache{cache: codecache.NewKeyed[compileKey, struct{}](codecache.Options{MaxEntries: maxEntries}, nil)}
 }
 
 // Stats snapshots the cache counters (exact at quiescence — after every

@@ -275,9 +275,10 @@ func TestStoreBudgetEvictsLRU(t *testing.T) {
 }
 
 // TestConcurrentStoreCompiles runs 4 Systems of one program at once over
-// an empty output store, so they miss, compile and put the same keys
-// concurrently (the store has no single-flight), at workers 0 and 2. Each
-// must end bit-exact against the guest.Exec reference. Run it with -race.
+// an empty output store, so they request the same keys concurrently, at
+// workers 0 and 2. The store single-flights every build: each key runs
+// the pipeline exactly once across the 4 Systems, and each System must
+// end bit-exact against the guest.Exec reference. Run it with -race.
 func TestConcurrentStoreCompiles(t *testing.T) {
 	for _, name := range []string{"swim", "ammp"} {
 		bm := mustBenchmark(t, name)
@@ -288,7 +289,14 @@ func TestConcurrentStoreCompiles(t *testing.T) {
 		}
 		for _, workers := range []int{0, 2} {
 			t.Run(fmt.Sprintf("%s/workers%d", name, workers), func(t *testing.T) {
-				useStore(t, outputStoreBytes)
+				var mu sync.Mutex
+				compiled := map[compileKey]int{}
+				swapPipeline(t, func(out *compileOutput) *compileOutput {
+					mu.Lock()
+					compiled[out.in.key]++
+					mu.Unlock()
+					return runCompilePipeline(out, nil)
+				})
 				cfg := ConfigSMARQ(64)
 				cfg.Compile.Workers = workers
 				systems := make([]*System, 4)
@@ -314,8 +322,16 @@ func TestConcurrentStoreCompiles(t *testing.T) {
 						t.Errorf("system %d never committed a region", i)
 					}
 				}
-				if outputStore.Stats().Entries == 0 {
-					t.Error("the Systems stored no output")
+				if len(compiled) == 0 {
+					t.Fatal("the Systems compiled nothing")
+				}
+				for _, n := range compiled {
+					if n != 1 {
+						t.Errorf("a key ran the pipeline %d times across the Systems, want once", n)
+					}
+				}
+				if st := outputStore.Stats(); st.Compiles != int64(len(compiled)) {
+					t.Errorf("the store elected %d leaders for %d distinct keys", st.Compiles, len(compiled))
 				}
 			})
 		}

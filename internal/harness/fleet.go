@@ -1,6 +1,6 @@
 // Fleet execution: M independent tenant Systems running concurrently on
-// their own goroutines, all compiling through one content-addressed LRU
-// compile cache (dynopt.CodeCache).
+// their own goroutines, all counting their compile requests in one
+// content-addressed LRU code cache (dynopt.CodeCache).
 // Tenants share *host* resources only — guest state, memory, stats and
 // telemetry stay per-tenant, and every tenant's simulated results are
 // byte-identical to its solo run modulo the cache hit/miss/dedupe
@@ -41,11 +41,10 @@ type FleetConfig struct {
 	// value is an error. A 1-tenant fleet is therefore exactly the solo
 	// baseline configuration.
 	CompileWorkers int
-	// CacheMaxEntries/CacheMaxBytes bound the shared compile cache (see
-	// codecache.Options); 0 means unbounded, and a negative budget is an
-	// error.
+	// CacheMaxEntries bounds the keys the shared code cache counts, in LRU
+	// order (dynopt.NewCodeCache); 0 means unbounded, and a negative
+	// budget is an error.
 	CacheMaxEntries int64
-	CacheMaxBytes   int64
 	// MaxInsts caps each tenant's retired guest instructions; 0 uses each
 	// benchmark's own budget.
 	MaxInsts uint64
@@ -140,9 +139,10 @@ func (r *FleetResult) GuestInsts() int64 {
 	return n
 }
 
-// DedupeRate is the fraction of cache lookups served without running a
-// compile — a table hit or a joined flight. With identical tenants it
-// approaches 1 as the fleet grows: every region compiles once fleet-wide.
+// DedupeRate is the fraction of cache lookups not counted as compiles — a
+// table hit, or a lookup that raced a peer's lookup of the key. With
+// identical tenants it approaches 1 as the fleet grows: every region
+// counts one compile fleet-wide.
 func (r *FleetResult) DedupeRate() float64 {
 	if r.Cache.Lookups == 0 {
 		return 0
@@ -159,9 +159,8 @@ func RunFleet(fc FleetConfig) (*FleetResult, error) {
 	if fc.CompileWorkers < 0 {
 		return nil, fmt.Errorf("harness: CompileWorkers %d, want >= 0 (0 = install at the request)", fc.CompileWorkers)
 	}
-	if fc.CacheMaxEntries < 0 || fc.CacheMaxBytes < 0 {
-		return nil, fmt.Errorf("harness: cache budgets %d entries / %d bytes, want >= 0 (0 = unbounded)",
-			fc.CacheMaxEntries, fc.CacheMaxBytes)
+	if fc.CacheMaxEntries < 0 {
+		return nil, fmt.Errorf("harness: cache budget %d entries, want >= 0 (0 = unbounded)", fc.CacheMaxEntries)
 	}
 	baseCfg, err := ParseConfig(fc.Config)
 	if err != nil {
@@ -177,10 +176,7 @@ func RunFleet(fc FleetConfig) (*FleetResult, error) {
 		benches[i] = bm
 	}
 
-	cache := dynopt.NewCodeCache(codecache.Options{
-		MaxEntries: fc.CacheMaxEntries,
-		MaxBytes:   fc.CacheMaxBytes,
-	})
+	cache := dynopt.NewCodeCache(fc.CacheMaxEntries)
 
 	// Per-tenant telemetry bundles are built up front (not inside the
 	// tenant goroutines) so the observability plane can expose every
@@ -380,7 +376,7 @@ func (r *FleetResult) Render() string {
 		r.Commits(), float64(r.Commits())/secs, r.GuestInsts(), float64(r.GuestInsts())/secs,
 		r.Wall.Round(time.Millisecond))
 	c := &r.Cache
-	fmt.Fprintf(&sb, "shared cache: %d lookups, %d hits, %d flight-waits, %d compiles, %d evictions (%d entries, %d bytes live), dedupe %.1f%%\n",
-		c.Lookups, c.Hits, c.FlightWaits, c.Compiles, c.Evictions, c.Entries, c.Bytes, 100*r.DedupeRate())
+	fmt.Fprintf(&sb, "shared cache: %d lookups, %d hits, %d flight-waits, %d compiles, %d evictions (%d keys live), dedupe %.1f%%\n",
+		c.Lookups, c.Hits, c.FlightWaits, c.Compiles, c.Evictions, c.Entries, 100*r.DedupeRate())
 	return sb.String()
 }

@@ -189,31 +189,30 @@ func TestDefaultFleetInstallsAtRequest(t *testing.T) {
 	}
 }
 
-// TestFleetRejectsNegativeCacheBudget: a negative entry or byte budget is
-// a configuration error, not a silently unbounded cache, and so is a
+// TestFleetRejectsNegativeCacheBudget: a negative entry budget is a
+// configuration error, not a silently unbounded cache, and so is a
 // negative CompileWorkers, not a silent choice of compile mode.
 func TestFleetRejectsNegativeCacheBudget(t *testing.T) {
 	for _, fc := range []FleetConfig{
 		{Tenants: 2, CacheMaxEntries: -5},
-		{Tenants: 2, CacheMaxBytes: -1},
-		{Tenants: 2, CacheMaxEntries: -5, CacheMaxBytes: -1},
 		{Tenants: 2, CompileWorkers: -1},
 	} {
 		if res, err := RunFleet(fc); err == nil {
-			t.Errorf("entries %d / bytes %d / workers %d: RunFleet ran %d tenants, want an error",
-				fc.CacheMaxEntries, fc.CacheMaxBytes, fc.CompileWorkers, len(res.Tenants))
+			t.Errorf("entries %d / workers %d: RunFleet ran %d tenants, want an error",
+				fc.CacheMaxEntries, fc.CompileWorkers, len(res.Tenants))
 		}
 	}
 }
 
 // TestFleetCompilesEachKeyOnce pins the shared cache's deduplication at
-// 100%: four identical tenants with queued compiles must compile exactly
-// as many regions as one tenant alone. Every would-be duplicate compile is
-// either a table hit or a wait on another tenant's in-flight compile. The
-// swim cell is BenchmarkFleet's shape (its dedupe-pct); the full ammp run
-// compiles more regions while the tenants run side by side, so many of its
-// lookups land on a flight still in progress and exercise the join. Which
-// lookups join depends on goroutine timing, so each cell runs three fleets.
+// 100%: four identical tenants with queued compiles must count exactly as
+// many compiles as one tenant alone. Every would-be duplicate is a table
+// hit, or a lookup that raced a peer's lookup of the key. The swim cell is
+// BenchmarkFleet's shape (its dedupe-pct); the full ammp run requests more
+// regions while the tenants run side by side, so many of its requests
+// land while a peer's build of the key is still in the output store's
+// flight. Which lookups race depends on goroutine timing, so each cell
+// runs three fleets.
 func TestFleetCompilesEachKeyOnce(t *testing.T) {
 	for _, c := range []struct {
 		bench    string
@@ -295,13 +294,13 @@ func TestFleetSharesAcrossPrograms(t *testing.T) {
 // returning to code they built: a one-region code cache evicts a region
 // at every other region's install, and the region's next compile request
 // carries the inputs of its stored build. A one-entry shared cache has
-// almost always evicted that key too, so the tenant leads a new flight
-// and re-installs the stored build instead of compiling. Such a leader runs no
-// job, so it must settle the flight itself: an unsettled flight blocks
-// every later lookup of its key, and the fleet never finishes. Every
-// tenant must still match its solo run, by the same diff VerifyFleet
-// applies. RunFleet has no code-cache knob, so the test assembles the
-// fleet from dynopt directly.
+// almost always evicted that key too, so the tenant's lookup leads a new
+// flight and counts a compile, while the output store re-installs the
+// stored build. The leader must settle that flight at once: an unsettled
+// flight blocks every later lookup of its key, and the fleet never
+// finishes. Every tenant must still match its solo run, by the same diff
+// VerifyFleet applies. RunFleet has no code-cache knob, so the test
+// assembles the fleet from dynopt directly.
 func TestFleetLeaderReuseOneEntryCache(t *testing.T) {
 	mix := []string{"swim", "ammp", "swim", "ammp"}
 	config := func() dynopt.Config {
@@ -332,13 +331,13 @@ func TestFleetLeaderReuseOneEntryCache(t *testing.T) {
 	for _, bench := range mix {
 		if _, ok := solo[bench]; !ok {
 			cfg := config()
-			cfg.Compile.SharedCache = dynopt.NewCodeCache(codecache.Options{})
+			cfg.Compile.SharedCache = dynopt.NewCodeCache(0)
 			solo[bench] = run(bench, cfg)
 			distinctKeys += cfg.Compile.SharedCache.Stats().Compiles
 		}
 	}
 
-	cache := dynopt.NewCodeCache(codecache.Options{MaxEntries: 1})
+	cache := dynopt.NewCodeCache(1)
 	tenants := make([]FleetTenant, len(mix))
 	done := make(chan struct{})
 	go func() {
