@@ -8,6 +8,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"smarq/internal/dynopt"
+	"smarq/internal/faultinject"
+	"smarq/internal/guest"
+	"smarq/internal/health"
+	"smarq/internal/telemetry"
+	"smarq/internal/workload"
 )
 
 func writeTrace(t *testing.T, name string, lines ...string) string {
@@ -143,6 +150,51 @@ func TestStormDetection(t *testing.T) {
 	}
 	if storms[1].End >= storms[2].Start {
 		t.Errorf("distinct bursts merged: %+v", storms[1:])
+	}
+}
+
+// TestChaosTraceHealthAndStorms runs the analyzer over a real seeded
+// chaos trace, not a hand-written one, and requires both health history
+// and storm intervals in the report. Guard failures at rate 0.6 roll one
+// region back many times within the storm window, and a health
+// controller that demotes at score 6 moves on them; seed 1 gives several
+// of each. (The analyze-smoke golden's chaos run has neither.)
+func TestChaosTraceHealthAndStorms(t *testing.T) {
+	bm, ok := workload.ByName("equake")
+	if !ok {
+		t.Fatal("no benchmark equake")
+	}
+	path := filepath.Join(t.TempDir(), "chaos.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tracer := telemetry.NewTracer(0, telemetry.NewJSONLSink(f))
+	cfg := dynopt.ConfigSMARQ(64)
+	cfg.Chaos = faultinject.DefaultHost(1)
+	cfg.Chaos.GuardFailRate = 0.6
+	cfg.Health = health.DefaultConfig()
+	cfg.Health.DemoteThreshold = 6
+	cfg.Telemetry = &telemetry.Telemetry{Events: tracer}
+	sys := dynopt.New(bm.Build(), &guest.State{}, guest.NewMemory(bm.MemSize), cfg)
+	if halted, err := sys.Run(bm.MaxInsts); err != nil || !halted {
+		t.Fatalf("halted=%v err=%v", halted, err)
+	}
+	if err := tracer.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := analyze(t, path)
+	if len(r.Runs) != 1 {
+		t.Fatalf("got %d runs, want 1", len(r.Runs))
+	}
+	rr := r.Runs[0]
+	if len(rr.Health) == 0 {
+		t.Errorf("no health transitions in the report (health stats %+v)", sys.Stats.Health)
+	}
+	if len(rr.Storms) == 0 {
+		t.Errorf("no storm intervals in the report (%d guard fails)", sys.Stats.GuardFails)
 	}
 }
 

@@ -970,8 +970,9 @@ func (s *System) installPending(p *pendingCompile) {
 }
 
 // installOutput installs p's admitted output: cycle accounting, code
-// cache insert (with capacity eviction), per-region statistics and the
-// compile telemetry event. A recompile
+// cache insert (with capacity eviction), per-region statistics (staged in
+// the borrowed scratch until returnExec publishes them) and the compile
+// telemetry event. A recompile
 // overwrites the installed compiled record in place; nothing else holds
 // it.
 func (s *System) installOutput(p *pendingCompile, latency int64) {
@@ -1009,10 +1010,10 @@ func (s *System) installOutput(p *pendingCompile, latency int64) {
 		Tier:           rr.Level,
 	}
 	if rr.statsIdx >= 0 {
-		s.Stats.Regions[rr.statsIdx] = rs
+		s.x.regions[rr.statsIdx] = rs
 	} else {
-		rr.statsIdx = len(s.Stats.Regions)
-		s.Stats.Regions = append(s.Stats.Regions, rs)
+		rr.statsIdx = len(s.x.regions)
+		s.x.regions = append(s.x.regions, rs)
 	}
 	s.tel.regionCompile(s.now(), entry, rr.Level, &rs)
 }

@@ -280,6 +280,7 @@ func TestInjectedCompileFailBackoff(t *testing.T) {
 	// the region, so the request formats nothing and allocates nothing
 	// once the region has its draw ordinals.
 	sys.inj = faultinject.New(faultinject.Config{Seed: 1, CompileFailRate: 1})
+	lendExec(t, sys)
 	injected := sys.requestCompile(entry)
 	if injected != errInjectedCompileFail {
 		t.Fatalf("an injected compile failure returned %v, want errInjectedCompileFail", injected)

@@ -272,8 +272,10 @@ type Stats struct {
 	// performed across the run — the §2.4 energy proxy.
 	HWChecks uint64
 
-	// Static per-region statistics (one entry per compiled region,
-	// including recompiles' latest version).
+	// Static per-region statistics (one entry per compiled region, in
+	// first-install order, including recompiles' latest version). Run
+	// stages them in its borrowed scratch and publishes them here as it
+	// returns, at their exact length.
 	Regions []RegionStats
 }
 
@@ -832,7 +834,7 @@ func (s *System) finalize() {
 			rec.StickyRegions++
 		}
 		if rr.statsIdx >= 0 {
-			rs := &s.Stats.Regions[rr.statsIdx]
+			rs := &s.x.regions[rr.statsIdx]
 			rs.Tier = rr.Level
 			rs.Demotions = rr.Demotions
 			rs.Promotions = rr.Promotions

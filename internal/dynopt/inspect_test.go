@@ -168,6 +168,7 @@ func TestInspectRegionAfterInputsChange(t *testing.T) {
 		t.Fatalf("halted=%v err=%v", halted, err)
 	}
 	t.Cleanup(sys.cq.jobs.Wait)
+	lendExec(t, sys)
 	for e, de := range sys.disp {
 		if de.code == nil || de.rec.Level == TierConservative {
 			continue

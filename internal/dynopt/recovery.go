@@ -132,7 +132,7 @@ type regionRecord struct {
 	exceptions    int
 	injFailStreak uint64          // consecutive transient compile failures
 	quarantined   bool            // barred from compiling (quarantineRegion)
-	statsIdx      int             // index into Stats.Regions; -1 before the first install
+	statsIdx      int             // index into Stats.Regions as staged (execScratch.regions); -1 before the first install
 	pending       *pendingCompile // live queued compile (single-flight), or nil
 	// draws counts the region's chaos draws per fault class, which keys
 	// each next draw (faultinject.Ordinals). It is nil until the region's

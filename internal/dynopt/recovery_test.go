@@ -291,8 +291,6 @@ func TestPinnedEntryRepromotes(t *testing.T) {
 // only the cap can make it sticky.
 func TestChronicOffenderCap(t *testing.T) {
 	sys, e := installedSystem(t, 0)
-	sys.borrowExec() // runRegion below dispatches outside Run
-	defer sys.returnExec()
 	tr := telemetry.NewTracer(0, nil)
 	sys.tel = newSystemTelemetry(&Config{Telemetry: &telemetry.Telemetry{Events: tr}})
 	sys.inj = faultinject.New(faultinject.Config{Seed: 1, SpuriousAliasRate: 1})
@@ -384,6 +382,7 @@ func TestCodeCacheEviction(t *testing.T) {
 	}
 	last := sys.storedOutput(e)
 	runs.Store(0)
+	lendExec(t, sys)
 	if err := sys.requestCompile(e); err != nil {
 		t.Fatal(err)
 	}

@@ -61,6 +61,7 @@ func installedSystem(t *testing.T, workers int) (*System, int) {
 		t.Fatalf("halted=%v err=%v", halted, err)
 	}
 	t.Cleanup(sys.cq.jobs.Wait)
+	lendExec(t, sys)
 	for e := range sys.disp {
 		if sys.disp[e].code != nil {
 			return sys, e
@@ -82,6 +83,7 @@ func tieredSystem(t *testing.T) (*System, int) {
 	if halted, err := sys.Run(bm.MaxInsts); err != nil || !halted {
 		t.Fatalf("halted=%v err=%v", halted, err)
 	}
+	lendExec(t, sys)
 	for e, de := range sys.disp {
 		if de.code == nil {
 			continue
@@ -538,8 +540,6 @@ func TestPromotionReinstallsEarlierTier(t *testing.T) {
 func TestGuardFailDropReinstalls(t *testing.T) {
 	runs := countPipelineRuns(t)
 	sys, e := installedSystem(t, 0)
-	sys.borrowExec() // runRegion below dispatches outside Run
-	defer sys.returnExec()
 	rr := sys.disp[e].rec
 	rr.harden(alias.MakePair(3, 1), 9)
 	rr.Level = TierNoElim

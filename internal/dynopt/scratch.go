@@ -15,9 +15,16 @@ import (
 // and rollback both clear them (§3). Nothing in them outlives a region
 // entry, so a process-wide pool lends them to whichever System runs next
 // instead of every System keeping its own copy.
+//
+// regions stages the borrower's Stats.Regions for the loan: installs
+// append to it and overwrite in it, and returnExec publishes it, so a
+// System pays for one exact-length slice per loan instead of regrowing
+// its own by doubling, and the buffer's capacity carries over to the
+// next borrower.
 type execScratch struct {
-	ctx vliw.ExecContext
-	det aliashw.Detector
+	ctx     vliw.ExecContext
+	det     aliashw.Detector
+	regions []RegionStats
 }
 
 // scratchKey selects a scratch pool. A detector's mode and register count
@@ -78,20 +85,23 @@ func scratchPoolFor(k scratchKey) *sync.Pool {
 }
 
 // borrowExec takes an executor scratch from the pool for the region
-// entries to come. Run borrows on entry and returns on every exit; code
-// that dispatches regions outside Run borrows and returns through the
-// same pair.
+// entries and installs to come, and stages Stats.Regions in it. Run
+// borrows on entry and returns on every exit; code that dispatches or
+// installs regions outside Run borrows and returns through the same pair.
 func (s *System) borrowExec() {
 	if s.x != nil {
 		panic("dynopt: executor scratch borrowed twice")
 	}
 	s.x = s.scratchPool.Get().(*execScratch)
 	s.xChecked = s.x.det.Checked()
+	s.x.regions = append(s.x.regions[:0], s.Stats.Regions...)
 }
 
-// returnExec ends the loan. The detector's checks during it are added to
-// the System's total (Checked is cumulative over the detector's life,
-// across all its borrowers). The scratch goes back to the pool only when
+// returnExec ends the loan. The staged region statistics are published
+// to Stats.Regions at their exact length, into the published array when
+// the loan added no region. The detector's checks during the loan are
+// added to the System's total (Checked is cumulative over the detector's
+// life, across all its borrowers). The scratch goes back to the pool only when
 // it is idle, its atomic region finished and its detector reset; one
 // left mid-entry by a panic is dropped.
 func (s *System) returnExec() {
@@ -100,6 +110,10 @@ func (s *System) returnExec() {
 		return
 	}
 	s.x = nil
+	if len(x.regions) != len(s.Stats.Regions) {
+		s.Stats.Regions = make([]RegionStats, len(x.regions))
+	}
+	copy(s.Stats.Regions, x.regions)
 	s.hwChecks += x.det.Checked() - s.xChecked
 	if x.ctx.Idle() {
 		x.ctx.Detach()

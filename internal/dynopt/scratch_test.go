@@ -10,6 +10,7 @@ import (
 	"smarq/internal/guest"
 	"smarq/internal/interp"
 	"smarq/internal/sched"
+	"smarq/internal/telemetry"
 )
 
 // figureConfigs are the six configurations the figure harness runs every
@@ -276,6 +277,124 @@ type panicDetector struct{ aliashw.None }
 
 func (panicDetector) OnMem(int, bool, bool, bool, int, uint16, uint64, uint64) *aliashw.Conflict {
 	panic("detector fault")
+}
+
+// TestRegionStatsPublishedOnce: Run stages Stats.Regions in its borrowed
+// scratch and publishes them once, at their exact length; a Run that adds
+// no region writes into the published array instead of replacing it. The
+// entries are in first-install order, each holding its region's latest
+// install, as the compile events report them.
+func TestRegionStatsPublishedOnce(t *testing.T) {
+	bm := mustBenchmark(t, "ammp")
+	sink := &captureSink{}
+	cfg := ConfigSMARQ(64)
+	cfg.Telemetry = &telemetry.Telemetry{Events: telemetry.NewTracer(0, sink)}
+	sys := New(bm.Build(), &guest.State{}, guest.NewMemory(bm.MemSize), cfg)
+	if halted, err := sys.Run(bm.MaxInsts); err != nil || !halted {
+		t.Fatalf("halted=%v err=%v", halted, err)
+	}
+	if err := cfg.Telemetry.Tracer().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	regions := sys.Stats.Regions
+	if len(regions) == 0 || len(regions) != cap(regions) {
+		t.Fatalf("Stats.Regions has length %d and capacity %d, want equal and nonzero", len(regions), cap(regions))
+	}
+
+	var order []int
+	latest := map[int]telemetry.Event{}
+	for _, ev := range sink.events {
+		if ev.Kind != telemetry.KindCompile {
+			continue
+		}
+		if _, seen := latest[int(ev.Region)]; !seen {
+			order = append(order, int(ev.Region))
+		}
+		latest[int(ev.Region)] = ev
+	}
+	if sys.Stats.Recompiles == 0 {
+		t.Fatal("no region was recompiled, so no entry is overwritten")
+	}
+	if len(order) != len(regions) {
+		t.Fatalf("%d regions installed, Stats.Regions holds %d", len(order), len(regions))
+	}
+	for i, rs := range regions {
+		ev := latest[rs.Entry]
+		if rs.Entry != order[i] {
+			t.Fatalf("Stats.Regions[%d] is B%d, the %d-th first install is B%d", i, rs.Entry, i, order[i])
+		}
+		if int64(rs.SeqLen) != ev.A || int64(rs.GuestInsts) != ev.B || int64(rs.MemOps) != ev.C || rs.Cycles != ev.Cost {
+			t.Errorf("Stats.Regions[%d] = %+v, not B%d's latest compile event %+v", i, rs, rs.Entry, ev)
+		}
+	}
+
+	if halted, err := sys.Run(bm.MaxInsts); err != nil || !halted {
+		t.Fatalf("run after halt: halted=%v err=%v", halted, err)
+	}
+	if &sys.Stats.Regions[0] != &regions[0] || len(sys.Stats.Regions) != len(regions) {
+		t.Error("a Run that installed nothing replaced the published Stats.Regions")
+	}
+
+	// A run cut in two: the second slice dispatches and re-publishes the
+	// one region its first slice installed, in place.
+	sys = New(entryLoopProgram(4000), &guest.State{}, guest.NewMemory(1<<16), ConfigSMARQ(64))
+	if halted, err := sys.Run(8000); err != nil || halted || len(sys.Stats.Regions) != 1 {
+		t.Fatalf("first slice: halted=%v err=%v, %d regions, want 1", halted, err, len(sys.Stats.Regions))
+	}
+	first := &sys.Stats.Regions[0]
+	commits := sys.Stats.Commits
+	if halted, err := sys.Run(50_000_000); err != nil || !halted {
+		t.Fatalf("second slice: halted=%v err=%v", halted, err)
+	}
+	if sys.Stats.Commits == commits {
+		t.Fatal("the second slice dispatched no region")
+	}
+	if len(sys.Stats.Regions) != 1 || &sys.Stats.Regions[0] != first {
+		t.Error("a slice that added no region replaced the published Stats.Regions")
+	}
+}
+
+// TestRegionStatsSurviveGuestFault: a guest fault in an interpreted block
+// ends Run without finalize, and a later Run returns the fault at once;
+// both still publish the region installed before the fault.
+func TestRegionStatsSurviveGuestFault(t *testing.T) {
+	b := guest.NewBuilder()
+	b.NewBlock()
+	b.Li(3, 0)
+	b.Li(4, 2000)
+	loop := b.NewBlock()
+	b.Ld8(5, 2, 0)
+	b.Add(6, 6, 5)
+	b.Addi(3, 3, 1)
+	b.Blt(3, 4, loop)
+	b.NewBlock()
+	b.Li(1, 1<<40) // out of range
+	b.Ld8(7, 1, 0) // faults
+	b.Halt()
+	prog := b.MustProgram()
+
+	sys := New(prog, &guest.State{}, guest.NewMemory(1<<12), ConfigSMARQ(64))
+	for run := 1; run <= 2; run++ {
+		halted, err := sys.Run(50_000_000)
+		if err == nil || halted {
+			t.Fatalf("run %d: halted=%v err=%v, want the guest fault", run, halted, err)
+		}
+		if sys.Stats.Commits == 0 {
+			t.Fatal("no region committed before the fault")
+		}
+		if got := sys.Stats.Regions; len(got) != 1 || got[0].Entry != loop || got[0].SeqLen == 0 {
+			t.Fatalf("run %d: Stats.Regions = %+v, want the loop region B%d", run, got, loop)
+		}
+	}
+}
+
+// lendExec borrows sys's executor scratch for a test that dispatches or
+// installs regions outside Run, the way Run does, and returns it (which
+// publishes the staged Stats.Regions) when the test ends.
+func lendExec(t testing.TB, sys *System) {
+	t.Helper()
+	sys.borrowExec()
+	t.Cleanup(sys.returnExec)
 }
 
 // TestScratchReturnedOnlyIdle: an idle scratch goes back to the pool and

@@ -363,9 +363,7 @@ func warmCommitSystem(t *testing.T, tel *telemetry.Telemetry) (*System, int, *co
 	if sys.installed != 1 {
 		t.Fatalf("cache holds %d regions, want 1", sys.installed)
 	}
-	// Dispatching outside Run borrows the executor scratch the way Run does.
-	sys.borrowExec()
-	t.Cleanup(sys.returnExec)
+	lendExec(t, sys)
 	for entry := range sys.disp {
 		c := sys.disp[entry].code
 		if c == nil {
