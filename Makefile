@@ -101,16 +101,19 @@ else
 endif
 
 # Short differential fuzz of the dynopt pipeline, of the decoded
-# interpreter engine, and of the paged guest memory: FuzzInterpDecoded
-# drives interp.Run, a loop over the same RunBlock that dynopt runs, and
-# FuzzMemory checks guest.Memory against a flat byte slice, the one oracle
-# that does not itself run on guest.Memory (seed corpora also run under
-# plain `go test`). Go allows one -fuzz pattern per invocation, hence
-# three commands.
+# interpreter engine, of the paged guest memory and of the region
+# executor: FuzzInterpDecoded drives interp.Run, a loop over the same
+# RunBlock that dynopt runs, FuzzMemory checks guest.Memory against a
+# flat byte slice, the one oracle that does not itself run on
+# guest.Memory, and FuzzExecuteDecoded runs random compiled regions
+# through vliw.ExecContext.Execute and the reference executor under every
+# alias hardware mode (seed corpora also run under plain `go test`). Go
+# allows one -fuzz pattern per invocation, hence four commands.
 fuzz-smoke:
 	$(GO) test -run='^FuzzDynopt$$' -fuzz='^FuzzDynopt$$' -fuzztime=10s ./internal/dynopt
 	$(GO) test -run='^FuzzInterpDecoded$$' -fuzz='^FuzzInterpDecoded$$' -fuzztime=10s ./internal/interp
 	$(GO) test -run='^FuzzMemory$$' -fuzz='^FuzzMemory$$' -fuzztime=10s ./internal/guest
+	$(GO) test -run='^FuzzExecuteDecoded$$' -fuzz='^FuzzExecuteDecoded$$' -fuzztime=10s ./internal/vliw
 
 # Chaos gate: the seeded fault-injection soak (spurious alias exceptions,
 # guard-fail storms, compile failures, and the host fault classes: worker

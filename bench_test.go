@@ -300,12 +300,28 @@ func (commitCounter) Close() error { return nil }
 // (dynopt caches superblocks per entry); BenchmarkCompile below measures
 // the same machinery embedded in a full system run.
 func BenchmarkCompilePipeline(b *testing.B) {
-	bm, _ := workload.ByName("ammp")
+	sys, _, best := hottestRegion(b, "ammp")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sys.InspectRegion(best, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// hottestRegion runs the named workload to halt under the default SMARQ
+// configuration and returns the system, its program and the entry of its
+// most-committed installed region (ties to the lowest entry).
+func hottestRegion(b *testing.B, name string) (*dynopt.System, *guest.Program, int) {
+	b.Helper()
+	bm, _ := workload.ByName(name)
 	commits := commitCounter{}
 	tracer := telemetry.NewTracer(0, commits)
 	cfg := dynopt.DefaultConfig()
 	cfg.Telemetry = &telemetry.Telemetry{Events: tracer}
-	sys := dynopt.New(bm.Build(), &guest.State{}, guest.NewMemory(bm.MemSize), cfg)
+	prog := bm.Build()
+	sys := dynopt.New(prog, &guest.State{}, guest.NewMemory(bm.MemSize), cfg)
 	if _, err := sys.Run(bm.MaxInsts); err != nil {
 		b.Fatal(err)
 	}
@@ -326,15 +342,45 @@ func BenchmarkCompilePipeline(b *testing.B) {
 		}
 	}
 	if best < 0 {
-		b.Fatal("ammp left no region installed")
+		b.Fatalf("%s left no region installed", name)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sys.InspectRegion(best, nil); err != nil {
+	return sys, prog, best
+}
+
+// benchHotRegion returns the installed code of the workload's
+// most-committed region (as InspectRegion rebuilds it) with a saved entry
+// state: the guest registers and memory the interpreter reaches at a
+// visit of the region's entry block from which the code commits.
+func benchHotRegion(b *testing.B, name string) (*vliw.CompiledRegion, guest.State, *guest.Memory) {
+	b.Helper()
+	sys, prog, entry := hottestRegion(b, name)
+	var cr *vliw.CompiledRegion
+	if err := sys.InspectRegion(entry, func(c *dynopt.Compilation) { cr = c.Code }); err != nil {
+		b.Fatal(err)
+	}
+	bm, _ := workload.ByName(name)
+	st, mem := &guest.State{}, guest.NewMemory(bm.MemSize)
+	it := interp.New(prog, st, mem)
+	var ctx vliw.ExecContext
+	for id, visits := 0, 0; id != interp.HaltID; {
+		if id == entry {
+			// Skip the first visits: a loop's later iterations are the
+			// steady state the figures spend their time in.
+			if visits++; visits > 8 {
+				saved := *st
+				if ctx.Execute(cr, st, mem, aliashw.NewOrderedQueue(64)).Outcome == vliw.Commit {
+					return cr, saved, mem
+				}
+			}
+		}
+		next, err := it.RunBlock(id)
+		if err != nil {
 			b.Fatal(err)
 		}
+		id = next
 	}
+	b.Fatalf("%s: B%d never commits from an interpreted entry", name, entry)
+	return nil, guest.State{}, nil
 }
 
 // benchLoopRegion compiles the store/load loop the execution benches run,
@@ -387,7 +433,10 @@ func benchLoopRegion(b *testing.B, mode sched.HWMode, nar int) (*vliw.CompiledRe
 // BenchmarkExecute runs the same region entry under every alias-hardware
 // fast path of the devirtualized execute loop; ordered64 is the SMARQ
 // configuration. Every case runs at zero heap allocations per entry
-// (pinned by vliw.TestExecuteZeroAllocsOnCommit).
+// (pinned by vliw.TestExecuteZeroAllocsOnCommit). The 5-instruction loop
+// mostly measures per-entry overhead; swim-hot runs a real figure region,
+// swim's most-committed one, from a saved entry state, and reports its
+// cost per executed op.
 func BenchmarkExecute(b *testing.B) {
 	cases := []struct {
 		name string
@@ -415,6 +464,24 @@ func BenchmarkExecute(b *testing.B) {
 			}
 		})
 	}
+	b.Run("swim-hot", func(b *testing.B) {
+		cr, entry, mem := benchHotRegion(b, "swim")
+		det := aliashw.NewOrderedQueue(64)
+		var ctx vliw.ExecContext
+		var st guest.State
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// Every entry starts from the saved registers; the memory
+			// keeps what earlier entries stored, which moves no address
+			// or guard of a region whose control depends on registers.
+			st = entry
+			if res := ctx.Execute(cr, &st, mem, det); res.Outcome != vliw.Commit {
+				b.Fatalf("outcome %s", res.Outcome)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cr.Ops()), "ns/op-executed")
+	})
 }
 
 // BenchmarkDynopt measures a full dynamic-optimization system run — the

@@ -4,7 +4,10 @@
 // null detector.
 package aliashw
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Conflict reports a detected alias: the op that performed the check and
 // the op whose alias register it conflicted with (the "origin" travels
@@ -58,11 +61,35 @@ type entry struct {
 
 func overlaps(aLo, aHi, bLo, bHi uint64) bool { return aLo < bHi && bLo < aHi }
 
+// conflictRef turns an OnMemV result into OnMem's: nil without a hit, and
+// a pointer to a copy of the conflict with one. Only a hit allocates.
+func conflictRef(conf Conflict, hit bool) *Conflict {
+	if !hit {
+		return nil
+	}
+	c := conf
+	return &c
+}
+
 // OrderedQueue is the order-based alias register queue of §2.4/§3: N
 // physical registers organized as a circular queue with a rotating BASE.
 // [ORDERED-ALIAS-DETECTION-RULE]: an executing op with the C bit checks
 // every valid register whose order is not earlier than its own assigned
 // order; loads do not check registers set by loads.
+//
+// A queue of at most 64 registers indexes its window with two bitmaps
+// over window positions (bit k is the register of order base+k): live
+// marks the positions holding a valid register and stores those set by a
+// store. A check walks the set bits of live (and stores, for a load) at
+// or above its offset with TrailingZeros, in the ascending order the
+// scan used, so it compares exactly the registers the scan compared and
+// Checked() counts the same. Rotate is a shift of both bitmaps and Reset
+// clears them; a register whose bit is clear is dead whatever its slot
+// still holds. Queues over 64 registers, and a queue from an AMov whose
+// destination falls outside the window [0, N) (or a negative rotation)
+// to its next Reset, run the scan over the physical slots instead (the
+// *Scan methods): a register moved out of the window can come back into
+// it by rotation, with an order only the scan's top bound describes.
 type OrderedQueue struct {
 	regs []entry
 	base int
@@ -72,14 +99,25 @@ type OrderedQueue struct {
 	// therefore stop at top instead of walking the whole file — scanning
 	// beyond it would only visit empty or stale slots, which contribute
 	// neither conflicts nor Checked() counts, so the early exit is
-	// invisible in the simulated statistics.
-	top     int
+	// invisible in the simulated statistics. The bitmap path keeps it
+	// exactly as the scan path does, so switching paths changes nothing.
+	top int
+	// phase is base modulo the register count: the physical slot of
+	// window position 0 on the bitmap path.
+	phase        int
+	live, stores uint64
+	// scan selects the physical-slot scan: set for a queue over 64
+	// registers, and by toScan for the rest of a region.
+	scan    bool
 	checked uint64
 }
 
+// maxBitmapRegs is the largest queue whose window fits the bitmaps.
+const maxBitmapRegs = 64
+
 // NewOrderedQueue returns a queue with n physical alias registers.
 func NewOrderedQueue(n int) *OrderedQueue {
-	return &OrderedQueue{regs: make([]entry, n)}
+	return &OrderedQueue{regs: make([]entry, n), scan: n > maxBitmapRegs}
 }
 
 // Name implements Detector.
@@ -90,13 +128,30 @@ func (q *OrderedQueue) NumRegs() int { return len(q.regs) }
 
 func (q *OrderedQueue) slot(order int) *entry { return &q.regs[order%len(q.regs)] }
 
+// at is the register at window position k (0 <= k < N) on the bitmap
+// path.
+func (q *OrderedQueue) at(k int) *entry {
+	s := q.phase + k
+	if s >= len(q.regs) {
+		s -= len(q.regs)
+	}
+	return &q.regs[s]
+}
+
+// mark makes window position k live, set by a store or by a load.
+func (q *OrderedQueue) mark(k int, byStore bool) {
+	bit := uint64(1) << uint(k)
+	q.live |= bit
+	if byStore {
+		q.stores |= bit
+	} else {
+		q.stores &^= bit
+	}
+}
+
 // OnMem implements Detector.
 func (q *OrderedQueue) OnMem(opID int, isStore, p, c bool, offset int, _ uint16, lo, hi uint64) *Conflict {
-	conf, hit := q.OnMemV(opID, isStore, p, c, offset, lo, hi)
-	if !hit {
-		return nil
-	}
-	return &conf
+	return conflictRef(q.OnMemV(opID, isStore, p, c, offset, lo, hi))
 }
 
 // OnMemV is OnMem with the conflict returned by value: the no-conflict
@@ -107,6 +162,38 @@ func (q *OrderedQueue) OnMemV(opID int, isStore, p, c bool, offset int, lo, hi u
 	if (p || c) && (offset < 0 || offset >= len(q.regs)) {
 		panic(fmt.Sprintf("aliashw: op %d uses offset %d with %d registers", opID, offset, len(q.regs)))
 	}
+	if q.scan {
+		return q.onMemScan(opID, isStore, p, c, offset, lo, hi)
+	}
+	if c && offset < q.top {
+		cand := q.live >> uint(offset) << uint(offset)
+		if !isStore {
+			cand &= q.stores // loads do not check loads
+		}
+		for ; cand != 0; cand &= cand - 1 {
+			e := q.at(bits.TrailingZeros64(cand))
+			q.checked++
+			if overlaps(lo, hi, e.lo, e.hi) {
+				return Conflict{Checker: opID, Origin: e.origin}, true
+			}
+		}
+	}
+	if p {
+		// Field by field: a composite literal is built on the stack and
+		// copied in wide moves that stall on its narrow stores.
+		e := q.at(offset)
+		e.lo, e.hi, e.origin, e.order = lo, hi, opID, q.base+offset
+		e.valid, e.byStore = true, isStore
+		q.mark(offset, isStore)
+		if offset+1 > q.top {
+			q.top = offset + 1
+		}
+	}
+	return Conflict{}, false
+}
+
+// onMemScan is OnMemV over the physical slots.
+func (q *OrderedQueue) onMemScan(opID int, isStore, p, c bool, offset int, lo, hi uint64) (Conflict, bool) {
 	if c && offset < q.top {
 		// Walk physical slots incrementally (one modulo before the loop,
 		// none inside) and stop at top, past which no valid in-window
@@ -143,9 +230,43 @@ func (q *OrderedQueue) OnMemV(opID int, isStore, p, c bool, offset int, lo, hi u
 	return Conflict{}, false
 }
 
+// toScan moves the queue to the scan path for the rest of the region:
+// it clears every slot whose window bit is clear, so the slots hold
+// exactly the valid registers the scan expects.
+func (q *OrderedQueue) toScan() {
+	if q.scan {
+		return
+	}
+	for k := range q.regs {
+		if q.live>>uint(k)&1 == 0 {
+			*q.at(k) = entry{}
+		}
+	}
+	q.scan = true
+}
+
 // Rotate implements Detector: the first n registers of the window are
 // cleared and become free registers at the end of the queue (§3.2).
 func (q *OrderedQueue) Rotate(n int) {
+	if n < 0 {
+		q.toScan()
+	}
+	if q.scan {
+		q.rotateScan(n)
+		return
+	}
+	q.live >>= uint(n)
+	q.stores >>= uint(n)
+	q.base += n
+	q.phase = q.base % len(q.regs)
+	q.top -= n
+	if q.top < 0 {
+		q.top = 0
+	}
+}
+
+// rotateScan is Rotate over the physical slots.
+func (q *OrderedQueue) rotateScan(n int) {
 	for i := 0; i < n && i < len(q.regs); i++ {
 		*q.slot(q.base + i) = entry{}
 	}
@@ -161,6 +282,38 @@ func (q *OrderedQueue) Rotate(n int) {
 // AMov implements Detector (§3.3): the access range at offset src moves to
 // offset dst; src==dst only cleans up.
 func (q *OrderedQueue) AMov(src, dst int) {
+	n := len(q.regs)
+	if dst < 0 || dst >= n || q.base+src < 0 {
+		q.toScan()
+	}
+	if q.scan {
+		q.amovScan(src, dst)
+		return
+	}
+	// src names the physical slot (base+src) mod N, the one at window
+	// position src mod N.
+	ks := src % n
+	if ks < 0 {
+		ks += n
+	}
+	bit := uint64(1) << uint(ks)
+	live, byStore := q.live&bit != 0, q.stores&bit != 0
+	q.live &^= bit
+	q.stores &^= bit
+	if src == dst || !live {
+		return
+	}
+	e := *q.at(ks)
+	e.order = q.base + dst
+	*q.at(dst) = e
+	q.mark(dst, byStore)
+	if dst+1 > q.top {
+		q.top = dst + 1
+	}
+}
+
+// amovScan is AMov over the physical slots.
+func (q *OrderedQueue) amovScan(src, dst int) {
 	se := q.slot(q.base + src)
 	e := *se
 	*se = entry{}
@@ -179,13 +332,16 @@ func (q *OrderedQueue) AMov(src, dst int) {
 	}
 }
 
-// Reset implements Detector.
+// Reset implements Detector. On the bitmap path it clears the bitmaps
+// only: every slot is dead once its bit is, and the scan path is entered
+// only through toScan, which clears the dead slots.
 func (q *OrderedQueue) Reset() {
-	for i := range q.regs {
-		q.regs[i] = entry{}
+	if q.scan {
+		clear(q.regs)
+		q.scan = len(q.regs) > maxBitmapRegs
 	}
-	q.base = 0
-	q.top = 0
+	q.live, q.stores = 0, 0
+	q.base, q.phase, q.top = 0, 0, 0
 }
 
 // Base exposes the BASE pointer for tests.
@@ -212,11 +368,7 @@ func (a *ALAT) Name() string { return "alat" }
 
 // OnMem implements Detector.
 func (a *ALAT) OnMem(opID int, isStore, p, c bool, offset int, _ uint16, lo, hi uint64) *Conflict {
-	conf, hit := a.OnMemV(opID, isStore, p, c, lo, hi)
-	if !hit {
-		return nil
-	}
-	return &conf
+	return conflictRef(a.OnMemV(opID, isStore, p, c, lo, hi))
 }
 
 // OnMemV is the allocation-free concrete-type form of OnMem (see

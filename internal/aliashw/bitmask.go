@@ -1,5 +1,7 @@
 package aliashw
 
+import "math/bits"
+
 // Bitmask is the Transmeta-Efficeon-like scheme (§2.2): each memory
 // operation may set one alias register and name the individual registers
 // it checks through a bit-mask encoded in the instruction. The encoding
@@ -11,7 +13,10 @@ package aliashw
 // reference model: precise (no false positives) and store-capable, but not
 // scalable.
 type Bitmask struct {
-	regs    []entry
+	regs []entry
+	// valid has bit r set iff register r holds a range; a register whose
+	// bit is clear is empty whatever its slot still holds.
+	valid   uint16
 	checked uint64
 }
 
@@ -35,49 +40,35 @@ func (b *Bitmask) NumRegs() int { return len(b.regs) }
 
 // Set records the executing op's range in register r.
 func (b *Bitmask) Set(opID int, isStore bool, r int, lo, hi uint64) {
-	b.regs[r] = entry{valid: true, lo: lo, hi: hi, byStore: isStore, origin: opID}
+	e := &b.regs[r] // field by field, as in OrderedQueue.OnMemV
+	e.lo, e.hi, e.origin, e.order = lo, hi, opID, 0
+	e.valid, e.byStore = true, isStore
+	b.valid |= 1 << uint(r)
 }
 
 // Check tests the registers selected by mask against [lo, hi) and returns
 // a conflict if any overlaps. Only the registers named in the mask are
 // examined — the precision Efficeon buys with encoding bits.
 func (b *Bitmask) Check(opID int, mask uint16, lo, hi uint64) *Conflict {
-	conf, hit := b.OnMemV(opID, false, false, true, 0, mask, lo, hi)
-	if !hit {
-		return nil
-	}
-	return &conf
+	return conflictRef(b.OnMemV(opID, false, false, true, 0, mask, lo, hi))
 }
 
 // Reset clears all registers.
-func (b *Bitmask) Reset() {
-	for i := range b.regs {
-		b.regs[i] = entry{}
-	}
-}
+func (b *Bitmask) Reset() { b.valid = 0 }
 
 // OnMem implements Detector: a C op checks the registers its mask names
 // (check before set), then a P op records its range in register offset.
 func (b *Bitmask) OnMem(opID int, isStore, p, c bool, offset int, mask uint16, lo, hi uint64) *Conflict {
-	conf, hit := b.OnMemV(opID, isStore, p, c, offset, mask, lo, hi)
-	if !hit {
-		return nil
-	}
-	return &conf
+	return conflictRef(b.OnMemV(opID, isStore, p, c, offset, mask, lo, hi))
 }
 
 // OnMemV is the allocation-free concrete-type form of OnMem (see
 // OrderedQueue.OnMemV).
 func (b *Bitmask) OnMemV(opID int, isStore, p, c bool, offset int, mask uint16, lo, hi uint64) (Conflict, bool) {
 	if c {
-		for r := 0; r < len(b.regs); r++ {
-			if mask&(1<<uint(r)) == 0 {
-				continue
-			}
-			e := b.regs[r]
-			if !e.valid {
-				continue
-			}
+		// Walk the named registers that hold a range, lowest first.
+		for m := mask & b.valid; m != 0; m &= m - 1 {
+			e := &b.regs[bits.TrailingZeros16(m)]
 			b.checked++
 			if overlaps(lo, hi, e.lo, e.hi) {
 				return Conflict{Checker: opID, Origin: e.origin}, true

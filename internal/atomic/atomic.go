@@ -97,15 +97,50 @@ func (r *Region) Store(addr uint64, size int, val uint64) error {
 	if r.Finished() {
 		return ErrFinished
 	}
-	old, err := r.mem.Load(addr, size)
-	if err != nil {
-		return err
-	}
-	if err := r.mem.Store(addr, size, val); err != nil {
-		return err
+	old, ok := swapPage(r.mem.Pages(), addr, size, val)
+	if !ok {
+		var err error
+		if old, err = r.mem.Load(addr, size); err != nil {
+			return err
+		}
+		if err := r.mem.Store(addr, size, val); err != nil {
+			return err
+		}
 	}
 	r.undo = append(r.undo, undoRec{addr: addr, size: size, old: old})
 	return nil
+}
+
+// swapPage is Store's fast path: an access inside one allocated page
+// reads the old bytes and writes the new ones in place, through the
+// guest.PageLoad/PageStore functions. Anything else (an unallocated page,
+// a page-crossing access, the tail, a fault, a bad width) it declines
+// with no side effects, and Store takes the Memory.Load/Memory.Store
+// path, which handles all of those.
+func swapPage(pages []*guest.Page, addr uint64, size int, val uint64) (uint64, bool) {
+	switch size {
+	case 1:
+		if old, ok := guest.PageLoad1(pages, addr); ok {
+			guest.PageStore1(pages, addr, val)
+			return old, true
+		}
+	case 2:
+		if old, ok := guest.PageLoad2(pages, addr); ok {
+			guest.PageStore2(pages, addr, val)
+			return old, true
+		}
+	case 4:
+		if old, ok := guest.PageLoad4(pages, addr); ok {
+			guest.PageStore4(pages, addr, val)
+			return old, true
+		}
+	case 8:
+		if old, ok := guest.PageLoad8(pages, addr); ok {
+			guest.PageStore8(pages, addr, val)
+			return old, true
+		}
+	}
+	return 0, false
 }
 
 // StoreCount reports how many store records the region's undo log has

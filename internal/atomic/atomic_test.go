@@ -295,3 +295,40 @@ func TestReusedRegionPanics(t *testing.T) {
 	expectPanic("Rollback", r.Rollback)
 	expectPanic("Commit", r.Commit)
 }
+
+// TestStoreMatchesMemory holds Store to what Memory.Store does at every
+// width, on both of its paths: inside an allocated page (the page fast
+// path), and in a page never stored to, across a page boundary and in the
+// tail (the Memory.Load/Store fallback). Rollback must then restore the
+// original bytes.
+func TestStoreMatchesMemory(t *testing.T) {
+	const size = 2*guest.PageSize + 40
+	filled := func() *guest.Memory {
+		m := guest.NewMemory(size)
+		if err := m.Store(8, 8, 0x0102030405060708); err != nil { // allocates page 0
+			t.Fatal(err)
+		}
+		return m
+	}
+	const val = 0xf1e2d3c4b5a69788
+	for _, width := range []int{1, 2, 4, 8} {
+		for _, addr := range []uint64{6, guest.PageSize + 8, guest.PageSize - 3, 2*guest.PageSize + 8} {
+			mem, want := filled(), filled()
+			before := mem.Digest()
+			r := Begin(&guest.State{}, mem)
+			if err := r.Store(addr, width, val); err != nil {
+				t.Fatalf("%d-byte store at %#x: %v", width, addr, err)
+			}
+			if err := want.Store(addr, width, val); err != nil {
+				t.Fatal(err)
+			}
+			if mem.Digest() != want.Digest() {
+				t.Errorf("%d-byte store at %#x: memory differs from Memory.Store's", width, addr)
+			}
+			r.Rollback()
+			if mem.Digest() != before {
+				t.Errorf("%d-byte store at %#x: rollback left the memory changed", width, addr)
+			}
+		}
+	}
+}

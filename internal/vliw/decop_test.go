@@ -121,6 +121,8 @@ func TestChecksumCoversPackedFields(t *testing.T) {
 		{"p bit", load, func(d *decOp) { d.flags ^= flagP }},
 		{"c bit", store, func(d *decOp) { d.flags ^= flagC }},
 		{"on-trace taken", guard, func(d *decOp) { d.flags ^= flagOnTraceTaken }},
+		{"fused opcode", load, func(d *decOp) { d.xop = xLd4 }},
+		{"fused file", store, func(d *decOp) { d.xop = xSt8 }},
 	}
 	clean, _ := packedRegion(t)
 	sum := clean.Checksum()
@@ -134,6 +136,109 @@ func TestChecksumCoversPackedFields(t *testing.T) {
 			}
 			if cr.Checksum() == sum {
 				t.Errorf("flipping the %s of slot %d left the checksum at %#x", tc.name, tc.slot, sum)
+			}
+		})
+	}
+	for _, tc := range []struct {
+		name string
+		flip func(cr *CompiledRegion)
+	}{
+		{"int live-out mask", func(cr *CompiledRegion) { cr.intLive ^= 1 << 3 }},
+		{"float live-out mask", func(cr *CompiledRegion) { cr.floatLive ^= 1 << 31 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cr, _ := packedRegion(t)
+			tc.flip(cr)
+			if cr.Checksum() == sum {
+				t.Errorf("flipping a bit of the %s left the checksum at %#x", tc.name, sum)
+			}
+		})
+	}
+}
+
+// TestDecodeFusesAndMasks checks what decode and Compile add for the
+// executor: each op's fused opcode is the one its kind, guest opcode,
+// width and register file name, and the live-out masks hold exactly the
+// registers whose live-out vreg is not their untouched live-in vreg.
+func TestDecodeFusesAndMasks(t *testing.T) {
+	cr, _ := packedRegion(t)
+	want := []xop{xLi, xAddi, xFLi, xLd8, xFSt8, xBlt, xRotate, xAMov}
+	for i, x := range want {
+		if got := cr.dec[i].xop; got != x {
+			t.Errorf("slot %d fused to %v, want %v", i, got, x)
+		}
+	}
+	// packedRegion maps every register to its live-in vreg and writes
+	// none of them: a commit writes nothing back.
+	if cr.intLive != 0 || cr.floatLive != 0 {
+		t.Errorf("live-out masks %#x/%#x, want 0/0", cr.intLive, cr.floatLive)
+	}
+
+	const v = ir.VReg(2 * guest.NumRegs)
+	ops := []*ir.Op{
+		{Kind: ir.Arith, GOp: guest.Li, Dst: 3, Imm: 1},                                        // writes r3's live-in vreg
+		{Kind: ir.Arith, GOp: guest.FLi, Dst: ir.LiveInFloat(5), DstFloat: true},               // and f5's
+		{Kind: ir.Arith, GOp: guest.CvtFI, Dst: 7, Srcs: []ir.VReg{v}, SrcFloat: []bool{true}}, // an int write from a float op
+		{Kind: ir.Copy, Dst: 9, DstFloat: true, Srcs: []ir.VReg{v}, SrcFloat: []bool{true}},    // float file: not r9
+		{Kind: ir.Arith, GOp: guest.Li, Dst: ir.LiveInFloat(11), Imm: 2},                       // int file: not f11
+		{Kind: ir.Arith, GOp: guest.Nop, Dst: 13},                                              // writes nothing
+		{Kind: ir.Arith, GOp: guest.FAdd, Dst: v, DstFloat: true, Srcs: []ir.VReg{v, v}, SrcFloat: []bool{true, true}},
+	}
+	for i, op := range ops {
+		op.ID = i
+		op.AROffset = -1
+	}
+	reg := &ir.Region{NumVRegs: int(v) + 1}
+	for r := 0; r < guest.NumRegs; r++ {
+		reg.IntOut[r] = ir.LiveInInt(guest.Reg(r))
+		reg.FloatOut[r] = ir.LiveInFloat(guest.Reg(r))
+	}
+	reg.IntOut[20] = ir.LiveInInt(21) // a renamed register
+	reg.FloatOut[30] = v              // a computed one
+	cr = DefaultConfig().Compile(ops, reg, len(ops))
+	if err := cr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if want := uint32(1<<3 | 1<<7 | 1<<20); cr.intLive != want {
+		t.Errorf("int live-out mask %#x, want %#x", cr.intLive, want)
+	}
+	if want := uint32(1<<5 | 1<<30); cr.floatLive != want {
+		t.Errorf("float live-out mask %#x, want %#x", cr.floatLive, want)
+	}
+}
+
+// TestValidateRejectsFusedMismatch corrupts one op's fused opcode, or a
+// field it is decoded from, or a live-out mask, and requires Validate to
+// reject each: validated code never reaches the executor's default arm or
+// runs an arm its fields do not name, and never skips a write-back.
+func TestValidateRejectsFusedMismatch(t *testing.T) {
+	const (
+		li, addi, fli, load, store, guard = 0, 1, 2, 3, 4, 5
+	)
+	cases := []struct {
+		name string
+		flip func(cr *CompiledRegion)
+	}{
+		{"zero fused opcode", func(cr *CompiledRegion) { cr.dec[li].xop = xBad }},
+		{"fused opcode past the last", func(cr *CompiledRegion) { cr.dec[li].xop = numXops }},
+		{"fused opcode of another arith op", func(cr *CompiledRegion) { cr.dec[addi].xop = xMuli }},
+		{"fused opcode of another kind", func(cr *CompiledRegion) { cr.dec[guard].xop = xFLi }},
+		{"kind", func(cr *CompiledRegion) { cr.dec[load].kind = ir.Store }},
+		{"guest opcode", func(cr *CompiledRegion) { cr.dec[fli].gop = guest.FMov }},
+		{"guest opcode of another kind", func(cr *CompiledRegion) { cr.dec[guard].gop = guest.Add }},
+		{"width", func(cr *CompiledRegion) { cr.dec[load].memSize = 4 }},
+		{"load register file", func(cr *CompiledRegion) { cr.dec[load].flags ^= flagDstFloat }},
+		{"store register file", func(cr *CompiledRegion) { cr.dec[store].flags ^= flagSrcFloat0 }},
+		{"missing source", func(cr *CompiledRegion) { cr.dec[addi].src0 = int32(ir.NoVReg) }},
+		{"write to a live-in the mask misses", func(cr *CompiledRegion) { cr.dec[li].dst = 4 }},
+		{"extra float live-out", func(cr *CompiledRegion) { cr.floatLive |= 1 << 2 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cr, _ := packedRegion(t)
+			tc.flip(cr)
+			if err := cr.Validate(); err == nil {
+				t.Error("Validate accepted the corrupted region")
 			}
 		})
 	}
@@ -178,7 +283,10 @@ func TestChecksumCoversEveryBit(t *testing.T) {
 		check(op("kind"), 8, func(b uint) { d.kind ^= 1 << b })
 		check(op("gop"), 8, func(b uint) { d.gop ^= 1 << b })
 		check(op("flags"), 8, func(b uint) { d.flags ^= 1 << b })
+		check(op("xop"), 8, func(b uint) { d.xop ^= 1 << b })
 	}
+	check("intLive", 32, func(b uint) { cr.intLive ^= 1 << b })
+	check("floatLive", 32, func(b uint) { cr.floatLive ^= 1 << b })
 	if cr.Checksum() != sum {
 		t.Fatal("the flips were not all undone")
 	}

@@ -3,23 +3,31 @@
 // Compile decodes the scheduled []*ir.Op sequence into a flat array of
 // decOp value structs, the only form of the code a CompiledRegion keeps,
 // so the steady-state execute loop walks contiguous memory with no per-op
-// pointer chasing. ExecContext holds the reusable execution state — the
-// virtual register files and one pooled atomic.Region — and is borrowed
-// per Run: the dynopt runtime takes one from a process-wide pool for each
-// System.Run call and returns it idle, so a committed region entry
-// performs zero heap allocations and a fresh System allocates none of
-// this state. The detector is devirtualized once per entry: a type
-// switch picks a concrete fast path (OrderedQueue/ALAT/Bitmask/None) and
-// conflicts come back by value, so the no-conflict path never allocates
-// either. The original *ir.Op-walking executor survives in the tests
-// (ref_test.go) as the reference semantics; a differential test holds the
-// two engines bit-identical.
+// pointer chasing. Each decoded op carries one fused execute opcode
+// (xop), chosen at decode from its kind, guest opcode, access width and
+// register file, so Execute costs one switch per op and every arm writes
+// the vreg files directly. The region also carries its live-out masks:
+// the guest registers a commit may change, the only ones it writes back.
+// ExecContext holds the reusable execution state — the virtual register
+// files and one pooled atomic.Region — and is borrowed per Run: the
+// dynopt runtime takes one from a process-wide pool for each System.Run
+// call and returns it idle, so a committed region entry performs zero
+// heap allocations and a fresh System allocates none of this state. The
+// detector is devirtualized once per entry: a type switch picks a
+// concrete fast path (OrderedQueue/ALAT/Bitmask/None), a memory op calls
+// it only when it has a P or C bit (or the detector must see every
+// access: the ALAT and a generic Detector), and conflicts come back by
+// value, so the no-conflict path never allocates either. The original
+// *ir.Op-walking executor survives in the tests (ref_test.go) as the
+// reference semantics; a differential test holds the two engines
+// bit-identical.
 
 package vliw
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"smarq/internal/aliashw"
 	"smarq/internal/atomic"
@@ -31,7 +39,8 @@ import (
 // flattened out of ir.Op (and its Srcs/SrcFloat slices and *MemInfo) into
 // a 40-byte value struct. The kind-dependent operands share one word, imm,
 // and the five booleans share one byte, flags; both are read only through
-// the accessors below.
+// the accessors below. xop is what Execute dispatches on; kind, gop and
+// memSize stay for Validate, which requires xop to agree with them.
 //
 //	kind        imm holds
 //	Arith       the immediate; for FLi, the float's IEEE-754 bit pattern
@@ -55,6 +64,7 @@ type decOp struct {
 	kind  ir.Kind
 	gop   guest.Opcode
 	flags uint8
+	xop   xop
 }
 
 // decOp flag bits.
@@ -84,6 +94,9 @@ func (d *decOp) fimm() float64 { return math.Float64frombits(uint64(d.imm)) }
 // memOff is a Load's or Store's address offset.
 func (d *decOp) memOff() int64 { return d.imm }
 
+// addr is a Load's or Store's effective address.
+func (d *decOp) addr(vri []int64) uint64 { return uint64(vri[d.memBase] + d.memOff()) }
+
 // rotateAmount is a Rotate's amount.
 func (d *decOp) rotateAmount() int { return int(d.imm) }
 
@@ -93,10 +106,220 @@ func (d *decOp) amovOffsets() (src, dst int) { return int(int32(d.imm)), int(d.i
 // packAMov is the inverse of amovOffsets.
 func packAMov(src, dst int) int64 { return int64(uint32(int32(src))) | int64(dst)<<32 }
 
-// decode flattens a scheduled sequence into the executable form. Unknown
-// kinds fail at compile time rather than execution time.
-func decode(seq []*ir.Op) []decOp {
-	dec := make([]decOp, len(seq))
+// xop is a decoded op's fused execute opcode: one per Arith guest opcode,
+// Copy per register file, Load and Store per guest memory opcode (access
+// width × register file), Guard per branch opcode, Rotate and AMov. The
+// zero value decodes from nothing, so a zeroed or corrupted op fails
+// Validate instead of reaching Execute's default arm.
+type xop uint8
+
+const (
+	xBad xop = iota
+
+	// Arith, in guest opcode order.
+	xNop
+	xLi
+	xMov
+	xAdd
+	xSub
+	xMul
+	xDiv
+	xAnd
+	xOr
+	xXor
+	xShl
+	xShr
+	xAddi
+	xMuli
+	xSlt
+	xFLi
+	xFMov
+	xFAdd
+	xFSub
+	xFMul
+	xFDiv
+	xFNeg
+	xFAbs
+	xFSqrt
+	xCvtIF
+	xCvtFI
+
+	xCopy  // integer file
+	xFCopy // float file
+
+	xLd1
+	xLd2
+	xLd4
+	xLd8
+	xFLd8
+	xSt1
+	xSt2
+	xSt4
+	xSt8
+	xFSt8
+
+	xBeq
+	xBne
+	xBlt
+	xBge
+
+	xRotate
+	xAMov
+
+	numXops
+)
+
+// gopXops is the fused opcode of each guest opcode an Arith, Load, Store
+// or Guard op may carry.
+var gopXops = [...]xop{
+	guest.Nop: xNop, guest.Li: xLi, guest.Mov: xMov, guest.Add: xAdd, guest.Sub: xSub,
+	guest.Mul: xMul, guest.Div: xDiv, guest.And: xAnd, guest.Or: xOr, guest.Xor: xXor,
+	guest.Shl: xShl, guest.Shr: xShr, guest.Addi: xAddi, guest.Muli: xMuli, guest.Slt: xSlt,
+	guest.FLi: xFLi, guest.FMov: xFMov, guest.FAdd: xFAdd, guest.FSub: xFSub, guest.FMul: xFMul,
+	guest.FDiv: xFDiv, guest.FNeg: xFNeg, guest.FAbs: xFAbs, guest.FSqrt: xFSqrt,
+	guest.CvtIF: xCvtIF, guest.CvtFI: xCvtFI,
+	guest.Ld1: xLd1, guest.Ld2: xLd2, guest.Ld4: xLd4, guest.Ld8: xLd8, guest.FLd8: xFLd8,
+	guest.St1: xSt1, guest.St2: xSt2, guest.St4: xSt4, guest.St8: xSt8, guest.FSt8: xFSt8,
+	guest.Beq: xBeq, guest.Bne: xBne, guest.Blt: xBlt, guest.Bge: xBge,
+}
+
+// String names x after its guest opcode, or its kind where that has none.
+func (x xop) String() string {
+	switch x {
+	case xCopy:
+		return "copy"
+	case xFCopy:
+		return "fcopy"
+	case xRotate:
+		return "rotate"
+	case xAMov:
+		return "amov"
+	}
+	for gop, y := range gopXops {
+		if y == x && x != xBad {
+			return guest.Opcode(gop).String()
+		}
+	}
+	return fmt.Sprintf("xop(%d)", uint8(x))
+}
+
+// fuse returns the fused opcode of an op, or xBad when the fields do not
+// name one the executor runs: an Arith or Guard op's guest opcode must be
+// of its kind, and a Load's or Store's must be a memory opcode of its
+// direction whose access width and register file the op's memSize and
+// dstFloat (Load) or srcFloat0 (Store) flag repeat.
+func fuse(kind ir.Kind, gop guest.Opcode, memSize, flags uint8) xop {
+	switch kind {
+	case ir.Copy:
+		if flags&flagDstFloat != 0 {
+			return xFCopy
+		}
+		return xCopy
+	case ir.Rotate:
+		return xRotate
+	case ir.AMov:
+		return xAMov
+	}
+	if int(gop) >= len(gopXops) {
+		return xBad
+	}
+	x := gopXops[gop]
+	fileFlag := flagDstFloat
+	switch {
+	case kind == ir.Arith && x >= xNop && x <= xCvtFI, kind == ir.Guard && x >= xBeq && x <= xBge:
+		return x
+	case kind == ir.Load && x >= xLd1 && x <= xFLd8:
+	case kind == ir.Store && x >= xSt1 && x <= xFSt8:
+		fileFlag = flagSrcFloat0
+	default:
+		return xBad
+	}
+	if int(memSize) != gop.AccessSize() || (flags&fileFlag != 0) != gop.IsFloat() {
+		return xBad
+	}
+	return x
+}
+
+// Fused opcode properties: the vreg fields an op of the opcode uses,
+// each of which Validate requires present, and the register file it
+// writes at dst.
+const (
+	useDst uint8 = 1 << iota
+	useSrc0
+	useSrc1
+	useBase
+	writesInt
+	writesFloat
+)
+
+// xopProps holds each fused opcode's properties; Nop, Rotate and AMov
+// have none.
+var xopProps = func() [numXops]uint8 {
+	const (
+		i0  = useDst | writesInt
+		i1  = i0 | useSrc0
+		i2  = i1 | useSrc1
+		f0  = useDst | writesFloat
+		f1  = f0 | useSrc0
+		f2  = f1 | useSrc1
+		ld  = useDst | useBase | writesInt
+		fld = useDst | useBase | writesFloat
+		st  = useSrc0 | useBase
+		br  = useSrc0 | useSrc1
+	)
+	return [numXops]uint8{
+		xLi: i0, xMov: i1, xAdd: i2, xSub: i2, xMul: i2, xDiv: i2, xAnd: i2, xOr: i2, xXor: i2,
+		xShl: i2, xShr: i2, xAddi: i1, xMuli: i1, xSlt: i2, xCvtFI: i1, xCopy: i1,
+		xFLi: f0, xFMov: f1, xFAdd: f2, xFSub: f2, xFMul: f2, xFDiv: f2, xFNeg: f1, xFAbs: f1,
+		xFSqrt: f1, xCvtIF: f1, xFCopy: f1,
+		xLd1: ld, xLd2: ld, xLd4: ld, xLd8: ld, xFLd8: fld,
+		xSt1: st, xSt2: st, xSt4: st, xSt8: st, xFSt8: st,
+		xBeq: br, xBne: br, xBlt: br, xBge: br,
+	}
+}()
+
+// The live-out masks have one bit per guest register.
+var _ [32 - guest.NumRegs]struct{}
+
+// liveInWrites returns the live-in vreg d writes, if any, as a bit of
+// its file's register mask: the integer file's live-ins are vregs
+// [0, NumRegs), the float file's [NumRegs, 2*NumRegs).
+func (d *decOp) liveInWrites() (ints, floats uint32) {
+	switch props := xopProps[d.xop]; {
+	case props&writesInt != 0 && uint32(d.dst) < guest.NumRegs:
+		return 1 << uint(d.dst), 0
+	case props&writesFloat != 0 && uint32(d.dst-guest.NumRegs) < guest.NumRegs:
+		return 0, 1 << uint(d.dst-guest.NumRegs)
+	}
+	return 0, 0
+}
+
+// liveOutMasks returns the guest registers a commit writes back, given
+// the registers whose live-in vregs the stream writes (liveInWrites):
+// register r's bit is set unless its live-out vreg is its own live-in
+// vreg and no op writes that vreg, in which case the vreg still holds
+// the value Execute copied in from the guest state and the write-back
+// would store it unchanged.
+func liveOutMasks(intOut, floatOut *[guest.NumRegs]ir.VReg, intWritten, floatWritten uint32) (ints, floats uint32) {
+	ints, floats = intWritten, floatWritten
+	for r := 0; r < guest.NumRegs; r++ {
+		if intOut[r] != ir.LiveInInt(guest.Reg(r)) {
+			ints |= 1 << uint(r)
+		}
+		if floatOut[r] != ir.LiveInFloat(guest.Reg(r)) {
+			floats |= 1 << uint(r)
+		}
+	}
+	return ints, floats
+}
+
+// decode flattens a scheduled sequence into the executable form and
+// returns the live-in vregs it writes (liveInWrites). An op that fuses to
+// no execute opcode (an unknown kind, or a guest opcode, width or
+// register file its kind cannot carry) fails at compile time rather than
+// execution time.
+func decode(seq []*ir.Op) (dec []decOp, intWritten, floatWritten uint32) {
+	dec = make([]decOp, len(seq))
 	for i, op := range seq {
 		d := &dec[i]
 		d.id = int32(op.ID)
@@ -131,12 +354,15 @@ func decode(seq []*ir.Op) []decOp {
 			d.imm = int64(op.Amount)
 		case ir.AMov:
 			d.imm = packAMov(op.SrcOff, op.DstOff)
-		case ir.Copy, ir.Guard:
-		default:
-			panic(fmt.Sprintf("vliw: cannot decode op kind %v", op.Kind))
 		}
+		if d.xop = fuse(d.kind, d.gop, d.memSize, d.flags); d.xop == xBad {
+			panic(fmt.Sprintf("vliw: cannot decode %v op %d (opcode %s, %d-byte access)", op.Kind, op.ID, op.GOp, d.memSize))
+		}
+		ints, floats := d.liveInWrites()
+		intWritten |= ints
+		floatWritten |= floats
 	}
-	return dec
+	return dec, intWritten, floatWritten
 }
 
 // detKind tags the concrete detector type resolved once per region entry.
@@ -150,11 +376,22 @@ const (
 	detNone
 )
 
+// checkFlags are the decOp flags that make a memory op an alias-register
+// user; only those reach the ordered queue, the bit-mask file and None,
+// on which an op with neither bit has no effect.
+const checkFlags = flagP | flagC
+
 // detDispatch routes OnMem to the concrete detector without interface
 // dispatch on the hot path; the generic arm keeps third-party Detector
-// implementations working.
+// implementations working. It also keeps the entry's alias-register
+// occupancy high-water mark (telemetry).
 type detDispatch struct {
 	kind detKind
+	// all is set when every memory op must reach the detector: the ALAT
+	// checks every store whatever its bits, and a generic Detector may
+	// act on any call.
+	all  bool
+	arHW int32
 	oq   *aliashw.OrderedQueue
 	al   *aliashw.ALAT
 	bm   *aliashw.Bitmask
@@ -166,19 +403,25 @@ func dispatchFor(det aliashw.Detector) detDispatch {
 	case *aliashw.OrderedQueue:
 		return detDispatch{kind: detOrdered, oq: d, det: det}
 	case *aliashw.ALAT:
-		return detDispatch{kind: detALAT, al: d, det: det}
+		return detDispatch{kind: detALAT, all: true, al: d, det: det}
 	case *aliashw.Bitmask:
 		return detDispatch{kind: detBitmask, bm: d, det: det}
 	case aliashw.None:
 		return detDispatch{kind: detNone, det: det}
 	default:
-		return detDispatch{kind: detGeneric, det: det}
+		return detDispatch{kind: detGeneric, all: true, det: det}
 	}
 }
+
+// sees reports whether op's access must reach the detector.
+func (dd *detDispatch) sees(op *decOp) bool { return op.flags&checkFlags != 0 || dd.all }
 
 // onMem performs the alias check/set for one memory op, returning the
 // conflict by value (hit=false on the common no-conflict path).
 func (dd *detDispatch) onMem(op *decOp, isStore bool, lo, hi uint64) (aliashw.Conflict, bool) {
+	if op.p() && op.arOffset+1 > dd.arHW {
+		dd.arHW = op.arOffset + 1
+	}
 	switch dd.kind {
 	case detOrdered:
 		return dd.oq.OnMemV(int(op.id), isStore, op.p(), op.c(), int(op.arOffset), lo, hi)
@@ -196,8 +439,9 @@ func (dd *detDispatch) onMem(op *decOp, isStore bool, lo, hi uint64) (aliashw.Co
 	}
 }
 
-// rotate and amov are cold relative to OnMem but still devirtualized for
-// the ordered queue (the only hardware where they do anything).
+// rotate, amov and reset are cold relative to OnMem but still
+// devirtualized for the ordered queue (the only hardware where rotate
+// and amov do anything).
 func (dd *detDispatch) rotate(n int) {
 	if dd.kind == detOrdered {
 		dd.oq.Rotate(n)
@@ -212,6 +456,14 @@ func (dd *detDispatch) amov(src, dst int) {
 		return
 	}
 	dd.det.AMov(src, dst)
+}
+
+func (dd *detDispatch) reset() {
+	if dd.kind == detOrdered {
+		dd.oq.Reset()
+		return
+	}
+	dd.det.Reset()
 }
 
 // ExecContext is the reusable execution state, borrowed per Run: the
@@ -248,6 +500,28 @@ func (ctx *ExecContext) Detach() {
 	ctx.ar.Detach()
 }
 
+// abort rolls the entry back after op n and resets the detector.
+func (ctx *ExecContext) abort(dd *detDispatch, out Outcome, conf *aliashw.Conflict, n int) ExecResult {
+	buffered := ctx.ar.StoreCount()
+	ctx.ar.Rollback()
+	dd.reset()
+	ctx.busy = false
+	return ExecResult{Outcome: out, Conflict: conf, OpsExecuted: n,
+		ARHighWater: int(dd.arHW), StoresBuffered: buffered}
+}
+
+// aliasAbort is abort on an alias exception. The conflict is copied to
+// the heap here, on the exception path, never on the checking path.
+func (ctx *ExecContext) aliasAbort(dd *detDispatch, conf aliashw.Conflict, n int) ExecResult {
+	return ctx.abort(dd, AliasException, &conf, n)
+}
+
+// load is the slow path of a load the page fast path declined.
+func load(mem *guest.Memory, addr uint64, size int) (uint64, bool) {
+	v, err := mem.Load(addr, size)
+	return v, err == nil
+}
+
 // Execute runs a compiled region against the guest state, memory, and
 // alias detector, inside an atomic region. On anything but Commit the
 // architectural state is rolled back to the region entry and the detector
@@ -274,98 +548,223 @@ func (ctx *ExecContext) Execute(cr *CompiledRegion, st *guest.State, mem *guest.
 	clear(vrf[2*nr:])
 
 	dd := dispatchFor(det)
+	pages := mem.Pages()
 	dec := cr.dec
 
 	ctx.busy = true
 	ctx.ar.Begin(st, mem)
-	arHW := int32(0) // alias-register occupancy high-water (telemetry)
-	abort := func(out Outcome, conf *aliashw.Conflict, n int) ExecResult {
-		buffered := ctx.ar.StoreCount()
-		ctx.ar.Rollback()
-		det.Reset()
-		ctx.busy = false
-		return ExecResult{Outcome: out, Conflict: conf, OpsExecuted: n,
-			ARHighWater: int(arHW), StoresBuffered: buffered}
-	}
 
 	for n := range dec {
 		op := &dec[n]
-		switch op.kind {
-		case ir.Arith:
-			execArithDec(op, vri, vrf)
-
-		case ir.Copy:
-			if op.dstFloat() {
-				vrf[op.dst] = vrf[op.src0]
+		switch op.xop {
+		case xNop:
+		case xLi:
+			vri[op.dst] = op.imm
+		case xMov:
+			vri[op.dst] = vri[op.src0]
+		case xAdd:
+			vri[op.dst] = vri[op.src0] + vri[op.src1]
+		case xSub:
+			vri[op.dst] = vri[op.src0] - vri[op.src1]
+		case xMul:
+			vri[op.dst] = vri[op.src0] * vri[op.src1]
+		case xDiv:
+			if vri[op.src1] == 0 {
+				vri[op.dst] = 0
 			} else {
-				vri[op.dst] = vri[op.src0]
+				vri[op.dst] = vri[op.src0] / vri[op.src1]
 			}
+		case xAnd:
+			vri[op.dst] = vri[op.src0] & vri[op.src1]
+		case xOr:
+			vri[op.dst] = vri[op.src0] | vri[op.src1]
+		case xXor:
+			vri[op.dst] = vri[op.src0] ^ vri[op.src1]
+		case xShl:
+			vri[op.dst] = vri[op.src0] << (uint64(vri[op.src1]) & 63)
+		case xShr:
+			vri[op.dst] = vri[op.src0] >> (uint64(vri[op.src1]) & 63)
+		case xAddi:
+			vri[op.dst] = vri[op.src0] + op.imm
+		case xMuli:
+			vri[op.dst] = vri[op.src0] * op.imm
+		case xSlt:
+			if vri[op.src0] < vri[op.src1] {
+				vri[op.dst] = 1
+			} else {
+				vri[op.dst] = 0
+			}
+		case xFLi:
+			vrf[op.dst] = op.fimm()
+		case xFMov:
+			vrf[op.dst] = vrf[op.src0]
+		case xFAdd:
+			vrf[op.dst] = vrf[op.src0] + vrf[op.src1]
+		case xFSub:
+			vrf[op.dst] = vrf[op.src0] - vrf[op.src1]
+		case xFMul:
+			vrf[op.dst] = vrf[op.src0] * vrf[op.src1]
+		case xFDiv:
+			vrf[op.dst] = vrf[op.src0] / vrf[op.src1]
+		case xFNeg:
+			vrf[op.dst] = -vrf[op.src0]
+		case xFAbs:
+			vrf[op.dst] = math.Abs(vrf[op.src0])
+		case xFSqrt:
+			vrf[op.dst] = math.Sqrt(vrf[op.src0])
+		case xCvtIF:
+			vrf[op.dst] = float64(vri[op.src0])
+		case xCvtFI:
+			vri[op.dst] = int64(vrf[op.src0])
 
-		case ir.Load:
-			addr := uint64(vri[op.memBase] + op.memOff())
+		case xCopy:
+			vri[op.dst] = vri[op.src0]
+		case xFCopy:
+			vrf[op.dst] = vrf[op.src0]
+
+		// Loads: the alias check, then the page fast path, then
+		// Memory.Load for anything it declines (and the fault).
+		case xLd1:
+			addr := op.addr(vri)
+			if dd.sees(op) {
+				if conf, hit := dd.onMem(op, false, addr, addr+1); hit {
+					return ctx.aliasAbort(&dd, conf, n)
+				}
+			}
+			v, ok := guest.PageLoad1(pages, addr)
+			if !ok {
+				if v, ok = load(mem, addr, 1); !ok {
+					return ctx.abort(&dd, Fault, nil, n)
+				}
+			}
+			vri[op.dst] = int64(v)
+		case xLd2:
+			addr := op.addr(vri)
+			if dd.sees(op) {
+				if conf, hit := dd.onMem(op, false, addr, addr+2); hit {
+					return ctx.aliasAbort(&dd, conf, n)
+				}
+			}
+			v, ok := guest.PageLoad2(pages, addr)
+			if !ok {
+				if v, ok = load(mem, addr, 2); !ok {
+					return ctx.abort(&dd, Fault, nil, n)
+				}
+			}
+			vri[op.dst] = int64(v)
+		case xLd4:
+			addr := op.addr(vri)
+			if dd.sees(op) {
+				if conf, hit := dd.onMem(op, false, addr, addr+4); hit {
+					return ctx.aliasAbort(&dd, conf, n)
+				}
+			}
+			v, ok := guest.PageLoad4(pages, addr)
+			if !ok {
+				if v, ok = load(mem, addr, 4); !ok {
+					return ctx.abort(&dd, Fault, nil, n)
+				}
+			}
+			vri[op.dst] = int64(v)
+		case xLd8:
+			addr := op.addr(vri)
+			if dd.sees(op) {
+				if conf, hit := dd.onMem(op, false, addr, addr+8); hit {
+					return ctx.aliasAbort(&dd, conf, n)
+				}
+			}
+			v, ok := guest.PageLoad8(pages, addr)
+			if !ok {
+				if v, ok = load(mem, addr, 8); !ok {
+					return ctx.abort(&dd, Fault, nil, n)
+				}
+			}
+			vri[op.dst] = int64(v)
+		case xFLd8:
+			addr := op.addr(vri)
+			if dd.sees(op) {
+				if conf, hit := dd.onMem(op, false, addr, addr+8); hit {
+					return ctx.aliasAbort(&dd, conf, n)
+				}
+			}
+			v, ok := guest.PageLoad8(pages, addr)
+			if !ok {
+				if v, ok = load(mem, addr, 8); !ok {
+					return ctx.abort(&dd, Fault, nil, n)
+				}
+			}
+			vrf[op.dst] = math.Float64frombits(v)
+
+		// Stores: the alias check, then the atomic region's logged
+		// write-through.
+		case xSt1, xSt2, xSt4, xSt8:
+			addr := op.addr(vri)
 			size := int(op.memSize)
-			if op.p() && op.arOffset+1 > arHW {
-				arHW = op.arOffset + 1
+			if dd.sees(op) {
+				if conf, hit := dd.onMem(op, true, addr, addr+uint64(size)); hit {
+					return ctx.aliasAbort(&dd, conf, n)
+				}
 			}
-			if conf, hit := dd.onMem(op, false, addr, addr+uint64(size)); hit {
-				c := conf
-				return abort(AliasException, &c, n)
+			if err := ctx.ar.Store(addr, size, uint64(vri[op.src0])); err != nil {
+				return ctx.abort(&dd, Fault, nil, n)
 			}
-			bits, err := mem.Load(addr, size)
-			if err != nil {
-				return abort(Fault, nil, n)
+		case xFSt8:
+			addr := op.addr(vri)
+			if dd.sees(op) {
+				if conf, hit := dd.onMem(op, true, addr, addr+8); hit {
+					return ctx.aliasAbort(&dd, conf, n)
+				}
 			}
-			if op.dstFloat() {
-				vrf[op.dst] = math.Float64frombits(bits)
-			} else {
-				vri[op.dst] = int64(bits)
-			}
-
-		case ir.Store:
-			addr := uint64(vri[op.memBase] + op.memOff())
-			size := int(op.memSize)
-			if op.p() && op.arOffset+1 > arHW {
-				arHW = op.arOffset + 1
-			}
-			if conf, hit := dd.onMem(op, true, addr, addr+uint64(size)); hit {
-				c := conf
-				return abort(AliasException, &c, n)
-			}
-			var bits uint64
-			if op.srcFloat0() {
-				bits = math.Float64bits(vrf[op.src0])
-			} else {
-				bits = uint64(vri[op.src0])
-			}
-			if err := ctx.ar.Store(addr, size, bits); err != nil {
-				return abort(Fault, nil, n)
+			if err := ctx.ar.Store(addr, 8, math.Float64bits(vrf[op.src0])); err != nil {
+				return ctx.abort(&dd, Fault, nil, n)
 			}
 
-		case ir.Guard:
-			if evalGuardDec(op, vri) != op.onTraceTaken() {
-				return abort(GuardFail, nil, n)
+		// Guards: the region stays on trace while the branch goes the way
+		// it went when the region was formed.
+		case xBeq:
+			if (vri[op.src0] == vri[op.src1]) != op.onTraceTaken() {
+				return ctx.abort(&dd, GuardFail, nil, n)
+			}
+		case xBne:
+			if (vri[op.src0] != vri[op.src1]) != op.onTraceTaken() {
+				return ctx.abort(&dd, GuardFail, nil, n)
+			}
+		case xBlt:
+			if (vri[op.src0] < vri[op.src1]) != op.onTraceTaken() {
+				return ctx.abort(&dd, GuardFail, nil, n)
+			}
+		case xBge:
+			if (vri[op.src0] >= vri[op.src1]) != op.onTraceTaken() {
+				return ctx.abort(&dd, GuardFail, nil, n)
 			}
 
-		case ir.Rotate:
+		case xRotate:
 			dd.rotate(op.rotateAmount())
-
-		default: // ir.AMov — decode rejects anything else
+		case xAMov:
 			dd.amov(op.amovOffsets())
+
+		default: // decode never produces one, and Validate rejects it
+			panic(fmt.Sprintf("vliw: cannot execute fused opcode %v of slot %d", op.xop, n))
 		}
 	}
 
-	// Commit: write the live-out virtual registers back to the guest
-	// state, make the stores permanent, clear the detector.
-	for r := 0; r < guest.NumRegs; r++ {
+	// Commit: write the live-out virtual registers of the registers the
+	// region may change back to the guest state, make the stores
+	// permanent, clear the detector.
+	for m := cr.intLive; m != 0; m &= m - 1 {
+		r := bits.TrailingZeros32(m)
 		st.R[r] = vri[cr.IntOut[r]]
+	}
+	for m := cr.floatLive; m != 0; m &= m - 1 {
+		r := bits.TrailingZeros32(m)
 		st.F[r] = vrf[cr.FloatOut[r]]
 	}
 	buffered := ctx.ar.StoreCount()
 	ctx.ar.Commit()
-	det.Reset()
+	dd.reset()
 	ctx.busy = false
 	return ExecResult{Outcome: Commit, NextBlock: cr.FinalTarget, OpsExecuted: len(dec),
-		ARHighWater: int(arHW), StoresBuffered: buffered}
+		ARHighWater: int(dd.arHW), StoresBuffered: buffered}
 }
 
 // Execute is the context-free convenience entry point: it runs the region
@@ -376,89 +775,4 @@ func (ctx *ExecContext) Execute(cr *CompiledRegion, st *guest.State, mem *guest.
 func Execute(cr *CompiledRegion, st *guest.State, mem *guest.Memory, det aliashw.Detector) ExecResult {
 	var ctx ExecContext
 	return ctx.Execute(cr, st, mem, det)
-}
-
-// execArithDec evaluates a register-to-register op on the vreg files,
-// mirroring guest.Exec semantics (and execArith in machine.go exactly).
-func execArithDec(op *decOp, i []int64, f []float64) {
-	switch op.gop {
-	case guest.Nop:
-	case guest.Li:
-		i[op.dst] = op.imm
-	case guest.Mov:
-		i[op.dst] = i[op.src0]
-	case guest.Add:
-		i[op.dst] = i[op.src0] + i[op.src1]
-	case guest.Sub:
-		i[op.dst] = i[op.src0] - i[op.src1]
-	case guest.Mul:
-		i[op.dst] = i[op.src0] * i[op.src1]
-	case guest.Div:
-		if i[op.src1] == 0 {
-			i[op.dst] = 0
-		} else {
-			i[op.dst] = i[op.src0] / i[op.src1]
-		}
-	case guest.And:
-		i[op.dst] = i[op.src0] & i[op.src1]
-	case guest.Or:
-		i[op.dst] = i[op.src0] | i[op.src1]
-	case guest.Xor:
-		i[op.dst] = i[op.src0] ^ i[op.src1]
-	case guest.Shl:
-		i[op.dst] = i[op.src0] << (uint64(i[op.src1]) & 63)
-	case guest.Shr:
-		i[op.dst] = i[op.src0] >> (uint64(i[op.src1]) & 63)
-	case guest.Addi:
-		i[op.dst] = i[op.src0] + op.imm
-	case guest.Muli:
-		i[op.dst] = i[op.src0] * op.imm
-	case guest.Slt:
-		if i[op.src0] < i[op.src1] {
-			i[op.dst] = 1
-		} else {
-			i[op.dst] = 0
-		}
-	case guest.FLi:
-		f[op.dst] = op.fimm()
-	case guest.FMov:
-		f[op.dst] = f[op.src0]
-	case guest.FAdd:
-		f[op.dst] = f[op.src0] + f[op.src1]
-	case guest.FSub:
-		f[op.dst] = f[op.src0] - f[op.src1]
-	case guest.FMul:
-		f[op.dst] = f[op.src0] * f[op.src1]
-	case guest.FDiv:
-		f[op.dst] = f[op.src0] / f[op.src1]
-	case guest.FNeg:
-		f[op.dst] = -f[op.src0]
-	case guest.FAbs:
-		f[op.dst] = math.Abs(f[op.src0])
-	case guest.FSqrt:
-		f[op.dst] = math.Sqrt(f[op.src0])
-	case guest.CvtIF:
-		f[op.dst] = float64(i[op.src0])
-	case guest.CvtFI:
-		i[op.dst] = int64(f[op.src0])
-	default:
-		panic(fmt.Sprintf("vliw: cannot execute arith op %s", op.gop))
-	}
-}
-
-// evalGuardDec evaluates a guard's branch condition: true means "taken".
-func evalGuardDec(op *decOp, i []int64) bool {
-	a, b := i[op.src0], i[op.src1]
-	switch op.gop {
-	case guest.Beq:
-		return a == b
-	case guest.Bne:
-		return a != b
-	case guest.Blt:
-		return a < b
-	case guest.Bge:
-		return a >= b
-	default:
-		panic(fmt.Sprintf("vliw: guard with opcode %s", op.gop))
-	}
 }

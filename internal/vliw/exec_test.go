@@ -20,7 +20,10 @@ import (
 )
 
 // hwModes is every alias hardware mode, each with the detector dynopt
-// builds for it.
+// builds for it, plus the ordered queue and the ALAT behind a plain
+// Detector type, which the executor cannot devirtualize and so drives
+// through its generic arm (the ALAT there because it acts on stores
+// without a P or C bit).
 var hwModes = []struct {
 	name string
 	mode sched.HWMode
@@ -30,14 +33,20 @@ var hwModes = []struct {
 	{"alat", sched.HWALAT, func() aliashw.Detector { return aliashw.NewALAT() }},
 	{"bitmask15", sched.HWBitmask, func() aliashw.Detector { return aliashw.NewBitmask(15) }},
 	{"none", sched.HWNone, func() aliashw.Detector { return aliashw.None{} }},
+	{"generic-ordered64", sched.HWOrdered, func() aliashw.Detector { return plainDetector{aliashw.NewOrderedQueue(64)} }},
+	{"generic-alat", sched.HWALAT, func() aliashw.Detector { return plainDetector{aliashw.NewALAT()} }},
 }
+
+// plainDetector hides a detector's concrete type from the executor's
+// type switch.
+type plainDetector struct{ aliashw.Detector }
 
 // TestExecuteZeroAllocsOnCommit pins the steady-state commit path of the
 // pooled execution engine at zero heap allocations under every alias
-// hardware mode, each with the detector dynopt builds for it: after one
-// warm-up entry (which sizes the vreg files and undo log), a
-// full Begin/execute/Commit region entry must not touch the heap. Each
-// mode runs two regions: a straight-line block ending in halt, and the
+// hardware mode of hwModes, the generic arm included: after one warm-up
+// entry (which sizes the vreg files and undo log), a full
+// Begin/execute/Commit region entry must not touch the heap. Each mode
+// runs two regions: a straight-line block ending in halt, and the
 // store/load loop BenchmarkExecute times, entered at its loop head with a
 // limit that keeps the guard taken so every entry commits.
 func TestExecuteZeroAllocsOnCommit(t *testing.T) {
@@ -204,8 +213,11 @@ func randExecState(rng *rand.Rand) *guest.State {
 	}
 	for r := 1; r <= 4; r++ {
 		st.R[r] = int64(rng.Intn(1 << 12))
-		if rng.Intn(24) == 0 {
+		switch rng.Intn(24) {
+		case 0:
 			st.R[r] = 1 << 40 // faulting base
+		case 1, 2: // just below a page boundary: accesses straddle it
+			st.R[r] = int64(1+rng.Intn(3))*guest.PageSize - 1 - int64(rng.Intn(8))
 		}
 	}
 	if rng.Intn(3) == 0 { // force a genuine alias between two bases
@@ -216,20 +228,202 @@ func randExecState(rng *rand.Rand) *guest.State {
 	return st
 }
 
+// fillMem stores random words across a differential's 8 KiB memory,
+// one of them straddling each page boundary.
 func fillMem(mem *guest.Memory, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < 128; i++ {
 		_ = mem.Store(uint64(rng.Intn(1<<10))*8, 8, uint64(rng.Int63()))
 	}
+	for p := uint64(guest.PageSize); p < 1<<13; p += guest.PageSize {
+		_ = mem.Store(p-4, 8, uint64(rng.Int63()))
+	}
+}
+
+// diffEngines runs one region entry through both engines — the decoded
+// pooled one (ctx.Execute on cr) and the original ir.Op-walking executor
+// (ExecuteRef on the schedule cr was compiled from) — from the same entry
+// state and a memory filled from memSeed, each against its own detector
+// from newDet, and fails unless they agree op for op: outcome, next
+// block, conflict identity, ops executed, final registers bit for bit,
+// memory contents, and the detector's Checked() energy proxy. It returns
+// the decoded engine's result.
+func diffEngines(tb testing.TB, tag string, ctx *vliw.ExecContext, cr *vliw.CompiledRegion, seq []*ir.Op, reg *ir.Region,
+	entry *guest.State, memSeed int64, newDet func() aliashw.Detector) vliw.ExecResult {
+	tb.Helper()
+	stRef, stDec := *entry, *entry
+	memRef := guest.NewMemory(1 << 13)
+	memDec := guest.NewMemory(1 << 13)
+	fillMem(memRef, memSeed)
+	fillMem(memDec, memSeed)
+	detRef, detDec := newDet(), newDet()
+
+	resRef := vliw.ExecuteRef(seq, reg, &stRef, memRef, detRef)
+	resDec := ctx.Execute(cr, &stDec, memDec, detDec)
+
+	if resDec.Outcome != resRef.Outcome {
+		tb.Fatalf("%s: outcome %s, reference %s", tag, resDec.Outcome, resRef.Outcome)
+	}
+	if resDec.NextBlock != resRef.NextBlock || resDec.OpsExecuted != resRef.OpsExecuted {
+		tb.Fatalf("%s: next/ops = %d/%d, reference %d/%d", tag,
+			resDec.NextBlock, resDec.OpsExecuted, resRef.NextBlock, resRef.OpsExecuted)
+	}
+	if (resDec.Conflict == nil) != (resRef.Conflict == nil) {
+		tb.Fatalf("%s: conflict %v, reference %v", tag, resDec.Conflict, resRef.Conflict)
+	}
+	if resDec.Conflict != nil && *resDec.Conflict != *resRef.Conflict {
+		tb.Fatalf("%s: conflict %+v, reference %+v", tag, *resDec.Conflict, *resRef.Conflict)
+	}
+	for r := 0; r < guest.NumRegs; r++ {
+		if stDec.R[r] != stRef.R[r] || math.Float64bits(stDec.F[r]) != math.Float64bits(stRef.F[r]) {
+			tb.Fatalf("%s: r%d/f%d = %d/%v, reference %d/%v", tag, r, r, stDec.R[r], stDec.F[r], stRef.R[r], stRef.F[r])
+		}
+	}
+	if memDec.Digest() != memRef.Digest() {
+		tb.Fatalf("%s: memory digest diverged", tag)
+	}
+	if detDec.Checked() != detRef.Checked() {
+		tb.Fatalf("%s: Checked() = %d, reference %d", tag, detDec.Checked(), detRef.Checked())
+	}
+	// The reference leaves the telemetry fields zero; derive them from
+	// the schedule. The op an entry aborted at claimed its alias register
+	// before its check, but buffered no store.
+	var hw, stores int
+	for i := 0; i < len(seq) && i <= resDec.OpsExecuted; i++ {
+		if op := seq[i]; op.IsMem() && op.P && op.AROffset+1 > hw {
+			hw = op.AROffset + 1
+		}
+		if i < resDec.OpsExecuted && seq[i].Kind == ir.Store {
+			stores++
+		}
+	}
+	if resDec.ARHighWater != hw || resDec.StoresBuffered != stores {
+		tb.Fatalf("%s: alias-register high water %d and %d stores buffered, the schedule says %d and %d",
+			tag, resDec.ARHighWater, resDec.StoresBuffered, hw, stores)
+	}
+	return resDec
+}
+
+// coverProgram builds a counted loop whose body runs every guest opcode
+// randomRegionProgram leaves out — the whole ALU, both register files'
+// conversions, every access width, a dead store and two forwarded loads
+// (one per register file) — and exits through guard opcode exit: the
+// body's forward Beq stays off trace, and the loop-back branch is
+// Blt/Bne/Bge per exit. Entered with randExecState's registers, its
+// bases r1-r4, counter r5 and limit r7 mean what they mean there.
+func coverProgram(exit guest.Opcode) (*guest.Program, int) {
+	b := guest.NewBuilder()
+	b.NewBlock()
+	for i := 0; i < 4; i++ {
+		b.Li(guest.Reg(1+i), int64(1<<10)+int64(i)*512)
+	}
+	b.Li(5, 0)
+	b.Li(7, 50)
+	for r := 10; r <= 14; r++ {
+		b.Li(guest.Reg(r), int64(r)*8)
+	}
+	b.FLi(1, 0.5)
+	b.FLi(3, -2)
+	loop := b.NewBlock()
+	b.Li(20, -3)
+	b.Mov(15, 10)
+	b.Add(16, 10, 11)
+	b.Sub(17, 16, 12)
+	b.Mul(18, 17, 13)
+	b.Div(19, 18, 12)
+	b.Sub(22, 10, 10)
+	b.Div(21, 18, 22) // by zero
+	b.And(23, 16, 11)
+	b.Or(24, 16, 20)
+	b.Xor(25, 24, 14)
+	b.Shl(26, 15, 13)
+	b.Shr(27, 18, 11)
+	b.Muli(28, 10, -7)
+	b.Slt(29, 20, 15)
+	b.FLi(4, 1.5)
+	b.FMov(5, 1)
+	b.FSub(6, 5, 3)
+	b.FMul(7, 6, 4)
+	b.FDiv(8, 7, 3)
+	b.FNeg(9, 8)
+	b.FAbs(10, 9)
+	b.FSqrt(11, 10)
+	b.CvtIF(12, 28)
+	b.CvtFI(30, 8)
+	b.St1(1, 0, 25)
+	b.St2(1, 2, 26)
+	b.St4(1, 4, 27)
+	b.Ld1(10, 1, 0)
+	b.Ld2(11, 1, 2)
+	b.Ld4(12, 1, 4)
+	b.St8(2, 8, 18) // dead: the next store overwrites it
+	b.St8(2, 8, 16)
+	b.Ld8(13, 2, 8) // forwarded from the store above
+	b.FSt8(3, 16, 11)
+	b.FLd8(13, 3, 16) // forwarded from the store above
+	b.FAdd(1, 1, 13)
+	b.Beq(5, 20, 3) // r5 never reaches -3: off trace
+	b.NewBlock()
+	b.Addi(5, 5, 1)
+	switch exit {
+	case guest.Blt:
+		b.Blt(5, 7, loop)
+	case guest.Bne:
+		b.Bne(5, 7, loop)
+	default:
+		b.Bge(7, 5, loop)
+	}
+	b.NewBlock()
+	b.Halt()
+	return b.MustProgram(), loop
+}
+
+// edgeSchedule is a hand-built schedule for the ops region compilation
+// never emits on its own: the no-op an eliminated store leaves (the
+// scheduler drops it) and AMov moves, which the allocator inserts only to
+// break an anti-constraint cycle, including one whose destination falls
+// past the 64-register queue. Bases v1 and v2 are the entry's r1 and r2,
+// which randExecState sometimes makes equal, so the checking store can
+// hit the moved register.
+func edgeSchedule() ([]*ir.Op, *ir.Region) {
+	const v = ir.VReg(2 * guest.NumRegs)
+	ld := func(id int, dst, base ir.VReg, off int64, arOff int) *ir.Op {
+		return &ir.Op{ID: id, Kind: ir.Load, GOp: guest.Ld8, Dst: dst, Srcs: []ir.VReg{base}, SrcFloat: []bool{false},
+			Mem: &ir.MemInfo{Base: base, Off: off, Size: 8}, P: true, AROffset: arOff}
+	}
+	st := func(id int, val, base ir.VReg, off int64, arOff int) *ir.Op {
+		return &ir.Op{ID: id, Kind: ir.Store, GOp: guest.St8, Dst: ir.NoVReg, Srcs: []ir.VReg{val, base},
+			SrcFloat: []bool{false, false}, Mem: &ir.MemInfo{Base: base, Off: off, Size: 8}, C: true, AROffset: arOff}
+	}
+	seq := []*ir.Op{
+		ld(0, v, 1, 0, 0),
+		{ID: 1, Kind: ir.AMov, Dst: ir.NoVReg, SrcOff: 0, DstOff: 2, AROffset: -1},
+		{ID: 2, Kind: ir.Rotate, Dst: ir.NoVReg, Amount: 1, AROffset: -1},
+		st(3, 10, 2, 0, 0),
+		ld(4, v+1, 2, 8, 3),
+		{ID: 5, Kind: ir.AMov, Dst: ir.NoVReg, SrcOff: 3, DstOff: 64, AROffset: -1},
+		{ID: 6, Kind: ir.Rotate, Dst: ir.NoVReg, Amount: 2, AROffset: -1},
+		st(7, 11, 1, 8, 1),
+		{ID: 8, Kind: ir.Arith, GOp: guest.Nop, Dst: ir.NoVReg, AROffset: -1},
+		{ID: 9, Kind: ir.Arith, GOp: guest.Li, Dst: v + 2, Imm: 5, AROffset: -1},
+	}
+	reg := &ir.Region{NumVRegs: int(v) + 3, FinalTarget: 1}
+	for r := 0; r < guest.NumRegs; r++ {
+		reg.IntOut[r] = ir.LiveInInt(guest.Reg(r))
+		reg.FloatOut[r] = ir.LiveInFloat(guest.Reg(r))
+	}
+	reg.IntOut[3], reg.IntOut[4], reg.IntOut[6] = v, v+1, v+2
+	return seq, reg
 }
 
 // TestExecuteDecodedMatchesReference is the differential test between the
 // decoded pooled engine (ExecContext.Execute) and the original
 // ir.Op-walking executor (executeRef, run on the schedule the region was
-// compiled from): on random compiled programs across
-// all hardware modes and randomized entry states, both engines must agree
-// op-for-op — outcome, next block, conflict identity, ops executed, final
-// registers, memory contents, and the detector's Checked() energy proxy.
+// compiled from): on random compiled programs and the coverProgram loops,
+// across all hardware modes and randomized entry states, both engines
+// must agree op for op (diffEngines). Every fused execute opcode must be
+// executed at least once, so every arm of the executor's switch is
+// compared.
 func TestExecuteDecodedMatchesReference(t *testing.T) {
 	trials := 25
 	if testing.Short() {
@@ -239,65 +433,55 @@ func TestExecuteDecodedMatchesReference(t *testing.T) {
 	// exercises pooling hygiene (stale vregs, undo log, checkpoint reuse).
 	var ctx vliw.ExecContext
 	outcomes := map[vliw.Outcome]int{}
+	executed := make([]int, vliw.NumXops)
 
-	for trial := 0; trial < trials; trial++ {
-		seed := int64(4000 + trial)
-		for _, m := range hwModes {
-			// Rebuild the program per mode: translation annotates it.
-			prog, loop := randomRegionProgram(rand.New(rand.NewSource(seed)))
-			seq, reg, insts, err := fuzzSchedule(prog, loop, m.mode)
-			if err != nil {
-				t.Logf("trial %d/%s: skip (compile: %v)", trial, m.name, err)
-				continue
+	// entries runs six random entries of one compiled region under one
+	// mode and tallies the outcomes and the fused opcodes executed.
+	entries := func(name string, m int, cr *vliw.CompiledRegion, seq []*ir.Op, reg *ir.Region, seed int64) {
+		xops := vliw.Xops(cr)
+		rng := rand.New(rand.NewSource(seed * 31))
+		for entry := 0; entry < 6; entry++ {
+			tag := fmt.Sprintf("%s/%s entry %d", name, hwModes[m].name, entry)
+			res := diffEngines(t, tag, &ctx, cr, seq, reg, randExecState(rng), seed+int64(entry), hwModes[m].det)
+			outcomes[res.Outcome]++
+			// An abort's op ran up to the check that stopped it.
+			n := res.OpsExecuted
+			if res.Outcome != vliw.Commit {
+				n++
 			}
-			cr := vliw.DefaultConfig().Compile(seq, reg, insts)
-			rng := rand.New(rand.NewSource(seed * 31))
-			for entry := 0; entry < 6; entry++ {
-				stRef := randExecState(rng)
-				stDec := *stRef
-				memRef := guest.NewMemory(1 << 13)
-				memDec := guest.NewMemory(1 << 13)
-				fillMem(memRef, seed+int64(entry))
-				fillMem(memDec, seed+int64(entry))
-				detRef, detDec := m.det(), m.det()
-
-				resRef := vliw.ExecuteRef(seq, reg, stRef, memRef, detRef)
-				resDec := ctx.Execute(cr, &stDec, memDec, detDec)
-				outcomes[resDec.Outcome]++
-
-				id := func() string { return m.name }
-				if resDec.Outcome != resRef.Outcome {
-					t.Fatalf("trial %d/%s entry %d: outcome %s, reference %s",
-						trial, id(), entry, resDec.Outcome, resRef.Outcome)
-				}
-				if resDec.NextBlock != resRef.NextBlock || resDec.OpsExecuted != resRef.OpsExecuted {
-					t.Fatalf("trial %d/%s entry %d: next/ops = %d/%d, reference %d/%d",
-						trial, id(), entry, resDec.NextBlock, resDec.OpsExecuted,
-						resRef.NextBlock, resRef.OpsExecuted)
-				}
-				if (resDec.Conflict == nil) != (resRef.Conflict == nil) {
-					t.Fatalf("trial %d/%s entry %d: conflict %v, reference %v",
-						trial, id(), entry, resDec.Conflict, resRef.Conflict)
-				}
-				if resDec.Conflict != nil && *resDec.Conflict != *resRef.Conflict {
-					t.Fatalf("trial %d/%s entry %d: conflict %+v, reference %+v",
-						trial, id(), entry, *resDec.Conflict, *resRef.Conflict)
-				}
-				for r := 0; r < guest.NumRegs; r++ {
-					if stDec.R[r] != stRef.R[r] || stDec.F[r] != stRef.F[r] {
-						t.Fatalf("trial %d/%s entry %d: r%d/f%d = %d/%v, reference %d/%v",
-							trial, id(), entry, r, r, stDec.R[r], stDec.F[r], stRef.R[r], stRef.F[r])
-					}
-				}
-				if memDec.Digest() != memRef.Digest() {
-					t.Fatalf("trial %d/%s entry %d: memory digest diverged", trial, id(), entry)
-				}
-				if detDec.Checked() != detRef.Checked() {
-					t.Fatalf("trial %d/%s entry %d: Checked() = %d, reference %d",
-						trial, id(), entry, detDec.Checked(), detRef.Checked())
-				}
+			for _, x := range xops[:n] {
+				executed[x]++
 			}
 		}
+	}
+	run := func(name string, build func() (*guest.Program, int), seed int64) {
+		for m := range hwModes {
+			// Rebuild the program per mode: translation annotates it.
+			prog, loop := build()
+			seq, reg, insts, err := fuzzSchedule(prog, loop, hwModes[m].mode)
+			if err != nil {
+				t.Logf("%s/%s: skip (compile: %v)", name, hwModes[m].name, err)
+				continue
+			}
+			entries(name, m, vliw.DefaultConfig().Compile(seq, reg, insts), seq, reg, seed)
+		}
+	}
+	for trial := 0; trial < trials; trial++ {
+		seed := int64(4000 + trial)
+		run(fmt.Sprintf("trial %d", trial), func() (*guest.Program, int) {
+			return randomRegionProgram(rand.New(rand.NewSource(seed)))
+		}, seed)
+	}
+	for i, exit := range []guest.Opcode{guest.Blt, guest.Bne, guest.Bge} {
+		run("cover-"+exit.String(), func() (*guest.Program, int) { return coverProgram(exit) }, int64(5000+i))
+	}
+	seq, reg := edgeSchedule()
+	cr := vliw.DefaultConfig().Compile(seq, reg, len(seq))
+	if err := cr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for m := range hwModes {
+		entries("edge", m, cr, seq, reg, 6000)
 	}
 
 	// The differential is only meaningful if it drove every outcome class
@@ -315,13 +499,71 @@ func TestExecuteDecodedMatchesReference(t *testing.T) {
 	if outcomes[vliw.AliasException] == 0 {
 		t.Log("note: no alias exceptions driven (speculation never wrong)")
 	}
+	for x := 1; x < vliw.NumXops; x++ {
+		if executed[x] == 0 {
+			t.Errorf("fused opcode %s never executed", vliw.XopName(x))
+		}
+	}
 	t.Logf("outcomes: %v", outcomes)
+}
+
+// TestValidatedOperandsSuffice clears, one at a time, each vreg field of
+// every op of the coverProgram loops (which run every fused opcode the
+// scheduler emits) and requires Validate to reject the region or Execute
+// to run it from a committing entry without a panic: Validate demands
+// every operand an executor arm reads.
+func TestValidatedOperandsSuffice(t *testing.T) {
+	entry := guest.State{}
+	for i := 0; i < 4; i++ {
+		entry.R[1+i] = int64(1<<10) + int64(i)*512
+	}
+	entry.R[7] = 50
+	for r := 10; r <= 14; r++ {
+		entry.R[r] = int64(r) * 8
+	}
+	entry.F[1], entry.F[3] = 0.5, -2
+	fields := []string{"dst", "src0", "src1", "base"}
+	for _, exit := range []guest.Opcode{guest.Blt, guest.Bne, guest.Bge} {
+		for _, m := range hwModes[:4] {
+			prog, loop := coverProgram(exit)
+			seq, reg, insts, err := fuzzSchedule(prog, loop, m.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			machine := vliw.DefaultConfig()
+			st := entry
+			if res := vliw.Execute(machine.Compile(seq, reg, insts), &st, guest.NewMemory(1<<13), m.det()); res.Outcome != vliw.Commit {
+				t.Fatalf("%s/%s: the entry does not commit: %s", exit, m.name, res.Outcome)
+			}
+			for slot := range seq {
+				for field, name := range fields {
+					cr := machine.Compile(seq, reg, insts)
+					vliw.SetOperand(cr, slot, field, int32(ir.NoVReg))
+					if cr.Validate() != nil {
+						continue
+					}
+					func() {
+						defer func() {
+							if p := recover(); p != nil {
+								t.Errorf("%s/%s slot %d (%s): Validate accepts a missing %s, Execute panics: %v",
+									exit, m.name, slot, vliw.XopName(vliw.Xops(cr)[slot]), name, p)
+							}
+						}()
+						st := entry
+						vliw.Execute(cr, &st, guest.NewMemory(1<<13), m.det())
+					}()
+				}
+			}
+		}
+	}
 }
 
 // TestExecuteDecodedMatchesReferenceEdgeCases extends the differential to
 // the operands the decoded op shares one word between: an FLi of -0.0
 // and of a NaN with a payload (its immediate travels as a bit pattern)
-// and memory ops at a negative offset (a signed offset in that word).
+// and memory ops at a negative offset (a signed offset in that word);
+// and to loads across a page boundary, which the page fast path declines
+// and Memory.Load serves.
 // Both engines must agree bit for bit under every hardware mode, and the
 // decoded one must produce the exact bits the program wrote.
 func TestExecuteDecodedMatchesReferenceEdgeCases(t *testing.T) {
@@ -371,6 +613,24 @@ func TestExecuteDecodedMatchesReferenceEdgeCases(t *testing.T) {
 			}
 			if got, _ := mem.Load(1016, 8); got != 77 {
 				return fmt.Sprintf("mem[1016] = %d, want 77", got)
+			}
+			return ""
+		}},
+		{"page-crossing", func(b *guest.Builder) {
+			b.Li(1, guest.PageSize-3)
+			b.Li(2, -1)
+			b.St8(1, 0, 2)   // bytes 1021-1028, across the page boundary
+			b.Ld2(3, 1, 2)   // 1023-1024
+			b.Ld4(4, 1, 1)   // 1022-1025
+			b.Ld8(5, 1, 1)   // 1022-1029
+			b.FLd8(1, 1, -1) // 1020-1027
+		}, func(st *guest.State, mem *guest.Memory) string {
+			if st.R[3] != 0xffff || st.R[4] != 0xffff_ffff || st.R[5] != 0x00ff_ffff_ffff_ffff {
+				return fmt.Sprintf("r3, r4, r5 = %#x, %#x, %#x, want 0xffff, 0xffffffff, 0xffffffffffffff",
+					st.R[3], st.R[4], st.R[5])
+			}
+			if got := math.Float64bits(st.F[1]); got != 0xffff_ffff_ffff_ff00 {
+				return fmt.Sprintf("f1 bits %#x, want 0xffffffffffffff00", got)
 			}
 			return ""
 		}},

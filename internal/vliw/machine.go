@@ -76,6 +76,10 @@ type CompiledRegion struct {
 	// IntOut and FloatOut map each guest register to the vreg holding its
 	// value at commit.
 	IntOut, FloatOut [guest.NumRegs]ir.VReg
+	// intLive and floatLive are the live-out masks: bit r is set when a
+	// commit must write guest register r back (liveOutMasks), clear when
+	// the region leaves it as it found it.
+	intLive, floatLive uint32
 	// dec is the schedule decoded into a flat array of value structs, so
 	// the execute loop walks contiguous memory instead of chasing *ir.Op
 	// pointers (see exec.go).
@@ -88,26 +92,29 @@ type CompiledRegion struct {
 // nothing is retained — so they may be arena-backed and recycled as soon
 // as Compile returns.
 func (c Config) Compile(seq []*ir.Op, reg *ir.Region, guestInsts int) *CompiledRegion {
-	return &CompiledRegion{
+	dec, intWritten, floatWritten := decode(seq)
+	cr := &CompiledRegion{
 		Cycles:      c.CycleCount(seq, reg.NumVRegs),
 		GuestInsts:  guestInsts,
 		NumVRegs:    reg.NumVRegs,
 		FinalTarget: reg.FinalTarget,
 		IntOut:      reg.IntOut,
 		FloatOut:    reg.FloatOut,
-		dec:         decode(seq),
+		dec:         dec,
 	}
+	cr.intLive, cr.floatLive = liveOutMasks(&cr.IntOut, &cr.FloatOut, intWritten, floatWritten)
+	return cr
 }
 
 // Ops returns the number of ops in the decoded schedule — what one
 // complete execution retires.
 func (cr *CompiledRegion) Ops() int { return len(cr.dec) }
 
-// Bytes is the region's retained heap footprint: the struct itself plus
-// the decoded stream, which decode allocates at exact length. The result
-// depends only on the region's structure — never on addresses or host
-// state — so it is deterministic and safe to fold into cache-eviction
-// decisions.
+// Bytes is the region's retained heap footprint: the struct itself (the
+// live-out masks included) plus the decoded stream, which decode
+// allocates at exact length. The result depends only on the region's
+// structure — never on addresses or host state — so it is deterministic
+// and safe to fold into cache-eviction decisions.
 func (cr *CompiledRegion) Bytes() int64 {
 	return int64(unsafe.Sizeof(*cr)) + int64(len(cr.dec))*int64(unsafe.Sizeof(decOp{}))
 }

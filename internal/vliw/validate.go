@@ -34,16 +34,17 @@ func pair(a, b int32) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) 
 
 // flagBits packs a decoded op's narrow fields into one hashed word.
 func (d *decOp) flagBits() uint64 {
-	return uint64(d.arMask) | uint64(d.memSize)<<16 | uint64(d.kind)<<24 | uint64(d.gop)<<32 | uint64(d.flags)<<40
+	return uint64(d.arMask) | uint64(d.memSize)<<16 | uint64(d.kind)<<24 | uint64(d.gop)<<32 |
+		uint64(d.flags)<<40 | uint64(d.xop)<<48
 }
 
 // Checksum returns the word-wise FNV-1a content hash (fnvWord) of the
 // compiled region: every field of every decoded op (including the
-// alias-register annotations the executor trusts), the live-out maps,
-// the vreg count, the final target and the precomputed cycle cost. A
-// decoded op's packed operand word and flags byte are hashed as stored,
-// so every bit is covered whatever the op's kind makes it mean. Any
-// single-field corruption changes the hash.
+// alias-register annotations and the fused opcode the executor trusts),
+// the live-out maps and masks, the vreg count, the final target and the
+// precomputed cycle cost. A decoded op's packed operand word and flags
+// byte are hashed as stored, so every bit is covered whatever the op's
+// kind makes it mean. Any single-field corruption changes the hash.
 func (cr *CompiledRegion) Checksum() uint64 {
 	h := uint64(fnvOffset64)
 	h = fnvInt(h, cr.Cycles)
@@ -53,6 +54,7 @@ func (cr *CompiledRegion) Checksum() uint64 {
 	for r := 0; r < guest.NumRegs; r++ {
 		h = fnvWord(h, pair(int32(cr.IntOut[r]), int32(cr.FloatOut[r])))
 	}
+	h = fnvWord(h, pair(int32(cr.intLive), int32(cr.floatLive)))
 	h = fnvInt(h, int64(len(cr.dec)))
 	for i := range cr.dec {
 		d := &cr.dec[i]
@@ -66,13 +68,15 @@ func (cr *CompiledRegion) Checksum() uint64 {
 }
 
 // Validate checks the structural invariants a dispatchable compile result
-// must satisfy for Execute to run it without indexing out of bounds: the
-// schedule is non-empty, the vreg files hold the live-ins, every vreg a
-// decoded op or a live-out map names is in range, every operand its kind
-// reads is present, memory widths are real access widths, and the cycle
-// cost and guest instruction count are positive. It is the second
-// validation layer behind Checksum — corruption that predates the
-// checksum stamp must fail here.
+// must satisfy for Execute to run it without indexing out of bounds or
+// reaching its default arm: the schedule is non-empty, the vreg files
+// hold the live-ins, every op's fused opcode is the one its kind, guest
+// opcode, access width and register-file flags decode to, every vreg a
+// decoded op or a live-out map names is in range, every operand its
+// fused opcode uses is present, the live-out masks are the ones the
+// stream and maps imply, and the cycle cost and guest instruction count
+// are positive. It is the second validation layer behind Checksum —
+// corruption that predates the checksum stamp must fail here.
 func (cr *CompiledRegion) Validate() error {
 	if len(cr.dec) == 0 {
 		return fmt.Errorf("vliw: empty schedule")
@@ -86,42 +90,31 @@ func (cr *CompiledRegion) Validate() error {
 	if cr.GuestInsts <= 0 {
 		return fmt.Errorf("vliw: nonpositive guest instruction count %d", cr.GuestInsts)
 	}
-	nv := int32(cr.NumVRegs)
+	nv := uint32(cr.NumVRegs)
 	// ok reports whether v is absent (NoVReg) or names a vreg in range;
 	// set additionally requires it present.
-	ok := func(v int32) bool { return v == int32(ir.NoVReg) || (v >= 0 && v < nv) }
-	set := func(v int32) bool { return v >= 0 && v < nv }
+	ok := func(v int32) bool { return v == int32(ir.NoVReg) || uint32(v) < nv }
+	set := func(v int32) bool { return uint32(v) < nv }
+	var intWritten, floatWritten uint32
 	for i := range cr.dec {
 		d := &cr.dec[i]
 		if !ok(d.dst) || !ok(d.src0) || !ok(d.src1) {
 			return fmt.Errorf("vliw: schedule slot %d: vreg out of range [0,%d) (dst v%d, srcs v%d v%d)",
 				i, nv, d.dst, d.src0, d.src1)
 		}
-		switch d.kind {
-		case ir.Arith, ir.Rotate, ir.AMov:
-		case ir.Copy:
-			if !set(d.dst) || !set(d.src0) {
-				return fmt.Errorf("vliw: schedule slot %d: copy without both operands", i)
-			}
-		case ir.Guard:
-			if !set(d.src0) || !set(d.src1) {
-				return fmt.Errorf("vliw: schedule slot %d: guard without both operands", i)
-			}
-		case ir.Load, ir.Store:
-			if !set(d.memBase) {
-				return fmt.Errorf("vliw: schedule slot %d: memory base v%d out of range", i, d.memBase)
-			}
-			switch d.memSize {
-			case 1, 2, 4, 8:
-			default:
-				return fmt.Errorf("vliw: schedule slot %d: %d-byte memory access", i, d.memSize)
-			}
-			if d.kind == ir.Load && !set(d.dst) || d.kind == ir.Store && !set(d.src0) {
-				return fmt.Errorf("vliw: schedule slot %d: %v without its register operand", i, d.kind)
-			}
-		default:
-			return fmt.Errorf("vliw: schedule slot %d: unknown op kind %d", i, d.kind)
+		if x := fuse(d.kind, d.gop, d.memSize, d.flags); x == xBad || x != d.xop {
+			return fmt.Errorf("vliw: schedule slot %d: fused opcode %v, but a %v op with opcode %s, a %d-byte access and flags %05b decodes to %v",
+				i, d.xop, d.kind, d.gop, d.memSize, d.flags, x)
 		}
+		use := xopProps[d.xop]
+		if use&useDst != 0 && !set(d.dst) || use&useSrc0 != 0 && !set(d.src0) ||
+			use&useSrc1 != 0 && !set(d.src1) || use&useBase != 0 && !set(d.memBase) {
+			return fmt.Errorf("vliw: schedule slot %d: %v op without an operand it uses (dst v%d, srcs v%d v%d, base v%d)",
+				i, d.kind, d.dst, d.src0, d.src1, d.memBase)
+		}
+		ints, floats := d.liveInWrites()
+		intWritten |= ints
+		floatWritten |= floats
 	}
 	for r := 0; r < guest.NumRegs; r++ {
 		if v := int32(cr.IntOut[r]); !set(v) {
@@ -130,6 +123,9 @@ func (cr *CompiledRegion) Validate() error {
 		if v := int32(cr.FloatOut[r]); !set(v) {
 			return fmt.Errorf("vliw: live-out float f%d maps to v%d out of range", r, v)
 		}
+	}
+	if ints, floats := liveOutMasks(&cr.IntOut, &cr.FloatOut, intWritten, floatWritten); ints != cr.intLive || floats != cr.floatLive {
+		return fmt.Errorf("vliw: live-out masks %#x/%#x, the stream implies %#x/%#x", cr.intLive, cr.floatLive, ints, floats)
 	}
 	return nil
 }
