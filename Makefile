@@ -161,9 +161,10 @@ else
 endif
 
 # Fleet gate: 8 concurrent tenants over the process's compile pool and
-# the shared code cache, under the race detector pinned to 2 cores, with
-# every tenant's stats, guest registers and memory digest diffed against
-# its solo run (the fleet determinism contract). Tenants of one benchmark
+# the shared code cache, under the race detector pinned to 2 cores. Only
+# the cache counts what tenants share, so every tenant's stats, guest
+# registers and memory digest must equal its solo run's exactly, with
+# nothing scrubbed (the fleet determinism contract). Tenants of one benchmark
 # also share its one immutable program and decoded code, so this races
 # their first build and decode too. Every tenant's Run also borrows its
 # vreg files, undo log and alias detector from one process-wide pool, so
@@ -171,8 +172,10 @@ endif
 # internal/harness, internal/interp and internal/workload, the
 # executor-pool tests of internal/dynopt (ConcurrentBorrow,
 # SplitRunMatchesOneRun), its inline-fleet test (InlineFleet: tenants
-# whose compiles install at their request, over one shared cache), and
-# RunWaitsForItsJobs (no compile job of a queued System outlives its Run).
+# whose compiles install at their request, over one shared cache), its
+# warm-cache chaos test (FleetHitMatchesSolo), HostOrdinalsCountRequests
+# and RunWaitsForItsJobs (no compile job of a queued System outlives its
+# Run).
 fleet-smoke:
 	GOMAXPROCS=2 $(GO) run -race ./cmd/smarq-bench -tenants 8 \
 		-tenant-mix swim,equake -compile-workers 2 -fleet-verify >/dev/null

@@ -48,8 +48,8 @@ func analyze(t *testing.T, args ...string) *Report {
 func TestSyntheticTrace(t *testing.T) {
 	path := writeTrace(t, "synth.jsonl",
 		`{"cycle":0,"ev":"meta","name":"synth-cell"}`,
-		`{"cycle":100,"ev":"compile-enqueue","region":1,"tier":"full","cost":50,"depth":2,"memo":0}`,
-		`{"cycle":150,"ev":"compile-enqueue","region":2,"tier":"full","cost":50,"depth":3,"memo":0}`,
+		`{"cycle":100,"ev":"compile-enqueue","region":1,"tier":"full","cost":50,"depth":2}`,
+		`{"cycle":150,"ev":"compile-enqueue","region":2,"tier":"full","cost":50,"depth":3}`,
 		`{"cycle":180,"ev":"compile-cancel","region":2,"tier":"full"}`,
 		`{"cycle":300,"ev":"compile","region":1,"tier":"full","cost":10,"ops":5,"guest":5,"mem":1,"ws":0}`,
 		`{"cycle":310,"ev":"dispatch","region":1,"tier":"full"}`,
@@ -240,7 +240,7 @@ func TestMultiFileFleet(t *testing.T) {
 // invocations on the same trace.
 func TestDeterministicOutput(t *testing.T) {
 	path := writeTrace(t, "det.jsonl",
-		`{"cycle":100,"ev":"compile-enqueue","region":1,"tier":"full","cost":50,"depth":1,"memo":0}`,
+		`{"cycle":100,"ev":"compile-enqueue","region":1,"tier":"full","cost":50,"depth":1}`,
 		`{"cycle":200,"ev":"compile","region":1,"tier":"full","cost":10,"ops":5,"guest":5,"mem":1,"ws":0}`,
 		`{"cycle":300,"ev":"commit","region":1,"tier":"full","cost":40,"occupancy":1,"stores":2}`,
 	)
@@ -261,7 +261,7 @@ func TestDeterministicOutput(t *testing.T) {
 // TestTextReport spot-checks the human rendering.
 func TestTextReport(t *testing.T) {
 	path := writeTrace(t, "text.jsonl",
-		`{"cycle":100,"ev":"compile-enqueue","region":1,"tier":"full","cost":50,"depth":1,"memo":0}`,
+		`{"cycle":100,"ev":"compile-enqueue","region":1,"tier":"full","cost":50,"depth":1}`,
 		`{"cycle":200,"ev":"compile","region":1,"tier":"full","cost":10,"ops":5,"guest":5,"mem":1,"ws":0}`,
 		`{"cycle":400,"ev":"commit","region":1,"tier":"full","cost":100,"occupancy":1,"stores":2}`,
 		`{"cycle":500,"ev":"health","cause":"alias-storm","from":0,"to":1}`,

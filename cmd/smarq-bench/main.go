@@ -62,7 +62,6 @@ func main() {
 	tenantMix := flag.String("tenant-mix", "swim", "fleet mode: comma-separated benchmarks assigned to tenants round-robin")
 	fleetConfig := flag.String("fleet-config", "smarq64", "fleet mode: dynopt configuration every tenant runs under")
 	fleetVerify := flag.Bool("fleet-verify", false, "fleet mode: diff every tenant's results against its solo run; exit nonzero on divergence")
-	cacheEntries := flag.Int64("cache-entries", 0, "fleet mode: how many compile keys the shared code cache counts, LRU (0 = unbounded)")
 	listen := flag.String("listen", "", "fleet mode: serve the observability endpoints (/metrics, /healthz, /debug/*) at this address during the run")
 	flag.Parse()
 	if *compileWorkers < 0 {
@@ -79,12 +78,11 @@ func main() {
 	if *tenants > 0 {
 		runFleetMode(fleetOpts{
 			config: harness.FleetConfig{
-				Tenants:         *tenants,
-				Mix:             splitList(*tenantMix),
-				Config:          *fleetConfig,
-				CompileWorkers:  *compileWorkers,
-				CacheMaxEntries: *cacheEntries,
-				Scale:           *scale,
+				Tenants:        *tenants,
+				Mix:            splitList(*tenantMix),
+				Config:         *fleetConfig,
+				CompileWorkers: *compileWorkers,
+				Scale:          *scale,
 			},
 			verify:      *fleetVerify,
 			asJSON:      *asJSON,

@@ -13,9 +13,9 @@
 //     tens of lookups per run — so one lock costs nothing measurable and
 //     every Stats snapshot is mutually consistent.
 //   - Recency is a clock bumped under the mutex: every hit or insert
-//     stamps the entry with clock+1. An insert past the entry or byte
-//     budget evicts the minimum stamp until the cache fits. Stamps are
-//     unique, so the policy is exact LRU under any interleaving.
+//     stamps the entry with clock+1. An insert past the byte budget
+//     evicts the minimum stamp until the cache fits. Stamps are unique,
+//     so the policy is exact LRU under any interleaving.
 //   - Single-flight: the first Lookup to miss a key becomes the leader and
 //     receives a Flight to complete; concurrent misses on the same key
 //     receive the same Flight to wait on. A region being compiled by one
@@ -26,9 +26,8 @@
 //     while the key stays cached.
 //
 // Determinism: the cache never makes a simulated decision. Hit/miss
-// outcomes differ between a fleet run and a solo run, but dynopt charges a
-// hit exactly as a fresh compile, so per-tenant simulated results are
-// identical modulo the hit/miss counters themselves (proven by
+// outcomes differ between a fleet run and a solo run, but only the cache
+// counts them, so per-tenant simulated results are identical (proven by
 // harness.TestFleetTenantDeterminism).
 package codecache
 
@@ -45,8 +44,6 @@ type Key = compilequeue.Key
 
 // Options configures a Cache.
 type Options struct {
-	// MaxEntries bounds the cache in entries (0 = unbounded).
-	MaxEntries int64
 	// MaxBytes bounds the cache in payload bytes as reported by the size
 	// function (0 = unbounded).
 	MaxBytes int64
@@ -108,7 +105,7 @@ type Cache[K comparable, V any] struct {
 
 // NewKeyed returns an empty cache keyed by K. size reports the payload
 // bytes of a value for the byte budget; nil means every value counts as
-// zero bytes (only the entry budget applies).
+// zero bytes, so nothing is ever evicted.
 func NewKeyed[K comparable, V any](opts Options, size func(V) int64) *Cache[K, V] {
 	return &Cache[K, V]{
 		size:    size,
@@ -206,7 +203,7 @@ func (c *Cache[K, V]) Put(k K, v V) {
 
 // insertLocked stores v as k's entry e (a new entry, or k's flight entry,
 // which stops being a flight), then evicts least-recently-used entries
-// until both budgets hold. A value larger than the whole byte budget is
+// until the byte budget holds. A value larger than the whole byte budget is
 // admitted and then evicted with everything older. Caller holds c.mu.
 func (c *Cache[K, V]) insertLocked(k K, e *entry[V], v V) {
 	if prev, ok := c.entries[k]; ok && prev.flight == nil {
@@ -222,8 +219,7 @@ func (c *Cache[K, V]) insertLocked(k K, e *entry[V], v V) {
 	c.entries[k] = e
 	c.st.Entries++
 	c.st.Bytes += e.size
-	for (c.opts.MaxEntries > 0 && c.st.Entries > c.opts.MaxEntries) ||
-		(c.opts.MaxBytes > 0 && c.st.Bytes > c.opts.MaxBytes) {
+	for c.opts.MaxBytes > 0 && c.st.Bytes > c.opts.MaxBytes {
 		var (
 			vk   K
 			vmin int64 = 1<<63 - 1

@@ -30,18 +30,17 @@ type seqModel struct {
 	stamps  map[Key]int64
 	clock   int64
 	bytes   int64
-	maxEnt  int64
 	maxByte int64
 
 	hits, misses, evictions int64
 }
 
-func newSeqModel(maxEnt, maxByte int64) *seqModel {
+func newSeqModel(maxByte int64) *seqModel {
 	return &seqModel{
-		vals:   map[Key]int{},
-		sizes:  map[Key]int64{},
-		stamps: map[Key]int64{},
-		maxEnt: maxEnt, maxByte: maxByte,
+		vals:    map[Key]int{},
+		sizes:   map[Key]int64{},
+		stamps:  map[Key]int64{},
+		maxByte: maxByte,
 	}
 }
 
@@ -64,8 +63,7 @@ func (m *seqModel) put(k Key, v int, size int64) {
 	m.clock++
 	m.vals[k], m.sizes[k], m.stamps[k] = v, size, m.clock
 	m.bytes += size
-	for (m.maxEnt > 0 && int64(len(m.vals)) > m.maxEnt) ||
-		(m.maxByte > 0 && m.bytes > m.maxByte) {
+	for m.maxByte > 0 && m.bytes > m.maxByte {
 		m.evictOldest()
 	}
 }
@@ -91,29 +89,30 @@ func (m *seqModel) evictOldest() {
 // entry counts, byte totals and eviction counts after every step, and
 // identical hit/miss totals at the end. A missing lookup leads a flight
 // and settles it without inserting, as a failed compile does. The cases
-// cover an entry bound, a byte bound, both at once, capacity 1, no bound
-// at all (nothing is ever evicted), values weighing nothing (no size
-// function: the byte total stays 0), and values larger than the whole
-// byte budget (admitted, then evicted together with everything older,
-// leaving the cache empty but usable).
+// cover an entry bound (a byte bound over values of unit size), a byte
+// bound, capacity 1, no bound at all (nothing is ever evicted), values
+// weighing nothing (no size function: the byte total stays 0, so the
+// budget never fills), and values larger than the whole byte budget
+// (admitted, then evicted together with everything older, leaving the
+// cache empty but usable).
 func TestSequentialLRUOracle(t *testing.T) {
 	sized := func(v int) int64 { return int64(v%64 + 1) }
+	unit := func(int) int64 { return 1 }
 	for _, tc := range []struct {
-		name             string
-		maxEnt, maxBytes int64
-		size             func(int) int64
+		name     string
+		maxBytes int64
+		size     func(int) int64
 	}{
-		{"entries8", 8, 0, sized},
-		{"bytes200", 0, 200, sized},
-		{"both", 12, 400, sized},
-		{"cap1", 1, 0, sized},
-		{"unbounded", 0, 0, sized},
-		{"weightless", 2, 0, nil},
-		{"oversized", 0, 50, sized},
+		{"entries8", 8, unit},
+		{"bytes200", 200, sized},
+		{"cap1", 1, unit},
+		{"unbounded", 0, sized},
+		{"weightless", 2, nil},
+		{"oversized", 50, sized},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New[int](Options{MaxEntries: tc.maxEnt, MaxBytes: tc.maxBytes}, tc.size)
-			m := newSeqModel(tc.maxEnt, tc.maxBytes)
+			c := New[int](Options{MaxBytes: tc.maxBytes}, tc.size)
+			m := newSeqModel(tc.maxBytes)
 			rng := rand.New(rand.NewSource(42))
 			oversized := 0
 			for step := 0; step < 5000; step++ {
@@ -183,20 +182,19 @@ func TestSequentialLRUOracle(t *testing.T) {
 }
 
 // TestConcurrentTorture hammers one cache from 8 goroutines with random
-// puts, gets and single-flight lookups under a byte+entry budget; -race must
-// stay silent, values must never cross keys, and at quiescence the
-// budgets and the entry/byte accounting must be exact. Half the lookups
-// only read: their misses settle the flight without inserting.
+// puts, gets and single-flight lookups under a budget of 48 unit-size
+// values; -race must stay silent, values must never cross keys, and at
+// quiescence the budget and the entry/byte accounting must be exact. Half
+// the lookups only read: their misses settle the flight without inserting.
 func TestConcurrentTorture(t *testing.T) {
 	const (
 		goroutines = 8
 		steps      = 4000
 		keys       = 128
 		maxEntries = 48
-		maxBytes   = 2000
+		maxBytes   = maxEntries
 	)
-	c := New[int64](Options{MaxEntries: maxEntries, MaxBytes: maxBytes},
-		func(v int64) int64 { return v % 50 })
+	c := New[int64](Options{MaxBytes: maxBytes}, func(int64) int64 { return 1 })
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -404,7 +402,7 @@ func TestPutDuringFlight(t *testing.T) {
 // calling it twice must not double-count already-published increments.
 func TestPublishMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	c := New[int](Options{MaxEntries: 2}, nil)
+	c := New[int](Options{MaxBytes: 2}, func(int) int64 { return 1 })
 	for i := 0; i < 4; i++ {
 		c.Put(mkKey(i), i)
 	}
@@ -447,7 +445,7 @@ func TestCodecacheMetricsConcurrent(t *testing.T) {
 		iters   = 400
 	)
 	reg := telemetry.NewRegistry()
-	c := New[int](Options{MaxEntries: 48}, func(int) int64 { return 8 })
+	c := New[int](Options{MaxBytes: 48}, func(int) int64 { return 1 })
 
 	stop := make(chan struct{})
 	var monitor sync.WaitGroup

@@ -54,13 +54,12 @@ type CompileConfig struct {
 	// readyAt point. Every value >= 1 is the same program.
 	Workers int
 	// SharedCache, when non-nil, is the simulated shared code cache of a
-	// fleet: an LRU record of the exact compile inputs its tenants have
-	// requested. Every request looks its key up there, and the lookup is
-	// counted in MemoHits, MemoMisses and DedupeWaits, but the cache holds
-	// no code and decides nothing: the output store (outputStore) holds and
-	// single-flights every build. A hit is charged exactly like a fresh
-	// compile, so each tenant's simulated results are byte-identical to a
-	// solo run modulo those counters, at any Workers and any chaos.
+	// fleet: a record of the exact compile inputs its tenants have
+	// requested. Every request looks its key up there, and only the cache
+	// counts the lookup: it holds no code and decides nothing, and the
+	// output store (outputStore) holds and single-flights every build. So
+	// each tenant's simulated results are byte-identical to a solo run, at
+	// any Workers and any chaos.
 	SharedCache *CodeCache
 }
 
@@ -80,14 +79,6 @@ type CompileStats struct {
 	Installed int64
 	Canceled  int64
 	Failed    int64
-	// MemoHits/MemoMisses count lookups of the exact compile-input key
-	// in the shared fleet cache.
-	MemoHits   int64
-	MemoMisses int64
-	// DedupeWaits counts fleet-cache lookups that raced another tenant's
-	// lookup of the same key (shared cache only; every dedupe wait is also
-	// counted as a miss).
-	DedupeWaits int64
 	// WorkCycles is the simulated compile occupancy performed off the
 	// critical path (the latency model's cost per installed region). It
 	// is deliberately excluded from Stats.TotalCycles: hiding this work
@@ -256,11 +247,8 @@ type pendingCompile struct {
 	deadline   int64 // watchdog kill point: enqueue cycle + cost × watchdogFactor
 	// queued marks a compile with a latency: it enters the queue and
 	// installs at readyAt. Any other compile installs at its request.
-	queued bool
-	// memoHit and deduped are the request's fleet-cache lookup: a hit, or
-	// a miss that raced a peer's lookup of the key (countLookup).
-	memoHit, deduped bool
-	recompile        bool // old code still installed (promotion-style recompile)
+	queued    bool
+	recompile bool // old code still installed (promotion-style recompile)
 	// hung marks a chaos-injected compile hang: no job is submitted, and
 	// the pending entry is killed by the watchdog at deadline.
 	hung bool
@@ -632,27 +620,17 @@ func (s *System) drawHostFaults(entry int, rr *regionRecord, queued bool) hostFa
 	return hostFaults{}
 }
 
-// countLookup looks key up in the fleet cache and counts the hit or miss
-// in Stats. The cache only counts: a leader completes its entry at once,
-// so a miss that joins a flight (deduped) raced a peer's lookup of the
-// key, and the lookup never decides which job runs. Without a fleet cache
-// it counts nothing.
-func (s *System) countLookup(key compileKey) (hit, deduped bool) {
+// countLookup looks key up in the fleet cache, which counts it. A leader
+// completes its entry at once, so the lookup never decides which job runs
+// and leaves nothing in the System: fleet membership is invisible to a
+// tenant. Without a fleet cache it does nothing.
+func (s *System) countLookup(key compileKey) {
 	if s.cache == nil {
-		return false, false
+		return
 	}
-	_, hit, flight, leader := s.cache.Lookup(key)
-	switch {
-	case hit:
-		s.Stats.Compile.MemoHits++
-	case leader:
-		s.Stats.Compile.MemoMisses++
+	if _, _, flight, leader := s.cache.Lookup(key); leader {
 		s.cache.Complete(key, flight, struct{}{}, true)
-	default:
-		s.Stats.Compile.MemoMisses++
-		s.Stats.Compile.DedupeWaits++
 	}
-	return hit, !hit && !leader
 }
 
 // admitOutput decides whether a fresh compile result may be installed
@@ -766,7 +744,7 @@ func (s *System) enqueueCompile(entry int) error {
 		p.queued, p.readyAt, p.deadline = true, now+cost, now+cost*watchdogFactor
 	}
 	hf := s.drawHostFaults(entry, rr, p.queued)
-	p.memoHit, p.deduped = s.countLookup(in.key)
+	s.countLookup(in.key)
 	s.Stats.Compile.Enqueued++
 	var job compileJob
 	if hf.cause == telemetry.CauseNone {
@@ -870,7 +848,7 @@ func (s *System) queueCompile(p pendingCompile, job compileJob) {
 	if depth > s.Stats.Compile.MaxQueueDepth {
 		s.Stats.Compile.MaxQueueDepth = depth
 	}
-	s.tel.compileQueued(now, entry, s.tierOf(entry), p.readyAt-now, depth, p.memoHit)
+	s.tel.compileQueued(now, entry, s.tierOf(entry), p.readyAt-now, depth)
 }
 
 // cancelPending discards entry's pending compile, if any. The worker (if
@@ -946,9 +924,6 @@ func (s *System) installPending(p *pendingCompile) {
 	s.Stats.Compile.WorkCycles += p.readyAt - p.enqueuedAt
 	s.Stats.Compile.LatencySum += latency
 	s.tel.compileInstalled(latency)
-	if p.deduped {
-		s.tel.dedupeWaited(latency)
-	}
 	out := p.out
 	if err := s.admitOutput(p.entry, out); err != nil {
 		s.Stats.Compile.Failed++

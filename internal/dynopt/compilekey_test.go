@@ -322,12 +322,12 @@ func TestSharedCacheKeysOnMachine(t *testing.T) {
 			}
 			solo := map[bool]*System{}
 			for _, b := range []bool{true, false} {
-				solo[b] = run(b, NewCodeCache(0))
+				solo[b] = run(b, NewCodeCache())
 			}
 			if solo[true].Stats.TotalCycles == solo[false].Stats.TotalCycles {
 				t.Fatal("the two configurations run in the same cycles; the test cannot tell them apart")
 			}
-			shared := NewCodeCache(0)
+			shared := NewCodeCache()
 			for _, b := range []bool{false, true, false} {
 				got, want := run(b, shared), solo[b]
 				if got.Stats.TotalCycles != want.Stats.TotalCycles {

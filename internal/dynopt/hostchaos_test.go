@@ -314,8 +314,12 @@ func TestLeaderCachesWhatInstallAdmits(t *testing.T) {
 			installed := sys.Stats.Compile.Installed
 
 			sys.recompileRegion(e, false)
-			if got := outputStore.Stats().Compiles; got != b2i(tc.leads) {
-				t.Fatalf("the recompile led %d store flights, want %d", got, b2i(tc.leads))
+			var leads int64
+			if tc.leads {
+				leads = 1
+			}
+			if got := outputStore.Stats().Compiles; got != leads {
+				t.Fatalf("the recompile led %d store flights, want %d", got, leads)
 			}
 			settle(t, sys, e)
 

@@ -67,7 +67,7 @@ func TestConfigValidate(t *testing.T) {
 	// A shared cache serves every compile, including one that installs
 	// at its request.
 	syncCache := DefaultConfig()
-	syncCache.Compile.SharedCache = NewCodeCache(0)
+	syncCache.Compile.SharedCache = NewCodeCache()
 	if err := syncCache.Validate(); err != nil {
 		t.Errorf("SharedCache with Workers=0 rejected: %v", err)
 	}

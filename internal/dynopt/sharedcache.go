@@ -1,5 +1,5 @@
 // The fleet's shared code cache: a thin, type-opaque wrapper binding
-// codecache's generic LRU cache to dynopt's compile-input keys. The
+// codecache's generic cache to dynopt's compile-input keys. The
 // wrapper exists so the concrete key type (compileKey) stays unexported
 // while fleet drivers — harness.RunFleet, smarq-bench — can still
 // construct one cache, hand it to many Systems via
@@ -12,26 +12,26 @@ import (
 )
 
 // CodeCache is the simulated code cache a fleet of concurrently running
-// Systems shares: an LRU record of the exact compile inputs (compileKey)
-// its tenants have requested, compared by Go's map equality, so no hash
-// decides a hit. Construct one with NewCodeCache, set it on every
-// tenant's CompileConfig.SharedCache, and run the Systems on separate
-// goroutines. Every compile request looks its key up, and the outcome is
-// counted in the tenant's MemoHits, MemoMisses and DedupeWaits and in the
-// cache's Stats: identical regions, of one program or of several, count
-// one compile fleet-wide. The cache holds no code and decides no job: the
-// process's output store holds and single-flights every build. So every
-// tenant's simulated results stay byte-identical to its solo run modulo
-// those three counters, at any chaos setting.
+// Systems shares: an unbounded record of the exact compile inputs
+// (compileKey) its tenants have requested, compared by Go's map equality,
+// so no hash decides a hit. Construct one with NewCodeCache, set it on
+// every tenant's CompileConfig.SharedCache, and run the Systems on
+// separate goroutines. Every compile request looks its key up, and only
+// the cache counts the outcome: identical regions, of one program or of
+// several, count one compile fleet-wide, so Compiles is the number of
+// distinct keys and Hits+FlightWaits is Lookups-Compiles at any
+// interleaving. The cache holds no code and decides no job: the process's
+// output store holds and single-flights every build. So every tenant's
+// simulated results, stats and events are byte-identical to its solo run,
+// at any chaos setting.
 type CodeCache struct {
 	cache *codecache.Cache[compileKey, struct{}]
 }
 
-// NewCodeCache returns an empty shared code cache that counts up to
-// maxEntries keys in LRU order (0 = unbounded). It holds no code, so it
-// has no bytes to bound.
-func NewCodeCache(maxEntries int64) *CodeCache {
-	return &CodeCache{cache: codecache.NewKeyed[compileKey, struct{}](codecache.Options{MaxEntries: maxEntries}, nil)}
+// NewCodeCache returns an empty shared code cache. It holds no code and
+// counts a fleet's few distinct keys, so it has no budget.
+func NewCodeCache() *CodeCache {
+	return &CodeCache{cache: codecache.NewKeyed[compileKey, struct{}](codecache.Options{}, nil)}
 }
 
 // Stats snapshots the cache counters (exact at quiescence — after every

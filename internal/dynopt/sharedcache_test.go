@@ -21,27 +21,18 @@ type tenantRun struct {
 }
 
 // runTenant runs bm to halt (or maxInsts) on a fresh System with the
-// given compile workers and chaos, over cache when it is non-nil. It
-// zeroes what fleet membership may change: the hit/miss/dedupe counters
-// and the memo-hit flag (B) of compile-enqueue events.
+// given compile workers and chaos, over cache when it is non-nil.
 func runTenant(bm workload.Benchmark, maxInsts uint64, cache *CodeCache, chaos faultinject.Config, workers int) (tenantRun, error) {
 	cfg := ConfigSMARQ(64)
 	cfg.Compile.SharedCache = cache
 	cfg.Compile.Workers = workers
 	cfg.Chaos = chaos
 	r, _, err := runRecorded(bm, maxInsts, cfg)
-	r.stats.Compile.MemoHits, r.stats.Compile.MemoMisses, r.stats.Compile.DedupeWaits = 0, 0, 0
-	for i := range r.events {
-		if r.events[i].Kind == telemetry.KindCompileEnqueue {
-			r.events[i].B = 0
-		}
-	}
 	return r, err
 }
 
-// matchSolo reports every way r differs from solo: stats (but the
-// hit/miss/dedupe split, which runTenant zeroes), events, registers and
-// memory.
+// matchSolo reports every way r differs from solo: stats, events,
+// registers and memory.
 func matchSolo(t *testing.T, who string, r, solo tenantRun) {
 	t.Helper()
 	if !reflect.DeepEqual(r.stats, solo.stats) {
@@ -57,8 +48,8 @@ func matchSolo(t *testing.T, who string, r, solo tenantRun) {
 
 // TestInlineFleetMatchesSolo runs concurrent tenants of one benchmark over
 // one shared cache and an empty output store. Each tenant must end
-// exactly as its solo run without a cache — stats (but the
-// hit/miss/dedupe split), events, registers and memory:
+// exactly as its solo run without a cache — stats, events, registers and
+// memory:
 //
 //   - without chaos, 1 and 4 tenants whose compiles install at their
 //     request (Workers 0). The process must run the pipeline once per
@@ -98,7 +89,7 @@ func TestInlineFleetMatchesSolo(t *testing.T) {
 						return runCompilePipeline(out, nil)
 					})
 
-					cache := NewCodeCache(0)
+					cache := NewCodeCache()
 					runs := make([]tenantRun, tenants)
 					errs := make([]error, tenants)
 					var wg sync.WaitGroup
@@ -141,10 +132,10 @@ func TestInlineFleetMatchesSolo(t *testing.T) {
 
 // TestChaosFleetHitMatchesSolo: under the default chaos mix and under
 // host chaos, a System whose compiles hit a fleet cache that another
-// System warmed ends exactly as its solo run without a cache — stats (but
-// the hit/miss/dedupe split), events, registers and memory. A hit makes
-// the request's draws like a miss, and a drawn host fault applies to a
-// hit as to a miss, so fleet membership moves nothing else.
+// System warmed ends exactly as its solo run without a cache — stats,
+// events, registers and memory. A hit makes the request's draws like a
+// miss, and a drawn host fault applies to a hit as to a miss, so fleet
+// membership moves nothing.
 func TestChaosFleetHitMatchesSolo(t *testing.T) {
 	for _, arm := range []struct {
 		name    string
@@ -162,7 +153,7 @@ func TestChaosFleetHitMatchesSolo(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cache := NewCodeCache(0)
+				cache := NewCodeCache()
 				if _, err := runTenant(bm, bm.MaxInsts, cache, arm.chaos, arm.workers); err != nil {
 					t.Fatal(err)
 				}
@@ -188,7 +179,8 @@ func TestHostOrdinalsCountRequests(t *testing.T) {
 	for _, workers := range []int{0, 1} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			sys, e := installedSystem(t, workers)
-			sys.cache = NewCodeCache(0).cache
+			cache := NewCodeCache()
+			sys.cache = cache.cache
 			// Rates that never fire here, so every request installs.
 			sys.inj = faultinject.New(faultinject.Config{Seed: 1,
 				WorkerPanicRate: 1e-9, CompileHangRate: 1e-9, PoisonResultRate: 1e-9})
@@ -198,8 +190,8 @@ func TestHostOrdinalsCountRequests(t *testing.T) {
 					settle(t, sys, e)
 				}
 			}
-			if c := sys.Stats.Compile; c.MemoMisses != 1 || c.MemoHits != 1 {
-				t.Fatalf("%d fleet-cache misses and %d hits, want 1 and 1", c.MemoMisses, c.MemoHits)
+			if c := cache.Stats(); c.Compiles != 1 || c.Hits != 1 {
+				t.Fatalf("%d fleet-cache compiles and %d hits, want 1 and 1", c.Compiles, c.Hits)
 			}
 			want := faultinject.Ordinals{faultinject.WorkerPanic: 2, faultinject.PoisonResult: 2}
 			if workers > 0 {

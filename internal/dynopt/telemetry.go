@@ -35,10 +35,8 @@ const (
 	hCompile        = "compile_cycles"
 	hCompileLatency = "compile_latency_cycles"
 
-	// Observability-plane additions: install-to-dispatch lag, and the
-	// wait of a compile that joined another tenant's flight.
+	// Observability-plane addition: install-to-dispatch lag.
 	hInstallLag = "install_dispatch_lag_cycles"
-	hDedupeWait = "dedupe_wait_cycles"
 )
 
 // statCounter is one published counter: its -metrics key and the read of
@@ -79,8 +77,6 @@ var statCounters = [...]statCounter{
 	{"dynopt_compile_enqueues", func(st *Stats) int64 { return st.Compile.Enqueued }},
 	{"dynopt_compile_installs", func(st *Stats) int64 { return st.Compile.Installed + st.Compile.Failed }},
 	{"dynopt_compile_cancels", func(st *Stats) int64 { return st.Compile.Canceled }},
-	{"dynopt_memo_hits", func(st *Stats) int64 { return st.Compile.MemoHits }},
-	{"dynopt_memo_misses", func(st *Stats) int64 { return st.Compile.MemoMisses }},
 
 	{"dynopt_host_faults", func(st *Stats) int64 {
 		return st.Compile.WorkerPanics + st.Compile.WatchdogKills + st.Compile.Rejected
@@ -142,10 +138,6 @@ type systemTelemetry struct {
 	queueDepth     *telemetry.Gauge
 	compileLatency *telemetry.Histogram
 
-	// dedupeWait tracks how long a compile that joined a cross-tenant
-	// flight waited on it (shared cache only).
-	dedupeWait *telemetry.Histogram
-
 	healthLevel *telemetry.Gauge
 }
 
@@ -170,7 +162,6 @@ func newSystemTelemetry(cfg *Config) *systemTelemetry {
 
 		queueDepth:     reg.Gauge(gCompileQueue),
 		compileLatency: reg.Histogram(hCompileLatency, telemetry.Pow2Bounds(256, 65536)),
-		dedupeWait:     reg.Histogram(hDedupeWait, telemetry.Pow2Bounds(64, 65536)),
 
 		healthLevel: reg.Gauge(gHealthLevel),
 	}
@@ -239,10 +230,9 @@ func (st *systemTelemetry) regionCompile(cycle int64, entry int, tier Tier, rs *
 }
 
 // compileQueued records a compilation entering the queue: cost is the
-// modelled latency, depth the queue depth after the enqueue, memoHit
-// whether the cache already held the result.
+// modelled latency, depth the queue depth after the enqueue.
 // Inline compiles never queue, so they emit no compile-enqueue event.
-func (st *systemTelemetry) compileQueued(cycle int64, entry int, tier Tier, cost int64, depth int, memoHit bool) {
+func (st *systemTelemetry) compileQueued(cycle int64, entry int, tier Tier, cost int64, depth int) {
 	if st == nil {
 		return
 	}
@@ -250,7 +240,7 @@ func (st *systemTelemetry) compileQueued(cycle int64, entry int, tier Tier, cost
 	st.tr.Emit(telemetry.Event{
 		Cycle: cycle, Kind: telemetry.KindCompileEnqueue,
 		Region: int32(entry), Tier: int8(tier), To: -1,
-		Cost: cost, A: int64(depth), B: b2i(memoHit),
+		Cost: cost, A: int64(depth),
 	})
 }
 
@@ -286,13 +276,6 @@ func (st *systemTelemetry) compileCancel(cycle int64, entry int, tier Tier, caus
 	})
 }
 
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 func (st *systemTelemetry) dispatch(cycle int64, entry int, tier Tier) {
 	if st == nil {
 		return
@@ -310,15 +293,6 @@ func (st *systemTelemetry) firstDispatch(lag int64) {
 		return
 	}
 	st.installLag.Observe(lag)
-}
-
-// dedupeWaited records how long a compile that joined a cross-tenant
-// flight sat behind the flight that produced its code.
-func (st *systemTelemetry) dedupeWaited(wait int64) {
-	if st == nil {
-		return
-	}
-	st.dedupeWait.Observe(wait)
 }
 
 func (st *systemTelemetry) commit(cycle int64, entry int, tier Tier, cost int64, arHighWater, storesBuffered int) {

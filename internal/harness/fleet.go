@@ -1,10 +1,10 @@
 // Fleet execution: M independent tenant Systems running concurrently on
 // their own goroutines, all counting their compile requests in one
-// content-addressed LRU code cache (dynopt.CodeCache).
+// content-addressed code cache (dynopt.CodeCache).
 // Tenants share *host* resources only — guest state, memory, stats and
-// telemetry stay per-tenant, and every tenant's simulated results are
-// byte-identical to its solo run modulo the cache hit/miss/dedupe
-// counters (VerifyFleet checks exactly that).
+// telemetry stay per-tenant, only the cache counts what they share, and
+// every tenant's simulated results are byte-identical to its solo run
+// (VerifyFleet checks exactly that).
 
 package harness
 
@@ -41,10 +41,6 @@ type FleetConfig struct {
 	// value is an error. A 1-tenant fleet is therefore exactly the solo
 	// baseline configuration.
 	CompileWorkers int
-	// CacheMaxEntries bounds the keys the shared code cache counts, in LRU
-	// order (dynopt.NewCodeCache); 0 means unbounded, and a negative
-	// budget is an error.
-	CacheMaxEntries int64
 	// MaxInsts caps each tenant's retired guest instructions; 0 uses each
 	// benchmark's own budget.
 	MaxInsts uint64
@@ -139,10 +135,10 @@ func (r *FleetResult) GuestInsts() int64 {
 	return n
 }
 
-// DedupeRate is the fraction of cache lookups not counted as compiles — a
-// table hit, or a lookup that raced a peer's lookup of the key. With
-// identical tenants it approaches 1 as the fleet grows: every region
-// counts one compile fleet-wide.
+// DedupeRate is the fraction of cache lookups not counted as compiles:
+// lookups of a key some tenant already requested. With identical tenants
+// it approaches 1 as the fleet grows: every region counts one compile
+// fleet-wide.
 func (r *FleetResult) DedupeRate() float64 {
 	if r.Cache.Lookups == 0 {
 		return 0
@@ -159,9 +155,6 @@ func RunFleet(fc FleetConfig) (*FleetResult, error) {
 	if fc.CompileWorkers < 0 {
 		return nil, fmt.Errorf("harness: CompileWorkers %d, want >= 0 (0 = install at the request)", fc.CompileWorkers)
 	}
-	if fc.CacheMaxEntries < 0 {
-		return nil, fmt.Errorf("harness: cache budget %d entries, want >= 0 (0 = unbounded)", fc.CacheMaxEntries)
-	}
 	baseCfg, err := ParseConfig(fc.Config)
 	if err != nil {
 		return nil, err
@@ -176,7 +169,7 @@ func RunFleet(fc FleetConfig) (*FleetResult, error) {
 		benches[i] = bm
 	}
 
-	cache := dynopt.NewCodeCache(fc.CacheMaxEntries)
+	cache := dynopt.NewCodeCache()
 
 	// Per-tenant telemetry bundles are built up front (not inside the
 	// tenant goroutines) so the observability plane can expose every
@@ -262,23 +255,10 @@ func RunFleet(fc FleetConfig) (*FleetResult, error) {
 	return res, nil
 }
 
-// ScrubSharedCounters zeroes the stats fields that legitimately differ
-// between a fleet run and a solo run of the same tenant: whether a lookup
-// hit, missed, or joined another tenant's flight depends on fleet
-// interleaving, but nothing else may (the costs of a hit are replayed
-// exactly as a fresh compile's). Everything outside these three counters
-// must be byte-identical — that is the fleet determinism contract.
-func ScrubSharedCounters(st dynopt.Stats) dynopt.Stats {
-	st.Compile.MemoHits = 0
-	st.Compile.MemoMisses = 0
-	st.Compile.DedupeWaits = 0
-	return st
-}
-
 // VerifyFleet re-runs each distinct benchmark in res as a solo 1-tenant
 // fleet under the same configuration and diffs every fleet tenant against
-// its solo baseline: scrubbed stats, final guest registers, and the guest
-// memory digest must match exactly. A non-nil error names the first
+// its solo baseline: stats, final guest registers, and the guest memory
+// digest must match exactly. A non-nil error names the first
 // diverging tenant and field.
 func VerifyFleet(fc FleetConfig, res *FleetResult) error {
 	fc = fc.withDefaults()
@@ -314,8 +294,8 @@ func verifyTenant(ft, base *FleetTenant) error {
 	if ft.Halted != base.Halted {
 		return fmt.Errorf("harness: tenant %d (%s): halted=%v, solo halted=%v", ft.Tenant, ft.Bench, ft.Halted, base.Halted)
 	}
-	if got, want := ScrubSharedCounters(ft.Stats), ScrubSharedCounters(base.Stats); !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("harness: tenant %d (%s): stats diverge from solo run:\nfleet: %+v\nsolo:  %+v", ft.Tenant, ft.Bench, got, want)
+	if !reflect.DeepEqual(ft.Stats, base.Stats) {
+		return fmt.Errorf("harness: tenant %d (%s): stats diverge from solo run:\nfleet: %+v\nsolo:  %+v", ft.Tenant, ft.Bench, ft.Stats, base.Stats)
 	}
 	if ft.State != base.State {
 		return fmt.Errorf("harness: tenant %d (%s): final guest registers diverge from solo run", ft.Tenant, ft.Bench)
@@ -347,7 +327,7 @@ func latencyPercentiles(st *dynopt.Stats) (p50, p95, max int64) {
 // Render produces the fleet report: one row per tenant plus the
 // fleet-wide aggregate and shared-cache lines.
 func (r *FleetResult) Render() string {
-	header := []string{"tenant", "bench", "guest-insts", "commits", "hits", "dedupe-waits", "lat-p50", "lat-p95", "lat-max", "wall"}
+	header := []string{"tenant", "bench", "guest-insts", "commits", "lat-p50", "lat-p95", "lat-max", "wall"}
 	rows := make([][]string, 0, len(r.Tenants))
 	for i := range r.Tenants {
 		ft := &r.Tenants[i]
@@ -357,8 +337,6 @@ func (r *FleetResult) Render() string {
 			ft.Bench,
 			fmt.Sprintf("%d", ft.Stats.GuestInsts),
 			fmt.Sprintf("%d", ft.Stats.Commits),
-			fmt.Sprintf("%d", ft.Stats.Compile.MemoHits),
-			fmt.Sprintf("%d", ft.Stats.Compile.DedupeWaits),
 			fmt.Sprintf("%d", p50),
 			fmt.Sprintf("%d", p95),
 			fmt.Sprintf("%d", maxLat),
@@ -376,7 +354,7 @@ func (r *FleetResult) Render() string {
 		r.Commits(), float64(r.Commits())/secs, r.GuestInsts(), float64(r.GuestInsts())/secs,
 		r.Wall.Round(time.Millisecond))
 	c := &r.Cache
-	fmt.Fprintf(&sb, "shared cache: %d lookups, %d hits, %d flight-waits, %d compiles, %d evictions (%d keys live), dedupe %.1f%%\n",
-		c.Lookups, c.Hits, c.FlightWaits, c.Compiles, c.Evictions, c.Entries, 100*r.DedupeRate())
+	fmt.Fprintf(&sb, "shared cache: %d lookups, %d compiles (distinct keys), dedupe %.1f%%\n",
+		c.Lookups, c.Compiles, 100*r.DedupeRate())
 	return sb.String()
 }

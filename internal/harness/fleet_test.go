@@ -27,28 +27,13 @@ func (s *captureSink) WriteEvents(evs []telemetry.Event) error {
 
 func (s *captureSink) Close() error { return nil }
 
-// scrubEvents zeroes the memo-hit flag (Event.B) on compile-enqueue
-// events: whether an enqueue hit the shared cache depends on fleet
-// interleaving, the one tolerated divergence from a solo run. Every other
-// event byte must match.
-func scrubEvents(evs []telemetry.Event) []telemetry.Event {
-	out := make([]telemetry.Event, len(evs))
-	copy(out, evs)
-	for i := range out {
-		if out[i].Kind == telemetry.KindCompileEnqueue {
-			out[i].B = 0
-		}
-	}
-	return out
-}
-
 // TestFleetTenantDeterminism is the fleet's correctness gate: at every
 // tenant count, with compiles installed at their request (workers 0) and
 // queued (workers 1), each tenant's stats, event trace, final guest
 // registers and guest memory must be byte-identical to a solo run of the
 // same benchmark — the shared compile pool and cache may only change host
-// wall time and the scrubbed hit/miss counters. Run it with -race: the
-// tenants genuinely share the pool and cache concurrently.
+// wall time and the cache's own counters. Run it with -race: the tenants
+// genuinely share the pool and cache concurrently.
 func TestFleetTenantDeterminism(t *testing.T) {
 	mix := []string{"swim", "equake", "ammp"}
 	const maxInsts = 60_000
@@ -80,7 +65,7 @@ func TestFleetTenantDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := &soloRun{tenant: res.Tenants[0], events: scrubEvents(sink.events)}
+		s := &soloRun{tenant: res.Tenants[0], events: sink.events}
 		solos[key] = s
 		return s
 	}
@@ -108,9 +93,8 @@ func TestFleetTenantDeterminism(t *testing.T) {
 					if ft.Halted != solo.tenant.Halted {
 						t.Errorf("tenant %d (%s): halted=%v, solo halted=%v", ft.Tenant, ft.Bench, ft.Halted, solo.tenant.Halted)
 					}
-					got, want := ScrubSharedCounters(ft.Stats), ScrubSharedCounters(solo.tenant.Stats)
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("tenant %d (%s): stats diverge from solo run:\nfleet: %+v\nsolo:  %+v", ft.Tenant, ft.Bench, got, want)
+					if !reflect.DeepEqual(ft.Stats, solo.tenant.Stats) {
+						t.Errorf("tenant %d (%s): stats diverge from solo run:\nfleet: %+v\nsolo:  %+v", ft.Tenant, ft.Bench, ft.Stats, solo.tenant.Stats)
 					}
 					if ft.State != solo.tenant.State {
 						t.Errorf("tenant %d (%s): final guest registers diverge from solo run", ft.Tenant, ft.Bench)
@@ -118,7 +102,7 @@ func TestFleetTenantDeterminism(t *testing.T) {
 					if ft.MemDigest != solo.tenant.MemDigest {
 						t.Errorf("tenant %d (%s): guest memory digest %#x, solo %#x", ft.Tenant, ft.Bench, ft.MemDigest, solo.tenant.MemDigest)
 					}
-					if evs := scrubEvents(sinks[i].events); !reflect.DeepEqual(evs, solo.events) {
+					if evs := sinks[i].events; !reflect.DeepEqual(evs, solo.events) {
 						t.Errorf("tenant %d (%s): event trace diverges from solo run (%d vs %d events)", ft.Tenant, ft.Bench, len(evs), len(solo.events))
 					}
 				}
@@ -158,7 +142,7 @@ func TestVerifyFleet(t *testing.T) {
 // TestDefaultFleetInstallsAtRequest: a default fleet's tenants install
 // each compile at its request, as -compile-workers 0 says, so a default
 // 1-tenant swim fleet is a solo Workers 0 run with no shared cache, in
-// scrubbed stats, registers and memory digest.
+// stats, registers and memory digest.
 func TestDefaultFleetInstallsAtRequest(t *testing.T) {
 	res, err := RunFleet(FleetConfig{})
 	if err != nil {
@@ -189,18 +173,11 @@ func TestDefaultFleetInstallsAtRequest(t *testing.T) {
 	}
 }
 
-// TestFleetRejectsNegativeCacheBudget: a negative entry budget is a
-// configuration error, not a silently unbounded cache, and so is a
-// negative CompileWorkers, not a silent choice of compile mode.
-func TestFleetRejectsNegativeCacheBudget(t *testing.T) {
-	for _, fc := range []FleetConfig{
-		{Tenants: 2, CacheMaxEntries: -5},
-		{Tenants: 2, CompileWorkers: -1},
-	} {
-		if res, err := RunFleet(fc); err == nil {
-			t.Errorf("entries %d / workers %d: RunFleet ran %d tenants, want an error",
-				fc.CacheMaxEntries, fc.CompileWorkers, len(res.Tenants))
-		}
+// TestFleetRejectsNegativeCompileWorkers: a negative CompileWorkers is a
+// configuration error, not a silent choice of compile mode.
+func TestFleetRejectsNegativeCompileWorkers(t *testing.T) {
+	if res, err := RunFleet(FleetConfig{Tenants: 2, CompileWorkers: -1}); err == nil {
+		t.Errorf("workers -1: RunFleet ran %d tenants, want an error", len(res.Tenants))
 	}
 }
 
@@ -290,18 +267,16 @@ func TestFleetSharesAcrossPrograms(t *testing.T) {
 	}
 }
 
-// TestFleetLeaderReuseOneEntryCache runs a fleet whose tenants keep
+// TestFleetOneRegionCodeCacheMatchesSolo runs a fleet whose tenants keep
 // returning to code they built: a one-region code cache evicts a region
 // at every other region's install, and the region's next compile request
-// carries the inputs of its stored build. A one-entry shared cache has
-// almost always evicted that key too, so the tenant's lookup leads a new
-// flight and counts a compile, while the output store re-installs the
-// stored build. The leader must settle that flight at once: an unsettled
-// flight blocks every later lookup of its key, and the fleet never
-// finishes. Every tenant must still match its solo run, by the same diff
-// VerifyFleet applies. RunFleet has no code-cache knob, so the test
-// assembles the fleet from dynopt directly.
-func TestFleetLeaderReuseOneEntryCache(t *testing.T) {
+// carries the inputs of its stored build, which the output store
+// re-installs. Each such request looks its key up again in the shared
+// cache. The fleet must finish — a flight left unsettled would block
+// every later lookup of its key — and every tenant must still match its
+// solo run, by the same diff VerifyFleet applies. RunFleet has no
+// code-cache knob, so the test assembles the fleet from dynopt directly.
+func TestFleetOneRegionCodeCacheMatchesSolo(t *testing.T) {
 	mix := []string{"swim", "ammp", "swim", "ammp"}
 	config := func() dynopt.Config {
 		cfg := dynopt.ConfigSMARQ(64)
@@ -324,20 +299,17 @@ func TestFleetLeaderReuseOneEntryCache(t *testing.T) {
 			State: *sys.State(), MemDigest: sys.Mem().Digest()}
 	}
 
-	// Solo baselines, each over its own unbounded cache: every key its
-	// tenant builds is led exactly once.
+	// Solo baselines, each over its own cache.
 	solo := map[string]FleetTenant{}
-	var distinctKeys int64
 	for _, bench := range mix {
 		if _, ok := solo[bench]; !ok {
 			cfg := config()
-			cfg.Compile.SharedCache = dynopt.NewCodeCache(0)
+			cfg.Compile.SharedCache = dynopt.NewCodeCache()
 			solo[bench] = run(bench, cfg)
-			distinctKeys += cfg.Compile.SharedCache.Stats().Compiles
 		}
 	}
 
-	cache := dynopt.NewCodeCache(1)
+	cache := dynopt.NewCodeCache()
 	tenants := make([]FleetTenant, len(mix))
 	done := make(chan struct{})
 	go func() {
@@ -361,10 +333,6 @@ func TestFleetLeaderReuseOneEntryCache(t *testing.T) {
 		t.Fatal("the fleet did not finish: a cache flight was never settled")
 	}
 
-	if got := cache.Stats().Compiles; got <= distinctKeys {
-		t.Errorf("the fleet led %d flights for at most %d distinct keys: no key was led twice, so no leader could re-install",
-			got, distinctKeys)
-	}
 	for i := range tenants {
 		base := solo[tenants[i].Bench]
 		if err := verifyTenant(&tenants[i], &base); err != nil {

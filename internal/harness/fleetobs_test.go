@@ -64,7 +64,7 @@ func TestFleetObsEndpoints(t *testing.T) {
 			}
 
 			code, body = scrape(addr, "/debug/cache")
-			if code != http.StatusOK || !strings.Contains(body, `"FlightWaits"`) {
+			if code != http.StatusOK || !strings.Contains(body, `"Compiles"`) {
 				t.Errorf("/debug/cache mid-run: code=%d body=%s", code, body)
 			}
 
@@ -97,9 +97,11 @@ func TestFleetObsEndpoints(t *testing.T) {
 }
 
 // TestFleetObsCounters checks the fleet-global view against the tenants'
-// own books at end of run: shared-cache hits and flight waits must equal
-// the per-tenant memo-hit and dedupe-wait sums, and the end-of-run
-// PublishMetrics registry must agree with the result's cache snapshot.
+// own books at end of run, by identities that hold at any interleaving:
+// every enqueued compile request made exactly one shared-cache lookup
+// (enqueueCompile), and every lookup that did not count a compile hit the
+// table or joined a flight. The end-of-run PublishMetrics registry must
+// agree with the result's cache snapshot.
 func TestFleetObsCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	fc := FleetConfig{
@@ -113,18 +115,16 @@ func TestFleetObsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunFleet: %v", err)
 	}
-	var memoHits, dedupeWaits int64
+	var enqueued int64
 	for i := range res.Tenants {
-		cs := &res.Tenants[i].Stats.Compile
-		memoHits += cs.MemoHits
-		dedupeWaits += cs.DedupeWaits
+		enqueued += res.Tenants[i].Stats.Compile.Enqueued
 	}
 	c := &res.Cache
-	if memoHits != c.Hits {
-		t.Errorf("tenant memo hits sum to %d, cache says %d", memoHits, c.Hits)
+	if c.Lookups != enqueued {
+		t.Errorf("the cache counted %d lookups, the tenants enqueued %d compiles", c.Lookups, enqueued)
 	}
-	if dedupeWaits != c.FlightWaits {
-		t.Errorf("tenant dedupe waits sum to %d, cache says %d", dedupeWaits, c.FlightWaits)
+	if c.Hits+c.FlightWaits != c.Lookups-c.Compiles {
+		t.Errorf("cache hits %d + flight waits %d != lookups %d - compiles %d", c.Hits, c.FlightWaits, c.Lookups, c.Compiles)
 	}
 	if c.Hits+c.Misses != c.Lookups {
 		t.Errorf("cache hits %d + misses %d != lookups %d", c.Hits, c.Misses, c.Lookups)

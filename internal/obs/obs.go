@@ -12,7 +12,7 @@
 //	                selects the JSON snapshot of the fleet registry
 //	/healthz        per-tenant health-controller levels as JSON; 503 once
 //	                any tenant has degraded to compile-off or worse
-//	/debug/cache    shared codecache stats: totals, occupancy and
+//	/debug/cache    shared codecache stats: lookup totals, live keys and
 //	                derived rates
 //	/debug/tenants  per-tenant progress and stats snapshots
 //	/debug/pprof/   the standard runtime profiles
@@ -223,8 +223,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	_ = enc.Encode(&out)
 }
 
-// handleCache renders the shared cache snapshot with derived rates: hit
-// rate and dedupe rate over lookups, eviction pressure over compiles.
+// handleCache renders the shared cache snapshot with derived rates over
+// lookups: hits, and lookups that counted no compile (dedupe). The fleet
+// cache is unbounded and holds no code, so it leaves out the byte,
+// eviction and flight-wait counters, which read 0 or interleaving noise.
 func (s *Server) handleCache(w http.ResponseWriter, req *http.Request) {
 	var st codecache.Stats
 	if s.opts.Cache != nil {
@@ -237,15 +239,15 @@ func (s *Server) handleCache(w http.ResponseWriter, req *http.Request) {
 		return float64(n) / float64(d)
 	}
 	out := struct {
-		codecache.Stats
+		Entries, Lookups, Hits, Misses, Compiles, Contention int64
+
 		HitRate    float64 `json:"hit_rate"`
 		DedupeRate float64 `json:"dedupe_rate"`
-		EvictRate  float64 `json:"evict_rate"`
 	}{
-		Stats:      st,
+		Entries: st.Entries, Lookups: st.Lookups, Hits: st.Hits,
+		Misses: st.Misses, Compiles: st.Compiles, Contention: st.Contention,
 		HitRate:    rate(st.Hits, st.Lookups),
-		DedupeRate: rate(st.Hits+st.FlightWaits, st.Lookups),
-		EvictRate:  rate(st.Evictions, st.Compiles),
+		DedupeRate: rate(st.Lookups-st.Compiles, st.Lookups),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

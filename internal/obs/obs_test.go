@@ -126,15 +126,20 @@ func TestCacheEndpoint(t *testing.T) {
 	}
 	var out struct {
 		Entries    int64   `json:"Entries"`
-		Evictions  int64   `json:"Evictions"`
+		Compiles   int64   `json:"Compiles"`
 		HitRate    float64 `json:"hit_rate"`
 		DedupeRate float64 `json:"dedupe_rate"`
 	}
 	if err := json.Unmarshal([]byte(body), &out); err != nil {
 		t.Fatalf("cache debug is not JSON: %v\n%s", err, body)
 	}
-	if out.Entries != 3 || out.Evictions != 1 {
+	if out.Entries != 3 || out.Compiles != 3 {
 		t.Errorf("cache stats: %+v", out)
+	}
+	for _, gone := range []string{"Bytes", "FlightWaits", "Evictions", "evict_rate"} {
+		if strings.Contains(body, `"`+gone+`"`) {
+			t.Errorf("cache debug still reports %s:\n%s", gone, body)
+		}
 	}
 	if out.HitRate != 0.6 || out.DedupeRate != 0.7 {
 		t.Errorf("derived rates: hit=%v dedupe=%v, want 0.6/0.7", out.HitRate, out.DedupeRate)

@@ -58,7 +58,7 @@ const (
 	KindChaos
 	// KindCompileEnqueue: a background compilation was enqueued
 	// (Cost=modelled compile latency in cycles, A=queue depth after the
-	// enqueue, B=1 when the fleet's shared cache already held the result).
+	// enqueue).
 	KindCompileEnqueue
 	// KindCompileCancel: a pending background compilation was thrown away
 	// before installing (Cause: stale inputs, a pinned region, or the end
@@ -200,7 +200,7 @@ var kindSpecs = [numKinds]kindSpec{
 	KindEvict:          {name: "evict"},
 	KindDrop:           {name: "drop"},
 	KindChaos:          {name: "chaos", aN: "ord"},
-	KindCompileEnqueue: {name: "compile-enqueue", aN: "depth", bN: "memo"},
+	KindCompileEnqueue: {name: "compile-enqueue", aN: "depth"},
 	KindCompileCancel:  {name: "compile-cancel"},
 	KindHostFault:      {name: "host-fault"},
 	KindHealth:         {name: "health", aN: "from", bN: "to"},
