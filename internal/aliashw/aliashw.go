@@ -4,10 +4,7 @@
 // null detector.
 package aliashw
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Conflict reports a detected alias: the op that performed the check and
 // the op whose alias register it conflicted with (the "origin" travels
@@ -17,8 +14,13 @@ type Conflict struct {
 	Checker, Origin int
 }
 
-// Detector is the runtime interface the VLIW consults on every memory
-// operation of a translated region.
+// Detector is the address-level model of one alias hardware: what the
+// hardware does on each memory operation of a translated region, given
+// the operation's runtime address. The region executor does not call it:
+// a region is baked for its detector's hardware (HW) into per-op check
+// lists (Evaluator), and the executor walks those. The models remain the
+// reference the baked lists are tested against, and the behavioural
+// probes of Table 1.
 type Detector interface {
 	// OnMem is called with the executing op's identity, kind, alias
 	// annotations (P/C bits, register offset, and — for the bit-mask
@@ -34,19 +36,65 @@ type Detector interface {
 	AMov(src, dst int)
 	// Reset clears all state (called at region commit and rollback): a
 	// reset detector behaves exactly like a newly constructed one, apart
-	// from Checked. That is what lets the dynopt runtime pool detectors
-	// process-wide and lend one to each System.Run, as the paper's core
-	// owns its alias register file and every atomic region starts with
-	// it empty.
+	// from Checked, as every atomic region finds the paper's alias
+	// register file empty.
 	Reset()
 	// Checked returns the cumulative number of register comparisons the
 	// hardware has performed — the energy proxy of §2.4 ("unnecessary
-	// alias detections ... cost energy"). Reset does not clear it, so a
-	// borrower that wants its own count takes the difference across its
-	// loan.
+	// alias detections ... cost energy"). Reset does not clear it.
 	Checked() uint64
 	// Name identifies the model in traces and tables.
 	Name() string
+	// HW names the hardware the detector models: what a region executed
+	// against it is baked for.
+	HW() HW
+}
+
+// Kind is an alias hardware family.
+type Kind uint8
+
+const (
+	// KindNone is no alias hardware (None).
+	KindNone Kind = iota
+	// KindOrdered is the order-based queue SMARQ manages (OrderedQueue).
+	KindOrdered
+	// KindALAT is the Itanium-like table (ALAT).
+	KindALAT
+	// KindBitmask is the Efficeon-like bit-mask file (Bitmask).
+	KindBitmask
+)
+
+// HW identifies alias hardware: its family and, for the ordered queue
+// and the bit-mask file, its register count. Two detectors of one HW
+// behave identically, so a region baked for one runs for the other.
+type HW struct {
+	Kind Kind
+	Regs int
+}
+
+// model returns a fresh detector of h.
+func (h HW) model() model {
+	switch h.Kind {
+	case KindOrdered:
+		return NewOrderedQueue(h.Regs)
+	case KindALAT:
+		return NewALAT()
+	case KindBitmask:
+		return NewBitmask(h.Regs)
+	}
+	return None{}
+}
+
+// model is a detector's hardware behind OnMem. access is the hardware's
+// response to one memory op: it visits, in the order the hardware
+// compares them, the registers the op checks, and stops when visit
+// returns true (a conflict, which ends the region entry); otherwise it
+// then records the op's range [lo, hi) with origin opID if the op sets a
+// register. OnMem compares addresses in visit; the Evaluator
+// collects origins instead, so both run the same hardware.
+type model interface {
+	Detector
+	access(opID int, isStore, p, c bool, offset int, mask uint16, lo, hi uint64, visit func(*entry) bool)
 }
 
 // entry is one alias register. The two bools sit last so they share one
@@ -61,139 +109,110 @@ type entry struct {
 
 func overlaps(aLo, aHi, bLo, bHi uint64) bool { return aLo < bHi && bLo < aHi }
 
-// conflictRef turns an OnMemV result into OnMem's: nil without a hit, and
-// a pointer to a copy of the conflict with one. Only a hit allocates.
-func conflictRef(conf Conflict, hit bool) *Conflict {
-	if !hit {
-		return nil
-	}
-	c := conf
-	return &c
+// detect is OnMem over a model: every register the access visits is one
+// comparison counted into checked, and the first one whose range overlaps
+// [lo, hi) is the conflict.
+func detect(m model, checked *uint64, opID int, isStore, p, c bool, offset int, mask uint16, lo, hi uint64) *Conflict {
+	var conf *Conflict
+	m.access(opID, isStore, p, c, offset, mask, lo, hi, func(e *entry) bool {
+		*checked++
+		if overlaps(lo, hi, e.lo, e.hi) {
+			conf = &Conflict{Checker: opID, Origin: e.origin}
+			return true
+		}
+		return false
+	})
+	return conf
 }
+
+// Evaluator runs a hardware model over op identities instead of
+// addresses: the bake-time form of the hardware. A region runs a prefix
+// of its schedule and every detector starts each entry empty, so which
+// earlier ops a memory op compares against, and in which order, is fixed
+// by the schedule; only the addresses are dynamic. Feeding the evaluator
+// a region's ops in schedule order yields each memory op's check list.
+type Evaluator struct {
+	m       model
+	list    []int32
+	collect func(*entry) bool
+}
+
+// Evaluator returns an evaluator over a fresh model of h.
+func (h HW) Evaluator() *Evaluator {
+	ev := &Evaluator{m: h.model()}
+	ev.collect = func(e *entry) bool {
+		ev.list = append(ev.list, int32(e.origin))
+		return false
+	}
+	return ev
+}
+
+// Mem is the hardware's response to memory op op, an index the caller
+// chooses: it returns the ops (as the indices earlier Mem calls passed)
+// whose registers op compares against, in the order the hardware compares
+// them, and records op as the origin of the register it sets, if any. No
+// comparison conflicts — a conflict ends the region entry, so nothing
+// after it is evaluated. The slice is valid until the next call.
+func (ev *Evaluator) Mem(op int, isStore, p, c bool, offset int, mask uint16) []int32 {
+	ev.list = ev.list[:0]
+	ev.m.access(op, isStore, p, c, offset, mask, 0, 0, ev.collect)
+	return ev.list
+}
+
+// Rotate is the hardware's rotation (order-based only).
+func (ev *Evaluator) Rotate(n int) { ev.m.Rotate(n) }
+
+// AMov is the hardware's AMOV (order-based only).
+func (ev *Evaluator) AMov(src, dst int) { ev.m.AMov(src, dst) }
 
 // OrderedQueue is the order-based alias register queue of §2.4/§3: N
 // physical registers organized as a circular queue with a rotating BASE.
 // [ORDERED-ALIAS-DETECTION-RULE]: an executing op with the C bit checks
 // every valid register whose order is not earlier than its own assigned
-// order; loads do not check registers set by loads.
-//
-// A queue of at most 64 registers indexes its window with two bitmaps
-// over window positions (bit k is the register of order base+k): live
-// marks the positions holding a valid register and stores those set by a
-// store. A check walks the set bits of live (and stores, for a load) at
-// or above its offset with TrailingZeros, in the ascending order the
-// scan used, so it compares exactly the registers the scan compared and
-// Checked() counts the same. Rotate is a shift of both bitmaps and Reset
-// clears them; a register whose bit is clear is dead whatever its slot
-// still holds. Queues over 64 registers, and a queue from an AMov whose
-// destination falls outside the window [0, N) (or a negative rotation)
-// to its next Reset, run the scan over the physical slots instead (the
-// *Scan methods): a register moved out of the window can come back into
-// it by rotation, with an order only the scan's top bound describes.
+// order; loads do not check registers set by loads. A check walks the
+// window positions from its offset up, in ascending order, over the
+// physical slots; a slot counts only if it holds a valid register of
+// exactly that position's order, so a register an AMov moved outside the
+// window [0, N) is seen only once rotation brings its order back into it.
 type OrderedQueue struct {
 	regs []entry
 	base int
 	// top is an exclusive upper bound, relative to base, on the order of
 	// any valid in-window register: every valid entry e with
-	// e.order >= base satisfies e.order < base+top. A check scan can
-	// therefore stop at top instead of walking the whole file — scanning
+	// e.order >= base satisfies e.order < base+top. A check can
+	// therefore stop at top instead of walking the whole file — walking
 	// beyond it would only visit empty or stale slots, which contribute
 	// neither conflicts nor Checked() counts, so the early exit is
-	// invisible in the simulated statistics. The bitmap path keeps it
-	// exactly as the scan path does, so switching paths changes nothing.
-	top int
-	// phase is base modulo the register count: the physical slot of
-	// window position 0 on the bitmap path.
-	phase        int
-	live, stores uint64
-	// scan selects the physical-slot scan: set for a queue over 64
-	// registers, and by toScan for the rest of a region.
-	scan    bool
+	// invisible in the simulated statistics.
+	top     int
 	checked uint64
 }
 
-// maxBitmapRegs is the largest queue whose window fits the bitmaps.
-const maxBitmapRegs = 64
-
 // NewOrderedQueue returns a queue with n physical alias registers.
 func NewOrderedQueue(n int) *OrderedQueue {
-	return &OrderedQueue{regs: make([]entry, n), scan: n > maxBitmapRegs}
+	return &OrderedQueue{regs: make([]entry, n)}
 }
 
 // Name implements Detector.
 func (q *OrderedQueue) Name() string { return fmt.Sprintf("ordered-%d", len(q.regs)) }
+
+// HW implements Detector.
+func (q *OrderedQueue) HW() HW { return HW{Kind: KindOrdered, Regs: len(q.regs)} }
 
 // NumRegs returns the physical register count.
 func (q *OrderedQueue) NumRegs() int { return len(q.regs) }
 
 func (q *OrderedQueue) slot(order int) *entry { return &q.regs[order%len(q.regs)] }
 
-// at is the register at window position k (0 <= k < N) on the bitmap
-// path.
-func (q *OrderedQueue) at(k int) *entry {
-	s := q.phase + k
-	if s >= len(q.regs) {
-		s -= len(q.regs)
-	}
-	return &q.regs[s]
-}
-
-// mark makes window position k live, set by a store or by a load.
-func (q *OrderedQueue) mark(k int, byStore bool) {
-	bit := uint64(1) << uint(k)
-	q.live |= bit
-	if byStore {
-		q.stores |= bit
-	} else {
-		q.stores &^= bit
-	}
-}
-
 // OnMem implements Detector.
-func (q *OrderedQueue) OnMem(opID int, isStore, p, c bool, offset int, _ uint16, lo, hi uint64) *Conflict {
-	return conflictRef(q.OnMemV(opID, isStore, p, c, offset, lo, hi))
+func (q *OrderedQueue) OnMem(opID int, isStore, p, c bool, offset int, mask uint16, lo, hi uint64) *Conflict {
+	return detect(q, &q.checked, opID, isStore, p, c, offset, mask, lo, hi)
 }
 
-// OnMemV is OnMem with the conflict returned by value: the no-conflict
-// path (the overwhelmingly common one) performs no allocation, and a
-// caller holding the concrete *OrderedQueue skips the interface dispatch
-// entirely. The boolean reports whether a conflict was detected.
-func (q *OrderedQueue) OnMemV(opID int, isStore, p, c bool, offset int, lo, hi uint64) (Conflict, bool) {
+func (q *OrderedQueue) access(opID int, isStore, p, c bool, offset int, _ uint16, lo, hi uint64, visit func(*entry) bool) {
 	if (p || c) && (offset < 0 || offset >= len(q.regs)) {
 		panic(fmt.Sprintf("aliashw: op %d uses offset %d with %d registers", opID, offset, len(q.regs)))
 	}
-	if q.scan {
-		return q.onMemScan(opID, isStore, p, c, offset, lo, hi)
-	}
-	if c && offset < q.top {
-		cand := q.live >> uint(offset) << uint(offset)
-		if !isStore {
-			cand &= q.stores // loads do not check loads
-		}
-		for ; cand != 0; cand &= cand - 1 {
-			e := q.at(bits.TrailingZeros64(cand))
-			q.checked++
-			if overlaps(lo, hi, e.lo, e.hi) {
-				return Conflict{Checker: opID, Origin: e.origin}, true
-			}
-		}
-	}
-	if p {
-		// Field by field: a composite literal is built on the stack and
-		// copied in wide moves that stall on its narrow stores.
-		e := q.at(offset)
-		e.lo, e.hi, e.origin, e.order = lo, hi, opID, q.base+offset
-		e.valid, e.byStore = true, isStore
-		q.mark(offset, isStore)
-		if offset+1 > q.top {
-			q.top = offset + 1
-		}
-	}
-	return Conflict{}, false
-}
-
-// onMemScan is OnMemV over the physical slots.
-func (q *OrderedQueue) onMemScan(opID int, isStore, p, c bool, offset int, lo, hi uint64) (Conflict, bool) {
 	if c && offset < q.top {
 		// Walk physical slots incrementally (one modulo before the loop,
 		// none inside) and stop at top, past which no valid in-window
@@ -212,9 +231,8 @@ func (q *OrderedQueue) onMemScan(opID int, isStore, p, c bool, offset int, lo, h
 			if !isStore && !e.byStore {
 				continue // loads do not check loads
 			}
-			q.checked++
-			if overlaps(lo, hi, e.lo, e.hi) {
-				return Conflict{Checker: opID, Origin: e.origin}, true
+			if visit(e) {
+				return
 			}
 		}
 	}
@@ -227,46 +245,11 @@ func (q *OrderedQueue) onMemScan(opID int, isStore, p, c bool, offset int, lo, h
 			q.top = offset + 1
 		}
 	}
-	return Conflict{}, false
-}
-
-// toScan moves the queue to the scan path for the rest of the region:
-// it clears every slot whose window bit is clear, so the slots hold
-// exactly the valid registers the scan expects.
-func (q *OrderedQueue) toScan() {
-	if q.scan {
-		return
-	}
-	for k := range q.regs {
-		if q.live>>uint(k)&1 == 0 {
-			*q.at(k) = entry{}
-		}
-	}
-	q.scan = true
 }
 
 // Rotate implements Detector: the first n registers of the window are
 // cleared and become free registers at the end of the queue (§3.2).
 func (q *OrderedQueue) Rotate(n int) {
-	if n < 0 {
-		q.toScan()
-	}
-	if q.scan {
-		q.rotateScan(n)
-		return
-	}
-	q.live >>= uint(n)
-	q.stores >>= uint(n)
-	q.base += n
-	q.phase = q.base % len(q.regs)
-	q.top -= n
-	if q.top < 0 {
-		q.top = 0
-	}
-}
-
-// rotateScan is Rotate over the physical slots.
-func (q *OrderedQueue) rotateScan(n int) {
 	for i := 0; i < n && i < len(q.regs); i++ {
 		*q.slot(q.base + i) = entry{}
 	}
@@ -282,38 +265,6 @@ func (q *OrderedQueue) rotateScan(n int) {
 // AMov implements Detector (§3.3): the access range at offset src moves to
 // offset dst; src==dst only cleans up.
 func (q *OrderedQueue) AMov(src, dst int) {
-	n := len(q.regs)
-	if dst < 0 || dst >= n || q.base+src < 0 {
-		q.toScan()
-	}
-	if q.scan {
-		q.amovScan(src, dst)
-		return
-	}
-	// src names the physical slot (base+src) mod N, the one at window
-	// position src mod N.
-	ks := src % n
-	if ks < 0 {
-		ks += n
-	}
-	bit := uint64(1) << uint(ks)
-	live, byStore := q.live&bit != 0, q.stores&bit != 0
-	q.live &^= bit
-	q.stores &^= bit
-	if src == dst || !live {
-		return
-	}
-	e := *q.at(ks)
-	e.order = q.base + dst
-	*q.at(dst) = e
-	q.mark(dst, byStore)
-	if dst+1 > q.top {
-		q.top = dst + 1
-	}
-}
-
-// amovScan is AMov over the physical slots.
-func (q *OrderedQueue) amovScan(src, dst int) {
 	se := q.slot(q.base + src)
 	e := *se
 	*se = entry{}
@@ -327,21 +278,15 @@ func (q *OrderedQueue) amovScan(src, dst int) {
 	}
 	if q.top > len(q.regs) {
 		// An out-of-window dst wraps physically but its order can never
-		// match a scan position, exactly as before the top bound existed.
+		// match a check position, exactly as before the top bound existed.
 		q.top = len(q.regs)
 	}
 }
 
-// Reset implements Detector. On the bitmap path it clears the bitmaps
-// only: every slot is dead once its bit is, and the scan path is entered
-// only through toScan, which clears the dead slots.
+// Reset implements Detector.
 func (q *OrderedQueue) Reset() {
-	if q.scan {
-		clear(q.regs)
-		q.scan = len(q.regs) > maxBitmapRegs
-	}
-	q.live, q.stores = 0, 0
-	q.base, q.phase, q.top = 0, 0, 0
+	clear(q.regs)
+	q.base, q.top = 0, 0
 }
 
 // Base exposes the BASE pointer for tests.
@@ -366,27 +311,26 @@ func NewALAT() *ALAT { return &ALAT{} }
 // Name implements Detector.
 func (a *ALAT) Name() string { return "alat" }
 
+// HW implements Detector.
+func (a *ALAT) HW() HW { return HW{Kind: KindALAT} }
+
 // OnMem implements Detector.
-func (a *ALAT) OnMem(opID int, isStore, p, c bool, offset int, _ uint16, lo, hi uint64) *Conflict {
-	return conflictRef(a.OnMemV(opID, isStore, p, c, lo, hi))
+func (a *ALAT) OnMem(opID int, isStore, p, c bool, offset int, mask uint16, lo, hi uint64) *Conflict {
+	return detect(a, &a.checked, opID, isStore, p, c, offset, mask, lo, hi)
 }
 
-// OnMemV is the allocation-free concrete-type form of OnMem (see
-// OrderedQueue.OnMemV).
-func (a *ALAT) OnMemV(opID int, isStore, p, _ bool, lo, hi uint64) (Conflict, bool) {
+func (a *ALAT) access(opID int, isStore, p, _ bool, _ int, _ uint16, lo, hi uint64, visit func(*entry) bool) {
 	if isStore {
-		for _, e := range a.entries {
-			a.checked++
-			if overlaps(lo, hi, e.lo, e.hi) {
-				return Conflict{Checker: opID, Origin: e.origin}, true
+		for i := range a.entries {
+			if visit(&a.entries[i]) {
+				return
 			}
 		}
-		return Conflict{}, false
+		return
 	}
 	if p {
 		a.entries = append(a.entries, entry{valid: true, lo: lo, hi: hi, origin: opID})
 	}
-	return Conflict{}, false
 }
 
 // Rotate implements Detector (no-op: the ALAT is not an ordered queue).
@@ -408,8 +352,13 @@ type None struct{}
 // Name implements Detector.
 func (None) Name() string { return "none" }
 
+// HW implements Detector.
+func (None) HW() HW { return HW{} }
+
 // OnMem implements Detector.
 func (None) OnMem(int, bool, bool, bool, int, uint16, uint64, uint64) *Conflict { return nil }
+
+func (None) access(int, bool, bool, bool, int, uint16, uint64, uint64, func(*entry) bool) {}
 
 // Rotate implements Detector.
 func (None) Rotate(int) {}

@@ -35,6 +35,9 @@ func NewBitmask(n int) *Bitmask {
 // Name identifies the model.
 func (b *Bitmask) Name() string { return "bitmask" }
 
+// HW implements Detector.
+func (b *Bitmask) HW() HW { return HW{Kind: KindBitmask, Regs: len(b.regs)} }
+
 // NumRegs returns the register count.
 func (b *Bitmask) NumRegs() int { return len(b.regs) }
 
@@ -50,7 +53,7 @@ func (b *Bitmask) Set(opID int, isStore bool, r int, lo, hi uint64) {
 // a conflict if any overlaps. Only the registers named in the mask are
 // examined — the precision Efficeon buys with encoding bits.
 func (b *Bitmask) Check(opID int, mask uint16, lo, hi uint64) *Conflict {
-	return conflictRef(b.OnMemV(opID, false, false, true, 0, mask, lo, hi))
+	return b.OnMem(opID, false, false, true, 0, mask, lo, hi)
 }
 
 // Reset clears all registers.
@@ -59,19 +62,15 @@ func (b *Bitmask) Reset() { b.valid = 0 }
 // OnMem implements Detector: a C op checks the registers its mask names
 // (check before set), then a P op records its range in register offset.
 func (b *Bitmask) OnMem(opID int, isStore, p, c bool, offset int, mask uint16, lo, hi uint64) *Conflict {
-	return conflictRef(b.OnMemV(opID, isStore, p, c, offset, mask, lo, hi))
+	return detect(b, &b.checked, opID, isStore, p, c, offset, mask, lo, hi)
 }
 
-// OnMemV is the allocation-free concrete-type form of OnMem (see
-// OrderedQueue.OnMemV).
-func (b *Bitmask) OnMemV(opID int, isStore, p, c bool, offset int, mask uint16, lo, hi uint64) (Conflict, bool) {
+func (b *Bitmask) access(opID int, isStore, p, c bool, offset int, mask uint16, lo, hi uint64, visit func(*entry) bool) {
 	if c {
 		// Walk the named registers that hold a range, lowest first.
 		for m := mask & b.valid; m != 0; m &= m - 1 {
-			e := &b.regs[bits.TrailingZeros16(m)]
-			b.checked++
-			if overlaps(lo, hi, e.lo, e.hi) {
-				return Conflict{Checker: opID, Origin: e.origin}, true
+			if visit(&b.regs[bits.TrailingZeros16(m)]) {
+				return
 			}
 		}
 	}
@@ -81,7 +80,6 @@ func (b *Bitmask) OnMemV(opID int, isStore, p, c bool, offset int, mask uint16, 
 		}
 		b.Set(opID, isStore, offset, lo, hi)
 	}
-	return Conflict{}, false
 }
 
 // Rotate implements Detector (no-op: the bit-mask file does not rotate).

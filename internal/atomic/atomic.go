@@ -64,12 +64,22 @@ func Begin(st *guest.State, mem *guest.Memory) *Region {
 // an active region would silently discard its undo log, so it panics.
 // Undo-log capacity from earlier transactions is retained.
 func (r *Region) Begin(st *guest.State, mem *guest.Memory) {
-	if r.st != nil && !r.finished {
+	r.Enter(mem)
+	r.st = st
+	r.checkpoint = *st
+}
+
+// Enter (re-)arms r over mem alone, with no register checkpoint: for a
+// region whose guest registers are written only at commit, after which
+// nothing rolls back, restoring a checkpoint would be a no-op, and taking
+// one copies the whole guest state. Rollback then undoes the stores only.
+// It panics on an active region, as Begin does.
+func (r *Region) Enter(mem *guest.Memory) {
+	if !r.Finished() {
 		panic("atomic: Begin on an active region")
 	}
-	r.st = st
+	r.st = nil
 	r.mem = mem
-	r.checkpoint = *st
 	r.undo = r.undo[:0]
 	r.finished = false
 }
@@ -88,7 +98,7 @@ func (r *Region) Detach() {
 
 // Finished reports whether the region has committed or rolled back. The
 // zero Region is finished.
-func (r *Region) Finished() bool { return r.st == nil || r.finished }
+func (r *Region) Finished() bool { return r.mem == nil || r.finished }
 
 // Store performs a speculative store: the old bytes are logged, then the
 // new value is written through. On a finished region it writes nothing
@@ -158,8 +168,8 @@ func (r *Region) Commit() {
 }
 
 // Rollback undoes every store in reverse order, restores the register
-// checkpoint, and finishes the region. Rolling back a finished region is
-// a runtime bug and panics.
+// checkpoint (when Begin took one), and finishes the region. Rolling back
+// a finished region is a runtime bug and panics.
 func (r *Region) Rollback() {
 	if r.Finished() {
 		panic("atomic: Rollback on a finished region")
@@ -173,5 +183,7 @@ func (r *Region) Rollback() {
 		}
 	}
 	r.undo = r.undo[:0]
-	*r.st = r.checkpoint
+	if r.st != nil {
+		*r.st = r.checkpoint
+	}
 }

@@ -29,6 +29,7 @@ import (
 	"unsafe"
 
 	"smarq/internal/alias"
+	"smarq/internal/aliashw"
 	"smarq/internal/codecache"
 	"smarq/internal/compilequeue"
 	"smarq/internal/core"
@@ -262,6 +263,10 @@ type pendingCompile struct {
 	// point takes the result from it. A leader's own output comes through
 	// done like any fresh job.
 	flight *codecache.Flight[*compileOutput]
+	// stored marks an output taken from the output store on a hit: the
+	// store's one insert point screened it, and nothing writes an output
+	// once it is stored, so the install point does not screen it again.
+	stored bool
 }
 
 // at is the pending compile's queue event time: its install point, or —
@@ -423,7 +428,7 @@ func runCompilePipeline(out *compileOutput, fn func(*Compilation)) *compileOutpu
 	out.numOps = int64(len(reg.Ops))
 	// Compile decodes the schedule into storage of its own, so the arena
 	// can be recycled while the compiled region lives on.
-	out.cr = in.key.Machine.Compile(sc.Seq, reg, len(in.sb.Insts))
+	out.cr = in.compile(sc.Seq, reg)
 	out.alloc = sc.Alloc.Stats
 	out.working = core.MeasureWorkingSets(sc.Alloc, in.sb.NumMemOps())
 	if fn != nil {
@@ -432,6 +437,31 @@ func runCompilePipeline(out *compileOutput, fn func(*Compilation)) *compileOutpu
 	}
 	sc.Release()
 	return out
+}
+
+// compile turns the schedule into the code the input's System runs: the
+// decoded stream, baked for its alias hardware before anything stamps or
+// screens it, so the checksum and the structural checks cover what runs.
+func (in *compileInput) compile(seq []*ir.Op, reg *ir.Region) *vliw.CompiledRegion {
+	cr := in.key.Machine.Compile(seq, reg, len(in.sb.Insts))
+	cr.Bake(hwOf(in.key.Mode, in.key.NumAliasRegs))
+	return cr
+}
+
+// hwOf is the alias hardware a mode and register count configure, the
+// hardware a System's regions are baked for. The ALAT and the null
+// detector ignore the count, and the bit mask caps it at its encoding
+// limit.
+func hwOf(mode sched.HWMode, regs int) aliashw.HW {
+	switch mode {
+	case sched.HWOrdered:
+		return aliashw.HW{Kind: aliashw.KindOrdered, Regs: regs}
+	case sched.HWBitmask:
+		return aliashw.HW{Kind: aliashw.KindBitmask, Regs: min(regs, aliashw.MaxBitmaskRegs)}
+	case sched.HWALAT:
+		return aliashw.HW{Kind: aliashw.KindALAT}
+	}
+	return aliashw.HW{}
 }
 
 // runCompilePipelineRef is the retained reference compile path: private
@@ -474,7 +504,7 @@ func runCompilePipelineRef(out *compileOutput) *compileOutput {
 	}
 
 	out.numOps = int64(len(reg.Ops))
-	out.cr = in.key.Machine.Compile(sc.Seq, reg, len(in.sb.Insts))
+	out.cr = in.compile(sc.Seq, reg)
 	out.alloc = sc.Alloc.Stats
 	out.working = core.MeasureWorkingSets(sc.Alloc, in.sb.NumMemOps())
 	return out
@@ -637,9 +667,10 @@ func (s *System) countLookup(key compileKey) {
 // (screenOutput) and applies the verdict's side effects: a worker panic
 // is a host fault and quarantines the region — the pipeline provably
 // cannot handle this input — and a poisoned result is a rejected host
-// fault. A rejected result is never stored and never dispatched. A store
-// hit was screened before, so re-admitting it is a pure double-check, and
-// a joined flight's output gets the verdict its leader got.
+// fault. A rejected result is never stored and never dispatched. A
+// joined flight's output gets the verdict its leader got. A store hit
+// passed the screen when it was stored, so the install point admits it
+// without one (pendingCompile.stored).
 func (s *System) admitOutput(entry int, out *compileOutput) error {
 	err := screenOutput(entry, out)
 	switch {
@@ -782,7 +813,7 @@ func reuseOutput(p *pendingCompile, in compileInput) compileJob {
 	out, hit, flight, leader := outputStore.Lookup(in.key)
 	switch {
 	case hit:
-		p.out = out
+		p.out, p.stored = out, true
 	case leader:
 		return compileJob{out: &compileOutput{in: in}, flight: flight}
 	default:
@@ -925,7 +956,11 @@ func (s *System) installPending(p *pendingCompile) {
 	s.Stats.Compile.LatencySum += latency
 	s.tel.compileInstalled(latency)
 	out := p.out
-	if err := s.admitOutput(p.entry, out); err != nil {
+	var err error
+	if !p.stored {
+		err = s.admitOutput(p.entry, out)
+	}
+	if err != nil {
 		s.Stats.Compile.Failed++
 		if p.recompile {
 			// The superseding compile failed: the installed code is built

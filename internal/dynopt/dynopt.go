@@ -336,19 +336,17 @@ type System struct {
 	// enabled).
 	hc *health.Controller
 	// x is the executor scratch borrowed per Run from scratchPool (the
-	// process-wide pool for this System's detector): the execution context
-	// (vreg files, checkpoint and undo log) and the alias detector, so
-	// steady-state region entries allocate nothing and the System owns
-	// neither. It is nil between Runs. xChecked is the borrowed detector's
-	// Checked() at borrow time, and hwChecks totals the checks of finished
-	// loans (see syncLiveStats).
+	// process-wide execPool): the execution context (vreg files, origin
+	// ranges and undo log), so steady-state region entries allocate
+	// nothing and the System owns none of it. It is nil between Runs.
 	scratchPool *sync.Pool
 	x           *execScratch
-	xChecked    uint64
-	hwChecks    uint64
 	// tel is the resolved telemetry view (nil when Config.Telemetry is
 	// unset); every emit helper nil-checks it.
 	tel *systemTelemetry
+	// snap holds the entry state runRegion captures to verify a rollback
+	// against; New allocates it only under CheckInvariants.
+	snap *faultinject.Snapshot
 
 	Stats Stats
 }
@@ -374,13 +372,16 @@ func New(prog *guest.Program, st *guest.State, mem *guest.Memory, cfg Config) *S
 		disp:        make([]dispEntry, len(prog.Blocks)),
 		resume:      prog.Entry,
 		tel:         newSystemTelemetry(&cfg),
-		scratchPool: scratchPoolFor(scratchKeyOf(cfg)),
+		scratchPool: &execPool,
 	}
 	if cfg.Compile.SharedCache != nil {
 		s.cache = cfg.Compile.SharedCache.cache
 	}
 	if cfg.Health.Enabled() {
 		s.hc = health.New(cfg.Health)
+	}
+	if cfg.CheckInvariants {
+		s.snap = new(faultinject.Snapshot)
 	}
 	return s
 }
@@ -602,7 +603,9 @@ func (s *System) executeRegion(entry int, rr *regionRecord, c *compiled) (vliw.E
 			return vliw.ExecResult{Outcome: vliw.GuardFail}, telemetry.CauseInjectedGuard
 		}
 	}
-	return s.x.ctx.Execute(c.out.cr, s.st, s.mem, s.x.det), telemetry.CauseNone
+	res := s.x.ctx.Run(c.out.cr, s.st, s.mem)
+	s.Stats.HWChecks += uint64(res.Checked)
+	return res, telemetry.CauseNone
 }
 
 // runRegion executes an installed region and handles its outcome,
@@ -618,9 +621,8 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		s.tel.firstDispatch(s.now() - c.installedAt)
 	}
 
-	var snap faultinject.Snapshot
-	if s.cfg.CheckInvariants {
-		snap = faultinject.Capture(s.st, s.mem)
+	if s.snap != nil {
+		*s.snap = faultinject.Capture(s.st, s.mem)
 	}
 
 	res, injected := s.executeRegion(entry, rr, c)
@@ -634,8 +636,8 @@ func (s *System) runRegion(entry int, c *compiled) int {
 				s.tel.chaosInjected(s.now(), entry, rr.Level, telemetry.CauseCorrupt, ord)
 			}
 		}
-		if s.cfg.CheckInvariants {
-			if err := snap.Verify(s.st, s.mem); err != nil {
+		if s.snap != nil {
+			if err := s.snap.Verify(s.st, s.mem); err != nil {
 				s.Stats.Recovery.InvariantViolations++
 				s.fatalErr = fmt.Errorf("dynopt: rollback invariant violated in B%d: %w", entry, err)
 				return interp.HaltID
@@ -844,14 +846,9 @@ func (s *System) finalize() {
 }
 
 // syncLiveStats copies into Stats the counts whose live source sits
-// outside it: the alias hardware's checks (the finished loans' total plus
-// the current loan's so far), the injector's draws and the health
-// controller's accounting.
+// outside it: the injector's draws and the health controller's
+// accounting.
 func (s *System) syncLiveStats() {
-	s.Stats.HWChecks = s.hwChecks
-	if s.x != nil {
-		s.Stats.HWChecks += s.x.det.Checked() - s.xChecked
-	}
 	if s.inj != nil {
 		s.Stats.Injected = s.inj.Counts()
 	}

@@ -11,6 +11,7 @@ import (
 	"smarq/internal/interp"
 	"smarq/internal/sched"
 	"smarq/internal/telemetry"
+	"smarq/internal/vliw"
 )
 
 // figureConfigs are the six configurations the figure harness runs every
@@ -239,44 +240,35 @@ func TestConcurrentBorrow(t *testing.T) {
 	}
 }
 
-// TestScratchKey: a scratch is shared only between Systems whose
-// detectors are the same hardware, and the key fixes that hardware.
-func TestScratchKey(t *testing.T) {
+// TestHardwareOf: a System's regions are baked for the hardware its
+// detector configuration names, which fixes that hardware: the ALAT and
+// the null detector ignore the register count, and the bit mask caps it.
+func TestHardwareOf(t *testing.T) {
+	hw := func(cfg Config) aliashw.HW { return hwOf(cfg.Mode, cfg.NumAliasRegs) }
 	alat, alat7 := ConfigALAT(), ConfigALAT()
 	alat7.NumAliasRegs = 7
 	bm15, bm40 := ConfigEfficeon(), ConfigEfficeon()
 	bm40.NumAliasRegs = 40
 	same := [][2]Config{{alat, alat7}, {bm15, bm40}, {ConfigSMARQ(64), ConfigNoStoreReorder()}}
 	for _, p := range same {
-		if a, b := scratchKeyOf(p[0]), scratchKeyOf(p[1]); a != b {
-			t.Errorf("keys %+v and %+v differ for the same detector", a, b)
+		if a, b := hw(p[0]), hw(p[1]); a != b {
+			t.Errorf("hardware %+v and %+v differ for the same detector", a, b)
 		}
 	}
 	differ := [][2]Config{{ConfigSMARQ(64), ConfigSMARQ(16)}, {ConfigSMARQ(15), bm15}, {alat, ConfigNoHW()}}
 	for _, p := range differ {
-		if a, b := scratchKeyOf(p[0]), scratchKeyOf(p[1]); a == b {
-			t.Errorf("configs %v/%d and %v/%d share key %+v", p[0].Mode, p[0].NumAliasRegs, p[1].Mode, p[1].NumAliasRegs, a)
+		if a, b := hw(p[0]), hw(p[1]); a == b {
+			t.Errorf("configs %v/%d and %v/%d share hardware %+v", p[0].Mode, p[0].NumAliasRegs, p[1].Mode, p[1].NumAliasRegs, a)
 		}
 	}
-	for want, cfg := range map[string]Config{
-		"ordered-64": ConfigSMARQ(64), "ordered-16": ConfigSMARQ(16),
-		"alat": alat, "bitmask": bm40, "none": ConfigNoHW(),
+	for det, cfg := range map[aliashw.Detector]Config{
+		aliashw.NewOrderedQueue(64): ConfigSMARQ(64), aliashw.NewOrderedQueue(16): ConfigSMARQ(16),
+		aliashw.NewALAT(): alat, aliashw.NewBitmask(40): bm40, aliashw.None{}: ConfigNoHW(),
 	} {
-		if got := scratchKeyOf(cfg).newDetector().Name(); got != want {
-			t.Errorf("%v/%d: pooled detector %s, want %s", cfg.Mode, cfg.NumAliasRegs, got, want)
+		if got := hw(cfg); got != det.HW() {
+			t.Errorf("%v/%d: hardware %+v, want %s's %+v", cfg.Mode, cfg.NumAliasRegs, got, det.Name(), det.HW())
 		}
 	}
-	if got := scratchKeyOf(bm40).newDetector().(*aliashw.Bitmask).NumRegs(); got != aliashw.MaxBitmaskRegs {
-		t.Errorf("bit mask has %d registers, want %d", got, aliashw.MaxBitmaskRegs)
-	}
-}
-
-// panicDetector traps on the first memory operation, leaving the atomic
-// region it runs in open.
-type panicDetector struct{ aliashw.None }
-
-func (panicDetector) OnMem(int, bool, bool, bool, int, uint16, uint64, uint64) *aliashw.Conflict {
-	panic("detector fault")
 }
 
 // TestRegionStatsPublishedOnce: Run stages Stats.Regions in its borrowed
@@ -398,33 +390,59 @@ func lendExec(t testing.TB, sys *System) {
 }
 
 // TestScratchReturnedOnlyIdle: an idle scratch goes back to the pool and
-// is lent again; one left mid-entry by a panic is dropped.
+// is lent again; one left mid-entry by a panic is dropped. The panic is a
+// trap through a real alias: entryAliasLoopProgram's region, rebuilt and
+// structurally corrupted (the first origin of its check list is a slot
+// past the stream, which Validate exists to reject), commits while its
+// load and store do not alias, since the granule sets skip the walk, and
+// indexes out of range mid-entry once they do.
 func TestScratchReturnedOnlyIdle(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
-	sys, entry, c := warmCommitSystem(t, nil)
-	sys.returnExec()
-	k := scratchKeyOf(sys.cfg)
-	sys.scratchPool = &sync.Pool{New: func() any { return &execScratch{det: k.newDetector()} }}
+	sys := New(entryAliasLoopProgram(1_000_000), &guest.State{}, guest.NewMemory(1<<16), ConfigSMARQ(64))
+	sys.scratchPool = &sync.Pool{New: func() any { return new(execScratch) }}
+	if halted, err := sys.Run(10_000); err != nil || halted || sys.installed != 1 {
+		t.Fatalf("warm-up: halted=%v err=%v, %d regions", halted, err, sys.installed)
+	}
+	entry := sys.resume
+	c := sys.disp[entry].code
+	if c == nil {
+		t.Fatalf("the run stopped at B%d, which has no code", entry)
+	}
 
 	sys.borrowExec()
 	idle := sys.x
-	sys.runRegion(entry, c)
+	if next := sys.runRegion(entry, c); next != entry {
+		t.Fatalf("warm dispatch left the loop: next=%d, want %d", next, entry)
+	}
 	sys.returnExec()
 	sys.borrowExec()
 	if sys.x != idle {
 		t.Fatal("an idle scratch was not lent again")
 	}
 
+	bad := runCompilePipeline(&compileOutput{in: c.out.in}, nil).cr
+	bad.Corrupt(true)
+	if bad.Validate() == nil {
+		t.Fatal("Validate accepts the corrupted region")
+	}
+	if res := sys.x.ctx.Run(bad, sys.st, sys.mem); res.Outcome != vliw.Commit {
+		t.Fatalf("an entry without an alias ends %s, want commit", res.Outcome)
+	}
+	// q = mem[16] + 4096 + 8*i now meets p = 1024 + 8*i.
+	q0 := int64(1024 - 4096)
+	if err := sys.mem.Store(16, 8, uint64(q0)); err != nil {
+		t.Fatal(err)
+	}
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("the detector did not trap")
+				t.Fatal("the aliasing entry did not trap")
 			}
 		}()
 		defer sys.returnExec()
-		sys.x.ctx.Execute(c.out.cr, sys.st, sys.mem, panicDetector{})
+		sys.x.ctx.Run(bad, sys.st, sys.mem)
 	}()
 	if sys.x != nil {
 		t.Fatal("the loan outlived the panic")
@@ -437,21 +455,20 @@ func TestScratchReturnedOnlyIdle(t *testing.T) {
 }
 
 // TestWarmPoolRunAllocs pins what borrowing saves: with the pool warm, a
-// new System's New+Run allocates neither vreg files nor a detector. The
-// same run over an empty pool of its own must allocate at least five more
-// times: the scratch, the ordered queue and its register file, and the
-// integer and float vreg files (plus the undo log's growth).
+// new System's New+Run allocates no executor state. The same run over an
+// empty pool of its own must allocate at least five more times: the
+// scratch, the integer and float vreg files, the origin ranges, and the
+// undo log's growth.
 func TestWarmPoolRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	prog := commitLoopProgram(400)
 	cfg := ConfigSMARQ(64)
-	k := scratchKeyOf(cfg)
 	run := func(cold bool) {
 		sys := New(prog, &guest.State{}, guest.NewMemory(1<<14), cfg)
 		if cold {
-			sys.scratchPool = &sync.Pool{New: func() any { return &execScratch{det: k.newDetector()} }}
+			sys.scratchPool = &sync.Pool{New: func() any { return new(execScratch) }}
 		}
 		if halted, err := sys.Run(50_000_000); err != nil || !halted || sys.Stats.Commits == 0 {
 			t.Fatalf("halted=%v err=%v commits=%d", halted, err, sys.Stats.Commits)
@@ -471,5 +488,49 @@ func TestWarmPoolRunAllocs(t *testing.T) {
 		sys.returnExec()
 	}); allocs != 0 {
 		t.Errorf("a warm borrow allocates %v times, want 0", allocs)
+	}
+}
+
+// TestPipelineBakesBeforeStamp: the code a System installs is baked for
+// its alias hardware inside the pipeline, before the checksum stamp, so
+// the stamp and the structural checks cover what runs, and a store hit
+// hands back code that needs nothing more. It runs on its own hardware
+// and refuses any other.
+func TestPipelineBakesBeforeStamp(t *testing.T) {
+	for name, cfg := range figureConfigs() {
+		t.Run(name, func(t *testing.T) {
+			useStore(t, outputStoreBytes)
+			sys := New(aliasingProgram(800, 7), &guest.State{}, guest.NewMemory(1<<16), cfg)
+			if halted, err := sys.Run(50_000_000); err != nil || !halted {
+				t.Fatalf("halted=%v err=%v", halted, err)
+			}
+			own := hwOf(cfg.Mode, cfg.NumAliasRegs)
+			other := aliashw.Detector(aliashw.NewOrderedQueue(7))
+			checked := 0
+			for e := range sys.disp {
+				c := sys.disp[e].code
+				if c == nil {
+					continue
+				}
+				checked++
+				out := c.out
+				if out.checksum != out.cr.Checksum() || out.cr.Validate() != nil {
+					t.Fatalf("B%d: the stamp does not cover the installed code", e)
+				}
+				st := *sys.st
+				var ctx vliw.ExecContext
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("B%d: code baked for %+v ran on %s", e, own, other.Name())
+						}
+					}()
+					ctx.Execute(out.cr, &st, guest.NewMemory(1<<16), other)
+				}()
+			}
+			if checked == 0 {
+				t.Fatal("no region installed")
+			}
+		})
 	}
 }

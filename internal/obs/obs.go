@@ -227,11 +227,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, req *http.Request) {
 // lookups: hits, and lookups that counted no compile (dedupe). The fleet
 // cache is unbounded and holds no code, so it leaves out the byte,
 // eviction and flight-wait counters, which read 0 or interleaving noise.
+// Without a Cache hook there is no cache to render: 404.
 func (s *Server) handleCache(w http.ResponseWriter, req *http.Request) {
-	var st codecache.Stats
-	if s.opts.Cache != nil {
-		st = s.opts.Cache()
+	if s.opts.Cache == nil {
+		http.NotFound(w, req)
+		return
 	}
+	st := s.opts.Cache()
 	rate := func(n, d int64) float64 {
 		if d == 0 {
 			return 0

@@ -180,6 +180,10 @@ func TestEmptyOptions(t *testing.T) {
 			t.Errorf("%s returned %d on an empty server", target, rec.Code)
 		}
 	}
+	// No cache hook, no cache: not an all-zero snapshot.
+	if rec, _ := get(t, s.Handler(), "/debug/cache"); rec.Code != http.StatusNotFound {
+		t.Errorf("/debug/cache returned %d without a Cache hook, want 404", rec.Code)
+	}
 }
 
 // TestStartShutdown binds port 0, scrapes over a real socket, and shuts

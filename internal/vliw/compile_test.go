@@ -48,6 +48,7 @@ func entryState() *guest.State {
 func TestCompileRetainsNoIR(t *testing.T) {
 	seq, reg, insts, _ := scheduleGuest(t, 1, sched.HWOrdered, storeLoadLoop)
 	cr := vliw.DefaultConfig().Compile(seq, reg, insts)
+	cr.Bake(aliashw.NewOrderedQueue(64).HW())
 	if err := cr.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func packedRegion(t *testing.T) (*CompiledRegion, []*ir.Op) {
 func TestDecodeAccessors(t *testing.T) {
 	cr, ops := packedRegion(t)
 	for i, op := range ops {
-		d := &cr.dec[i]
+		d := &cr.code[i]
 		if d.dstFloat() != op.DstFloat || d.p() != op.P || d.c() != op.C || d.onTraceTaken() != op.OnTraceTaken ||
 			len(op.SrcFloat) > 0 && d.srcFloat0() != op.SrcFloat[0] {
 			t.Errorf("slot %d (%v): flags %05b do not match the IR op", i, op.Kind, d.flags)
@@ -129,9 +129,9 @@ func TestChecksumCoversPackedFields(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cr, _ := packedRegion(t)
-			before := cr.dec[tc.slot]
-			tc.flip(&cr.dec[tc.slot])
-			if cr.dec[tc.slot] == before {
+			before := cr.code[tc.slot]
+			tc.flip(&cr.code[tc.slot])
+			if cr.code[tc.slot] == before {
 				t.Fatal("flip left the op unchanged")
 			}
 			if cr.Checksum() == sum {
@@ -164,7 +164,7 @@ func TestDecodeFusesAndMasks(t *testing.T) {
 	cr, _ := packedRegion(t)
 	want := []xop{xLi, xAddi, xFLi, xLd8, xFSt8, xBlt, xRotate, xAMov}
 	for i, x := range want {
-		if got := cr.dec[i].xop; got != x {
+		if got := cr.code[i].xop; got != x {
 			t.Errorf("slot %d fused to %v, want %v", i, got, x)
 		}
 	}
@@ -219,18 +219,18 @@ func TestValidateRejectsFusedMismatch(t *testing.T) {
 		name string
 		flip func(cr *CompiledRegion)
 	}{
-		{"zero fused opcode", func(cr *CompiledRegion) { cr.dec[li].xop = xBad }},
-		{"fused opcode past the last", func(cr *CompiledRegion) { cr.dec[li].xop = numXops }},
-		{"fused opcode of another arith op", func(cr *CompiledRegion) { cr.dec[addi].xop = xMuli }},
-		{"fused opcode of another kind", func(cr *CompiledRegion) { cr.dec[guard].xop = xFLi }},
-		{"kind", func(cr *CompiledRegion) { cr.dec[load].kind = ir.Store }},
-		{"guest opcode", func(cr *CompiledRegion) { cr.dec[fli].gop = guest.FMov }},
-		{"guest opcode of another kind", func(cr *CompiledRegion) { cr.dec[guard].gop = guest.Add }},
-		{"width", func(cr *CompiledRegion) { cr.dec[load].memSize = 4 }},
-		{"load register file", func(cr *CompiledRegion) { cr.dec[load].flags ^= flagDstFloat }},
-		{"store register file", func(cr *CompiledRegion) { cr.dec[store].flags ^= flagSrcFloat0 }},
-		{"missing source", func(cr *CompiledRegion) { cr.dec[addi].src0 = int32(ir.NoVReg) }},
-		{"write to a live-in the mask misses", func(cr *CompiledRegion) { cr.dec[li].dst = 4 }},
+		{"zero fused opcode", func(cr *CompiledRegion) { cr.code[li].xop = xBad }},
+		{"fused opcode past the last", func(cr *CompiledRegion) { cr.code[li].xop = numXops }},
+		{"fused opcode of another arith op", func(cr *CompiledRegion) { cr.code[addi].xop = xMuli }},
+		{"fused opcode of another kind", func(cr *CompiledRegion) { cr.code[guard].xop = xFLi }},
+		{"kind", func(cr *CompiledRegion) { cr.code[load].kind = ir.Store }},
+		{"guest opcode", func(cr *CompiledRegion) { cr.code[fli].gop = guest.FMov }},
+		{"guest opcode of another kind", func(cr *CompiledRegion) { cr.code[guard].gop = guest.Add }},
+		{"width", func(cr *CompiledRegion) { cr.code[load].memSize = 4 }},
+		{"load register file", func(cr *CompiledRegion) { cr.code[load].flags ^= flagDstFloat }},
+		{"store register file", func(cr *CompiledRegion) { cr.code[store].flags ^= flagSrcFloat0 }},
+		{"missing source", func(cr *CompiledRegion) { cr.code[addi].src0 = int32(ir.NoVReg) }},
+		{"write to a live-in the mask misses", func(cr *CompiledRegion) { cr.code[li].dst = 4 }},
 		{"extra float live-out", func(cr *CompiledRegion) { cr.floatLive |= 1 << 2 }},
 	}
 	for _, tc := range cases {
@@ -268,8 +268,8 @@ func TestChecksumCoversEveryBit(t *testing.T) {
 		check(fmt.Sprintf("IntOut[%d]", r), 32, func(b uint) { cr.IntOut[r] ^= 1 << b })
 		check(fmt.Sprintf("FloatOut[%d]", r), 32, func(b uint) { cr.FloatOut[r] ^= 1 << b })
 	}
-	for i := range cr.dec {
-		d := &cr.dec[i]
+	for i := range cr.code {
+		d := &cr.code[i]
 		op := func(field string) string { return fmt.Sprintf("op %d %s", i, field) }
 		check(op("imm"), 64, func(b uint) { d.imm ^= 1 << b })
 		check(op("id"), 32, func(b uint) { d.id ^= 1 << b })

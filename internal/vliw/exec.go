@@ -1,26 +1,35 @@
 // The allocation-free region execution engine.
 //
 // Compile decodes the scheduled []*ir.Op sequence into a flat array of
-// decOp value structs, the only form of the code a CompiledRegion keeps,
-// so the steady-state execute loop walks contiguous memory with no per-op
-// pointer chasing. Each decoded op carries one fused execute opcode
-// (xop), chosen at decode from its kind, guest opcode, access width and
-// register file, so Execute costs one switch per op and every arm writes
-// the vreg files directly. The region also carries its live-out masks:
-// the guest registers a commit may change, the only ones it writes back.
-// ExecContext holds the reusable execution state — the virtual register
-// files and one pooled atomic.Region — and is borrowed per Run: the
-// dynopt runtime takes one from a process-wide pool for each System.Run
-// call and returns it idle, so a committed region entry performs zero
-// heap allocations and a fresh System allocates none of this state. The
-// detector is devirtualized once per entry: a type switch picks a
-// concrete fast path (OrderedQueue/ALAT/Bitmask/None), a memory op calls
-// it only when it has a P or C bit (or the detector must see every
-// access: the ALAT and a generic Detector), and conflicts come back by
-// value, so the no-conflict path never allocates either. The original
-// *ir.Op-walking executor survives in the tests (ref_test.go) as the
-// reference semantics; a differential test holds the two engines
-// bit-identical.
+// decOp value structs; Bake then lowers that stream, in place, into the
+// form the host runs for one alias hardware (bake.go). It evaluates the
+// hardware's model over op identities once (aliashw.Evaluator): a region
+// entry runs a prefix of its schedule and every detector starts it empty,
+// so each memory op's compare list — which earlier ops it checks, in the
+// hardware's order — is fixed, and only addresses are dynamic. The lists
+// are stored as one flat array of origin slots, a length per op. The bake
+// also folds index arithmetic whose only readers form addresses (an add,
+// and a power-of-two muli feeding it) into the memory ops, which compute
+// base + index<<shift + offset, and drops those ops, rotates and AMOVs
+// from the stream. What stays is one stream: the region keeps no other.
+//
+// Execute (Run, for a baked region) costs one switch per op, and every
+// arm writes the vreg files directly. An origin op records its [lo, hi)
+// in a per-context slot; a checking op walks its list and stops at the
+// first overlap. Two 256-bit sets of hashed 8-byte granules — those any
+// origin accessed, and those store origins wrote — let a checker whose
+// granules are all clear skip its walk: overlapping ranges share a
+// granule, so the skip is exact. Checks are counted statically: a commit
+// performed every list, and an abort every list before its op plus the
+// conflict's position. The entry takes no guest-state checkpoint — the
+// guest registers are written only at commit — only the atomic region's
+// store undo log, and zeroes only the vregs the stream reads before it
+// writes them. ExecContext holds the reusable state (vreg files, origin
+// ranges, granule sets, the atomic region) and is borrowed per Run, so a
+// committed entry allocates nothing. The original
+// *ir.Op-walking executor over the address-level detectors survives in
+// the tests (ref_test.go) as the reference semantics; differential tests
+// hold the two engines identical, conflicts and counts included.
 
 package vliw
 
@@ -38,7 +47,7 @@ import (
 // decOp is one pre-decoded operation: every field the execute loop needs,
 // flattened out of ir.Op (and its Srcs/SrcFloat slices and *MemInfo) into
 // a 40-byte value struct. The kind-dependent operands share one word, imm,
-// and the five booleans share one byte, flags; both are read only through
+// and the boolean flags share one byte, flags; both are read only through
 // the accessors below. xop is what Execute dispatches on; kind, gop and
 // memSize stay for Validate, which requires xop to agree with them.
 //
@@ -48,6 +57,12 @@ import (
 //	Rotate      the rotation amount
 //	AMov        the source offset (low 32 bits) and destination offset (high 32)
 //	Copy/Guard  zero
+//
+// Baking (bake.go) gives a memory op an index: its address is
+// vri[memBase] + vri[src1]<<shift + imm, with src1 the zero vreg (one
+// past the region's) when nothing is folded into it. arMask, the
+// bit-mask hardware's check mask until then, becomes the length of the
+// op's check list.
 type decOp struct {
 	imm int64
 
@@ -65,15 +80,26 @@ type decOp struct {
 	gop   guest.Opcode
 	flags uint8
 	xop   xop
+	shift uint8
 }
 
-// decOp flag bits.
+// decOp flag bits. The first five come from the IR op; the last three
+// are set by the bake, on memory ops only.
 const (
 	flagDstFloat uint8 = 1 << iota
 	flagSrcFloat0
 	flagP
 	flagC
 	flagOnTraceTaken
+	// flagOrigin: the op's range is in some check list, so it records it.
+	flagOrigin
+	// flagList: the op has a check list (arMask holds its length).
+	flagList
+	// flagStoreList: every origin in the op's check list is a store.
+	flagStoreList
+
+	// aliasFlags mark a memory op that has alias work at run time.
+	aliasFlags = flagOrigin | flagList
 )
 
 func (d *decOp) setFlag(bit uint8, on bool) {
@@ -94,8 +120,10 @@ func (d *decOp) fimm() float64 { return math.Float64frombits(uint64(d.imm)) }
 // memOff is a Load's or Store's address offset.
 func (d *decOp) memOff() int64 { return d.imm }
 
-// addr is a Load's or Store's effective address.
-func (d *decOp) addr(vri []int64) uint64 { return uint64(vri[d.memBase] + d.memOff()) }
+// addr is a baked Load's or Store's effective address.
+func (d *decOp) addr(vri []int64) uint64 {
+	return uint64(vri[d.memBase] + vri[d.src1]<<(d.shift&63) + d.memOff())
+}
 
 // rotateAmount is a Rotate's amount.
 func (d *decOp) rotateAmount() int { return int(d.imm) }
@@ -169,6 +197,12 @@ const (
 	numXops
 )
 
+// isMem reports whether x is a Load or Store opcode.
+func (x xop) isMem() bool { return x >= xLd1 && x <= xFSt8 }
+
+// isStore reports whether x is a Store opcode.
+func (x xop) isStore() bool { return x >= xSt1 && x <= xFSt8 }
+
 // gopXops is the fused opcode of each guest opcode an Arith, Load, Store
 // or Guard op may carry.
 var gopXops = [...]xop{
@@ -241,8 +275,10 @@ func fuse(kind ir.Kind, gop guest.Opcode, memSize, flags uint8) xop {
 }
 
 // Fused opcode properties: the vreg fields an op of the opcode uses,
-// each of which Validate requires present, and the register file it
-// writes at dst.
+// each of which Validate requires present, the register file it writes at
+// dst, and which of src0 and src1 it reads from the float file (the
+// others it uses read the integer file, as a memory op's base always
+// does).
 const (
 	useDst uint8 = 1 << iota
 	useSrc0
@@ -250,6 +286,8 @@ const (
 	useBase
 	writesInt
 	writesFloat
+	floatSrc0
+	floatSrc1
 )
 
 // xopProps holds each fused opcode's properties; Nop, Rotate and AMov
@@ -260,8 +298,8 @@ var xopProps = func() [numXops]uint8 {
 		i1  = i0 | useSrc0
 		i2  = i1 | useSrc1
 		f0  = useDst | writesFloat
-		f1  = f0 | useSrc0
-		f2  = f1 | useSrc1
+		f1  = f0 | useSrc0 | floatSrc0
+		f2  = f1 | useSrc1 | floatSrc1
 		ld  = useDst | useBase | writesInt
 		fld = useDst | useBase | writesFloat
 		st  = useSrc0 | useBase
@@ -269,11 +307,11 @@ var xopProps = func() [numXops]uint8 {
 	)
 	return [numXops]uint8{
 		xLi: i0, xMov: i1, xAdd: i2, xSub: i2, xMul: i2, xDiv: i2, xAnd: i2, xOr: i2, xXor: i2,
-		xShl: i2, xShr: i2, xAddi: i1, xMuli: i1, xSlt: i2, xCvtFI: i1, xCopy: i1,
+		xShl: i2, xShr: i2, xAddi: i1, xMuli: i1, xSlt: i2, xCvtFI: i1 | floatSrc0, xCopy: i1,
 		xFLi: f0, xFMov: f1, xFAdd: f2, xFSub: f2, xFMul: f2, xFDiv: f2, xFNeg: f1, xFAbs: f1,
-		xFSqrt: f1, xCvtIF: f1, xFCopy: f1,
+		xFSqrt: f1, xCvtIF: f0 | useSrc0, xFCopy: f1,
 		xLd1: ld, xLd2: ld, xLd4: ld, xLd8: ld, xFLd8: fld,
-		xSt1: st, xSt2: st, xSt4: st, xSt8: st, xFSt8: st,
+		xSt1: st, xSt2: st, xSt4: st, xSt8: st, xFSt8: st | floatSrc0,
 		xBeq: br, xBne: br, xBlt: br, xBge: br,
 	}
 }()
@@ -365,134 +403,62 @@ func decode(seq []*ir.Op) (dec []decOp, intWritten, floatWritten uint32) {
 	return dec, intWritten, floatWritten
 }
 
-// detKind tags the concrete detector type resolved once per region entry.
-type detKind uint8
-
-const (
-	detGeneric detKind = iota
-	detOrdered
-	detALAT
-	detBitmask
-	detNone
-)
-
-// checkFlags are the decOp flags that make a memory op an alias-register
-// user; only those reach the ordered queue, the bit-mask file and None,
-// on which an op with neither bit has no effect.
-const checkFlags = flagP | flagC
-
-// detDispatch routes OnMem to the concrete detector without interface
-// dispatch on the hot path; the generic arm keeps third-party Detector
-// implementations working. It also keeps the entry's alias-register
-// occupancy high-water mark (telemetry).
-type detDispatch struct {
-	kind detKind
-	// all is set when every memory op must reach the detector: the ALAT
-	// checks every store whatever its bits, and a generic Detector may
-	// act on any call.
-	all  bool
-	arHW int32
-	oq   *aliashw.OrderedQueue
-	al   *aliashw.ALAT
-	bm   *aliashw.Bitmask
-	det  aliashw.Detector
-}
-
-func dispatchFor(det aliashw.Detector) detDispatch {
-	switch d := det.(type) {
-	case *aliashw.OrderedQueue:
-		return detDispatch{kind: detOrdered, oq: d, det: det}
-	case *aliashw.ALAT:
-		return detDispatch{kind: detALAT, all: true, al: d, det: det}
-	case *aliashw.Bitmask:
-		return detDispatch{kind: detBitmask, bm: d, det: det}
-	case aliashw.None:
-		return detDispatch{kind: detNone, det: det}
-	default:
-		return detDispatch{kind: detGeneric, all: true, det: det}
-	}
-}
-
-// sees reports whether op's access must reach the detector.
-func (dd *detDispatch) sees(op *decOp) bool { return op.flags&checkFlags != 0 || dd.all }
-
-// onMem performs the alias check/set for one memory op, returning the
-// conflict by value (hit=false on the common no-conflict path).
-func (dd *detDispatch) onMem(op *decOp, isStore bool, lo, hi uint64) (aliashw.Conflict, bool) {
-	if op.p() && op.arOffset+1 > dd.arHW {
-		dd.arHW = op.arOffset + 1
-	}
-	switch dd.kind {
-	case detOrdered:
-		return dd.oq.OnMemV(int(op.id), isStore, op.p(), op.c(), int(op.arOffset), lo, hi)
-	case detALAT:
-		return dd.al.OnMemV(int(op.id), isStore, op.p(), op.c(), lo, hi)
-	case detBitmask:
-		return dd.bm.OnMemV(int(op.id), isStore, op.p(), op.c(), int(op.arOffset), op.arMask, lo, hi)
-	case detNone:
-		return aliashw.Conflict{}, false
-	default:
-		if cp := dd.det.OnMem(int(op.id), isStore, op.p(), op.c(), int(op.arOffset), op.arMask, lo, hi); cp != nil {
-			return *cp, true
-		}
-		return aliashw.Conflict{}, false
-	}
-}
-
-// rotate, amov and reset are cold relative to OnMem but still
-// devirtualized for the ordered queue (the only hardware where rotate
-// and amov do anything).
-func (dd *detDispatch) rotate(n int) {
-	if dd.kind == detOrdered {
-		dd.oq.Rotate(n)
-		return
-	}
-	dd.det.Rotate(n)
-}
-
-func (dd *detDispatch) amov(src, dst int) {
-	if dd.kind == detOrdered {
-		dd.oq.AMov(src, dst)
-		return
-	}
-	dd.det.AMov(src, dst)
-}
-
-func (dd *detDispatch) reset() {
-	if dd.kind == detOrdered {
-		dd.oq.Reset()
-		return
-	}
-	dd.det.Reset()
-}
-
 // ExecContext is the reusable execution state, borrowed per Run: the
-// virtual register files and the pooled atomic region. A zero ExecContext
-// is ready to use; it must not be shared between concurrently executing
-// systems. No region entry depends on what an earlier entry left behind
-// (Execute initializes every vreg it reads and re-arms the atomic
-// region), so an idle context may move between systems. Pooling
-// preserves the atomic.Region single-use contract — each entry re-arms
-// the same region, and between Begin and Commit/Rollback it behaves
-// exactly like a fresh one.
+// virtual register files, the origin ranges and granule sets of the alias
+// check lists, and the pooled atomic region. A zero ExecContext is ready
+// to use; it must not be shared between concurrently executing systems.
+// No region entry depends on what an earlier entry left behind (Run
+// initializes every vreg it reads, clears the granule sets, records every
+// origin range before a list names it, and re-arms the atomic region), so
+// an idle context may move between systems.
 type ExecContext struct {
 	vri []int64
 	vrf []float64
-	ar  atomic.Region
-	// busy is set for the whole of an Execute call and cleared once its
-	// atomic region is finished and its detector reset (see Idle).
+	// ranges holds the access range of each origin op, by stream slot.
+	ranges []span
+	// accessed and stored are the entry's granule sets: one bit per
+	// hashed 8-byte granule that an origin (accessed) or a store origin
+	// (stored) accessed, so far.
+	accessed, stored granules
+	ar               atomic.Region
+	// busy is set for the whole of a Run call and cleared once its
+	// atomic region is finished (see Idle).
 	busy bool
 }
 
-// Idle reports whether no region entry is in flight: every Execute has
-// returned, so its atomic region is finished and the detector it ran
-// against was reset. A context whose Execute panicked stays busy, and its
-// detector in an unknown state; neither may be reused.
+// span is an origin's access range [lo, hi).
+type span struct{ lo, hi uint64 }
+
+// granules is a 256-bit set of hashed 8-byte granules.
+type granules [4]uint64
+
+// granule hashes the 8-byte granule holding address a to a bit of a
+// granules set (Fibonacci hashing: the granule number's top byte after a
+// multiply by 2^64/φ).
+func granule(a uint64) uint64 { return (a >> 3) * 0x9e3779b97f4a7c15 >> 56 }
+
+// add sets the granules of [lo, hi), an access of at most 8 bytes, so at
+// most two.
+func (g *granules) add(lo, hi uint64) {
+	a, b := granule(lo), granule(hi-1)
+	g[a>>6] |= 1 << (a & 63)
+	g[b>>6] |= 1 << (b & 63)
+}
+
+// has reports whether a granule of [lo, hi) is set.
+func (g *granules) has(lo, hi uint64) bool {
+	a, b := granule(lo), granule(hi-1)
+	return (g[a>>6]>>(a&63)|g[b>>6]>>(b&63))&1 != 0
+}
+
+// Idle reports whether no region entry is in flight: every Run has
+// returned, so its atomic region is finished. A context whose Run
+// panicked stays busy and may not be reused.
 func (ctx *ExecContext) Idle() bool { return !ctx.busy && ctx.ar.Finished() }
 
-// Detach drops an idle context's references to the guest state and memory
-// of its last entry, keeping its storage, so a pooled context does not
-// keep a finished guest alive. It panics on a busy context.
+// Detach drops an idle context's references to the guest memory of its
+// last entry, keeping its storage, so a pooled context does not keep a
+// finished guest alive. It panics on a busy context.
 func (ctx *ExecContext) Detach() {
 	if ctx.busy {
 		panic("vliw: Detach on a busy ExecContext")
@@ -500,20 +466,51 @@ func (ctx *ExecContext) Detach() {
 	ctx.ar.Detach()
 }
 
-// abort rolls the entry back after op n and resets the detector.
-func (ctx *ExecContext) abort(dd *detDispatch, out Outcome, conf *aliashw.Conflict, n int) ExecResult {
-	buffered := ctx.ar.StoreCount()
-	ctx.ar.Rollback()
-	dd.reset()
-	ctx.busy = false
-	return ExecResult{Outcome: out, Conflict: conf, OpsExecuted: n,
-		ARHighWater: int(dd.arHW), StoresBuffered: buffered}
+// alias runs memory op op's alias work on [lo, hi): its check, unless the
+// granule sets show that no origin of its list touched a granule of the
+// access, and then, for an origin, the record of its range. pos is the
+// op's list start in cr.lists. It returns the 1-based position in the
+// list of the origin it conflicts with, or 0.
+func (ctx *ExecContext) alias(cr *CompiledRegion, op *decOp, n, pos int, lo, hi uint64) int {
+	if op.flags&flagList != 0 {
+		set := &ctx.accessed
+		if op.flags&flagStoreList != 0 {
+			set = &ctx.stored
+		}
+		if set.has(lo, hi) {
+			for j, o := range cr.lists[pos : pos+int(op.arMask)] {
+				if r := &ctx.ranges[o]; lo < r.hi && r.lo < hi {
+					return j + 1
+				}
+			}
+		}
+	}
+	if op.flags&flagOrigin != 0 {
+		ctx.ranges[n] = span{lo, hi}
+		ctx.accessed.add(lo, hi)
+		if op.xop.isStore() {
+			ctx.stored.add(lo, hi)
+		}
+	}
+	return 0
 }
 
-// aliasAbort is abort on an alias exception. The conflict is copied to
-// the heap here, on the exception path, never on the checking path.
-func (ctx *ExecContext) aliasAbort(dd *detDispatch, conf aliashw.Conflict, n int) ExecResult {
-	return ctx.abort(dd, AliasException, &conf, n)
+// abort rolls the entry back at stream slot n, after checked comparisons.
+func (ctx *ExecContext) abort(cr *CompiledRegion, out Outcome, conf *aliashw.Conflict, n, checked int) ExecResult {
+	buffered := ctx.ar.StoreCount()
+	ctx.ar.Rollback()
+	ctx.busy = false
+	return ExecResult{Outcome: out, Conflict: conf, OpsExecuted: cr.scheduleIndex(n),
+		ARHighWater: cr.arHighWater(n), StoresBuffered: buffered, Checked: checked}
+}
+
+// aliasAbort is abort on an alias exception: slot n's check conflicted
+// with the j-th origin (1-based) of its list, which starts at pos. The
+// conflict is copied to the heap here, on the exception path, never on
+// the checking path.
+func (ctx *ExecContext) aliasAbort(cr *CompiledRegion, n, pos, j int) ExecResult {
+	conf := &aliashw.Conflict{Checker: int(cr.code[n].id), Origin: int(cr.code[cr.lists[pos+j-1]].id)}
+	return ctx.abort(cr, AliasException, conf, n, pos+j)
 }
 
 // load is the slow path of a load the page fast path declined.
@@ -522,12 +519,33 @@ func load(mem *guest.Memory, addr uint64, size int) (uint64, bool) {
 	return v, err == nil
 }
 
-// Execute runs a compiled region against the guest state, memory, and
-// alias detector, inside an atomic region. On anything but Commit the
-// architectural state is rolled back to the region entry and the detector
-// reset. The steady-state commit path performs zero heap allocations.
+// Execute runs a compiled region against the guest state and memory on
+// det's alias hardware. A region not yet baked is baked for det's
+// hardware first (Bake); a region baked for other hardware panics. Only
+// det.HW is read, and det is never changed: the region carries its
+// hardware's behaviour. See Run.
 func (ctx *ExecContext) Execute(cr *CompiledRegion, st *guest.State, mem *guest.Memory, det aliashw.Detector) ExecResult {
-	nv := cr.NumVRegs
+	hw := det.HW()
+	switch {
+	case !cr.baked:
+		cr.Bake(hw)
+	case cr.hw != hw:
+		panic(fmt.Sprintf("vliw: region baked for %+v executed on %s", cr.hw, det.Name()))
+	}
+	return ctx.Run(cr, st, mem)
+}
+
+// Run runs a baked region against the guest state and memory inside an
+// atomic region. On anything but Commit the guest memory is rolled back
+// to the region entry, and the guest registers were never written. The
+// steady-state commit path performs zero heap allocations.
+func (ctx *ExecContext) Run(cr *CompiledRegion, st *guest.State, mem *guest.Memory) ExecResult {
+	if !cr.baked {
+		panic("vliw: Run of a region that is not baked")
+	}
+	// One vreg past the region's is the zero vreg, the index of a memory
+	// op with none folded into it.
+	nv := cr.NumVRegs + 1
 	if cap(ctx.vri) < nv {
 		ctx.vri = make([]int64, nv)
 		ctx.vrf = make([]float64, nv)
@@ -537,25 +555,36 @@ func (ctx *ExecContext) Execute(cr *CompiledRegion, st *guest.State, mem *guest.
 	// Live-ins occupy fixed ranges (ir.Region: vregs [0, 2*NumRegs) are
 	// the live-in guest registers, integer file first): vri[0:NumRegs]
 	// holds the integer live-ins and vrf[NumRegs:2*NumRegs] the float
-	// ones. Bulk-copy those and zero only the complement, matching the
-	// fresh-slices semantics of the reference executor without clearing
-	// words that are about to be overwritten.
+	// ones. Bulk-copy those and zero only the vregs read before they are
+	// written, matching the fresh-slices semantics of the reference
+	// executor without clearing words that are about to be overwritten.
 	const nr = guest.NumRegs
 	copy(vri[:nr], st.R[:])
 	copy(vrf[nr:2*nr], st.F[:])
-	clear(vri[nr:])
-	clear(vrf[:nr])
-	clear(vrf[2*nr:])
+	for _, v := range cr.zeroInt {
+		vri[v] = 0
+	}
+	for _, v := range cr.zeroFloat {
+		vrf[v] = 0
+	}
 
-	dd := dispatchFor(det)
+	code := cr.code
+	if len(cr.lists) != 0 {
+		if len(ctx.ranges) < len(code) {
+			ctx.ranges = make([]span, len(code))
+		}
+		ctx.accessed, ctx.stored = granules{}, granules{}
+	}
 	pages := mem.Pages()
-	dec := cr.dec
+	// pos is the next checking op's list start in cr.lists: the
+	// comparisons every list before it performed.
+	pos := 0
 
 	ctx.busy = true
-	ctx.ar.Begin(st, mem)
+	ctx.ar.Enter(mem)
 
-	for n := range dec {
-		op := &dec[n]
+	for n := range code {
+		op := &code[n]
 		switch op.xop {
 		case xNop:
 		case xLi:
@@ -622,135 +651,137 @@ func (ctx *ExecContext) Execute(cr *CompiledRegion, st *guest.State, mem *guest.
 		case xFCopy:
 			vrf[op.dst] = vrf[op.src0]
 
-		// Loads: the alias check, then the page fast path, then
+		// Loads: the alias work, then the page fast path, then
 		// Memory.Load for anything it declines (and the fault).
 		case xLd1:
 			addr := op.addr(vri)
-			if dd.sees(op) {
-				if conf, hit := dd.onMem(op, false, addr, addr+1); hit {
-					return ctx.aliasAbort(&dd, conf, n)
+			if op.flags&aliasFlags != 0 {
+				if j := ctx.alias(cr, op, n, pos, addr, addr+1); j != 0 {
+					return ctx.aliasAbort(cr, n, pos, j)
 				}
+				pos += int(op.arMask)
 			}
 			v, ok := guest.PageLoad1(pages, addr)
 			if !ok {
 				if v, ok = load(mem, addr, 1); !ok {
-					return ctx.abort(&dd, Fault, nil, n)
+					return ctx.abort(cr, Fault, nil, n, pos)
 				}
 			}
 			vri[op.dst] = int64(v)
 		case xLd2:
 			addr := op.addr(vri)
-			if dd.sees(op) {
-				if conf, hit := dd.onMem(op, false, addr, addr+2); hit {
-					return ctx.aliasAbort(&dd, conf, n)
+			if op.flags&aliasFlags != 0 {
+				if j := ctx.alias(cr, op, n, pos, addr, addr+2); j != 0 {
+					return ctx.aliasAbort(cr, n, pos, j)
 				}
+				pos += int(op.arMask)
 			}
 			v, ok := guest.PageLoad2(pages, addr)
 			if !ok {
 				if v, ok = load(mem, addr, 2); !ok {
-					return ctx.abort(&dd, Fault, nil, n)
+					return ctx.abort(cr, Fault, nil, n, pos)
 				}
 			}
 			vri[op.dst] = int64(v)
 		case xLd4:
 			addr := op.addr(vri)
-			if dd.sees(op) {
-				if conf, hit := dd.onMem(op, false, addr, addr+4); hit {
-					return ctx.aliasAbort(&dd, conf, n)
+			if op.flags&aliasFlags != 0 {
+				if j := ctx.alias(cr, op, n, pos, addr, addr+4); j != 0 {
+					return ctx.aliasAbort(cr, n, pos, j)
 				}
+				pos += int(op.arMask)
 			}
 			v, ok := guest.PageLoad4(pages, addr)
 			if !ok {
 				if v, ok = load(mem, addr, 4); !ok {
-					return ctx.abort(&dd, Fault, nil, n)
+					return ctx.abort(cr, Fault, nil, n, pos)
 				}
 			}
 			vri[op.dst] = int64(v)
 		case xLd8:
 			addr := op.addr(vri)
-			if dd.sees(op) {
-				if conf, hit := dd.onMem(op, false, addr, addr+8); hit {
-					return ctx.aliasAbort(&dd, conf, n)
+			if op.flags&aliasFlags != 0 {
+				if j := ctx.alias(cr, op, n, pos, addr, addr+8); j != 0 {
+					return ctx.aliasAbort(cr, n, pos, j)
 				}
+				pos += int(op.arMask)
 			}
 			v, ok := guest.PageLoad8(pages, addr)
 			if !ok {
 				if v, ok = load(mem, addr, 8); !ok {
-					return ctx.abort(&dd, Fault, nil, n)
+					return ctx.abort(cr, Fault, nil, n, pos)
 				}
 			}
 			vri[op.dst] = int64(v)
 		case xFLd8:
 			addr := op.addr(vri)
-			if dd.sees(op) {
-				if conf, hit := dd.onMem(op, false, addr, addr+8); hit {
-					return ctx.aliasAbort(&dd, conf, n)
+			if op.flags&aliasFlags != 0 {
+				if j := ctx.alias(cr, op, n, pos, addr, addr+8); j != 0 {
+					return ctx.aliasAbort(cr, n, pos, j)
 				}
+				pos += int(op.arMask)
 			}
 			v, ok := guest.PageLoad8(pages, addr)
 			if !ok {
 				if v, ok = load(mem, addr, 8); !ok {
-					return ctx.abort(&dd, Fault, nil, n)
+					return ctx.abort(cr, Fault, nil, n, pos)
 				}
 			}
 			vrf[op.dst] = math.Float64frombits(v)
 
-		// Stores: the alias check, then the atomic region's logged
+		// Stores: the alias work, then the atomic region's logged
 		// write-through.
 		case xSt1, xSt2, xSt4, xSt8:
 			addr := op.addr(vri)
 			size := int(op.memSize)
-			if dd.sees(op) {
-				if conf, hit := dd.onMem(op, true, addr, addr+uint64(size)); hit {
-					return ctx.aliasAbort(&dd, conf, n)
+			if op.flags&aliasFlags != 0 {
+				if j := ctx.alias(cr, op, n, pos, addr, addr+uint64(size)); j != 0 {
+					return ctx.aliasAbort(cr, n, pos, j)
 				}
+				pos += int(op.arMask)
 			}
 			if err := ctx.ar.Store(addr, size, uint64(vri[op.src0])); err != nil {
-				return ctx.abort(&dd, Fault, nil, n)
+				return ctx.abort(cr, Fault, nil, n, pos)
 			}
 		case xFSt8:
 			addr := op.addr(vri)
-			if dd.sees(op) {
-				if conf, hit := dd.onMem(op, true, addr, addr+8); hit {
-					return ctx.aliasAbort(&dd, conf, n)
+			if op.flags&aliasFlags != 0 {
+				if j := ctx.alias(cr, op, n, pos, addr, addr+8); j != 0 {
+					return ctx.aliasAbort(cr, n, pos, j)
 				}
+				pos += int(op.arMask)
 			}
 			if err := ctx.ar.Store(addr, 8, math.Float64bits(vrf[op.src0])); err != nil {
-				return ctx.abort(&dd, Fault, nil, n)
+				return ctx.abort(cr, Fault, nil, n, pos)
 			}
 
 		// Guards: the region stays on trace while the branch goes the way
 		// it went when the region was formed.
 		case xBeq:
 			if (vri[op.src0] == vri[op.src1]) != op.onTraceTaken() {
-				return ctx.abort(&dd, GuardFail, nil, n)
+				return ctx.abort(cr, GuardFail, nil, n, pos)
 			}
 		case xBne:
 			if (vri[op.src0] != vri[op.src1]) != op.onTraceTaken() {
-				return ctx.abort(&dd, GuardFail, nil, n)
+				return ctx.abort(cr, GuardFail, nil, n, pos)
 			}
 		case xBlt:
 			if (vri[op.src0] < vri[op.src1]) != op.onTraceTaken() {
-				return ctx.abort(&dd, GuardFail, nil, n)
+				return ctx.abort(cr, GuardFail, nil, n, pos)
 			}
 		case xBge:
 			if (vri[op.src0] >= vri[op.src1]) != op.onTraceTaken() {
-				return ctx.abort(&dd, GuardFail, nil, n)
+				return ctx.abort(cr, GuardFail, nil, n, pos)
 			}
 
-		case xRotate:
-			dd.rotate(op.rotateAmount())
-		case xAMov:
-			dd.amov(op.amovOffsets())
-
-		default: // decode never produces one, and Validate rejects it
+		default: // the bake drops rotates and AMOVs, and Validate rejects the rest
 			panic(fmt.Sprintf("vliw: cannot execute fused opcode %v of slot %d", op.xop, n))
 		}
 	}
 
 	// Commit: write the live-out virtual registers of the registers the
-	// region may change back to the guest state, make the stores
-	// permanent, clear the detector.
+	// region may change back to the guest state and make the stores
+	// permanent. Every list ran in full.
 	for m := cr.intLive; m != 0; m &= m - 1 {
 		r := bits.TrailingZeros32(m)
 		st.R[r] = vri[cr.IntOut[r]]
@@ -761,17 +792,16 @@ func (ctx *ExecContext) Execute(cr *CompiledRegion, st *guest.State, mem *guest.
 	}
 	buffered := ctx.ar.StoreCount()
 	ctx.ar.Commit()
-	dd.reset()
 	ctx.busy = false
-	return ExecResult{Outcome: Commit, NextBlock: cr.FinalTarget, OpsExecuted: len(dec),
-		ARHighWater: int(dd.arHW), StoresBuffered: buffered}
+	return ExecResult{Outcome: Commit, NextBlock: cr.FinalTarget, OpsExecuted: cr.Ops(),
+		ARHighWater: int(cr.arHW), StoresBuffered: buffered, Checked: len(cr.lists)}
 }
 
 // Execute is the context-free convenience entry point: it runs the region
 // through a fresh ExecContext. Long-running callers (the dynopt runtime)
-// borrow a pooled ExecContext per Run and call its Execute method instead,
-// so the vreg files, checkpoint and undo log are recycled across entries
-// and across systems.
+// borrow a pooled ExecContext per Run and call its Run method instead,
+// so the vreg files, origin ranges and undo log are recycled across
+// entries and across systems.
 func Execute(cr *CompiledRegion, st *guest.State, mem *guest.Memory, det aliashw.Detector) ExecResult {
 	var ctx ExecContext
 	return ctx.Execute(cr, st, mem, det)

@@ -21,24 +21,26 @@ import (
 
 // hwModes is every alias hardware mode, each with the detector dynopt
 // builds for it, plus the ordered queue and the ALAT behind a plain
-// Detector type, which the executor cannot devirtualize and so drives
-// through its generic arm (the ALAT there because it acts on stores
-// without a P or C bit).
+// Detector type of another package: a region bakes for the hardware its
+// detector names (Detector.HW), whatever the detector's type (the ALAT
+// there because it acts on stores without a P or C bit).
 var hwModes = []struct {
 	name string
 	mode sched.HWMode
+	regs int
 	det  func() aliashw.Detector
 }{
-	{"ordered64", sched.HWOrdered, func() aliashw.Detector { return aliashw.NewOrderedQueue(64) }},
-	{"alat", sched.HWALAT, func() aliashw.Detector { return aliashw.NewALAT() }},
-	{"bitmask15", sched.HWBitmask, func() aliashw.Detector { return aliashw.NewBitmask(15) }},
-	{"none", sched.HWNone, func() aliashw.Detector { return aliashw.None{} }},
-	{"generic-ordered64", sched.HWOrdered, func() aliashw.Detector { return plainDetector{aliashw.NewOrderedQueue(64)} }},
-	{"generic-alat", sched.HWALAT, func() aliashw.Detector { return plainDetector{aliashw.NewALAT()} }},
+	{"ordered64", sched.HWOrdered, 64, func() aliashw.Detector { return aliashw.NewOrderedQueue(64) }},
+	{"alat", sched.HWALAT, 64, func() aliashw.Detector { return aliashw.NewALAT() }},
+	{"bitmask15", sched.HWBitmask, 15, func() aliashw.Detector { return aliashw.NewBitmask(15) }},
+	{"none", sched.HWNone, 64, func() aliashw.Detector { return aliashw.None{} }},
+	{"generic-ordered64", sched.HWOrdered, 64, func() aliashw.Detector { return plainDetector{aliashw.NewOrderedQueue(64)} }},
+	{"generic-alat", sched.HWALAT, 64, func() aliashw.Detector { return plainDetector{aliashw.NewALAT()} }},
+	{"ordered16", sched.HWOrdered, 16, func() aliashw.Detector { return aliashw.NewOrderedQueue(16) }},
+	{"ordered100", sched.HWOrdered, 100, func() aliashw.Detector { return aliashw.NewOrderedQueue(100) }},
 }
 
-// plainDetector hides a detector's concrete type from the executor's
-// type switch.
+// plainDetector hides a detector's concrete type.
 type plainDetector struct{ aliashw.Detector }
 
 // TestExecuteZeroAllocsOnCommit pins the steady-state commit path of the
@@ -92,7 +94,7 @@ func TestExecuteZeroAllocsOnCommit(t *testing.T) {
 			t.Run(m.name+"/"+r.name, func(t *testing.T) {
 				b := guest.NewBuilder()
 				seed := r.build(b)
-				seq, reg, insts, err := fuzzSchedule(b.MustProgram(), seed, m.mode)
+				seq, reg, insts, err := fuzzSchedule(b.MustProgram(), seed, m.mode, m.regs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -165,14 +167,26 @@ func randomRegionProgram(rng *rand.Rand) (*guest.Program, int) {
 }
 
 // fuzzSchedule runs the compilation pipeline at seedBlock for the given
-// hardware mode up to the schedule, mirroring scheduleGuest but returning
-// errors so the fuzz loop can skip unformable regions.
-func fuzzSchedule(prog *guest.Program, seedBlock int, mode sched.HWMode) ([]*ir.Op, *ir.Region, int, error) {
+// hardware mode and alias register count up to the schedule, mirroring
+// scheduleGuest but returning errors so the fuzz loop can skip unformable
+// regions.
+func fuzzSchedule(prog *guest.Program, seedBlock int, mode sched.HWMode, regs int) ([]*ir.Op, *ir.Region, int, error) {
 	it := interp.New(prog, &guest.State{}, guest.NewMemory(1<<13))
 	if _, err := it.Run(0, 200_000); err != nil {
 		return nil, nil, 0, err
 	}
-	sb, err := region.Form(prog, it.Prof, seedBlock, region.DefaultConfig())
+	optCfg := opt.Config{}
+	if mode == sched.HWOrdered {
+		optCfg = opt.Config{LoadElim: true, StoreElim: true, Speculative: true}
+	}
+	return scheduleRegion(prog, it.Prof, seedBlock, mode, regs, optCfg)
+}
+
+// scheduleRegion forms the region at seedBlock from prof and schedules it
+// for the hardware mode with regs alias registers.
+func scheduleRegion(prog *guest.Program, prof *interp.Profile, seedBlock int, mode sched.HWMode, regs int,
+	optCfg opt.Config) ([]*ir.Op, *ir.Region, int, error) {
+	sb, err := region.Form(prog, prof, seedBlock, region.DefaultConfig())
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -181,19 +195,11 @@ func fuzzSchedule(prog *guest.Program, seedBlock int, mode sched.HWMode) ([]*ir.
 		return nil, nil, 0, err
 	}
 	tbl := alias.BuildTable(reg, nil)
-	optCfg := opt.Config{}
-	if mode == sched.HWOrdered {
-		optCfg = opt.Config{LoadElim: true, StoreElim: true, Speculative: true}
-	}
 	optRes := opt.Run(reg, tbl, optCfg)
 	ds := deps.Compute(reg, tbl)
 	opt.AddExtendedDeps(ds, reg, tbl, optRes)
-	nar := 64
-	if mode == sched.HWBitmask {
-		nar = 15
-	}
 	sc, err := sched.Run(reg, tbl, ds, sched.Config{
-		Mode: mode, NumAliasRegs: nar, StoreReorder: true,
+		Mode: mode, NumAliasRegs: regs, StoreReorder: true,
 		PressureMargin: 4, Machine: vliw.DefaultConfig(),
 	})
 	if err != nil {
@@ -240,14 +246,15 @@ func fillMem(mem *guest.Memory, seed int64) {
 	}
 }
 
-// diffEngines runs one region entry through both engines — the decoded
+// diffEngines runs one region entry through both engines — the baked
 // pooled one (ctx.Execute on cr) and the original ir.Op-walking executor
 // (ExecuteRef on the schedule cr was compiled from) — from the same entry
 // state and a memory filled from memSeed, each against its own detector
 // from newDet, and fails unless they agree op for op: outcome, next
 // block, conflict identity, ops executed, final registers bit for bit,
-// memory contents, and the detector's Checked() energy proxy. It returns
-// the decoded engine's result.
+// memory contents, the Checked() energy proxy, the alias-register high
+// water and the stores buffered. The baked engine must leave its detector
+// untouched. It returns the baked engine's result.
 func diffEngines(tb testing.TB, tag string, ctx *vliw.ExecContext, cr *vliw.CompiledRegion, seq []*ir.Op, reg *ir.Region,
 	entry *guest.State, memSeed int64, newDet func() aliashw.Detector) vliw.ExecResult {
 	tb.Helper()
@@ -282,24 +289,12 @@ func diffEngines(tb testing.TB, tag string, ctx *vliw.ExecContext, cr *vliw.Comp
 	if memDec.Digest() != memRef.Digest() {
 		tb.Fatalf("%s: memory digest diverged", tag)
 	}
-	if detDec.Checked() != detRef.Checked() {
-		tb.Fatalf("%s: Checked() = %d, reference %d", tag, detDec.Checked(), detRef.Checked())
+	if resDec.Checked != resRef.Checked || detDec.Checked() != 0 {
+		tb.Fatalf("%s: Checked = %d (detector %d), reference %d", tag, resDec.Checked, detDec.Checked(), resRef.Checked)
 	}
-	// The reference leaves the telemetry fields zero; derive them from
-	// the schedule. The op an entry aborted at claimed its alias register
-	// before its check, but buffered no store.
-	var hw, stores int
-	for i := 0; i < len(seq) && i <= resDec.OpsExecuted; i++ {
-		if op := seq[i]; op.IsMem() && op.P && op.AROffset+1 > hw {
-			hw = op.AROffset + 1
-		}
-		if i < resDec.OpsExecuted && seq[i].Kind == ir.Store {
-			stores++
-		}
-	}
-	if resDec.ARHighWater != hw || resDec.StoresBuffered != stores {
-		tb.Fatalf("%s: alias-register high water %d and %d stores buffered, the schedule says %d and %d",
-			tag, resDec.ARHighWater, resDec.StoresBuffered, hw, stores)
+	if resDec.ARHighWater != resRef.ARHighWater || resDec.StoresBuffered != resRef.StoresBuffered {
+		tb.Fatalf("%s: alias-register high water %d and %d stores buffered, reference %d and %d",
+			tag, resDec.ARHighWater, resDec.StoresBuffered, resRef.ARHighWater, resRef.StoresBuffered)
 	}
 	return resDec
 }
@@ -458,7 +453,7 @@ func TestExecuteDecodedMatchesReference(t *testing.T) {
 		for m := range hwModes {
 			// Rebuild the program per mode: translation annotates it.
 			prog, loop := build()
-			seq, reg, insts, err := fuzzSchedule(prog, loop, hwModes[m].mode)
+			seq, reg, insts, err := fuzzSchedule(prog, loop, hwModes[m].mode, hwModes[m].regs)
 			if err != nil {
 				t.Logf("%s/%s: skip (compile: %v)", name, hwModes[m].name, err)
 				continue
@@ -476,11 +471,11 @@ func TestExecuteDecodedMatchesReference(t *testing.T) {
 		run("cover-"+exit.String(), func() (*guest.Program, int) { return coverProgram(exit) }, int64(5000+i))
 	}
 	seq, reg := edgeSchedule()
-	cr := vliw.DefaultConfig().Compile(seq, reg, len(seq))
-	if err := cr.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	for m := range hwModes {
+		cr := vliw.DefaultConfig().Compile(seq, reg, len(seq))
+		if err := cr.Validate(); err != nil {
+			t.Fatal(err)
+		}
 		entries("edge", m, cr, seq, reg, 6000)
 	}
 
@@ -526,7 +521,7 @@ func TestValidatedOperandsSuffice(t *testing.T) {
 	for _, exit := range []guest.Opcode{guest.Blt, guest.Bne, guest.Bge} {
 		for _, m := range hwModes[:4] {
 			prog, loop := coverProgram(exit)
-			seq, reg, insts, err := fuzzSchedule(prog, loop, m.mode)
+			seq, reg, insts, err := fuzzSchedule(prog, loop, m.mode, m.regs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -642,7 +637,7 @@ func TestExecuteDecodedMatchesReferenceEdgeCases(t *testing.T) {
 				b.NewBlock()
 				c.build(b)
 				b.Halt()
-				seq, reg, insts, err := fuzzSchedule(b.MustProgram(), 0, m.mode)
+				seq, reg, insts, err := fuzzSchedule(b.MustProgram(), 0, m.mode, m.regs)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -12,9 +12,9 @@ const NumXops = int(numXops)
 // Xops returns the fused opcode of each op of the region's decoded
 // stream, in schedule order.
 func Xops(cr *CompiledRegion) []int {
-	xs := make([]int, len(cr.dec))
-	for i := range cr.dec {
-		xs[i] = int(cr.dec[i].xop)
+	xs := make([]int, len(cr.code))
+	for i := range cr.code {
+		xs[i] = int(cr.code[i].xop)
 	}
 	return xs
 }
@@ -25,6 +25,10 @@ func XopName(x int) string { return xop(x).String() }
 // SetOperand overwrites one vreg field of the decoded op at slot: field 0
 // is dst, 1 src0, 2 src1 and 3 the memory base.
 func SetOperand(cr *CompiledRegion, slot, field int, v int32) {
-	d := &cr.dec[slot]
+	d := &cr.code[slot]
 	*[...]*int32{&d.dst, &d.src0, &d.src1, &d.memBase}[field] = v
 }
+
+// Dropped returns the schedule indices of the ops the bake dropped from
+// cr's stream.
+func Dropped(cr *CompiledRegion) []int32 { return cr.dropped }

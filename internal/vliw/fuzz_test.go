@@ -25,7 +25,7 @@ func FuzzExecuteDecoded(f *testing.F) {
 		for _, m := range hwModes {
 			// Rebuild the program per mode: translation annotates it.
 			prog, loop := randomRegionProgram(rand.New(rand.NewSource(progSeed)))
-			seq, reg, insts, err := fuzzSchedule(prog, loop, m.mode)
+			seq, reg, insts, err := fuzzSchedule(prog, loop, m.mode, m.regs)
 			if err != nil {
 				continue // an unformable or unschedulable region
 			}

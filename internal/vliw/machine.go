@@ -47,20 +47,25 @@ type ExecResult struct {
 	OpsExecuted int
 	// ARHighWater is the alias-register occupancy high-water mark of the
 	// execution: the highest queue slot (+1) an executed P-bit memory op
-	// claimed. Telemetry-only; filled by the decoded engine, left zero by
-	// the reference executor.
+	// claimed. Telemetry-only.
 	ARHighWater int
 	// StoresBuffered is how many stores the atomic region had buffered
-	// when the execution ended (committed or discarded). Telemetry-only;
-	// filled by the decoded engine, left zero by the reference executor.
+	// when the execution ended (committed or discarded). Telemetry-only.
 	StoresBuffered int
+	// Checked is how many register comparisons the alias hardware
+	// performed — the §2.4 energy proxy. A baked region counts them
+	// statically: every list before the op the entry ended at, plus that
+	// op's list up to its conflict.
+	Checked int
 }
 
 // CompiledRegion is an installed translation: the schedule decoded into a
 // flat stream of value structs, the commit-time register mapping, and the
 // precomputed static cycle cost of one complete execution. It holds no
 // *ir.Op or *ir.Region, so it shares nothing with the compile that
-// produced it — the IR may live in a recycled arena.
+// produced it — the IR may live in a recycled arena. Bake lowers it, in
+// place, into the form the host runs; after that it is read-only, and
+// one region may run on many contexts at once.
 type CompiledRegion struct {
 	// Cycles is the in-order issue cycle count of the schedule on this
 	// machine.
@@ -80,19 +85,34 @@ type CompiledRegion struct {
 	// commit must write guest register r back (liveOutMasks), clear when
 	// the region leaves it as it found it.
 	intLive, floatLive uint32
-	// dec is the schedule decoded into a flat array of value structs, so
-	// the execute loop walks contiguous memory instead of chasing *ir.Op
-	// pointers (see exec.go).
-	dec []decOp
+	// baked says Bake lowered code for hw.
+	baked bool
+	hw    aliashw.HW
+	// arHW is a committing entry's alias-register high-water mark.
+	arHW int32
+	// code is the region's one op stream: the schedule decoded, until
+	// Bake rewrites it into the stream the host runs (see exec.go).
+	code []decOp
+	// lists holds every check list, in stream order: the stream slots of
+	// the origins each checking op compares against, in hardware order.
+	lists []int32
+	// dropped holds, ascending, the schedule indices of the ops the bake
+	// removed from the stream.
+	dropped []int32
+	// zeroInt and zeroFloat are the vregs outside the live-ins that the
+	// stream or the commit reads before the stream writes them (unread
+	// before a write, a vreg needs no clearing): an entry zeroes those
+	// only. zeroInt holds the zero vreg whenever a memory op indexes
+	// through it.
+	zeroInt, zeroFloat []int32
 }
 
-// Compile bakes a scheduled sequence into an installable region: it
-// computes the static cycle cost and decodes every op into the flat
-// stream the executor runs. seq and reg are read only during the call —
-// nothing is retained — so they may be arena-backed and recycled as soon
-// as Compile returns.
+// Compile computes a scheduled sequence's static cycle cost and decodes
+// every op into the flat stream the bake lowers. seq and reg are read
+// only during the call — nothing is retained — so they may be
+// arena-backed and recycled as soon as Compile returns.
 func (c Config) Compile(seq []*ir.Op, reg *ir.Region, guestInsts int) *CompiledRegion {
-	dec, intWritten, floatWritten := decode(seq)
+	code, intWritten, floatWritten := decode(seq)
 	cr := &CompiledRegion{
 		Cycles:      c.CycleCount(seq, reg.NumVRegs),
 		GuestInsts:  guestInsts,
@@ -100,23 +120,24 @@ func (c Config) Compile(seq []*ir.Op, reg *ir.Region, guestInsts int) *CompiledR
 		FinalTarget: reg.FinalTarget,
 		IntOut:      reg.IntOut,
 		FloatOut:    reg.FloatOut,
-		dec:         dec,
+		code:        code,
 	}
 	cr.intLive, cr.floatLive = liveOutMasks(&cr.IntOut, &cr.FloatOut, intWritten, floatWritten)
 	return cr
 }
 
-// Ops returns the number of ops in the decoded schedule — what one
-// complete execution retires.
-func (cr *CompiledRegion) Ops() int { return len(cr.dec) }
+// Ops returns the number of ops in the schedule — what one complete
+// execution retires — whatever the bake dropped from the stream.
+func (cr *CompiledRegion) Ops() int { return len(cr.code) + len(cr.dropped) }
 
 // Bytes is the region's retained heap footprint: the struct itself (the
-// live-out masks included) plus the decoded stream, which decode
-// allocates at exact length. The result depends only on the region's
-// structure — never on addresses or host state — so it is deterministic
-// and safe to fold into cache-eviction decisions.
+// live-out masks included) plus the op stream, the check lists, the
+// dropped indices and the vregs to zero, each allocated at exact length. The result depends
+// only on the region's structure — never on addresses or host state — so
+// it is deterministic and safe to fold into cache-eviction decisions.
 func (cr *CompiledRegion) Bytes() int64 {
-	return int64(unsafe.Sizeof(*cr)) + int64(len(cr.dec))*int64(unsafe.Sizeof(decOp{}))
+	return int64(unsafe.Sizeof(*cr)) + int64(len(cr.code))*int64(unsafe.Sizeof(decOp{})) +
+		int64(len(cr.lists)+len(cr.dropped)+len(cr.zeroInt)+len(cr.zeroFloat))*int64(unsafe.Sizeof(int32(0)))
 }
 
 // readyPool recycles the per-vreg ready-time scratch of CycleCount, which

@@ -17,10 +17,13 @@ type vregFile struct {
 }
 
 // executeRef is the original *ir.Op-walking executor, kept as the
-// reference semantics for the decoded engine in exec.go: the differential
+// reference semantics for the baked engine in exec.go: the differential
 // test drives both on the same schedules and requires bit-identical
-// outcomes. It runs the scheduled IR directly (seq and its region) and
-// allocates per entry (vreg files, checkpoint, undo log).
+// outcomes. It runs the scheduled IR directly (seq and its region) against
+// the address-level detector det, every rotate and AMOV included, and
+// allocates per entry (vreg files, checkpoint, undo log). Its
+// ARHighWater, StoresBuffered and Checked (det's comparisons during the
+// entry) are the baked engine's references too.
 func executeRef(seq []*ir.Op, reg *ir.Region, st *guest.State, mem *guest.Memory, det aliashw.Detector) ExecResult {
 	vr := vregFile{i: make([]int64, reg.NumVRegs), f: make([]float64, reg.NumVRegs)}
 	for r := 0; r < guest.NumRegs; r++ {
@@ -29,13 +32,20 @@ func executeRef(seq []*ir.Op, reg *ir.Region, st *guest.State, mem *guest.Memory
 	}
 
 	ar := atomic.Begin(st, mem)
+	checked0 := det.Checked()
+	hw := 0
 	abort := func(out Outcome, conf *aliashw.Conflict, n int) ExecResult {
+		stores := ar.StoreCount()
 		ar.Rollback()
 		det.Reset()
-		return ExecResult{Outcome: out, Conflict: conf, OpsExecuted: n}
+		return ExecResult{Outcome: out, Conflict: conf, OpsExecuted: n, ARHighWater: hw,
+			StoresBuffered: stores, Checked: int(det.Checked() - checked0)}
 	}
 
 	for n, op := range seq {
+		if op.IsMem() && op.P && op.AROffset+1 > hw {
+			hw = op.AROffset + 1
+		}
 		switch op.Kind {
 		case ir.Arith:
 			execArith(op, &vr)
@@ -101,9 +111,11 @@ func executeRef(seq []*ir.Op, reg *ir.Region, st *guest.State, mem *guest.Memory
 		st.R[r] = vr.i[reg.IntOut[r]]
 		st.F[r] = vr.f[reg.FloatOut[r]]
 	}
+	stores := ar.StoreCount()
 	ar.Commit()
 	det.Reset()
-	return ExecResult{Outcome: Commit, NextBlock: reg.FinalTarget, OpsExecuted: len(seq)}
+	return ExecResult{Outcome: Commit, NextBlock: reg.FinalTarget, OpsExecuted: len(seq), ARHighWater: hw,
+		StoresBuffered: stores, Checked: int(det.Checked() - checked0)}
 }
 
 // execArith evaluates a register-to-register op on the vreg file,
